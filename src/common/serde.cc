@@ -1,5 +1,7 @@
 #include "common/serde.h"
 
+#include "common/logging.h"
+
 namespace ps2 {
 
 Result<uint8_t> BufferReader::ReadU8() {
@@ -27,6 +29,15 @@ Result<std::string> BufferReader::ReadString() {
   std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return s;
+}
+
+Result<uint64_t> BufferReader::ReadCount(size_t min_bytes_per_elem) {
+  PS2_CHECK_GE(min_bytes_per_elem, 1u);
+  PS2_ASSIGN_OR_RETURN(uint64_t n, ReadVarint());
+  if (n > remaining() / min_bytes_per_elem) {
+    return Status::OutOfRange("element count exceeds buffer");
+  }
+  return n;
 }
 
 Result<std::vector<uint64_t>> BufferReader::ReadVarintVector() {

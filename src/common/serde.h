@@ -150,6 +150,12 @@ class BufferReader {
   }
   Result<std::string> ReadString();
 
+  /// A varint element count, rejected unless the rest of the buffer can hold
+  /// that many elements of at least `min_bytes_per_elem` (>= 1) bytes each.
+  /// Decoders size allocations from the result, so a forged count fails
+  /// here instead of reserving without bound.
+  Result<uint64_t> ReadCount(size_t min_bytes_per_elem);
+
   template <typename T>
   Result<std::vector<T>> ReadPodVector() {
     static_assert(std::is_trivially_copyable_v<T>);

@@ -7,6 +7,11 @@
 
 namespace ps2 {
 
+namespace {
+/// The pool whose WorkerLoop this thread runs (nullptr off-pool).
+thread_local const ThreadPool* t_worker_of = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(size_t num_threads) {
   PS2_CHECK_GE(num_threads, 1u);
   threads_.reserve(num_threads);
@@ -57,7 +62,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   for (auto& f : futures) f.get();
 }
 
+bool ThreadPool::OnWorkerThread() const { return t_worker_of == this; }
+
 void ThreadPool::WorkerLoop() {
+  t_worker_of = this;
   for (;;) {
     std::packaged_task<void()> task;
     {

@@ -34,6 +34,11 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
+  /// True when the calling thread is one of this pool's workers. A task that
+  /// fans work out must not ParallelFor on its own pool: with every worker
+  /// blocked in such a wait, the queued indices never run.
+  bool OnWorkerThread() const;
+
   /// Process-wide pool sized to the hardware concurrency.
   static ThreadPool* Global();
 

@@ -25,10 +25,7 @@ PsClient* MembershipManager::client() {
     // Lazy: clusters that never migrate must not allocate a client id here,
     // or every data client's id — and with it the deterministic fault draws
     // keyed on (server, client, seq, attempt) — would shift by one.
-    PsClientOptions options;
-    options.window_depth = 1;
-    options.parallel_fanout = false;  // control legs are sequential
-    client_ = std::make_unique<PsClient>(master_, options);
+    client_ = std::make_unique<PsClient>(master_);
   }
   return client_.get();
 }

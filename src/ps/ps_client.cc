@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -14,6 +13,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "linalg/dense_vector.h"
 #include "net/message.h"
 #include "obs/trace.h"
@@ -64,11 +64,6 @@ const std::string& ExchangeUsName(PsOpCode op) {
   return OpName(table, op);
 }
 
-const std::string& AsyncOpUsName(PsOpCode op) {
-  static const std::string* table = MakeOpNames("ps.client.async_op_us");
-  return OpName(table, op);
-}
-
 /// Charges the cluster clock with the collective cost of a coordinator-issued
 /// op's fan-out: dependent round latency, the worst single server's share,
 /// and local compute. Shared by OpScope (sync slow paths) and the async
@@ -116,61 +111,31 @@ class PsClient::OpScope {
 
 // ----------------------------------------------------------------- AsyncCore
 
-/// Shared async-window state. Held by shared_ptr so harvest hooks (and their
-/// retire tokens) stay valid even if a future outlives the client.
+/// Leader/follower bookkeeping. Held by shared_ptr so harvest hooks (and
+/// their retire tokens) stay valid even if a future outlives the client.
 ///
-/// Two counters with different lifecycles:
-///   inflight     — issued but not yet *completed*; bounds the window and is
-///                  what ~PsClient quiesces on. Decremented by the thread
-///                  that completes the op.
-///   outstanding  — per issue-context (TrafficScope pointer; nullptr = the
-///                  coordinator) count of ops issued but not yet *harvested*.
-///                  Touched only in caller program order (issue at submit,
-///                  retire at first Wait/Get — or at future abandonment),
-///                  which is what makes leader/follower classification — and
-///                  hence virtual time — deterministic.
+/// `outstanding` counts, per issue-context (TrafficScope pointer; nullptr =
+/// the coordinator), the ops issued but not yet *harvested*. It is touched
+/// only in caller program order (issue at submit, retire at first Wait/Get —
+/// or at future abandonment), which is what makes leader/follower
+/// classification — and hence virtual time — deterministic.
 struct PsClient::AsyncCore {
-  Cluster* cluster = nullptr;
-  int window_depth = 8;
-
-  mutable std::mutex mu;
-  std::condition_variable cv;
-  int inflight = 0;
-  int peak_inflight = 0;
-  uint64_t issued = 0;
+  std::mutex mu;
   std::map<const void*, int> outstanding;
 
-  /// Blocks until a window slot frees, claims it, and classifies the op:
-  /// true = round leader (nothing outstanding in this context).
+  /// Classifies the op: true = round leader (nothing outstanding in `ctx`).
   bool Issue(const void* ctx) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return inflight < window_depth; });
-    inflight += 1;
-    peak_inflight = std::max(peak_inflight, inflight);
-    issued += 1;
+    std::lock_guard<std::mutex> lock(mu);
     int& n = outstanding[ctx];
     const bool leader = n == 0;
     n += 1;
     return leader;
   }
 
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      inflight -= 1;
-    }
-    cv.notify_all();
-  }
-
   void Retire(const void* ctx) {
     std::lock_guard<std::mutex> lock(mu);
     auto it = outstanding.find(ctx);
     if (it != outstanding.end() && --it->second == 0) outstanding.erase(it);
-  }
-
-  void Quiesce() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return inflight == 0; });
   }
 };
 
@@ -181,7 +146,6 @@ PsClient::PsClient(PsMaster* master, PsClientOptions options)
       options_(options),
       core_(std::make_shared<AsyncCore>()) {
   PS2_CHECK(master != nullptr);
-  if (options_.window_depth < 1) options_.window_depth = 1;
   if (options_.max_attempts < 1) options_.max_attempts = 1;
   filters_ =
       options_.filters.value_or(master_->cluster()->spec().filters);
@@ -190,21 +154,12 @@ PsClient::PsClient(PsMaster* master, PsClientOptions options)
       static_cast<size_t>(std::max(master_->num_servers(), 1));
   next_seq_ = std::make_unique<std::atomic<uint64_t>[]>(n_servers);
   for (size_t s = 0; s < n_servers; ++s) next_seq_[s].store(0);
-  core_->cluster = master_->cluster();
-  core_->window_depth = options_.window_depth;
-  if (options_.parallel_fanout) {
-    int threads = options_.fanout_threads;
-    if (threads <= 0) threads = std::min(std::max(master_->num_servers(), 1), 16);
-    io_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
-  }
   MetricsRegistry& metrics = master_->cluster()->metrics();
   exchange_us_hists_.resize(kNumPsOpCodes + 1);
-  async_op_us_hists_.resize(kNumPsOpCodes + 1);
   for (int i = 0; i <= kNumPsOpCodes; ++i) {
     const PsOpCode op =
         static_cast<PsOpCode>(i < kNumPsOpCodes ? i : 0xff);
     exchange_us_hists_[i] = metrics.GetOrCreateHistogram(ExchangeUsName(op));
-    async_op_us_hists_[i] = metrics.GetOrCreateHistogram(AsyncOpUsName(op));
   }
   retries_hist_ =
       metrics.GetOrCreateHistogram("ps.client.retries_per_exchange");
@@ -213,19 +168,7 @@ PsClient::PsClient(PsMaster* master, PsClientOptions options)
   master_->hotspot()->RegisterCache(&cache_);
 }
 
-PsClient::~PsClient() {
-  core_->Quiesce();
-  master_->hotspot()->UnregisterCache(&cache_);
-}
-
-PsClient::AsyncStats PsClient::async_stats() const {
-  std::lock_guard<std::mutex> lock(core_->mu);
-  AsyncStats stats;
-  stats.issued = core_->issued;
-  stats.inflight = core_->inflight;
-  stats.peak_inflight = core_->peak_inflight;
-  return stats;
-}
+PsClient::~PsClient() { master_->hotspot()->UnregisterCache(&cache_); }
 
 PsClient::ServerRequest PsClient::MakeRequest(int server,
                                               BufferWriter* writer) {
@@ -247,6 +190,14 @@ PsClient::ServerRequest PsClient::MakeRouted(const MatrixMeta& meta,
   // planned against the initial table (version 0) is still distinguishable
   // from one that carries no routing information at all.
   req.header.routing_epoch = meta.routing_epoch + 1;
+  return req;
+}
+
+PsClient::ServerRequest PsClient::MakeShardRequest(const MatrixMeta& meta,
+                                                   int partition,
+                                                   BufferWriter* writer) {
+  ServerRequest req = MakeRouted(meta, partition, writer);
+  req.shard_scoped = true;
   return req;
 }
 
@@ -341,7 +292,7 @@ void PsClient::StampRequests(std::vector<ServerRequest>* requests) {
     req.header.attempt = 1;
     // Encode here — issuing thread, program order — so install-vs-ref
     // decisions (and with them the wire bytes the benches pin) are
-    // deterministic regardless of I/O-pool scheduling.
+    // deterministic regardless of how a pooled fan-out is scheduled.
     EncodeRequest(&req, /*force_key_install=*/false);
   }
 }
@@ -362,7 +313,6 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
   // concurrent migration's extract/install/commit legs.
   uint32_t routing_rounds = 0;
   constexpr uint32_t kMaxRoutingRounds = 4096;
-  PS2_TRACE_SPAN("ps.client", PsOpCodeName(op));
   // Wall-clock per-exchange latency and virtual retry/backoff samples land
   // in histograms only; the deterministic totals stay on the TaskTraffic
   // counter path (Cluster::RecordTraffic). Latency is sampled 1 in 16 per
@@ -516,7 +466,7 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
     if (r->ok() || !r->status().IsUnavailable() || attempt >= max_attempts) {
       if (r->ok() && (*r)->dedup_hit) out.dedup_hits += 1;
       // Decode a filtered response here — off the server's lock, on
-      // whichever pool thread ran the exchange (the chain is stateless
+      // whichever thread ran the exchange (the chain is stateless
       // server-to-client, so this is safe anywhere).
       if (r->ok() && (*r)->response_mask != 0) {
         PsServer::HandleResult& h = **r;
@@ -565,23 +515,30 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
 Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeAll(
     TaskTraffic* traffic, std::vector<ServerRequest> requests) {
   const size_t n = requests.size();
-  PS2_TRACE_SPAN("ps.client", "exchange_all");
+  // One span per fan-out, not per request: on the inline route every span
+  // lands in the issuing thread's trace ring, and the server spans nested
+  // here already time each request.
+  PS2_TRACE_SPAN("ps.client",
+                 PsOpCodeName(n > 0 ? PeekOpCode(requests[0].payload.slice())
+                                    : static_cast<PsOpCode>(0xff)));
   StampRequests(&requests);
   std::vector<ExchangeOutcome> slots(n);
-  if (io_pool_ != nullptr && options_.parallel_fanout && n > 1) {
-    std::vector<std::future<void>> pending;
-    pending.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      pending.push_back(io_pool_->Submit(
-          [this, &requests, &slots, i] { slots[i] = ExecuteRequest(requests[i]); }));
-    }
-    for (auto& f : pending) f.wait();
+  // Keyed requests run inline: each is one in-process Handle of a few µs,
+  // cheaper than any hand-off. Shard-scoped ones run the op over a server's
+  // whole shard (the coordinator's Adam zip, gradient Zero/Scale), so they
+  // spread over the cluster pool — except on that pool's own workers (a
+  // task body), where a nested ParallelFor could wait forever on indices no
+  // free worker is left to take.
+  ThreadPool* pool = master_->cluster()->pool();
+  if (n > 1 && requests[0].shard_scoped && !pool->OnWorkerThread()) {
+    pool->ParallelFor(
+        n, [&](size_t i) { slots[i] = ExecuteRequest(requests[i]); });
   } else {
     for (size_t i = 0; i < n; ++i) slots[i] = ExecuteRequest(requests[i]);
   }
-  // Unified error semantics (identical under both parallel_fanout settings):
-  // every request executed; every success is recorded in request
-  // (= partition) order; the first failure in that order is reported.
+  // Same error semantics on both routes: every request executed; every
+  // success is recorded in request (= partition) order; the first failure
+  // in that order is reported.
   std::optional<Status> failed;
   std::vector<PsServer::HandleResult> out;
   out.reserve(n);
@@ -633,63 +590,6 @@ PsFuture<T> PsClient::ReadyFuture(Result<T> result) {
   return MakeReadyFuture<T>(std::move(result));
 }
 
-namespace {
-
-/// Issue-to-complete observability of one async op. Captured by value into
-/// the fan-out completion lambda: the op can finish on a pool thread, so a
-/// scope-bound SpanGuard on the issuing thread would under-report — the
-/// completing thread stamps the end and records the whole interval.
-struct AsyncOpObs {
-  Histogram* async_op_us = nullptr;
-  PsOpCode op = static_cast<PsOpCode>(0xff);
-  double wall_begin_us = 0.0;
-  double virt_begin_s = -1.0;
-  bool traced = false;
-
-  static AsyncOpObs Begin(Histogram* async_op_us, PsOpCode op) {
-    AsyncOpObs obs;
-    obs.op = op;
-    obs.traced = obs::Tracer::Global().enabled();
-    if (obs.traced) {
-      // Tracing wants every span; the histogram rides along for free.
-      obs.async_op_us = async_op_us;
-      obs::Tracer::Global().Now(&obs.wall_begin_us, &obs.virt_begin_s);
-      return obs;
-    }
-    // Tracing off: sample the latency histogram 1 in 16 per thread, same as
-    // the sync exchange path — issue-to-complete spans are per async op,
-    // and the two clock reads add up on pipelined flows.
-    static thread_local uint32_t sample_tick = 0;
-    if ((sample_tick++ & 15) == 0) {
-      obs.async_op_us = async_op_us;
-      obs.wall_begin_us = WallUs();
-    }
-    return obs;
-  }
-
-  void Complete() const {
-    double wall_end_us = 0.0, virt_end_s = -1.0;
-    if (traced) {
-      obs::Tracer::Global().Now(&wall_end_us, &virt_end_s);
-      obs::TraceEvent event;
-      event.category = "ps.client.async";
-      event.name = PsOpCodeName(op);
-      event.wall_begin_us = wall_begin_us;
-      event.wall_dur_us = wall_end_us - wall_begin_us;
-      event.virt_begin_s = virt_begin_s;
-      event.virt_end_s = virt_end_s;
-      obs::Tracer::Global().Record(std::move(event));
-    } else if (async_op_us != nullptr) {
-      wall_end_us = WallUs();
-    } else {
-      return;
-    }
-    async_op_us->Record(wall_end_us - wall_begin_us);
-  }
-};
-
-}  // namespace
-
 template <typename T>
 PsFuture<T> PsClient::SubmitAsync(std::vector<ServerRequest> requests,
                                   ParseFn<T> parse) {
@@ -697,17 +597,11 @@ PsFuture<T> PsClient::SubmitAsync(std::vector<ServerRequest> requests,
   std::shared_ptr<AsyncCore> core = core_;
   const void* ctx = TrafficScope::Current();
   // Loopback diversion is decided per exchange against the ISSUING task's
-  // co-located server; completions may run on pool threads, so the binding
-  // must travel with the op's private traffic record.
+  // co-located server; the exchanges record into the op's private traffic
+  // record, so the binding must travel with it.
   if (const TaskTraffic* ambient = TrafficScope::Current()) {
     state->traffic.colocated_server = ambient->colocated_server;
   }
-  const PsOpCode first_op = requests.empty()
-                                ? static_cast<PsOpCode>(0xff)
-                                : PeekOpCode(requests[0].payload.slice());
-  const AsyncOpObs op_obs =
-      AsyncOpObs::Begin(OpHist(async_op_us_hists_, first_op), first_op);
-
   const bool leader = core->Issue(ctx);
   if (leader) {
     state->traffic.rounds += 1;
@@ -730,75 +624,14 @@ PsFuture<T> PsClient::SubmitAsync(std::vector<ServerRequest> requests,
     }
   };
 
-  const size_t n = requests.size();
-  if (io_pool_ == nullptr || !options_.parallel_fanout || n <= 1) {
-    // Degenerate fan-out: execute inline; the future completes at issue.
-    Result<std::vector<PsServer::HandleResult>> results =
-        ExchangeAll(&state->traffic, std::move(requests));
-    // Release before Complete so that once every future has been waited,
-    // the window is observably empty (async_stats().inflight == 0).
-    core->Release();
-    if (!results.ok()) {
-      state->Complete(Result<T>(results.status()));
-    } else {
-      state->Complete(parse(std::move(*results), &state->traffic));
-    }
-    op_obs.Complete();
-    return PsFuture<T>(std::move(state));
-  }
-
-  struct Fanout {
-    std::vector<ServerRequest> requests;
-    std::vector<ExchangeOutcome> slots;
-    std::atomic<size_t> remaining{0};
-    PsClient::ParseFn<T> parse;
-  };
-  auto op = std::make_shared<Fanout>();
-  op->requests = std::move(requests);
-  // Stamp on the issuing thread, before any pool thread runs: seq order —
-  // and the fault draws keyed on it — must follow program order.
-  StampRequests(&op->requests);
-  op->slots.resize(n);
-  op->remaining.store(n, std::memory_order_relaxed);
-  op->parse = std::move(parse);
-  for (size_t i = 0; i < n; ++i) {
-    io_pool_->Submit([this, op, state, core, i, op_obs] {
-      op->slots[i] = ExecuteRequest(op->requests[i]);
-      if (op->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-      // Last response in: record in request order with the unified error
-      // semantics (every success recorded, first failure reported), free
-      // the window slot, parse, complete.
-      std::optional<Status> failed;
-      std::vector<PsServer::HandleResult> results;
-      results.reserve(op->slots.size());
-      for (size_t k = 0; k < op->slots.size(); ++k) {
-        state->traffic.retries += op->slots[k].retries;
-        state->traffic.retry_backoff_time += op->slots[k].backoff;
-        state->traffic.dedup_hits += op->slots[k].dedup_hits;
-        state->traffic.keycache_misses += op->slots[k].kc_misses;
-        Result<PsServer::HandleResult>& r = *op->slots[k].result;
-        if (!r.ok()) {
-          if (!failed.has_value()) failed = r.status();
-          continue;
-        }
-        state->traffic.RecordExchange(
-            op->requests[k].server, op->slots[k].req_wire,
-            op->slots[k].resp_wire, r->server_ops, op->slots[k].req_logical,
-            op->slots[k].resp_logical);
-        state->traffic.keycache_hits += op->slots[k].kc_refs;
-        state->traffic.keycache_installs += op->slots[k].kc_installs;
-        results.push_back(std::move(*r));
-      }
-      // Release before Complete so that once every future has been waited,
-      // the window is observably empty (async_stats().inflight == 0).
-      core->Release();
-      if (failed.has_value()) {
-        state->Complete(Result<T>(std::move(*failed)));
-      } else {
-        state->Complete(op->parse(std::move(results), &state->traffic));
-      }
-      op_obs.Complete();
-    });
+  // The exchange completes before issue returns; the future defers only the
+  // harvest, which is where overlapped ops share one round of latency.
+  Result<std::vector<PsServer::HandleResult>> results =
+      ExchangeAll(&state->traffic, std::move(requests));
+  if (!results.ok()) {
+    state->Complete(Result<T>(results.status()));
+  } else {
+    state->Complete(parse(std::move(*results), &state->traffic));
   }
   return PsFuture<T>(std::move(state));
 }
@@ -1286,7 +1119,7 @@ PsFuture<double> PsClient::RowAggregateAsync(RowRef ref, RowAggKind kind) {
     writer.WriteVarint(ref.matrix_id);
     writer.WriteVarint(ref.row);
     writer.WriteU8(static_cast<uint8_t>(kind));
-    requests.push_back(MakeRouted(meta, p, &writer));
+    requests.push_back(MakeShardRequest(meta, p, &writer));
   }
   return SubmitAsync<double>(
       std::move(requests),
@@ -1360,7 +1193,7 @@ PsFuture<Ack> PsClient::ColumnOpAsync(ColOpKind kind, RowRef dst,
       writer.WriteVarint(src.row);
     }
     writer.WriteF64(scalar);
-    requests.push_back(MakeRouted(meta, p, &writer));
+    requests.push_back(MakeShardRequest(meta, p, &writer));
   }
   return SubmitAsync<Ack>(std::move(requests), AckParse);
 }
@@ -1492,7 +1325,7 @@ PsFuture<double> PsClient::DotAsync(RowRef a, RowRef b) {
     writer.WriteVarint(a.row);
     writer.WriteVarint(b.matrix_id);
     writer.WriteVarint(b.row);
-    requests.push_back(MakeRouted(meta, p, &writer));
+    requests.push_back(MakeShardRequest(meta, p, &writer));
   }
   return SubmitAsync<double>(
       std::move(requests),
@@ -1532,7 +1365,7 @@ Status PsClient::Zip(const std::vector<RowRef>& rows, int udf_id) {
       writer.WriteVarint(r.matrix_id);
       writer.WriteVarint(r.row);
     }
-    requests.push_back(MakeRouted(meta, p, &writer));
+    requests.push_back(MakeShardRequest(meta, p, &writer));
   }
   return SubmitAsync<Ack>(std::move(requests), AckParse).Wait();
 }
@@ -1559,7 +1392,7 @@ Result<std::vector<std::vector<double>>> PsClient::ZipAggregate(
       writer.WriteVarint(r.matrix_id);
       writer.WriteVarint(r.row);
     }
-    requests.push_back(MakeRouted(meta, p, &writer));
+    requests.push_back(MakeShardRequest(meta, p, &writer));
   }
   return SubmitAsync<Out>(
              std::move(requests),
@@ -1608,7 +1441,7 @@ PsFuture<std::vector<double>> PsClient::DotBatchAsync(
       writer.WriteVarint(b.matrix_id);
       writer.WriteVarint(b.row);
     }
-    requests.push_back(MakeRouted(meta, p, &writer));
+    requests.push_back(MakeShardRequest(meta, p, &writer));
   }
   const size_t count = pairs.size();
   return SubmitAsync<Out>(
@@ -1657,7 +1490,7 @@ PsFuture<Ack> PsClient::AxpyBatchAsync(const std::vector<AxpyTask>& tasks) {
       writer.WriteVarint(t.src.row);
       writer.WriteF64(t.alpha);
     }
-    requests.push_back(MakeRouted(meta, p, &writer));
+    requests.push_back(MakeShardRequest(meta, p, &writer));
   }
   return SubmitAsync<Ack>(std::move(requests), AckParse);
 }
@@ -1686,7 +1519,7 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullRowsAsync(
       writer.WriteVarint(r.matrix_id);
       writer.WriteVarint(r.row);
     }
-    requests.push_back(MakeRouted(meta, target.partition, &writer));
+    requests.push_back(MakeShardRequest(meta, target.partition, &writer));
     windows.emplace_back(lo, width);
   }
   const size_t num_rows = rows.size();
@@ -1754,7 +1587,7 @@ PsFuture<Ack> PsClient::PushRowsAsync(
       writer.WriteF64Span(&deltas[i][lo], width);
       writer.EndSection();
     }
-    requests.push_back(MakeRouted(meta, target.partition, &writer));
+    requests.push_back(MakeShardRequest(meta, target.partition, &writer));
   }
   return SubmitAsync<Ack>(std::move(requests), AckParse);
 }
@@ -2081,7 +1914,7 @@ Status PsClient::MatrixInit(int matrix_id, uint32_t row_begin,
     writer.WriteVarint(row_end);
     writer.WriteF64(scale);
     writer.WriteU64(seed);
-    requests.push_back(MakeRouted(meta, p, &writer));
+    requests.push_back(MakeShardRequest(meta, p, &writer));
   }
   return SubmitAsync<Ack>(std::move(requests), AckParse).Wait();
 }

@@ -5,9 +5,15 @@
 //
 //   1. builds one serialized request per server whose column range it
 //      touches,
-//   2. executes the fan-out — in parallel on the client's I/O pool (an
-//      in-process PsServer::Handle call standing in for a Netty RPC per
-//      server), and
+//   2. executes them — each an in-process PsServer::Handle call standing in
+//      for a Netty RPC — by one rule (ExchangeAll): keyed requests (sparse
+//      pull/push, dense row windows, serving pulls, owned rows, clock and
+//      control calls) run inline, in partition order, on the issuing
+//      thread; shard-scoped requests (column ops, zip, row aggregates,
+//      dot/axpy and row batches, MatrixInit) run over a server's whole
+//      shard, the only exchanges long enough to repay a hand-off, so they
+//      spread over the cluster pool unless the issuing thread is one of that
+//      pool's workers (DESIGN.md §5c), and
 //   3. records the exchanges — request bytes, response bytes, server ops —
 //      into the issuing task's TaskTraffic. When no task is active (the
 //      coordinator issuing a DCV op between stages, e.g. the Adam update
@@ -15,27 +21,26 @@
 //      cost of its fan-out.
 //
 // Every operation has an asynchronous twin returning a PsFuture<T>
-// (paper §5.1's asynchronous client). Async ops enter a bounded in-flight
-// window (PsClientOptions::window_depth; issue blocks when full) and record
-// their traffic into a future-local record that the first Wait()/Get()
-// merges into the caller's scope. Overlap accounting: the first op issued
-// while a context has nothing outstanding is the round *leader*
-// (TaskTraffic::rounds += 1); ops issued while others are outstanding ride
-// the leader's latency window (TaskTraffic::pipelined_rounds += 1), so an
-// overlapped group of k ops charges max — one round — rather than the sum
-// the serial client paid. Leader/follower is decided at issue time and
-// retired at harvest time, both on the caller thread in program order, so
-// virtual time stays deterministic no matter how pool threads interleave.
-// The synchronous API is a thin XAsync(...).Get() wrapper — with nothing
-// outstanding it is leader-classified and byte-and-round identical to the
-// old serial client.
+// (paper §5.1's asynchronous client). The exchanges finish before issue
+// returns, but the op's traffic goes into a future-local record that the
+// first Wait()/Get() merges into the caller's scope. Overlap accounting:
+// the first op issued while a context has nothing outstanding is the round
+// *leader* (TaskTraffic::rounds += 1); ops issued while others are
+// outstanding ride the leader's latency window (TaskTraffic::
+// pipelined_rounds += 1), so an overlapped group of k ops charges max — one
+// round — rather than the sum the serial client paid. Leader/follower is
+// decided at issue time and retired at harvest time, both on the caller
+// thread in program order, so virtual time stays deterministic no matter
+// which thread ran an exchange. The synchronous API is a thin
+// XAsync(...).Get() wrapper — with nothing outstanding it is
+// leader-classified and byte-and-round identical to the old serial client.
 //
-// Error fan-out semantics (identical under both parallel_fanout settings):
-// every request executes on its server, every *successful* exchange is
-// recorded in partition order, and the reported Status is the first failure
-// in partition order. There is no partial-execution mode — a stage that
-// fails on server k still ran its requests on servers > k, and the dedup
-// layer below makes re-driving the whole fan-out safe.
+// Error fan-out semantics (the same inline and on the pool): every request
+// executes on its server, every *successful* exchange is recorded in
+// partition order, and the reported Status is the first failure in
+// partition order. There is no partial-execution mode — a stage that fails
+// on server k still ran its requests on servers > k, and the dedup layer
+// below makes re-driving the whole fan-out safe.
 //
 // Fault tolerance (DESIGN.md §6): every request carries an RpcHeader
 // (client id, per-server monotonic sequence number, attempt). Injected
@@ -64,7 +69,6 @@
 #include "common/result.h"
 #include "common/serde.h"
 #include "common/slice.h"
-#include "common/thread_pool.h"
 #include "hotspot/client_cache.h"
 #include "linalg/sparse_vector.h"
 #include "net/filter_config.h"
@@ -75,16 +79,8 @@
 
 namespace ps2 {
 
-/// \brief Tunables of the client's asynchronous pipeline.
+/// \brief Tunables of the client's retry and wire behaviour.
 struct PsClientOptions {
-  /// Maximum async ops in flight per client. Further issues block until a
-  /// slot frees — the backpressure that bounds worker-side staleness.
-  int window_depth = 8;
-  /// Threads in the per-client fan-out pool; 0 = one per server (capped).
-  int fanout_threads = 0;
-  /// When false, every exchange runs serially on the caller thread (the
-  /// pre-async client's execution order; futures complete at issue).
-  bool parallel_fanout = true;
   /// Total tries per request (1 = no retries). Only Unavailable results —
   /// injected message faults and crashed servers — are retried; the backoff
   /// between tries is charged to virtual time via CostModel::RetryBackoff.
@@ -105,9 +101,6 @@ struct PsClientOptions {
 class PsClient {
  public:
   explicit PsClient(PsMaster* master, PsClientOptions options = {});
-
-  /// Quiesces the async window (waits for all in-flight ops) before
-  /// tearing down the fan-out pool.
   ~PsClient();
 
   PsClient(const PsClient&) = delete;
@@ -182,9 +175,10 @@ class PsClient {
   // ---- Asynchronous API ---------------------------------------------------
   //
   // Each op validates at issue time (an invalid call returns an
-  // already-failed future that charges nothing), claims a window slot, and
-  // fans its requests out on the I/O pool. Wait()/Get() the future — on the
-  // issuing thread — to retrieve the result and charge the traffic.
+  // already-failed future that charges nothing) and runs its exchanges
+  // before returning (see the header comment); the future is complete at
+  // issue. Wait()/Get() it — on the issuing thread — to retrieve the result
+  // and charge the traffic.
 
   PsFuture<std::vector<double>> PullDenseAsync(RowRef ref,
                                                ColRange cols = ColRange::All());
@@ -253,14 +247,6 @@ class PsClient {
   /// them.
   Result<std::vector<uint8_t>> ControlCall(int server, BufferWriter* writer);
 
-  /// \brief Observability of the async window (tests, benches).
-  struct AsyncStats {
-    uint64_t issued = 0;     ///< async ops ever issued
-    int inflight = 0;        ///< currently in flight
-    int peak_inflight = 0;   ///< high-water mark (<= window_depth)
-  };
-  AsyncStats async_stats() const;
-
   const PsClientOptions& options() const { return options_; }
   PsMaster* master() const { return master_; }
 
@@ -282,7 +268,7 @@ class PsClient {
     std::vector<PayloadSection> sections;  ///< filterable spans within payload
     /// Stamped on the issuing thread (program order) by StampRequests so the
     /// per-server sequence numbers — and the fault draws keyed on them — do
-    /// not depend on I/O-pool scheduling.
+    /// not depend on how a pooled fan-out is scheduled.
     RpcHeader header;
     SharedBuf wire;        ///< filtered bytes; aliases payload when mask == 0
     uint8_t wire_mask = 0; ///< WireFrame::filter_mask for this request
@@ -296,6 +282,9 @@ class PsClient {
     int route_partition = -1;
     bool hash_routed = false;
     RowRef hash_ref;
+    /// Set by MakeShardRequest: the op runs over the server's whole shard,
+    /// so ExchangeAll may spread the fan-out over the cluster pool.
+    bool shard_scoped = false;
   };
 
   /// Result of driving one request through the retry loop.
@@ -315,20 +304,19 @@ class PsClient {
     uint64_t routing_refetches = 0;  ///< routing-stale waits + re-aims
   };
 
-  /// Parses the per-server responses (in request order) into the op's value.
-  /// Runs on whichever thread completes the op; records any client-side
-  /// compute into `traffic`.
+  /// Parses the per-server responses (in request order) into the op's value
+  /// on the issuing thread; records any client-side compute into `traffic`.
   template <typename T>
   using ParseFn = std::function<Result<T>(
       std::vector<PsServer::HandleResult>&&, TaskTraffic*)>;
 
-  /// Claims a window slot, classifies leader/follower, fans `requests` out
-  /// on the I/O pool and completes the future with `parse`'s result.
+  /// Classifies leader/follower, runs `requests` through ExchangeAll and
+  /// completes the future with `parse`'s result.
   template <typename T>
   PsFuture<T> SubmitAsync(std::vector<ServerRequest> requests,
                           ParseFn<T> parse);
 
-  /// An already-completed future outside the window (validation errors and
+  /// An already-completed future with no traffic (validation errors and
   /// trivially empty ops that the serial client answered without traffic).
   template <typename T>
   static PsFuture<T> ReadyFuture(Result<T> result);
@@ -344,6 +332,11 @@ class PsClient {
   /// so ExecuteRequest can re-aim after a `routing stale` rejection.
   ServerRequest MakeRouted(const MatrixMeta& meta, int partition,
                            BufferWriter* writer);
+
+  /// MakeRouted for a shard-scoped op (built from SpanTargets): marks the
+  /// request so ExchangeAll may run the fan-out on the cluster pool.
+  ServerRequest MakeShardRequest(const MatrixMeta& meta, int partition,
+                                 BufferWriter* writer);
 
   /// MakeRequest for hash-homed hot-row traffic: targets
   /// `active[HotHomeServer(ref, active.size())]` and records `ref` so a
@@ -371,9 +364,10 @@ class PsClient {
   /// attempt.
   ExchangeOutcome ExecuteRequest(ServerRequest& request);
 
-  /// Executes all requests (parallel when the pool allows), then records
-  /// every success into `traffic` in request order; the returned Status is
-  /// the first failure in that order (see the header comment).
+  /// Executes all requests — inline, or on the cluster pool for a
+  /// shard-scoped fan-out (see the header comment) — then records every
+  /// success into `traffic` in request order; the returned Status is the
+  /// first failure in that order.
   Result<std::vector<PsServer::HandleResult>> ExchangeAll(
       TaskTraffic* traffic, std::vector<ServerRequest> requests);
 
@@ -395,7 +389,6 @@ class PsClient {
   int client_id_;  ///< unique per client (PsMaster::AllocateClientId)
   /// Next sequence number per server, starting at 1 (0 = never sent).
   std::unique_ptr<std::atomic<uint64_t>[]> next_seq_;
-  std::unique_ptr<ThreadPool> io_pool_;
   std::shared_ptr<AsyncCore> core_;
   /// Bounded-staleness copies of the hot rows, warmed by the
   /// HotspotManager at every replica sync.
@@ -405,7 +398,6 @@ class PsClient {
   /// Histogram::Record — no registry lock or string lookup on the hot path.
   /// Pointers survive MetricsRegistry::Reset (see GetOrCreateHistogram).
   std::vector<Histogram*> exchange_us_hists_;
-  std::vector<Histogram*> async_op_us_hists_;
   Histogram* retries_hist_ = nullptr;
   Histogram* backoff_hist_ = nullptr;
 };

@@ -8,22 +8,23 @@
 // bookkeeping the simulator needs:
 //
 //   * traffic harvest — an async op records its bytes/messages/rounds into a
-//     future-local TaskTraffic (the issuing task's record cannot be written
-//     from pool threads without racing the task body). The first Wait()/Get()
-//     on the *caller* thread runs the harvest hook installed by the client,
-//     which merges that traffic into the caller's TrafficScope (or charges
-//     the coordinator clock when called from the driver).
-//   * window accounting — the harvest hook also releases the op's slot in the
-//     client's in-flight window. If a future is dropped without Wait/Get, the
-//     state's destructor runs the hook: the slot is released AND the recorded
-//     traffic is charged (to the ambient scope if the last owner is a task
-//     thread, else to the coordinator clock), so abandoning a push-future
-//     cannot make a run cheaper than waiting on it. Prefer Wait anyway — it
-//     charges the traffic at a deterministic point in program order.
+//     future-local TaskTraffic, so that overlapped ops can share one round
+//     of latency. The first Wait()/Get() on the *caller* thread runs the
+//     harvest hook installed by the client, which merges that traffic into
+//     the caller's TrafficScope (or charges the coordinator clock when
+//     called from the driver).
+//   * round accounting — the harvest hook also retires the op from the
+//     client's outstanding count (leader/follower classification). If a
+//     future is dropped without Wait/Get, the state's destructor runs the
+//     hook: the op is retired AND the recorded traffic is charged (to the
+//     ambient scope if the last owner is a task thread, else to the
+//     coordinator clock), so abandoning a push-future cannot make a run
+//     cheaper than waiting on it. Prefer Wait anyway — it charges the
+//     traffic at a deterministic point in program order.
 //
 // Then(f) chains a computation onto completion. f runs on whichever thread
-// completes the source future (a fan-out pool thread, or inline when already
-// done), so it must not block on other futures. Harvest duty transfers to the
+// completes the source future (inline, right away, when already done), so
+// it must not block on other futures. Harvest duty transfers to the
 // derived future at registration: waiting on the tail of a chain charges the
 // whole chain's traffic exactly once.
 
@@ -71,8 +72,8 @@ struct PsFutureState {
   TaskTraffic traffic;
 
   /// Installed by the client at issue time; run at most once, on the first
-  /// Wait/Get caller thread. Destroying it unrun still releases the window
-  /// slot (the hook owns a release token).
+  /// Wait/Get caller thread. Destroying it unrun still retires the op (the
+  /// hook owns a retire token).
   std::function<void(const TaskTraffic&)> harvest;
   bool harvested = false;
 
@@ -81,7 +82,7 @@ struct PsFutureState {
 
   ~PsFutureState() {
     // Abandoned future: the op ran and recorded traffic, but nobody waited.
-    // The last owner (usually the completing pool thread) charges it here —
+    // The last owner charges it here —
     // no lock needed, ownership is exclusive by definition. See the header
     // comment; without this, dropped push-futures leaked their cost.
     if (!harvested && harvest) {
@@ -187,7 +188,7 @@ class PsFuture {
 
   /// Runs the harvest hook once; called with `lock` held on s->mu, releases
   /// it around the hook (the hook touches the caller's TrafficScope and the
-  /// client window, never this future).
+  /// client's outstanding count, never this future).
   static void Harvest(internal::PsFutureState<T>* s,
                       std::unique_lock<std::mutex>& lock) {
     if (s->harvested || !s->harvest) return;
@@ -201,7 +202,7 @@ class PsFuture {
   std::shared_ptr<internal::PsFutureState<T>> state_;
 };
 
-/// An already-completed future: no window slot, no traffic, no harvest hook.
+/// An already-completed future: no traffic, no harvest hook.
 /// Used for validation errors and trivially empty ops.
 template <typename T>
 PsFuture<T> MakeReadyFuture(Result<T> result) {

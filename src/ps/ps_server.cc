@@ -270,6 +270,7 @@ Result<PsServer::ReplicaSnapshot> PsServer::DebugReplica(RowRef ref) const {
   if (it == replicas_.end()) return Status::NotFound("no replica on server");
   ReplicaSnapshot snap;
   snap.values = it->second.values;
+  if (it->second.version == 0) snap.values.assign(it->second.dim, 0.0);
   snap.pending = it->second.pending;
   snap.version = it->second.version;
   return snap;
@@ -1294,9 +1295,11 @@ Result<PsServer::HandleResult> PsServer::HandleHotSetUpdate(BufferReader* in) {
     if (it != replicas_.end() && it->second.dim == dim) {
       next.emplace(key, std::move(it->second));
     } else {
+      // No values until the first install brings all `dim` of them over
+      // the wire (FindReplica ignores version 0), so a claimed dim alone
+      // never sizes an allocation.
       Replica replica;
       replica.dim = dim;
-      replica.values.assign(dim, 0.0);
       next.emplace(key, std::move(replica));
     }
   }
@@ -1575,7 +1578,9 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(staged.begin, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(staged.end, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(staged.dim, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t num_rows, in->ReadVarint());
+  // Every staged row carries at least one byte (a dense row's first f64, a
+  // sparse row's nnz varint).
+  PS2_ASSIGN_OR_RETURN(uint64_t num_rows, in->ReadCount(1));
   PS2_ASSIGN_OR_RETURN(uint8_t storage, in->ReadU8());
   if (epoch == 0) return Status::InvalidArgument("migration epoch must be > 0");
   if (staged.begin >= staged.end) {
@@ -1616,7 +1621,7 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
       out.server_ops += nnz;
     }
   }
-  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in->ReadVarint());
+  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in->ReadCount(1));
   staged.worker_clocks.resize(n_clocks, 0);
   for (uint64_t w = 0; w < n_clocks; ++w) {
     PS2_ASSIGN_OR_RETURN(staged.worker_clocks[w], in->ReadVarint());
@@ -1633,7 +1638,8 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
   // data plane observes either the old or the new layout, never a mix.
   PS2_ASSIGN_OR_RETURN(uint64_t epoch, in->ReadVarint());
   if (epoch == 0) return Status::InvalidArgument("migration epoch must be > 0");
-  PS2_ASSIGN_OR_RETURN(uint64_t n_matrices, in->ReadVarint());
+  // An entry is five varints and a storage byte.
+  PS2_ASSIGN_OR_RETURN(uint64_t n_matrices, in->ReadCount(6));
   struct Entry {
     int matrix_id;
     uint64_t begin, end, dim;
@@ -1868,7 +1874,13 @@ std::vector<uint8_t> PsServer::SerializeState() const {
     writer.WriteVarint(key.second);
     writer.WriteVarint(replica.dim);
     writer.WriteVarint(replica.version);
-    writer.WritePodVector(replica.values);
+    if (replica.version == 0) {
+      // Not yet installed: the image is the zero row the replica stands for.
+      writer.WriteVarint(replica.dim);
+      for (uint64_t c = 0; c < replica.dim; ++c) writer.WriteF64(0.0);
+    } else {
+      writer.WritePodVector(replica.values);
+    }
     writer.WriteVarint(replica.pending.size());
     uint64_t prev = 0;
     for (const auto& [col, v] : replica.pending) {
@@ -1997,7 +2009,7 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
   // row so the next snapshot publish re-copies from the restored state.
   TouchAllRowsLocked();
   if (in.AtEnd()) return Status::OK();  // checkpoint predates §11 clocks
-  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadVarint());
+  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadCount(1));
   // Max-merge into whatever the vector holds: clock advances applied after
   // the checkpoint (replayed via retries during recovery) must not be
   // rewound by restoring the older image.

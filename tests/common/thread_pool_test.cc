@@ -68,6 +68,18 @@ TEST(ThreadPoolTest, NestedSubmissionFromTask) {
   EXPECT_EQ(value.load(), 7);
 }
 
+TEST(ThreadPoolTest, OnWorkerThreadIsTrueOnlyOnOwnWorkers) {
+  ThreadPool pool(2);
+  ThreadPool other(1);
+  EXPECT_FALSE(pool.OnWorkerThread());
+  bool on_own = false;
+  bool on_other = true;
+  pool.Submit([&] { on_own = pool.OnWorkerThread(); }).get();
+  other.Submit([&] { on_other = pool.OnWorkerThread(); }).get();
+  EXPECT_TRUE(on_own);
+  EXPECT_FALSE(on_other);
+}
+
 TEST(ThreadPoolTest, GlobalPoolIsSingleton) {
   EXPECT_EQ(ThreadPool::Global(), ThreadPool::Global());
   EXPECT_GE(ThreadPool::Global()->num_threads(), 2u);

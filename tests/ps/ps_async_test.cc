@@ -1,9 +1,10 @@
-// Asynchronous client: future semantics, window backpressure, pipelined
-// round accounting, and async ops racing server crash/recovery.
+// Asynchronous client: future semantics, pipelined round accounting, the
+// two execution routes (keyed requests inline, shard-scoped fan-outs on the
+// cluster pool off its workers), and async ops racing server crash/recovery.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -82,13 +83,17 @@ TEST_F(PsAsyncTest, ThenPropagatesErrors) {
 }
 
 TEST_F(PsAsyncTest, OverlappedPushesAllLand) {
+  // Eight tasks share one client and each overlaps two pushes: concurrent
+  // exchanges come from the tasks, racing on the same servers and seqs.
   RowRef w = NewMatrix(200);
-  std::vector<PsFuture<Ack>> pending;
-  for (int i = 0; i < 16; ++i) {
-    pending.push_back(
-        client_->PushDenseAsync(w, std::vector<double>(200, 1.0)));
-  }
-  for (auto& f : pending) EXPECT_TRUE(f.Wait().ok());
+  cluster_->RunStage("push", 8, [&](TaskContext&) {
+    std::vector<PsFuture<Ack>> pending;
+    for (int i = 0; i < 2; ++i) {
+      pending.push_back(
+          client_->PushDenseAsync(w, std::vector<double>(200, 1.0)));
+    }
+    for (auto& f : pending) EXPECT_TRUE(f.Wait().ok());
+  });
   std::vector<double> pulled = *client_->PullDense(w);
   for (double v : pulled) EXPECT_DOUBLE_EQ(v, 16.0);
 }
@@ -98,7 +103,7 @@ TEST_F(PsAsyncTest, AbandonedFuturesStillApplyAndReleaseTheWindow) {
   for (int i = 0; i < 20; ++i) {
     client_->PushDenseAsync(w, std::vector<double>(60, 0.5));  // dropped
   }
-  // Destroying the client quiesces the window; nothing may be lost.
+  // Every op completed at issue; replacing the client loses nothing.
   client_ = std::make_unique<PsClient>(master_.get());
   std::vector<double> pulled = *client_->PullDense(w);
   for (double v : pulled) EXPECT_DOUBLE_EQ(v, 10.0);
@@ -107,61 +112,16 @@ TEST_F(PsAsyncTest, AbandonedFuturesStillApplyAndReleaseTheWindow) {
 TEST_F(PsAsyncTest, AbandonedFuturesChargeTheCoordinatorClock) {
   // Regression: dropping a future without Wait/Get used to leak its traffic
   // — the op applied but never advanced virtual time, so abandoning pushes
-  // made runs look cheaper than waiting for them. The serial path completes
-  // at issue, so the dropped temporary's destructor charges deterministically
-  // on this thread.
-  PsClientOptions serial;
-  serial.parallel_fanout = false;
-  PsClient serial_client(master_.get(), serial);
+  // made runs look cheaper than waiting for them. Ops complete at issue, so
+  // the dropped temporary's destructor charges deterministically on this
+  // thread.
   RowRef w = NewMatrix(300);
   SimTime before = cluster_->clock().Now();
   uint64_t messages = cluster_->metrics().Get("net.messages");
-  serial_client.PushDenseAsync(w, std::vector<double>(300, 1.0));  // dropped
+  client_->PushDenseAsync(w, std::vector<double>(300, 1.0));  // dropped
   EXPECT_GT(cluster_->clock().Now(), before);
   EXPECT_GT(cluster_->metrics().Get("net.messages"), messages);
-  EXPECT_DOUBLE_EQ((*serial_client.PullDense(w))[0], 1.0);
-}
-
-TEST_F(PsAsyncTest, AbandonedParallelFutureChargesOnLastRelease) {
-  // Parallel path: the completing pool thread may be the last owner, so the
-  // charge lands asynchronously — quiesce the window, then poll briefly.
-  RowRef w = NewMatrix(300);
-  SimTime before = cluster_->clock().Now();
-  for (int i = 0; i < 6; ++i) {
-    client_->PushDenseAsync(w, std::vector<double>(300, 1.0));  // dropped
-  }
-  client_ = std::make_unique<PsClient>(master_.get());  // quiesce old window
-  for (int spin = 0; spin < 5000 && cluster_->clock().Now() == before; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(cluster_->clock().Now(), before);
-  EXPECT_DOUBLE_EQ((*client_->PullDense(w))[0], 6.0);
-}
-
-class PsAsyncWindowTest : public PsAsyncTest {
- protected:
-  static PsClientOptions ShallowWindow() {
-    PsClientOptions options;
-    options.window_depth = 2;
-    return options;
-  }
-  PsAsyncWindowTest() : PsAsyncTest(ShallowWindow()) {}
-};
-
-TEST_F(PsAsyncWindowTest, WindowDepthBoundsInflightOps) {
-  RowRef w = NewMatrix(100);
-  std::vector<PsFuture<Ack>> pending;
-  for (int i = 0; i < 12; ++i) {
-    pending.push_back(
-        client_->PushDenseAsync(w, std::vector<double>(100, 1.0)));
-  }
-  for (auto& f : pending) ASSERT_TRUE(f.Wait().ok());
-  PsClient::AsyncStats stats = client_->async_stats();
-  EXPECT_EQ(stats.issued, 12u);
-  EXPECT_EQ(stats.inflight, 0);
-  EXPECT_LE(stats.peak_inflight, 2);
-  EXPECT_GE(stats.peak_inflight, 1);
-  EXPECT_DOUBLE_EQ((*client_->PullDense(w))[0], 12.0);
+  EXPECT_DOUBLE_EQ((*client_->PullDense(w))[0], 1.0);
 }
 
 TEST_F(PsAsyncTest, OverlappedOpsChargeMaxNotSumOfRounds) {
@@ -275,17 +235,55 @@ TEST_F(PsAsyncTest, ColumnOpAsyncAndDotAsync) {
   EXPECT_NEAR(*client_->DotAsync(a, b).Get(), 80 * 2.0 * 23.0, 1e-9);
 }
 
-TEST_F(PsAsyncTest, SerialFanoutMatchesParallel) {
-  PsClientOptions serial;
-  serial.parallel_fanout = false;
-  PsClient serial_client(master_.get(), serial);
-  RowRef w = NewMatrix(120);
-  ASSERT_TRUE(
-      serial_client.PushDenseAsync(w, std::vector<double>(120, 4.0))
-          .Wait()
-          .ok());
-  EXPECT_EQ(*serial_client.PullDenseAsync(w).Get(),
-            std::vector<double>(120, 4.0));
+TEST_F(PsAsyncTest, ShardScopedOpsInsideTasksRunInline) {
+  // More tasks than pool threads, and the first num_threads() of them wait
+  // at a barrier until every worker is inside a task. Each then issues
+  // shard-scoped ops. A ParallelFor from a worker would queue its indices
+  // behind the busy workers and wait forever; the client runs them inline.
+  ThreadPool* pool = cluster_->pool();
+  const size_t threads = pool->num_threads();
+  const size_t tasks = 2 * threads + 1;
+  RowRef first = NewMatrix(120, static_cast<uint32_t>(tasks));
+  std::vector<RowRef> rows{first};
+  while (rows.size() < tasks) {
+    rows.push_back(*master_->AllocateRow(first.matrix_id));
+  }
+  std::atomic<size_t> entered{0};
+  cluster_->RunStage("shard-ops", tasks, [&](TaskContext& ctx) {
+    entered.fetch_add(1);
+    while (entered.load() < threads) std::this_thread::yield();
+    const RowRef row = rows[ctx.task_id];
+    const double value = static_cast<double>(ctx.task_id + 1);
+    EXPECT_TRUE(client_->ColumnOp(ColOpKind::kFill, row, {}, value).ok());
+    Result<double> sum = client_->RowAggregate(row, RowAggKind::kSum);
+    ASSERT_TRUE(sum.ok()) << sum.status();
+    EXPECT_DOUBLE_EQ(*sum, 120.0 * value);
+  });
+  EXPECT_EQ(entered.load(), tasks);
+}
+
+TEST_F(PsAsyncTest, ShardScopedFanoutRunsEveryRequestExactlyOnce) {
+  // Issued off the pool, a shard-scoped op runs its requests on pool
+  // workers while the issuer only waits. The issuing call fixes which slot
+  // holds which request, so every server runs the op exactly once per
+  // issue — none skipped, none doubled.
+  std::atomic<int> calls{0};
+  std::atomic<int> on_issuer{0};
+  const std::thread::id issuer = std::this_thread::get_id();
+  const int udf = master_->udfs()->RegisterZip(
+      [&](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
+        calls.fetch_add(1);
+        if (std::this_thread::get_id() == issuer) on_issuer.fetch_add(1);
+        for (size_t i = 0; i < n; ++i) rows[0][i] += 1.0;
+        return n;
+      });
+  RowRef w = NewMatrix(90);
+  const int rounds = 25;
+  for (int i = 0; i < rounds; ++i) ASSERT_TRUE(client_->Zip({w}, udf).ok());
+  EXPECT_EQ(calls.load(), rounds * master_->num_servers());
+  EXPECT_EQ(on_issuer.load(), 0);
+  std::vector<double> pulled = *client_->PullDense(w);
+  for (double v : pulled) EXPECT_DOUBLE_EQ(v, rounds);
 }
 
 }  // namespace

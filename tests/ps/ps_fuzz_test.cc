@@ -54,11 +54,12 @@ TEST_F(PsFuzzTest, RandomBytesNeverCrash) {
 
 TEST_F(PsFuzzTest, ValidOpcodeGarbageBodyNeverCrashes) {
   Rng rng(0xF0221);
-  for (uint8_t opcode = 0; opcode <= 15; ++opcode) {
+  // Derived from the opcode count so a new opcode is fuzzed on arrival.
+  for (int opcode = 0; opcode < kNumPsOpCodes; ++opcode) {
     for (int trial = 0; trial < 500; ++trial) {
       size_t len = rng.NextUint64(48);
       std::vector<uint8_t> request(1 + len);
-      request[0] = opcode;
+      request[0] = static_cast<uint8_t>(opcode);
       for (size_t i = 1; i < request.size(); ++i) {
         request[i] = static_cast<uint8_t>(rng.Next());
       }

@@ -1,7 +1,7 @@
 // Message-level fault tolerance (DESIGN.md §6): the per-client dedup table
 // on the servers, the client's bounded retry loop with virtual-time backoff,
-// crash recovery from inside the retry loop, and the unified ExchangeAll
-// error semantics across both fan-out modes.
+// crash recovery from inside the retry loop, and the ExchangeAll error
+// semantics shared by its inline and pooled execution routes.
 
 #include <gtest/gtest.h>
 
@@ -318,36 +318,32 @@ TEST(PsRetryTest, RetryLoopRecoversCrashedServerFromCheckpoint) {
   for (double v : pulled) EXPECT_DOUBLE_EQ(v, 6.0);
 }
 
-TEST(PsRetryTest, ExchangeAllSemanticsIdenticalAcrossFanoutModes) {
-  // Regression: the serial branch used to stop at the first failure while
-  // the parallel branch executed everything — the same failing stage left
-  // DIFFERENT server state depending on a performance flag. Both branches
-  // now execute all requests and report the first error in partition order.
-  auto run = [](bool parallel) {
-    ClusterSpec spec;
-    spec.num_workers = 2;
-    spec.num_servers = 3;
-    PsClientOptions options;
-    options.parallel_fanout = parallel;
-    options.max_attempts = 2;
-    options.recover_crashed_servers = false;
-    Fixture f(spec, options);
+TEST(PsRetryTest, MiddleCrashRunsEveryRequestOnBothRoutes) {
+  // Both execution routes — keyed requests inline on the issuing thread
+  // (PushDense), a shard-scoped fan-out on the cluster pool (ColumnOp from
+  // this non-pool thread) — run every request and report the first failure
+  // in partition order. The servers past the failed one still applied the op.
+  ClusterSpec spec;
+  spec.num_workers = 2;
+  spec.num_servers = 3;
+  PsClientOptions options;
+  options.max_attempts = 2;
+  options.recover_crashed_servers = false;
+  Fixture f(spec, options);
+  RowRef ones = *f.master->AllocateRow(f.weight.matrix_id);
+  ASSERT_TRUE(f.client->PushDense(ones, std::vector<double>(60, 1.0)).ok());
 
-    f.master->server(1)->Crash();  // the middle partition fails
-    Status status = f.client->PushDense(f.weight, std::vector<double>(60, 2.0));
-    EXPECT_TRUE(status.IsUnavailable()) << status;
+  f.master->server(1)->Crash();  // the middle partition fails
+  Status pushed = f.client->PushDense(f.weight, std::vector<double>(60, 2.0));
+  EXPECT_TRUE(pushed.IsUnavailable()) << pushed;
+  Status axpy = f.client->ColumnOp(ColOpKind::kAxpy, f.weight, {ones}, 10.0);
+  EXPECT_TRUE(axpy.IsUnavailable()) << axpy;
 
-    std::vector<std::vector<uint8_t>> images;
-    for (int s = 0; s < f.master->num_servers(); ++s) {
-      images.push_back(f.master->server(s)->SerializeState());
-    }
-    return images;
-  };
-  std::vector<std::vector<uint8_t>> serial = run(false);
-  std::vector<std::vector<uint8_t>> parallel = run(true);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t s = 0; s < serial.size(); ++s) {
-    EXPECT_EQ(serial[s], parallel[s]) << "server " << s << " state diverged";
+  // Three equal partitions: [0, 20) on server 0, [40, 60) on server 2.
+  for (ColRange outer : {ColRange::Of(0, 20), ColRange::Of(40, 60)}) {
+    Result<std::vector<double>> pulled = f.client->PullDense(f.weight, outer);
+    ASSERT_TRUE(pulled.ok()) << pulled.status();
+    for (double v : *pulled) EXPECT_DOUBLE_EQ(v, 12.0);
   }
 }
 
