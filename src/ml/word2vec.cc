@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -164,25 +164,27 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
     double loss_sum = 0;
     uint64_t trained = 0;
     Rng rng = task.rng.Split(0x3C1F + epoch);
-    std::map<int, uint64_t> epoch_counts;  // key -> accesses this epoch
+    std::vector<uint64_t> epoch_counts(vocab, 0);  // key -> accesses
 
     // Builds one deduplicated batch: centers pull row 0, contexts and
-    // negatives row 1.
+    // negatives row 1. Refs keep first-touch order. `slot_of` is the flat
+    // (key, row) -> ref index, all kNoSlot between builds: each build resets
+    // exactly the entries its refs set.
+    constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+    std::vector<uint32_t> slot_of(2 * static_cast<size_t>(vocab), kNoSlot);
     W2vBatch bufs[2];
     auto build = [&](size_t begin, size_t end, W2vBatch& b) {
       b.Clear();
-      std::map<std::pair<int, uint32_t>, uint32_t> index;
       auto ref_of = [&](uint32_t key, uint32_t row) -> uint32_t {
-        auto [it, fresh] =
-            index.try_emplace({static_cast<int>(key), row},
-                              static_cast<uint32_t>(b.refs.size()));
-        if (fresh) {
+        uint32_t& slot = slot_of[2 * static_cast<size_t>(key) + row];
+        if (slot == kNoSlot) {
+          slot = static_cast<uint32_t>(b.refs.size());
           b.refs.push_back(RowRef{ids[key], row});
           b.touches.push_back(0);
           b.ref_key.push_back(static_cast<int>(key));
         }
-        b.touches[it->second] += 1;
-        return it->second;
+        b.touches[slot] += 1;
+        return slot;
       };
       for (size_t i = begin; i < end; ++i) {
         const VertexPair& p = rows[i];
@@ -193,6 +195,10 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
           if (n == p.v) n = (n + 1) % vocab;
           b.tasks.push_back({center, ref_of(n, 1), 0.0});
         }
+      }
+      for (size_t r = 0; r < b.refs.size(); ++r) {
+        slot_of[2 * static_cast<size_t>(b.ref_key[r]) + b.refs[r].row] =
+            kNoSlot;
       }
     };
 
@@ -249,10 +255,13 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
       trained += batch.tasks.size();
     }
     if (push_future.valid()) PS2_CHECK_OK(push_future.Wait());
-    mgmt->RecordBatch(
-        task.executor_id,
-        std::vector<std::pair<int, uint64_t>>(epoch_counts.begin(),
-                                              epoch_counts.end()));
+    std::vector<std::pair<int, uint64_t>> key_counts;  // touched keys, in order
+    for (uint32_t k = 0; k < vocab; ++k) {
+      if (epoch_counts[k] != 0) {
+        key_counts.emplace_back(static_cast<int>(k), epoch_counts[k]);
+      }
+    }
+    mgmt->RecordBatch(task.executor_id, key_counts);
     return {loss_sum, trained};
   };
 

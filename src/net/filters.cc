@@ -100,6 +100,12 @@ std::vector<uint8_t> LzCompress(Slice in) {
 }
 
 Result<std::vector<uint8_t>> LzDecompress(Slice in, size_t raw_len) {
+  // `raw_len` arrives off the wire, and a match op expands without bound
+  // (RLE), so the stream itself cannot vouch for it: cap it before sizing
+  // anything from it.
+  if (raw_len > kLzMaxRawLen) {
+    return Status::OutOfRange("lz raw length exceeds frame limit");
+  }
   std::vector<uint8_t> out;
   out.reserve(raw_len);
   BufferReader r(in);
@@ -494,10 +500,8 @@ Result<std::vector<uint8_t>> FilterChain::Decode(Slice wire, uint8_t mask,
   }
 
   BufferReader r(body);
-  PS2_ASSIGN_OR_RETURN(uint64_t n_chunks, r.ReadVarint());
-  if (n_chunks > body.size()) {
-    return Status::OutOfRange("chunk count exceeds body");
-  }
+  // Each chunk: a tag byte plus at least a one-byte varint.
+  PS2_ASSIGN_OR_RETURN(uint64_t n_chunks, r.ReadCount(2));
   for (uint64_t i = 0; i < n_chunks; ++i) {
     PS2_ASSIGN_OR_RETURN(uint8_t tag, r.ReadU8());
     FilterChunk c;

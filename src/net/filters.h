@@ -47,6 +47,10 @@ uint64_t HashBytes64(Slice bytes);
 
 // ---- Byte compressor (the `compress` filter's codec) ----------------------
 
+/// Largest raw length LzDecompress accepts (1 GiB, far above any frame the
+/// system builds); a claimed length above it is rejected unallocated.
+constexpr size_t kLzMaxRawLen = size_t{1} << 30;
+
 /// Greedy LZ with a 4-byte rolling hash dictionary + literal runs. Output is
 /// self-contained ops; decompression needs the expected raw length.
 std::vector<uint8_t> LzCompress(Slice in);

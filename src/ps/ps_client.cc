@@ -72,6 +72,12 @@ void ChargeCoordinator(Cluster* cluster, const TaskTraffic& local) {
   cluster->ChargeOutOfTask(local);
 }
 
+/// Bound on routing-stale protocol rounds (fence waits + re-aims) per
+/// request. Generous because a fence stays up for the real-time span of a
+/// concurrent migration's extract/install/commit legs; a wedged fence still
+/// surfaces as an error instead of hanging the exchange.
+constexpr uint32_t kMaxRoutingRounds = 4096;
+
 /// Deterministic "home" server a client refreshes a hot row from. Every
 /// server holds the replica; hashing spreads refresh (and hot-push) load of
 /// different hot rows across the fleet.
@@ -307,12 +313,8 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
   // Key-cache miss recovery re-encodes once (below); the guard keeps a
   // byzantine server from looping us.
   bool reencoded = false;
-  // Routing-stale protocol rounds (fence waits + re-aims). Bounded so a
-  // wedged fence surfaces as an error instead of hanging the exchange; the
-  // bound is generous because a fence stays up for the real-time span of a
-  // concurrent migration's extract/install/commit legs.
+  // Routing-stale protocol rounds, bounded by kMaxRoutingRounds.
   uint32_t routing_rounds = 0;
-  constexpr uint32_t kMaxRoutingRounds = 4096;
   // Wall-clock per-exchange latency and virtual retry/backoff samples land
   // in histograms only; the deterministic totals stay on the TaskTraffic
   // counter path (Cluster::RecordTraffic). Latency is sampled 1 in 16 per
@@ -512,7 +514,7 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
   }
 }
 
-Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeAll(
+std::vector<Result<PsServer::HandleResult>> PsClient::ExchangeEach(
     TaskTraffic* traffic, std::vector<ServerRequest> requests) {
   const size_t n = requests.size();
   // One span per fan-out, not per request: on the inline route every span
@@ -536,11 +538,9 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeAll(
   } else {
     for (size_t i = 0; i < n; ++i) slots[i] = ExecuteRequest(requests[i]);
   }
-  // Same error semantics on both routes: every request executed; every
-  // success is recorded in request (= partition) order; the first failure
-  // in that order is reported.
-  std::optional<Status> failed;
-  std::vector<PsServer::HandleResult> out;
+  // Same semantics on both routes: every request executed, every success
+  // recorded in request (= partition) order.
+  std::vector<Result<PsServer::HandleResult>> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     traffic->retries += slots[i].retries;
@@ -549,19 +549,109 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeAll(
     traffic->keycache_misses += slots[i].kc_misses;
     traffic->routing_refetches += slots[i].routing_refetches;
     Result<PsServer::HandleResult>& r = *slots[i].result;
-    if (!r.ok()) {
-      if (!failed.has_value()) failed = r.status();
-      continue;
+    if (r.ok()) {
+      traffic->RecordExchange(requests[i].server, slots[i].req_wire,
+                              slots[i].resp_wire, r->server_ops,
+                              slots[i].req_logical, slots[i].resp_logical);
+      traffic->keycache_hits += slots[i].kc_refs;
+      traffic->keycache_installs += slots[i].kc_installs;
     }
-    traffic->RecordExchange(requests[i].server, slots[i].req_wire,
-                            slots[i].resp_wire, r->server_ops,
-                            slots[i].req_logical, slots[i].resp_logical);
-    traffic->keycache_hits += slots[i].kc_refs;
-    traffic->keycache_installs += slots[i].kc_installs;
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeAll(
+    TaskTraffic* traffic, std::vector<ServerRequest> requests) {
+  std::vector<Result<PsServer::HandleResult>> each =
+      ExchangeEach(traffic, std::move(requests));
+  std::vector<PsServer::HandleResult> out;
+  out.reserve(each.size());
+  for (Result<PsServer::HandleResult>& r : each) {
+    if (!r.ok()) return r.status();  // the first failure in request order
     out.push_back(std::move(*r));
   }
-  if (failed.has_value()) return *failed;
   return out;
+}
+
+Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeOwnedRows(
+    TaskTraffic* traffic, const std::vector<RowRef>& rows,
+    const std::vector<std::vector<double>>* deltas,
+    std::vector<std::shared_ptr<const MatrixMeta>> metas,
+    std::vector<size_t> positions, std::vector<std::vector<size_t>>* groups) {
+  std::vector<size_t> pending = std::move(positions);
+  const PsOpCode op = deltas != nullptr ? PsOpCode::kPushRowsBatch
+                                        : PsOpCode::kPullRowsBatch;
+  std::vector<PsServer::HandleResult> results;
+  for (uint32_t round = 0;; ++round) {
+    std::map<int, std::vector<size_t>> by_server;  // owner -> row positions
+    for (size_t i : pending) {
+      by_server[metas[i]->partitioner.ServerOfPartition(0)].push_back(i);
+    }
+    std::vector<ServerRequest> requests;
+    std::vector<std::vector<size_t>> planned;
+    requests.reserve(by_server.size());
+    planned.reserve(by_server.size());
+    for (auto& [server, members] : by_server) {
+      BufferWriter writer;
+      writer.WriteU8(static_cast<uint8_t>(op));
+      writer.WriteVarint(members.size());
+      for (size_t i : members) {
+        writer.WriteVarint(rows[i].matrix_id);
+        writer.WriteVarint(rows[i].row);
+        if (deltas != nullptr) {
+          const std::vector<double>& delta = (*deltas)[i];
+          writer.WriteVarint(delta.size());
+          writer.BeginSection(SectionKind::kF64Values);
+          writer.WriteF64Span(delta.data(), delta.size());
+          writer.EndSection();
+        }
+      }
+      // Stamped with the plan's epoch but given no routing identity, so a
+      // `routing stale` bounce surfaces here instead of ExecuteRequest
+      // re-aiming the whole group by one row: keys relocate independently,
+      // and a group's rows may now live on different servers.
+      ServerRequest request = MakeRouted(*metas[members[0]], 0, &writer);
+      request.route_matrix = -1;
+      requests.push_back(std::move(request));
+      planned.push_back(std::move(members));
+    }
+    std::vector<Result<PsServer::HandleResult>> each =
+        ExchangeEach(traffic, std::move(requests));
+    uint64_t bounced_stamp = 0;
+    pending.clear();
+    for (size_t g = 0; g < each.size(); ++g) {
+      if (each[g].ok()) {
+        results.push_back(std::move(*each[g]));
+        if (groups != nullptr) groups->push_back(std::move(planned[g]));
+        continue;
+      }
+      // A bounced request never applied (an already-applied mutation is
+      // acked inside ExecuteRequest), so its rows are simply re-planned.
+      if (!IsRoutingStale(each[g].status()) || round >= kMaxRoutingRounds) {
+        return each[g].status();
+      }
+      bounced_stamp = std::max(bounced_stamp,
+                               metas[planned[g][0]]->routing_epoch + 1);
+      pending.insert(pending.end(), planned[g].begin(), planned[g].end());
+    }
+    if (pending.empty()) return results;
+    std::vector<RowRef> refs;
+    refs.reserve(pending.size());
+    for (size_t i : pending) refs.push_back(rows[i]);
+    PS2_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<const MatrixMeta>> fresh,
+                         master_->GetMetas(refs));
+    if (fresh[0]->routing_epoch + 1 <= bounced_stamp) {
+      // Servers learn a new epoch before the master publishes the metas
+      // that carry it; poll like a fence wait until the publish lands.
+      traffic->retry_backoff_time +=
+          master_->cluster()->cost().RetryBackoff(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    for (size_t k = 0; k < pending.size(); ++k) {
+      metas[pending[k]] = std::move(fresh[k]);
+    }
+  }
 }
 
 Result<std::vector<uint8_t>> PsClient::ControlCall(int server,
@@ -593,6 +683,15 @@ PsFuture<T> PsClient::ReadyFuture(Result<T> result) {
 template <typename T>
 PsFuture<T> PsClient::SubmitAsync(std::vector<ServerRequest> requests,
                                   ParseFn<T> parse) {
+  return SubmitExchange<T>(
+      [&](TaskTraffic* traffic) {
+        return ExchangeAll(traffic, std::move(requests));
+      },
+      std::move(parse));
+}
+
+template <typename T, typename Exchange>
+PsFuture<T> PsClient::SubmitExchange(Exchange&& exchange, ParseFn<T> parse) {
   auto state = std::make_shared<internal::PsFutureState<T>>();
   std::shared_ptr<AsyncCore> core = core_;
   const void* ctx = TrafficScope::Current();
@@ -627,7 +726,7 @@ PsFuture<T> PsClient::SubmitAsync(std::vector<ServerRequest> requests,
   // The exchange completes before issue returns; the future defers only the
   // harvest, which is where overlapped ops share one round of latency.
   Result<std::vector<PsServer::HandleResult>> results =
-      ExchangeAll(&state->traffic, std::move(requests));
+      exchange(&state->traffic);
   if (!results.ok()) {
     state->Complete(Result<T>(results.status()));
   } else {
@@ -646,11 +745,13 @@ Result<Ack> AckParse(std::vector<PsServer::HandleResult>&&, TaskTraffic*) {
 Result<bool> PsClient::CoLocated(const std::vector<RowRef>& rows,
                                  MatrixMeta* first_meta) {
   PS2_CHECK(!rows.empty());
-  PS2_ASSIGN_OR_RETURN(*first_meta, master_->GetMeta(rows[0].matrix_id));
-  for (size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].matrix_id == rows[0].matrix_id) continue;
-    PS2_ASSIGN_OR_RETURN(MatrixMeta meta, master_->GetMeta(rows[i].matrix_id));
-    if (!meta.partitioner.CoLocatedWith(first_meta->partitioner)) {
+  PS2_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<const MatrixMeta>> metas,
+                       master_->GetMetas(rows));
+  const std::shared_ptr<const MatrixMeta>& first = metas[0];
+  *first_meta = *first;
+  for (const std::shared_ptr<const MatrixMeta>& meta : metas) {
+    if (meta != first &&
+        !meta->partitioner.CoLocatedWith(first->partitioner)) {
       return false;
     }
   }
@@ -1597,23 +1698,19 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullOwnedRowsAsync(
   using Out = std::vector<std::vector<double>>;
   if (rows.empty()) return ReadyFuture<Out>(Out{});
   const size_t n = rows.size();
+  Result<std::vector<std::shared_ptr<const MatrixMeta>>> metas_r =
+      master_->GetMetas(rows);
+  if (!metas_r.ok()) return ReadyFuture<Out>(metas_r.status());
   Out out(n);
-  std::map<int, MatrixMeta> metas;
-  std::map<int, std::vector<size_t>> by_server;  // owner -> row positions
+  std::vector<size_t> remote;  // positions the owning servers serve
   uint64_t local_hits = 0, local_bytes = 0, local_ops = 0;
   for (size_t i = 0; i < n; ++i) {
     const RowRef ref = rows[i];
-    auto it = metas.find(ref.matrix_id);
-    if (it == metas.end()) {
-      Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
-      if (!meta_r.ok()) return ReadyFuture<Out>(meta_r.status());
-      if (meta_r->partitioner.assignment().size() != 1) {
-        return ReadyFuture<Out>(Status::FailedPrecondition(
-            "PullOwnedRows requires single-partition matrices"));
-      }
-      it = metas.emplace(ref.matrix_id, std::move(*meta_r)).first;
+    const MatrixMeta& meta = *(*metas_r)[i];
+    if (meta.partitioner.assignment().size() != 1) {
+      return ReadyFuture<Out>(Status::FailedPrecondition(
+          "PullOwnedRows requires single-partition matrices"));
     }
-    const MatrixMeta& meta = it->second;
     out[i].assign(meta.dim, 0.0);
     if (cache_.HasHot() && cache_.HotDim(ref) == meta.dim &&
         cache_.TryServeDense(ref, 0, meta.dim, out[i].data())) {
@@ -1622,7 +1719,7 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullOwnedRowsAsync(
       local_ops += meta.dim;
       continue;
     }
-    by_server[meta.partitioner.ServerOfPartition(0)].push_back(i);
+    remote.push_back(i);
   }
   if (local_hits > 0) {
     OpScope scope(master_->cluster());
@@ -1631,28 +1728,18 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullOwnedRowsAsync(
     t->local_pull_hits += local_hits;
     t->local_pull_bytes += local_bytes;
   }
-  if (by_server.empty()) return ReadyFuture<Out>(std::move(out));
-  std::vector<ServerRequest> requests;
+  if (remote.empty()) return ReadyFuture<Out>(std::move(out));
+  // The exchange reports which rows each response carries (a relocation
+  // mid-flight can re-plan them). Both lambdas run before SubmitExchange
+  // returns, so the parse may read `groups` by reference.
   std::vector<std::vector<size_t>> groups;
-  requests.reserve(by_server.size());
-  groups.reserve(by_server.size());
-  for (auto& [server, members] : by_server) {
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRowsBatch));
-    writer.WriteVarint(members.size());
-    for (size_t i : members) {
-      writer.WriteVarint(rows[i].matrix_id);
-      writer.WriteVarint(rows[i].row);
-    }
-    // Routed by the group's first row: every member shares the server, and
-    // a `routing stale` bounce re-aims the group to that row's new home.
-    requests.push_back(
-        MakeRouted(metas.at(rows[members[0]].matrix_id), 0, &writer));
-    groups.push_back(std::move(members));
-  }
-  return SubmitAsync<Out>(
-      std::move(requests),
-      [this, rows, groups = std::move(groups), out = std::move(out)](
+  return SubmitExchange<Out>(
+      [&](TaskTraffic* traffic) {
+        return ExchangeOwnedRows(traffic, rows, /*deltas=*/nullptr,
+                                 std::move(*metas_r), std::move(remote),
+                                 &groups);
+      },
+      [this, &rows, &groups, out = std::move(out)](
           std::vector<PsServer::HandleResult>&& results,
           TaskTraffic*) mutable -> Result<Out> {
         for (size_t g = 0; g < results.size(); ++g) {
@@ -1688,44 +1775,28 @@ PsFuture<Ack> PsClient::PushOwnedRowsAsync(
     return ReadyFuture<Ack>(
         Status::InvalidArgument("rows/deltas size mismatch"));
   }
-  std::map<int, MatrixMeta> metas;
-  std::map<int, std::vector<size_t>> by_server;
+  Result<std::vector<std::shared_ptr<const MatrixMeta>>> metas_r =
+      master_->GetMetas(rows);
+  if (!metas_r.ok()) return ReadyFuture<Ack>(metas_r.status());
+  std::vector<size_t> positions(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    const RowRef ref = rows[i];
-    auto it = metas.find(ref.matrix_id);
-    if (it == metas.end()) {
-      Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
-      if (!meta_r.ok()) return ReadyFuture<Ack>(meta_r.status());
-      if (meta_r->partitioner.assignment().size() != 1) {
-        return ReadyFuture<Ack>(Status::FailedPrecondition(
-            "PushOwnedRows requires single-partition matrices"));
-      }
-      it = metas.emplace(ref.matrix_id, std::move(*meta_r)).first;
+    const MatrixMeta& meta = *(*metas_r)[i];
+    if (meta.partitioner.assignment().size() != 1) {
+      return ReadyFuture<Ack>(Status::FailedPrecondition(
+          "PushOwnedRows requires single-partition matrices"));
     }
-    if (deltas[i].size() != it->second.dim) {
+    if (deltas[i].size() != meta.dim) {
       return ReadyFuture<Ack>(
           Status::InvalidArgument("row delta dimension mismatch"));
     }
-    by_server[it->second.partitioner.ServerOfPartition(0)].push_back(i);
+    positions[i] = i;
   }
-  std::vector<ServerRequest> requests;
-  requests.reserve(by_server.size());
-  for (auto& [server, members] : by_server) {
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushRowsBatch));
-    writer.WriteVarint(members.size());
-    for (size_t i : members) {
-      writer.WriteVarint(rows[i].matrix_id);
-      writer.WriteVarint(rows[i].row);
-      writer.WriteVarint(deltas[i].size());
-      writer.BeginSection(SectionKind::kF64Values);
-      writer.WriteF64Span(deltas[i].data(), deltas[i].size());
-      writer.EndSection();
-    }
-    requests.push_back(
-        MakeRouted(metas.at(rows[members[0]].matrix_id), 0, &writer));
-  }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
+  return SubmitExchange<Ack>(
+      [&](TaskTraffic* traffic) {
+        return ExchangeOwnedRows(traffic, rows, &deltas, std::move(*metas_r),
+                                 std::move(positions), /*groups=*/nullptr);
+      },
+      AckParse);
 }
 
 PsFuture<std::vector<std::vector<double>>> PsClient::PullSparseRowsAsync(

@@ -6,7 +6,7 @@
 //   1. builds one serialized request per server whose column range it
 //      touches,
 //   2. executes them — each an in-process PsServer::Handle call standing in
-//      for a Netty RPC — by one rule (ExchangeAll): keyed requests (sparse
+//      for a Netty RPC — by one rule (ExchangeEach): keyed requests (sparse
 //      pull/push, dense row windows, serving pulls, owned rows, clock and
 //      control calls) run inline, in partition order, on the issuing
 //      thread; shard-scoped requests (column ops, zip, row aggregates,
@@ -211,9 +211,10 @@ class PsClient {
   /// parameter management, DESIGN.md §13). Requests group by owning server
   /// over kPullRowsBatch; hot rows fresh in the HotRowCache are served
   /// locally, hot-but-stale rows warm the cache from the pull. Metas are
-  /// fetched per call, so a batch issued after a relocation tick routes to
-  /// the new homes; callers must not relocate mid-batch (trainers tick the
-  /// classifier at stage barriers).
+  /// resolved once per call (PsMaster::GetMetas), so a batch issued after a
+  /// relocation routes to the new homes; a relocation that commits while
+  /// the batch is in flight bounces the affected requests, and their rows
+  /// are re-planned to their new homes.
   PsFuture<std::vector<std::vector<double>>> PullOwnedRowsAsync(
       const std::vector<RowRef>& rows);
   /// Push counterpart: adds each full-width delta to its row at the owning
@@ -316,6 +317,12 @@ class PsClient {
   PsFuture<T> SubmitAsync(std::vector<ServerRequest> requests,
                           ParseFn<T> parse);
 
+  /// SubmitAsync over any exchange: `exchange(traffic)` runs the op's
+  /// requests (recording into `traffic`), then `parse` reads its results.
+  /// Both run before this returns.
+  template <typename T, typename Exchange>
+  PsFuture<T> SubmitExchange(Exchange&& exchange, ParseFn<T> parse);
+
   /// An already-completed future with no traffic (validation errors and
   /// trivially empty ops that the serial client answered without traffic).
   template <typename T>
@@ -366,10 +373,27 @@ class PsClient {
 
   /// Executes all requests — inline, or on the cluster pool for a
   /// shard-scoped fan-out (see the header comment) — then records every
-  /// success into `traffic` in request order; the returned Status is the
-  /// first failure in that order.
+  /// success into `traffic` in request order and returns each request's
+  /// outcome.
+  std::vector<Result<PsServer::HandleResult>> ExchangeEach(
+      TaskTraffic* traffic, std::vector<ServerRequest> requests);
+
+  /// ExchangeEach, failing with the first failure in request order.
   Result<std::vector<PsServer::HandleResult>> ExchangeAll(
       TaskTraffic* traffic, std::vector<ServerRequest> requests);
+
+  /// Pulls (`deltas` null) or pushes the owned rows at `positions` of
+  /// `rows` (single-partition matrices, `metas` aligned with `rows`): one
+  /// batch per owning server. Requests a relocation bounced with `routing
+  /// stale` are re-planned row by row from fresh metas and re-sent, so each
+  /// row is served or applied exactly once. `groups`, when non-null,
+  /// receives the row positions each returned response carries.
+  Result<std::vector<PsServer::HandleResult>> ExchangeOwnedRows(
+      TaskTraffic* traffic, const std::vector<RowRef>& rows,
+      const std::vector<std::vector<double>>* deltas,
+      std::vector<std::shared_ptr<const MatrixMeta>> metas,
+      std::vector<size_t> positions,
+      std::vector<std::vector<size_t>>* groups);
 
   /// True if all rows' matrices place every column on the same server.
   Result<bool> CoLocated(const std::vector<RowRef>& rows,

@@ -78,7 +78,7 @@ std::vector<MatrixMeta> PsMaster::AllMetas() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MatrixMeta> metas;
   metas.reserve(matrices_.size());
-  for (const auto& [id, state] : matrices_) metas.push_back(state.meta);
+  for (const auto& [id, state] : matrices_) metas.push_back(*state.meta);
   return metas;
 }
 
@@ -89,8 +89,10 @@ void PsMaster::CommitRouting(const std::vector<MatrixMeta>& metas,
   for (const MatrixMeta& meta : metas) {
     auto it = matrices_.find(meta.id);
     if (it == matrices_.end()) continue;  // freed mid-migration
-    it->second.meta.partitioner = meta.partitioner;
-    it->second.meta.routing_epoch = epoch;
+    auto next = std::make_shared<MatrixMeta>(*it->second.meta);
+    next->partitioner = meta.partitioner;
+    next->routing_epoch = epoch;
+    it->second.meta = std::move(next);
   }
   active_ = std::move(new_active);
   if (retired_server >= 0 &&
@@ -163,12 +165,14 @@ Result<int> PsMaster::RegisterMatrix(MatrixMeta meta) {
     if (!meta.partitioner.ServerSpan(server->id(), &begin, &end)) continue;
     PS2_RETURN_NOT_OK(server->CreateMatrixShard(meta));
   }
+  const int id = meta.id;
+  auto published = std::make_shared<const MatrixMeta>(std::move(meta));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    matrices_.emplace(meta.id, MatrixState{meta, 1});
+    matrices_.emplace(id, MatrixState{std::move(published), 1});
   }
   cluster_->metrics().Add("ps.matrices_created", 1);
-  return meta.id;
+  return id;
 }
 
 Result<int> PsMaster::CreateMatrix(const MatrixOptions& options) {
@@ -211,7 +215,24 @@ Result<MatrixMeta> PsMaster::GetMeta(int matrix_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = matrices_.find(matrix_id);
   if (it == matrices_.end()) return Status::NotFound("unknown matrix id");
-  return it->second.meta;
+  return *it->second.meta;
+}
+
+Result<std::vector<std::shared_ptr<const MatrixMeta>>> PsMaster::GetMetas(
+    const std::vector<RowRef>& rows) const {
+  std::vector<std::shared_ptr<const MatrixMeta>> metas;
+  metas.reserve(rows.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const RowRef& ref : rows) {
+    if (!metas.empty() && metas.back()->id == ref.matrix_id) {
+      metas.push_back(metas.back());  // runs of one matrix skip the lookup
+      continue;
+    }
+    auto it = matrices_.find(ref.matrix_id);
+    if (it == matrices_.end()) return Status::NotFound("unknown matrix id");
+    metas.push_back(it->second.meta);
+  }
+  return metas;
 }
 
 Result<RowRef> PsMaster::AllocateRow(int matrix_id) {
@@ -219,7 +240,7 @@ Result<RowRef> PsMaster::AllocateRow(int matrix_id) {
   auto it = matrices_.find(matrix_id);
   if (it == matrices_.end()) return Status::NotFound("unknown matrix id");
   MatrixState& state = it->second;
-  if (state.next_free_row >= state.meta.num_rows) {
+  if (state.next_free_row >= state.meta->num_rows) {
     return Status::OutOfRange("matrix row reservation exhausted");
   }
   RowRef ref;
@@ -229,13 +250,11 @@ Result<RowRef> PsMaster::AllocateRow(int matrix_id) {
 }
 
 Status PsMaster::FreeMatrix(int matrix_id) {
-  MatrixMeta meta;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = matrices_.find(matrix_id);
-    if (it == matrices_.end()) return Status::NotFound("unknown matrix id");
-    meta = it->second.meta;
-    matrices_.erase(it);
+    if (matrices_.erase(matrix_id) == 0) {
+      return Status::NotFound("unknown matrix id");
+    }
   }
   // Free wherever the shard actually lives — post-migration that is the
   // partitioner's assignment, not servers 0..P-1.
@@ -293,7 +312,7 @@ Result<SimTime> PsMaster::RecoverServerInternal(int server_id) {
     std::lock_guard<std::mutex> lock(mu_);
     epoch = routing_epoch_;
     metas.reserve(matrices_.size());
-    for (const auto& [id, state] : matrices_) metas.push_back(state.meta);
+    for (const auto& [id, state] : matrices_) metas.push_back(*state.meta);
   }
   uint64_t reconciled = 0;
   for (const MatrixMeta& meta : metas) {

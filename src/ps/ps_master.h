@@ -104,7 +104,17 @@ class PsMaster {
   Result<int> CreateAlignedMatrix(int base_matrix_id, const std::string& name,
                                   uint32_t reserve_rows);
 
+  /// A copy of the published meta of `matrix_id`.
   Result<MatrixMeta> GetMeta(int matrix_id) const;
+
+  /// The published meta of each row's matrix, resolved in ONE critical
+  /// section (per-row paths must not take the master lock per row). Metas
+  /// are immutable once published — a routing commit swaps in a new one —
+  /// so the pointers stay valid and unchanging however long they are held;
+  /// a stale one is bounced by its routing-epoch stamp. NotFound when any
+  /// row names an unknown matrix.
+  Result<std::vector<std::shared_ptr<const MatrixMeta>>> GetMetas(
+      const std::vector<RowRef>& rows) const;
 
   /// Hands out the next free row of `matrix_id` (the `derive` operator);
   /// returns OutOfRange when the reservation is exhausted.
@@ -146,7 +156,8 @@ class PsMaster {
   friend class MembershipManager;
 
   struct MatrixState {
-    MatrixMeta meta;
+    /// Published and never edited; CommitRouting swaps in a new one.
+    std::shared_ptr<const MatrixMeta> meta;
     uint32_t next_free_row = 1;  // row 0 belongs to the creating DCV
   };
 
@@ -164,9 +175,11 @@ class PsMaster {
   Result<int> ClaimableSpare() const;
 
   /// Installs migrated routing state: new partitioner snapshots (stamped
-  /// with `epoch`), the new active list, and the new routing epoch — in one
-  /// critical section, and only after every involved server committed, so a
-  /// meta a client fetches never stamps an epoch ahead of the servers'.
+  /// with `epoch` and published as fresh metas; the old ones stay intact for
+  /// whoever still holds them), the new active list, and the new routing
+  /// epoch — in one critical section, and only after every involved server
+  /// committed, so a meta a client fetches never stamps an epoch ahead of
+  /// the servers'.
   void CommitRouting(const std::vector<MatrixMeta>& metas,
                      std::vector<int> new_active, uint64_t epoch,
                      int retired_server);

@@ -672,10 +672,7 @@ Result<PsServer::HandleResult> PsServer::HandlePullDense(BufferReader* in) {
 Result<PsServer::HandleResult> PsServer::HandlePullSparse(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-  if (n > in->remaining()) {
-    return Status::OutOfRange("index count exceeds request buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(1));  // index varints
   RecordPull(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
   if (Replica* replica = FindReplica(static_cast<int>(matrix_id),
                                      static_cast<uint32_t>(row))) {
@@ -761,10 +758,8 @@ Result<PsServer::HandleResult> PsServer::HandlePushDense(BufferReader* in) {
 Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-  if (n > in->remaining()) {
-    return Status::OutOfRange("index count exceeds request buffer");
-  }
+  // Each element: an index varint, then (after all indices) an f64 value.
+  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(1 + sizeof(double)));
   RecordPush(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
   PS2_ASSIGN_OR_RETURN(Shard * shard,
                        FindShard(static_cast<int>(matrix_id),
@@ -863,10 +858,8 @@ Result<PsServer::HandleResult> PsServer::HandleColumnOp(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint8_t kind_raw, in->ReadU8());
   PS2_ASSIGN_OR_RETURN(uint64_t dst_matrix, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t dst_row, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n_src, in->ReadVarint());
-  if (n_src > in->remaining()) {
-    return Status::OutOfRange("operand count exceeds request buffer");
-  }
+  // Each operand: (matrix, row) varints.
+  PS2_ASSIGN_OR_RETURN(uint64_t n_src, in->ReadCount(2));
   std::vector<std::pair<uint64_t, uint64_t>> srcs(n_src);
   for (auto& [m, r] : srcs) {
     PS2_ASSIGN_OR_RETURN(m, in->ReadVarint());
@@ -1186,10 +1179,7 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparseRowsBatch(
   // zigzag varints of llround(value) — PS2's message compression for
   // integer count matrices (LDA).
   PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
-  PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadVarint());
-  if (n_idx > in->remaining()) {
-    return Status::OutOfRange("index count exceeds request buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadCount(1));  // index varints
   std::vector<uint64_t> cols(n_idx);
   uint64_t prev = 0;
   for (uint64_t i = 0; i < n_idx; ++i) {
@@ -1240,10 +1230,9 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
   for (uint64_t r = 0; r < n_rows; ++r) {
     PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadVarint());
-    if (nnz > in->remaining()) {
-      return Status::OutOfRange("delta count exceeds request buffer");
-    }
+    // Each delta: an index varint plus a zigzag varint (compress) or f64.
+    PS2_ASSIGN_OR_RETURN(uint64_t nnz,
+                         in->ReadCount(compress != 0 ? 2 : 1 + sizeof(double)));
     RecordPush(static_cast<int>(m), static_cast<uint32_t>(row));
     uint64_t w = 0, b = 0;
     PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
@@ -1277,10 +1266,8 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
 }
 
 Result<PsServer::HandleResult> PsServer::HandleHotSetUpdate(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
-  if (count > in->remaining()) {
-    return Status::OutOfRange("row count exceeds request buffer");
-  }
+  // Each row: (matrix, row, dim) varints.
+  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(3));
   // Replace the replica set: survivors keep their values and version, rows
   // leaving the hot set are dropped, newcomers start zero-filled at version
   // 0 so pulls fall through to the primary until the first install.
@@ -1314,10 +1301,8 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
   if (phase == 0) {
     // Collect: drain pending deltas and report this server's primary slice
     // of each listed row, so the master can rebuild the authoritative value.
-    PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-    if (n > in->remaining()) {
-      return Status::OutOfRange("row count exceeds request buffer");
-    }
+    // Each row: (matrix, row) varints.
+    PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(2));
     for (uint64_t i = 0; i < n; ++i) {
       PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
       PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
@@ -1378,10 +1363,8 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
 Result<PsServer::HandleResult> PsServer::HandleHotPush(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadVarint());
-  if (nnz > in->remaining()) {
-    return Status::OutOfRange("delta count exceeds request buffer");
-  }
+  // Each delta: an index varint, then (after all indices) an f64 value.
+  PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount(1 + sizeof(double)));
   RecordPush(static_cast<int>(m), static_cast<uint32_t>(r));
   // Accumulate into pending even for a version-0 (not-yet-installed)
   // replica: the next sync folds the deltas into the primary either way.
@@ -1424,17 +1407,16 @@ Result<PsServer::HandleResult> PsServer::HandleServingPull(BufferReader* in) {
     // after a recovery republished under a fresh epoch.
     return Status::FailedPrecondition("serving snapshot epoch not available");
   }
-  PS2_ASSIGN_OR_RETURN(uint64_t n_entries, in->ReadVarint());
-  if (n_entries > in->remaining()) {
-    return Status::OutOfRange("entry count exceeds request buffer");
-  }
+  // Each entry: (matrix, row, n_idx) varints, then n_idx index varints.
+  PS2_ASSIGN_OR_RETURN(uint64_t n_entries, in->ReadCount(3));
   HandleResult out;
   BufferWriter writer;
   writer.WriteVarint(n_entries);
   for (uint64_t e = 0; e < n_entries; ++e) {
     PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadVarint());
+    // 0 = full slice; otherwise that many index varints follow.
+    PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadCount(1));
     auto it = snap->shards.find(static_cast<int>(m));
     if (it == snap->shards.end()) {
       return Status::NotFound("matrix not in serving snapshot");
@@ -1466,9 +1448,6 @@ Result<PsServer::HandleResult> PsServer::HandleServingPull(BufferReader* in) {
       writer.EndSection();
       out.server_ops += w;
     } else {
-      if (n_idx > in->remaining()) {
-        return Status::OutOfRange("index count exceeds request buffer");
-      }
       writer.WriteVarint(n_idx);
       writer.BeginSection(SectionKind::kF64Values);
       uint64_t prev = 0;
@@ -1600,10 +1579,8 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
   } else {
     staged.sparse_rows.assign(num_rows, {});
     for (uint64_t r = 0; r < num_rows; ++r) {
-      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadVarint());
-      if (nnz > in->remaining()) {
-        return Status::OutOfRange("nnz exceeds request buffer");
-      }
+      // Each entry: a column varint, then (after all columns) an f64 value.
+      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount(1 + sizeof(double)));
       std::vector<uint64_t> cols(nnz);
       uint64_t prev = 0;
       for (uint64_t i = 0; i < nnz; ++i) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "dcv/dcv_context.h"
 #include "membership/membership_manager.h"
@@ -122,6 +124,104 @@ TEST_F(ParamMgmtTest, RelocateMatricesMovesValuesExactly) {
                   ->RelocateMatrices({{id, 7}})
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST_F(ParamMgmtTest, HeldMetaSurvivesRelocationCommit) {
+  Build(2, 3, /*colocate=*/false);
+  const int id = KeyMatrix(/*server=*/0);
+  Result<std::vector<std::shared_ptr<const MatrixMeta>>> before =
+      master()->GetMetas({RowRef{id, 0}});
+  ASSERT_TRUE(before.ok()) << before.status();
+  const std::shared_ptr<const MatrixMeta> held = (*before)[0];
+  const uint64_t old_epoch = held->routing_epoch;
+
+  ASSERT_TRUE(master()->membership()->RelocateMatrices({{id, 1}}).ok());
+  // The commit published a new meta; the one already handed out is intact.
+  EXPECT_EQ(held->partitioner.ServerOfPartition(0), 0);
+  EXPECT_EQ(held->routing_epoch, old_epoch);
+
+  Result<std::vector<std::shared_ptr<const MatrixMeta>>> after =
+      master()->GetMetas({RowRef{id, 0}, RowRef{id, 1}});
+  ASSERT_TRUE(after.ok()) << after.status();
+  for (const std::shared_ptr<const MatrixMeta>& meta : *after) {
+    EXPECT_EQ(meta->partitioner.ServerOfPartition(0), 1);
+    EXPECT_EQ(meta->routing_epoch, master()->routing_epoch());
+    EXPECT_GT(meta->routing_epoch, old_epoch);
+  }
+}
+
+TEST_F(ParamMgmtTest, OwnedRowsWithUnknownMatrixSendNothing) {
+  Build(2, 2, /*colocate=*/false);
+  const int id = KeyMatrix(0);
+  const std::vector<RowRef> refs = {RowRef{id, 0}, RowRef{id + 1000, 0}};
+  const uint64_t messages = cluster_->metrics().Get("net.messages");
+  EXPECT_TRUE(
+      client()->PullOwnedRowsAsync(refs).Get().status().IsNotFound());
+  EXPECT_TRUE(client()
+                  ->PushOwnedRowsAsync(refs, {std::vector<double>(8, 1.0),
+                                              std::vector<double>(8, 1.0)})
+                  .Wait()
+                  .IsNotFound());
+  EXPECT_EQ(cluster_->metrics().Get("net.messages"), messages);
+  // The known row alone goes out (the counter is live).
+  ASSERT_TRUE(client()->PullOwnedRowsAsync({refs[0]}).Get().ok());
+  EXPECT_GT(cluster_->metrics().Get("net.messages"), messages);
+}
+
+TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileKeysRelocate) {
+  Build(8, 3, /*colocate=*/false);
+  constexpr int kKeys = 6;
+  constexpr uint64_t kDim = 8;
+  constexpr size_t kWorkers = 8;
+  constexpr int kRounds = 25;
+  constexpr int kLaps = 4;
+  std::vector<RowRef> refs;
+  std::vector<std::vector<double>> deltas;  // key k adds k + 1 per round
+  for (int k = 0; k < kKeys; ++k) {
+    refs.push_back(RowRef{KeyMatrix(k % 3, kDim), 0});
+    deltas.emplace_back(kDim, static_cast<double>(k + 1));
+  }
+  // Task 0 walks every key around the servers while the other eight push
+  // to and pull from all keys. A bounced batch is re-planned row by row:
+  // every push applies once, and every pulled row is one whole row of its
+  // own key (a multiple of k + 1 in every column).
+  auto body = [&](TaskContext& task) {
+    if (task.task_id == 0) {
+      for (int lap = 0; lap < kLaps; ++lap) {
+        for (int k = 0; k < kKeys; ++k) {
+          Result<MigrationStats> moved =
+              master()->membership()->RelocateMatrices(
+                  {{refs[k].matrix_id, (k + lap + 1) % 3}});
+          PS2_CHECK(moved.ok()) << moved.status();
+        }
+      }
+      return;
+    }
+    for (int r = 0; r < kRounds; ++r) {
+      PS2_CHECK_OK(client()->PushOwnedRowsAsync(refs, deltas).Wait());
+      Result<std::vector<std::vector<double>>> rows =
+          client()->PullOwnedRowsAsync(refs).Get();
+      PS2_CHECK(rows.ok()) << rows.status();
+      for (int k = 0; k < kKeys; ++k) {
+        const std::vector<double>& row = (*rows)[k];
+        PS2_CHECK_EQ(row.size(), kDim);
+        PS2_CHECK_EQ(std::fmod(row[0], k + 1.0), 0.0) << "key " << k;
+        for (double v : row) PS2_CHECK_EQ(v, row[0]) << "key " << k;
+      }
+    }
+  };
+  cluster_->RunStage("owned_rows_during_relocate", kWorkers + 1, body);
+  EXPECT_EQ(master()->membership()->migrations(),
+            static_cast<uint64_t>(kLaps * kKeys));
+  Result<std::vector<std::vector<double>>> pulled =
+      client()->PullOwnedRowsAsync(refs).Get();
+  ASSERT_TRUE(pulled.ok()) << pulled.status();
+  for (int k = 0; k < kKeys; ++k) {
+    for (double v : (*pulled)[k]) {
+      EXPECT_EQ(v, static_cast<double>((k + 1) * kWorkers * kRounds))
+          << "key " << k;
+    }
+  }
 }
 
 TEST_F(ParamMgmtTest, OwnedRowsRoundTripAcrossServers) {

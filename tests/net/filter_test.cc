@@ -113,6 +113,17 @@ TEST(LzTest, WrongRawLengthFails) {
   EXPECT_FALSE(LzDecompress(blob, 40).ok());
 }
 
+TEST(LzTest, ForgedRawLengthRejectedBeforeAllocating) {
+  // raw_len is an unchecked wire varint; reserving it would throw
+  // std::bad_alloc (or allocate without bound) instead of failing.
+  std::vector<uint8_t> blob = LzCompress(std::vector<uint8_t>(100, 0x42));
+  for (size_t raw_len : {size_t{1} << 61, kLzMaxRawLen + 1}) {
+    Result<std::vector<uint8_t>> out = LzDecompress(blob, raw_len);
+    ASSERT_FALSE(out.ok());
+    EXPECT_TRUE(out.status().IsOutOfRange()) << out.status();
+  }
+}
+
 // ---- Hashing + caches ------------------------------------------------------
 
 TEST(FilterTest, HashIsDeterministicAndContentSensitive) {

@@ -6,6 +6,8 @@
 
 #include "common/rng.h"
 #include "linalg/sparse_vector.h"
+#include "net/filter_config.h"
+#include "net/message.h"
 #include "ps/partitioner.h"
 #include "ps/ps_server.h"
 
@@ -87,6 +89,38 @@ TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
     EXPECT_FALSE(server_.Handle(truncated).ok()) << "length " << len;
   }
   EXPECT_TRUE(server_.Handle(full).ok());
+}
+
+TEST_F(PsFuzzTest, ForgedCompressedFrameRejected) {
+  // A tracked request whose compress-filtered body claims a raw length of
+  // 2^61: decoding must fail with a Status instead of allocating it.
+  BufferWriter writer;
+  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  writer.WriteVarint(uint64_t{1} << 61);  // raw_len
+  writer.WriteU8(0);                      // one-byte literal run
+  writer.WriteVarint(1);
+  writer.WriteU8(0);
+  std::vector<uint8_t> forged = writer.Release();
+  RpcHeader header;
+  header.client_id = 0;
+  header.seq = 1;
+  EXPECT_FALSE(
+      server_.Handle(header, WireFrame{Slice(forged), kFilterCompress}).ok());
+
+  // The server stays usable, and the rejected mutation's seq was not
+  // consumed: a valid push under it applies instead of acking as a replay.
+  BufferWriter push;
+  push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  push.WriteVarint(0);
+  push.WriteVarint(1);
+  push.WriteVarint(0);
+  push.WriteVarint(64);
+  const std::vector<double> ones(64, 1.0);
+  push.WriteF64Span(ones.data(), ones.size());
+  Result<PsServer::HandleResult> ok = server_.Handle(header, push.Release());
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_FALSE(ok->dedup_hit);
+  EXPECT_EQ(ok->server_ops, 64u);
 }
 
 TEST_F(PsFuzzTest, CorruptedCheckpointRejectedWithoutCrash) {
