@@ -117,15 +117,16 @@ void BM_DotBatch(benchmark::State& state) {
   Fixture f;
   const uint32_t rows = 1000;
   std::vector<Dcv> embeddings = *f.ctx.DenseMatrix(100, rows, 0.1, 1);
-  std::vector<std::pair<RowRef, RowRef>> pairs;
+  std::vector<AggregateEntry> pairs;
   for (uint32_t i = 0; i < static_cast<uint32_t>(state.range(0)); ++i) {
-    pairs.push_back({embeddings[i % rows].ref(),
-                     embeddings[(i * 7 + 1) % rows].ref()});
+    pairs.push_back({AggKind::kDot,
+                     {embeddings[i % rows].ref(),
+                      embeddings[(i * 7 + 1) % rows].ref()}});
   }
   // Benchmarks the blocking round on purpose, as the serial baseline the
-  // pipelined DotBatchAsync numbers are compared against.
+  // pipelined AggregateAsync numbers are compared against.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.ctx.client()->DotBatchAsync(pairs).Get());
+    benchmark::DoNotOptimize(f.ctx.client()->AggregateAsync(pairs).Get());
   }
   state.SetItemsProcessed(state.iterations() * pairs.size());
 }

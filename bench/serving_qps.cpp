@@ -119,8 +119,11 @@ std::vector<std::vector<double>> SnapshotImage(const Setup& s, uint64_t epoch) {
 double ModelNorm(const Setup& s) {
   double total = 0.0;
   for (uint32_t r = 0; r < kRows; ++r) {
-    total += *s.client->RowAggregate(RowRef{s.matrix_id, r},
-                                     RowAggKind::kNorm2Squared);
+    total += (*s.client
+                   ->AggregateAsync({{AggKind::kNorm2Squared,
+                                      {RowRef{s.matrix_id, r}}}})
+                   .Get())[0]
+                 .value;
   }
   return total;
 }

@@ -1,6 +1,7 @@
 #include "dcv/dcv.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "dcv/dcv_batch.h"
@@ -14,21 +15,57 @@ Status CheckValid(const Dcv& dcv) {
   if (!dcv.valid()) return Status::FailedPrecondition("invalid DCV handle");
   return Status::OK();
 }
+
+/// [first, rest...] as row refs; fails on an invalid handle.
+Result<std::vector<RowRef>> Refs(const Dcv& first,
+                                 const std::vector<Dcv>& rest) {
+  PS2_RETURN_NOT_OK(CheckValid(first));
+  std::vector<RowRef> refs{first.ref()};
+  for (const Dcv& d : rest) {
+    PS2_RETURN_NOT_OK(CheckValid(d));
+    refs.push_back(d.ref());
+  }
+  return refs;
+}
+
+/// Runs one ColumnOps entry over [dst, srcs...] and blocks for its ack.
+Status RunColumnOp(const Dcv& dst, ColOpKind kind, const std::vector<Dcv>& srcs,
+                   double scalar = 0.0, int udf = -1) {
+  PS2_ASSIGN_OR_RETURN(std::vector<RowRef> rows, Refs(dst, srcs));
+  return dst.context()
+      ->client()
+      ->ColumnOpsAsync({{kind, std::move(rows), scalar, udf}})
+      .Wait();
+}
+
+/// Runs one Aggregate entry over [v, others...] and blocks for its result.
+Result<AggregateValue> RunAggregate(const Dcv& v, AggKind kind,
+                                    const std::vector<Dcv>& others = {},
+                                    int udf = -1) {
+  PS2_ASSIGN_OR_RETURN(std::vector<RowRef> rows, Refs(v, others));
+  PS2_ASSIGN_OR_RETURN(std::vector<AggregateValue> values,
+                       v.context()
+                           ->client()
+                           ->AggregateAsync({{kind, std::move(rows), udf}})
+                           .Get());
+  return std::move(values[0]);
+}
+
+/// The scalar result of one Aggregate entry.
+Result<double> AggregateScalar(const Dcv& v, AggKind kind,
+                               const std::vector<Dcv>& others = {}) {
+  PS2_ASSIGN_OR_RETURN(AggregateValue value, RunAggregate(v, kind, others));
+  return value.value;
+}
 }  // namespace
 
 bool Dcv::CoLocatedWith(const Dcv& other) const {
   if (!valid() || !other.valid() || context_ != other.context_) return false;
-  if (ref_.matrix_id == other.ref_.matrix_id) return true;
-  // A replicated hot row (DESIGN.md §5d) lives in full on every server, so
-  // it reads as co-located with everything in the same context.
-  HotspotManager* hotspot = context_->master()->hotspot();
-  if (hotspot->IsReplicated(ref_) || hotspot->IsReplicated(other.ref_)) {
-    return true;
-  }
-  Result<MatrixMeta> a = context_->master()->GetMeta(ref_.matrix_id);
-  Result<MatrixMeta> b = context_->master()->GetMeta(other.ref_.matrix_id);
-  if (!a.ok() || !b.ok()) return false;
-  return a->partitioner.CoLocatedWith(b->partitioner);
+  // The client's planner with both rows read-only: a replicated hot row
+  // (DESIGN.md §5d) reads as co-located with everything in the context.
+  Result<std::shared_ptr<const MatrixMeta>> place =
+      context_->client()->Place({ref_, other.ref_}, {true, true});
+  return place.ok() && *place != nullptr;
 }
 
 Result<std::vector<double>> Dcv::Pull() const {
@@ -97,103 +134,73 @@ DcvBatch Dcv::Batch() const {
 }
 
 Result<double> Dcv::Sum() const {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->RowAggregate(ref_, RowAggKind::kSum);
+  return AggregateScalar(*this, AggKind::kSum);
 }
 
 Result<double> Dcv::Nnz() const {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->RowAggregate(ref_, RowAggKind::kNnz);
+  return AggregateScalar(*this, AggKind::kNnz);
 }
 
 Result<double> Dcv::Norm2() const {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  PS2_ASSIGN_OR_RETURN(
-      double sq,
-      context_->client()->RowAggregate(ref_, RowAggKind::kNorm2Squared));
+  PS2_ASSIGN_OR_RETURN(double sq,
+                       AggregateScalar(*this, AggKind::kNorm2Squared));
   return std::sqrt(sq);
 }
 
 Result<double> Dcv::Max() const {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->RowAggregate(ref_, RowAggKind::kMax);
+  return AggregateScalar(*this, AggKind::kMax);
 }
 
 Result<double> Dcv::Dot(const Dcv& other) const {
   PS2_TRACE_SPAN("dcv", "dot");
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  PS2_RETURN_NOT_OK(CheckValid(other));
-  return context_->client()->Dot(ref_, other.ref_);
+  return AggregateScalar(*this, AggKind::kDot, {other});
 }
 
 Status Dcv::Axpy(const Dcv& x, double alpha) {
   PS2_TRACE_SPAN("dcv", "axpy");
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  PS2_RETURN_NOT_OK(CheckValid(x));
-  return context_->client()->ColumnOp(ColOpKind::kAxpy, ref_, {x.ref_}, alpha);
+  return RunColumnOp(*this, ColOpKind::kAxpy, {x}, alpha);
 }
 
 Status Dcv::CopyFrom(const Dcv& src) {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  PS2_RETURN_NOT_OK(CheckValid(src));
-  return context_->client()->ColumnOp(ColOpKind::kCopy, ref_, {src.ref_});
+  return RunColumnOp(*this, ColOpKind::kCopy, {src});
 }
 
 Status Dcv::AddOf(const Dcv& a, const Dcv& b) {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->ColumnOp(ColOpKind::kAdd, ref_,
-                                      {a.ref_, b.ref_});
+  return RunColumnOp(*this, ColOpKind::kAdd, {a, b});
 }
 
 Status Dcv::SubOf(const Dcv& a, const Dcv& b) {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->ColumnOp(ColOpKind::kSub, ref_,
-                                      {a.ref_, b.ref_});
+  return RunColumnOp(*this, ColOpKind::kSub, {a, b});
 }
 
 Status Dcv::MulOf(const Dcv& a, const Dcv& b) {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->ColumnOp(ColOpKind::kMul, ref_,
-                                      {a.ref_, b.ref_});
+  return RunColumnOp(*this, ColOpKind::kMul, {a, b});
 }
 
 Status Dcv::DivOf(const Dcv& a, const Dcv& b) {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->ColumnOp(ColOpKind::kDiv, ref_,
-                                      {a.ref_, b.ref_});
+  return RunColumnOp(*this, ColOpKind::kDiv, {a, b});
 }
 
 Status Dcv::Fill(double value) {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->ColumnOp(ColOpKind::kFill, ref_, {}, value);
+  return RunColumnOp(*this, ColOpKind::kFill, {}, value);
 }
 
 Status Dcv::Scale(double alpha) {
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->ColumnOp(ColOpKind::kScale, ref_, {}, alpha);
+  return RunColumnOp(*this, ColOpKind::kScale, {}, alpha);
 }
 
 Status Dcv::Zip(const std::vector<Dcv>& others, int udf_id) {
   PS2_TRACE_SPAN("dcv", "zip");
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  std::vector<RowRef> rows{ref_};
-  for (const Dcv& d : others) {
-    PS2_RETURN_NOT_OK(CheckValid(d));
-    rows.push_back(d.ref_);
-  }
-  return context_->client()->Zip(rows, udf_id);
+  return RunColumnOp(*this, ColOpKind::kZip, others, 0.0, udf_id);
 }
 
 Result<std::vector<std::vector<double>>> Dcv::ZipAggregate(
     const std::vector<Dcv>& others, int udf_id) const {
   PS2_TRACE_SPAN("dcv", "zip_aggregate");
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  std::vector<RowRef> rows{ref_};
-  for (const Dcv& d : others) {
-    PS2_RETURN_NOT_OK(CheckValid(d));
-    rows.push_back(d.ref_);
-  }
-  return context_->client()->ZipAggregate(rows, udf_id);
+  PS2_ASSIGN_OR_RETURN(
+      AggregateValue value,
+      RunAggregate(*this, AggKind::kZipAggregate, others, udf_id));
+  return std::move(value.parts);
 }
 
 }  // namespace ps2

@@ -24,14 +24,14 @@ Status DcvBatch::CheckHandle(const Dcv& dcv) const {
 size_t DcvBatch::Dot(const Dcv& a, const Dcv& b) {
   Note(CheckHandle(a));
   Note(CheckHandle(b));
-  dot_pairs_.emplace_back(a.ref(), b.ref());
-  return dot_pairs_.size() - 1;
+  dots_.push_back({AggKind::kDot, {a.ref(), b.ref()}, -1});
+  return dots_.size() - 1;
 }
 
 DcvBatch& DcvBatch::Axpy(Dcv& dst, const Dcv& src, double alpha) {
   Note(CheckHandle(dst));
   Note(CheckHandle(src));
-  axpy_tasks_.push_back({dst.ref(), src.ref(), alpha});
+  axpys_.push_back({ColOpKind::kAxpy, {dst.ref(), src.ref()}, alpha, -1});
   return *this;
 }
 
@@ -79,7 +79,7 @@ DcvBatch& DcvBatch::PushSparse(std::vector<Dcv>& rows,
 }
 
 bool DcvBatch::empty() const {
-  return dot_pairs_.empty() && axpy_tasks_.empty() && pull_rows_.empty() &&
+  return dots_.empty() && axpys_.empty() && pull_rows_.empty() &&
          push_rows_.empty() && sparse_pulls_.empty() && sparse_pushes_.empty();
 }
 
@@ -95,8 +95,8 @@ DcvBatch::Future DcvBatch::Submit() {
   PsClient* client = context_->client();
   // Issue groups back-to-back: the first becomes the round leader, the rest
   // overlap it — the whole batch charges one round of latency.
-  if (!dot_pairs_.empty()) f.dots_ = client->DotBatchAsync(dot_pairs_);
-  if (!axpy_tasks_.empty()) f.axpys_ = client->AxpyBatchAsync(axpy_tasks_);
+  if (!dots_.empty()) f.dots_ = client->AggregateAsync(dots_);
+  if (!axpys_.empty()) f.axpys_ = client->ColumnOpsAsync(axpys_);
   if (!pull_rows_.empty()) f.pulls_ = client->PullRowsAsync(pull_rows_);
   if (!push_rows_.empty()) {
     f.pushes_ = client->PushRowsAsync(push_rows_, push_deltas_);
@@ -136,8 +136,10 @@ Result<DcvBatchResults> DcvBatch::Future::Get() {
   // Drain everything even after an error so the window always empties and
   // every op's traffic is charged.
   if (dots_.valid()) {
-    Result<std::vector<double>> r = dots_.Get();
-    if (r.ok()) out.dots = std::move(*r);
+    Result<std::vector<AggregateValue>> r = dots_.Get();
+    if (r.ok()) {
+      for (const AggregateValue& v : *r) out.dots.push_back(v.value);
+    }
     track(r.status());
   }
   if (axpys_.valid()) track(axpys_.Wait());

@@ -3,12 +3,11 @@
 // Dcv::Batch() — the unified coalescing builder over the PS batch protocol.
 //
 // Workloads that touch many DCVs per step (DeepWalk scores every walk pair,
-// LDA pulls its vocabulary slice of every topic row) used to call the
-// ad-hoc PsClient batch entry points (DotBatch / AxpyBatch / PullRows /
-// PullSparseRows / PushSparseRows) directly. DcvBatch subsumes them: stage
-// any mix of dots, axpys, row pulls/pushes and shared-index sparse
-// pulls/pushes, then Submit() once. Staged work coalesces into one wire op
-// per kind, and the ops are issued back-to-back through the async client —
+// LDA pulls its vocabulary slice of every topic row) stage any mix of dots,
+// axpys, row pulls/pushes and shared-index sparse pulls/pushes, then
+// Submit() once. Staged work coalesces into one wire op per group — all
+// dots into one Aggregate request, all axpys into one ColumnOps request —
+// and the ops are issued back-to-back through the async client —
 // the first is the round leader, the rest ride its latency window
 // (TaskTraffic::pipelined_rounds), so a whole batch costs one round of
 // latency no matter how many kinds it mixes.
@@ -70,7 +69,7 @@ class DcvBatch {
     friend class DcvBatch;
 
     Status error_ = Status::OK();  ///< staging-time error, if any
-    PsFuture<std::vector<double>> dots_;
+    PsFuture<std::vector<AggregateValue>> dots_;
     PsFuture<Ack> axpys_;
     PsFuture<std::vector<std::vector<double>>> pulls_;
     PsFuture<Ack> pushes_;
@@ -137,8 +136,8 @@ class DcvBatch {
   bool submitted_ = false;
   Status error_ = Status::OK();
 
-  std::vector<std::pair<RowRef, RowRef>> dot_pairs_;
-  std::vector<PsClient::AxpyTask> axpy_tasks_;
+  std::vector<AggregateEntry> dots_;
+  std::vector<ColumnOpEntry> axpys_;
   std::vector<RowRef> pull_rows_;
   std::vector<RowRef> push_rows_;
   std::vector<std::vector<double>> push_deltas_;

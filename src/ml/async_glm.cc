@@ -161,23 +161,4 @@ Result<TrainReport> TrainGlmPs2Relaxed(DcvContext* ctx,
   return report;
 }
 
-Result<TrainReport> TrainGlmPs2Async(DcvContext* ctx,
-                                     const Dataset<Example>& data,
-                                     const GlmOptions& options,
-                                     int steps_per_stage) {
-  if (steps_per_stage <= 0) {
-    return Status::InvalidArgument("steps_per_stage must be positive");
-  }
-  // steps_per_stage local steps between barriers is SSP with slack
-  // steps_per_stage - 1 (slack 0 = a one-step window = the stage-
-  // synchronous flavour this entry point always had).
-  GlmOptions relaxed = options;
-  relaxed.consistency = ConsistencyPolicy{};
-  if (steps_per_stage > 1) {
-    relaxed.consistency.mode = ConsistencyMode::kSsp;
-    relaxed.consistency.slack = static_cast<uint32_t>(steps_per_stage - 1);
-  }
-  return TrainGlmPs2Relaxed(ctx, data, relaxed);
-}
-
 }  // namespace ps2

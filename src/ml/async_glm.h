@@ -35,12 +35,4 @@ Result<TrainReport> TrainGlmPs2Relaxed(DcvContext* ctx,
                                        const Dataset<Example>& data,
                                        const GlmOptions& options);
 
-/// DEPRECATED shim of the pre-controller API: `steps_per_stage` local steps
-/// per stage, which is SSP with slack = steps_per_stage - 1. Prefer setting
-/// GlmOptions::consistency and calling TrainGlmPs2.
-Result<TrainReport> TrainGlmPs2Async(DcvContext* ctx,
-                                     const Dataset<Example>& data,
-                                     const GlmOptions& options,
-                                     int steps_per_stage);
-
 }  // namespace ps2

@@ -2,14 +2,6 @@
 
 namespace ps2 {
 
-bool FilterConfig::enabled() const {
-  if (bits != 0) return true;
-  for (int16_t m : per_opcode) {
-    if (m > 0) return true;
-  }
-  return false;
-}
-
 Result<FilterConfig> FilterConfig::Parse(const std::string& text) {
   FilterConfig config;
   if (text.empty() || text == "off" || text == "none") return config;

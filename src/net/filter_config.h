@@ -11,12 +11,10 @@
 //               net/filters.h).
 //   compress  — dictionary/RLE byte compressor over the framed body.
 //
-// The config carries a cluster-wide default mask plus optional per-opcode
-// overrides (indexed by the request opcode byte). The default-constructed
-// config is OFF: existing byte accounting is unchanged unless a run opts in
-// (`ps2run --filters=...`, ClusterSpec::filters).
+// The config is one cluster-wide mask applied to every opcode. The
+// default-constructed config is OFF: existing byte accounting is unchanged
+// unless a run opts in (`ps2run --filters=...`, ClusterSpec::filters).
 
-#include <array>
 #include <cstdint>
 #include <string>
 
@@ -31,28 +29,10 @@ inline constexpr uint8_t kFilterAll =
     kFilterKeyCache | kFilterDelta | kFilterCompress;
 
 struct FilterConfig {
-  /// Default filter mask for every opcode.
+  /// Filter mask for every request (and its response).
   uint8_t bits = 0;
-  /// Per-opcode override (request opcode byte -> mask); -1 = use `bits`.
-  std::array<int16_t, 32> per_opcode{};
 
-  FilterConfig() { per_opcode.fill(-1); }
-
-  bool enabled() const;
-
-  /// Effective mask for a request opcode (and its response).
-  uint8_t MaskFor(uint8_t opcode) const {
-    if (opcode < per_opcode.size() && per_opcode[opcode] >= 0) {
-      return static_cast<uint8_t>(per_opcode[opcode]);
-    }
-    return bits;
-  }
-
-  void SetOpcodeMask(uint8_t opcode, uint8_t mask) {
-    if (opcode < per_opcode.size()) {
-      per_opcode[opcode] = static_cast<int16_t>(mask);
-    }
-  }
+  bool enabled() const { return bits != 0; }
 
   /// Parses "off" / "" / a comma list of {keycache, delta, compress, all}.
   static Result<FilterConfig> Parse(const std::string& text);

@@ -1,49 +1,27 @@
 #pragma once
 
-// RPC message envelope.
+// RPC message framing.
 //
 // PS2's real implementation uses Netty + Protobuf; here every request and
-// response between workers, servers and the driver is materialized as a
-// Message with a genuinely serialized payload so that byte accounting is
-// exact. Delivery is an in-process method call; *cost* is charged through
-// the traffic recorder / cost model.
+// response between workers, servers and the driver is a genuinely
+// serialized payload so that byte accounting is exact. Delivery is an
+// in-process method call; *cost* is charged through the traffic recorder /
+// cost model.
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/slice.h"
 
 namespace ps2 {
 
-/// \brief Kinds of RPC traffic, used for metrics breakdowns.
-enum class MessageKind : uint8_t {
-  kPullRequest,
-  kPullResponse,
-  kPushRequest,
-  kPushAck,
-  kColumnOpRequest,
-  kColumnOpResponse,
-  kControl,
-};
-
-const char* MessageKindName(MessageKind kind);
-
-/// \brief A serialized RPC message between two logical nodes.
+/// \brief The fixed framing every message pays on top of its payload.
 struct Message {
-  int src_node = -1;
-  int dst_node = -1;
-  MessageKind kind = MessageKind::kControl;
-  std::vector<uint8_t> payload;
-
-  /// Bytes on the wire: payload plus a fixed framing header (matches a
-  /// typical Netty frame: length, ids, kind, correlation id). The retry
-  /// protocol's identity fields — client id, per-client sequence number and
-  /// attempt (ps/ps_types.h RpcHeader) — ride the correlation-id slot of
-  /// this fixed header, so stamping every request does not change the byte
-  /// accounting anywhere.
+  /// Matches a typical Netty frame: length, ids, kind, correlation id. The
+  /// retry protocol's identity fields — client id, per-client sequence
+  /// number and attempt (ps/ps_types.h RpcHeader) — ride the correlation-id
+  /// slot of this fixed header, so stamping every request does not change
+  /// the byte accounting anywhere.
   static constexpr uint64_t kHeaderBytes = 24;
-  uint64_t WireBytes() const { return kHeaderBytes + payload.size(); }
 };
 
 /// \brief Zero-copy view of one payload as it crosses the (simulated) wire.

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -226,7 +227,7 @@ PsClient::ServerRequest PsClient::MakeHashRouted(const MatrixMeta& meta,
 namespace {
 
 /// One entry per owning server, in partition order. Shard-scoped opcodes
-/// (column ops, zip, row aggregates, row batches) operate on the target
+/// (ColumnOps, Aggregate, row batches, MatrixInit) operate on the target
 /// server's whole contiguous shard and carry no column window, so they must
 /// go out once per SERVER. Under elastic membership partitions are finer
 /// than shards (DESIGN.md §12) and a per-partition fan-out would apply a
@@ -267,8 +268,7 @@ void PsClient::EncodeRequest(ServerRequest* req, bool force_key_install) {
   req->estats.logical_bytes = req->payload.size();
   req->estats.wire_bytes = req->payload.size();
   if (req->payload.empty()) return;
-  const uint8_t want =
-      filters_.MaskFor(req->payload.slice()[0]);
+  const uint8_t want = filters_.bits;
   if (want == 0) return;
   // Key-cache decisions are epoch-scoped: any hotspot epoch bump (server
   // recovery, hot-set move) clears the client's installed sets, exactly when
@@ -742,22 +742,6 @@ Result<Ack> AckParse(std::vector<PsServer::HandleResult>&&, TaskTraffic*) {
 }
 }  // namespace
 
-Result<bool> PsClient::CoLocated(const std::vector<RowRef>& rows,
-                                 MatrixMeta* first_meta) {
-  PS2_CHECK(!rows.empty());
-  PS2_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<const MatrixMeta>> metas,
-                       master_->GetMetas(rows));
-  const std::shared_ptr<const MatrixMeta>& first = metas[0];
-  *first_meta = *first;
-  for (const std::shared_ptr<const MatrixMeta>& meta : metas) {
-    if (meta != first &&
-        !meta->partitioner.CoLocatedWith(first->partitioner)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // ----------------------------------------------------------- row access ops
 
 PsFuture<std::vector<double>> PsClient::PullDenseAsync(RowRef ref,
@@ -1207,406 +1191,271 @@ Status PsClient::PushSparse(RowRef ref, const SparseVector& delta) {
   return PushSparseAsync(ref, delta).Wait();
 }
 
-PsFuture<double> PsClient::RowAggregateAsync(RowRef ref, RowAggKind kind) {
-  Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
-  if (!meta_r.ok()) return ReadyFuture<double>(meta_r.status());
-  const MatrixMeta& meta = *meta_r;
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kRowAgg));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteU8(static_cast<uint8_t>(kind));
-    requests.push_back(MakeShardRequest(meta, p, &writer));
-  }
-  return SubmitAsync<double>(
-      std::move(requests),
-      [kind](std::vector<PsServer::HandleResult>&& results,
-             TaskTraffic*) -> Result<double> {
-        double acc = kind == RowAggKind::kMax
-                         ? -std::numeric_limits<double>::infinity()
-                         : 0.0;
-        for (const auto& result : results) {
-          BufferReader reader(result.response);
-          PS2_ASSIGN_OR_RETURN(double partial, reader.ReadF64());
-          if (kind == RowAggKind::kMax) {
-            acc = std::max(acc, partial);
-          } else {
-            acc += partial;
-          }
-        }
-        return acc;
-      });
-}
-
-Result<double> PsClient::RowAggregate(RowRef ref, RowAggKind kind) {
-  return RowAggregateAsync(ref, kind).Get();
-}
-
 // -------------------------------------------------------- column access ops
 
-PsFuture<Ack> PsClient::ColumnOpAsync(ColOpKind kind, RowRef dst,
-                                      const std::vector<RowRef>& srcs,
-                                      double scalar) {
-  std::vector<RowRef> all{dst};
-  all.insert(all.end(), srcs.begin(), srcs.end());
-  MatrixMeta meta;
-  Result<bool> colocated = CoLocated(all, &meta);
-  if (!colocated.ok()) return ReadyFuture<Ack>(colocated.status());
-  bool fast = *colocated;
-  if (!fast) {
-    // Relaxation: replicated (hot) sources read as co-located with any dst
-    // slice; only dst and the non-replicated sources must share placement.
-    HotspotManager* hotspot = master_->hotspot();
-    std::vector<RowRef> anchored{dst};
-    for (const RowRef& src : srcs) {
-      if (!hotspot->IsReplicated(src)) anchored.push_back(src);
+namespace {
+
+/// Operand rows an entry kind takes; 0 = one or more (the zip kinds).
+size_t OperandRows(ColOpKind kind) {
+  return kind == ColOpKind::kZip ? 0 : 1 + NumSources(kind);
+}
+size_t OperandRows(AggKind kind) {
+  return kind == AggKind::kZipAggregate ? 0 : kind == AggKind::kDot ? 2 : 1;
+}
+bool KnownKind(ColOpKind kind) { return kind <= ColOpKind::kZip; }
+bool KnownKind(AggKind kind) { return kind <= AggKind::kZipAggregate; }
+
+template <typename Entry>
+bool IsZip(const Entry& e) {
+  return OperandRows(e.kind) == 0;
+}
+
+template <typename Entry>
+Status CheckEntry(const Entry& e) {
+  const size_t want = OperandRows(e.kind);
+  if (!KnownKind(e.kind) ||
+      (want == 0 ? e.rows.empty() : e.rows.size() != want)) {
+    return Status::InvalidArgument(
+        "column entry has an unknown kind or a wrong operand count");
+  }
+  return Status::OK();
+}
+
+/// Whether a server may read operand `i` through a hot-row replica: the
+/// sources of a built-in op and either dot operand (dst and every zip
+/// operand must be primaries).
+bool ReplicaOk(const ColumnOpEntry& e, size_t i) { return !IsZip(e) && i > 0; }
+bool ReplicaOk(const AggregateEntry& e, size_t) {
+  return e.kind == AggKind::kDot;
+}
+
+/// One operand tuple: built-in ops are (dst, sources..., scalar), zips
+/// (udf, k, rows...), aggregates their rows.
+template <typename Entry>
+void WriteTuple(BufferWriter* writer, const Entry& e) {
+  if (IsZip(e)) {
+    writer->WriteVarint(e.udf);
+    writer->WriteVarint(e.rows.size());
+  }
+  for (const RowRef& r : e.rows) {
+    writer->WriteVarint(r.matrix_id);
+    writer->WriteVarint(r.row);
+  }
+  if constexpr (std::is_same_v<Entry, ColumnOpEntry>) {
+    if (!IsZip(e)) writer->WriteF64(e.scalar);
+  }
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const MatrixMeta>> PsClient::Place(
+    const std::vector<RowRef>& rows, const std::vector<bool>& replica_ok) {
+  PS2_CHECK(!rows.empty());
+  PS2_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<const MatrixMeta>> metas,
+                       master_->GetMetas(rows));
+  // A replicated (hot) row the servers only read is present in full on
+  // every server, so it reads as co-located with any slice: only the other
+  // rows anchor placement (if none is left, the first row does).
+  HotspotManager* hotspot = master_->hotspot();
+  std::shared_ptr<const MatrixMeta> anchor;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i < replica_ok.size() && replica_ok[i] &&
+        hotspot->IsReplicated(rows[i])) {
+      continue;
     }
-    if (anchored.size() < all.size()) {
-      Result<bool> relaxed = CoLocated(anchored, &meta);
-      if (!relaxed.ok()) return ReadyFuture<Ack>(relaxed.status());
-      fast = *relaxed;
+    if (anchor == nullptr) {
+      anchor = metas[i];
+    } else if (metas[i] != anchor &&
+               !metas[i]->partitioner.CoLocatedWith(anchor->partitioner)) {
+      return std::shared_ptr<const MatrixMeta>();
     }
   }
-  if (!fast) {
-    // The naive pull-compute-push fallback is inherently synchronous (it is
-    // itself a chain of dependent client ops); run it at issue time.
-    master_->cluster()->metrics().Add("dcv.noncolocated_column_ops", 1);
-    Status status = ColumnOpSlowPath(kind, dst, srcs, scalar);
-    if (!status.ok()) return ReadyFuture<Ack>(std::move(status));
-    return ReadyFuture<Ack>(Ack{});
+  return anchor != nullptr ? anchor : metas[0];
+}
+
+template <typename Entry>
+Result<std::optional<std::vector<PsClient::ServerRequest>>>
+PsClient::ColumnRequests(PsOpCode op, const std::vector<Entry>& entries) {
+  std::vector<RowRef> rows;
+  std::vector<bool> replica_ok;
+  bool has_zip = false;
+  for (const Entry& e : entries) {
+    PS2_RETURN_NOT_OK(CheckEntry(e));
+    has_zip |= IsZip(e);
+    for (size_t i = 0; i < e.rows.size(); ++i) {
+      rows.push_back(e.rows[i]);
+      replica_ok.push_back(ReplicaOk(e, i));
+    }
   }
-  const ColumnPartitioner& part = meta.partitioner;
+  PS2_ASSIGN_OR_RETURN(std::shared_ptr<const MatrixMeta> meta,
+                       Place(rows, replica_ok));
+  if (meta == nullptr) {
+    if (has_zip) {
+      return Status::FailedPrecondition(
+          "zip requires co-located DCVs; create them with derive");
+    }
+    return std::optional<std::vector<ServerRequest>>();
+  }
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
+  for (const SpanTarget& target : SpanTargets(meta->partitioner)) {
     BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOp));
-    writer.WriteU8(static_cast<uint8_t>(kind));
-    writer.WriteVarint(dst.matrix_id);
-    writer.WriteVarint(dst.row);
-    writer.WriteVarint(srcs.size());
-    for (const RowRef& src : srcs) {
-      writer.WriteVarint(src.matrix_id);
-      writer.WriteVarint(src.row);
+    writer.WriteU8(static_cast<uint8_t>(op));
+    // Runs of (kind u8, n varint, n tuples): consecutive entries of one
+    // kind share a run header.
+    for (size_t i = 0; i < entries.size();) {
+      size_t j = i;
+      while (j < entries.size() && entries[j].kind == entries[i].kind) ++j;
+      writer.WriteU8(static_cast<uint8_t>(entries[i].kind));
+      writer.WriteVarint(j - i);
+      for (; i < j; ++i) WriteTuple(&writer, entries[i]);
     }
-    writer.WriteF64(scalar);
-    requests.push_back(MakeShardRequest(meta, p, &writer));
+    requests.push_back(MakeShardRequest(*meta, target.partition, &writer));
   }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
+  return std::optional<std::vector<ServerRequest>>(std::move(requests));
 }
 
-Status PsClient::ColumnOp(ColOpKind kind, RowRef dst,
-                          const std::vector<RowRef>& srcs, double scalar) {
-  return ColumnOpAsync(kind, dst, srcs, scalar).Wait();
+PsFuture<Ack> PsClient::ColumnOpsAsync(
+    const std::vector<ColumnOpEntry>& entries) {
+  if (entries.empty()) return ReadyFuture<Ack>(Ack{});
+  Result<std::optional<std::vector<ServerRequest>>> requests =
+      ColumnRequests(PsOpCode::kColumnOps, entries);
+  if (!requests.ok()) return ReadyFuture<Ack>(requests.status());
+  if (*requests) return SubmitAsync<Ack>(std::move(**requests), AckParse);
+  // The relay is inherently synchronous (a chain of dependent client ops);
+  // run it at issue time.
+  return ReadyFuture<Ack>(ColumnOpsRelay(entries));
 }
 
-Status PsClient::ColumnOpSlowPath(ColOpKind kind, RowRef dst,
-                                  const std::vector<RowRef>& srcs,
-                                  double scalar) {
+Result<Ack> PsClient::ColumnOpsRelay(
+    const std::vector<ColumnOpEntry>& entries) {
+  if (entries.size() > 1) {
+    // Entries run one at a time, in order; one that is co-located on its
+    // own keeps the server-side path.
+    for (const ColumnOpEntry& e : entries) {
+      PS2_RETURN_NOT_OK(ColumnOpsAsync({e}).Wait());
+    }
+    return Ack{};
+  }
   // The naive path of paper Fig. 4: pull full operand rows to the client,
   // compute locally, write the result back. All that traffic is real and
   // recorded; this is what non-co-located DCVs cost.
+  master_->cluster()->metrics().Add("dcv.noncolocated_column_ops", 1);
+  const ColumnOpEntry& e = entries[0];
+  const RowRef dst = e.rows[0];
   std::vector<std::vector<double>> pulled;
-  for (const RowRef& src : srcs) {
-    PS2_ASSIGN_OR_RETURN(std::vector<double> row, PullDense(src));
+  for (size_t i = 1; i < e.rows.size(); ++i) {
+    PS2_ASSIGN_OR_RETURN(std::vector<double> row, PullDense(e.rows[i]));
     pulled.push_back(std::move(row));
   }
   PS2_ASSIGN_OR_RETURN(MatrixMeta dst_meta, master_->GetMeta(dst.matrix_id));
   const uint64_t dim = dst_meta.dim;
-  std::vector<double> result(dim, 0.0);
-  auto need = [&](size_t k) -> Status {
-    if (pulled.size() != k) {
-      return Status::InvalidArgument("wrong operand count for column op");
+  // Fill/scale touch dst alone, so they never reach the relay.
+  if (pulled.empty()) return Status::Internal("column op has no sources");
+  for (const auto& row : pulled) {
+    if (row.size() != dim) {
+      return Status::InvalidArgument("column op dimension mismatch");
     }
-    for (const auto& row : pulled) {
-      if (row.size() != dim) {
-        return Status::InvalidArgument("column op dimension mismatch");
-      }
-    }
-    return Status::OK();
-  };
-  uint64_t ops = 0;
-  switch (kind) {
-    case ColOpKind::kAdd:
-      PS2_RETURN_NOT_OK(need(2));
-      ops = kernels::Add(result.data(), pulled[0].data(), pulled[1].data(),
-                         dim);
-      break;
-    case ColOpKind::kSub:
-      PS2_RETURN_NOT_OK(need(2));
-      ops = kernels::Sub(result.data(), pulled[0].data(), pulled[1].data(),
-                         dim);
-      break;
-    case ColOpKind::kMul:
-      PS2_RETURN_NOT_OK(need(2));
-      ops = kernels::Mul(result.data(), pulled[0].data(), pulled[1].data(),
-                         dim);
-      break;
-    case ColOpKind::kDiv:
-      PS2_RETURN_NOT_OK(need(2));
-      ops = kernels::Div(result.data(), pulled[0].data(), pulled[1].data(),
-                         dim);
-      break;
-    case ColOpKind::kCopy:
-      PS2_RETURN_NOT_OK(need(1));
-      ops = kernels::Copy(result.data(), pulled[0].data(), dim);
-      break;
-    case ColOpKind::kAxpy: {
-      PS2_RETURN_NOT_OK(need(1));
-      // dst += alpha*src: additive push works without reading dst.
-      std::vector<double> delta(dim);
-      for (uint64_t i = 0; i < dim; ++i) delta[i] = scalar * pulled[0][i];
-      {
-        OpScope scope(master_->cluster());
-        scope.traffic()->worker_ops += dim;
-      }
-      return PushDense(dst, delta);
-    }
-    case ColOpKind::kFill:
-    case ColOpKind::kScale:
-      // Fill/scale never need operands from other servers; they are always
-      // served by the fast path.
-      return Status::Internal("fill/scale cannot reach the slow path");
   }
+  // Axpy accumulates into zeros: the result is the delta, which an additive
+  // push lands without reading dst. The other kinds overwrite dst.
+  std::vector<double> result(dim, 0.0);
+  const uint64_t ops = ApplyColumnOp(
+      e.kind, result.data(), pulled[0].data(),
+      pulled.size() > 1 ? pulled[1].data() : nullptr, e.scalar, dim);
   {
     OpScope scope(master_->cluster());
     scope.traffic()->worker_ops += ops;
   }
-  // Overwrite dst: zero it server-side, then push the result additively.
-  PS2_RETURN_NOT_OK(ColumnOp(ColOpKind::kFill, dst, {}, 0.0));
-  return PushDense(dst, result);
+  if (e.kind != ColOpKind::kAxpy) {
+    PS2_RETURN_NOT_OK(ColumnOpsAsync({{ColOpKind::kFill, {dst}}}).Wait());
+  }
+  PS2_RETURN_NOT_OK(PushDense(dst, result));
+  return Ack{};
 }
 
-PsFuture<double> PsClient::DotAsync(RowRef a, RowRef b) {
-  MatrixMeta meta;
-  Result<bool> colocated = CoLocated({a, b}, &meta);
-  if (!colocated.ok()) return ReadyFuture<double>(colocated.status());
-  bool fast = *colocated;
-  if (!fast) {
-    // Relaxation: if one operand is replicated everywhere, drive the fan-out
-    // with the *other* operand's partitioner — each server dots its primary
-    // slice against the replica's matching slice.
-    HotspotManager* hotspot = master_->hotspot();
-    if (hotspot->IsReplicated(b)) {
-      fast = true;  // meta already holds a's placement
-    } else if (hotspot->IsReplicated(a)) {
-      Result<MatrixMeta> meta_b = master_->GetMeta(b.matrix_id);
-      if (!meta_b.ok()) return ReadyFuture<double>(meta_b.status());
-      meta = *meta_b;
-      fast = true;
-    }
-  }
-  if (!fast) {
-    // Naive path: ship both full rows to the client (paper Fig. 4, lines
-    // 1-4 — "huge communication cost"). Synchronous at issue time.
-    master_->cluster()->metrics().Add("dcv.noncolocated_dots", 1);
-    Result<std::vector<double>> ra = PullDense(a);
-    if (!ra.ok()) return ReadyFuture<double>(ra.status());
-    Result<std::vector<double>> rb = PullDense(b);
-    if (!rb.ok()) return ReadyFuture<double>(rb.status());
-    double out = 0.0;
-    uint64_t ops =
-        kernels::Dot(ra->data(), rb->data(), std::min(ra->size(), rb->size()),
-                     &out);
-    OpScope scope(master_->cluster());
-    scope.traffic()->worker_ops += ops;
-    return ReadyFuture<double>(out);
-  }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotPartial));
-    writer.WriteVarint(a.matrix_id);
-    writer.WriteVarint(a.row);
-    writer.WriteVarint(b.matrix_id);
-    writer.WriteVarint(b.row);
-    requests.push_back(MakeShardRequest(meta, p, &writer));
-  }
-  return SubmitAsync<double>(
-      std::move(requests),
-      [](std::vector<PsServer::HandleResult>&& results,
-         TaskTraffic*) -> Result<double> {
-        double total = 0.0;
-        for (const auto& result : results) {
-          BufferReader reader(result.response);
-          PS2_ASSIGN_OR_RETURN(double partial, reader.ReadF64());
-          total += partial;
+PsFuture<std::vector<AggregateValue>> PsClient::AggregateAsync(
+    const std::vector<AggregateEntry>& entries) {
+  using Out = std::vector<AggregateValue>;
+  if (entries.empty()) return ReadyFuture<Out>(Out{});
+  Result<std::optional<std::vector<ServerRequest>>> requests =
+      ColumnRequests(PsOpCode::kAggregate, entries);
+  if (!requests.ok()) return ReadyFuture<Out>(requests.status());
+  if (!*requests) return ReadyFuture<Out>(AggregateRelay(entries));
+  std::vector<AggKind> kinds;
+  for (const AggregateEntry& e : entries) kinds.push_back(e.kind);
+  return SubmitAsync<Out>(
+      std::move(**requests),
+      [kinds = std::move(kinds)](std::vector<PsServer::HandleResult>&& results,
+                                 TaskTraffic*) -> Result<Out> {
+        // Partials combine in partition order, exactly as a per-op fan-out
+        // would, so results are bit-stable however entries are batched.
+        Out out(kinds.size());
+        for (size_t i = 0; i < kinds.size(); ++i) {
+          if (kinds[i] == AggKind::kMax) {
+            out[i].value = -std::numeric_limits<double>::infinity();
+          }
         }
-        return total;
-      });
-}
-
-Result<double> PsClient::Dot(RowRef a, RowRef b) {
-  return DotAsync(a, b).Get();
-}
-
-Status PsClient::Zip(const std::vector<RowRef>& rows, int udf_id) {
-  if (rows.empty()) return Status::InvalidArgument("zip needs rows");
-  MatrixMeta meta;
-  PS2_ASSIGN_OR_RETURN(bool colocated, CoLocated(rows, &meta));
-  if (!colocated) {
-    return Status::FailedPrecondition(
-        "zip requires co-located DCVs; create them with derive");
-  }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kZip));
-    writer.WriteVarint(udf_id);
-    writer.WriteVarint(rows.size());
-    for (const RowRef& r : rows) {
-      writer.WriteVarint(r.matrix_id);
-      writer.WriteVarint(r.row);
-    }
-    requests.push_back(MakeShardRequest(meta, p, &writer));
-  }
-  return SubmitAsync<Ack>(std::move(requests), AckParse).Wait();
-}
-
-Result<std::vector<std::vector<double>>> PsClient::ZipAggregate(
-    const std::vector<RowRef>& rows, int udf_id) {
-  using Out = std::vector<std::vector<double>>;
-  if (rows.empty()) return Status::InvalidArgument("zip-aggregate needs rows");
-  MatrixMeta meta;
-  PS2_ASSIGN_OR_RETURN(bool colocated, CoLocated(rows, &meta));
-  if (!colocated) {
-    return Status::FailedPrecondition(
-        "zip-aggregate requires co-located DCVs; create them with derive");
-  }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kZipAggregate));
-    writer.WriteVarint(udf_id);
-    writer.WriteVarint(rows.size());
-    for (const RowRef& r : rows) {
-      writer.WriteVarint(r.matrix_id);
-      writer.WriteVarint(r.row);
-    }
-    requests.push_back(MakeShardRequest(meta, p, &writer));
-  }
-  return SubmitAsync<Out>(
-             std::move(requests),
-             [](std::vector<PsServer::HandleResult>&& results,
-                TaskTraffic*) -> Result<Out> {
-               Out out;
-               for (const auto& result : results) {
-                 BufferReader reader(result.response);
-                 PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                                      reader.ReadPodVector<double>());
-                 out.push_back(std::move(values));
-               }
-               return out;
-             })
-      .Get();
-}
-
-// ------------------------------------------------------------- batched ops
-
-PsFuture<std::vector<double>> PsClient::DotBatchAsync(
-    const std::vector<std::pair<RowRef, RowRef>>& pairs) {
-  using Out = std::vector<double>;
-  if (pairs.empty()) return ReadyFuture<Out>(Out{});
-  std::vector<RowRef> all;
-  for (const auto& [a, b] : pairs) {
-    all.push_back(a);
-    all.push_back(b);
-  }
-  MatrixMeta meta;
-  Result<bool> colocated = CoLocated(all, &meta);
-  if (!colocated.ok()) return ReadyFuture<Out>(colocated.status());
-  if (!*colocated) {
-    return ReadyFuture<Out>(Status::FailedPrecondition(
-        "dot-batch requires co-located DCVs; create them with derive"));
-  }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kDotBatch));
-    writer.WriteVarint(pairs.size());
-    for (const auto& [a, b] : pairs) {
-      writer.WriteVarint(a.matrix_id);
-      writer.WriteVarint(a.row);
-      writer.WriteVarint(b.matrix_id);
-      writer.WriteVarint(b.row);
-    }
-    requests.push_back(MakeShardRequest(meta, p, &writer));
-  }
-  const size_t count = pairs.size();
-  return SubmitAsync<Out>(
-      std::move(requests),
-      [count](std::vector<PsServer::HandleResult>&& results,
-              TaskTraffic*) -> Result<Out> {
-        Out out(count, 0.0);
         for (const auto& result : results) {
           BufferReader reader(result.response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != count) return Status::Internal("dot-batch count mismatch");
-          for (size_t i = 0; i < count; ++i) {
+          for (size_t i = 0; i < kinds.size(); ++i) {
+            if (kinds[i] == AggKind::kZipAggregate) {
+              PS2_ASSIGN_OR_RETURN(std::vector<double> part,
+                                   reader.ReadPodVector<double>());
+              out[i].parts.push_back(std::move(part));
+              continue;
+            }
             PS2_ASSIGN_OR_RETURN(double partial, reader.ReadF64());
-            out[i] += partial;
+            out[i].value = kinds[i] == AggKind::kMax
+                               ? std::max(out[i].value, partial)
+                               : out[i].value + partial;
           }
         }
         return out;
       });
 }
 
-PsFuture<Ack> PsClient::AxpyBatchAsync(const std::vector<AxpyTask>& tasks) {
-  if (tasks.empty()) return ReadyFuture<Ack>(Ack{});
-  std::vector<RowRef> all;
-  for (const auto& t : tasks) {
-    all.push_back(t.dst);
-    all.push_back(t.src);
-  }
-  MatrixMeta meta;
-  Result<bool> colocated = CoLocated(all, &meta);
-  if (!colocated.ok()) return ReadyFuture<Ack>(colocated.status());
-  if (!*colocated) {
-    return ReadyFuture<Ack>(Status::FailedPrecondition(
-        "axpy-batch requires co-located DCVs; create them with derive"));
-  }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kAxpyBatch));
-    writer.WriteVarint(tasks.size());
-    for (const auto& t : tasks) {
-      writer.WriteVarint(t.dst.matrix_id);
-      writer.WriteVarint(t.dst.row);
-      writer.WriteVarint(t.src.matrix_id);
-      writer.WriteVarint(t.src.row);
-      writer.WriteF64(t.alpha);
+Result<std::vector<AggregateValue>> PsClient::AggregateRelay(
+    const std::vector<AggregateEntry>& entries) {
+  std::vector<AggregateValue> out;
+  if (entries.size() > 1) {
+    // One entry at a time; one that is co-located on its own keeps the
+    // server-side path.
+    for (const AggregateEntry& e : entries) {
+      PS2_ASSIGN_OR_RETURN(std::vector<AggregateValue> one,
+                           AggregateAsync({e}).Get());
+      out.push_back(std::move(one[0]));
     }
-    requests.push_back(MakeShardRequest(meta, p, &writer));
+    return out;
   }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
+  // A lone entry placed apart from itself is a dot of differently
+  // partitioned rows. Naive path: ship both full rows to the client (paper
+  // Fig. 4, lines 1-4 — "huge communication cost").
+  const AggregateEntry& e = entries[0];
+  PS2_CHECK(e.kind == AggKind::kDot);
+  master_->cluster()->metrics().Add("dcv.noncolocated_dots", 1);
+  PS2_ASSIGN_OR_RETURN(std::vector<double> a, PullDense(e.rows[0]));
+  PS2_ASSIGN_OR_RETURN(std::vector<double> b, PullDense(e.rows[1]));
+  out.emplace_back();
+  const uint64_t ops = kernels::Dot(
+      a.data(), b.data(), std::min(a.size(), b.size()), &out[0].value);
+  OpScope scope(master_->cluster());
+  scope.traffic()->worker_ops += ops;
+  return out;
 }
+
+// ------------------------------------------------------------- batched ops
 
 PsFuture<std::vector<std::vector<double>>> PsClient::PullRowsAsync(
     const std::vector<RowRef>& rows) {
   using Out = std::vector<std::vector<double>>;
   if (rows.empty()) return ReadyFuture<Out>(Out{});
-  MatrixMeta meta;
-  Result<bool> colocated = CoLocated(rows, &meta);
-  if (!colocated.ok()) return ReadyFuture<Out>(colocated.status());
-  if (!*colocated) {
+  Result<std::shared_ptr<const MatrixMeta>> place = Place(rows);
+  if (!place.ok()) return ReadyFuture<Out>(place.status());
+  if (*place == nullptr) {
     return ReadyFuture<Out>(
         Status::FailedPrecondition("PullRows requires co-located rows"));
   }
+  const MatrixMeta& meta = **place;
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
   std::vector<std::pair<uint64_t, uint64_t>> windows;  // (lo, width)
@@ -1659,13 +1508,13 @@ PsFuture<Ack> PsClient::PushRowsAsync(
     return ReadyFuture<Ack>(
         Status::InvalidArgument("rows/deltas size mismatch"));
   }
-  MatrixMeta meta;
-  Result<bool> colocated = CoLocated(rows, &meta);
-  if (!colocated.ok()) return ReadyFuture<Ack>(colocated.status());
-  if (!*colocated) {
+  Result<std::shared_ptr<const MatrixMeta>> place = Place(rows);
+  if (!place.ok()) return ReadyFuture<Ack>(place.status());
+  if (*place == nullptr) {
     return ReadyFuture<Ack>(
         Status::FailedPrecondition("PushRows requires co-located rows"));
   }
+  const MatrixMeta& meta = **place;
   for (const auto& d : deltas) {
     if (d.size() != meta.dim) {
       return ReadyFuture<Ack>(
@@ -1806,13 +1655,13 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullSparseRowsAsync(
   if (rows.empty() || indices.empty()) {
     return ReadyFuture<Out>(Out(rows.size()));
   }
-  MatrixMeta meta;
-  Result<bool> colocated = CoLocated(rows, &meta);
-  if (!colocated.ok()) return ReadyFuture<Out>(colocated.status());
-  if (!*colocated) {
+  Result<std::shared_ptr<const MatrixMeta>> place = Place(rows);
+  if (!place.ok()) return ReadyFuture<Out>(place.status());
+  if (*place == nullptr) {
     return ReadyFuture<Out>(
         Status::FailedPrecondition("PullSparseRows requires co-located rows"));
   }
+  const MatrixMeta& meta = **place;
   const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
   std::vector<std::pair<size_t, size_t>> runs;
@@ -1885,13 +1734,13 @@ PsFuture<Ack> PsClient::PushSparseRowsAsync(
         Status::InvalidArgument("rows/deltas size mismatch"));
   }
   if (rows.empty()) return ReadyFuture<Ack>(Ack{});
-  MatrixMeta meta;
-  Result<bool> colocated = CoLocated(rows, &meta);
-  if (!colocated.ok()) return ReadyFuture<Ack>(colocated.status());
-  if (!*colocated) {
+  Result<std::shared_ptr<const MatrixMeta>> place = Place(rows);
+  if (!place.ok()) return ReadyFuture<Ack>(place.status());
+  if (*place == nullptr) {
     return ReadyFuture<Ack>(
         Status::FailedPrecondition("PushSparseRows requires co-located rows"));
   }
+  const MatrixMeta& meta = **place;
   const ColumnPartitioner& part = meta.partitioner;
   // One request per server: for every row, the slice of its delta that the
   // server owns.

@@ -9,8 +9,8 @@
 //      for a Netty RPC — by one rule (ExchangeEach): keyed requests (sparse
 //      pull/push, dense row windows, serving pulls, owned rows, clock and
 //      control calls) run inline, in partition order, on the issuing
-//      thread; shard-scoped requests (column ops, zip, row aggregates,
-//      dot/axpy and row batches, MatrixInit) run over a server's whole
+//      thread; shard-scoped requests (ColumnOps, Aggregate, row batches,
+//      MatrixInit) run over a server's whole
 //      shard, the only exchanges long enough to repay a hand-off, so they
 //      spread over the cluster pool unless the issuing thread is one of that
 //      pool's workers (DESIGN.md §5c), and
@@ -53,9 +53,7 @@
 // (client, seq), so a push whose response was lost is applied exactly once.
 //
 // Column ops verify co-location; on non-co-located operands they fall back
-// to the naive pull-compute-push path, whose (large, measured) traffic is
-// exactly the inefficiency paper Fig. 4 warns about. The fallback runs
-// synchronously at issue time even through ColumnOpAsync.
+// to the naive pull-compute-push path of paper Fig. 4 (see ColumnOpsAsync).
 
 #include <atomic>
 #include <cstdint>
@@ -97,6 +95,33 @@ struct PsClientOptions {
   std::optional<FilterConfig> filters;
 };
 
+/// \brief One entry of a ColumnOps request. A built-in kind reads
+/// `rows` = {dst, sources...} — exactly 1 + NumSources(kind) rows — and
+/// `scalar`; kZip runs registered UDF `udf` over `rows` (at least one).
+struct ColumnOpEntry {
+  ColOpKind kind = ColOpKind::kFill;
+  std::vector<RowRef> rows;
+  double scalar = 0.0;
+  int udf = -1;
+};
+
+/// \brief One entry of an Aggregate request: sum / nnz / squared norm / max
+/// of rows[0], the dot of rows[0] and rows[1], or registered zip-aggregate
+/// UDF `udf` over `rows`.
+struct AggregateEntry {
+  AggKind kind = AggKind::kSum;
+  std::vector<RowRef> rows;
+  int udf = -1;
+};
+
+/// \brief One Aggregate entry's result.
+struct AggregateValue {
+  /// Scalar kinds: the partials summed (max: maxed) in partition order.
+  double value = 0.0;
+  /// kZipAggregate: one result vector per server shard, in partition order.
+  std::vector<std::vector<double>> parts;
+};
+
 /// \brief Thread-safe client for PS operations.
 class PsClient {
  public:
@@ -125,31 +150,31 @@ class PsClient {
   /// Adds a sparse delta into the row (the DCV `add` used for gradients).
   Status PushSparse(RowRef ref, const SparseVector& delta);
 
-  /// Distributed sum / nnz / squared-norm / max of a row.
-  Result<double> RowAggregate(RowRef ref, RowAggKind kind);
+  // ---- Column access (paper Table 1: axpy, dot, copy, add, sub, zip, ...,
+  //      and the sum / nnz / norm2 / max row aggregates) -------------------
+  //
+  // ColumnOps (mutating, deduplicated on retry) and Aggregate (read-only)
+  // send ONE shard-scoped request per server carrying all their entries; a
+  // ColumnOps server resolves every entry before it applies any. Hot-row
+  // replicas read as built-in sources or dot operands do not anchor
+  // placement (Place). Without a common placement, built-in entries take
+  // the pull-compute-push relay of paper Fig. 4 (synchronously, at issue
+  // time; counted in dcv.noncolocated_column_ops / _dots) and a request
+  // with zip entries fails with FailedPrecondition.
 
-  // ---- Column access ops (paper Table 1: axpy, dot, copy, sub, add, ...) --
+  PsFuture<Ack> ColumnOpsAsync(const std::vector<ColumnOpEntry>& entries);
 
-  /// dst = op(srcs...) element-wise, server-side when co-located.
-  Status ColumnOp(ColOpKind kind, RowRef dst, const std::vector<RowRef>& srcs,
-                  double scalar = 0.0);
+  /// One result per entry, in entry order.
+  PsFuture<std::vector<AggregateValue>> AggregateAsync(
+      const std::vector<AggregateEntry>& entries);
 
-  /// Distributed dot product of two rows.
-  Result<double> Dot(RowRef a, RowRef b);
-
-  /// Runs a registered mutating UDF over the co-located rows, server-side.
-  Status Zip(const std::vector<RowRef>& rows, int udf_id);
-
-  /// Runs a registered aggregation UDF server-side; returns one result
-  /// vector per partition (in partition order).
-  Result<std::vector<std::vector<double>>> ZipAggregate(
-      const std::vector<RowRef>& rows, int udf_id);
-
-  struct AxpyTask {
-    RowRef dst;
-    RowRef src;
-    double alpha;
-  };
+  /// The co-location planner: the meta whose partitioner places every
+  /// anchoring row's columns, or nullptr when the anchors disagree. A
+  /// replicated hot row with `replica_ok[i]` set (missing = false) does not
+  /// anchor; if no row is left to anchor, rows[0] does.
+  Result<std::shared_ptr<const MatrixMeta>> Place(
+      const std::vector<RowRef>& rows,
+      const std::vector<bool>& replica_ok = {});
 
   /// \brief One read of the serving tier: a row, at `indices` (sorted,
   /// unique) or the whole row when `indices` is empty.
@@ -161,9 +186,8 @@ class PsClient {
   // ---- Batch entry points -------------------------------------------------
   //
   // Batched work goes through Dcv::Batch() (dcv/dcv_batch.h) or the *Async
-  // variants below; the old synchronous DotBatch/AxpyBatch/PullRows/
-  // PushRows/PullSparseRows/PushSparseRows wrappers are gone — call
-  // XAsync(...).Wait()/.Get() where a blocking round is genuinely wanted.
+  // variants below — call XAsync(...).Wait()/.Get() where a blocking round
+  // is genuinely wanted.
 
   /// Initializes rows [row_begin, row_end) of a matrix with deterministic
   /// hash-uniform values in [-scale, scale], entirely server-side — the
@@ -187,14 +211,6 @@ class PsClient {
   PsFuture<Ack> PushDenseAsync(RowRef ref, const std::vector<double>& delta,
                                ColRange cols = ColRange::All());
   PsFuture<Ack> PushSparseAsync(RowRef ref, const SparseVector& delta);
-  PsFuture<double> RowAggregateAsync(RowRef ref, RowAggKind kind);
-  PsFuture<Ack> ColumnOpAsync(ColOpKind kind, RowRef dst,
-                              const std::vector<RowRef>& srcs,
-                              double scalar = 0.0);
-  PsFuture<double> DotAsync(RowRef a, RowRef b);
-  PsFuture<std::vector<double>> DotBatchAsync(
-      const std::vector<std::pair<RowRef, RowRef>>& pairs);
-  PsFuture<Ack> AxpyBatchAsync(const std::vector<AxpyTask>& tasks);
   PsFuture<std::vector<std::vector<double>>> PullRowsAsync(
       const std::vector<RowRef>& rows);
   PsFuture<Ack> PushRowsAsync(const std::vector<RowRef>& rows,
@@ -395,12 +411,22 @@ class PsClient {
       std::vector<size_t> positions,
       std::vector<std::vector<size_t>>* groups);
 
-  /// True if all rows' matrices place every column on the same server.
-  Result<bool> CoLocated(const std::vector<RowRef>& rows,
-                         MatrixMeta* first_meta);
 
-  Status ColumnOpSlowPath(ColOpKind kind, RowRef dst,
-                          const std::vector<RowRef>& srcs, double scalar);
+  /// Checks, places and serializes a ColumnOps or Aggregate request: one
+  /// shard-scoped request per server of the placement, or nullopt when the
+  /// anchors are not co-located and the entries must relay. Zip entries
+  /// without a common placement fail with FailedPrecondition.
+  template <typename Entry>
+  Result<std::optional<std::vector<ServerRequest>>> ColumnRequests(
+      PsOpCode op, const std::vector<Entry>& entries);
+
+  /// Runs non-co-located entries on the client: a single built-in entry
+  /// pulls its sources, computes and writes dst back; several run one by
+  /// one through ColumnOpsAsync.
+  Result<Ack> ColumnOpsRelay(const std::vector<ColumnOpEntry>& entries);
+  /// Aggregate counterpart: a non-co-located dot pulls both rows.
+  Result<std::vector<AggregateValue>> AggregateRelay(
+      const std::vector<AggregateEntry>& entries);
 
   PsMaster* master_;
   PsClientOptions options_;

@@ -4,7 +4,9 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "common/logging.h"
 #include "linalg/dense_vector.h"
@@ -30,7 +32,30 @@ const std::string& HandleUsName(PsOpCode op) {
   return (*names)[i >= 0 && i < kNumPsOpCodes ? i : kNumPsOpCodes];
 }
 
+/// One (matrix, row) operand: two varints.
+Result<RowRef> ReadRow(BufferReader* in) {
+  PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
+  PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
+  return RowRef{static_cast<int>(m), static_cast<uint32_t>(r)};
+}
+
 }  // namespace
+
+uint64_t ApplyColumnOp(ColOpKind kind, double* dst, const double* a,
+                       const double* b, double scalar, size_t n) {
+  switch (kind) {
+    case ColOpKind::kAdd: return kernels::Add(dst, a, b, n);
+    case ColOpKind::kSub: return kernels::Sub(dst, a, b, n);
+    case ColOpKind::kMul: return kernels::Mul(dst, a, b, n);
+    case ColOpKind::kDiv: return kernels::Div(dst, a, b, n);
+    case ColOpKind::kCopy: return kernels::Copy(dst, a, n);
+    case ColOpKind::kAxpy: return kernels::Axpy(dst, a, scalar, n);
+    case ColOpKind::kFill: return kernels::Fill(dst, scalar, n);
+    case ColOpKind::kScale: return kernels::Scale(dst, scalar, n);
+    case ColOpKind::kZip: break;
+  }
+  return 0;
+}
 
 // ---------------------------------------------------------------- UdfRegistry
 
@@ -417,7 +442,7 @@ Result<PsServer::HandleResult> PsServer::Handle(const RpcHeader& header,
   PS2_TRACE_SPAN("ps.server", PsOpCodeName(op));
   if (metrics_.load(std::memory_order_acquire) == nullptr) {
     Result<HandleResult> result = HandleInternal(header, frame);
-    if (result.ok()) EncodeResponse(header, frame, &*result);
+    if (result.ok()) EncodeResponse(header, &*result);
     return result;
   }
   // Latency/queue-depth histograms sample 1 in 16 requests per thread: two
@@ -431,7 +456,7 @@ Result<PsServer::HandleResult> PsServer::Handle(const RpcHeader& header,
   if (!sampled) {
     Result<HandleResult> result = HandleInternal(header, frame);
     active_.fetch_sub(1, std::memory_order_relaxed);
-    if (result.ok()) EncodeResponse(header, frame, &*result);
+    if (result.ok()) EncodeResponse(header, &*result);
     return result;
   }
   // Queue depth = requests in flight on this server the moment this one
@@ -448,7 +473,7 @@ Result<PsServer::HandleResult> PsServer::Handle(const RpcHeader& header,
   handle_us_hists_[i >= 0 && i < kNumPsOpCodes ? i : kNumPsOpCodes]
       ->Record(us);
   queue_depth_hist_->Record(static_cast<double>(depth));
-  if (result.ok()) EncodeResponse(header, frame, &*result);
+  if (result.ok()) EncodeResponse(header, &*result);
   return result;
 }
 
@@ -528,15 +553,12 @@ Result<PsServer::HandleResult> PsServer::HandleInternal(
   return result;
 }
 
-void PsServer::EncodeResponse(const RpcHeader& header, const WireFrame& frame,
-                              HandleResult* out) {
+void PsServer::EncodeResponse(const RpcHeader& header, HandleResult* out) {
   // Response-side filtering (delta/compress only — key caching is
   // request-side). Untracked traffic (control plane, legacy callers) is
   // never filtered: those callers parse the response directly.
   if (!header.tracked() || out->dedup_hit || out->response.empty()) return;
-  const uint8_t opcode = frame.payload.empty() ? 0xff : frame.payload[0];
-  const uint8_t want =
-      filters_.MaskFor(opcode) & (kFilterDelta | kFilterCompress);
+  const uint8_t want = filters_.bits & (kFilterDelta | kFilterCompress);
   if (want == 0) return;
   FilterContext ctx;
   ctx.dir = FilterDir::kServerToClient;
@@ -563,20 +585,10 @@ Result<PsServer::HandleResult> PsServer::HandleLocked(const RpcHeader& header,
       return HandlePushDense(&in);
     case PsOpCode::kPushSparse:
       return HandlePushSparse(&in);
-    case PsOpCode::kRowAgg:
-      return HandleRowAgg(&in);
-    case PsOpCode::kColumnOp:
-      return HandleColumnOp(&in);
-    case PsOpCode::kDotPartial:
-      return HandleDotPartial(&in);
-    case PsOpCode::kZip:
-      return HandleZip(&in);
-    case PsOpCode::kZipAggregate:
-      return HandleZipAggregate(&in);
-    case PsOpCode::kDotBatch:
-      return HandleDotBatch(&in);
-    case PsOpCode::kAxpyBatch:
-      return HandleAxpyBatch(&in);
+    case PsOpCode::kColumnOps:
+      return HandleColumnOps(&in);
+    case PsOpCode::kAggregate:
+      return HandleAggregate(&in);
     case PsOpCode::kMatrixInit:
       return HandleMatrixInit(&in);
     case PsOpCode::kPullRowsBatch:
@@ -608,15 +620,13 @@ Result<PsServer::HandleResult> PsServer::HandleLocked(const RpcHeader& header,
 }
 
 Result<PsServer::HandleResult> PsServer::HandlePullDense(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
   PS2_ASSIGN_OR_RETURN(uint64_t begin, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t end, in->ReadVarint());
-  RecordPull(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
+  RecordPull(ref.matrix_id, ref.row);
   // An installed replica serves any window of the row, not just this
   // server's primary range — the bounded-staleness read path (§5d).
-  if (Replica* replica = FindReplica(static_cast<int>(matrix_id),
-                                     static_cast<uint32_t>(row))) {
+  if (Replica* replica = FindReplica(ref.matrix_id, ref.row)) {
     uint64_t hi = std::min(end, replica->dim);
     HandleResult out;
     BufferWriter writer;
@@ -634,9 +644,7 @@ Result<PsServer::HandleResult> PsServer::HandlePullDense(BufferReader* in) {
     out.response = writer.Release();
     return out;
   }
-  PS2_ASSIGN_OR_RETURN(Shard * shard,
-                       FindShard(static_cast<int>(matrix_id),
-                                 static_cast<uint32_t>(row)));
+  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
   uint64_t lo = std::max(begin, shard->begin);
   uint64_t hi = std::min(end, shard->end);
   HandleResult out;
@@ -650,10 +658,10 @@ Result<PsServer::HandleResult> PsServer::HandlePullDense(BufferReader* in) {
   writer.WriteVarint(n);
   writer.BeginSection(SectionKind::kF64Values);
   if (shard->dense()) {
-    writer.WriteF64Span(shard->dense_rows[row].data() + (lo - shard->begin),
+    writer.WriteF64Span(shard->dense_rows[ref.row].data() + (lo - shard->begin),
                         n);
   } else {
-    const auto& map = shard->sparse_rows[row];
+    const auto& map = shard->sparse_rows[ref.row];
     // Materialize the dense window from the sparse map.
     std::vector<double> window(n, 0.0);
     for (auto it = map.lower_bound(lo); it != map.end() && it->first < hi;
@@ -670,12 +678,10 @@ Result<PsServer::HandleResult> PsServer::HandlePullDense(BufferReader* in) {
 }
 
 Result<PsServer::HandleResult> PsServer::HandlePullSparse(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
   PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(1));  // index varints
-  RecordPull(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
-  if (Replica* replica = FindReplica(static_cast<int>(matrix_id),
-                                     static_cast<uint32_t>(row))) {
+  RecordPull(ref.matrix_id, ref.row);
+  if (Replica* replica = FindReplica(ref.matrix_id, ref.row)) {
     // Replica serves any index of the row (no partition-range check).
     HandleResult out;
     BufferWriter writer;
@@ -696,9 +702,7 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparse(BufferReader* in) {
     out.response = writer.Release();
     return out;
   }
-  PS2_ASSIGN_OR_RETURN(Shard * shard,
-                       FindShard(static_cast<int>(matrix_id),
-                                 static_cast<uint32_t>(row)));
+  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
   HandleResult out;
   BufferWriter writer;
   writer.WriteVarint(n);
@@ -713,9 +717,9 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparse(BufferReader* in) {
     }
     double value;
     if (shard->dense()) {
-      value = shard->dense_rows[row][col - shard->begin];
+      value = shard->dense_rows[ref.row][col - shard->begin];
     } else {
-      const auto& map = shard->sparse_rows[row];
+      const auto& map = shard->sparse_rows[ref.row];
       auto it = map.find(col);
       value = it == map.end() ? 0.0 : it->second;
     }
@@ -729,25 +733,22 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparse(BufferReader* in) {
 }
 
 Result<PsServer::HandleResult> PsServer::HandlePushDense(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
   PS2_ASSIGN_OR_RETURN(uint64_t begin, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-  RecordPush(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
-  PS2_ASSIGN_OR_RETURN(Shard * shard,
-                       FindShard(static_cast<int>(matrix_id),
-                                 static_cast<uint32_t>(row)));
+  RecordPush(ref.matrix_id, ref.row);
+  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
   if (begin < shard->begin || begin + n > shard->end) {
     return Status::OutOfRange("push window outside server range");
   }
   PS2_ASSIGN_OR_RETURN(std::vector<double> values, in->ReadF64Span(n));
-  TouchRowLocked(shard, row);
+  TouchRowLocked(shard, ref.row);
   if (shard->dense()) {
-    double* dst = shard->dense_rows[row].data() + (begin - shard->begin);
+    double* dst = shard->dense_rows[ref.row].data() + (begin - shard->begin);
     for (uint64_t i = 0; i < n; ++i) dst[i] += values[i];
   } else {
     for (uint64_t i = 0; i < n; ++i) {
-      if (values[i] != 0.0) shard->sparse_rows[row][begin + i] += values[i];
+      if (values[i] != 0.0) shard->sparse_rows[ref.row][begin + i] += values[i];
     }
   }
   HandleResult out;
@@ -756,14 +757,11 @@ Result<PsServer::HandleResult> PsServer::HandlePushDense(BufferReader* in) {
 }
 
 Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
   // Each element: an index varint, then (after all indices) an f64 value.
   PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(1 + sizeof(double)));
-  RecordPush(static_cast<int>(matrix_id), static_cast<uint32_t>(row));
-  PS2_ASSIGN_OR_RETURN(Shard * shard,
-                       FindShard(static_cast<int>(matrix_id),
-                                 static_cast<uint32_t>(row)));
+  RecordPush(ref.matrix_id, ref.row);
+  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
   std::vector<uint64_t> cols(n);
   uint64_t prev = 0;
   for (uint64_t i = 0; i < n; ++i) {
@@ -774,13 +772,13 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
       return Status::OutOfRange("push index outside server range");
     }
   }
-  TouchRowLocked(shard, row);
+  TouchRowLocked(shard, ref.row);
   for (uint64_t i = 0; i < n; ++i) {
     PS2_ASSIGN_OR_RETURN(double v, in->ReadF64());
     if (shard->dense()) {
-      shard->dense_rows[row][cols[i] - shard->begin] += v;
+      shard->dense_rows[ref.row][cols[i] - shard->begin] += v;
     } else if (v != 0.0) {
-      shard->sparse_rows[row][cols[i]] += v;
+      shard->sparse_rows[ref.row][cols[i]] += v;
     }
   }
   HandleResult out;
@@ -788,307 +786,199 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
   return out;
 }
 
-Result<PsServer::HandleResult> PsServer::HandleRowAgg(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint8_t kind_raw, in->ReadU8());
-  PS2_ASSIGN_OR_RETURN(Shard * shard,
-                       FindShard(static_cast<int>(matrix_id),
-                                 static_cast<uint32_t>(row)));
-  double result = 0.0;
-  uint64_t touched = 0;
-  auto apply = [&](double v) {
-    switch (static_cast<RowAggKind>(kind_raw)) {
-      case RowAggKind::kSum:
-        result += v;
-        break;
-      case RowAggKind::kNnz:
-        result += (v != 0.0) ? 1.0 : 0.0;
-        break;
-      case RowAggKind::kNorm2Squared:
-        result += v * v;
-        break;
-      case RowAggKind::kMax:
-        result = std::max(result, v);
-        break;
+Result<std::vector<double*>> PsServer::ZipRows(BufferReader* in,
+                                               uint64_t* width, uint64_t* begin,
+                                               std::vector<RowRef>* refs) {
+  // Each operand: (matrix, row) varints.
+  PS2_ASSIGN_OR_RETURN(uint64_t k, in->ReadCount(2));
+  if (k == 0) return Status::InvalidArgument("zip needs rows");
+  std::vector<double*> rows;
+  rows.reserve(k);
+  for (uint64_t i = 0; i < k; ++i) {
+    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
+    uint64_t w = 0, b = 0;
+    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
+    if (i > 0 && (w != *width || b != *begin)) {
+      return Status::FailedPrecondition(
+          "zip operands are not co-located on this server");
     }
-  };
-  if (static_cast<RowAggKind>(kind_raw) == RowAggKind::kMax) {
-    result = -std::numeric_limits<double>::infinity();
+    *width = w;
+    *begin = b;
+    rows.push_back(p);
+    if (refs != nullptr) refs->push_back(ref);
   }
+  return rows;
+}
+
+Result<PsServer::HandleResult> PsServer::HandleColumnOps(BufferReader* in) {
+  // Validate-then-apply: every entry is decoded and every row pointer,
+  // replica view and UDF resolved before any kernel runs, so a bad entry
+  // fails the request with nothing applied.
+  struct Step {
+    ColOpKind kind;
+    double* dst = nullptr;
+    const double* src[2] = {nullptr, nullptr};
+    double scalar = 0.0;
+    uint64_t width = 0, begin = 0;
+    const ZipFn* zip = nullptr;
+    std::vector<double*> zip_rows;
+  };
+  std::vector<Step> steps;
+  std::vector<RowRef> touched;
+  do {
+    PS2_ASSIGN_OR_RETURN(uint8_t kind_raw, in->ReadU8());
+    if (kind_raw > static_cast<uint8_t>(ColOpKind::kZip)) {
+      return Status::InvalidArgument("unknown column op kind");
+    }
+    const ColOpKind kind = static_cast<ColOpKind>(kind_raw);
+    const int n_src = NumSources(kind);
+    // A built-in tuple is dst plus its sources as (matrix, row) varints and
+    // an f64 scalar; a zip tuple is at least its udf and k varints.
+    PS2_ASSIGN_OR_RETURN(
+        uint64_t n, in->ReadCount(kind == ColOpKind::kZip
+                                      ? 2
+                                      : 2 * (1 + n_src) + sizeof(double)));
+    for (uint64_t e = 0; e < n; ++e) {
+      Step& step = steps.emplace_back();
+      step.kind = kind;
+      if (kind == ColOpKind::kZip) {
+        PS2_ASSIGN_OR_RETURN(uint64_t udf_id, in->ReadVarint());
+        // Every operand is handed to the UDF as mutable — conservatively
+        // treat all of them as written for snapshot copy-on-publish.
+        PS2_ASSIGN_OR_RETURN(step.zip_rows,
+                             ZipRows(in, &step.width, &step.begin, &touched));
+        step.zip = udfs_->GetZip(static_cast<int>(udf_id));
+        if (step.zip == nullptr) {
+          return Status::NotFound("zip udf not registered");
+        }
+        continue;
+      }
+      RowRef rows[3];  // dst, then the sources
+      for (int i = 0; i <= n_src; ++i) {
+        PS2_ASSIGN_OR_RETURN(rows[i], ReadRow(in));
+      }
+      PS2_ASSIGN_OR_RETURN(step.scalar, in->ReadF64());
+      PS2_ASSIGN_OR_RETURN(step.dst, DenseRow(rows[0].matrix_id, rows[0].row,
+                                              &step.width, &step.begin));
+      // A source may be a primary slice co-located with dst, or an installed
+      // replica of a hot row (which reads as co-located everywhere, §5d).
+      for (int i = 0; i < n_src; ++i) {
+        PS2_ASSIGN_OR_RETURN(step.src[i],
+                             ReadRowView(rows[i + 1].matrix_id,
+                                         rows[i + 1].row, step.begin,
+                                         step.width));
+      }
+      touched.push_back(rows[0]);
+    }
+  } while (!in->AtEnd());
+
+  for (const RowRef& ref : touched) TouchRowIdLocked(ref.matrix_id, ref.row);
+  HandleResult out;
+  for (const Step& s : steps) {
+    out.server_ops +=
+        s.zip != nullptr
+            ? (*s.zip)(s.zip_rows, s.width, s.begin)
+            : ApplyColumnOp(s.kind, s.dst, s.src[0], s.src[1], s.scalar,
+                            s.width);
+  }
+  return out;
+}
+
+Result<double> PsServer::RowAggregate(int matrix_id, uint32_t row,
+                                      AggKind kind, uint64_t* ops) {
+  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(matrix_id, row));
   if (shard->dense()) {
     // Dense aggregations go through the dispatched kernels (max has no
     // kernel — it stays a scalar scan, it's not on the hot DCV op set).
     const double* data = shard->dense_rows[row].data();
     const size_t width = shard->width();
-    switch (static_cast<RowAggKind>(kind_raw)) {
-      case RowAggKind::kSum:
-        result = kernels::Sum(data, width);
-        break;
-      case RowAggKind::kNnz:
-        result = static_cast<double>(kernels::Nnz(data, width));
-        break;
-      case RowAggKind::kNorm2Squared:
-        result = kernels::Norm2Sq(data, width);
-        break;
-      case RowAggKind::kMax:
-        for (size_t i = 0; i < width; ++i) apply(data[i]);
-        break;
-    }
-    touched = width;
-  } else {
-    // Sparse rows: zeros contribute nothing to sum/nnz/norm2; for max they
-    // contribute only if the row has implicit zeros.
-    for (const auto& [col, v] : shard->sparse_rows[row]) apply(v);
-    touched = shard->sparse_rows[row].size();
-    if (static_cast<RowAggKind>(kind_raw) == RowAggKind::kMax &&
-        touched < shard->width()) {
-      apply(0.0);
+    *ops += width;
+    switch (kind) {
+      case AggKind::kSum: return kernels::Sum(data, width);
+      case AggKind::kNnz: return static_cast<double>(kernels::Nnz(data, width));
+      case AggKind::kNorm2Squared: return kernels::Norm2Sq(data, width);
+      default:
+        return std::accumulate(
+            data, data + width, -std::numeric_limits<double>::infinity(),
+            [](double m, double v) { return std::max(m, v); });
     }
   }
+  // Sparse rows: zeros contribute nothing to sum/nnz/norm2; for max they
+  // contribute only if the row has implicit zeros.
+  const auto& map = shard->sparse_rows[row];
+  *ops += map.size();
+  const bool implicit_zeros = map.size() < shard->width();
+  double result = kind != AggKind::kMax || implicit_zeros
+                      ? 0.0
+                      : -std::numeric_limits<double>::infinity();
+  for (const auto& [col, v] : map) {
+    switch (kind) {
+      case AggKind::kSum: result += v; break;
+      case AggKind::kNnz: result += (v != 0.0) ? 1.0 : 0.0; break;
+      case AggKind::kNorm2Squared: result += v * v; break;
+      default: result = std::max(result, v); break;
+    }
+  }
+  return result;
+}
+
+Result<PsServer::HandleResult> PsServer::HandleAggregate(BufferReader* in) {
+  // Read-only: one partial per entry, in request order — an f64 for the
+  // scalar kinds, a pod vector for zip-aggregate — with no count prefix.
   HandleResult out;
   BufferWriter writer;
-  writer.WriteF64(result);
-  out.response = writer.Release();
-  out.server_ops = touched;
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandleColumnOp(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint8_t kind_raw, in->ReadU8());
-  PS2_ASSIGN_OR_RETURN(uint64_t dst_matrix, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t dst_row, in->ReadVarint());
-  // Each operand: (matrix, row) varints.
-  PS2_ASSIGN_OR_RETURN(uint64_t n_src, in->ReadCount(2));
-  std::vector<std::pair<uint64_t, uint64_t>> srcs(n_src);
-  for (auto& [m, r] : srcs) {
-    PS2_ASSIGN_OR_RETURN(m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(r, in->ReadVarint());
-  }
-  PS2_ASSIGN_OR_RETURN(double scalar, in->ReadF64());
-
-  uint64_t width = 0, begin = 0;
-  PS2_ASSIGN_OR_RETURN(double* dst,
-                       DenseRow(static_cast<int>(dst_matrix),
-                                static_cast<uint32_t>(dst_row), &width,
-                                &begin));
-  TouchRowIdLocked(static_cast<int>(dst_matrix), dst_row);
-  std::vector<const double*> src_ptrs;
-  for (const auto& [m, r] : srcs) {
-    // A source may be a primary slice co-located with dst, or an installed
-    // replica of a hot row (which reads as co-located everywhere, §5d).
-    PS2_ASSIGN_OR_RETURN(
-        const double* p,
-        ReadRowView(static_cast<int>(m), static_cast<uint32_t>(r), begin,
-                    width));
-    src_ptrs.push_back(p);
-  }
-
-  auto need = [&](size_t k) -> Status {
-    if (src_ptrs.size() != k) {
-      return Status::InvalidArgument("wrong operand count for column op");
+  do {
+    PS2_ASSIGN_OR_RETURN(uint8_t kind_raw, in->ReadU8());
+    if (kind_raw > static_cast<uint8_t>(AggKind::kZipAggregate)) {
+      return Status::InvalidArgument("unknown aggregate kind");
     }
-    return Status::OK();
-  };
-
-  HandleResult out;
-  switch (static_cast<ColOpKind>(kind_raw)) {
-    case ColOpKind::kAdd:
-      PS2_RETURN_NOT_OK(need(2));
-      out.server_ops = kernels::Add(dst, src_ptrs[0], src_ptrs[1], width);
-      break;
-    case ColOpKind::kSub:
-      PS2_RETURN_NOT_OK(need(2));
-      out.server_ops = kernels::Sub(dst, src_ptrs[0], src_ptrs[1], width);
-      break;
-    case ColOpKind::kMul:
-      PS2_RETURN_NOT_OK(need(2));
-      out.server_ops = kernels::Mul(dst, src_ptrs[0], src_ptrs[1], width);
-      break;
-    case ColOpKind::kDiv:
-      PS2_RETURN_NOT_OK(need(2));
-      out.server_ops = kernels::Div(dst, src_ptrs[0], src_ptrs[1], width);
-      break;
-    case ColOpKind::kCopy:
-      PS2_RETURN_NOT_OK(need(1));
-      out.server_ops = kernels::Copy(dst, src_ptrs[0], width);
-      break;
-    case ColOpKind::kAxpy:
-      PS2_RETURN_NOT_OK(need(1));
-      out.server_ops = kernels::Axpy(dst, src_ptrs[0], scalar, width);
-      break;
-    case ColOpKind::kFill:
-      PS2_RETURN_NOT_OK(need(0));
-      out.server_ops = kernels::Fill(dst, scalar, width);
-      break;
-    case ColOpKind::kScale:
-      PS2_RETURN_NOT_OK(need(0));
-      out.server_ops = kernels::Scale(dst, scalar, width);
-      break;
-    default:
-      return Status::InvalidArgument("unknown column op kind");
-  }
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandleDotPartial(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t ma, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t ra, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t mb, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t rb, in->ReadVarint());
-  // Either operand may be a hot-row replica; anchor the window on whichever
-  // one is a local primary slice and read the other through ReadRowView.
-  uint64_t width = 0, begin = 0;
-  const double* a = nullptr;
-  const double* b = nullptr;
-  Result<double*> a_primary =
-      DenseRow(static_cast<int>(ma), static_cast<uint32_t>(ra), &width, &begin);
-  if (a_primary.ok()) {
-    a = *a_primary;
-    PS2_ASSIGN_OR_RETURN(b, ReadRowView(static_cast<int>(mb),
-                                        static_cast<uint32_t>(rb), begin,
-                                        width));
-  } else {
-    PS2_ASSIGN_OR_RETURN(double* bp, DenseRow(static_cast<int>(mb),
-                                              static_cast<uint32_t>(rb), &width,
-                                              &begin));
-    b = bp;
-    PS2_ASSIGN_OR_RETURN(a, ReadRowView(static_cast<int>(ma),
-                                        static_cast<uint32_t>(ra), begin,
-                                        width));
-  }
-  double partial = 0.0;
-  HandleResult out;
-  out.server_ops = kernels::Dot(a, b, width, &partial);
-  BufferWriter writer;
-  writer.WriteF64(partial);
-  out.response = writer.Release();
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandleZip(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t udf_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t k, in->ReadVarint());
-  std::vector<double*> rows;
-  std::vector<std::pair<uint64_t, uint64_t>> touched;
-  uint64_t width = 0, begin = 0;
-  for (uint64_t i = 0; i < k; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(r), &w, &b));
-    if (i == 0) {
-      width = w;
-      begin = b;
-    } else if (w != width || b != begin) {
-      return Status::FailedPrecondition(
-          "zip operands are not co-located on this server");
+    const AggKind kind = static_cast<AggKind>(kind_raw);
+    // A dot tuple is two (matrix, row) pairs; the others start with two
+    // varints (a row, or a zip-aggregate's udf and k).
+    PS2_ASSIGN_OR_RETURN(uint64_t n,
+                         in->ReadCount(kind == AggKind::kDot ? 4 : 2));
+    for (uint64_t e = 0; e < n; ++e) {
+      if (kind == AggKind::kZipAggregate) {
+        PS2_ASSIGN_OR_RETURN(uint64_t udf_id, in->ReadVarint());
+        uint64_t width = 0, begin = 0;
+        PS2_ASSIGN_OR_RETURN(std::vector<double*> rows,
+                             ZipRows(in, &width, &begin, nullptr));
+        const ZipAggFn* fn = udfs_->GetZipAggregate(static_cast<int>(udf_id));
+        if (fn == nullptr) {
+          return Status::NotFound("zip-aggregate udf not registered");
+        }
+        writer.WritePodVector((*fn)(
+            std::vector<const double*>(rows.begin(), rows.end()), width,
+            begin));
+        out.server_ops += rows.size() * width;  // conservative: every element
+        continue;
+      }
+      PS2_ASSIGN_OR_RETURN(RowRef a, ReadRow(in));
+      if (kind != AggKind::kDot) {
+        PS2_ASSIGN_OR_RETURN(double value, RowAggregate(a.matrix_id, a.row,
+                                                        kind, &out.server_ops));
+        writer.WriteF64(value);
+        continue;
+      }
+      PS2_ASSIGN_OR_RETURN(RowRef b, ReadRow(in));
+      // Either operand may be a hot-row replica: anchor the window on
+      // whichever one is a local primary slice and read both through
+      // ReadRowView (which yields the primary when the window matches).
+      uint64_t width = 0, begin = 0;
+      if (!DenseRow(a.matrix_id, a.row, &width, &begin).ok()) {
+        PS2_RETURN_NOT_OK(
+            DenseRow(b.matrix_id, b.row, &width, &begin).status());
+      }
+      PS2_ASSIGN_OR_RETURN(const double* pa,
+                           ReadRowView(a.matrix_id, a.row, begin, width));
+      PS2_ASSIGN_OR_RETURN(const double* pb,
+                           ReadRowView(b.matrix_id, b.row, begin, width));
+      double partial = 0.0;
+      out.server_ops += kernels::Dot(pa, pb, width, &partial);
+      writer.WriteF64(partial);
     }
-    rows.push_back(p);
-    // Every operand is handed to the UDF as mutable — conservatively treat
-    // all of them as written for snapshot copy-on-publish.
-    touched.emplace_back(m, r);
-  }
-  const ZipFn* fn = udfs_->GetZip(static_cast<int>(udf_id));
-  if (fn == nullptr) return Status::NotFound("zip udf not registered");
-  for (const auto& [m, r] : touched) {
-    TouchRowIdLocked(static_cast<int>(m), r);
-  }
-  HandleResult out;
-  out.server_ops = (*fn)(rows, width, begin);
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandleZipAggregate(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t udf_id, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t k, in->ReadVarint());
-  std::vector<const double*> rows;
-  uint64_t width = 0, begin = 0;
-  for (uint64_t i = 0; i < k; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(r), &w, &b));
-    if (i == 0) {
-      width = w;
-      begin = b;
-    } else if (w != width || b != begin) {
-      return Status::FailedPrecondition(
-          "zip operands are not co-located on this server");
-    }
-    rows.push_back(p);
-  }
-  const ZipAggFn* fn = udfs_->GetZipAggregate(static_cast<int>(udf_id));
-  if (fn == nullptr) return Status::NotFound("zip-aggregate udf not registered");
-  std::vector<double> result = (*fn)(rows, width, begin);
-  HandleResult out;
-  out.server_ops = k * width;  // conservative: reads every operand element
-  BufferWriter writer;
-  writer.WritePodVector(result);
+  } while (!in->AtEnd());
   out.response = writer.Release();
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandleDotBatch(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
-  HandleResult out;
-  BufferWriter writer;
-  writer.WriteVarint(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t ma, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t ra, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t mb, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t rb, in->ReadVarint());
-    uint64_t width = 0, begin = 0;
-    const double* a = nullptr;
-    const double* b = nullptr;
-    Result<double*> a_primary = DenseRow(static_cast<int>(ma),
-                                         static_cast<uint32_t>(ra), &width,
-                                         &begin);
-    if (a_primary.ok()) {
-      a = *a_primary;
-      PS2_ASSIGN_OR_RETURN(b, ReadRowView(static_cast<int>(mb),
-                                          static_cast<uint32_t>(rb), begin,
-                                          width));
-    } else {
-      PS2_ASSIGN_OR_RETURN(double* bp, DenseRow(static_cast<int>(mb),
-                                                static_cast<uint32_t>(rb),
-                                                &width, &begin));
-      b = bp;
-      PS2_ASSIGN_OR_RETURN(a, ReadRowView(static_cast<int>(ma),
-                                          static_cast<uint32_t>(ra), begin,
-                                          width));
-    }
-    double partial = 0.0;
-    out.server_ops += kernels::Dot(a, b, width, &partial);
-    writer.WriteF64(partial);
-  }
-  out.response = writer.Release();
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandleAxpyBatch(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
-  HandleResult out;
-  for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t md, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t rd, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t ms, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t rs, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(double alpha, in->ReadF64());
-    uint64_t wd = 0, bd = 0;
-    PS2_ASSIGN_OR_RETURN(double* dst, DenseRow(static_cast<int>(md),
-                                               static_cast<uint32_t>(rd), &wd,
-                                               &bd));
-    // The source may be a replica; the destination must be primary.
-    PS2_ASSIGN_OR_RETURN(
-        const double* src,
-        ReadRowView(static_cast<int>(ms), static_cast<uint32_t>(rs), bd, wd));
-    TouchRowIdLocked(static_cast<int>(md), rd);
-    out.server_ops += kernels::Axpy(dst, src, alpha, wd);
-  }
   return out;
 }
 
@@ -1132,13 +1022,10 @@ Result<PsServer::HandleResult> PsServer::HandlePullRowsBatch(
   BufferWriter writer;
   writer.WriteVarint(count);
   for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
-    RecordPull(static_cast<int>(m), static_cast<uint32_t>(r));
+    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
+    RecordPull(ref.matrix_id, ref.row);
     uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(r), &w,
-                                             &b));
+    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
     writer.WriteVarint(w);
     writer.BeginSection(SectionKind::kF64Values);
     writer.WriteF64Span(p, w);
@@ -1152,21 +1039,36 @@ Result<PsServer::HandleResult> PsServer::HandlePullRowsBatch(
 
 Result<PsServer::HandleResult> PsServer::HandlePushRowsBatch(
     BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
-  HandleResult out;
+  // Validate-then-apply: resolve every row and bound every delta first, so
+  // a bad row (say, a matrix this server lacks) fails with nothing applied.
+  struct RowDelta {
+    RowRef ref;
+    double* dst;
+    Slice values;  ///< `width` f64s in the request buffer
+  };
+  // Each row: (matrix, row, width) varints, then width f64s.
+  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(3));
+  std::vector<RowDelta> rows;
+  rows.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
     PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-    RecordPush(static_cast<int>(m), static_cast<uint32_t>(r));
     uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(r), &w,
-                                             &b));
+    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
     if (n != w) return Status::OutOfRange("row push width mismatch");
-    PS2_ASSIGN_OR_RETURN(std::vector<double> values, in->ReadF64Span(w));
-    TouchRowIdLocked(static_cast<int>(m), r);
-    for (uint64_t c = 0; c < w; ++c) p[c] += values[c];
+    PS2_ASSIGN_OR_RETURN(Slice values, in->ReadBytes(w * sizeof(double)));
+    rows.push_back({ref, p, values});
+  }
+  HandleResult out;
+  for (const RowDelta& row : rows) {
+    RecordPush(row.ref.matrix_id, row.ref.row);
+    TouchRowIdLocked(row.ref.matrix_id, row.ref.row);
+    const uint64_t w = row.values.size() / sizeof(double);
+    for (uint64_t c = 0; c < w; ++c) {
+      double v;
+      std::memcpy(&v, row.values.data() + c * sizeof(double), sizeof(double));
+      row.dst[c] += v;
+    }
     out.server_ops += w;
   }
   return out;
@@ -1193,13 +1095,10 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparseRowsBatch(
   writer.WriteVarint(n_rows);
   std::vector<double> values(n_idx);
   for (uint64_t r = 0; r < n_rows; ++r) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
-    RecordPull(static_cast<int>(m), static_cast<uint32_t>(row));
+    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
+    RecordPull(ref.matrix_id, ref.row);
     uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(row), &w,
-                                             &b));
+    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
     for (uint64_t i = 0; i < n_idx; ++i) {
       if (cols[i] < b || cols[i] >= b + w) {
         return Status::OutOfRange("pull index outside server range");
@@ -1224,44 +1123,49 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparseRowsBatch(
 
 Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
     BufferReader* in) {
+  // Validate-then-apply, like kPushRowsBatch: every row is resolved and
+  // every delta decoded and range-checked before the first one lands.
   PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
-  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadVarint());
-  HandleResult out;
+  // Each row: (matrix, row, nnz) varints.
+  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(3));
+  std::vector<std::pair<RowRef, uint64_t>> rows;  // (row, nnz)
+  rows.reserve(n_rows);
+  std::vector<double*> cells;  // every delta's target, all rows
+  std::vector<double> vals;
   for (uint64_t r = 0; r < n_rows; ++r) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
     // Each delta: an index varint plus a zigzag varint (compress) or f64.
     PS2_ASSIGN_OR_RETURN(uint64_t nnz,
                          in->ReadCount(compress != 0 ? 2 : 1 + sizeof(double)));
-    RecordPush(static_cast<int>(m), static_cast<uint32_t>(row));
     uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(static_cast<int>(m),
-                                             static_cast<uint32_t>(row), &w,
-                                             &b));
+    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
+    rows.emplace_back(ref, nnz);
     uint64_t prev = 0;
-    std::vector<uint64_t> cols(nnz);
     for (uint64_t i = 0; i < nnz; ++i) {
       PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
       prev += delta;
       if (prev < b || prev >= b + w) {
         return Status::OutOfRange("push index outside server range");
       }
-      cols[i] = prev - b;
+      cells.push_back(p + (prev - b));
     }
-    TouchRowIdLocked(static_cast<int>(m), row);
     for (uint64_t i = 0; i < nnz; ++i) {
-      double v;
       if (compress != 0) {
         PS2_ASSIGN_OR_RETURN(int64_t iv, in->ReadSignedVarint());
-        v = static_cast<double>(iv);
+        vals.push_back(static_cast<double>(iv));
       } else {
         PS2_ASSIGN_OR_RETURN(double fv, in->ReadF64());
-        v = fv;
+        vals.push_back(fv);
       }
-      p[cols[i]] += v;
     }
+  }
+  HandleResult out;
+  for (const auto& [ref, nnz] : rows) {
+    RecordPush(ref.matrix_id, ref.row);
+    TouchRowIdLocked(ref.matrix_id, ref.row);
     out.server_ops += nnz;
   }
+  for (size_t i = 0; i < cells.size(); ++i) *cells[i] += vals[i];
   return out;
 }
 
@@ -1304,9 +1208,8 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
     // Each row: (matrix, row) varints.
     PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(2));
     for (uint64_t i = 0; i < n; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-      PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
-      auto it = replicas_.find({static_cast<int>(m), static_cast<uint32_t>(r)});
+      PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
+      auto it = replicas_.find({ref.matrix_id, ref.row});
       if (it == replicas_.end()) {
         return Status::FailedPrecondition(
             "replica sync for a row without a replica");
@@ -1321,16 +1224,16 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
       for (const auto& [col, v] : replica.pending) writer.WriteF64(v);
       out.server_ops += replica.pending.size();
       replica.pending.clear();
-      auto sit = shards_.find(static_cast<int>(m));
+      auto sit = shards_.find(ref.matrix_id);
       const bool has_slice = sit != shards_.end() && sit->second.dense() &&
-                             r < sit->second.meta.num_rows &&
+                             ref.row < sit->second.meta.num_rows &&
                              sit->second.width() > 0;
       writer.WriteU8(has_slice ? 1 : 0);
       if (has_slice) {
         const Shard& shard = sit->second;
         writer.WriteVarint(shard.begin);
         writer.WriteVarint(shard.width());
-        writer.WriteF64Span(shard.dense_rows[r].data(), shard.width());
+        writer.WriteF64Span(shard.dense_rows[ref.row].data(), shard.width());
         out.server_ops += shard.width();
       }
     }
@@ -1340,11 +1243,10 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
     PS2_ASSIGN_OR_RETURN(uint64_t epoch, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
     for (uint64_t i = 0; i < n; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-      PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
+      PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
       PS2_ASSIGN_OR_RETURN(uint64_t dim, in->ReadVarint());
       PS2_ASSIGN_OR_RETURN(std::vector<double> values, in->ReadF64Span(dim));
-      auto it = replicas_.find({static_cast<int>(m), static_cast<uint32_t>(r)});
+      auto it = replicas_.find({ref.matrix_id, ref.row});
       if (it == replicas_.end() || it->second.dim != dim) {
         return Status::FailedPrecondition(
             "replica install for a row without a matching replica");
@@ -1361,14 +1263,13 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
 }
 
 Result<PsServer::HandleResult> PsServer::HandleHotPush(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
+  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
   // Each delta: an index varint, then (after all indices) an f64 value.
   PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount(1 + sizeof(double)));
-  RecordPush(static_cast<int>(m), static_cast<uint32_t>(r));
+  RecordPush(ref.matrix_id, ref.row);
   // Accumulate into pending even for a version-0 (not-yet-installed)
   // replica: the next sync folds the deltas into the primary either way.
-  auto it = replicas_.find({static_cast<int>(m), static_cast<uint32_t>(r)});
+  auto it = replicas_.find({ref.matrix_id, ref.row});
   if (it == replicas_.end()) {
     return Status::FailedPrecondition("hot push to a row without a replica");
   }

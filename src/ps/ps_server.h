@@ -43,6 +43,11 @@ using ZipFn = std::function<uint64_t(const std::vector<double*>& rows, size_t n,
 using ZipAggFn = std::function<std::vector<double>(
     const std::vector<const double*>& rows, size_t n, uint64_t col_offset)>;
 
+/// Runs built-in kind `kind` (not kZip) element-wise over `n` elements:
+/// dst = op(a, b, scalar), reading NumSources(kind) sources; the op count.
+uint64_t ApplyColumnOp(ColOpKind kind, double* dst, const double* a,
+                       const double* b, double scalar, size_t n);
+
 /// \brief Registry of server-side functions, shared by all servers.
 class UdfRegistry {
  public:
@@ -344,8 +349,7 @@ class PsServer {
                                       const WireFrame& frame);
   /// Applies response-side filters (outside mu_; the response is private to
   /// this call).
-  void EncodeResponse(const RpcHeader& header, const WireFrame& frame,
-                      HandleResult* out);
+  void EncodeResponse(const RpcHeader& header, HandleResult* out);
 
   Result<Shard*> FindShard(int matrix_id, uint32_t row);
   Result<double*> DenseRow(int matrix_id, uint32_t row, uint64_t* width,
@@ -360,6 +364,18 @@ class PsServer {
   Result<const double*> ReadRowView(int matrix_id, uint32_t row,
                                     uint64_t begin, uint64_t width);
 
+  /// Decodes a zip entry's k and its k (matrix, row) operands, resolving
+  /// each to its dense primary slice; all must share one column window
+  /// (`width`, `begin`). Appends the operands to `refs` when non-null.
+  Result<std::vector<double*>> ZipRows(BufferReader* in, uint64_t* width,
+                                       uint64_t* begin,
+                                       std::vector<RowRef>* refs);
+
+  /// This server's partial sum / nnz / squared norm / max of one row slice
+  /// (dense or sparse storage); adds the elements read to `ops`.
+  Result<double> RowAggregate(int matrix_id, uint32_t row, AggKind kind,
+                              uint64_t* ops);
+
   void RecordPull(int matrix_id, uint32_t row);
   void RecordPush(int matrix_id, uint32_t row);
 
@@ -373,13 +389,8 @@ class PsServer {
   Result<HandleResult> HandlePullSparse(BufferReader* in);
   Result<HandleResult> HandlePushDense(BufferReader* in);
   Result<HandleResult> HandlePushSparse(BufferReader* in);
-  Result<HandleResult> HandleRowAgg(BufferReader* in);
-  Result<HandleResult> HandleColumnOp(BufferReader* in);
-  Result<HandleResult> HandleDotPartial(BufferReader* in);
-  Result<HandleResult> HandleZip(BufferReader* in);
-  Result<HandleResult> HandleZipAggregate(BufferReader* in);
-  Result<HandleResult> HandleDotBatch(BufferReader* in);
-  Result<HandleResult> HandleAxpyBatch(BufferReader* in);
+  Result<HandleResult> HandleColumnOps(BufferReader* in);
+  Result<HandleResult> HandleAggregate(BufferReader* in);
   Result<HandleResult> HandleMatrixInit(BufferReader* in);
   Result<HandleResult> HandlePullRowsBatch(BufferReader* in);
   Result<HandleResult> HandlePushRowsBatch(BufferReader* in);

@@ -67,19 +67,37 @@ struct RowRef {
   }
 };
 
-/// \brief Row-aggregation kinds (paper's sum / nnz / norm2 row-access ops).
-enum class RowAggKind : uint8_t { kSum = 0, kNnz = 1, kNorm2Squared = 2, kMax = 3 };
-
-/// \brief Built-in element-wise column-op kinds (paper Table 1).
+/// \brief Entry kinds of a kColumnOps request (paper Table 1 column access,
+/// mutating). The kind fixes the operand tuple: a built-in element-wise kind
+/// carries dst, NumSources(kind) sources and an f64 scalar; kZip carries a
+/// udf id, k and k rows.
 enum class ColOpKind : uint8_t {
-  kAdd = 0,   ///< dst = a + b
-  kSub = 1,   ///< dst = a - b
-  kMul = 2,   ///< dst = a * b
-  kDiv = 3,   ///< dst = a / b   (b==0 -> 0)
-  kCopy = 4,  ///< dst = a
-  kAxpy = 5,  ///< dst += scalar * a
-  kFill = 6,  ///< dst = scalar
-  kScale = 7  ///< dst *= scalar
+  kAdd = 0,    ///< dst = a + b
+  kSub = 1,    ///< dst = a - b
+  kMul = 2,    ///< dst = a * b
+  kDiv = 3,    ///< dst = a / b   (b==0 -> 0)
+  kCopy = 4,   ///< dst = a
+  kAxpy = 5,   ///< dst += scalar * a
+  kFill = 6,   ///< dst = scalar
+  kScale = 7,  ///< dst *= scalar
+  kZip = 8,    ///< registered mutating UDF over k co-located rows
+};
+
+/// Sources a built-in ColOpKind reads besides dst (0 for zip).
+constexpr int NumSources(ColOpKind kind) {
+  return kind <= ColOpKind::kDiv ? 2 : kind <= ColOpKind::kAxpy ? 1 : 0;
+}
+
+/// \brief Entry kinds of a kAggregate request (read-only). The kind fixes
+/// the operand tuple: one row for sum / nnz / norm2 / max (paper Table 1 row
+/// aggregates), two for dot, and udf, k, k rows for zip-aggregate.
+enum class AggKind : uint8_t {
+  kSum = 0,
+  kNnz = 1,
+  kNorm2Squared = 2,
+  kMax = 3,
+  kDot = 4,           ///< partial dot product of two rows
+  kZipAggregate = 5,  ///< registered read-only UDF over k co-located rows
 };
 
 /// \brief Wire opcodes understood by PsServer::Handle.
@@ -88,48 +106,40 @@ enum class PsOpCode : uint8_t {
   kPullSparse = 1,
   kPushDense = 2,
   kPushSparse = 3,
-  kRowAgg = 4,
-  kColumnOp = 5,
-  kDotPartial = 6,
-  kZip = 7,
-  kZipAggregate = 8,
-  kDotBatch = 9,    ///< many row-pair partial dots in one round (DeepWalk)
-  kAxpyBatch = 10,  ///< many dst += alpha*src updates in one round (DeepWalk)
-  kMatrixInit = 11,    ///< hash-random init of whole-matrix row ranges
-  kPullRowsBatch = 12,       ///< many full-row pulls in one round
-  kPushRowsBatch = 13,       ///< many dense row (delta) pushes in one round
-  kPullSparseRowsBatch = 14, ///< many rows at shared indices, one round
-  kPushSparseRowsBatch = 15, ///< many per-row sparse deltas, one round
+  kColumnOps = 4,             ///< batched element-wise ops and zips (mutating)
+  kAggregate = 5,             ///< batched row aggregates, dots, zip-aggregates
+  kMatrixInit = 6,            ///< hash-random init of whole-matrix row ranges
+  kPullRowsBatch = 7,         ///< many full-row pulls in one round
+  kPushRowsBatch = 8,         ///< many dense row (delta) pushes in one round
+  kPullSparseRowsBatch = 9,   ///< many rows at shared indices, one round
+  kPushSparseRowsBatch = 10,  ///< many per-row sparse deltas, one round
   // Hot-parameter management (DESIGN.md §5d).
-  kHotSetUpdate = 16,  ///< master installs the replicated hot-row set
-  kReplicaSync = 17,   ///< collect pending deltas / install fresh values
-  kHotPush = 18,       ///< sparse delta accumulated into a local replica
+  kHotSetUpdate = 11,  ///< master installs the replicated hot-row set
+  kReplicaSync = 12,   ///< collect pending deltas / install fresh values
+  kHotPush = 13,       ///< sparse delta accumulated into a local replica
   // Online serving tier (DESIGN.md §10).
-  kServingPull = 19,  ///< batched read from a published snapshot epoch
+  kServingPull = 14,  ///< batched read from a published snapshot epoch
   // Consistency controller (DESIGN.md §11).
-  kClockAdvance = 20,  ///< worker advances its clock in the server's vector
+  kClockAdvance = 15,  ///< worker advances its clock in the server's vector
   // Elastic membership / online resharding (DESIGN.md §12).
-  kRangeExtract = 21,   ///< read one matrix's column range off the old owner
-  kRangeMigrate = 22,   ///< stage an extracted range on the new owner
-  kRoutingUpdate = 23,  ///< fence / commit staged ranges / bump routing epoch
+  kRangeExtract = 16,   ///< read one matrix's column range off the old owner
+  kRangeMigrate = 17,   ///< stage an extracted range on the new owner
+  kRoutingUpdate = 18,  ///< fence / commit staged ranges / bump routing epoch
 };
 
 /// Stable short name of an opcode for metric tags and trace spans
 /// (`ps.server.handle_us{op=pull_dense}`). Returns "unknown" for values
 /// outside the enum rather than crashing on a corrupted wire byte.
+/// kColumnOps keeps the pre-batching name "column_op" so the metric and
+/// span series stay continuous (it now also counts zips).
 constexpr const char* PsOpCodeName(PsOpCode op) {
   switch (op) {
     case PsOpCode::kPullDense: return "pull_dense";
     case PsOpCode::kPullSparse: return "pull_sparse";
     case PsOpCode::kPushDense: return "push_dense";
     case PsOpCode::kPushSparse: return "push_sparse";
-    case PsOpCode::kRowAgg: return "row_agg";
-    case PsOpCode::kColumnOp: return "column_op";
-    case PsOpCode::kDotPartial: return "dot_partial";
-    case PsOpCode::kZip: return "zip";
-    case PsOpCode::kZipAggregate: return "zip_aggregate";
-    case PsOpCode::kDotBatch: return "dot_batch";
-    case PsOpCode::kAxpyBatch: return "axpy_batch";
+    case PsOpCode::kColumnOps: return "column_op";
+    case PsOpCode::kAggregate: return "aggregate";
     case PsOpCode::kMatrixInit: return "matrix_init";
     case PsOpCode::kPullRowsBatch: return "pull_rows_batch";
     case PsOpCode::kPushRowsBatch: return "push_rows_batch";
@@ -148,7 +158,7 @@ constexpr const char* PsOpCodeName(PsOpCode op) {
 }
 
 /// Number of distinct PsOpCode values (for per-opcode metric tables).
-constexpr int kNumPsOpCodes = 24;
+constexpr int kNumPsOpCodes = 19;
 
 /// True for opcodes whose handlers mutate server state. Retrying one of
 /// these after an ambiguous failure (a lost *response*) would double-apply
@@ -158,9 +168,7 @@ constexpr bool IsMutatingOpcode(PsOpCode op) {
   switch (op) {
     case PsOpCode::kPushDense:
     case PsOpCode::kPushSparse:
-    case PsOpCode::kColumnOp:
-    case PsOpCode::kZip:
-    case PsOpCode::kAxpyBatch:
+    case PsOpCode::kColumnOps:
     case PsOpCode::kMatrixInit:
     case PsOpCode::kPushRowsBatch:
     case PsOpCode::kPushSparseRowsBatch:
@@ -179,10 +187,7 @@ constexpr bool IsMutatingOpcode(PsOpCode op) {
       return true;
     case PsOpCode::kPullDense:
     case PsOpCode::kPullSparse:
-    case PsOpCode::kRowAgg:
-    case PsOpCode::kDotPartial:
-    case PsOpCode::kZipAggregate:
-    case PsOpCode::kDotBatch:
+    case PsOpCode::kAggregate:
     case PsOpCode::kPullRowsBatch:
     case PsOpCode::kPullSparseRowsBatch:
     case PsOpCode::kServingPull:

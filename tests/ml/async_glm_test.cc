@@ -1,6 +1,11 @@
-#include "ml/async_glm.h"
+// Relaxed-consistency GLM training through TrainGlmPs2: `ssp:<k-1>` runs k
+// local SGD steps per stage between barriers; bsp is the one-step baseline.
+
+#include "ml/logreg.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "data/classification_gen.h"
 
@@ -23,13 +28,19 @@ class AsyncGlmTest : public ::testing::Test {
     ctx_ = std::make_unique<DcvContext>(cluster_.get());
   }
 
-  GlmOptions Options() {
+  /// SGD with `steps_per_stage` local steps per stage: SSP with slack
+  /// steps_per_stage - 1, or BSP for one step.
+  GlmOptions Options(int steps_per_stage) {
     GlmOptions options;
     options.dim = 20000;
     options.optimizer.kind = OptimizerKind::kSgd;
     options.optimizer.learning_rate = 10.0;
     options.batch_fraction = 0.05;
     options.iterations = 48;
+    if (steps_per_stage > 1) {
+      options.consistency = *ConsistencyPolicy::Parse(
+          "ssp:" + std::to_string(steps_per_stage - 1));
+    }
     return options;
   }
 
@@ -39,15 +50,15 @@ class AsyncGlmTest : public ::testing::Test {
 };
 
 TEST_F(AsyncGlmTest, Converges) {
-  TrainReport report = *TrainGlmPs2Async(ctx_.get(), data_, Options(), 4);
+  TrainReport report = *TrainGlmPs2(ctx_.get(), data_, Options(4));
   EXPECT_EQ(report.system, "PS2-AsyncSGD");
   EXPECT_LT(report.final_loss, 0.6);
 }
 
 TEST_F(AsyncGlmTest, MoreLocalStepsFewerBarriers) {
-  TrainReport sync = *TrainGlmPs2Async(ctx_.get(), data_, Options(), 1);
+  TrainReport sync = *TrainGlmPs2(ctx_.get(), data_, Options(1));
   DcvContext fresh(cluster_.get());
-  TrainReport async = *TrainGlmPs2Async(&fresh, data_, Options(), 8);
+  TrainReport async = *TrainGlmPs2(&fresh, data_, Options(8));
   // Same number of SGD steps, an eighth of the stages.
   EXPECT_EQ(sync.curve.size(), 48u);
   EXPECT_EQ(async.curve.size(), 6u);
@@ -55,22 +66,17 @@ TEST_F(AsyncGlmTest, MoreLocalStepsFewerBarriers) {
 }
 
 TEST_F(AsyncGlmTest, StalenessDegradesGracefullyNotCatastrophically) {
-  TrainReport sync = *TrainGlmPs2Async(ctx_.get(), data_, Options(), 1);
+  TrainReport sync = *TrainGlmPs2(ctx_.get(), data_, Options(1));
   DcvContext fresh(cluster_.get());
-  TrainReport stale = *TrainGlmPs2Async(&fresh, data_, Options(), 16);
+  TrainReport stale = *TrainGlmPs2(&fresh, data_, Options(16));
   EXPECT_LT(stale.final_loss, 0.68);                 // still learns
   EXPECT_LT(sync.final_loss, stale.final_loss + 0.15);  // sync not worse
 }
 
 TEST_F(AsyncGlmTest, RejectsBadArguments) {
-  EXPECT_TRUE(TrainGlmPs2Async(ctx_.get(), data_, Options(), 0)
-                  .status()
-                  .IsInvalidArgument());
-  GlmOptions adam = Options();
+  GlmOptions adam = Options(2);
   adam.optimizer.kind = OptimizerKind::kAdam;
-  EXPECT_TRUE(TrainGlmPs2Async(ctx_.get(), data_, adam, 2)
-                  .status()
-                  .IsNotImplemented());
+  EXPECT_TRUE(TrainGlmPs2(ctx_.get(), data_, adam).status().IsNotImplemented());
 }
 
 }  // namespace

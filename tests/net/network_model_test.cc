@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "net/message.h"
 
 namespace ps2 {
 namespace {
@@ -129,18 +128,6 @@ TEST(StageCostTest, RoundsChargeLatency) {
   tasks[0].rounds = 10;
   StageCostBreakdown breakdown = StageCost(cost, tasks, {});
   EXPECT_GE(breakdown.worker_bound, 10 * 1e-3);
-}
-
-TEST(MessageTest, WireBytesIncludesHeader) {
-  Message m;
-  m.payload.resize(100);
-  EXPECT_EQ(m.WireBytes(), 100 + Message::kHeaderBytes);
-}
-
-TEST(MessageTest, KindNames) {
-  EXPECT_STREQ(MessageKindName(MessageKind::kPullRequest), "pull_request");
-  EXPECT_STREQ(MessageKindName(MessageKind::kColumnOpResponse),
-               "column_op_response");
 }
 
 }  // namespace

@@ -230,9 +230,13 @@ TEST_F(PsAsyncTest, ColumnOpAsyncAndDotAsync) {
   RowRef b = *master_->AllocateRow(a.matrix_id);
   ASSERT_TRUE(client_->PushDense(a, std::vector<double>(80, 2.0)).ok());
   ASSERT_TRUE(client_->PushDense(b, std::vector<double>(80, 3.0)).ok());
-  PsFuture<Ack> axpy = client_->ColumnOpAsync(ColOpKind::kAxpy, b, {a}, 10.0);
+  PsFuture<Ack> axpy =
+      client_->ColumnOpsAsync({{ColOpKind::kAxpy, {b, a}, 10.0}});
   ASSERT_TRUE(axpy.Wait().ok());
-  EXPECT_NEAR(*client_->DotAsync(a, b).Get(), 80 * 2.0 * 23.0, 1e-9);
+  Result<std::vector<AggregateValue>> dot =
+      client_->AggregateAsync({{AggKind::kDot, {a, b}}}).Get();
+  ASSERT_TRUE(dot.ok()) << dot.status();
+  EXPECT_NEAR((*dot)[0].value, 80 * 2.0 * 23.0, 1e-9);
 }
 
 TEST_F(PsAsyncTest, ShardScopedOpsInsideTasksRunInline) {
@@ -254,10 +258,13 @@ TEST_F(PsAsyncTest, ShardScopedOpsInsideTasksRunInline) {
     while (entered.load() < threads) std::this_thread::yield();
     const RowRef row = rows[ctx.task_id];
     const double value = static_cast<double>(ctx.task_id + 1);
-    EXPECT_TRUE(client_->ColumnOp(ColOpKind::kFill, row, {}, value).ok());
-    Result<double> sum = client_->RowAggregate(row, RowAggKind::kSum);
+    EXPECT_TRUE(client_->ColumnOpsAsync({{ColOpKind::kFill, {row}, value}})
+                    .Wait()
+                    .ok());
+    Result<std::vector<AggregateValue>> sum =
+        client_->AggregateAsync({{AggKind::kSum, {row}}}).Get();
     ASSERT_TRUE(sum.ok()) << sum.status();
-    EXPECT_DOUBLE_EQ(*sum, 120.0 * value);
+    EXPECT_DOUBLE_EQ((*sum)[0].value, 120.0 * value);
   });
   EXPECT_EQ(entered.load(), tasks);
 }
@@ -279,7 +286,11 @@ TEST_F(PsAsyncTest, ShardScopedFanoutRunsEveryRequestExactlyOnce) {
       });
   RowRef w = NewMatrix(90);
   const int rounds = 25;
-  for (int i = 0; i < rounds; ++i) ASSERT_TRUE(client_->Zip({w}, udf).ok());
+  for (int i = 0; i < rounds; ++i) {
+    ASSERT_TRUE(client_->ColumnOpsAsync({{ColOpKind::kZip, {w}, 0.0, udf}})
+                    .Wait()
+                    .ok());
+  }
   EXPECT_EQ(calls.load(), rounds * master_->num_servers());
   EXPECT_EQ(on_issuer.load(), 0);
   std::vector<double> pulled = *client_->PullDense(w);

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "dataflow/cluster.h"
+#include "net/message.h"
 #include "ps/ps_master.h"
 
 namespace ps2 {
@@ -26,6 +27,13 @@ class PsClientTest : public ::testing::Test {
     options.dim = dim;
     options.reserve_rows = rows;
     return RowRef{*master_->CreateMatrix(options), 0};
+  }
+
+  double Dot(RowRef a, RowRef b) {
+    Result<std::vector<AggregateValue>> r =
+        client_->AggregateAsync({{AggKind::kDot, {a, b}}}).Get();
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? (*r)[0].value : 0.0;
   }
 
   std::unique_ptr<Cluster> cluster_;
@@ -88,11 +96,18 @@ TEST_F(PsClientTest, RowAggregatesAcrossServers) {
   values[50] = -4.0;
   values[90] = 12.0;
   ASSERT_TRUE(client_->PushDense(w, values).ok());
-  EXPECT_DOUBLE_EQ(*client_->RowAggregate(w, RowAggKind::kSum), 11.0);
-  EXPECT_DOUBLE_EQ(*client_->RowAggregate(w, RowAggKind::kNnz), 3.0);
-  EXPECT_DOUBLE_EQ(*client_->RowAggregate(w, RowAggKind::kNorm2Squared),
-                   169.0);
-  EXPECT_DOUBLE_EQ(*client_->RowAggregate(w, RowAggKind::kMax), 12.0);
+  std::vector<AggregateValue> aggs =
+      *client_
+           ->AggregateAsync({{AggKind::kSum, {w}},
+                             {AggKind::kNnz, {w}},
+                             {AggKind::kNorm2Squared, {w}},
+                             {AggKind::kMax, {w}}})
+           .Get();
+  ASSERT_EQ(aggs.size(), 4u);
+  EXPECT_DOUBLE_EQ(aggs[0].value, 11.0);
+  EXPECT_DOUBLE_EQ(aggs[1].value, 3.0);
+  EXPECT_DOUBLE_EQ(aggs[2].value, 169.0);
+  EXPECT_DOUBLE_EQ(aggs[3].value, 12.0);
 }
 
 TEST_F(PsClientTest, ColumnOpsOnDerivedRows) {
@@ -101,10 +116,12 @@ TEST_F(PsClientTest, ColumnOpsOnDerivedRows) {
   RowRef c = *master_->AllocateRow(a.matrix_id);
   ASSERT_TRUE(client_->PushDense(a, std::vector<double>(60, 2.0)).ok());
   ASSERT_TRUE(client_->PushDense(b, std::vector<double>(60, 3.0)).ok());
-  ASSERT_TRUE(client_->ColumnOp(ColOpKind::kMul, c, {a, b}).ok());
+  ASSERT_TRUE(
+      client_->ColumnOpsAsync({{ColOpKind::kMul, {c, a, b}}}).Wait().ok());
   std::vector<double> pulled = *client_->PullDense(c);
   for (double v : pulled) EXPECT_EQ(v, 6.0);
-  ASSERT_TRUE(client_->ColumnOp(ColOpKind::kAxpy, c, {a}, 10.0).ok());
+  ASSERT_TRUE(
+      client_->ColumnOpsAsync({{ColOpKind::kAxpy, {c, a}, 10.0}}).Wait().ok());
   pulled = *client_->PullDense(c);
   for (double v : pulled) EXPECT_EQ(v, 26.0);
 }
@@ -121,7 +138,7 @@ TEST_F(PsClientTest, DotAcrossServers) {
   }
   ASSERT_TRUE(client_->PushDense(a, va).ok());
   ASSERT_TRUE(client_->PushDense(b, vb).ok());
-  EXPECT_NEAR(*client_->Dot(a, b), expected, 1e-9);
+  EXPECT_NEAR(Dot(a, b), expected, 1e-9);
 }
 
 TEST_F(PsClientTest, NonCoLocatedDotStillCorrectButCounted) {
@@ -129,7 +146,7 @@ TEST_F(PsClientTest, NonCoLocatedDotStillCorrectButCounted) {
   RowRef b = NewMatrix(100);  // separate creation -> different rotation
   ASSERT_TRUE(client_->PushDense(a, std::vector<double>(100, 1.0)).ok());
   ASSERT_TRUE(client_->PushDense(b, std::vector<double>(100, 2.0)).ok());
-  EXPECT_NEAR(*client_->Dot(a, b), 200.0, 1e-9);
+  EXPECT_NEAR(Dot(a, b), 200.0, 1e-9);
   EXPECT_EQ(cluster_->metrics().Get("dcv.noncolocated_dots"), 1u);
 }
 
@@ -137,10 +154,60 @@ TEST_F(PsClientTest, NonCoLocatedColumnOpFallsBackCorrectly) {
   RowRef a = NewMatrix(50);
   RowRef dst = NewMatrix(50);
   ASSERT_TRUE(client_->PushDense(a, std::vector<double>(50, 4.0)).ok());
-  ASSERT_TRUE(client_->ColumnOp(ColOpKind::kCopy, dst, {a}).ok());
+  ASSERT_TRUE(
+      client_->ColumnOpsAsync({{ColOpKind::kCopy, {dst, a}}}).Wait().ok());
   std::vector<double> pulled = *client_->PullDense(dst);
   for (double v : pulled) EXPECT_EQ(v, 4.0);
   EXPECT_GE(cluster_->metrics().Get("dcv.noncolocated_column_ops"), 1u);
+}
+
+TEST_F(PsClientTest, NonCoLocatedBatchRelaysEntryByEntry) {
+  RowRef a = NewMatrix(50);
+  RowRef b = *master_->AllocateRow(a.matrix_id);
+  RowRef other = NewMatrix(50);  // placed apart from a and b
+  ASSERT_TRUE(client_->PushDense(a, std::vector<double>(50, 2.0)).ok());
+  // The co-located axpy keeps the server-side path; only the copy into
+  // `other` relays through the client.
+  ASSERT_TRUE(client_
+                  ->ColumnOpsAsync({{ColOpKind::kAxpy, {b, a}, 3.0},
+                                    {ColOpKind::kCopy, {other, b}}})
+                  .Wait()
+                  .ok());
+  EXPECT_EQ(*client_->PullDense(b), std::vector<double>(50, 6.0));
+  EXPECT_EQ(*client_->PullDense(other), std::vector<double>(50, 6.0));
+  EXPECT_EQ(cluster_->metrics().Get("dcv.noncolocated_column_ops"), 1u);
+}
+
+TEST_F(PsClientTest, ZipInNonCoLocatedRequestAppliesNothing) {
+  RowRef a = NewMatrix(50);
+  RowRef b = *master_->AllocateRow(a.matrix_id);
+  RowRef other = NewMatrix(50);
+  int udf = master_->udfs()->RegisterZip(
+      [](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
+        for (size_t i = 0; i < n; ++i) rows[0][i] += 1.0;
+        return n;
+      });
+  EXPECT_TRUE(client_
+                  ->ColumnOpsAsync({{ColOpKind::kFill, {b}, 5.0},
+                                    {ColOpKind::kCopy, {other, a}},
+                                    {ColOpKind::kZip, {a}, 0.0, udf}})
+                  .Wait()
+                  .IsFailedPrecondition());
+  EXPECT_EQ(*client_->PullDense(b), std::vector<double>(50, 0.0));
+}
+
+TEST_F(PsClientTest, ExchangeRecordsPayloadPlusHeaderEachWay) {
+  RowRef w = NewMatrix(90);  // 30 columns per server
+  cluster_->metrics().Reset();
+  // One exchange with server 0: opcode, matrix, row, begin, end (5 bytes)
+  // out; a count varint and two f64s (17 bytes) back.
+  ASSERT_TRUE(client_->PullDense(w, ColRange::Of(0, 2)).ok());
+  EXPECT_EQ(cluster_->metrics().Get("net.messages"), 2u);
+  EXPECT_EQ(cluster_->metrics().Get("net.bytes_worker_to_server"),
+            5u + Message::kHeaderBytes);
+  EXPECT_EQ(cluster_->metrics().Get("net.bytes_server_to_worker"),
+            17u + Message::kHeaderBytes);
+  EXPECT_EQ(Message::kHeaderBytes, 24u);
 }
 
 TEST_F(PsClientTest, ZipRequiresCoLocation) {
@@ -150,7 +217,9 @@ TEST_F(PsClientTest, ZipRequiresCoLocation) {
       [](const std::vector<double*>&, size_t n, uint64_t) -> uint64_t {
         return n;
       });
-  EXPECT_TRUE(client_->Zip({a, b}, udf).IsFailedPrecondition());
+  EXPECT_TRUE(client_->ColumnOpsAsync({{ColOpKind::kZip, {a, b}, 0.0, udf}})
+                  .Wait()
+                  .IsFailedPrecondition());
 }
 
 TEST_F(PsClientTest, ZipAggregateReturnsPerPartitionResults) {
@@ -163,7 +232,9 @@ TEST_F(PsClientTest, ZipAggregateReturnsPerPartitionResults) {
         for (size_t i = 0; i < n; ++i) sum += rows[0][i];
         return {sum};
       });
-  std::vector<std::vector<double>> results = *client_->ZipAggregate({a}, udf);
+  std::vector<std::vector<double>> results =
+      (*client_->AggregateAsync({{AggKind::kZipAggregate, {a}, udf}}).Get())[0]
+          .parts;
   EXPECT_EQ(results.size(), 3u);  // one per server
   double total = 0;
   for (const auto& r : results) total += r[0];
@@ -180,11 +251,15 @@ TEST_F(PsClientTest, DotBatch) {
   ASSERT_TRUE(client_->PushDense(a, std::vector<double>(40, 1.0)).ok());
   ASSERT_TRUE(client_->PushDense(b, std::vector<double>(40, 2.0)).ok());
   ASSERT_TRUE(client_->PushDense(c, std::vector<double>(40, 3.0)).ok());
-  std::vector<double> dots =
-      *client_->DotBatchAsync({{a, b}, {b, c}, {a, c}}).Get();
-  EXPECT_DOUBLE_EQ(dots[0], 80.0);
-  EXPECT_DOUBLE_EQ(dots[1], 240.0);
-  EXPECT_DOUBLE_EQ(dots[2], 120.0);
+  std::vector<AggregateValue> dots =
+      *client_
+           ->AggregateAsync({{AggKind::kDot, {a, b}},
+                             {AggKind::kDot, {b, c}},
+                             {AggKind::kDot, {a, c}}})
+           .Get();
+  EXPECT_DOUBLE_EQ(dots[0].value, 80.0);
+  EXPECT_DOUBLE_EQ(dots[1].value, 240.0);
+  EXPECT_DOUBLE_EQ(dots[2].value, 120.0);
 }
 
 TEST_F(PsClientTest, AxpyBatchAppliesSequentially) {
@@ -193,7 +268,11 @@ TEST_F(PsClientTest, AxpyBatchAppliesSequentially) {
   ASSERT_TRUE(client_->PushDense(a, std::vector<double>(10, 1.0)).ok());
   ASSERT_TRUE(client_->PushDense(b, std::vector<double>(10, 1.0)).ok());
   // b += 2a (b becomes 3), then a += b (a becomes 4): order matters.
-  ASSERT_TRUE(client_->AxpyBatchAsync({{b, a, 2.0}, {a, b, 1.0}}).Wait().ok());
+  ASSERT_TRUE(client_
+                  ->ColumnOpsAsync({{ColOpKind::kAxpy, {b, a}, 2.0},
+                                    {ColOpKind::kAxpy, {a, b}, 1.0}})
+                  .Wait()
+                  .ok());
   EXPECT_EQ((*client_->PullDense(a))[0], 4.0);
   EXPECT_EQ((*client_->PullDense(b))[0], 3.0);
 }

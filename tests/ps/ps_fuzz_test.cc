@@ -76,19 +76,71 @@ TEST_F(PsFuzzTest, EmptyRequestRejected) {
 }
 
 TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
-  // Build a valid pull request, then replay every truncation of it.
-  BufferWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-  writer.WriteVarint(0);
-  writer.WriteVarint(1);
-  writer.WriteVarint(0);
-  writer.WriteVarint(64);
-  std::vector<uint8_t> full = writer.Release();
-  for (size_t len = 0; len < full.size(); ++len) {
-    std::vector<uint8_t> truncated(full.begin(), full.begin() + len);
-    EXPECT_FALSE(server_.Handle(truncated).ok()) << "length " << len;
+  // Valid requests — a pull, a ColumnOps batch of axpys and an Aggregate
+  // batch of dots — replayed at every truncation. Each batch is one run: a
+  // prefix ending on a run boundary would be a shorter valid request.
+  std::vector<double> ones(64, 1.0);
+  BufferWriter seed;
+  seed.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  seed.WriteVarint(0);
+  seed.WriteVarint(1);
+  seed.WriteVarint(0);
+  seed.WriteVarint(64);
+  seed.WriteF64Span(ones.data(), ones.size());
+  ASSERT_TRUE(server_.Handle(seed.Release()).ok());
+
+  BufferWriter pull;
+  pull.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
+  pull.WriteVarint(0);
+  pull.WriteVarint(1);
+  pull.WriteVarint(0);
+  pull.WriteVarint(64);
+  BufferWriter column_ops;
+  column_ops.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOps));
+  column_ops.WriteU8(static_cast<uint8_t>(ColOpKind::kAxpy));
+  column_ops.WriteVarint(2);
+  for (uint32_t dst : {0u, 2u}) {
+    column_ops.WriteVarint(0);
+    column_ops.WriteVarint(dst);
+    column_ops.WriteVarint(0);
+    column_ops.WriteVarint(1);
+    column_ops.WriteF64(2.0);
   }
-  EXPECT_TRUE(server_.Handle(full).ok());
+  BufferWriter aggregate;
+  aggregate.WriteU8(static_cast<uint8_t>(PsOpCode::kAggregate));
+  aggregate.WriteU8(static_cast<uint8_t>(AggKind::kDot));
+  aggregate.WriteVarint(2);
+  for (uint32_t row : {0u, 2u}) {
+    aggregate.WriteVarint(0);
+    aggregate.WriteVarint(row);
+    aggregate.WriteVarint(0);
+    aggregate.WriteVarint(1);
+  }
+
+  for (const BufferWriter* writer : {&pull, &column_ops, &aggregate}) {
+    const std::vector<uint8_t>& full = writer->buffer();
+    for (size_t len = 0; len < full.size(); ++len) {
+      std::vector<uint8_t> truncated(full.begin(), full.begin() + len);
+      EXPECT_FALSE(server_.Handle(truncated).ok())
+          << "opcode " << int{full[0]} << " length " << len;
+    }
+  }
+  // No truncated ColumnOps applied anything: rows 0 and 2 are still 0.
+  for (uint32_t row : {0u, 2u}) {
+    BufferWriter check;
+    check.WriteU8(static_cast<uint8_t>(PsOpCode::kAggregate));
+    check.WriteU8(static_cast<uint8_t>(AggKind::kNnz));
+    check.WriteVarint(1);
+    check.WriteVarint(0);
+    check.WriteVarint(row);
+    Result<PsServer::HandleResult> nnz = server_.Handle(check.buffer());
+    ASSERT_TRUE(nnz.ok()) << nnz.status();
+    EXPECT_EQ(*BufferReader(nnz->response).ReadF64(), 0.0) << "row " << row;
+  }
+  for (const BufferWriter* writer : {&pull, &column_ops, &aggregate}) {
+    EXPECT_TRUE(server_.Handle(writer->buffer()).ok())
+        << "opcode " << int{writer->buffer()[0]};
+  }
 }
 
 TEST_F(PsFuzzTest, ForgedCompressedFrameRejected) {

@@ -223,6 +223,33 @@ TEST(PsRetryTest, PushesApplyExactlyOnceUnderMessageFaults) {
   std::vector<double> pulled = *f.client->PullDense(f.weight);
   for (double v : pulled) EXPECT_DOUBLE_EQ(v, static_cast<double>(n));
 
+  // A ColumnOps batch (axpy + zip entries) rides the same faults and lands
+  // exactly once per issue; an Aggregate read (sum + dot) re-executes on
+  // retry and still sees each batch exactly once.
+  RowRef ones = *f.master->AllocateRow(f.weight.matrix_id);
+  ASSERT_TRUE(f.client->PushDense(ones, std::vector<double>(60, 1.0)).ok());
+  const int udf = f.master->udfs()->RegisterZip(
+      [](const std::vector<double*>& rows, size_t width, uint64_t) -> uint64_t {
+        for (size_t i = 0; i < width; ++i) rows[0][i] += 1.0;
+        return width;
+      });
+  for (int i = 1; i <= n; ++i) {
+    ASSERT_TRUE(f.client
+                    ->ColumnOpsAsync({{ColOpKind::kAxpy, {f.weight, ones}, 1.0},
+                                      {ColOpKind::kZip, {f.weight}, 0.0, udf}})
+                    .Wait()
+                    .ok());
+    Result<std::vector<AggregateValue>> read =
+        f.client
+            ->AggregateAsync({{AggKind::kSum, {f.weight}},
+                              {AggKind::kDot, {f.weight, ones}}})
+            .Get();
+    ASSERT_TRUE(read.ok()) << read.status();
+    const double expected = 60.0 * (n + 2 * i);
+    EXPECT_DOUBLE_EQ((*read)[0].value, expected);
+    EXPECT_DOUBLE_EQ((*read)[1].value, expected);
+  }
+
   EXPECT_GT(f.cluster->metrics().Get("net.retries"), 0u);
   EXPECT_GT(f.cluster->metrics().Get("net.retry_backoff_time"), 0u);
   EXPECT_GT(f.cluster->metrics().Get("ps.dedup_hits"), 0u);
@@ -320,7 +347,7 @@ TEST(PsRetryTest, RetryLoopRecoversCrashedServerFromCheckpoint) {
 
 TEST(PsRetryTest, MiddleCrashRunsEveryRequestOnBothRoutes) {
   // Both execution routes — keyed requests inline on the issuing thread
-  // (PushDense), a shard-scoped fan-out on the cluster pool (ColumnOp from
+  // (PushDense), a shard-scoped fan-out on the cluster pool (ColumnOps from
   // this non-pool thread) — run every request and report the first failure
   // in partition order. The servers past the failed one still applied the op.
   ClusterSpec spec;
@@ -336,7 +363,9 @@ TEST(PsRetryTest, MiddleCrashRunsEveryRequestOnBothRoutes) {
   f.master->server(1)->Crash();  // the middle partition fails
   Status pushed = f.client->PushDense(f.weight, std::vector<double>(60, 2.0));
   EXPECT_TRUE(pushed.IsUnavailable()) << pushed;
-  Status axpy = f.client->ColumnOp(ColOpKind::kAxpy, f.weight, {ones}, 10.0);
+  Status axpy =
+      f.client->ColumnOpsAsync({{ColOpKind::kAxpy, {f.weight, ones}, 10.0}})
+          .Wait();
   EXPECT_TRUE(axpy.IsUnavailable()) << axpy;
 
   // Three equal partitions: [0, 20) on server 0, [40, 60) on server 2.

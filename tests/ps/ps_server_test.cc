@@ -87,42 +87,47 @@ TEST_F(PsServerTest, PullWindowIntersectsRange) {
 TEST_F(PsServerTest, RowAggSum) {
   PushDense(0, 2, 0, {1, 2, 3});
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kRowAgg));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kAggregate));
+  w.WriteU8(static_cast<uint8_t>(AggKind::kSum));
+  w.WriteVarint(1);
   w.WriteVarint(0);
   w.WriteVarint(2);
-  w.WriteU8(static_cast<uint8_t>(RowAggKind::kSum));
   PsServer::HandleResult result = Call(w);
   BufferReader r(result.response);
   EXPECT_DOUBLE_EQ(*r.ReadF64(), 6.0);
+  EXPECT_TRUE(r.AtEnd());  // one f64 per entry, no count prefix
 }
 
 TEST_F(PsServerTest, RowAggNnzAndNorm2AndMax) {
   PushDense(0, 2, 0, {3, 0, -4});
-  auto agg = [&](RowAggKind kind) {
-    BufferWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kRowAgg));
+  // One request, one run per kind; partials come back in entry order.
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kAggregate));
+  for (AggKind kind :
+       {AggKind::kNnz, AggKind::kNorm2Squared, AggKind::kMax}) {
+    w.WriteU8(static_cast<uint8_t>(kind));
+    w.WriteVarint(1);
     w.WriteVarint(0);
     w.WriteVarint(2);
-    w.WriteU8(static_cast<uint8_t>(kind));
-    PsServer::HandleResult result = Call(w);
-    BufferReader r(result.response);
-    return *r.ReadF64();
-  };
-  EXPECT_DOUBLE_EQ(agg(RowAggKind::kNnz), 2.0);
-  EXPECT_DOUBLE_EQ(agg(RowAggKind::kNorm2Squared), 25.0);
-  EXPECT_DOUBLE_EQ(agg(RowAggKind::kMax), 3.0);
+  }
+  PsServer::HandleResult result = Call(w);
+  BufferReader r(result.response);
+  EXPECT_DOUBLE_EQ(*r.ReadF64(), 2.0);
+  EXPECT_DOUBLE_EQ(*r.ReadF64(), 25.0);
+  EXPECT_DOUBLE_EQ(*r.ReadF64(), 3.0);
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST_F(PsServerTest, ColumnOpAdd) {
   PushDense(0, 0, 0, {1, 1, 1});
   PushDense(0, 1, 0, {2, 3, 4});
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOp));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOps));
   w.WriteU8(static_cast<uint8_t>(ColOpKind::kAdd));
+  w.WriteVarint(1);  // one entry
   w.WriteVarint(0);  // dst matrix
   w.WriteVarint(2);  // dst row
-  w.WriteVarint(2);  // two sources
-  w.WriteVarint(0);
+  w.WriteVarint(0);  // two sources: the kind fixes the count
   w.WriteVarint(0);
   w.WriteVarint(0);
   w.WriteVarint(1);
@@ -132,11 +137,63 @@ TEST_F(PsServerTest, ColumnOpAdd) {
   EXPECT_EQ(row, (std::vector<double>{3, 4, 5}));
 }
 
+TEST_F(PsServerTest, ColumnOpsBadSecondEntryLeavesFirstDstUntouched) {
+  PushDense(0, 1, 0, {2, 3, 4});
+  // Entry 1 (row 0 += 10 * row 1) is valid; entry 2 names matrix 42, which
+  // this server lacks. The request fails with nothing applied.
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOps));
+  w.WriteU8(static_cast<uint8_t>(ColOpKind::kAxpy));
+  w.WriteVarint(2);
+  for (uint64_t dst_matrix : {0u, 42u}) {
+    w.WriteVarint(dst_matrix);
+    w.WriteVarint(0);
+    w.WriteVarint(0);
+    w.WriteVarint(1);
+    w.WriteF64(10.0);
+  }
+  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+  EXPECT_EQ(Pull(0, 0, 0, 3), (std::vector<double>{0, 0, 0}));
+}
+
+TEST_F(PsServerTest, PushRowsBatchBadSecondRowLeavesFirstUnchanged) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushRowsBatch));
+  w.WriteVarint(2);
+  const std::vector<double> delta(16, 1.0);
+  for (uint64_t matrix : {0u, 42u}) {
+    w.WriteVarint(matrix);
+    w.WriteVarint(0);
+    w.WriteVarint(16);
+    w.WriteF64Span(delta.data(), delta.size());
+  }
+  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+  EXPECT_EQ(Pull(0, 0, 0, 16), std::vector<double>(16, 0.0));
+}
+
+TEST_F(PsServerTest, PushSparseRowsBatchBadSecondRowLeavesFirstUnchanged) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparseRowsBatch));
+  w.WriteU8(0);  // f64 values
+  w.WriteVarint(2);
+  for (uint64_t matrix : {0u, 42u}) {
+    w.WriteVarint(matrix);
+    w.WriteVarint(0);
+    w.WriteVarint(1);  // nnz
+    w.WriteVarint(5);  // column
+    w.WriteF64(7.0);
+  }
+  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+  EXPECT_EQ(Pull(0, 0, 0, 16), std::vector<double>(16, 0.0));
+}
+
 TEST_F(PsServerTest, DotPartial) {
   PushDense(0, 0, 0, {1, 2, 3});
   PushDense(0, 1, 0, {4, 5, 6});
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kDotPartial));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kAggregate));
+  w.WriteU8(static_cast<uint8_t>(AggKind::kDot));
+  w.WriteVarint(1);
   w.WriteVarint(0);
   w.WriteVarint(0);
   w.WriteVarint(0);
@@ -154,7 +211,9 @@ TEST_F(PsServerTest, ZipRunsRegisteredUdf) {
         return n;
       });
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kZip));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOps));
+  w.WriteU8(static_cast<uint8_t>(ColOpKind::kZip));
+  w.WriteVarint(1);
   w.WriteVarint(udf);
   w.WriteVarint(1);
   w.WriteVarint(0);
@@ -167,12 +226,30 @@ TEST_F(PsServerTest, ZipRunsRegisteredUdf) {
 
 TEST_F(PsServerTest, ZipUnknownUdfFails) {
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kZip));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOps));
+  w.WriteU8(static_cast<uint8_t>(ColOpKind::kZip));
+  w.WriteVarint(1);
   w.WriteVarint(99);
   w.WriteVarint(1);
   w.WriteVarint(0);
   w.WriteVarint(0);
   EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+}
+
+TEST_F(PsServerTest, OpcodeCensus) {
+  // Opcodes are numbered contiguously: every value below kNumPsOpCodes is
+  // named and dispatched, so a bare opcode fails decoding its (empty) body
+  // rather than as an unknown opcode.
+  for (int i = 0; i < kNumPsOpCodes; ++i) {
+    const PsOpCode op = static_cast<PsOpCode>(i);
+    EXPECT_STRNE(PsOpCodeName(op), "unknown") << "opcode " << i;
+    Result<PsServer::HandleResult> r =
+        server_.Handle(std::vector<uint8_t>{static_cast<uint8_t>(i)});
+    EXPECT_FALSE(r.ok()) << PsOpCodeName(op);
+    EXPECT_NE(r.status().message(), "unknown opcode") << PsOpCodeName(op);
+  }
+  EXPECT_STREQ(PsOpCodeName(static_cast<PsOpCode>(kNumPsOpCodes)), "unknown");
+  EXPECT_STREQ(PsOpCodeName(PsOpCode::kColumnOps), "column_op");
 }
 
 TEST_F(PsServerTest, UnknownMatrixFails) {
@@ -250,10 +327,10 @@ TEST_F(PsServerTest, SparseStorageRejectsColumnOps) {
                       MakeMeta(2, 100, 2, 1, MatrixStorage::kSparse))
                   .ok());
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOp));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOps));
   w.WriteU8(static_cast<uint8_t>(ColOpKind::kFill));
+  w.WriteVarint(1);
   w.WriteVarint(2);
-  w.WriteVarint(0);
   w.WriteVarint(0);
   w.WriteF64(1.0);
   EXPECT_TRUE(server_.Handle(w.buffer()).status().IsFailedPrecondition());

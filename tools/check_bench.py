@@ -12,7 +12,8 @@ Usage:
   tools/check_bench.py --results-dir build-rel/bench \\
       --baseline-dir bench/baselines [--tolerance 0.15]
   tools/check_bench.py --results-dir ... --baseline-dir ... --update
-    (rewrites the baselines from the current results instead of checking)
+    (rewrites the baselines from the current results instead of checking;
+    a baseline keeps only each run's name and its gated fields)
 
 Exit status: 0 = all gated metrics within tolerance, 1 = regression or
 missing data, 2 = usage error.
@@ -96,6 +97,17 @@ def is_gated(key):
     # replicated/relocated/cold census): deterministic classifier outputs,
     # gated so a tiering regression fails the bench job.
     return key in CHECK_KEYS or key.startswith(("det.", "migrate.", "nups."))
+
+
+def gated_only(doc):
+    """The baseline form of a results document: every run keeps its name and
+    the fields is_gated() selects. Wall-clock histograms, percentiles and
+    per-server detail are machine- or run-specific and never compared."""
+    runs = [
+        {k: v for k, v in run.items() if k == "name" or is_gated(k)}
+        for run in doc.get("runs", [])
+    ]
+    return dict(doc, runs=runs)
 
 
 def load_runs(path):
@@ -202,7 +214,7 @@ def main():
             with open(src) as f:
                 doc = json.load(f)  # validate before installing
             with open(dst, "w") as f:
-                json.dump(doc, f, indent=2, sort_keys=True)
+                json.dump(gated_only(doc), f, indent=2, sort_keys=True)
                 f.write("\n")
             print(f"check_bench: installed baseline {dst}")
         return 0
