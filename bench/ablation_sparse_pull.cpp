@@ -36,7 +36,7 @@ int main() {
     Dataset<Example> batch = data.Sample(fraction, 99);
     std::vector<size_t> counts = batch.MapPartitionsCollect<size_t>(
         [&](TaskContext&, const std::vector<Example>& rows) {
-          std::vector<uint64_t> indices = CollectBatchIndices(rows);
+          std::vector<uint64_t> indices = CollectBatchIndices(rows).keys;
           Result<std::vector<double>> pulled = weight.PullSparse(indices);
           PS2_CHECK(pulled.ok());
           return indices.size();

@@ -56,9 +56,8 @@ Result<TrainReport> TrainGlmDistml(DcvContext* ctx,
               // client cache did.
               Result<std::vector<double>> pulled = weight.Pull();
               PS2_CHECK(pulled.ok()) << pulled.status();
-              const std::vector<double>& w = *snapshot;
-              BatchGradient bg = ComputeBatchGradient(
-                  rows, [&w](uint64_t j) { return w[j]; }, loss_kind);
+              BatchGradient bg =
+                  ComputeDenseBatchGradient(rows, *snapshot, loss_kind);
               task.AddWorkerOps(bg.ops);
               // Bug #1: per-worker normalization before the push, so the
               // aggregate is ~num_workers times the true mean gradient.

@@ -1,7 +1,6 @@
 #include "baselines/mllib_lr.h"
 
 #include <memory>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "dataflow/broadcast.h"
@@ -51,9 +50,8 @@ Result<MllibReport> TrainGlmMllib(Cluster* cluster,
             [&bw, loss_kind](TaskContext& task,
                              const std::vector<Example>& rows) {
               const std::vector<double>& weights = *bw.value();
-              BatchGradient bg = ComputeBatchGradient(
-                  rows, [&weights](uint64_t j) { return weights[j]; },
-                  loss_kind);
+              BatchGradient bg =
+                  ComputeDenseBatchGradient(rows, weights, loss_kind);
               task.AddWorkerOps(bg.ops);
               return bg;
             });

@@ -1,7 +1,6 @@
 #include "baselines/mllib_star_lr.h"
 
 #include <memory>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "ml/metrics.h"
@@ -51,39 +50,24 @@ Result<TrainReport> TrainGlmMllibStar(Cluster* cluster,
                             .Split(task.task_id);
               for (int step = 0; step < local_steps; ++step) {
                 // Local Bernoulli mini-batch of this partition.
-                std::vector<const Example*> batch;
+                std::vector<Example> batch;
                 for (const Example& ex : rows) {
                   if (rng.NextBernoulli(options.glm.batch_fraction)) {
-                    batch.push_back(&ex);
+                    batch.push_back(ex);
                   }
                 }
                 if (batch.empty()) continue;
-                double step_loss = 0;
-                std::unordered_map<uint64_t, double> grad;
-                for (const Example* ex : batch) {
-                  double margin = ex->features.Dot(w);
-                  step_loss += loss_kind == GlmLossKind::kLogistic
-                                   ? LogisticLoss(margin, ex->label)
-                                   : HingeLoss(margin, ex->label);
-                  double scale =
-                      loss_kind == GlmLossKind::kLogistic
-                          ? LogisticGradientScale(margin, ex->label)
-                          : ((ex->label > 0.5 ? 1.0 : -1.0) * margin < 1.0
-                                 ? -(ex->label > 0.5 ? 1.0 : -1.0)
-                                 : 0.0);
-                  const auto& idx = ex->features.indices();
-                  const auto& val = ex->features.values();
-                  for (size_t k = 0; k < idx.size(); ++k) {
-                    grad[idx[k]] += scale * val[k];
-                  }
-                  task.AddWorkerOps(4 * idx.size() + 8);
-                }
+                BatchGradient bg =
+                    ComputeDenseBatchGradient(batch, w, loss_kind);
+                task.AddWorkerOps(bg.ops);
                 const double step_size = -lr / batch.size();
-                for (const auto& [j, g] : grad) {
-                  w[j] += step_size * g;
+                const auto& gi = bg.gradient.indices();
+                const auto& gv = bg.gradient.values();
+                for (size_t k = 0; k < gi.size(); ++k) {
+                  w[gi[k]] += step_size * gv[k];
                 }
-                loss_sum += step_loss;
-                count += batch.size();
+                loss_sum += bg.loss_sum;
+                count += bg.count;
               }
               return {loss_sum, count};
             });

@@ -38,9 +38,8 @@ Result<TrainReport> TrainGlmPetuum(DcvContext* ctx,
               // Full dense model pull — the Petuum behaviour under test.
               Result<std::vector<double>> pulled = weight.Pull();
               PS2_CHECK(pulled.ok()) << pulled.status();
-              const std::vector<double>& w = *pulled;
-              BatchGradient bg = ComputeBatchGradient(
-                  rows, [&w](uint64_t j) { return w[j]; }, loss_kind);
+              BatchGradient bg =
+                  ComputeDenseBatchGradient(rows, *pulled, loss_kind);
               task.AddWorkerOps(bg.ops);
               PS2_CHECK_OK(gradient.Add(bg.gradient));
               return {bg.loss_sum, bg.count};

@@ -1,7 +1,6 @@
 #include "baselines/pspp_lr.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "ml/metrics.h"
@@ -55,22 +54,13 @@ Result<TrainReport> TrainGlmPsPullPush(DcvContext* ctx,
             [&](TaskContext& task, const std::vector<Example>& rows) {
               GradientPartial gp;
               if (rows.empty()) return gp;
-              gp.indices = CollectBatchIndices(rows);
+              BatchIndex batch_index = CollectBatchIndices(rows);
               Result<std::vector<double>> pulled =
-                  weight.PullSparse(gp.indices);
+                  weight.PullSparse(batch_index.keys);
               PS2_CHECK(pulled.ok()) << pulled.status();
-              std::unordered_map<uint64_t, double> w_local;
-              w_local.reserve(gp.indices.size() * 2);
-              for (size_t k = 0; k < gp.indices.size(); ++k) {
-                w_local.emplace(gp.indices[k], (*pulled)[k]);
-              }
               BatchGradient bg = ComputeBatchGradient(
-                  rows,
-                  [&w_local](uint64_t j) {
-                    auto it = w_local.find(j);
-                    return it == w_local.end() ? 0.0 : it->second;
-                  },
-                  loss_kind);
+                  rows, batch_index, pulled->data(), loss_kind);
+              gp.indices = std::move(batch_index.keys);
               task.AddWorkerOps(bg.ops + gp.indices.size());
               PS2_CHECK_OK(gradient.Add(bg.gradient));
               gp.loss_sum = bg.loss_sum;

@@ -10,17 +10,22 @@ Result<uint8_t> BufferReader::ReadU8() {
 }
 
 Result<uint64_t> BufferReader::ReadVarint() {
-  uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (remaining() < 1) return Status::OutOfRange("truncated varint");
-    if (shift >= 64) return Status::OutOfRange("varint too long");
-    uint8_t byte = data_[pos_++];
-    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-  }
+  uint64_t v;
+  if (const char* error = DecodeVarint(&v)) return Status::OutOfRange(error);
   return v;
+}
+
+Status BufferReader::ReadDeltaKeys(uint64_t* out, size_t n) {
+  uint64_t key = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t delta;
+    if (const char* error = DecodeVarint(&delta)) {
+      return Status::OutOfRange(error);
+    }
+    key += delta;
+    out[i] = key;
+  }
+  return Status::OK();
 }
 
 Result<std::string> BufferReader::ReadString() {

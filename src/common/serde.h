@@ -36,6 +36,9 @@ struct PayloadSection {
   uint64_t len = 0;
 };
 
+/// Longest LEB128 encoding of a uint64_t.
+constexpr size_t kMaxVarintBytes = 10;
+
 /// \brief Append-only little-endian byte buffer writer.
 class BufferWriter {
  public:
@@ -68,6 +71,25 @@ class BufferWriter {
       v >>= 7;
     }
     buf_.push_back(static_cast<uint8_t>(v));
+  }
+
+  /// `n` ascending keys as delta varints, no length prefix: the key-list
+  /// encoding of every sparse opcode (ReadDeltaKeys decodes it).
+  void WriteDeltaKeys(const uint64_t* keys, size_t n) {
+    const size_t start = buf_.size();
+    buf_.resize(start + n * kMaxVarintBytes);
+    uint8_t* p = buf_.data() + start;
+    uint64_t prev = 0;
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t v = keys[i] - prev;
+      prev = keys[i];
+      while (v >= 0x80) {
+        *p++ = static_cast<uint8_t>(v) | 0x80;
+        v >>= 7;
+      }
+      *p++ = static_cast<uint8_t>(v);
+    }
+    buf_.resize(static_cast<size_t>(p - buf_.data()));
   }
 
   void WriteString(const std::string& s) {
@@ -171,13 +193,17 @@ class BufferReader {
 
   Result<std::vector<uint64_t>> ReadVarintVector();
 
+  /// Decodes `n` WriteDeltaKeys keys into `out`. The keys come back as
+  /// sent: a forged delta may wrap, so callers range-check every key.
+  Status ReadDeltaKeys(uint64_t* out, size_t n);
+
   /// Bulk doubles without a length prefix.
   Result<std::vector<double>> ReadF64Span(size_t n) {
     if (n > remaining() / sizeof(double)) {
       return Status::OutOfRange("f64 span exceeds buffer");
     }
     std::vector<double> out(n);
-    std::memcpy(out.data(), data_ + pos_, n * sizeof(double));
+    if (n != 0) std::memcpy(out.data(), data_ + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
     return out;
   }
@@ -188,7 +214,8 @@ class BufferReader {
     if (n > remaining() / sizeof(double)) {
       return Status::OutOfRange("f64 span exceeds buffer");
     }
-    std::memcpy(dst, data_ + pos_, n * sizeof(double));
+    // An empty destination may be null, which memcpy must never see.
+    if (n != 0) std::memcpy(dst, data_ + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
     return Status::OK();
   }
@@ -207,6 +234,20 @@ class BufferReader {
   bool AtEnd() const { return pos_ == size_; }
 
  private:
+  /// One LEB128 varint at the cursor; nullptr on success, else why not.
+  const char* DecodeVarint(uint64_t* v) {
+    uint64_t x = 0;
+    for (int shift = 0;; shift += 7) {
+      if (pos_ >= size_) return "truncated varint";
+      if (shift >= 64) return "varint too long";
+      const uint8_t byte = data_[pos_++];
+      x |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) break;
+    }
+    *v = x;
+    return nullptr;
+  }
+
   template <typename T>
   Result<T> ReadPod() {
     if (remaining() < sizeof(T)) {

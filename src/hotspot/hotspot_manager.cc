@@ -303,14 +303,10 @@ Status HotspotManager::SyncReplicasLocked() {
     PS2_RETURN_NOT_OK(Exchange(&t, s, collect_req, &response));
     BufferReader in(response);
     for (size_t i = 0; i < n; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
+      // Each pending delta: a column varint plus an f64.
+      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadCount(1 + sizeof(double)));
       std::vector<uint64_t> cols(nnz);
-      uint64_t prev = 0;
-      for (uint64_t j = 0; j < nnz; ++j) {
-        PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
-        prev += delta;
-        cols[j] = prev;
-      }
+      PS2_RETURN_NOT_OK(in.ReadDeltaKeys(cols.data(), nnz));
       for (uint64_t j = 0; j < nnz; ++j) {
         PS2_ASSIGN_OR_RETURN(double v, in.ReadF64());
         merged[i][cols[j]] += v;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "common/logging.h"
@@ -36,6 +37,19 @@ SparseVector::SparseVector(std::vector<uint64_t> indices,
       values_.push_back(values[k]);
     }
   }
+}
+
+SparseVector SparseVector::FromSorted(std::vector<uint64_t> indices,
+                                      std::vector<double> values) {
+  PS2_CHECK_EQ(indices.size(), values.size());
+  PS2_DCHECK(std::adjacent_find(indices.begin(), indices.end(),
+                                std::greater_equal<uint64_t>()) ==
+             indices.end())
+      << "FromSorted indices must be strictly increasing";
+  SparseVector out;
+  out.indices_ = std::move(indices);
+  out.values_ = std::move(values);
+  return out;
 }
 
 void SparseVector::PushBack(uint64_t index, double value) {
@@ -106,34 +120,19 @@ void SparseVector::ScaleInPlace(double alpha) {
 
 void SparseVector::Serialize(BufferWriter* writer) const {
   writer->WriteVarint(indices_.size());
-  uint64_t prev = 0;
-  for (uint64_t idx : indices_) {
-    writer->WriteVarint(idx - prev);
-    prev = idx;
-  }
-  for (double v : values_) writer->WriteF64(v);
+  writer->WriteDeltaKeys(indices_.data(), indices_.size());
+  writer->WriteF64Span(values_.data(), values_.size());
 }
 
 Result<SparseVector> SparseVector::Deserialize(BufferReader* reader) {
-  PS2_ASSIGN_OR_RETURN(uint64_t n, reader->ReadVarint());
   // Every entry needs at least one delta byte and eight value bytes; reject
   // length claims the buffer cannot possibly back before allocating.
-  if (n > reader->remaining()) {
-    return Status::OutOfRange("sparse vector length exceeds buffer");
-  }
+  PS2_ASSIGN_OR_RETURN(uint64_t n, reader->ReadCount(1 + sizeof(double)));
   SparseVector out;
-  out.indices_.reserve(n);
-  out.values_.reserve(n);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t delta, reader->ReadVarint());
-    prev += delta;
-    out.indices_.push_back(prev);
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    PS2_ASSIGN_OR_RETURN(double v, reader->ReadF64());
-    out.values_.push_back(v);
-  }
+  out.indices_.resize(n);
+  PS2_RETURN_NOT_OK(reader->ReadDeltaKeys(out.indices_.data(), n));
+  out.values_.resize(n);
+  PS2_RETURN_NOT_OK(reader->ReadF64Into(out.values_.data(), n));
   return out;
 }
 

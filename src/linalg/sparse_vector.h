@@ -23,6 +23,11 @@ class SparseVector {
   /// Takes parallel arrays; sorts by index and merges duplicates (summing).
   SparseVector(std::vector<uint64_t> indices, std::vector<double> values);
 
+  /// Takes parallel arrays whose indices already strictly increase, as is
+  /// (no sort, no merge).
+  static SparseVector FromSorted(std::vector<uint64_t> indices,
+                                 std::vector<double> values);
+
   size_t nnz() const { return indices_.size(); }
   const std::vector<uint64_t>& indices() const { return indices_; }
   const std::vector<double>& values() const { return values_; }

@@ -1,7 +1,6 @@
 #include "ml/async_glm.h"
 
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -49,10 +48,10 @@ Result<TrainReport> TrainGlmPs2Relaxed(DcvContext* ctx,
               double loss_sum = 0;
               uint64_t count = 0;
 
-              // A step's mini-batch plus its (sorted, unique) feature set.
+              // A step's mini-batch plus its slot index.
               struct StepBatch {
                 std::vector<Example> batch;
-                std::vector<uint64_t> indices;
+                BatchIndex index;
               };
               int next_step = 0;
               auto next_batch = [&]() -> std::optional<StepBatch> {
@@ -71,7 +70,7 @@ Result<TrainReport> TrainGlmPs2Relaxed(DcvContext* ctx,
                     }
                   }
                   if (sb.batch.empty()) continue;
-                  sb.indices = CollectBatchIndices(sb.batch);
+                  sb.index = CollectBatchIndices(sb.batch);
                   return sb;
                 }
                 return std::nullopt;
@@ -90,7 +89,7 @@ Result<TrainReport> TrainGlmPs2Relaxed(DcvContext* ctx,
               int advanced = 0;
               if (cur) {
                 controller.GatePull(task.task_id);
-                pull_future = weight.PullSparseAsync(cur->indices);
+                pull_future = weight.PullSparseAsync(cur->index.keys);
               }
               while (cur) {
                 // Sampling the next batch is local compute that overlaps
@@ -98,20 +97,9 @@ Result<TrainReport> TrainGlmPs2Relaxed(DcvContext* ctx,
                 std::optional<StepBatch> nxt = next_batch();
                 Result<std::vector<double>> pulled = pull_future.Get();
                 PS2_CHECK(pulled.ok()) << pulled.status();
-                const std::vector<uint64_t>& indices = cur->indices;
-                std::unordered_map<uint64_t, double> w_local;
-                w_local.reserve(indices.size() * 2);
-                for (size_t k = 0; k < indices.size(); ++k) {
-                  w_local.emplace(indices[k], (*pulled)[k]);
-                }
                 BatchGradient bg = ComputeBatchGradient(
-                    cur->batch,
-                    [&w_local](uint64_t j) {
-                      auto it = w_local.find(j);
-                      return it == w_local.end() ? 0.0 : it->second;
-                    },
-                    loss_kind);
-                task.AddWorkerOps(bg.ops + indices.size());
+                    cur->batch, cur->index, pulled->data(), loss_kind);
+                task.AddWorkerOps(bg.ops + cur->index.keys.size());
                 // Apply directly: push -lr/|batch| * g into the weights.
                 SparseVector delta = bg.gradient;
                 delta.ScaleInPlace(-lr / static_cast<double>(bg.count));
@@ -125,7 +113,7 @@ Result<TrainReport> TrainGlmPs2Relaxed(DcvContext* ctx,
                 if (nxt) {
                   // Rides the push round just issued.
                   controller.GatePull(task.task_id);
-                  pull_future = weight.PullSparseAsync(nxt->indices);
+                  pull_future = weight.PullSparseAsync(nxt->index.keys);
                 }
                 loss_sum += bg.loss_sum;
                 count += bg.count;

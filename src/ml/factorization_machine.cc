@@ -78,13 +78,14 @@ Result<TrainReport> TrainFmPs2(DcvContext* ctx, const Dataset<Example>& data,
             [&](TaskContext& task, const std::vector<Example>& rows)
                 -> std::pair<double, uint64_t> {
               if (rows.empty()) return {0.0, 0};
-              std::vector<uint64_t> support = CollectBatchIndices(rows);
+              BatchIndex batch_index = CollectBatchIndices(rows);
+              const std::vector<uint64_t>& support = batch_index.keys;
 
               // One round: the batch's support for all k+1 rows.
               Result<std::vector<std::vector<double>>> pulled =
                   client->PullSparseRowsAsync(all_rows, support).Get();
               PS2_CHECK(pulled.ok()) << pulled.status();
-              std::vector<double>& w_local = (*pulled)[0];
+              const std::vector<double>& w_pulled = (*pulled)[0];
               std::vector<std::vector<double>> v_local(
                   pulled->begin() + 1, pulled->end());
 
@@ -92,18 +93,14 @@ Result<TrainReport> TrainFmPs2(DcvContext* ctx, const Dataset<Example>& data,
               std::vector<std::vector<double>> grad(
                   k_factors + 1, std::vector<double>(support.size(), 0.0));
               double loss_sum = 0;
-              std::vector<size_t> pos;
+              const uint32_t* pos = batch_index.slots.data();
               std::vector<double> factor_sums(k_factors);
               for (const Example& ex : rows) {
                 const auto& idx = ex.features.indices();
                 const auto& val = ex.features.values();
-                pos.resize(idx.size());
                 double margin = 0;
                 for (size_t k = 0; k < idx.size(); ++k) {
-                  auto it = std::lower_bound(support.begin(), support.end(),
-                                             idx[k]);
-                  pos[k] = static_cast<size_t>(it - support.begin());
-                  margin += val[k] * w_local[pos[k]];
+                  margin += val[k] * w_pulled[pos[k]];
                 }
                 for (uint32_t f = 0; f < k_factors; ++f) {
                   double sum = 0, sum_sq = 0;
@@ -127,6 +124,7 @@ Result<TrainReport> TrainFmPs2(DcvContext* ctx, const Dataset<Example>& data,
                   }
                 }
                 task.AddWorkerOps((2 + 6 * k_factors) * idx.size() + 8);
+                pos += idx.size();
               }
 
               // SGD step applied locally, deltas pushed back (one round).

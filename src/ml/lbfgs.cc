@@ -1,7 +1,6 @@
 #include "ml/lbfgs.h"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "ml/metrics.h"
@@ -21,22 +20,13 @@ Result<std::pair<double, uint64_t>> ComputeFullGradient(
           [&](TaskContext& task, const std::vector<Example>& rows)
               -> std::pair<double, uint64_t> {
             if (rows.empty()) return {0.0, 0};
-            std::vector<uint64_t> indices = CollectBatchIndices(rows);
-            Result<std::vector<double>> pulled = weight.PullSparse(indices);
+            BatchIndex batch_index = CollectBatchIndices(rows);
+            Result<std::vector<double>> pulled =
+                weight.PullSparse(batch_index.keys);
             PS2_CHECK(pulled.ok()) << pulled.status();
-            std::unordered_map<uint64_t, double> w_local;
-            w_local.reserve(indices.size() * 2);
-            for (size_t k = 0; k < indices.size(); ++k) {
-              w_local.emplace(indices[k], (*pulled)[k]);
-            }
-            BatchGradient bg = ComputeBatchGradient(
-                rows,
-                [&w_local](uint64_t j) {
-                  auto it = w_local.find(j);
-                  return it == w_local.end() ? 0.0 : it->second;
-                },
-                loss_kind);
-            task.AddWorkerOps(bg.ops + indices.size());
+            BatchGradient bg = ComputeBatchGradient(rows, batch_index,
+                                                    pulled->data(), loss_kind);
+            task.AddWorkerOps(bg.ops + batch_index.keys.size());
             PS2_CHECK_OK(gradient.Add(bg.gradient));
             return {bg.loss_sum, bg.count};
           });
@@ -57,28 +47,15 @@ Result<double> ComputeFullLoss(const Dataset<Example>& data, const Dcv& weight,
           [&](TaskContext& task, const std::vector<Example>& rows)
               -> std::pair<double, uint64_t> {
             if (rows.empty()) return {0.0, 0};
-            std::vector<uint64_t> indices = CollectBatchIndices(rows);
-            Result<std::vector<double>> pulled = weight.PullSparse(indices);
+            BatchIndex batch_index = CollectBatchIndices(rows);
+            Result<std::vector<double>> pulled =
+                weight.PullSparse(batch_index.keys);
             PS2_CHECK(pulled.ok()) << pulled.status();
-            std::unordered_map<uint64_t, double> w_local;
-            for (size_t k = 0; k < indices.size(); ++k) {
-              w_local.emplace(indices[k], (*pulled)[k]);
-            }
-            double loss = 0;
-            for (const Example& ex : rows) {
-              double margin = 0;
-              const auto& idx = ex.features.indices();
-              const auto& val = ex.features.values();
-              for (size_t k = 0; k < idx.size(); ++k) {
-                auto it = w_local.find(idx[k]);
-                if (it != w_local.end()) margin += val[k] * it->second;
-              }
-              loss += loss_kind == GlmLossKind::kLogistic
-                          ? LogisticLoss(margin, ex.label)
-                          : HingeLoss(margin, ex.label);
-            }
+            // The gradient pass's loss; its gradient goes unused here.
+            BatchGradient bg = ComputeBatchGradient(rows, batch_index,
+                                                    pulled->data(), loss_kind);
             task.AddWorkerOps(rows.size() * 8);
-            return {loss, rows.size()};
+            return {bg.loss_sum, bg.count};
           });
   double loss_sum = 0;
   uint64_t count = 0;

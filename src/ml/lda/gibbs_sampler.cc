@@ -101,22 +101,22 @@ LdaPartitionState::SweepResult LdaPartitionState::Sweep(
     std::vector<uint32_t>& nd = doc_topic_[d];
     const double doc_len = static_cast<double>(docs_[d].tokens.size());
     for (size_t t = 0; t < docs_[d].tokens.size(); ++t, ++flat) {
-      const uint32_t w_local = token_word_local_[flat];
+      const uint32_t local_word = token_word_local_[flat];
       const uint32_t old_topic = z_[d][t];
 
       // Remove the token from all counts (clamping guards against transient
       // negatives caused by stale counts from concurrent workers).
       nd[old_topic] -= 1;
       std::vector<double>& old_row = (*nwt_local)[old_topic];
-      old_row[w_local] = std::max(0.0, old_row[w_local] - 1.0);
+      old_row[local_word] = std::max(0.0, old_row[local_word] - 1.0);
       (*nt)[old_topic] = std::max(0.0, (*nt)[old_topic] - 1.0);
-      delta[old_topic][w_local] -= 1.0;
+      delta[old_topic][local_word] -= 1.0;
       result.topic_total_deltas[old_topic] -= 1.0;
 
       // Sampling weights: (N_dk + a) (N_wk + b) / (N_k + V b).
       double total = 0.0;
       for (uint32_t k = 0; k < k_topics; ++k) {
-        double wgt = (nd[k] + alpha) * ((*nwt_local)[k][w_local] + beta) /
+        double wgt = (nd[k] + alpha) * ((*nwt_local)[k][local_word] + beta) /
                      ((*nt)[k] + v_beta);
         weights[k] = wgt;
         total += wgt;
@@ -137,9 +137,9 @@ LdaPartitionState::SweepResult LdaPartitionState::Sweep(
           std::log(total / (doc_len - 1.0 + k_topics * alpha));
 
       nd[new_topic] += 1;
-      (*nwt_local)[new_topic][w_local] += 1.0;
+      (*nwt_local)[new_topic][local_word] += 1.0;
       (*nt)[new_topic] += 1.0;
-      delta[new_topic][w_local] += 1.0;
+      delta[new_topic][local_word] += 1.0;
       result.topic_total_deltas[new_topic] += 1.0;
       z_[d][t] = new_topic;
       ++result.tokens;

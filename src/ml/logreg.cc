@@ -1,7 +1,9 @@
 #include "ml/logreg.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <cstdint>
+#include <utility>
 
 #include "common/logging.h"
 #include "ml/async_glm.h"
@@ -9,29 +11,69 @@
 
 namespace ps2 {
 
-std::vector<uint64_t> CollectBatchIndices(const std::vector<Example>& batch) {
-  std::vector<uint64_t> idx;
+BatchIndex CollectBatchIndices(const std::vector<Example>& batch) {
+  size_t nnz = 0;
+  for (const Example& ex : batch) nnz += ex.features.nnz();
+  PS2_CHECK_LE(nnz, uint64_t{UINT32_MAX});
+  // Every nonzero's (key, position) pair, sorted by key with an LSD radix
+  // sort: one pass per 11-bit digit the largest key has, so a batch over a
+  // 2M-feature space takes two counting passes where a comparison sort
+  // takes ~14 mispredicted rounds.
+  std::vector<uint64_t> key(nnz), key_next(nnz);
+  std::vector<uint32_t> pos(nnz), pos_next(nnz);
+  uint64_t max_key = 0;
+  size_t i = 0;
   for (const Example& ex : batch) {
-    idx.insert(idx.end(), ex.features.indices().begin(),
-               ex.features.indices().end());
+    for (uint64_t j : ex.features.indices()) {
+      key[i] = j;
+      pos[i] = static_cast<uint32_t>(i);
+      max_key = std::max(max_key, j);
+      ++i;
+    }
   }
-  std::sort(idx.begin(), idx.end());
-  idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
-  return idx;
+  constexpr int kDigitBits = 11;
+  constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
+  for (int shift = 0; shift < 64 && (max_key >> shift) != 0;
+       shift += kDigitBits) {
+    std::array<uint32_t, kDigitMask + 1> start{};
+    for (uint64_t k : key) ++start[(k >> shift) & kDigitMask];
+    uint32_t sum = 0;
+    for (uint32_t& s : start) sum += std::exchange(s, sum);
+    for (size_t n = 0; n < nnz; ++n) {
+      const uint32_t to = start[(key[n] >> shift) & kDigitMask]++;
+      key_next[to] = key[n];
+      pos_next[to] = pos[n];
+    }
+    key.swap(key_next);
+    pos.swap(pos_next);
+  }
+  BatchIndex out;
+  out.keys.reserve(nnz);
+  out.slots.resize(nnz);
+  for (size_t n = 0; n < nnz; ++n) {
+    if (out.keys.empty() || out.keys.back() != key[n]) {
+      out.keys.push_back(key[n]);
+    }
+    out.slots[pos[n]] = static_cast<uint32_t>(out.keys.size() - 1);
+  }
+  return out;
 }
 
-BatchGradient ComputeBatchGradient(
-    const std::vector<Example>& batch,
-    const std::function<double(uint64_t)>& weight_at, GlmLossKind loss) {
+BatchGradient ComputeBatchGradient(const std::vector<Example>& rows,
+                                   const BatchIndex& batch,
+                                   const double* w_at_slot, GlmLossKind loss) {
   BatchGradient out;
-  std::unordered_map<uint64_t, double> grad;
-  for (const Example& ex : batch) {
+  const size_t n = batch.keys.size();
+  std::vector<double> grad(n, 0.0);
+  // A key enters the gradient only once an example with a nonzero scale
+  // touches it, as a sparse accumulator would have it.
+  std::vector<uint8_t> touched(n, 0);
+  const uint32_t* slot = batch.slots.data();
+  for (const Example& ex : rows) {
+    const std::vector<double>& val = ex.features.values();
+    const size_t nnz = val.size();
     double margin = 0.0;
-    const auto& idx = ex.features.indices();
-    const auto& val = ex.features.values();
-    for (size_t k = 0; k < idx.size(); ++k) {
-      margin += val[k] * weight_at(idx[k]);
-    }
+    for (size_t k = 0; k < nnz; ++k) margin += val[k] * w_at_slot[slot[k]];
     double scale = 0.0;
     if (loss == GlmLossKind::kLogistic) {
       out.loss_sum += LogisticLoss(margin, ex.label);
@@ -42,23 +84,39 @@ BatchGradient ComputeBatchGradient(
       scale = (y * margin < 1.0) ? -y : 0.0;
     }
     if (scale != 0.0) {
-      for (size_t k = 0; k < idx.size(); ++k) {
-        grad[idx[k]] += scale * val[k];
+      for (size_t k = 0; k < nnz; ++k) {
+        grad[slot[k]] += scale * val[k];
+        touched[slot[k]] = 1;
       }
     }
-    out.ops += 4 * idx.size() + 8;
+    out.ops += 4 * nnz + 8;
     ++out.count;
+    slot += nnz;
   }
+  PS2_DCHECK(slot == batch.slots.data() + batch.slots.size())
+      << "batch index built from other rows";
   std::vector<uint64_t> gi;
   std::vector<double> gv;
-  gi.reserve(grad.size());
-  gv.reserve(grad.size());
-  for (const auto& [j, g] : grad) {
-    gi.push_back(j);
-    gv.push_back(g);
+  gi.reserve(n);
+  gv.reserve(n);
+  for (size_t s = 0; s < n; ++s) {
+    if (touched[s] == 0) continue;
+    gi.push_back(batch.keys[s]);
+    gv.push_back(grad[s]);
   }
-  out.gradient = SparseVector(std::move(gi), std::move(gv));
+  out.gradient = SparseVector::FromSorted(std::move(gi), std::move(gv));
   return out;
+}
+
+BatchGradient ComputeDenseBatchGradient(const std::vector<Example>& rows,
+                                        const std::vector<double>& w,
+                                        GlmLossKind loss) {
+  BatchIndex batch_index = CollectBatchIndices(rows);
+  std::vector<double> w_at_slot(batch_index.keys.size());
+  for (size_t s = 0; s < w_at_slot.size(); ++s) {
+    w_at_slot[s] = w[batch_index.keys[s]];
+  }
+  return ComputeBatchGradient(rows, batch_index, w_at_slot.data(), loss);
 }
 
 Result<TrainReport> TrainGlmPs2(DcvContext* ctx, const Dataset<Example>& data,
@@ -114,23 +172,13 @@ Result<TrainReport> TrainGlmPs2(DcvContext* ctx, const Dataset<Example>& data,
             [&](TaskContext& task, const std::vector<Example>& rows)
                 -> std::pair<double, uint64_t> {
               if (rows.empty()) return {0.0, 0};
-              std::vector<uint64_t> indices = CollectBatchIndices(rows);
+              BatchIndex batch_index = CollectBatchIndices(rows);
               Result<std::vector<double>> pulled =
-                  weight.PullSparse(indices);
+                  weight.PullSparse(batch_index.keys);
               PS2_CHECK(pulled.ok()) << pulled.status();
-              std::unordered_map<uint64_t, double> w_local;
-              w_local.reserve(indices.size() * 2);
-              for (size_t k = 0; k < indices.size(); ++k) {
-                w_local.emplace(indices[k], (*pulled)[k]);
-              }
               BatchGradient bg = ComputeBatchGradient(
-                  rows,
-                  [&w_local](uint64_t j) {
-                    auto it = w_local.find(j);
-                    return it == w_local.end() ? 0.0 : it->second;
-                  },
-                  loss_kind);
-              task.AddWorkerOps(bg.ops + indices.size());
+                  rows, batch_index, pulled->data(), loss_kind);
+              task.AddWorkerOps(bg.ops + batch_index.keys.size());
               // Gradient push is the task's LAST operation (the paper's
               // task-failure-safety argument, §5.3).
               PS2_CHECK_OK(gradient.Add(bg.gradient));

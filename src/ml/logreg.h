@@ -15,7 +15,6 @@
 // The same gradient math is exported for the baseline trainers.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -75,13 +74,36 @@ struct BatchGradient {
   uint64_t ops = 0;  ///< scalar ops spent computing it
 };
 
-/// Sorted unique feature ids appearing in `batch`.
-std::vector<uint64_t> CollectBatchIndices(const std::vector<Example>& batch);
+/// \brief A mini-batch's feature support in slot form.
+///
+/// `keys` are the sorted unique feature ids the batch touches — what a
+/// worker pulls. `slots` has one entry per nonzero of the batch, examples in
+/// order, each the position of that nonzero's feature id in `keys`. Every
+/// per-feature array of the step (pulled weights, gradient) is indexed by
+/// slot, so the step needs no key lookups.
+struct BatchIndex {
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> slots;
+};
 
-/// Computes the unnormalized batch gradient; `weight_at(j)` returns w_j.
-BatchGradient ComputeBatchGradient(
-    const std::vector<Example>& batch,
-    const std::function<double(uint64_t)>& weight_at, GlmLossKind loss);
+/// Builds the slot index of `batch`.
+BatchIndex CollectBatchIndices(const std::vector<Example>& batch);
+
+/// Computes the unnormalized gradient of `rows`, the examples `batch` was
+/// built from; `w_at_slot[s]` is the weight of feature `batch.keys[s]`. The
+/// gradient comes out sorted by key and holds every key of an example with a
+/// nonzero gradient scale (so a hinge batch omits keys that only
+/// zero-scale examples touch).
+BatchGradient ComputeBatchGradient(const std::vector<Example>& rows,
+                                   const BatchIndex& batch,
+                                   const double* w_at_slot, GlmLossKind loss);
+
+/// ComputeBatchGradient for trainers that hold the whole dense model `w`
+/// (the MLlib, MLlib*, DistML and Petuum baselines): gathers `w` at the
+/// batch keys.
+BatchGradient ComputeDenseBatchGradient(const std::vector<Example>& rows,
+                                        const std::vector<double>& w,
+                                        GlmLossKind loss);
 
 /// \brief Trains a GLM with the full PS2/DCV machinery.
 ///

@@ -320,6 +320,15 @@ Status DeltaQuantFilter::DecodeChunk(FilterContext* ctx,
   if (mode != kQuantModeDeltaVarint && mode != kQuantModeFixed16) {
     return Status::OutOfRange("unknown quantized value coding");
   }
+  // A value takes at least one byte (a varint) or exactly two (fixed16):
+  // reject a count the chunk cannot hold before sizing the output from it.
+  const size_t min_bytes = mode == kQuantModeDeltaVarint ? 1 : 2;
+  if (chunk.count > r.remaining() / min_bytes) {
+    return Status::OutOfRange("quantized value count exceeds its chunk");
+  }
+  const size_t base = out->size();
+  out->resize(base + chunk.count * sizeof(double));
+  uint8_t* dst = out->data() + base;
   int64_t q = 0;
   for (uint64_t i = 0; i < chunk.count; ++i) {
     if (mode == kQuantModeDeltaVarint) {
@@ -332,8 +341,7 @@ Status DeltaQuantFilter::DecodeChunk(FilterContext* ctx,
       q = static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
     }
     const double v = static_cast<double>(q) * chunk.scale;
-    const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-    out->insert(out->end(), p, p + sizeof(double));
+    std::memcpy(dst + i * sizeof(double), &v, sizeof(double));
   }
   if (!r.AtEnd()) {
     return Status::OutOfRange("trailing bytes in quantized value chunk");

@@ -905,11 +905,7 @@ PsFuture<std::vector<double>> PsClient::PullSparseAsync(
     writer.WriteVarint(ref.row);
     writer.WriteVarint(j - i);
     writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (size_t k = i; k < j; ++k) {
-      writer.WriteVarint(indices[k] - prev);
-      prev = indices[k];
-    }
+    writer.WriteDeltaKeys(indices.data() + i, j - i);
     writer.EndSection();
     requests.push_back(MakeRouted(meta, p, &writer));
     runs.emplace_back(i, j);
@@ -929,9 +925,7 @@ PsFuture<std::vector<double>> PsClient::PullSparseAsync(
           if (n != hi - lo) {
             return Status::Internal("sparse pull count mismatch");
           }
-          for (size_t k = lo; k < hi; ++k) {
-            PS2_ASSIGN_OR_RETURN(out[k], reader.ReadF64());
-          }
+          PS2_RETURN_NOT_OK(reader.ReadF64Into(out.data() + lo, n));
         }
         return out;
       });
@@ -1016,11 +1010,7 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
       if (e.idx_hi > e.idx_lo) {
         const std::vector<uint64_t>& idx = reads[e.read].indices;
         writer.BeginSection(SectionKind::kKeys);
-        uint64_t prev = 0;
-        for (size_t k = e.idx_lo; k < e.idx_hi; ++k) {
-          writer.WriteVarint(idx[k] - prev);
-          prev = idx[k];
-        }
+        writer.WriteDeltaKeys(idx.data() + e.idx_lo, e.idx_hi - e.idx_lo);
         writer.EndSection();
       }
     }
@@ -1088,14 +1078,10 @@ PsFuture<Ack> PsClient::PushDenseAsync(RowRef ref,
     writer.WriteVarint(ref.row);
     writer.WriteVarint(idx.size());
     writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (uint64_t col : idx) {
-      writer.WriteVarint(col - prev);
-      prev = col;
-    }
+    writer.WriteDeltaKeys(idx.data(), idx.size());
     writer.EndSection();
     writer.BeginSection(SectionKind::kF64Values);
-    for (double v : val) writer.WriteF64(v);
+    writer.WriteF64Span(val.data(), val.size());
     writer.EndSection();
     std::vector<ServerRequest> requests;
     requests.push_back(
@@ -1142,14 +1128,10 @@ PsFuture<Ack> PsClient::PushSparseAsync(RowRef ref, const SparseVector& delta) {
     writer.WriteVarint(ref.row);
     writer.WriteVarint(delta.nnz());
     writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (uint64_t col : delta.indices()) {
-      writer.WriteVarint(col - prev);
-      prev = col;
-    }
+    writer.WriteDeltaKeys(delta.indices().data(), delta.nnz());
     writer.EndSection();
     writer.BeginSection(SectionKind::kF64Values);
-    for (double v : delta.values()) writer.WriteF64(v);
+    writer.WriteF64Span(delta.values().data(), delta.nnz());
     writer.EndSection();
     std::vector<ServerRequest> requests;
     requests.push_back(
@@ -1172,14 +1154,10 @@ PsFuture<Ack> PsClient::PushSparseAsync(RowRef ref, const SparseVector& delta) {
     writer.WriteVarint(ref.row);
     writer.WriteVarint(j - i);
     writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (size_t k = i; k < j; ++k) {
-      writer.WriteVarint(idx[k] - prev);
-      prev = idx[k];
-    }
+    writer.WriteDeltaKeys(idx.data() + i, j - i);
     writer.EndSection();
     writer.BeginSection(SectionKind::kF64Values);
-    for (size_t k = i; k < j; ++k) writer.WriteF64(val[k]);
+    writer.WriteF64Span(val.data() + i, j - i);
     writer.EndSection();
     requests.push_back(MakeRouted(meta, p, &writer));
     i = j;
@@ -1679,11 +1657,7 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullSparseRowsAsync(
     writer.WriteU8(compress_counts ? 1 : 0);
     writer.WriteVarint(j - i);
     writer.BeginSection(SectionKind::kKeys);
-    uint64_t prev = 0;
-    for (size_t k = i; k < j; ++k) {
-      writer.WriteVarint(indices[k] - prev);
-      prev = indices[k];
-    }
+    writer.WriteDeltaKeys(indices.data() + i, j - i);
     writer.EndSection();
     writer.WriteVarint(rows.size());
     for (const RowRef& r : rows) {
@@ -1774,11 +1748,7 @@ PsFuture<Ack> PsClient::PushSparseRowsAsync(
       writer.WriteVarint(rows[r].row);
       writer.WriteVarint(se - sb);
       writer.BeginSection(SectionKind::kKeys);
-      uint64_t prev = 0;
-      for (size_t k = sb; k < se; ++k) {
-        writer.WriteVarint(idx[k] - prev);
-        prev = idx[k];
-      }
+      writer.WriteDeltaKeys(idx.data() + sb, se - sb);
       writer.EndSection();
       if (compress_counts) {
         for (size_t k = sb; k < se; ++k) {
@@ -1786,7 +1756,7 @@ PsFuture<Ack> PsClient::PushSparseRowsAsync(
         }
       } else {
         writer.BeginSection(SectionKind::kF64Values);
-        for (size_t k = sb; k < se; ++k) writer.WriteF64(val[k]);
+        writer.WriteF64Span(val.data() + sb, se - sb);
         writer.EndSection();
       }
     }

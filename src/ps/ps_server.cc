@@ -39,6 +39,40 @@ Result<RowRef> ReadRow(BufferReader* in) {
   return RowRef{static_cast<int>(m), static_cast<uint32_t>(r)};
 }
 
+/// Decodes `n` delta-varint keys and rejects the list if any key falls
+/// outside [lo, hi).
+Result<std::vector<uint64_t>> ReadKeysInRange(BufferReader* in, uint64_t n,
+                                              uint64_t lo, uint64_t hi,
+                                              const char* out_of_range) {
+  std::vector<uint64_t> keys(n);
+  PS2_RETURN_NOT_OK(in->ReadDeltaKeys(keys.data(), n));
+  for (uint64_t key : keys) {
+    if (key < lo || key >= hi) return Status::OutOfRange(out_of_range);
+  }
+  return keys;
+}
+
+/// `n` delta-varint keys, then their `n` f64 values: the body of kPushSparse
+/// and kHotPush, and of a migrated sparse row.
+struct SparseEntries {
+  std::vector<uint64_t> keys;
+  std::vector<double> values;
+};
+
+/// Decodes a whole SparseEntries body and range-checks its keys before the
+/// caller applies any of it, so a truncated or out-of-range body changes
+/// nothing.
+Result<SparseEntries> ReadSparseEntries(BufferReader* in, uint64_t n,
+                                        uint64_t lo, uint64_t hi,
+                                        const char* out_of_range) {
+  SparseEntries entries;
+  PS2_ASSIGN_OR_RETURN(entries.keys,
+                       ReadKeysInRange(in, n, lo, hi, out_of_range));
+  entries.values.resize(n);
+  PS2_RETURN_NOT_OK(in->ReadF64Into(entries.values.data(), n));
+  return entries;
+}
+
 }  // namespace
 
 uint64_t ApplyColumnOp(ColOpKind kind, double* dst, const double* a,
@@ -681,50 +715,38 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparse(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
   PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(1));  // index varints
   RecordPull(ref.matrix_id, ref.row);
-  if (Replica* replica = FindReplica(ref.matrix_id, ref.row)) {
-    // Replica serves any index of the row (no partition-range check).
-    HandleResult out;
-    BufferWriter writer;
-    writer.WriteVarint(n);
-    writer.BeginSection(SectionKind::kF64Values);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-      prev += delta;
-      if (prev >= replica->dim) {
-        return Status::OutOfRange("pull index outside replica");
-      }
-      writer.WriteF64(replica->values[prev]);
-    }
-    writer.EndSection();
-    out.server_ops = n;
-    out.response_sections = writer.TakeSections();
-    out.response = writer.Release();
-    return out;
-  }
-  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
-  HandleResult out;
-  BufferWriter writer;
-  writer.WriteVarint(n);
-  writer.BeginSection(SectionKind::kF64Values);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-    uint64_t col = prev + delta;
-    prev = col;
-    if (col < shard->begin || col >= shard->end) {
-      return Status::OutOfRange("pull index outside server range");
-    }
-    double value;
+  // Decode and range-check the whole key list, then gather in one pass. An
+  // installed replica serves any index of the row (no partition-range
+  // check).
+  std::vector<double> values(n);
+  if (const Replica* replica = FindReplica(ref.matrix_id, ref.row)) {
+    PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
+                         ReadKeysInRange(in, n, 0, replica->dim,
+                                         "pull index outside replica"));
+    for (uint64_t i = 0; i < n; ++i) values[i] = replica->values[keys[i]];
+  } else {
+    PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
+    PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
+                         ReadKeysInRange(in, n, shard->begin, shard->end,
+                                         "pull index outside server range"));
     if (shard->dense()) {
-      value = shard->dense_rows[ref.row][col - shard->begin];
+      const double* row = shard->dense_rows[ref.row].data();
+      for (uint64_t i = 0; i < n; ++i) {
+        values[i] = row[keys[i] - shard->begin];
+      }
     } else {
       const auto& map = shard->sparse_rows[ref.row];
-      auto it = map.find(col);
-      value = it == map.end() ? 0.0 : it->second;
+      for (uint64_t i = 0; i < n; ++i) {
+        auto it = map.find(keys[i]);
+        values[i] = it == map.end() ? 0.0 : it->second;
+      }
     }
-    writer.WriteF64(value);
   }
+  HandleResult out;
+  BufferWriter writer(kMaxVarintBytes + n * sizeof(double));
+  writer.WriteVarint(n);
+  writer.BeginSection(SectionKind::kF64Values);
+  writer.WriteF64Span(values.data(), n);
   writer.EndSection();
   out.server_ops = n;
   out.response_sections = writer.TakeSections();
@@ -762,23 +784,19 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(1 + sizeof(double)));
   RecordPush(ref.matrix_id, ref.row);
   PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
-  std::vector<uint64_t> cols(n);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-    prev += delta;
-    cols[i] = prev;
-    if (prev < shard->begin || prev >= shard->end) {
-      return Status::OutOfRange("push index outside server range");
-    }
-  }
+  PS2_ASSIGN_OR_RETURN(SparseEntries write,
+                       ReadSparseEntries(in, n, shard->begin, shard->end,
+                                         "push index outside server range"));
   TouchRowLocked(shard, ref.row);
-  for (uint64_t i = 0; i < n; ++i) {
-    PS2_ASSIGN_OR_RETURN(double v, in->ReadF64());
-    if (shard->dense()) {
-      shard->dense_rows[ref.row][cols[i] - shard->begin] += v;
-    } else if (v != 0.0) {
-      shard->sparse_rows[ref.row][cols[i]] += v;
+  if (shard->dense()) {
+    double* row = shard->dense_rows[ref.row].data();
+    for (uint64_t i = 0; i < n; ++i) {
+      row[write.keys[i] - shard->begin] += write.values[i];
+    }
+  } else {
+    auto& map = shard->sparse_rows[ref.row];
+    for (uint64_t i = 0; i < n; ++i) {
+      if (write.values[i] != 0.0) map[write.keys[i]] += write.values[i];
     }
   }
   HandleResult out;
@@ -1083,12 +1101,7 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparseRowsBatch(
   PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
   PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadCount(1));  // index varints
   std::vector<uint64_t> cols(n_idx);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < n_idx; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-    prev += delta;
-    cols[i] = prev;
-  }
+  PS2_RETURN_NOT_OK(in->ReadDeltaKeys(cols.data(), n_idx));
   PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadVarint());
   HandleResult out;
   BufferWriter writer;
@@ -1140,23 +1153,19 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
     uint64_t w = 0, b = 0;
     PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
     rows.emplace_back(ref, nnz);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < nnz; ++i) {
-      PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-      prev += delta;
-      if (prev < b || prev >= b + w) {
-        return Status::OutOfRange("push index outside server range");
-      }
-      cells.push_back(p + (prev - b));
-    }
-    for (uint64_t i = 0; i < nnz; ++i) {
-      if (compress != 0) {
+    PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
+                         ReadKeysInRange(in, nnz, b, b + w,
+                                         "push index outside server range"));
+    for (uint64_t key : keys) cells.push_back(p + (key - b));
+    const size_t base = vals.size();
+    vals.resize(base + nnz);
+    if (compress != 0) {
+      for (uint64_t i = 0; i < nnz; ++i) {
         PS2_ASSIGN_OR_RETURN(int64_t iv, in->ReadSignedVarint());
-        vals.push_back(static_cast<double>(iv));
-      } else {
-        PS2_ASSIGN_OR_RETURN(double fv, in->ReadF64());
-        vals.push_back(fv);
+        vals[base + i] = static_cast<double>(iv);
       }
+    } else {
+      PS2_RETURN_NOT_OK(in->ReadF64Into(vals.data() + base, nnz));
     }
   }
   HandleResult out;
@@ -1274,19 +1283,12 @@ Result<PsServer::HandleResult> PsServer::HandleHotPush(BufferReader* in) {
     return Status::FailedPrecondition("hot push to a row without a replica");
   }
   Replica& replica = it->second;
-  std::vector<uint64_t> cols(nnz);
-  uint64_t prev = 0;
+  PS2_ASSIGN_OR_RETURN(SparseEntries write,
+                       ReadSparseEntries(in, nnz, 0, replica.dim,
+                                         "push index outside replica"));
   for (uint64_t i = 0; i < nnz; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-    prev += delta;
-    if (prev >= replica.dim) {
-      return Status::OutOfRange("push index outside replica");
-    }
-    cols[i] = prev;
-  }
-  for (uint64_t i = 0; i < nnz; ++i) {
-    PS2_ASSIGN_OR_RETURN(double v, in->ReadF64());
-    if (v != 0.0) replica.pending[cols[i]] += v;
+    const double v = write.values[i];
+    if (v != 0.0) replica.pending[write.keys[i]] += v;
   }
   HandleResult out;
   out.server_ops = nnz;
@@ -1349,24 +1351,21 @@ Result<PsServer::HandleResult> PsServer::HandleServingPull(BufferReader* in) {
       writer.EndSection();
       out.server_ops += w;
     } else {
+      PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
+                           ReadKeysInRange(in, n_idx, shard.begin, shard.end,
+                                           "pull index outside server range"));
+      std::vector<double> values(n_idx);
+      for (uint64_t i = 0; i < n_idx; ++i) {
+        if (shard.dense) {
+          values[i] = (*snaprow.dense)[keys[i] - shard.begin];
+        } else {
+          auto vit = snaprow.sparse->find(keys[i]);
+          values[i] = vit == snaprow.sparse->end() ? 0.0 : vit->second;
+        }
+      }
       writer.WriteVarint(n_idx);
       writer.BeginSection(SectionKind::kF64Values);
-      uint64_t prev = 0;
-      for (uint64_t i = 0; i < n_idx; ++i) {
-        PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-        prev += delta;
-        if (prev < shard.begin || prev >= shard.end) {
-          return Status::OutOfRange("pull index outside server range");
-        }
-        double value;
-        if (shard.dense) {
-          value = (*snaprow.dense)[prev - shard.begin];
-        } else {
-          auto vit = snaprow.sparse->find(prev);
-          value = vit == snaprow.sparse->end() ? 0.0 : vit->second;
-        }
-        writer.WriteF64(value);
-      }
+      writer.WriteF64Span(values.data(), n_idx);
       writer.EndSection();
       out.server_ops += n_idx;
     }
@@ -1482,19 +1481,12 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
     for (uint64_t r = 0; r < num_rows; ++r) {
       // Each entry: a column varint, then (after all columns) an f64 value.
       PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount(1 + sizeof(double)));
-      std::vector<uint64_t> cols(nnz);
-      uint64_t prev = 0;
+      PS2_ASSIGN_OR_RETURN(SparseEntries entries,
+                           ReadSparseEntries(in, nnz, staged.begin,
+                                             staged.end,
+                                             "staged column outside range"));
       for (uint64_t i = 0; i < nnz; ++i) {
-        PS2_ASSIGN_OR_RETURN(uint64_t delta, in->ReadVarint());
-        prev += delta;
-        if (prev < staged.begin || prev >= staged.end) {
-          return Status::OutOfRange("staged column outside range");
-        }
-        cols[i] = prev;
-      }
-      for (uint64_t i = 0; i < nnz; ++i) {
-        PS2_ASSIGN_OR_RETURN(double v, in->ReadF64());
-        staged.sparse_rows[r][cols[i]] = v;
+        staged.sparse_rows[r][entries.keys[i]] = entries.values[i];
       }
       out.server_ops += nnz;
     }

@@ -103,6 +103,35 @@ TEST(SerdeTest, VarintVectorRoundTrip) {
   EXPECT_EQ(*r.ReadVarintVector(), values);
 }
 
+TEST(SerdeTest, DeltaKeysMatchPerKeyVarintsAndRoundTrip) {
+  const std::vector<uint64_t> keys{0, 1, 127, 128, 16511,
+                                   std::numeric_limits<uint64_t>::max()};
+  BufferWriter bulk;
+  bulk.WriteU8(9);  // the bulk write appends after existing bytes
+  bulk.WriteDeltaKeys(keys.data(), keys.size());
+  BufferWriter per_key;
+  per_key.WriteU8(9);
+  uint64_t prev = 0;
+  for (uint64_t k : keys) {
+    per_key.WriteVarint(k - prev);
+    prev = k;
+  }
+  EXPECT_EQ(bulk.buffer(), per_key.buffer());
+
+  BufferReader r(bulk.buffer());
+  ASSERT_EQ(*r.ReadU8(), 9);
+  std::vector<uint64_t> back(keys.size());
+  ASSERT_TRUE(r.ReadDeltaKeys(back.data(), back.size()).ok());
+  EXPECT_EQ(back, keys);
+  EXPECT_TRUE(r.AtEnd());
+
+  // One key short of the buffer: a clean OutOfRange, never a read past it.
+  std::vector<uint8_t> cut(bulk.buffer().begin(), bulk.buffer().end() - 1);
+  BufferReader t(cut);
+  ASSERT_TRUE(t.ReadU8().ok());
+  EXPECT_TRUE(t.ReadDeltaKeys(back.data(), back.size()).IsOutOfRange());
+}
+
 TEST(SerdeTest, ReadPastEndFails) {
   BufferWriter w;
   w.WriteU32(5);

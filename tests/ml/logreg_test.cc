@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <unordered_map>
+
+#include "common/rng.h"
+
 #include "data/classification_gen.h"
 #include "ml/linear_svm.h"
 #include "ml/metrics.h"
@@ -132,8 +138,8 @@ TEST_F(LogregTest, BatchGradientMatchesManualComputation) {
   batch[1].features = SparseVector({1}, {1.0});
   batch[1].label = 0.0;
   std::vector<double> w{0.5, -0.5};
-  BatchGradient bg = ComputeBatchGradient(
-      batch, [&](uint64_t j) { return w[j]; }, GlmLossKind::kLogistic);
+  BatchGradient bg =
+      ComputeDenseBatchGradient(batch, w, GlmLossKind::kLogistic);
   EXPECT_EQ(bg.count, 2u);
   // margin0 = 0.5 - 1.0 = -0.5, scale0 = sigmoid(-0.5) - 1
   // margin1 = -0.5,        scale1 = sigmoid(-0.5) - 0
@@ -149,8 +155,128 @@ TEST_F(LogregTest, CollectBatchIndicesSortedUnique) {
   std::vector<Example> batch(2);
   batch[0].features = SparseVector({5, 1}, {1, 1});
   batch[1].features = SparseVector({5, 9}, {1, 1});
-  std::vector<uint64_t> idx = CollectBatchIndices(batch);
-  EXPECT_EQ(idx, (std::vector<uint64_t>{1, 5, 9}));
+  BatchIndex index = CollectBatchIndices(batch);
+  EXPECT_EQ(index.keys, (std::vector<uint64_t>{1, 5, 9}));
+  // One slot per nonzero, examples in order: {1, 5} then {5, 9}.
+  EXPECT_EQ(index.slots, (std::vector<uint32_t>{0, 1, 1, 2}));
+}
+
+// A hash-map accumulator over a per-key weight lookup: the reference the
+// slot-indexed ComputeBatchGradient must match bit for bit.
+BatchGradient ReferenceBatchGradient(
+    const std::vector<Example>& batch,
+    const std::function<double(uint64_t)>& weight_at, GlmLossKind loss) {
+  BatchGradient out;
+  std::unordered_map<uint64_t, double> grad;
+  for (const Example& ex : batch) {
+    double margin = 0.0;
+    const auto& idx = ex.features.indices();
+    const auto& val = ex.features.values();
+    for (size_t k = 0; k < idx.size(); ++k) {
+      margin += val[k] * weight_at(idx[k]);
+    }
+    double scale = 0.0;
+    if (loss == GlmLossKind::kLogistic) {
+      out.loss_sum += LogisticLoss(margin, ex.label);
+      scale = LogisticGradientScale(margin, ex.label);
+    } else {
+      out.loss_sum += HingeLoss(margin, ex.label);
+      double y = ex.label > 0.5 ? 1.0 : -1.0;
+      scale = (y * margin < 1.0) ? -y : 0.0;
+    }
+    if (scale != 0.0) {
+      for (size_t k = 0; k < idx.size(); ++k) {
+        grad[idx[k]] += scale * val[k];
+      }
+    }
+    out.ops += 4 * idx.size() + 8;
+    ++out.count;
+  }
+  std::vector<uint64_t> gi;
+  std::vector<double> gv;
+  for (const auto& [j, g] : grad) {
+    gi.push_back(j);
+    gv.push_back(g);
+  }
+  out.gradient = SparseVector(std::move(gi), std::move(gv));
+  return out;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out;
+  for (double x : v) out.push_back(Bits(x));
+  return out;
+}
+
+TEST(BatchGradientTest, SlotIndexedMatchesHashMapReferenceBitForBit) {
+  Rng rng(0x51075);
+  // A 40-feature space, so examples share most of their features.
+  constexpr uint64_t kDim = 40;
+  int zero_scale_batches = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    // Trial 0 is the empty batch; every batch may hold empty rows.
+    const size_t rows = trial == 0 ? 0 : 1 + rng.NextUint64(24);
+    std::vector<Example> batch(rows);
+    for (Example& ex : batch) {
+      std::vector<uint64_t> idx;
+      std::vector<double> val;
+      const size_t nnz = rng.NextUint64(12);  // 0: an empty row
+      for (size_t k = 0; k < nnz; ++k) {
+        idx.push_back(rng.NextUint64(kDim));
+        val.push_back(rng.NextDouble(-2.0, 2.0));
+      }
+      ex.features = SparseVector(std::move(idx), std::move(val));
+      ex.label = rng.NextBernoulli(0.5) ? 1.0 : 0.0;
+    }
+    // Large weights push many hinge margins past 1: zero-scale examples.
+    std::vector<double> w(kDim);
+    for (double& x : w) x = rng.NextDouble(-3.0, 3.0);
+
+    BatchIndex index = CollectBatchIndices(batch);
+    std::vector<double> w_at_slot;
+    for (uint64_t j : index.keys) w_at_slot.push_back(w[j]);
+    for (GlmLossKind loss : {GlmLossKind::kLogistic, GlmLossKind::kHinge}) {
+      BatchGradient want = ReferenceBatchGradient(
+          batch, [&w](uint64_t j) { return w[j]; }, loss);
+      BatchGradient got =
+          ComputeBatchGradient(batch, index, w_at_slot.data(), loss);
+      EXPECT_EQ(got.gradient.indices(), want.gradient.indices())
+          << "trial " << trial;
+      EXPECT_EQ(Bits(got.gradient.values()), Bits(want.gradient.values()))
+          << "trial " << trial;
+      EXPECT_EQ(Bits(got.loss_sum), Bits(want.loss_sum)) << "trial " << trial;
+      EXPECT_EQ(got.count, want.count);
+      EXPECT_EQ(got.ops, want.ops);
+      // The dense-model entry point takes the same path.
+      BatchGradient dense = ComputeDenseBatchGradient(batch, w, loss);
+      EXPECT_EQ(dense.gradient.indices(), want.gradient.indices());
+      EXPECT_EQ(Bits(dense.gradient.values()), Bits(want.gradient.values()));
+      if (loss == GlmLossKind::kHinge &&
+          got.gradient.nnz() < index.keys.size()) {
+        ++zero_scale_batches;
+      }
+    }
+  }
+  // The hinge "touched" rule was exercised: some batches had keys only
+  // zero-scale examples hit, and they stayed out of the gradient.
+  EXPECT_GT(zero_scale_batches, 10);
+}
+
+TEST(BatchGradientTest, EmptyBatchGivesEmptyGradient) {
+  BatchIndex index = CollectBatchIndices({});
+  EXPECT_TRUE(index.keys.empty());
+  EXPECT_TRUE(index.slots.empty());
+  BatchGradient bg =
+      ComputeBatchGradient({}, index, nullptr, GlmLossKind::kLogistic);
+  EXPECT_EQ(bg.gradient.nnz(), 0u);
+  EXPECT_EQ(bg.count, 0u);
+  EXPECT_EQ(bg.loss_sum, 0.0);
 }
 
 }  // namespace

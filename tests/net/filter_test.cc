@@ -367,6 +367,36 @@ TEST(FilterChainTest, TruncatedWireFailsCleanly) {
   }
 }
 
+// A delta-filtered frame holding one kValuesQuant chunk that claims 2^40
+// values over a 3-byte body (a mode byte plus two varints).
+std::vector<uint8_t> ForgedQuantFrame() {
+  BufferWriter w;
+  w.WriteU8(7);  // prefix
+  w.WriteVarint(1);  // one chunk
+  w.WriteU8(FilterChunk::kValuesQuant);
+  w.WriteVarint(uint64_t{1} << 40);  // count
+  w.WriteF64(1.0);                   // scale
+  w.WriteVarint(3);                  // body length
+  w.WriteU8(0);                      // delta-varint coding
+  w.WriteU8(1);
+  w.WriteU8(1);
+  return w.Release();
+}
+
+TEST(FilterChainTest, ForgedQuantCountRejectedBeforeAllocating) {
+  FilterChain chain;
+  FilterContext ctx;
+  const std::vector<uint8_t> forged = ForgedQuantFrame();
+  Result<std::vector<uint8_t>> dec =
+      chain.Decode(Slice(forged), kFilterDelta, 1, &ctx);
+  ASSERT_FALSE(dec.ok());
+  // Rejected by the count check, not by running out of bytes after sizing
+  // an output for 2^40 values.
+  EXPECT_TRUE(dec.status().IsOutOfRange());
+  EXPECT_NE(dec.status().message().find("count exceeds"), std::string::npos)
+      << dec.status();
+}
+
 TEST(FilterChainTest, EmptyAndPrefixOnlyPayloadsPassThrough) {
   FilterChain chain;
   FilterContext ctx;

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "linalg/sparse_vector.h"
 #include "net/filter_config.h"
+#include "net/filters.h"
 #include "net/message.h"
 #include "ps/partitioner.h"
 #include "ps/ps_server.h"
@@ -173,6 +174,112 @@ TEST_F(PsFuzzTest, ForgedCompressedFrameRejected) {
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_FALSE(ok->dedup_hit);
   EXPECT_EQ(ok->server_ops, 64u);
+}
+
+// A kPullSparse / kPushSparse request for `row` of matrix 0 over a random
+// key subset, with the section marks the client's filter chain keys on.
+struct MarkedRequest {
+  std::vector<uint8_t> bytes;
+  std::vector<PayloadSection> sections;
+};
+
+MarkedRequest SparseRequest(PsOpCode op, uint32_t row, Rng* rng) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k < 64; ++k) {
+    if (rng->NextBernoulli(0.5)) keys.push_back(k);
+  }
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(op));
+  w.WriteVarint(0);
+  w.WriteVarint(row);
+  w.WriteVarint(keys.size());
+  w.BeginSection(SectionKind::kKeys);
+  w.WriteDeltaKeys(keys.data(), keys.size());
+  w.EndSection();
+  if (op == PsOpCode::kPushSparse) {
+    std::vector<double> values;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      values.push_back(rng->NextDouble(-1.0, 1.0));
+    }
+    w.BeginSection(SectionKind::kF64Values);
+    w.WriteF64Span(values.data(), values.size());
+    w.EndSection();
+  }
+  MarkedRequest req;
+  req.sections = w.TakeSections();
+  req.bytes = w.Release();
+  return req;
+}
+
+TEST_F(PsFuzzTest, FilteredFramesNeverCrash) {
+  // Under a filter mask the server runs the chain's decoders (key-cache
+  // refs, quantized value spans, LZ) before the handler parses anything.
+  // Behind real sparse-op prefixes, feed each of the 8 masks both random
+  // bodies and byte-flipped real frames: every outcome must be a Status.
+  Rng rng(0xF0224);
+  FilterChain chain;
+  ClientKeyCache client_keys;
+  RpcHeader header;
+  header.client_id = 0;
+  for (PsOpCode op : {PsOpCode::kPullSparse, PsOpCode::kPushSparse}) {
+    for (uint8_t mask = 0; mask <= kFilterAll; ++mask) {
+      for (int trial = 0; trial < 300; ++trial) {
+        std::vector<uint8_t> body(1 + rng.NextUint64(64));
+        body[0] = static_cast<uint8_t>(op);
+        for (size_t i = 1; i < body.size(); ++i) {
+          body[i] = static_cast<uint8_t>(rng.Next());
+        }
+        header.seq += 1;
+        (void)server_.Handle(header, WireFrame{Slice(body), mask});
+
+        MarkedRequest req =
+            SparseRequest(op, static_cast<uint32_t>(rng.NextUint64(4)), &rng);
+        FilterContext ctx;
+        ctx.dir = FilterDir::kClientToServer;
+        ctx.server = 0;
+        ctx.client_keys = &client_keys;
+        EncodedPayload enc =
+            chain.Encode(Slice(req.bytes), req.sections, mask, 1, &ctx);
+        std::vector<uint8_t> wire = enc.mask == 0 ? req.bytes : enc.wire;
+        const int flips = static_cast<int>(rng.NextUint64(4));  // 0: intact
+        for (int f = 0; f < flips && wire.size() > 1; ++f) {
+          wire[1 + rng.NextUint64(wire.size() - 1)] ^=
+              static_cast<uint8_t>(1 + rng.NextUint64(255));
+        }
+        header.seq += 1;
+        (void)server_.Handle(header, WireFrame{Slice(wire), enc.mask});
+      }
+    }
+  }
+  EXPECT_TRUE(server_.HasMatrix(0));
+  EXPECT_EQ(server_.StoredValues(), 4u * 64u);
+  MarkedRequest pull = SparseRequest(PsOpCode::kPullSparse, 0, &rng);
+  EXPECT_TRUE(server_.Handle(pull.bytes).ok());
+}
+
+TEST_F(PsFuzzTest, ForgedQuantCountRejected) {
+  // A delta-filtered push whose one kValuesQuant chunk claims 2^40 values
+  // over a 3-byte body: rejected with a Status, nothing sized from it.
+  BufferWriter writer;
+  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+  writer.WriteVarint(1);  // one chunk
+  writer.WriteU8(FilterChunk::kValuesQuant);
+  writer.WriteVarint(uint64_t{1} << 40);
+  writer.WriteF64(1.0);  // scale
+  writer.WriteVarint(3);
+  writer.WriteU8(0);  // delta-varint coding
+  writer.WriteU8(1);
+  writer.WriteU8(1);
+  std::vector<uint8_t> forged = writer.Release();
+  RpcHeader header;
+  header.client_id = 0;
+  header.seq = 1;
+  Result<PsServer::HandleResult> result =
+      server_.Handle(header, WireFrame{Slice(forged), kFilterDelta});
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("count exceeds"),
+            std::string::npos)
+      << result.status();
 }
 
 TEST_F(PsFuzzTest, CorruptedCheckpointRejectedWithoutCrash) {

@@ -187,6 +187,48 @@ TEST_F(PsServerTest, PushSparseRowsBatchBadSecondRowLeavesFirstUnchanged) {
   EXPECT_EQ(Pull(0, 0, 0, 16), std::vector<double>(16, 0.0));
 }
 
+// A sparse write (kPushSparse / kHotPush body) that passes the count check
+// and then runs short: n = 3, each key padded to a 4-byte varint, then only
+// two of the three f64 values. 12 + 16 bytes cover 3 x (1 + 8).
+void WriteTruncatedSparseWrite(BufferWriter* w) {
+  w->WriteVarint(3);
+  for (int k = 0; k < 3; ++k) {
+    for (uint8_t b : {0x81, 0x80, 0x80, 0x00}) w->WriteU8(b);  // delta 1
+  }
+  w->WriteF64(5.0);
+  w->WriteF64(6.0);
+}
+
+TEST_F(PsServerTest, TruncatedPushSparseAppliesNothing) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+  w.WriteVarint(0);
+  w.WriteVarint(0);
+  WriteTruncatedSparseWrite(&w);
+  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsOutOfRange());
+  EXPECT_EQ(Pull(0, 0, 0, 16), std::vector<double>(16, 0.0));
+}
+
+TEST_F(PsServerTest, TruncatedHotPushAppliesNothing) {
+  BufferWriter hot;
+  hot.WriteU8(static_cast<uint8_t>(PsOpCode::kHotSetUpdate));
+  hot.WriteVarint(1);
+  hot.WriteVarint(0);   // matrix
+  hot.WriteVarint(0);   // row
+  hot.WriteVarint(16);  // dim
+  Call(hot);
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kHotPush));
+  w.WriteVarint(0);
+  w.WriteVarint(0);
+  WriteTruncatedSparseWrite(&w);
+  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsOutOfRange());
+  Result<PsServer::ReplicaSnapshot> replica =
+      server_.DebugReplica(RowRef{0, 0});
+  ASSERT_TRUE(replica.ok()) << replica.status();
+  EXPECT_TRUE(replica->pending.empty());
+}
+
 TEST_F(PsServerTest, DotPartial) {
   PushDense(0, 0, 0, {1, 2, 3});
   PushDense(0, 1, 0, {4, 5, 6});
