@@ -22,6 +22,7 @@
 #include "bench/bench_common.h"
 #include "dcv/dcv_context.h"
 #include "linalg/kernels/kernels.h"
+#include "ml/optimizer.h"
 
 namespace ps2 {
 namespace {
@@ -90,6 +91,14 @@ void BM_Dot(benchmark::State& state) {
 }
 BENCHMARK(BM_Dot)->Arg(100000)->Arg(1000000);
 
+OptimizerOptions AdamOptions() {
+  OptimizerOptions adam;
+  adam.kind = OptimizerKind::kAdam;
+  adam.learning_rate = 0.05;
+  return adam;
+}
+
+/// The trainer's Adam zip (MakeOptimizerZip) over [w, s, v, g].
 void BM_ZipAdamStyle(benchmark::State& state) {
   Fixture f;
   const uint64_t dim = state.range(0);
@@ -97,16 +106,10 @@ void BM_ZipAdamStyle(benchmark::State& state) {
   Dcv s = *f.ctx.Derive(w);
   Dcv v = *f.ctx.Derive(w);
   Dcv g = *f.ctx.Derive(w);
-  int udf = f.ctx.RegisterZip(
-      [](const std::vector<double*>& rows, size_t n, uint64_t) -> uint64_t {
-        for (size_t i = 0; i < n; ++i) {
-          rows[1][i] = 0.999 * rows[1][i] + 0.001 * rows[3][i] * rows[3][i];
-          rows[2][i] = 0.9 * rows[2][i] + 0.1 * rows[3][i];
-          rows[0][i] -= 0.05 * rows[2][i];
-        }
-        return 8 * n;
-      });
+  auto step = std::make_shared<std::atomic<int64_t>>(0);
+  int udf = f.ctx.RegisterZip(MakeOptimizerZip(AdamOptions(), step), 4);
   for (auto _ : state) {
+    step->fetch_add(1);
     benchmark::DoNotOptimize(w.Zip({s, v, g}, udf));
   }
   state.SetItemsProcessed(state.iterations() * dim * 4);
@@ -199,6 +202,18 @@ void DeterministicSection(bench::JsonReporter* report) {
                           hh.data());
   report->AddField("det.hist_grad_sum", kernels::Sum(gh.data(), hist));
   report->AddField("det.hist_hess_norm2sq", kernels::Norm2Sq(hh.data(), hist));
+
+  // A few server-side Adam steps (the trainer's zip) on the 131072-wide
+  // shards, so the optimizer kernel runs its chunked, fanned-out path.
+  Dcv s = *f.ctx.Derive(w);
+  Dcv v = *f.ctx.Derive(w);
+  auto step = std::make_shared<std::atomic<int64_t>>(0);
+  const int adam = f.ctx.RegisterZip(MakeOptimizerZip(AdamOptions(), step), 4);
+  for (int t = 0; t < 3; ++t) {
+    step->fetch_add(1);
+    (void)w.Zip({s, v, g}, adam);
+  }
+  report->AddField("det.adam_w_norm2", *w.Norm2());
 }
 
 /// Best-of-N wall time of one kernel call, in nanoseconds.
@@ -215,7 +230,8 @@ double TimeNs(int reps, Fn&& fn) {
   return best;
 }
 
-/// Raw kernel dot/axpy under each available backend, at two shapes:
+/// Raw kernel dot/axpy (and, on the shard shape, the Adam step) under each
+/// available backend, at two shapes:
 ///  * "shard": 131072 elements — the per-server block a 1M-dim DCV op
 ///    actually runs as on the 8-server fixture (L2-resident, where the
 ///    SIMD speedup target applies);
@@ -232,10 +248,13 @@ void WallClockSection(bench::JsonReporter* report) {
   const int reps = 60;
   const kernels::SimdMode before = kernels::ActiveMode();
 
+  std::vector<double> adam_s(n_shard, 0.0), adam_v(n_shard, 0.0);
+
   struct Timing {
     bool ok = false;
     double dot_ns = 0.0;
     double axpy_ns = 0.0;
+    double adam_ns = 0.0;
   };
   auto measure = [&](kernels::SimdMode mode, size_t n, const char* shape,
                      const char* tag) -> Timing {
@@ -255,6 +274,15 @@ void WallClockSection(bench::JsonReporter* report) {
                      t.axpy_ns);
     std::printf("kernel %s @%s(%zu): dot %.0f ns, axpy %.0f ns\n", tag, shape,
                 n, t.dot_ns, t.axpy_ns);
+    if (n == n_shard) {
+      // Adam's step on one shard; y stands in for w, a for the gradient.
+      t.adam_ns = TimeNs(reps, [&] {
+        ApplyOptimizerStep(AdamOptions(), 1, y.data(), a.data(),
+                           adam_s.data(), adam_v.data(), n);
+      });
+      report->AddField(std::string("wall.adam_ns.shard.") + tag, t.adam_ns);
+      std::printf("kernel %s @shard(%zu): adam %.0f ns\n", tag, n, t.adam_ns);
+    }
     return t;
   };
 
@@ -275,6 +303,11 @@ void WallClockSection(bench::JsonReporter* report) {
       report->AddField(std::string("wall.axpy_speedup.") + s.shape, axpy_x);
       std::printf("simd speedup @%s: dot %.2fx, axpy %.2fx\n", s.shape, dot_x,
                   axpy_x);
+      if (s.n == n_shard) {
+        const double adam_x = scalar.adam_ns / simd.adam_ns;
+        report->AddField("wall.adam_speedup.shard", adam_x);
+        std::printf("simd speedup @shard: adam %.2fx\n", adam_x);
+      }
     }
   }
   kernels::SetSimdMode(before);

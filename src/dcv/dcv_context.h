@@ -73,8 +73,11 @@ class DcvContext {
   /// the whole batch overlaps into a single round of latency.
   DcvBatch Batch();
 
-  /// Registers a mutating server-side function for use with Dcv::Zip.
-  int RegisterZip(ZipFn fn) { return master_->udfs()->RegisterZip(std::move(fn)); }
+  /// Registers a mutating server-side function for use with Dcv::Zip;
+  /// `arity` is the operand count it requires (0 = any, see UdfRegistry).
+  int RegisterZip(ZipFn fn, size_t arity = 0) {
+    return master_->udfs()->RegisterZip(std::move(fn), arity);
+  }
 
   /// Registers an aggregating server-side function for Dcv::ZipAggregate.
   int RegisterZipAggregate(ZipAggFn fn) {

@@ -252,5 +252,23 @@ uint64_t HistAccumulate(const uint16_t* bins, const double* grad,
   return 4 * static_cast<uint64_t>(num_rows) * num_features;
 }
 
+uint64_t OptimizerStep(const OptimizerParams& p, double* w, const double* g,
+                       double* s, double* v, size_t n) {
+  const KernelTable& t = Active();
+  ForEachChunk(n, [&](size_t c) {
+    const size_t lo = c * kReduceChunk;
+    t.optimizer_step(p, w + lo, g + lo, s != nullptr ? s + lo : s,
+                     v != nullptr ? v + lo : v,
+                     std::min(kReduceChunk, n - lo));
+  });
+  switch (p.rule) {
+    case OptimizerRule::kSgd: return 3 * n;
+    case OptimizerRule::kAdagrad: return 7 * n;
+    case OptimizerRule::kRmsProp: return 8 * n;
+    case OptimizerRule::kAdam: return 12 * n;
+  }
+  return 0;
+}
+
 }  // namespace kernels
 }  // namespace ps2

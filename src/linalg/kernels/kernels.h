@@ -10,9 +10,9 @@
 // `--simd=scalar` on the ps2run command line — and every backend produces
 // bit-identical results:
 //
-//  * element-wise ops (add/sub/mul/div/axpy/scale/copy/fill) perform the
-//    same IEEE operation per element, so rounding is identical however the
-//    loop is scheduled;
+//  * element-wise ops (add/sub/mul/div/axpy/scale/copy/fill and the
+//    optimizer step) perform the same IEEE operations per element, in the
+//    same order, so rounding is identical however the loop is scheduled;
 //  * reductions (dot/sum/norm2/nnz) are defined over a fixed lane structure:
 //    kReduceLanes (16) stride-interleaved accumulators over the body —
 //    laid out as 4 groups of kLaneWidth (4) lanes, i.e. four __m256d
@@ -68,6 +68,30 @@ enum class SimdMode {
   kAvx2 = 1,
 };
 
+/// Update rule of the optimizer step (ml/optimizer.h maps its
+/// OptimizerKind onto this).
+enum class OptimizerRule { kSgd, kAdagrad, kRmsProp, kAdam };
+
+/// \brief Per-call constants of one optimizer step. Per element, with
+/// gi = g + l2*w, the rules are (each product, quotient, sum and sqrt one
+/// rounded IEEE op, evaluated left to right, no FMA):
+///   SGD      w -= lr*gi
+///   Adagrad  s += gi*gi;                    w -= lr*gi / (sqrt(s) + eps)
+///   RMSProp  s = d*s + (1-d)*gi*gi;         w -= lr*gi / (sqrt(s) + eps)
+///   Adam     s = d*s + (1-d)*gi*gi;  v = b*v + (1-b)*gi;
+///            w -= lr*(v/v_corr) / (sqrt(s/s_corr) + eps)
+/// with d = s_decay and b = v_decay.
+struct OptimizerParams {
+  OptimizerRule rule = OptimizerRule::kSgd;
+  double lr = 0.0;
+  double l2 = 0.0;
+  double epsilon = 0.0;
+  double s_decay = 0.0;  ///< RMSProp rho, Adam beta2 (second moment)
+  double v_decay = 0.0;  ///< Adam beta1 (momentum)
+  double s_corr = 1.0;   ///< Adam bias corrections, 1 - beta^t
+  double v_corr = 1.0;
+};
+
 /// \brief One backend: per-chunk primitives sharing a single numeric
 /// contract. The dispatch wrappers below add chunking and threading.
 struct KernelTable {
@@ -91,6 +115,11 @@ struct KernelTable {
                      const double* hess, const uint32_t* rows, size_t num_rows,
                      uint32_t num_features, uint32_t num_bins,
                      double* grad_hist, double* hess_hist);
+  /// One optimizer step over n coordinates (see OptimizerParams). `s` is
+  /// read only by Adagrad/RMSProp/Adam, `v` only by Adam; w, g, s and v
+  /// must not alias.
+  void (*optimizer_step)(const OptimizerParams& p, double* w, const double* g,
+                         double* s, double* v, size_t n);
 };
 
 /// The portable scalar reference backend (always available).
@@ -139,6 +168,13 @@ uint64_t HistAccumulate(const uint16_t* bins, const double* grad,
                         size_t num_rows, uint32_t num_features,
                         uint32_t num_bins, double* grad_hist,
                         double* hess_hist);
+
+/// One optimizer step (see OptimizerParams), fanned out over the kernel
+/// pool like Add. w, g, s and v must not alias; s (and v for Adam) may be
+/// nullptr for rules that do not read them. Returns the op count: SGD 3n,
+/// Adagrad 7n, RMSProp 8n, Adam 12n.
+uint64_t OptimizerStep(const OptimizerParams& p, double* w, const double* g,
+                       double* s, double* v, size_t n);
 
 }  // namespace kernels
 }  // namespace ps2

@@ -208,6 +208,83 @@ void HistAccumAvx2(const uint16_t* bins, const double* grad,
   }
 }
 
+// Four coordinates per step, with the scalar reference's operations in its
+// order: separate vmulpd/vaddpd/vdivpd/vsqrtpd (all correctly rounded), so
+// each lane rounds exactly like OptimizerStepScalar. The n mod 4 tail runs
+// the scalar reference itself.
+void OptimizerStepAvx2(const OptimizerParams& p, double* w, const double* g,
+                       double* s, double* v, size_t n) {
+  const __m256d lr = _mm256_set1_pd(p.lr);
+  const __m256d l2 = _mm256_set1_pd(p.l2);
+  const __m256d eps = _mm256_set1_pd(p.epsilon);
+  const __m256d sd = _mm256_set1_pd(p.s_decay);
+  const __m256d s_in = _mm256_set1_pd(1.0 - p.s_decay);
+  const __m256d vd = _mm256_set1_pd(p.v_decay);
+  const __m256d v_in = _mm256_set1_pd(1.0 - p.v_decay);
+  const __m256d s_corr = _mm256_set1_pd(p.s_corr);
+  const __m256d v_corr = _mm256_set1_pd(p.v_corr);
+  // gi = g + l2*w and the step w - lr*num / (sqrt(den) + eps).
+  auto grad = [&](__m256d wi, size_t i) {
+    return _mm256_add_pd(_mm256_loadu_pd(g + i), _mm256_mul_pd(l2, wi));
+  };
+  auto scaled_step = [&](__m256d wi, __m256d num, __m256d den) {
+    return _mm256_sub_pd(
+        wi, _mm256_div_pd(_mm256_mul_pd(lr, num),
+                          _mm256_add_pd(_mm256_sqrt_pd(den), eps)));
+  };
+  size_t i = 0;
+  switch (p.rule) {
+    case OptimizerRule::kSgd:
+      for (; i + 4 <= n; i += 4) {
+        const __m256d wi = _mm256_loadu_pd(w + i);
+        const __m256d gi = grad(wi, i);
+        _mm256_storeu_pd(w + i, _mm256_sub_pd(wi, _mm256_mul_pd(lr, gi)));
+      }
+      break;
+    case OptimizerRule::kAdagrad:
+      for (; i + 4 <= n; i += 4) {
+        const __m256d wi = _mm256_loadu_pd(w + i);
+        const __m256d gi = grad(wi, i);
+        const __m256d si =
+            _mm256_add_pd(_mm256_loadu_pd(s + i), _mm256_mul_pd(gi, gi));
+        _mm256_storeu_pd(s + i, si);
+        _mm256_storeu_pd(w + i, scaled_step(wi, gi, si));
+      }
+      break;
+    case OptimizerRule::kRmsProp:
+      for (; i + 4 <= n; i += 4) {
+        const __m256d wi = _mm256_loadu_pd(w + i);
+        const __m256d gi = grad(wi, i);
+        const __m256d si =
+            _mm256_add_pd(_mm256_mul_pd(sd, _mm256_loadu_pd(s + i)),
+                          _mm256_mul_pd(_mm256_mul_pd(s_in, gi), gi));
+        _mm256_storeu_pd(s + i, si);
+        _mm256_storeu_pd(w + i, scaled_step(wi, gi, si));
+      }
+      break;
+    case OptimizerRule::kAdam:
+      for (; i + 4 <= n; i += 4) {
+        const __m256d wi = _mm256_loadu_pd(w + i);
+        const __m256d gi = grad(wi, i);
+        const __m256d si =
+            _mm256_add_pd(_mm256_mul_pd(sd, _mm256_loadu_pd(s + i)),
+                          _mm256_mul_pd(_mm256_mul_pd(s_in, gi), gi));
+        const __m256d vi =
+            _mm256_add_pd(_mm256_mul_pd(vd, _mm256_loadu_pd(v + i)),
+                          _mm256_mul_pd(v_in, gi));
+        _mm256_storeu_pd(s + i, si);
+        _mm256_storeu_pd(v + i, vi);
+        _mm256_storeu_pd(w + i, scaled_step(wi, _mm256_div_pd(vi, v_corr),
+                                            _mm256_div_pd(si, s_corr)));
+      }
+      break;
+  }
+  if (i < n) {
+    ScalarTable().optimizer_step(p, w + i, g + i, s != nullptr ? s + i : s,
+                                 v != nullptr ? v + i : v, n - i);
+  }
+}
+
 }  // namespace
 
 const KernelTable* Avx2TableImpl() {
@@ -215,6 +292,7 @@ const KernelTable* Avx2TableImpl() {
       "avx2",         AddAvx2,          SubAvx2,        MulAvx2,
       DivAvx2,        AxpyAvx2,         ScaleAvx2,      DotChunkAvx2,
       SumChunkAvx2,   Norm2SqChunkAvx2, NnzChunkAvx2,   HistAccumAvx2,
+      OptimizerStepAvx2,
   };
   return &table;
 }

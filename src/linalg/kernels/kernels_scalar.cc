@@ -5,6 +5,7 @@
 // The AVX2 backend must match it bit-for-bit (kernel_dispatch_test).
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "linalg/kernels/kernels.h"
@@ -123,6 +124,46 @@ void HistAccumScalar(const uint16_t* bins, const double* grad,
   }
 }
 
+void OptimizerStepScalar(const OptimizerParams& p, double* w, const double* g,
+                         double* s, double* v, size_t n) {
+  const double lr = p.lr, l2 = p.l2, eps = p.epsilon;
+  const double sd = p.s_decay, s_in = 1.0 - p.s_decay;
+  const double vd = p.v_decay, v_in = 1.0 - p.v_decay;
+  const double s_corr = p.s_corr, v_corr = p.v_corr;
+  switch (p.rule) {
+    case OptimizerRule::kSgd:
+      for (size_t i = 0; i < n; ++i) {
+        const double gi = g[i] + l2 * w[i];
+        w[i] = w[i] - lr * gi;
+      }
+      return;
+    case OptimizerRule::kAdagrad:
+      for (size_t i = 0; i < n; ++i) {
+        const double gi = g[i] + l2 * w[i];
+        s[i] = s[i] + gi * gi;
+        w[i] = w[i] - lr * gi / (std::sqrt(s[i]) + eps);
+      }
+      return;
+    case OptimizerRule::kRmsProp:
+      for (size_t i = 0; i < n; ++i) {
+        const double gi = g[i] + l2 * w[i];
+        s[i] = sd * s[i] + s_in * gi * gi;
+        w[i] = w[i] - lr * gi / (std::sqrt(s[i]) + eps);
+      }
+      return;
+    case OptimizerRule::kAdam:
+      for (size_t i = 0; i < n; ++i) {
+        const double gi = g[i] + l2 * w[i];
+        s[i] = sd * s[i] + s_in * gi * gi;
+        v[i] = vd * v[i] + v_in * gi;
+        const double s_hat = s[i] / s_corr;
+        const double v_hat = v[i] / v_corr;
+        w[i] = w[i] - lr * v_hat / (std::sqrt(s_hat) + eps);
+      }
+      return;
+  }
+}
+
 }  // namespace
 
 const KernelTable& ScalarTable() {
@@ -131,6 +172,7 @@ const KernelTable& ScalarTable() {
       MulScalar,        DivScalar,          AxpyScalar,
       ScaleScalar,      DotChunkScalar,     SumChunkScalar,
       Norm2SqChunkScalar, NnzChunkScalar,   HistAccumScalar,
+      OptimizerStepScalar,
   };
   return table;
 }

@@ -147,8 +147,8 @@ Result<TrainReport> TrainGlmPs2(DcvContext* ctx, const Dataset<Example>& data,
   for (Dcv& s : state) PS2_RETURN_NOT_OK(s.Zero());
 
   auto step = std::make_shared<std::atomic<int64_t>>(0);
-  const int zip_udf =
-      ctx->RegisterZip(MakeOptimizerZip(options.optimizer, step));
+  const int zip_udf = ctx->RegisterZip(
+      MakeOptimizerZip(options.optimizer, step), n_state + 2);
 
   TrainReport report;
   report.system = std::string("PS2-") +

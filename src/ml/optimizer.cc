@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "linalg/kernels/kernels.h"
 
 namespace ps2 {
 
@@ -36,35 +37,24 @@ int OptimizerStateVectors(OptimizerKind kind) {
 uint64_t ApplyOptimizerStep(const OptimizerOptions& options, int64_t t,
                             double* w, const double* g, double* s, double* v,
                             size_t n) {
-  const double lr = options.learning_rate;
-  const double l2 = options.l2;
+  kernels::OptimizerParams p;
+  p.lr = options.learning_rate;
+  p.l2 = options.l2;
+  p.epsilon = options.epsilon;
   switch (options.kind) {
-    case OptimizerKind::kSgd: {
-      for (size_t i = 0; i < n; ++i) {
-        double gi = g[i] + l2 * w[i];
-        w[i] -= lr * gi;
-      }
-      return 3 * n;
-    }
-    case OptimizerKind::kAdagrad: {
+    case OptimizerKind::kSgd:
+      p.rule = kernels::OptimizerRule::kSgd;
+      break;
+    case OptimizerKind::kAdagrad:
       PS2_CHECK(s != nullptr);
-      for (size_t i = 0; i < n; ++i) {
-        double gi = g[i] + l2 * w[i];
-        s[i] += gi * gi;
-        w[i] -= lr * gi / (std::sqrt(s[i]) + options.epsilon);
-      }
-      return 7 * n;
-    }
-    case OptimizerKind::kRmsProp: {
+      p.rule = kernels::OptimizerRule::kAdagrad;
+      break;
+    case OptimizerKind::kRmsProp:
       PS2_CHECK(s != nullptr);
-      for (size_t i = 0; i < n; ++i) {
-        double gi = g[i] + l2 * w[i];
-        s[i] = options.rho * s[i] + (1.0 - options.rho) * gi * gi;
-        w[i] -= lr * gi / (std::sqrt(s[i]) + options.epsilon);
-      }
-      return 8 * n;
-    }
-    case OptimizerKind::kAdam: {
+      p.rule = kernels::OptimizerRule::kRmsProp;
+      p.s_decay = options.rho;
+      break;
+    case OptimizerKind::kAdam:
       PS2_CHECK(s != nullptr);
       PS2_CHECK(v != nullptr);
       // Paper Eq. (1) writes s_t = b1*s + (1-b1)*g^2, v_t = b2*v + (1-b2)*g
@@ -74,22 +64,14 @@ uint64_t ApplyOptimizerStep(const OptimizerOptions& options, int64_t t,
       // touched its second moment vanishes long before its momentum does,
       // so steps blow up to lr*v/eps). We follow standard Adam: second
       // moment decays with beta2 (slow), momentum with beta1 (fast).
-      const double b1 = options.beta1;
-      const double b2 = options.beta2;
-      const double s_corr = 1.0 - std::pow(b2, static_cast<double>(t));
-      const double v_corr = 1.0 - std::pow(b1, static_cast<double>(t));
-      for (size_t i = 0; i < n; ++i) {
-        double gi = g[i] + l2 * w[i];
-        s[i] = b2 * s[i] + (1.0 - b2) * gi * gi;
-        v[i] = b1 * v[i] + (1.0 - b1) * gi;
-        double s_hat = s[i] / s_corr;
-        double v_hat = v[i] / v_corr;
-        w[i] -= lr * v_hat / (std::sqrt(s_hat) + options.epsilon);
-      }
-      return 12 * n;
-    }
+      p.rule = kernels::OptimizerRule::kAdam;
+      p.s_decay = options.beta2;
+      p.v_decay = options.beta1;
+      p.s_corr = 1.0 - std::pow(options.beta2, static_cast<double>(t));
+      p.v_corr = 1.0 - std::pow(options.beta1, static_cast<double>(t));
+      break;
   }
-  return 0;
+  return kernels::OptimizerStep(p, w, g, s, v, n);
 }
 
 ZipFn MakeOptimizerZip(const OptimizerOptions& options,
@@ -98,23 +80,15 @@ ZipFn MakeOptimizerZip(const OptimizerOptions& options,
   OptimizerOptions opts = options;
   return [opts, step](const std::vector<double*>& rows, size_t n,
                       uint64_t /*col_offset*/) -> uint64_t {
+    // The server checks the operand count against the arity the UDF was
+    // registered with before any zip runs; this guards direct callers.
+    PS2_CHECK_EQ(rows.size(),
+                 static_cast<size_t>(2 + OptimizerStateVectors(opts.kind)));
     const int64_t t = step->load();
-    switch (opts.kind) {
-      case OptimizerKind::kSgd:
-        PS2_CHECK_EQ(rows.size(), 2u);  // [w, g]
-        return ApplyOptimizerStep(opts, t, rows[0], rows[1], nullptr, nullptr,
-                                  n);
-      case OptimizerKind::kAdagrad:
-      case OptimizerKind::kRmsProp:
-        PS2_CHECK_EQ(rows.size(), 3u);  // [w, s, g]
-        return ApplyOptimizerStep(opts, t, rows[0], rows[2], rows[1], nullptr,
-                                  n);
-      case OptimizerKind::kAdam:
-        PS2_CHECK_EQ(rows.size(), 4u);  // [w, s, v, g]
-        return ApplyOptimizerStep(opts, t, rows[0], rows[3], rows[1], rows[2],
-                                  n);
-    }
-    return 0;
+    // Rows are [w, state..., g]: s = rows[1] and v = rows[2] when present.
+    return ApplyOptimizerStep(opts, t, rows.front(), rows.back(),
+                              rows.size() > 2 ? rows[1] : nullptr,
+                              rows.size() > 3 ? rows[2] : nullptr, n);
   };
 }
 

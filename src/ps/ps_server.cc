@@ -93,9 +93,9 @@ uint64_t ApplyColumnOp(ColOpKind kind, double* dst, const double* a,
 
 // ---------------------------------------------------------------- UdfRegistry
 
-int UdfRegistry::RegisterZip(ZipFn fn) {
+int UdfRegistry::RegisterZip(ZipFn fn, size_t arity) {
   std::lock_guard<std::mutex> lock(mu_);
-  zip_fns_.push_back(std::move(fn));
+  zip_fns_.push_back({std::move(fn), arity});
   return static_cast<int>(zip_fns_.size()) - 1;
 }
 
@@ -105,7 +105,7 @@ int UdfRegistry::RegisterZipAggregate(ZipAggFn fn) {
   return static_cast<int>(zip_agg_fns_.size()) - 1;
 }
 
-const ZipFn* UdfRegistry::GetZip(int id) const {
+const ZipUdf* UdfRegistry::GetZip(int id) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (id < 0 || id >= static_cast<int>(zip_fns_.size())) return nullptr;
   return &zip_fns_[id];
@@ -865,10 +865,15 @@ Result<PsServer::HandleResult> PsServer::HandleColumnOps(BufferReader* in) {
         // treat all of them as written for snapshot copy-on-publish.
         PS2_ASSIGN_OR_RETURN(step.zip_rows,
                              ZipRows(in, &step.width, &step.begin, &touched));
-        step.zip = udfs_->GetZip(static_cast<int>(udf_id));
-        if (step.zip == nullptr) {
+        const ZipUdf* udf = udfs_->GetZip(static_cast<int>(udf_id));
+        if (udf == nullptr) {
           return Status::NotFound("zip udf not registered");
         }
+        if (udf->arity != 0 && udf->arity != step.zip_rows.size()) {
+          return Status::InvalidArgument(
+              "zip operand count does not match the udf's arity");
+        }
+        step.zip = &udf->fn;
         continue;
       }
       RowRef rows[3];  // dst, then the sources

@@ -48,17 +48,26 @@ using ZipAggFn = std::function<std::vector<double>(
 uint64_t ApplyColumnOp(ColOpKind kind, double* dst, const double* a,
                        const double* b, double scalar, size_t n);
 
+/// A registered mutating UDF and the operand count it takes (0 = any).
+struct ZipUdf {
+  ZipFn fn;
+  size_t arity = 0;
+};
+
 /// \brief Registry of server-side functions, shared by all servers.
 class UdfRegistry {
  public:
-  int RegisterZip(ZipFn fn);
+  /// `arity` is the operand count `fn` requires (0 = any): the server fails
+  /// a zip that names it with another count (InvalidArgument, nothing
+  /// applied) instead of running it.
+  int RegisterZip(ZipFn fn, size_t arity = 0);
   int RegisterZipAggregate(ZipAggFn fn);
-  const ZipFn* GetZip(int id) const;
+  const ZipUdf* GetZip(int id) const;
   const ZipAggFn* GetZipAggregate(int id) const;
 
  private:
   mutable std::mutex mu_;
-  std::vector<ZipFn> zip_fns_;
+  std::vector<ZipUdf> zip_fns_;
   std::vector<ZipAggFn> zip_agg_fns_;
 };
 

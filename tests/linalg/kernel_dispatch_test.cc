@@ -104,6 +104,64 @@ BackendPair Backends() {
   return p;
 }
 
+constexpr OptimizerRule kAllRules[] = {
+    OptimizerRule::kSgd, OptimizerRule::kAdagrad, OptimizerRule::kRmsProp,
+    OptimizerRule::kAdam};
+
+/// The constants ml/optimizer.cc passes for `rule` at step `t` (paper
+/// Appendix A defaults: lr 0.618, beta1 0.9, beta2 0.999, rho 0.9).
+OptimizerParams MakeOptimizerParams(OptimizerRule rule, double l2, int64_t t) {
+  OptimizerParams p;
+  p.rule = rule;
+  p.lr = 0.618;
+  p.l2 = l2;
+  p.epsilon = 1e-8;
+  if (rule == OptimizerRule::kRmsProp) p.s_decay = 0.9;
+  if (rule == OptimizerRule::kAdam) {
+    p.s_decay = 0.999;
+    p.v_decay = 0.9;
+    p.s_corr = 1.0 - std::pow(0.999, static_cast<double>(t));
+    p.v_corr = 1.0 - std::pow(0.9, static_cast<double>(t));
+  }
+  return p;
+}
+
+/// Optimizer operands: regular values with zeros, -0.0, denormals, tiny and
+/// huge magnitudes mixed in (plus the odd inf/NaN). `nonneg` folds the sign
+/// away, as for a second-moment accumulator.
+std::vector<double> OptimizerInput(std::mt19937_64* rng, size_t n,
+                                   bool nonneg) {
+  std::uniform_real_distribution<double> val(-8.0, 8.0);
+  std::uniform_int_distribution<int> kind(0, 15);
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    double x;
+    switch (kind(*rng)) {
+      case 0: x = 0.0; break;
+      case 1: x = -0.0; break;
+      case 2: x = std::numeric_limits<double>::denorm_min() * (1.0 + i); break;
+      case 3: x = 1e-300 * val(*rng); break;
+      case 4: x = 1e300 * val(*rng); break;
+      case 5: x = (i % 3 == 0) ? kNan : kInf; break;
+      default: x = val(*rng); break;
+    }
+    out[i] = nonneg ? std::fabs(x) : x;
+  }
+  return out;
+}
+
+/// Operands for one optimizer step starting at `offset` into each buffer,
+/// so the vector body starts unaligned.
+struct OptimizerOperands {
+  std::vector<double> w, g, s, v;
+
+  OptimizerOperands(std::mt19937_64* rng, size_t n, size_t offset)
+      : w(OptimizerInput(rng, n + offset, false)),
+        g(OptimizerInput(rng, n + offset, false)),
+        s(OptimizerInput(rng, n + offset, true)),
+        v(OptimizerInput(rng, n + offset, false)) {}
+};
+
 TEST(KernelDispatch, ActiveBackendIsValid) {
   const KernelTable& t = Active();
   EXPECT_NE(t.name, nullptr);
@@ -243,6 +301,20 @@ TEST(KernelDispatch, OpCountsMatchPreDispatchContract) {
   EXPECT_EQ(Fill(dst.data(), 0.0, n), n);
   EXPECT_EQ(Axpy(dst.data(), a.data(), 1.0, n), 2 * n);
   EXPECT_EQ(Dot(a.data(), b.data(), n, &out), 2 * n);
+  std::vector<double> w(n, 1.0), s(n, 0.0), v(n, 0.0);
+  const struct {
+    OptimizerRule rule;
+    uint64_t per_element;
+  } steps[] = {{OptimizerRule::kSgd, 3},
+               {OptimizerRule::kAdagrad, 7},
+               {OptimizerRule::kRmsProp, 8},
+               {OptimizerRule::kAdam, 12}};
+  for (const auto& step : steps) {
+    OptimizerParams p = MakeOptimizerParams(step.rule, 0.0, 1);
+    EXPECT_EQ(OptimizerStep(p, w.data(), a.data(), s.data(), v.data(), n),
+              step.per_element * n)
+        << static_cast<int>(step.rule);
+  }
 }
 
 TEST(KernelDispatch, HistAccumulateMatchesScalarReference) {
@@ -306,6 +378,79 @@ TEST(KernelDispatch, ThreadedLargeBlocksDeterministicUnderContention) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kCallers; ++t) EXPECT_EQ(failures[t], 0) << t;
+}
+
+/// The optimizer step is element-wise, so every backend must give the same
+/// bits for every rule, at every length (the 4-wide body plus each tail
+/// length) and misalignment, with and without L2, at the first step and
+/// long after Adam's bias corrections have reached 1.
+TEST(KernelDispatch, OptimizerStepBitExactAcrossRulesLengthsAndOffsets) {
+  BackendPair p = Backends();
+  std::mt19937_64 rng(20261017);
+  for (OptimizerRule rule : kAllRules) {
+    for (double l2 : {0.0, 0.01}) {
+      for (int64_t t : {int64_t{1}, int64_t{2}, int64_t{1} << 40}) {
+        const OptimizerParams params = MakeOptimizerParams(rule, l2, t);
+        for (size_t n = 0; n <= 67; ++n) {
+          for (size_t offset = 0; offset < kLaneWidth; ++offset) {
+            OptimizerOperands sc(&rng, n, offset);
+            OptimizerOperands vec = sc;
+            p.scalar->optimizer_step(params, sc.w.data() + offset,
+                                     sc.g.data() + offset,
+                                     sc.s.data() + offset,
+                                     sc.v.data() + offset, n);
+            p.simd->optimizer_step(params, vec.w.data() + offset,
+                                   vec.g.data() + offset,
+                                   vec.s.data() + offset,
+                                   vec.v.data() + offset, n);
+            SCOPED_TRACE(::testing::Message()
+                         << "rule " << static_cast<int>(rule) << " l2 " << l2
+                         << " t " << t << " offset " << offset);
+            ExpectSameBits(sc.w, vec.w, "optimizer w", n);
+            ExpectSameBits(sc.s, vec.s, "optimizer s", n);
+            ExpectSameBits(sc.v, vec.v, "optimizer v", n);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Dispatched optimizer steps on a block past kParallelCutoff (chunks fan
+/// out on the kernel pool), from concurrent callers: every caller's result
+/// matches the sequential scalar reference bit for bit.
+TEST(KernelDispatch, ThreadedOptimizerStepDeterministicUnderContention) {
+  const size_t n = kParallelCutoff + kReduceChunk + 17;
+  std::mt19937_64 rng(1717);
+  const OptimizerOperands start(&rng, n, 0);
+  const OptimizerParams params =
+      MakeOptimizerParams(OptimizerRule::kAdam, 0.01, 3);
+  OptimizerOperands expected = start;
+  for (int step = 0; step < 2; ++step) {
+    ScalarTable().optimizer_step(params, expected.w.data(),
+                                 expected.g.data(), expected.s.data(),
+                                 expected.v.data(), n);
+  }
+
+  constexpr int kCallers = 4;
+  std::vector<std::thread> threads;
+  std::vector<OptimizerOperands> results(kCallers, start);
+  for (int t = 0; t < kCallers; ++t) {
+    threads.emplace_back([&, t] {
+      OptimizerOperands& r = results[t];
+      for (int step = 0; step < 2; ++step) {
+        OptimizerStep(params, r.w.data(), r.g.data(), r.s.data(), r.v.data(),
+                      n);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kCallers; ++t) {
+    SCOPED_TRACE(t);
+    ExpectSameBits(results[t].w, expected.w, "threaded w", n);
+    ExpectSameBits(results[t].s, expected.s, "threaded s", n);
+    ExpectSameBits(results[t].v, expected.v, "threaded v", n);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serde.h"
+#include "ml/optimizer.h"
 #include "ps/partitioner.h"
 
 namespace ps2 {
@@ -276,6 +277,50 @@ TEST_F(PsServerTest, ZipUnknownUdfFails) {
   w.WriteVarint(0);
   w.WriteVarint(0);
   EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+}
+
+TEST_F(PsServerTest, ZipWithWrongOperandCountFailsAndAppliesNothing) {
+  // Matrix 1 holds Adam's four co-located rows [w, s, v, g].
+  ASSERT_TRUE(server_.CreateMatrixShard(MakeMeta(1, 16, 4, 1)).ok());
+  PushDense(1, 0, 0, {1, 2, 3});
+  PushDense(1, 3, 0, {0.5, 0.5, 0.5});
+  OptimizerOptions adam;
+  adam.kind = OptimizerKind::kAdam;
+  auto step = std::make_shared<std::atomic<int64_t>>(1);
+  const int udf = udfs_.RegisterZip(MakeOptimizerZip(adam, step), 4);
+  auto zip_request = [&](const std::vector<uint32_t>& rows) {
+    BufferWriter w;
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOps));
+    // A valid scale entry first: validate-then-apply must drop it too.
+    w.WriteU8(static_cast<uint8_t>(ColOpKind::kScale));
+    w.WriteVarint(1);
+    w.WriteVarint(1);
+    w.WriteVarint(0);
+    w.WriteF64(10.0);
+    w.WriteU8(static_cast<uint8_t>(ColOpKind::kZip));
+    w.WriteVarint(1);
+    w.WriteVarint(udf);
+    w.WriteVarint(rows.size());
+    for (uint32_t row : rows) {
+      w.WriteVarint(1);
+      w.WriteVarint(row);
+    }
+    return w;
+  };
+
+  Result<PsServer::HandleResult> bad =
+      server_.Handle(zip_request({0, 3}).buffer());
+  EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status();
+  EXPECT_EQ(Pull(1, 0, 0, 3), (std::vector<double>{1, 2, 3}));
+  EXPECT_EQ(Pull(1, 1, 0, 3), (std::vector<double>{0, 0, 0}));
+  EXPECT_EQ(Pull(1, 3, 0, 3), (std::vector<double>{0.5, 0.5, 0.5}));
+
+  // The server still serves: the four-operand zip runs the step.
+  Call(zip_request({0, 1, 2, 3}));
+  const std::vector<double> w = Pull(1, 0, 0, 3);
+  EXPECT_LT(w[0], 10.0);
+  EXPECT_GT(w[0], 9.0);
+  EXPECT_GT(Pull(1, 1, 0, 1)[0], 0.0);
 }
 
 TEST_F(PsServerTest, OpcodeCensus) {
