@@ -8,21 +8,28 @@
 // through whichever kernel backend is active (honouring $PS2_SIMD) and
 // records `det.*` metrics that must be IDENTICAL across dispatch modes —
 // CI runs this binary with and without PS2_SIMD=off and diffs the two JSON
-// files through tools/check_bench.py --tolerance 0. `wall.*` fields record
-// raw kernel timings per backend (informational, never gated).
+// files through tools/check_bench.py --tolerance 0. The det run also pushes
+// a fixed payload corpus through the wire filter chain (det.filter_*: total
+// wire bytes and the sum of the decoded values), so the filter codecs are
+// held to the same backend-independence. `wall.*` fields record raw kernel
+// and filter codec timings per backend (informational, never gated).
 // `--benchmark_filter='^$'` skips the timing loops and keeps only that
 // section, which is what the equivalence CI step uses.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "dcv/dcv_context.h"
 #include "linalg/kernels/kernels.h"
 #include "ml/optimizer.h"
+#include "net/filters.h"
 
 namespace ps2 {
 namespace {
@@ -216,6 +223,98 @@ void DeterministicSection(bench::JsonReporter* report) {
   report->AddField("det.adam_w_norm2", *w.Norm2());
 }
 
+// ---------------------------------------------------------------------------
+// Wire filter codecs (net/filters.h): a fixed corpus through the full chain.
+
+/// One request-shaped payload: [opcode][keys][gap][f64 values], with the
+/// sections marked the way the PS client marks them.
+struct FilterPayload {
+  std::vector<uint8_t> bytes;
+  std::vector<PayloadSection> sections;
+};
+
+FilterPayload MakeFilterPayload(const std::vector<uint64_t>& keys,
+                                const std::vector<double>& values) {
+  BufferWriter w;
+  w.WriteU8(3);
+  w.BeginSection(SectionKind::kKeys);
+  w.WriteVarint(keys.size());
+  w.WriteDeltaKeys(keys.data(), keys.size());
+  w.EndSection();
+  w.WriteU32(0xFEEDFACE);
+  w.BeginSection(SectionKind::kF64Values);
+  w.WriteF64Span(values.data(), values.size());
+  w.EndSection();
+  FilterPayload p;
+  p.sections = w.TakeSections();
+  p.bytes = w.Release();
+  return p;
+}
+
+/// The det corpus: 48 payloads of 64..1984 values. Each key list is sent
+/// twice (install, then ref); value spans alternate between noisy gradients
+/// (fixed16 coding), smooth ramps (delta varints), exact zeros, and a
+/// non-finite span every 16th payload (verbatim). Integer-only patterns keep
+/// it identical on every platform.
+std::vector<FilterPayload> FilterCorpus() {
+  std::vector<FilterPayload> corpus;
+  for (uint64_t p = 0; p < 48; ++p) {
+    const size_t n = 64 + (p / 2) * 80;
+    std::vector<uint64_t> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = i * 7 + (p / 2) % 5;
+    std::vector<double> values = PatternVector(n, p * 131);
+    switch (p % 4) {
+      case 1:
+        for (size_t i = 0; i < n; ++i) values[i] = 1.0 + 1e-4 * i;
+        break;
+      case 2:
+        for (size_t i = 0; i < n; ++i) values[i] *= 1e-3;
+        break;
+      case 3:
+        if (p % 8 == 3) std::fill(values.begin(), values.end(), 0.0);
+        break;
+    }
+    if (p % 16 == 15) values[n / 2] = std::numeric_limits<double>::infinity();
+    corpus.push_back(MakeFilterPayload(keys, values));
+  }
+  return corpus;
+}
+
+/// Encodes and decodes the corpus with every filter on, through one
+/// client/server key-cache pair: the total wire size and the sum of every
+/// decoded value must not depend on the kernel backend.
+void FilterDetSection(bench::JsonReporter* report) {
+  FilterChain chain;
+  ClientKeyCache client_keys;
+  ServerKeyCache server_keys;
+  uint64_t wire_bytes = 0;
+  double decoded_sum = 0.0;
+  for (const FilterPayload& p : FilterCorpus()) {
+    FilterContext ectx;
+    ectx.server = 0;
+    ectx.client_keys = &client_keys;
+    EncodedPayload enc = chain.Encode(p.bytes, p.sections, kFilterAll, 1, &ectx);
+    const Slice wire = enc.mask == 0 ? Slice(p.bytes) : Slice(enc.wire);
+    wire_bytes += wire.size();
+    FilterContext dctx;
+    dctx.server_keys = &server_keys;
+    Result<std::vector<uint8_t>> dec = chain.Decode(wire, enc.mask, 1, &dctx);
+    if (!dec.ok()) {
+      std::fprintf(stderr, "filter corpus decode failed: %s\n",
+                   dec.status().ToString().c_str());
+      std::exit(1);
+    }
+    const PayloadSection& values = p.sections[1];
+    for (size_t off = 0; off < values.len; off += sizeof(double)) {
+      double v;
+      std::memcpy(&v, dec->data() + values.offset + off, sizeof(double));
+      if (std::isfinite(v)) decoded_sum += v;
+    }
+  }
+  report->AddField("det.filter_wire_bytes", static_cast<double>(wire_bytes));
+  report->AddField("det.filter_decoded_sum", decoded_sum);
+}
+
 /// Best-of-N wall time of one kernel call, in nanoseconds.
 template <typename Fn>
 double TimeNs(int reps, Fn&& fn) {
@@ -313,6 +412,46 @@ void WallClockSection(bench::JsonReporter* report) {
   kernels::SetSimdMode(before);
 }
 
+/// Per-value cost of the delta filter's encode and decode under each
+/// backend (a noisy 64Ki-value span: the fixed16 coding lr-wide's gradients
+/// take), and per-byte cost of LzCompress on a delta-coded 4Ki-value body —
+/// the size and content the compress filter mostly sees, and mostly
+/// discards because it does not shrink.
+void FilterWallSection(bench::JsonReporter* report) {
+  const size_t n = size_t{1} << 16;
+  std::vector<uint64_t> keys(1);
+  const FilterPayload p = MakeFilterPayload(keys, PatternVector(n, 5));
+  FilterChain chain;
+  FilterContext ctx;
+  const int reps = 20;
+  const kernels::SimdMode before = kernels::ActiveMode();
+  for (kernels::SimdMode mode :
+       {kernels::SimdMode::kScalar, kernels::SimdMode::kAvx2}) {
+    if (!kernels::SetSimdMode(mode)) continue;
+    const char* tag = kernels::SimdModeName(mode);
+    EncodedPayload enc;
+    const double enc_ns = TimeNs(reps, [&] {
+      enc = chain.Encode(p.bytes, p.sections, kFilterDelta, 1, &ctx);
+    });
+    const double dec_ns = TimeNs(reps, [&] {
+      benchmark::DoNotOptimize(chain.Decode(enc.wire, enc.mask, 1, &ctx));
+    });
+    report->AddField(std::string("wall.quant_encode_ns.") + tag, enc_ns / n);
+    report->AddField(std::string("wall.quant_decode_ns.") + tag, dec_ns / n);
+    std::printf("filter %s: quant encode %.2f ns/value, decode %.2f ns/value\n",
+                tag, enc_ns / n, dec_ns / n);
+  }
+  kernels::SetSimdMode(before);
+  const FilterPayload small = MakeFilterPayload(keys, PatternVector(4096, 9));
+  const EncodedPayload body =
+      chain.Encode(small.bytes, small.sections, kFilterDelta, 1, &ctx);
+  const double lz_ns = TimeNs(
+      10 * reps, [&] { benchmark::DoNotOptimize(LzCompress(body.wire)); });
+  report->AddField("wall.lz_compress_ns_per_byte", lz_ns / body.wire.size());
+  std::printf("filter lz compress: %.2f ns/byte over %zu bytes\n",
+              lz_ns / body.wire.size(), body.wire.size());
+}
+
 }  // namespace
 }  // namespace ps2
 
@@ -326,7 +465,9 @@ int main(int argc, char** argv) {
               ps2::kernels::SimdModeName(ps2::kernels::ActiveMode()));
   ps2::bench::JsonReporter report("microbench_dcv_ops");
   ps2::DeterministicSection(&report);
+  ps2::FilterDetSection(&report);
   ps2::WallClockSection(&report);
+  ps2::FilterWallSection(&report);
   report.Write();
   return 0;
 }

@@ -13,6 +13,9 @@
 //  * element-wise ops (add/sub/mul/div/axpy/scale/copy/fill and the
 //    optimizer step) perform the same IEEE operations per element, in the
 //    same order, so rounding is identical however the loop is scheduled;
+//  * the delta filter's codecs (absmax/quantize/pack_fixed16/
+//    dequant_fixed16) produce exact results — a max, integers, one
+//    correctly rounded division or multiply per value — so any order agrees;
 //  * reductions (dot/sum/norm2/nnz) are defined over a fixed lane structure:
 //    kReduceLanes (16) stride-interleaved accumulators over the body —
 //    laid out as 4 groups of kLaneWidth (4) lanes, i.e. four __m256d
@@ -120,7 +123,45 @@ struct KernelTable {
   /// must not alias.
   void (*optimizer_step)(const OptimizerParams& p, double* w, const double* g,
                          double* s, double* v, size_t n);
+
+  // The numeric core of the wire `delta` filter (net/filters.cc). Value
+  // spans live inside byte buffers, so these take n host-order doubles at
+  // `src`/`dst` with any alignment. Every result is exact, so backends agree
+  // bit for bit with no lane contract.
+
+  /// max |v| over the span into *max_abs (0 for n == 0). Returns false if
+  /// any value is NaN or infinite (*max_abs is then unspecified).
+  bool (*absmax)(const uint8_t* src, size_t n, double* max_abs);
+  /// q[i] = round-half-away-from-zero(v[i] / step): one IEEE division, then
+  /// std::llround's rounding, emulated exactly (truncate, then step away
+  /// from zero when the exact remainder is >= 0.5 in magnitude) without a
+  /// libm call; all q are 0 when step == 0. Requires every quotient finite
+  /// with |v[i] / step| < 2^63. Returns the byte length of the zigzag
+  /// LEB128 varint stream of the deltas q[i] - q[i-1] (q[-1] = 0).
+  size_t (*quantize)(const uint8_t* src, size_t n, double step, int64_t* q);
+  /// dst[2i..2i+1] = the low 16 bits of zigzag(q[i]), little-endian.
+  void (*pack_fixed16)(const int64_t* q, size_t n, uint8_t* dst);
+  /// Inverse of pack_fixed16, scaled: the n doubles at dst become
+  /// unzigzag(z[i]) * scale, one IEEE multiply each.
+  void (*dequant_fixed16)(const uint8_t* src, size_t n, double scale,
+                          uint8_t* dst);
 };
+
+/// std::llround(x) for finite |x| < 2^63, with no libm call: truncate, then
+/// step away from zero when the remainder, which is exact, reaches 0.5.
+inline int64_t RoundHalfAway(double x) {
+  const int64_t t = static_cast<int64_t>(x);
+  const double r = x - static_cast<double>(t);
+  return t + (r >= 0.5 ? 1 : 0) - (r <= -0.5 ? 1 : 0);
+}
+
+/// Zigzag map of a two's-complement value: 0, -1, 1, -2, ... -> 0, 1, 2, 3.
+inline uint64_t ZigZag(uint64_t v) { return (v << 1) ^ (0 - (v >> 63)); }
+
+/// Byte length of the LEB128 varint of v.
+inline size_t VarintBytes(uint64_t v) {
+  return 1 + static_cast<size_t>(63 - __builtin_clzll(v | 1)) / 7;
+}
 
 /// The portable scalar reference backend (always available).
 const KernelTable& ScalarTable();

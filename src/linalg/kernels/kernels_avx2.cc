@@ -15,6 +15,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
 namespace ps2 {
 namespace kernels {
 namespace {
@@ -285,6 +289,154 @@ void OptimizerStepAvx2(const OptimizerParams& p, double* w, const double* g,
   }
 }
 
+// ---- Wire delta filter -----------------------------------------------------
+//
+// Spans sit at any byte offset inside a payload, so every access is an
+// unaligned load/store intrinsic. All results are exact (a max, integers,
+// single correctly rounded divides and multiplies), so they match the scalar
+// reference bit for bit by construction.
+
+inline __m256d LoadF64x4(const uint8_t* p) {
+  return _mm256_loadu_pd(reinterpret_cast<const double*>(p));
+}
+
+inline double LoadF64(const uint8_t* p) {
+  double v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+bool AbsMaxAvx2(const uint8_t* src, size_t n, double* max_abs) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  // Two max chains and one all-lanes-finite mask (|v| < inf is false for
+  // both inf and NaN); no early exit — non-finite spans are rare.
+  __m256d m0 = _mm256_setzero_pd(), m1 = m0;
+  __m256d finite = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d a0 = _mm256_andnot_pd(sign, LoadF64x4(src + 8 * i));
+    const __m256d a1 = _mm256_andnot_pd(sign, LoadF64x4(src + 8 * i + 32));
+    finite = _mm256_and_pd(
+        finite, _mm256_and_pd(_mm256_cmp_pd(a0, inf, _CMP_LT_OQ),
+                              _mm256_cmp_pd(a1, inf, _CMP_LT_OQ)));
+    m0 = _mm256_max_pd(m0, a0);
+    m1 = _mm256_max_pd(m1, a1);
+  }
+  double tail = 0.0;
+  if (_mm256_movemask_pd(finite) != 0xF ||
+      !ScalarTable().absmax(src + 8 * i, n - i, &tail)) {
+    return false;
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, _mm256_max_pd(m0, m1));
+  *max_abs = std::max(std::max(std::max(lanes[0], lanes[1]),
+                               std::max(lanes[2], lanes[3])),
+                      tail);
+  return true;
+}
+
+// Four quotients per step. While |v/step| < 2^31 — always, for the delta
+// filter's step = max|v|/32767 — the truncation is vcvttpd2dq and the
+// remainder x - trunc(x) is exact, so the half-away adjustment matches
+// RoundHalfAway lane by lane. The varint length of each delta then needs
+// only the 2^7/2^14/2^21/2^28 thresholds (|delta| <= 2^32). A block with a
+// larger quotient hands the rest of the span to the scalar rounding.
+size_t QuantizeAvx2(const uint8_t* src, size_t n, double step, int64_t* q) {
+  if (step == 0.0) return ScalarTable().quantize(src, n, step, q);
+  const __m256d vstep = _mm256_set1_pd(step);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d limit = _mm256_set1_pd(2147483648.0);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d neg_half = _mm256_set1_pd(-0.5);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i t7 = _mm256_set1_epi64x((int64_t{1} << 7) - 1);
+  const __m256i t14 = _mm256_set1_epi64x((int64_t{1} << 14) - 1);
+  const __m256i t21 = _mm256_set1_epi64x((int64_t{1} << 21) - 1);
+  const __m256i t28 = _mm256_set1_epi64x((int64_t{1} << 28) - 1);
+  __m256i extra = zero;  // per lane: varint bytes beyond the first
+  __m256i last = zero;   // lane 0: the previous block's last q
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d x = _mm256_div_pd(LoadF64x4(src + 8 * i), vstep);
+    const __m256d in_range =
+        _mm256_cmp_pd(_mm256_andnot_pd(sign, x), limit, _CMP_LT_OQ);
+    if (_mm256_movemask_pd(in_range) != 0xF) break;
+    const __m128i t32 = _mm256_cvttpd_epi32(x);
+    const __m256d r = _mm256_sub_pd(x, _mm256_cvtepi32_pd(t32));
+    const __m256i up = _mm256_castpd_si256(_mm256_cmp_pd(r, half, _CMP_GE_OQ));
+    const __m256i down =
+        _mm256_castpd_si256(_mm256_cmp_pd(r, neg_half, _CMP_LE_OQ));
+    // The compare masks are -1 per true lane: t - up + down.
+    const __m256i qv = _mm256_add_epi64(
+        _mm256_sub_epi64(_mm256_cvtepi32_epi64(t32), up), down);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + i), qv);
+    // Previous q per lane: [last q of the previous block, q0, q1, q2].
+    const __m256i rot = _mm256_permute4x64_epi64(qv, _MM_SHUFFLE(2, 1, 0, 3));
+    const __m256i d = _mm256_sub_epi64(qv, _mm256_blend_epi32(rot, last, 0x03));
+    last = rot;
+    const __m256i zz =
+        _mm256_xor_si256(_mm256_slli_epi64(d, 1), _mm256_cmpgt_epi64(zero, d));
+    extra = _mm256_sub_epi64(extra, _mm256_cmpgt_epi64(zz, t7));
+    extra = _mm256_sub_epi64(extra, _mm256_cmpgt_epi64(zz, t14));
+    extra = _mm256_sub_epi64(extra, _mm256_cmpgt_epi64(zz, t21));
+    extra = _mm256_sub_epi64(extra, _mm256_cmpgt_epi64(zz, t28));
+  }
+  alignas(32) int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), extra);
+  size_t len = i + static_cast<size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
+  uint64_t prev = static_cast<uint64_t>(
+      _mm_cvtsi128_si64(_mm256_castsi256_si128(last)));
+  for (; i < n; ++i) {
+    q[i] = RoundHalfAway(LoadF64(src + 8 * i) / step);
+    len += VarintBytes(ZigZag(static_cast<uint64_t>(q[i]) - prev));
+    prev = static_cast<uint64_t>(q[i]);
+  }
+  return len;
+}
+
+void PackFixed16Avx2(const int64_t* q, size_t n, uint8_t* dst) {
+  // Bytes 0-1 of each 64-bit zigzag lane, gathered per 128-bit half and
+  // then across halves into the low 8 bytes.
+  const __m256i gather = _mm256_setr_epi8(
+      0, 1, 8, 9, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,  //
+      0, 1, 8, 9, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+  const __m256i halves = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+  const __m256i zero = _mm256_setzero_si256();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i qv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
+    const __m256i zz = _mm256_xor_si256(_mm256_slli_epi64(qv, 1),
+                                        _mm256_cmpgt_epi64(zero, qv));
+    const __m256i packed = _mm256_permutevar8x32_epi32(
+        _mm256_shuffle_epi8(zz, gather), halves);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + 2 * i),
+                     _mm256_castsi256_si128(packed));
+  }
+  if (i < n) ScalarTable().pack_fixed16(q + i, n - i, dst + 2 * i);
+}
+
+void DequantFixed16Avx2(const uint8_t* src, size_t n, double scale,
+                        uint8_t* dst) {
+  const __m256d vscale = _mm256_set1_pd(scale);
+  const __m128i one = _mm_set1_epi32(1);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    // Four u16 -> i32 (exact in a double), unzigzag, one multiply each.
+    const __m128i z = _mm_cvtepu16_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + 2 * i)));
+    const __m128i qi = _mm_xor_si128(
+        _mm_srli_epi32(z, 1), _mm_sub_epi32(_mm_setzero_si128(),
+                                            _mm_and_si128(z, one)));
+    _mm256_storeu_pd(reinterpret_cast<double*>(dst + 8 * i),
+                     _mm256_mul_pd(_mm256_cvtepi32_pd(qi), vscale));
+  }
+  if (i < n) {
+    ScalarTable().dequant_fixed16(src + 2 * i, n - i, scale, dst + 8 * i);
+  }
+}
+
 }  // namespace
 
 const KernelTable* Avx2TableImpl() {
@@ -292,7 +444,8 @@ const KernelTable* Avx2TableImpl() {
       "avx2",         AddAvx2,          SubAvx2,        MulAvx2,
       DivAvx2,        AxpyAvx2,         ScaleAvx2,      DotChunkAvx2,
       SumChunkAvx2,   Norm2SqChunkAvx2, NnzChunkAvx2,   HistAccumAvx2,
-      OptimizerStepAvx2,
+      OptimizerStepAvx2, AbsMaxAvx2,    QuantizeAvx2,   PackFixed16Avx2,
+      DequantFixed16Avx2,
   };
   return &table;
 }

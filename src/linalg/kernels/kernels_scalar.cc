@@ -164,6 +164,59 @@ void OptimizerStepScalar(const OptimizerParams& p, double* w, const double* g,
   }
 }
 
+// ---- Wire delta filter -----------------------------------------------------
+
+double LoadF64(const uint8_t* p) {
+  double v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+bool AbsMaxScalar(const uint8_t* src, size_t n, double* max_abs) {
+  double m = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double v = LoadF64(src + i * sizeof(double));
+    if (!std::isfinite(v)) return false;
+    m = std::max(m, std::fabs(v));
+  }
+  *max_abs = m;
+  return true;
+}
+
+size_t QuantizeScalar(const uint8_t* src, size_t n, double step, int64_t* q) {
+  if (step == 0.0) {
+    std::fill(q, q + n, int64_t{0});
+    return n;
+  }
+  size_t len = 0;
+  uint64_t prev = 0;
+  for (size_t i = 0; i < n; ++i) {
+    q[i] = RoundHalfAway(LoadF64(src + i * sizeof(double)) / step);
+    len += VarintBytes(ZigZag(static_cast<uint64_t>(q[i]) - prev));
+    prev = static_cast<uint64_t>(q[i]);
+  }
+  return len;
+}
+
+void PackFixed16Scalar(const int64_t* q, size_t n, uint8_t* dst) {
+  for (size_t i = 0; i < n; ++i) {
+    const auto z = static_cast<uint16_t>(ZigZag(static_cast<uint64_t>(q[i])));
+    dst[2 * i] = static_cast<uint8_t>(z);
+    dst[2 * i + 1] = static_cast<uint8_t>(z >> 8);
+  }
+}
+
+void DequantFixed16Scalar(const uint8_t* src, size_t n, double scale,
+                          uint8_t* dst) {
+  for (size_t i = 0; i < n; ++i) {
+    const auto z = static_cast<uint16_t>(src[2 * i] | (src[2 * i + 1] << 8));
+    const int64_t q =
+        static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
+    const double v = static_cast<double>(q) * scale;
+    std::memcpy(dst + i * sizeof(double), &v, sizeof(v));
+  }
+}
+
 }  // namespace
 
 const KernelTable& ScalarTable() {
@@ -172,7 +225,8 @@ const KernelTable& ScalarTable() {
       MulScalar,        DivScalar,          AxpyScalar,
       ScaleScalar,      DotChunkScalar,     SumChunkScalar,
       Norm2SqChunkScalar, NnzChunkScalar,   HistAccumScalar,
-      OptimizerStepScalar,
+      OptimizerStepScalar, AbsMaxScalar,    QuantizeScalar,
+      PackFixed16Scalar, DequantFixed16Scalar,
   };
   return table;
 }

@@ -1,7 +1,10 @@
 #include "net/filters.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstring>
+
+#include "common/logging.h"
+#include "linalg/kernels/kernels.h"
 
 namespace ps2 {
 
@@ -12,16 +15,6 @@ constexpr const char* kKeyCacheMissPrefix = "keycache miss";
 // Leading byte of a kValuesQuant chunk's coded stream.
 constexpr uint8_t kQuantModeDeltaVarint = 0;
 constexpr uint8_t kQuantModeFixed16 = 1;
-
-// Varint-encoded length of `v` (for "is compression worth it" arithmetic).
-size_t VarintLen(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
 
 }  // namespace
 
@@ -48,45 +41,91 @@ constexpr size_t kLzHashBits = 15;
 constexpr size_t kLzMinMatch = 4;
 constexpr size_t kLzMaxDist = 1u << 16;
 
-inline uint32_t LzHash4(const uint8_t* p) {
+inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
-  return (v * 2654435761u) >> (32 - kLzHashBits);
+  return v;
 }
 
-}  // namespace
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
 
-std::vector<uint8_t> LzCompress(Slice in) {
-  BufferWriter out(in.size() / 2 + 16);
+inline uint32_t LzHash4(const uint8_t* p) {
+  return (Load32(p) * 2654435761u) >> (32 - kLzHashBits);
+}
+
+/// The matcher's hash table, reused by every call on one thread. Slots hold
+/// positions in a per-thread stream that each call extends by its input
+/// length plus one, so a slot last written by an earlier call reads as
+/// below the current call's base — empty — and no call has to clear the
+/// table; it is zeroed only when the 32-bit stream position would wrap.
+/// 32-bit slots keep it at 128 KiB.
+struct LzTable {
+  std::vector<uint32_t> slots = std::vector<uint32_t>(size_t{1} << kLzHashBits);
+  uint64_t next_base = 1;  // slots start at 0: empty for every call
+};
+
+/// Extends a match whose first `len` bytes of a and b agree to the first
+/// byte where they differ, or to n: eight bytes per step, then one at a time.
+inline size_t ExtendMatch(const uint8_t* a, const uint8_t* b, size_t len,
+                          size_t n) {
+  while (len + 8 <= n) {
+    const uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+      return len + static_cast<size_t>(__builtin_ctzll(diff)) / 8;
+#else
+      return len + static_cast<size_t>(__builtin_clzll(diff)) / 8;
+#endif
+    }
+    len += 8;
+  }
+  while (len < n && a[len] == b[len]) ++len;
+  return len;
+}
+
+/// Appends the LZ ops of `in` to `out` (LzCompress's body).
+void LzCompressTo(Slice in, BufferWriter* out) {
   const uint8_t* p = in.data();
   const size_t n = in.size();
-  std::vector<int64_t> table(size_t{1} << kLzHashBits, -1);
+  PS2_CHECK(n <= kLzMaxRawLen);  // every position fits a 32-bit slot
+  thread_local LzTable table;
+  if (table.next_base + n + 1 > (uint64_t{1} << 32)) {
+    std::fill(table.slots.begin(), table.slots.end(), 0u);
+    table.next_base = 1;
+  }
+  const auto base = static_cast<uint32_t>(table.next_base);
+  table.next_base += n + 1;
+  uint32_t* slots = table.slots.data();
 
   size_t lit_start = 0;
   auto flush_literals = [&](size_t end) {
     if (end <= lit_start) return;
-    out.WriteU8(0);
-    out.WriteVarint(end - lit_start);
-    out.WriteBytes(Slice(p + lit_start, end - lit_start));
+    out->WriteU8(0);
+    out->WriteVarint(end - lit_start);
+    out->WriteBytes(Slice(p + lit_start, end - lit_start));
   };
 
   size_t i = 0;
   while (i + kLzMinMatch <= n) {
     const uint32_t h = LzHash4(p + i);
-    const int64_t cand = table[h];
-    table[h] = static_cast<int64_t>(i);
-    if (cand >= 0 && i - static_cast<size_t>(cand) <= kLzMaxDist &&
-        std::memcmp(p + cand, p + i, kLzMinMatch) == 0) {
-      size_t len = kLzMinMatch;
-      while (i + len < n && p[cand + len] == p[i + len]) ++len;
+    const uint32_t cand = slots[h];
+    slots[h] = base + static_cast<uint32_t>(i);
+    const size_t from = cand - base;  // meaningful only if cand >= base
+    if (cand >= base && i - from <= kLzMaxDist &&
+        Load32(p + from) == Load32(p + i)) {
+      const size_t len = ExtendMatch(p + from, p + i, kLzMinMatch, n - i);
       flush_literals(i);
-      out.WriteU8(1);
-      out.WriteVarint(len);
-      out.WriteVarint(i - static_cast<size_t>(cand));
+      out->WriteU8(1);
+      out->WriteVarint(len);
+      out->WriteVarint(i - from);
       const size_t end = i + len;
       ++i;  // position i itself is already in the table
       while (i < end && i + kLzMinMatch <= n) {
-        table[LzHash4(p + i)] = static_cast<int64_t>(i);
+        slots[LzHash4(p + i)] = base + static_cast<uint32_t>(i);
         ++i;
       }
       i = end;
@@ -96,45 +135,68 @@ std::vector<uint8_t> LzCompress(Slice in) {
     }
   }
   flush_literals(n);
-  return out.Release();
 }
 
-Result<std::vector<uint8_t>> LzDecompress(Slice in, size_t raw_len) {
+/// Appends the `raw_len` bytes `in` expands to onto `out`.
+Status LzDecompressTo(Slice in, size_t raw_len, std::vector<uint8_t>* out) {
   // `raw_len` arrives off the wire, and a match op expands without bound
   // (RLE), so the stream itself cannot vouch for it: cap it before sizing
   // anything from it.
   if (raw_len > kLzMaxRawLen) {
     return Status::OutOfRange("lz raw length exceeds frame limit");
   }
-  std::vector<uint8_t> out;
-  out.reserve(raw_len);
+  const size_t base = out->size();
+  out->reserve(base + raw_len);
+  size_t done = 0;  // bytes produced so far
   BufferReader r(in);
-  while (out.size() < raw_len) {
+  while (done < raw_len) {
     PS2_ASSIGN_OR_RETURN(uint8_t op, r.ReadU8());
     if (op == 0) {
       PS2_ASSIGN_OR_RETURN(uint64_t len, r.ReadVarint());
-      if (len > raw_len - out.size()) {
+      if (len > raw_len - done) {
         return Status::OutOfRange("lz literal run exceeds raw length");
       }
       PS2_ASSIGN_OR_RETURN(Slice lit, r.ReadBytes(len));
-      out.insert(out.end(), lit.data(), lit.data() + lit.size());
+      out->insert(out->end(), lit.data(), lit.data() + lit.size());
+      done += len;
     } else if (op == 1) {
       PS2_ASSIGN_OR_RETURN(uint64_t len, r.ReadVarint());
       PS2_ASSIGN_OR_RETURN(uint64_t dist, r.ReadVarint());
-      if (dist == 0 || dist > out.size()) {
+      if (dist == 0 || dist > done) {
         return Status::OutOfRange("lz match distance out of range");
       }
-      if (len > raw_len - out.size()) {
+      if (len > raw_len - done) {
         return Status::OutOfRange("lz match exceeds raw length");
       }
-      // Byte-by-byte: overlapping matches (RLE) are the point.
-      size_t src = out.size() - dist;
-      for (uint64_t k = 0; k < len; ++k) out.push_back(out[src + k]);
+      out->resize(base + done + len);  // within the reservation: no move
+      uint8_t* dst = out->data() + base + done;
+      const uint8_t* src = dst - dist;
+      if (dist >= len) {
+        std::memcpy(dst, src, len);
+      } else {
+        // Overlapping (RLE): each byte may be one this op just wrote.
+        for (uint64_t k = 0; k < len; ++k) dst[k] = src[k];
+      }
+      done += len;
     } else {
       return Status::OutOfRange("unknown lz op");
     }
   }
   if (!r.AtEnd()) return Status::OutOfRange("trailing bytes after lz stream");
+  return Status::OK();
+}
+
+}  // namespace
+
+std::vector<uint8_t> LzCompress(Slice in) {
+  BufferWriter out(in.size() / 2 + 16);
+  LzCompressTo(in, &out);
+  return out.Release();
+}
+
+Result<std::vector<uint8_t>> LzDecompress(Slice in, size_t raw_len) {
+  std::vector<uint8_t> out;
+  PS2_RETURN_NOT_OK(LzDecompressTo(in, raw_len, &out));
   return out;
 }
 
@@ -143,8 +205,12 @@ Result<std::vector<uint8_t>> LzDecompress(Slice in, size_t raw_len) {
 void ServerKeyCache::Install(uint64_t hash, Slice bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   if (entries_.count(hash)) return;  // idempotent (replay-safe)
-  if (entries_.size() >= kMaxEntries) return;  // install is advisory
+  if (entries_.size() >= kMaxEntries) {
+    entries_.erase(order_.front());  // FIFO: the oldest install goes
+    order_.pop_front();
+  }
   entries_.emplace(hash, bytes.ToVector());
+  order_.push_back(hash);
 }
 
 const std::vector<uint8_t>* ServerKeyCache::Lookup(uint64_t hash) const {
@@ -156,6 +222,7 @@ const std::vector<uint8_t>* ServerKeyCache::Lookup(uint64_t hash) const {
 void ServerKeyCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
+  order_.clear();
 }
 
 size_t ServerKeyCache::size() const {
@@ -245,6 +312,10 @@ Status DeltaQuantFilter::Encode(FilterContext* ctx,
                                 std::vector<FilterChunk>* chunks,
                                 bool* applied) const {
   (void)ctx;
+  const kernels::KernelTable& k = kernels::Active();
+  // Quantized values of the current span; reused so a large span costs no
+  // allocation (or page faults) per call.
+  thread_local std::vector<int64_t> qs;
   for (FilterChunk& c : *chunks) {
     if (!c.marked || c.kind != SectionKind::kF64Values ||
         c.tag != FilterChunk::kVerbatim || c.view.empty() ||
@@ -252,104 +323,128 @@ Status DeltaQuantFilter::Encode(FilterContext* ctx,
       continue;
     }
     const size_t n = c.view.size() / sizeof(double);
-    // One pass for the scale; bail verbatim on any non-finite value so
-    // NaN/Inf payloads round-trip bit-exact.
+    // The scale; a span with a non-finite value stays verbatim so NaN/Inf
+    // payloads round-trip bit-exact.
     double max_abs = 0.0;
-    bool finite = true;
-    for (size_t i = 0; i < n; ++i) {
-      double v;
-      std::memcpy(&v, c.view.data() + i * sizeof(double), sizeof(double));
-      if (!std::isfinite(v)) {
-        finite = false;
-        break;
-      }
-      max_abs = std::max(max_abs, std::fabs(v));
-    }
-    if (!finite) continue;
+    if (!k.absmax(c.view.data(), n, &max_abs)) continue;
     const double step = max_abs / 32767.0;
-    std::vector<int64_t> qs(n);
-    for (size_t i = 0; i < n; ++i) {
-      double v;
-      std::memcpy(&v, c.view.data() + i * sizeof(double), sizeof(double));
-      qs[i] = step == 0.0 ? 0 : std::llround(v / step);
-    }
+    if (qs.size() < n) qs.resize(n);
+    const size_t varint_len = k.quantize(c.view.data(), n, step, qs.data());
     // Two codings share the quantized stream: delta+zigzag varints win on
     // smooth spans (counts, sorted content), fixed 16-bit wins on noisy
     // gradient spans where consecutive deltas span the whole range. Pick
     // the smaller; the leading mode byte tells the decoder which.
-    size_t varint_len = 0;
-    int64_t prev = 0;
-    for (int64_t q : qs) {
-      const int64_t d = q - prev;
-      varint_len += VarintLen((static_cast<uint64_t>(d) << 1) ^
-                              static_cast<uint64_t>(d >> 63));
-      prev = q;
-    }
-    BufferWriter w(1 + std::min(varint_len, 2 * n));
     if (varint_len <= 2 * n) {
-      w.WriteU8(kQuantModeDeltaVarint);
-      prev = 0;
-      for (int64_t q : qs) {
-        w.WriteSignedVarint(q - prev);
+      c.owned.resize(1 + varint_len);
+      uint8_t* p = c.owned.data();
+      *p++ = kQuantModeDeltaVarint;
+      uint64_t prev = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const auto q = static_cast<uint64_t>(qs[i]);
+        uint64_t z = kernels::ZigZag(q - prev);
         prev = q;
+        while (z >= 0x80) {
+          *p++ = static_cast<uint8_t>(z) | 0x80;
+          z >>= 7;
+        }
+        *p++ = static_cast<uint8_t>(z);
       }
     } else {
-      w.WriteU8(kQuantModeFixed16);
-      for (int64_t q : qs) {
-        const uint16_t z = static_cast<uint16_t>(
-            (static_cast<uint64_t>(q) << 1) ^ static_cast<uint64_t>(q >> 63));
-        w.WriteU8(static_cast<uint8_t>(z));
-        w.WriteU8(static_cast<uint8_t>(z >> 8));
-      }
+      c.owned.resize(1 + 2 * n);
+      c.owned[0] = kQuantModeFixed16;
+      k.pack_fixed16(qs.data(), n, c.owned.data() + 1);
     }
     c.tag = FilterChunk::kValuesQuant;
     c.count = n;
     c.scale = step;
-    c.owned = w.Release();
     *applied = true;
   }
   return Status::OK();
 }
 
-Status DeltaQuantFilter::DecodeChunk(FilterContext* ctx,
-                                     const FilterChunk& chunk,
-                                     std::vector<uint8_t>* out) const {
-  (void)ctx;
-  BufferReader r(chunk.data());
-  PS2_ASSIGN_OR_RETURN(uint8_t mode, r.ReadU8());
-  if (mode != kQuantModeDeltaVarint && mode != kQuantModeFixed16) {
-    return Status::OutOfRange("unknown quantized value coding");
-  }
-  // A value takes at least one byte (a varint) or exactly two (fixed16):
-  // reject a count the chunk cannot hold before sizing the output from it.
-  const size_t min_bytes = mode == kQuantModeDeltaVarint ? 1 : 2;
-  if (chunk.count > r.remaining() / min_bytes) {
-    return Status::OutOfRange("quantized value count exceeds its chunk");
-  }
-  const size_t base = out->size();
-  out->resize(base + chunk.count * sizeof(double));
-  uint8_t* dst = out->data() + base;
-  int64_t q = 0;
-  for (uint64_t i = 0; i < chunk.count; ++i) {
-    if (mode == kQuantModeDeltaVarint) {
-      PS2_ASSIGN_OR_RETURN(int64_t delta, r.ReadSignedVarint());
-      q += delta;
-    } else {
-      PS2_ASSIGN_OR_RETURN(uint8_t lo, r.ReadU8());
-      PS2_ASSIGN_OR_RETURN(uint8_t hi, r.ReadU8());
-      const uint16_t z = static_cast<uint16_t>(lo | (hi << 8));
-      q = static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
+namespace {
+
+/// Decodes `count` delta-zigzag varints from [p, end) into doubles q * scale
+/// at dst. Fails on a truncated or over-long varint or on trailing bytes —
+/// the errors BufferReader::ReadSignedVarint and AtEnd() would give.
+Status DecodeDeltaVarints(const uint8_t* p, const uint8_t* end, uint64_t count,
+                          double scale, uint8_t* dst) {
+  uint64_t q = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t raw = 0;
+    for (int shift = 0;; shift += 7) {
+      if (p == end) return Status::OutOfRange("truncated varint");
+      if (shift >= 64) return Status::OutOfRange("varint too long");
+      const uint8_t byte = *p++;
+      raw |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) break;
     }
-    const double v = static_cast<double>(q) * chunk.scale;
-    std::memcpy(dst + i * sizeof(double), &v, sizeof(double));
+    q += (raw >> 1) ^ (0 - (raw & 1));  // wraps like the encoder's deltas
+    const double v = static_cast<double>(static_cast<int64_t>(q)) * scale;
+    std::memcpy(dst + i * sizeof(double), &v, sizeof(v));
   }
-  if (!r.AtEnd()) {
+  if (p != end) {
     return Status::OutOfRange("trailing bytes in quantized value chunk");
   }
   return Status::OK();
 }
 
+}  // namespace
+
+Status DeltaQuantFilter::DecodeChunk(FilterContext* ctx,
+                                     const FilterChunk& chunk,
+                                     std::vector<uint8_t>* out) const {
+  (void)ctx;
+  const Slice data = chunk.data();
+  if (data.empty()) return Status::OutOfRange("read past end of buffer");
+  const uint8_t mode = data[0];
+  if (mode != kQuantModeDeltaVarint && mode != kQuantModeFixed16) {
+    return Status::OutOfRange("unknown quantized value coding");
+  }
+  // A value takes at least one byte (a varint) or exactly two (fixed16):
+  // reject a count the chunk cannot hold before sizing the output from it.
+  const size_t body = data.size() - 1;
+  const size_t min_bytes = mode == kQuantModeDeltaVarint ? 1 : 2;
+  if (chunk.count > body / min_bytes) {
+    return Status::OutOfRange("quantized value count exceeds its chunk");
+  }
+  if (mode == kQuantModeFixed16 && body != 2 * chunk.count) {
+    return Status::OutOfRange("trailing bytes in quantized value chunk");
+  }
+  const size_t base = out->size();
+  out->resize(base + chunk.count * sizeof(double));
+  uint8_t* dst = out->data() + base;
+  if (mode == kQuantModeFixed16) {
+    kernels::Active().dequant_fixed16(data.data() + 1, chunk.count,
+                                      chunk.scale, dst);
+    return Status::OK();
+  }
+  return DecodeDeltaVarints(data.data() + 1, data.data() + data.size(),
+                            chunk.count, chunk.scale, dst);
+}
+
 // ---- Chain -----------------------------------------------------------------
+
+namespace {
+
+/// Bytes `c` takes in the framed chunk stream (FilterChain::Encode).
+size_t FramedChunkSize(const FilterChunk& c) {
+  using kernels::VarintBytes;
+  switch (c.tag) {
+    case FilterChunk::kVerbatim:
+      return 1 + VarintBytes(c.view.size()) + c.view.size();
+    case FilterChunk::kKeysInstall:
+      return 1 + 8 + VarintBytes(c.view.size()) + c.view.size();
+    case FilterChunk::kKeysRef:
+      return 1 + 8 + VarintBytes(c.count);
+    case FilterChunk::kValuesQuant:
+      return 1 + VarintBytes(c.count) + 8 + VarintBytes(c.owned.size()) +
+             c.owned.size();
+  }
+  return 0;
+}
+
+}  // namespace
 
 FilterChain::FilterChain() : structural_{&keycache_, &delta_} {}
 
@@ -363,10 +458,11 @@ EncodedPayload FilterChain::Encode(Slice payload,
   if (want_mask == 0 || payload.size() <= prefix) return out;
   EncodeStats* caller_stats = ctx->stats;
   ctx->stats = &out.stats;
+  const Slice head = payload.subslice(0, prefix);
 
-  // --- Structural stage: split at the section marks, run the filters.
-  std::vector<uint8_t> framed;
-  bool framed_valid = false;
+  // --- Structural stage: split at the section marks, run the filters, and
+  // frame the chunks behind the prefix: [prefix][varint n_chunks][chunks].
+  std::vector<uint8_t> framed;  // empty unless a structural filter applied
   if ((want_mask & (kFilterKeyCache | kFilterDelta)) && !sections.empty()) {
     std::vector<FilterChunk> chunks;
     size_t pos = prefix;
@@ -404,7 +500,10 @@ EncodedPayload FilterChain::Encode(Slice payload,
         }
       }
       if (any) {
-        BufferWriter w(payload.size());
+        size_t size = prefix + kernels::VarintBytes(chunks.size());
+        for (const FilterChunk& c : chunks) size += FramedChunkSize(c);
+        BufferWriter w(size);
+        w.WriteBytes(head);
         w.WriteVarint(chunks.size());
         for (const FilterChunk& c : chunks) {
           w.WriteU8(c.tag);
@@ -431,22 +530,24 @@ EncodedPayload FilterChain::Encode(Slice payload,
           }
         }
         framed = w.Release();
-        framed_valid = true;
       }
     }
   }
 
-  // --- Byte stage: compress whichever body survives the structural stage.
-  const Slice body = framed_valid
-                         ? Slice(framed)
-                         : payload.subslice(prefix, payload.size() - prefix);
-  std::vector<uint8_t> compressed;
-  bool compressed_valid = false;
-  if ((want_mask & kFilterCompress) && body.size() > 16) {
-    std::vector<uint8_t> blob = LzCompress(body);
-    if (VarintLen(body.size()) + blob.size() < body.size()) {
-      compressed = std::move(blob);
-      compressed_valid = true;
+  // --- Byte stage: compress whichever body survives the structural stage,
+  // as [prefix][varint raw_len][LZ ops], kept only if it shrinks the body.
+  const Slice body =
+      framed.empty() ? payload.subslice(prefix, payload.size() - prefix)
+                     : Slice(framed).subslice(prefix, framed.size() - prefix);
+  std::vector<uint8_t> compressed;  // empty unless kept
+  if ((want_mask & kFilterCompress) && body.size() > 16 &&
+      body.size() <= kLzMaxRawLen) {
+    BufferWriter w(prefix + kMaxVarintBytes + body.size() + body.size() / 8);
+    w.WriteBytes(head);
+    w.WriteVarint(body.size());
+    LzCompressTo(body, &w);
+    if (w.size() - prefix < body.size()) {
+      compressed = w.Release();
       out.mask |= kFilterCompress;
     }
   }
@@ -454,16 +555,7 @@ EncodedPayload FilterChain::Encode(Slice payload,
   ctx->stats = caller_stats;
   if (out.mask == 0) return out;  // nothing applied: alias the original
 
-  BufferWriter w(prefix + (compressed_valid ? compressed.size() : body.size()) +
-                 8);
-  w.WriteBytes(payload.subslice(0, prefix));
-  if (compressed_valid) {
-    w.WriteVarint(body.size());
-    w.WriteBytes(Slice(compressed));
-  } else {
-    w.WriteBytes(body);
-  }
-  out.wire = w.Release();
+  out.wire = compressed.empty() ? std::move(framed) : std::move(compressed);
   out.stats.wire_bytes = out.wire.size();
   // Framing overhead can exceed the savings on small payloads. If the
   // filtered form failed to shrink, fall back to the verbatim payload — safe
@@ -486,23 +578,26 @@ Result<std::vector<uint8_t>> FilterChain::Decode(Slice wire, uint8_t mask,
   if (wire.size() < prefix) {
     return Status::OutOfRange("filtered payload shorter than its prefix");
   }
-  std::vector<uint8_t> out(wire.data(), wire.data() + prefix);
+  const bool structural = (mask & (kFilterKeyCache | kFilterDelta)) != 0;
   if (mask == 0) {
-    out.insert(out.end(), wire.data() + prefix, wire.data() + wire.size());
-    return out;
+    return std::vector<uint8_t>(wire.data(), wire.data() + wire.size());
   }
-
+  std::vector<uint8_t> out(wire.data(), wire.data() + prefix);
   Slice body = wire.subslice(prefix, wire.size() - prefix);
   std::vector<uint8_t> decompressed;
   if (mask & kFilterCompress) {
     BufferReader r(body);
     PS2_ASSIGN_OR_RETURN(uint64_t raw_len, r.ReadVarint());
     PS2_ASSIGN_OR_RETURN(Slice blob, r.ReadBytes(r.remaining()));
-    PS2_ASSIGN_OR_RETURN(decompressed, LzDecompress(blob, raw_len));
+    if (!structural) {  // the raw bytes are the payload body itself
+      PS2_RETURN_NOT_OK(LzDecompressTo(blob, raw_len, &out));
+      return out;
+    }
+    PS2_RETURN_NOT_OK(LzDecompressTo(blob, raw_len, &decompressed));
     body = decompressed;
   }
 
-  if ((mask & (kFilterKeyCache | kFilterDelta)) == 0) {
+  if (!structural) {
     out.insert(out.end(), body.data(), body.data() + body.size());
     return out;
   }

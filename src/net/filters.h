@@ -10,7 +10,7 @@
 //     -> structural filters  (keycache rewrites kKeys chunks,
 //                             delta/quant rewrites kF64Values chunks)
 //     -> framed bytes        ([prefix][varint n_chunks][chunks...])
-//     -> compress filter     ([prefix][varint raw_len][u8 method][blob])
+//     -> compress filter     ([prefix][varint raw_len][LZ ops])
 //
 // The first `prefix` bytes (the opcode byte of a request; 0 for responses)
 // stay verbatim at offset 0 of the wire form, so the server's dedup peek and
@@ -31,6 +31,7 @@
 //     the server consults its dedup table before decoding.
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -51,8 +52,10 @@ uint64_t HashBytes64(Slice bytes);
 /// system builds); a claimed length above it is rejected unallocated.
 constexpr size_t kLzMaxRawLen = size_t{1} << 30;
 
-/// Greedy LZ with a 4-byte rolling hash dictionary + literal runs. Output is
-/// self-contained ops; decompression needs the expected raw length.
+/// Greedy LZ with a 4-byte hash dictionary (2^15 slots, 64 KiB window) and
+/// literal runs. Output is self-contained ops; decompression needs the
+/// expected raw length. Deterministic: the ops depend on the input alone.
+/// `in` must not exceed kLzMaxRawLen (LzDecompress would refuse it).
 std::vector<uint8_t> LzCompress(Slice in);
 Result<std::vector<uint8_t>> LzDecompress(Slice in, size_t raw_len);
 
@@ -60,10 +63,11 @@ Result<std::vector<uint8_t>> LzDecompress(Slice in, size_t raw_len);
 
 /// \brief Server-side content-addressed cache of sparse key lists.
 ///
-/// Bounded; when full, new installs are dropped (an install always carries
-/// the literal bytes, so dropping it only forfeits future refs). Cleared by
-/// PsServer::DropAllState — a recovered server forgets everything and the
-/// client's next ref faults in a fresh install via the miss protocol.
+/// Bounded; when full, an install evicts the oldest entry (FIFO). A ref to
+/// an evicted hash is an ordinary key-cache miss: the client re-sends the
+/// install. Cleared by PsServer::DropAllState — a recovered server forgets
+/// everything and the client's next ref faults in a fresh install via the
+/// miss protocol.
 class ServerKeyCache {
  public:
   static constexpr size_t kMaxEntries = 4096;
@@ -71,7 +75,8 @@ class ServerKeyCache {
   /// Idempotent: re-installing an existing hash is a no-op, which is what
   /// makes duplicate-delivered installs (PR-3 retries) safe.
   void Install(uint64_t hash, Slice bytes);
-  /// The cached bytes, or nullptr (a key-cache miss).
+  /// The cached bytes, or nullptr (a key-cache miss). Valid until the next
+  /// Install or Clear (PsServer decodes requests under its own lock).
   const std::vector<uint8_t>* Lookup(uint64_t hash) const;
   void Clear();
   size_t size() const;
@@ -79,6 +84,7 @@ class ServerKeyCache {
  private:
   mutable std::mutex mu_;
   std::map<uint64_t, std::vector<uint8_t>> entries_;
+  std::deque<uint64_t> order_;  ///< install order, oldest first
 };
 
 /// \brief Client-side record of which key-list hashes each server holds.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -450,6 +451,190 @@ TEST(KernelDispatch, ThreadedOptimizerStepDeterministicUnderContention) {
     ExpectSameBits(results[t].w, expected.w, "threaded w", n);
     ExpectSameBits(results[t].s, expected.s, "threaded s", n);
     ExpectSameBits(results[t].v, expected.v, "threaded v", n);
+  }
+}
+
+// ---- Wire delta filter codecs ----------------------------------------------
+
+/// Little-endian byte image of `values`, starting `offset` bytes into the
+/// buffer, so spans start at every alignment a payload can put them at.
+std::vector<uint8_t> SpanBytes(const std::vector<double>& values,
+                               size_t offset) {
+  std::vector<uint8_t> out(offset + values.size() * sizeof(double), 0xA5);
+  if (!values.empty()) {
+    std::memcpy(out.data() + offset, values.data(),
+                values.size() * sizeof(double));
+  }
+  return out;
+}
+
+/// Reference varint length of the delta-zigzag stream of q.
+size_t ReferenceVarintLen(const std::vector<int64_t>& q) {
+  size_t len = 0;
+  uint64_t prev = 0;
+  for (int64_t qi : q) {
+    const uint64_t d = static_cast<uint64_t>(qi) - prev;
+    uint64_t z = (d << 1) ^ (0 - (d >> 63));
+    prev = static_cast<uint64_t>(qi);
+    for (++len; z >= 0x80; z >>= 7) ++len;
+  }
+  return len;
+}
+
+/// Quantizer inputs for `step`: exact ties (k + 0.5) * step and their
+/// neighbours, +-0.0, denormals, ordinary values up to 32767 steps, and a
+/// few quotients beyond 2^31 (all quotients stay below 2^62).
+std::vector<double> QuantInput(std::mt19937_64* rng, size_t n, double step) {
+  std::uniform_int_distribution<int> kind(0, 9);
+  std::uniform_int_distribution<int64_t> k(-40000, 40000);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    double x;
+    switch (kind(*rng)) {
+      case 0: x = 0.0; break;
+      case 1: x = -0.0; break;
+      case 2:
+        x = std::numeric_limits<double>::denorm_min() * static_cast<double>(i);
+        break;
+      case 3: x = (static_cast<double>(k(*rng)) + 0.5) * step; break;
+      case 4: x = (static_cast<double>(k(*rng)) - 0.5) * step; break;
+      case 5:
+        x = std::nextafter((static_cast<double>(k(*rng)) + 0.5) * step,
+                           i % 2 == 0 ? kInf : -kInf);
+        break;
+      case 6: x = unit(*rng) * std::ldexp(step, 40); break;
+      default: x = unit(*rng) * 32767.0 * step; break;
+    }
+    out[i] = std::isfinite(x) ? x : 0.0;
+  }
+  return out;
+}
+
+TEST(KernelDispatch, AbsMaxMatchesReferenceAndFiniteFlagAgrees) {
+  BackendPair p = Backends();
+  std::mt19937_64 rng(1701);
+  for (size_t n = 0; n <= 67; ++n) {
+    for (size_t offset = 0; offset < kLaneWidth; ++offset) {
+      for (bool with_non_finite : {false, true}) {
+        std::vector<double> v = RandomInput(&rng, n);
+        if (!with_non_finite) {
+          for (double& x : v) x = std::isfinite(x) ? x : -0.0;
+        }
+        bool finite = true;
+        double expected = 0.0;
+        for (double x : v) {
+          finite = finite && std::isfinite(x);
+          expected = std::max(expected, std::fabs(x));
+        }
+        const std::vector<uint8_t> bytes = SpanBytes(v, offset);
+        double got_s = -1.0, got_v = -1.0;
+        const bool ok_s = p.scalar->absmax(bytes.data() + offset, n, &got_s);
+        const bool ok_v = p.simd->absmax(bytes.data() + offset, n, &got_v);
+        SCOPED_TRACE(::testing::Message() << "n " << n << " offset " << offset);
+        EXPECT_EQ(ok_s, finite);
+        EXPECT_EQ(ok_v, finite);
+        if (finite) {
+          EXPECT_TRUE(SameBits(got_s, expected)) << got_s << " " << expected;
+          EXPECT_TRUE(SameBits(got_v, expected)) << got_v << " " << expected;
+        }
+      }
+    }
+  }
+}
+
+/// Both backends quantize exactly like std::llround of the IEEE quotient —
+/// ties away from zero included — and report the same varint length.
+TEST(KernelDispatch, QuantizeMatchesLlroundBitExact) {
+  BackendPair p = Backends();
+  std::mt19937_64 rng(1702);
+  const double steps[] = {std::numeric_limits<double>::denorm_min(),
+                          1e-310,
+                          std::ldexp(1.0, -30),
+                          1.5 / 32767.0,
+                          0.75,
+                          1.0,
+                          3.0,
+                          1e300,
+                          std::ldexp(1.0, 1000)};
+  for (double step : steps) {
+    for (size_t n = 0; n <= 67; ++n) {
+      for (size_t offset = 0; offset < kLaneWidth; ++offset) {
+        const std::vector<double> v = QuantInput(&rng, n, step);
+        std::vector<int64_t> expected(n);
+        for (size_t i = 0; i < n; ++i) expected[i] = std::llround(v[i] / step);
+        const std::vector<uint8_t> bytes = SpanBytes(v, offset);
+        std::vector<int64_t> q_s(n, 7), q_v(n, 7);
+        const size_t len_s =
+            p.scalar->quantize(bytes.data() + offset, n, step, q_s.data());
+        const size_t len_v =
+            p.simd->quantize(bytes.data() + offset, n, step, q_v.data());
+        SCOPED_TRACE(::testing::Message()
+                     << "step " << step << " n " << n << " offset " << offset);
+        EXPECT_EQ(q_s, expected);
+        EXPECT_EQ(q_v, expected);
+        EXPECT_EQ(len_s, ReferenceVarintLen(expected));
+        EXPECT_EQ(len_v, ReferenceVarintLen(expected));
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, QuantizeWithZeroStepGivesZeros) {
+  BackendPair p = Backends();
+  const std::vector<double> v = {0.0, -0.0, 0.0, -0.0, 0.0, 0.0};
+  const std::vector<uint8_t> bytes = SpanBytes(v, 0);
+  for (const KernelTable* t : {p.scalar, p.simd}) {
+    std::vector<int64_t> q(v.size(), 9);
+    EXPECT_EQ(t->quantize(bytes.data(), v.size(), 0.0, q.data()), v.size());
+    EXPECT_EQ(q, std::vector<int64_t>(v.size(), 0));
+  }
+}
+
+TEST(KernelDispatch, Fixed16PackAndDequantizeBitExact) {
+  BackendPair p = Backends();
+  std::mt19937_64 rng(1703);
+  // Wider than 16 bits on purpose: the coding keeps the low 16 bits.
+  std::uniform_int_distribution<int64_t> qdist(-70000, 70000);
+  const double scales[] = {0.0,     -0.0,  std::numeric_limits<double>::denorm_min(),
+                           1e-300,  1.5 / 32767.0, 1.0,
+                           1e300,   kInf,  kNan};
+  for (size_t n = 0; n <= 67; ++n) {
+    for (size_t offset = 0; offset < kLaneWidth; ++offset) {
+      std::vector<int64_t> q(n);
+      for (int64_t& x : q) x = qdist(rng);
+      std::vector<uint8_t> packed_s(offset + 2 * n, 0x5A);
+      std::vector<uint8_t> packed_v = packed_s;
+      p.scalar->pack_fixed16(q.data(), n, packed_s.data() + offset);
+      p.simd->pack_fixed16(q.data(), n, packed_v.data() + offset);
+      SCOPED_TRACE(::testing::Message() << "n " << n << " offset " << offset);
+      ASSERT_EQ(packed_s, packed_v);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t z = (static_cast<uint64_t>(q[i]) << 1) ^
+                           static_cast<uint64_t>(q[i] >> 63);
+        ASSERT_EQ(packed_s[offset + 2 * i] | (packed_s[offset + 2 * i + 1] << 8),
+                  static_cast<int>(z & 0xFFFF));
+      }
+      for (double scale : scales) {
+        std::vector<uint8_t> out_s(offset + 8 * n, 0), out_v(offset + 8 * n, 0);
+        p.scalar->dequant_fixed16(packed_s.data() + offset, n, scale,
+                                  out_s.data() + offset);
+        p.simd->dequant_fixed16(packed_s.data() + offset, n, scale,
+                                out_v.data() + offset);
+        for (size_t i = 0; i < n; ++i) {
+          double a, b;
+          std::memcpy(&a, out_s.data() + offset + 8 * i, 8);
+          std::memcpy(&b, out_v.data() + offset + 8 * i, 8);
+          const uint16_t z = static_cast<uint16_t>(
+              packed_s[offset + 2 * i] | (packed_s[offset + 2 * i + 1] << 8));
+          const int64_t back =
+              static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
+          ASSERT_TRUE(SameBits(a, static_cast<double>(back) * scale))
+              << "scale " << scale << " [" << i << "]";
+          ASSERT_TRUE(SameBits(a, b)) << "scale " << scale << " [" << i << "]";
+        }
+      }
+    }
   }
 }
 

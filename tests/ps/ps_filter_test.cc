@@ -12,7 +12,9 @@
 
 #include "common/slice.h"
 #include "dataflow/cluster.h"
+#include "linalg/sparse_vector.h"
 #include "net/filter_config.h"
+#include "net/filters.h"
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
 #include "ps/ps_server.h"
@@ -173,6 +175,28 @@ TEST(PsFilterTest, KeyCacheMissProtocolSurvivesServerRecovery) {
   const uint64_t misses = f.Metric("ps.keycache_misses");
   ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());
   EXPECT_EQ(f.Metric("ps.keycache_misses"), misses);
+}
+
+TEST(PsFilterTest, KeyCacheKeepsWorkingPastItsCapacity) {
+  // More distinct key lists than the server's key cache holds, each pulled
+  // (an install: the list is long enough for one on first sighting) and then
+  // pushed (a ref to that install). A full cache evicts its oldest entry, so
+  // the newest install always lands and no ref misses — a cache that dropped
+  // installs once full would answer every ref after the cap with a miss.
+  Fixture f(SpecWithFilters("keycache", 1), {}, 8192);
+  constexpr size_t kLists = ServerKeyCache::kMaxEntries + 64;
+  for (size_t k = 0; k < kLists; ++k) {
+    std::vector<uint64_t> keys;
+    for (uint64_t j = 0; j < 30; ++j) keys.push_back(k + 2 * j);
+    ASSERT_TRUE(f.client->PullSparse(f.weight, keys).ok()) << k;
+    ASSERT_TRUE(
+        f.client->PushSparse(f.weight, SparseVector(keys, std::vector<double>(
+                                                              30, 0.5)))
+            .ok())
+        << k;
+  }
+  EXPECT_EQ(f.Metric("ps.keycache_misses"), 0u);
+  EXPECT_GE(f.Metric("ps.keycache_hits"), kLists);
 }
 
 TEST(PsFilterTest, DuplicateDeliveryComposesWithDedup) {
