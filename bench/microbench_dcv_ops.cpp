@@ -11,8 +11,11 @@
 // files through tools/check_bench.py --tolerance 0. The det run also pushes
 // a fixed payload corpus through the wire filter chain (det.filter_*: total
 // wire bytes and the sum of the decoded values), so the filter codecs are
-// held to the same backend-independence. `wall.*` fields record raw kernel
-// and filter codec timings per backend (informational, never gated).
+// held to the same backend-independence, and so is an owned-row exchange
+// over 2,000 single-row matrices on 4 servers (det.owned_rows_sum: the sum
+// of the rows pulled after fixed pushes). `wall.*` fields record raw kernel
+// and filter codec timings per backend and the owned-row exchange's time
+// per row (informational, never gated).
 // `--benchmark_filter='^$'` skips the timing loops and keeps only that
 // section, which is what the equivalence CI step uses.
 
@@ -26,10 +29,13 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/logging.h"
 #include "dcv/dcv_context.h"
 #include "linalg/kernels/kernels.h"
 #include "ml/optimizer.h"
 #include "net/filters.h"
+#include "ps/ps_client.h"
+#include "ps/ps_master.h"
 
 namespace ps2 {
 namespace {
@@ -315,6 +321,78 @@ void FilterDetSection(bench::JsonReporter* report) {
   report->AddField("det.filter_decoded_sum", decoded_sum);
 }
 
+// ---------------------------------------------------------------------------
+// Owned-row exchange (DESIGN.md §13): the word2vec layout of one matrix per
+// key, each homed on one server, pulled and pushed a batch of rows at a time.
+
+struct OwnedRowsResult {
+  double sum = 0.0;         ///< every value pulled by the last pass
+  double ns_per_row = 0.0;  ///< wall time of one row's pull + push
+};
+
+/// 2,000 single-row, 16-wide matrices homed round-robin on 4 servers; each
+/// pass pulls every row and pushes a fixed delta to it, 500 rows a batch.
+/// The sum does not depend on timing or on the kernel backend.
+OwnedRowsResult RunOwnedRows(int passes) {
+  constexpr int kKeys = 2000;
+  constexpr uint64_t kDim = 16;
+  constexpr size_t kBatch = 500;
+  ClusterSpec spec;
+  spec.num_workers = 4;
+  spec.num_servers = 4;
+  Cluster cluster(spec);
+  DcvContext ctx(&cluster);
+  std::vector<RowRef> refs;
+  for (int k = 0; k < kKeys; ++k) {
+    MatrixOptions mo;
+    mo.name = "owned";
+    mo.dim = kDim;
+    mo.reserve_rows = 1;
+    mo.home_server = k % spec.num_servers;
+    Result<int> id = ctx.master()->CreateMatrix(mo);
+    PS2_CHECK(id.ok()) << id.status();
+    refs.push_back(RowRef{*id, 0});
+  }
+  OwnedRowsResult out;
+  std::vector<std::vector<double>> deltas(kBatch, std::vector<double>(kDim));
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int pass = 0; pass < passes; ++pass) {
+    for (size_t b = 0; b < refs.size(); b += kBatch) {
+      const std::vector<RowRef> batch(refs.begin() + b,
+                                      refs.begin() + b + kBatch);
+      Result<std::vector<std::vector<double>>> pulled =
+          ctx.client()->PullOwnedRowsAsync(batch).Get();
+      PS2_CHECK(pulled.ok()) << pulled.status();
+      for (size_t i = 0; i < kBatch; ++i) {
+        for (uint64_t c = 0; c < kDim; ++c) {
+          if (pass + 1 == passes) out.sum += (*pulled)[i][c];
+          deltas[i][c] = PatternValue((b + i) * kDim + c + pass);
+        }
+      }
+      PS2_CHECK_OK(ctx.client()->PushOwnedRowsAsync(batch, deltas).Wait());
+    }
+  }
+  out.ns_per_row = std::chrono::duration<double, std::nano>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count() /
+                   (static_cast<double>(passes) * kKeys);
+  return out;
+}
+
+void OwnedRowsDetSection(bench::JsonReporter* report) {
+  report->AddField("det.owned_rows_sum", RunOwnedRows(3).sum);
+}
+
+/// Best of three runs of 20 passes each.
+void OwnedRowsWallSection(bench::JsonReporter* report) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < 3; ++r) {
+    best = std::min(best, RunOwnedRows(20).ns_per_row);
+  }
+  report->AddField("wall.owned_rows_ns_per_row", best);
+  std::printf("owned rows: %.0f ns per row (pull + push)\n", best);
+}
+
 /// Best-of-N wall time of one kernel call, in nanoseconds.
 template <typename Fn>
 double TimeNs(int reps, Fn&& fn) {
@@ -466,8 +544,10 @@ int main(int argc, char** argv) {
   ps2::bench::JsonReporter report("microbench_dcv_ops");
   ps2::DeterministicSection(&report);
   ps2::FilterDetSection(&report);
+  ps2::OwnedRowsDetSection(&report);
   ps2::WallClockSection(&report);
   ps2::FilterWallSection(&report);
+  ps2::OwnedRowsWallSection(&report);
   report.Write();
   return 0;
 }

@@ -207,6 +207,9 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
     // window. The prefetched pull may read rows at most one in-flight push
     // stale — the usual hogwild tolerance of skip-gram training.
     size_t cur = 0;
+    // Per-row deltas, reused across batches: a push serializes them before
+    // it returns, so the next batch may overwrite them.
+    std::vector<std::vector<double>> deltas;
     PsFuture<std::vector<std::vector<double>>> pull_future;
     PsFuture<Ack> push_future;
     if (!rows.empty()) {
@@ -224,8 +227,8 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
       const std::vector<std::vector<double>>& vals = *pulled;
       // Local minibatch SGD against the pulled snapshot; deltas accumulate
       // per deduplicated row.
-      std::vector<std::vector<double>> deltas(batch.refs.size(),
-                                              std::vector<double>(k_dim, 0.0));
+      deltas.resize(batch.refs.size());
+      for (std::vector<double>& d : deltas) d.assign(k_dim, 0.0);
       for (const W2vBatch::Task& t : batch.tasks) {
         const std::vector<double>& emb = vals[t.center];
         const std::vector<double>& ctxv = vals[t.context];

@@ -576,24 +576,38 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeAll(
 
 Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeOwnedRows(
     TaskTraffic* traffic, const std::vector<RowRef>& rows,
-    const std::vector<std::vector<double>>* deltas,
-    std::vector<std::shared_ptr<const MatrixMeta>> metas,
+    const std::vector<std::vector<double>>* deltas, MetaBatch metas,
     std::vector<size_t> positions, std::vector<std::vector<size_t>>* groups) {
   std::vector<size_t> pending = std::move(positions);
   const PsOpCode op = deltas != nullptr ? PsOpCode::kPushRowsBatch
                                         : PsOpCode::kPullRowsBatch;
   std::vector<PsServer::HandleResult> results;
+  std::vector<std::shared_ptr<const void>> repins;  // re-planned metas' pins
+  const size_t n_servers = static_cast<size_t>(master_->num_servers());
   for (uint32_t round = 0;; ++round) {
-    std::map<int, std::vector<size_t>> by_server;  // owner -> row positions
+    // Groups go out in server order, each with its rows in pending order.
+    std::vector<std::vector<size_t>> by_server(n_servers);
     for (size_t i : pending) {
-      by_server[metas[i]->partitioner.ServerOfPartition(0)].push_back(i);
+      const auto server =
+          static_cast<size_t>(metas[i].partitioner.ServerOfPartition(0));
+      if (server >= n_servers) {
+        return Status::Internal("owned row homed on an unknown server");
+      }
+      by_server[server].push_back(i);
     }
     std::vector<ServerRequest> requests;
     std::vector<std::vector<size_t>> planned;
-    requests.reserve(by_server.size());
-    planned.reserve(by_server.size());
-    for (auto& [server, members] : by_server) {
-      BufferWriter writer;
+    for (std::vector<size_t>& members : by_server) {
+      if (members.empty()) continue;
+      // Opcode, count, then per row its (matrix, row) varints and, for a
+      // push, its width varint and values: sized once, never regrown.
+      size_t bytes = 1 + kMaxVarintBytes * (1 + 2 * members.size());
+      if (deltas != nullptr) {
+        for (size_t i : members) {
+          bytes += kMaxVarintBytes + (*deltas)[i].size() * sizeof(double);
+        }
+      }
+      BufferWriter writer(bytes);
       writer.WriteU8(static_cast<uint8_t>(op));
       writer.WriteVarint(members.size());
       for (size_t i : members) {
@@ -611,7 +625,7 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeOwnedRows(
       // `routing stale` bounce surfaces here instead of ExecuteRequest
       // re-aiming the whole group by one row: keys relocate independently,
       // and a group's rows may now live on different servers.
-      ServerRequest request = MakeRouted(*metas[members[0]], 0, &writer);
+      ServerRequest request = MakeRouted(metas[members[0]], 0, &writer);
       request.route_matrix = -1;
       requests.push_back(std::move(request));
       planned.push_back(std::move(members));
@@ -632,16 +646,15 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeOwnedRows(
         return each[g].status();
       }
       bounced_stamp = std::max(bounced_stamp,
-                               metas[planned[g][0]]->routing_epoch + 1);
+                               metas[planned[g][0]].routing_epoch + 1);
       pending.insert(pending.end(), planned[g].begin(), planned[g].end());
     }
     if (pending.empty()) return results;
     std::vector<RowRef> refs;
     refs.reserve(pending.size());
     for (size_t i : pending) refs.push_back(rows[i]);
-    PS2_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<const MatrixMeta>> fresh,
-                         master_->GetMetas(refs));
-    if (fresh[0]->routing_epoch + 1 <= bounced_stamp) {
+    PS2_ASSIGN_OR_RETURN(MetaBatch fresh, master_->GetMetas(refs));
+    if (fresh[0].routing_epoch + 1 <= bounced_stamp) {
       // Servers learn a new epoch before the master publishes the metas
       // that carry it; poll like a fence wait until the publish lands.
       traffic->retry_backoff_time +=
@@ -649,8 +662,9 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeOwnedRows(
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
     for (size_t k = 0; k < pending.size(); ++k) {
-      metas[pending[k]] = std::move(fresh[k]);
+      metas.metas[pending[k]] = fresh.metas[k];
     }
+    repins.push_back(std::move(fresh.pin));
   }
 }
 
@@ -1229,26 +1243,26 @@ void WriteTuple(BufferWriter* writer, const Entry& e) {
 Result<std::shared_ptr<const MatrixMeta>> PsClient::Place(
     const std::vector<RowRef>& rows, const std::vector<bool>& replica_ok) {
   PS2_CHECK(!rows.empty());
-  PS2_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<const MatrixMeta>> metas,
-                       master_->GetMetas(rows));
+  PS2_ASSIGN_OR_RETURN(MetaBatch metas, master_->GetMetas(rows));
   // A replicated (hot) row the servers only read is present in full on
   // every server, so it reads as co-located with any slice: only the other
   // rows anchor placement (if none is left, the first row does).
   HotspotManager* hotspot = master_->hotspot();
-  std::shared_ptr<const MatrixMeta> anchor;
+  size_t anchor = rows.size();
   for (size_t i = 0; i < rows.size(); ++i) {
     if (i < replica_ok.size() && replica_ok[i] &&
         hotspot->IsReplicated(rows[i])) {
       continue;
     }
-    if (anchor == nullptr) {
-      anchor = metas[i];
-    } else if (metas[i] != anchor &&
-               !metas[i]->partitioner.CoLocatedWith(anchor->partitioner)) {
+    if (anchor == rows.size()) {
+      anchor = i;
+    } else if (metas.metas[i] != metas.metas[anchor] &&
+               !metas[i].partitioner.CoLocatedWith(
+                   metas[anchor].partitioner)) {
       return std::shared_ptr<const MatrixMeta>();
     }
   }
-  return anchor != nullptr ? anchor : metas[0];
+  return metas.Hold(anchor != rows.size() ? anchor : 0);
 }
 
 template <typename Entry>
@@ -1525,15 +1539,15 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullOwnedRowsAsync(
   using Out = std::vector<std::vector<double>>;
   if (rows.empty()) return ReadyFuture<Out>(Out{});
   const size_t n = rows.size();
-  Result<std::vector<std::shared_ptr<const MatrixMeta>>> metas_r =
-      master_->GetMetas(rows);
+  Result<MetaBatch> metas_r = master_->GetMetas(rows);
   if (!metas_r.ok()) return ReadyFuture<Out>(metas_r.status());
   Out out(n);
   std::vector<size_t> remote;  // positions the owning servers serve
+  remote.reserve(n);
   uint64_t local_hits = 0, local_bytes = 0, local_ops = 0;
   for (size_t i = 0; i < n; ++i) {
     const RowRef ref = rows[i];
-    const MatrixMeta& meta = *(*metas_r)[i];
+    const MatrixMeta& meta = (*metas_r)[i];
     if (meta.partitioner.assignment().size() != 1) {
       return ReadyFuture<Out>(Status::FailedPrecondition(
           "PullOwnedRows requires single-partition matrices"));
@@ -1580,14 +1594,12 @@ PsFuture<std::vector<std::vector<double>>> PsClient::PullOwnedRowsAsync(
             if (w != out[i].size()) {
               return Status::Internal("owned-rows pull width mismatch");
             }
-            PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                                 reader.ReadF64Span(w));
+            PS2_RETURN_NOT_OK(reader.ReadF64Into(out[i].data(), w));
             // A hot-but-stale row reached its owner anyway: the pull IS the
             // refresh, so warm the cache with it.
             if (cache_.HasHot() && cache_.HotDim(rows[i]) == w) {
-              cache_.Store(rows[i], values, cache_.epoch());
+              cache_.Store(rows[i], out[i], cache_.epoch());
             }
-            std::copy(values.begin(), values.end(), out[i].begin());
           }
         }
         return std::move(out);
@@ -1602,12 +1614,11 @@ PsFuture<Ack> PsClient::PushOwnedRowsAsync(
     return ReadyFuture<Ack>(
         Status::InvalidArgument("rows/deltas size mismatch"));
   }
-  Result<std::vector<std::shared_ptr<const MatrixMeta>>> metas_r =
-      master_->GetMetas(rows);
+  Result<MetaBatch> metas_r = master_->GetMetas(rows);
   if (!metas_r.ok()) return ReadyFuture<Ack>(metas_r.status());
   std::vector<size_t> positions(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    const MatrixMeta& meta = *(*metas_r)[i];
+    const MatrixMeta& meta = (*metas_r)[i];
     if (meta.partitioner.assignment().size() != 1) {
       return ReadyFuture<Ack>(Status::FailedPrecondition(
           "PushOwnedRows requires single-partition matrices"));

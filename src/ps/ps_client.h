@@ -406,8 +406,7 @@ class PsClient {
   /// receives the row positions each returned response carries.
   Result<std::vector<PsServer::HandleResult>> ExchangeOwnedRows(
       TaskTraffic* traffic, const std::vector<RowRef>& rows,
-      const std::vector<std::vector<double>>* deltas,
-      std::vector<std::shared_ptr<const MatrixMeta>> metas,
+      const std::vector<std::vector<double>>* deltas, MetaBatch metas,
       std::vector<size_t> positions,
       std::vector<std::vector<size_t>>* groups);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "common/logging.h"
 #include "membership/membership_manager.h"
@@ -32,6 +33,25 @@ PsMaster::PsMaster(Cluster* cluster) : cluster_(cluster) {
 }
 
 PsMaster::~PsMaster() = default;
+
+PsMaster::MatrixState* PsMaster::FindLocked(int matrix_id) {
+  const auto id = static_cast<size_t>(matrix_id);  // negative: past the end
+  if (id >= matrices_.size() || matrices_[id].meta == nullptr) return nullptr;
+  return &matrices_[id];
+}
+
+const PsMaster::MatrixState* PsMaster::FindLocked(int matrix_id) const {
+  return const_cast<PsMaster*>(this)->FindLocked(matrix_id);
+}
+
+void PsMaster::RetireMetasLocked(
+    std::vector<std::shared_ptr<const MatrixMeta>> metas) {
+  if (metas.empty()) return;
+  auto next = std::make_shared<MetaEpoch>();
+  meta_epoch_->retired = std::move(metas);
+  meta_epoch_->next = next;
+  meta_epoch_ = std::move(next);
+}
 
 std::vector<int> PsMaster::active_servers() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -78,7 +98,9 @@ std::vector<MatrixMeta> PsMaster::AllMetas() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MatrixMeta> metas;
   metas.reserve(matrices_.size());
-  for (const auto& [id, state] : matrices_) metas.push_back(*state.meta);
+  for (const MatrixState& state : matrices_) {
+    if (state.meta != nullptr) metas.push_back(*state.meta);
+  }
   return metas;
 }
 
@@ -86,14 +108,17 @@ void PsMaster::CommitRouting(const std::vector<MatrixMeta>& metas,
                              std::vector<int> new_active, uint64_t epoch,
                              int retired_server) {
   std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::shared_ptr<const MatrixMeta>> replaced;
+  replaced.reserve(metas.size());
   for (const MatrixMeta& meta : metas) {
-    auto it = matrices_.find(meta.id);
-    if (it == matrices_.end()) continue;  // freed mid-migration
-    auto next = std::make_shared<MatrixMeta>(*it->second.meta);
+    MatrixState* state = FindLocked(meta.id);
+    if (state == nullptr) continue;  // freed mid-migration
+    auto next = std::make_shared<MatrixMeta>(*state->meta);
     next->partitioner = meta.partitioner;
     next->routing_epoch = epoch;
-    it->second.meta = std::move(next);
+    replaced.push_back(std::exchange(state->meta, std::move(next)));
   }
+  RetireMetasLocked(std::move(replaced));
   active_ = std::move(new_active);
   if (retired_server >= 0 &&
       retired_server < static_cast<int>(retired_.size())) {
@@ -161,6 +186,9 @@ Result<int> PsMaster::CreateMatrixInternal(MatrixOptions options,
 
 Result<int> PsMaster::RegisterMatrix(MatrixMeta meta) {
   for (auto& server : servers_) {
+    // Every server admits the id: a migration may bring the matrix to one
+    // that holds no shard of it now.
+    server->AdmitMatrixIds(meta.id + 1);
     uint64_t begin = 0, end = 0;
     if (!meta.partitioner.ServerSpan(server->id(), &begin, &end)) continue;
     PS2_RETURN_NOT_OK(server->CreateMatrixShard(meta));
@@ -169,7 +197,9 @@ Result<int> PsMaster::RegisterMatrix(MatrixMeta meta) {
   auto published = std::make_shared<const MatrixMeta>(std::move(meta));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    matrices_.emplace(id, MatrixState{std::move(published), 1});
+    const auto slot = static_cast<size_t>(id);
+    if (slot >= matrices_.size()) matrices_.resize(slot + 1);
+    matrices_[slot] = MatrixState{std::move(published), 1};
   }
   cluster_->metrics().Add("ps.matrices_created", 1);
   return id;
@@ -213,33 +243,31 @@ Result<int> PsMaster::CreateAlignedMatrix(int base_matrix_id,
 
 Result<MatrixMeta> PsMaster::GetMeta(int matrix_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = matrices_.find(matrix_id);
-  if (it == matrices_.end()) return Status::NotFound("unknown matrix id");
-  return *it->second.meta;
+  const MatrixState* state = FindLocked(matrix_id);
+  if (state == nullptr) return Status::NotFound("unknown matrix id");
+  return *state->meta;
 }
 
-Result<std::vector<std::shared_ptr<const MatrixMeta>>> PsMaster::GetMetas(
-    const std::vector<RowRef>& rows) const {
-  std::vector<std::shared_ptr<const MatrixMeta>> metas;
-  metas.reserve(rows.size());
+Result<MetaBatch> PsMaster::GetMetas(const std::vector<RowRef>& rows) const {
+  MetaBatch batch;
+  batch.metas.resize(rows.size());
   std::lock_guard<std::mutex> lock(mu_);
-  for (const RowRef& ref : rows) {
-    if (!metas.empty() && metas.back()->id == ref.matrix_id) {
-      metas.push_back(metas.back());  // runs of one matrix skip the lookup
-      continue;
-    }
-    auto it = matrices_.find(ref.matrix_id);
-    if (it == matrices_.end()) return Status::NotFound("unknown matrix id");
-    metas.push_back(it->second.meta);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const MatrixState* state = FindLocked(rows[i].matrix_id);
+    if (state == nullptr) return Status::NotFound("unknown matrix id");
+    batch.metas[i] = state->meta.get();
   }
-  return metas;
+  // Every meta above is either live or unpublished later, while this
+  // epoch — or one it holds — keeps it.
+  batch.pin = meta_epoch_;
+  return batch;
 }
 
 Result<RowRef> PsMaster::AllocateRow(int matrix_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = matrices_.find(matrix_id);
-  if (it == matrices_.end()) return Status::NotFound("unknown matrix id");
-  MatrixState& state = it->second;
+  MatrixState* found = FindLocked(matrix_id);
+  if (found == nullptr) return Status::NotFound("unknown matrix id");
+  MatrixState& state = *found;
   if (state.next_free_row >= state.meta->num_rows) {
     return Status::OutOfRange("matrix row reservation exhausted");
   }
@@ -252,9 +280,11 @@ Result<RowRef> PsMaster::AllocateRow(int matrix_id) {
 Status PsMaster::FreeMatrix(int matrix_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (matrices_.erase(matrix_id) == 0) {
-      return Status::NotFound("unknown matrix id");
-    }
+    MatrixState* state = FindLocked(matrix_id);
+    if (state == nullptr) return Status::NotFound("unknown matrix id");
+    std::vector<std::shared_ptr<const MatrixMeta>> freed;
+    freed.push_back(std::move(state->meta));
+    RetireMetasLocked(std::move(freed));
   }
   // Free wherever the shard actually lives — post-migration that is the
   // partitioner's assignment, not servers 0..P-1.
@@ -312,7 +342,9 @@ Result<SimTime> PsMaster::RecoverServerInternal(int server_id) {
     std::lock_guard<std::mutex> lock(mu_);
     epoch = routing_epoch_;
     metas.reserve(matrices_.size());
-    for (const auto& [id, state] : matrices_) metas.push_back(*state.meta);
+    for (const MatrixState& state : matrices_) {
+      if (state.meta != nullptr) metas.push_back(*state.meta);
+    }
   }
   uint64_t reconciled = 0;
   for (const MatrixMeta& meta : metas) {

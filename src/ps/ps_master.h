@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,6 +45,21 @@ struct MatrixOptions {
   /// matrix can later be relocated whole via
   /// MembershipManager::RelocateMatrices. Overrides num_servers.
   int home_server = -1;
+};
+
+/// The published metas of a batch of rows (PsMaster::GetMetas): one
+/// pointer per row, all kept alive by a single shared pin however long the
+/// batch is held, across later routing commits and frees. Rows of one
+/// matrix point at the same meta.
+struct MetaBatch {
+  std::shared_ptr<const void> pin;
+  std::vector<const MatrixMeta*> metas;
+
+  const MatrixMeta& operator[](size_t i) const { return *metas[i]; }
+  /// An owning handle on row i's meta, valid after the batch is gone.
+  std::shared_ptr<const MatrixMeta> Hold(size_t i) const {
+    return std::shared_ptr<const MatrixMeta>(pin, metas[i]);
+  }
 };
 
 /// \brief Owns the PS-servers, matrix metadata and fault-tolerance machinery.
@@ -108,13 +122,13 @@ class PsMaster {
   Result<MatrixMeta> GetMeta(int matrix_id) const;
 
   /// The published meta of each row's matrix, resolved in ONE critical
-  /// section (per-row paths must not take the master lock per row). Metas
+  /// section by id index and pinned once for the whole batch (per-row paths
+  /// must not take the master lock, or a reference count, per row). Metas
   /// are immutable once published — a routing commit swaps in a new one —
-  /// so the pointers stay valid and unchanging however long they are held;
-  /// a stale one is bounced by its routing-epoch stamp. NotFound when any
-  /// row names an unknown matrix.
-  Result<std::vector<std::shared_ptr<const MatrixMeta>>> GetMetas(
-      const std::vector<RowRef>& rows) const;
+  /// so the pointers stay valid and unchanging however long the batch is
+  /// held; a stale one is bounced by its routing-epoch stamp. NotFound when
+  /// any row names an unknown matrix.
+  Result<MetaBatch> GetMetas(const std::vector<RowRef>& rows) const;
 
   /// Hands out the next free row of `matrix_id` (the `derive` operator);
   /// returns OutOfRange when the reservation is exhausted.
@@ -156,10 +170,28 @@ class PsMaster {
   friend class MembershipManager;
 
   struct MatrixState {
-    /// Published and never edited; CommitRouting swaps in a new one.
+    /// Published and never edited; CommitRouting swaps in a new one. Null
+    /// for an id that is freed or not yet registered.
     std::shared_ptr<const MatrixMeta> meta;
     uint32_t next_free_row = 1;  // row 0 belongs to the creating DCV
   };
+
+  /// Lifetime of unpublished metas. GetMetas pins the newest epoch; a meta
+  /// a commit or free unpublishes joins the newest epoch's `retired` list,
+  /// and a fresh epoch begins. Each epoch holds the next, so a pin keeps
+  /// every meta unpublished after it was taken, and an epoch nobody pins
+  /// frees its metas at once. Pins last one call, so the chain a pin holds
+  /// spans the few commits made meanwhile.
+  struct MetaEpoch {
+    std::vector<std::shared_ptr<const MatrixMeta>> retired;
+    std::shared_ptr<MetaEpoch> next;
+  };
+
+  /// The state of a live matrix, or nullptr (mu_ held).
+  MatrixState* FindLocked(int matrix_id);
+  const MatrixState* FindLocked(int matrix_id) const;
+  /// Moves `metas` into the newest epoch and begins the next (mu_ held).
+  void RetireMetasLocked(std::vector<std::shared_ptr<const MatrixMeta>> metas);
 
   Result<int> CreateMatrixInternal(MatrixOptions options, int rotation);
 
@@ -197,7 +229,9 @@ class PsMaster {
   CheckpointStore checkpoint_store_;
 
   mutable std::mutex mu_;
-  std::map<int, MatrixState> matrices_;
+  /// Matrix states by id; ids are handed out densely, so lookups index.
+  std::vector<MatrixState> matrices_;
+  std::shared_ptr<MetaEpoch> meta_epoch_ = std::make_shared<MetaEpoch>();
   /// Active server ids, ascending (guarded by mu_).
   std::vector<int> active_;
   /// Decommissioned fleet slots; they never rejoin (guarded by mu_).

@@ -32,10 +32,17 @@ const std::string& HandleUsName(PsOpCode op) {
   return (*names)[i >= 0 && i < kNumPsOpCodes ? i : kNumPsOpCodes];
 }
 
-/// One (matrix, row) operand: two varints.
+/// One (matrix, row) operand: two varints. An id or row too wide for
+/// RowRef is rejected rather than truncated onto another matrix or row.
 Result<RowRef> ReadRow(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
+  if (m > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::NotFound("matrix not found on server");
+  }
+  if (r > std::numeric_limits<uint32_t>::max()) {
+    return Status::OutOfRange("row out of range");
+  }
   return RowRef{static_cast<int>(m), static_cast<uint32_t>(r)};
 }
 
@@ -121,7 +128,8 @@ const ZipAggFn* UdfRegistry::GetZipAggregate(int id) const {
 
 Status PsServer::CreateMatrixShard(const MatrixMeta& meta) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (shards_.count(meta.id) > 0) {
+  if (meta.id < 0) return Status::InvalidArgument("negative matrix id");
+  if (ShardOf(meta.id) != nullptr) {
     return Status::AlreadyExists("matrix shard already exists on server");
   }
   // This server's slice is the union span of its assigned partitions (block
@@ -142,21 +150,41 @@ Status PsServer::CreateMatrixShard(const MatrixMeta& meta) {
     shard.sparse_rows.assign(meta.num_rows, {});
   }
   shard.row_versions.assign(meta.num_rows, 0);
-  shards_.emplace(meta.id, std::move(shard));
+  matrix_id_limit_ = std::max(matrix_id_limit_, meta.id + int64_t{1});
+  PutShardLocked(std::move(shard));
   return Status::OK();
 }
 
 Status PsServer::FreeMatrixShard(int matrix_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (shards_.erase(matrix_id) == 0) {
+  if (ShardOf(matrix_id) == nullptr) {
     return Status::NotFound("matrix shard not found");
   }
+  shards_[static_cast<size_t>(matrix_id)].reset();
   return Status::OK();
 }
 
 bool PsServer::HasMatrix(int matrix_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return shards_.count(matrix_id) > 0;
+  return ShardOf(matrix_id) != nullptr;
+}
+
+void PsServer::AdmitMatrixIds(int limit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  matrix_id_limit_ = std::max<int64_t>(matrix_id_limit_, limit);
+}
+
+PsServer::Shard* PsServer::ShardOf(uint64_t matrix_id) const {
+  return matrix_id < shards_.size() ? shards_[matrix_id].get() : nullptr;
+}
+
+PsServer::Shard* PsServer::PutShardLocked(Shard shard) {
+  const int id = shard.meta.id;
+  PS2_CHECK(id >= 0 && id < matrix_id_limit_) << "matrix id not admitted";
+  const auto slot = static_cast<size_t>(id);
+  if (slot >= shards_.size()) shards_.resize(slot + 1);
+  shards_[slot] = std::make_unique<Shard>(std::move(shard));
+  return shards_[slot].get();
 }
 
 void PsServer::FenceForMigration() {
@@ -255,13 +283,14 @@ Result<bool> PsServer::ReconcileShardBounds(const MatrixMeta& meta) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t begin = 0, end = 0;
   const bool covered = meta.partitioner.ServerSpan(id_, &begin, &end);
-  auto it = shards_.find(meta.id);
+  if (meta.id < 0) return Status::InvalidArgument("negative matrix id");
+  Shard* existing = ShardOf(meta.id);
   if (!covered) {
-    if (it == shards_.end()) return false;
-    shards_.erase(it);
+    if (existing == nullptr) return false;
+    shards_[static_cast<size_t>(meta.id)].reset();
     return true;
   }
-  if (it == shards_.end()) {
+  if (existing == nullptr) {
     Shard shard;
     shard.meta = meta;
     shard.begin = begin;
@@ -273,10 +302,11 @@ Result<bool> PsServer::ReconcileShardBounds(const MatrixMeta& meta) {
       shard.sparse_rows.assign(meta.num_rows, {});
     }
     shard.row_versions.assign(meta.num_rows, 0);
-    shards_.emplace(meta.id, std::move(shard));
+    matrix_id_limit_ = std::max(matrix_id_limit_, meta.id + int64_t{1});
+    PutShardLocked(std::move(shard));
     return true;
   }
-  Shard& shard = it->second;
+  Shard& shard = *existing;
   shard.meta = meta;
   if (shard.begin == begin && shard.end == end) return false;
   // Epoch 0 never matches a staged key, so this is a pure overlap-preserving
@@ -339,16 +369,10 @@ void PsServer::TouchRowLocked(Shard* shard, uint64_t row) {
   shard->row_versions[row] = ++mutation_clock_;
 }
 
-void PsServer::TouchRowIdLocked(int matrix_id, uint64_t row) {
-  auto it = shards_.find(matrix_id);
-  if (it != shards_.end() && row < it->second.meta.num_rows) {
-    TouchRowLocked(&it->second, row);
-  }
-}
-
 void PsServer::TouchAllRowsLocked() {
-  for (auto& [id, shard] : shards_) {
-    for (uint64_t& v : shard.row_versions) v = ++mutation_clock_;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (shard == nullptr) continue;
+    for (uint64_t& v : shard->row_versions) v = ++mutation_clock_;
   }
 }
 
@@ -368,11 +392,10 @@ PsServer::Replica* PsServer::FindReplica(int matrix_id, uint32_t row) {
 
 Result<const double*> PsServer::ReadRowView(int matrix_id, uint32_t row,
                                             uint64_t begin, uint64_t width) {
-  auto it = shards_.find(matrix_id);
-  if (it != shards_.end() && row < it->second.meta.num_rows &&
-      it->second.dense() && it->second.begin == begin &&
-      it->second.width() == width) {
-    return it->second.dense_rows[row].data();
+  const Shard* shard = ShardOf(matrix_id);
+  if (shard != nullptr && row < shard->meta.num_rows && shard->dense() &&
+      shard->begin == begin && shard->width() == width) {
+    return shard->dense_rows[row].data();
   }
   Replica* replica = FindReplica(matrix_id, row);
   if (replica != nullptr && begin + width <= replica->dim) {
@@ -383,26 +406,23 @@ Result<const double*> PsServer::ReadRowView(int matrix_id, uint32_t row,
 }
 
 Result<PsServer::Shard*> PsServer::FindShard(int matrix_id, uint32_t row) {
-  auto it = shards_.find(matrix_id);
-  if (it == shards_.end()) {
+  Shard* shard = ShardOf(matrix_id);
+  if (shard == nullptr) {
     return Status::NotFound("matrix not found on server");
   }
-  if (row >= it->second.meta.num_rows) {
+  if (row >= shard->meta.num_rows) {
     return Status::OutOfRange("row out of range");
   }
-  return &it->second;
+  return shard;
 }
 
-Result<double*> PsServer::DenseRow(int matrix_id, uint32_t row, uint64_t* width,
-                                   uint64_t* begin) {
+Result<PsServer::Shard*> PsServer::DenseShard(int matrix_id, uint32_t row) {
   PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(matrix_id, row));
   if (!shard->dense()) {
     return Status::FailedPrecondition(
         "operation requires dense matrix storage");
   }
-  *width = shard->width();
-  *begin = shard->begin;
-  return shard->dense_rows[row].data();
+  return shard;
 }
 
 void PsServer::Crash() {
@@ -804,9 +824,9 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
   return out;
 }
 
-Result<std::vector<double*>> PsServer::ZipRows(BufferReader* in,
-                                               uint64_t* width, uint64_t* begin,
-                                               std::vector<RowRef>* refs) {
+Result<std::vector<double*>> PsServer::ZipRows(
+    BufferReader* in, uint64_t* width, uint64_t* begin,
+    std::vector<ShardRow>* touched) {
   // Each operand: (matrix, row) varints.
   PS2_ASSIGN_OR_RETURN(uint64_t k, in->ReadCount(2));
   if (k == 0) return Status::InvalidArgument("zip needs rows");
@@ -814,16 +834,15 @@ Result<std::vector<double*>> PsServer::ZipRows(BufferReader* in,
   rows.reserve(k);
   for (uint64_t i = 0; i < k; ++i) {
     PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
-    if (i > 0 && (w != *width || b != *begin)) {
+    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
+    if (i > 0 && (shard->width() != *width || shard->begin != *begin)) {
       return Status::FailedPrecondition(
           "zip operands are not co-located on this server");
     }
-    *width = w;
-    *begin = b;
-    rows.push_back(p);
-    if (refs != nullptr) refs->push_back(ref);
+    *width = shard->width();
+    *begin = shard->begin;
+    rows.push_back(shard->dense_rows[ref.row].data());
+    if (touched != nullptr) touched->push_back({shard, ref.row});
   }
   return rows;
 }
@@ -842,7 +861,7 @@ Result<PsServer::HandleResult> PsServer::HandleColumnOps(BufferReader* in) {
     std::vector<double*> zip_rows;
   };
   std::vector<Step> steps;
-  std::vector<RowRef> touched;
+  std::vector<ShardRow> touched;
   do {
     PS2_ASSIGN_OR_RETURN(uint8_t kind_raw, in->ReadU8());
     if (kind_raw > static_cast<uint8_t>(ColOpKind::kZip)) {
@@ -881,8 +900,11 @@ Result<PsServer::HandleResult> PsServer::HandleColumnOps(BufferReader* in) {
         PS2_ASSIGN_OR_RETURN(rows[i], ReadRow(in));
       }
       PS2_ASSIGN_OR_RETURN(step.scalar, in->ReadF64());
-      PS2_ASSIGN_OR_RETURN(step.dst, DenseRow(rows[0].matrix_id, rows[0].row,
-                                              &step.width, &step.begin));
+      PS2_ASSIGN_OR_RETURN(Shard * dst, DenseShard(rows[0].matrix_id,
+                                                   rows[0].row));
+      step.dst = dst->dense_rows[rows[0].row].data();
+      step.width = dst->width();
+      step.begin = dst->begin;
       // A source may be a primary slice co-located with dst, or an installed
       // replica of a hot row (which reads as co-located everywhere, §5d).
       for (int i = 0; i < n_src; ++i) {
@@ -891,11 +913,11 @@ Result<PsServer::HandleResult> PsServer::HandleColumnOps(BufferReader* in) {
                                          rows[i + 1].row, step.begin,
                                          step.width));
       }
-      touched.push_back(rows[0]);
+      touched.push_back({dst, rows[0].row});
     }
   } while (!in->AtEnd());
 
-  for (const RowRef& ref : touched) TouchRowIdLocked(ref.matrix_id, ref.row);
+  for (const ShardRow& t : touched) TouchRowLocked(t.shard, t.row);
   HandleResult out;
   for (const Step& s : steps) {
     out.server_ops +=
@@ -987,11 +1009,11 @@ Result<PsServer::HandleResult> PsServer::HandleAggregate(BufferReader* in) {
       // Either operand may be a hot-row replica: anchor the window on
       // whichever one is a local primary slice and read both through
       // ReadRowView (which yields the primary when the window matches).
-      uint64_t width = 0, begin = 0;
-      if (!DenseRow(a.matrix_id, a.row, &width, &begin).ok()) {
-        PS2_RETURN_NOT_OK(
-            DenseRow(b.matrix_id, b.row, &width, &begin).status());
-      }
+      Result<Shard*> anchor = DenseShard(a.matrix_id, a.row);
+      if (!anchor.ok()) anchor = DenseShard(b.matrix_id, b.row);
+      PS2_RETURN_NOT_OK(anchor.status());
+      const uint64_t width = (*anchor)->width();
+      const uint64_t begin = (*anchor)->begin;
       PS2_ASSIGN_OR_RETURN(const double* pa,
                            ReadRowView(a.matrix_id, a.row, begin, width));
       PS2_ASSIGN_OR_RETURN(const double* pb,
@@ -1011,9 +1033,9 @@ Result<PsServer::HandleResult> PsServer::HandleMatrixInit(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t row_end, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(double scale, in->ReadF64());
   PS2_ASSIGN_OR_RETURN(uint64_t seed, in->ReadU64());
-  auto it = shards_.find(static_cast<int>(matrix_id));
-  if (it == shards_.end()) return Status::NotFound("matrix not found");
-  Shard& shard = it->second;
+  Shard* found = ShardOf(matrix_id);
+  if (found == nullptr) return Status::NotFound("matrix not found");
+  Shard& shard = *found;
   if (!shard.dense()) {
     return Status::FailedPrecondition("matrix init requires dense storage");
   }
@@ -1040,21 +1062,30 @@ Result<PsServer::HandleResult> PsServer::HandleMatrixInit(BufferReader* in) {
 
 Result<PsServer::HandleResult> PsServer::HandlePullRowsBatch(
     BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadVarint());
-  HandleResult out;
-  BufferWriter writer;
-  writer.WriteVarint(count);
+  // Each row: (matrix, row) varints. Every row is resolved first, so the
+  // response is sized once.
+  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(2));
+  std::vector<ShardRow> rows;
+  rows.reserve(count);
+  uint64_t values = 0;
   for (uint64_t i = 0; i < count; ++i) {
     PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
     RecordPull(ref.matrix_id, ref.row);
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
+    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
+    rows.push_back({shard, ref.row});
+    values += shard->width();
+  }
+  HandleResult out;
+  BufferWriter writer((1 + count) * kMaxVarintBytes + values * sizeof(double));
+  writer.WriteVarint(count);
+  for (const ShardRow& r : rows) {
+    const uint64_t w = r.shard->width();
     writer.WriteVarint(w);
     writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(p, w);
+    writer.WriteF64Span(r.shard->dense_rows[r.row].data(), w);
     writer.EndSection();
-    out.server_ops += w;
   }
+  out.server_ops = values;
   out.response_sections = writer.TakeSections();
   out.response = writer.Release();
   return out;
@@ -1066,7 +1097,7 @@ Result<PsServer::HandleResult> PsServer::HandlePushRowsBatch(
   // a bad row (say, a matrix this server lacks) fails with nothing applied.
   struct RowDelta {
     RowRef ref;
-    double* dst;
+    Shard* shard;
     Slice values;  ///< `width` f64s in the request buffer
   };
   // Each row: (matrix, row, width) varints, then width f64s.
@@ -1076,21 +1107,23 @@ Result<PsServer::HandleResult> PsServer::HandlePushRowsBatch(
   for (uint64_t i = 0; i < count; ++i) {
     PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
     PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
-    if (n != w) return Status::OutOfRange("row push width mismatch");
-    PS2_ASSIGN_OR_RETURN(Slice values, in->ReadBytes(w * sizeof(double)));
-    rows.push_back({ref, p, values});
+    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
+    if (n != shard->width()) {
+      return Status::OutOfRange("row push width mismatch");
+    }
+    PS2_ASSIGN_OR_RETURN(Slice values, in->ReadBytes(n * sizeof(double)));
+    rows.push_back({ref, shard, values});
   }
   HandleResult out;
   for (const RowDelta& row : rows) {
     RecordPush(row.ref.matrix_id, row.ref.row);
-    TouchRowIdLocked(row.ref.matrix_id, row.ref.row);
+    TouchRowLocked(row.shard, row.ref.row);
+    double* dst = row.shard->dense_rows[row.ref.row].data();
     const uint64_t w = row.values.size() / sizeof(double);
     for (uint64_t c = 0; c < w; ++c) {
       double v;
       std::memcpy(&v, row.values.data() + c * sizeof(double), sizeof(double));
-      row.dst[c] += v;
+      dst[c] += v;
     }
     out.server_ops += w;
   }
@@ -1107,7 +1140,8 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparseRowsBatch(
   PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadCount(1));  // index varints
   std::vector<uint64_t> cols(n_idx);
   PS2_RETURN_NOT_OK(in->ReadDeltaKeys(cols.data(), n_idx));
-  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadVarint());
+  // Each row: (matrix, row) varints.
+  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(2));
   HandleResult out;
   BufferWriter writer;
   writer.WriteVarint(n_rows);
@@ -1115,8 +1149,9 @@ Result<PsServer::HandleResult> PsServer::HandlePullSparseRowsBatch(
   for (uint64_t r = 0; r < n_rows; ++r) {
     PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
     RecordPull(ref.matrix_id, ref.row);
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
+    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
+    const double* p = shard->dense_rows[ref.row].data();
+    const uint64_t w = shard->width(), b = shard->begin;
     for (uint64_t i = 0; i < n_idx; ++i) {
       if (cols[i] < b || cols[i] >= b + w) {
         return Status::OutOfRange("pull index outside server range");
@@ -1146,7 +1181,7 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
   PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
   // Each row: (matrix, row, nnz) varints.
   PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(3));
-  std::vector<std::pair<RowRef, uint64_t>> rows;  // (row, nnz)
+  std::vector<std::pair<ShardRow, uint64_t>> rows;  // (row, nnz)
   rows.reserve(n_rows);
   std::vector<double*> cells;  // every delta's target, all rows
   std::vector<double> vals;
@@ -1155,9 +1190,10 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
     // Each delta: an index varint plus a zigzag varint (compress) or f64.
     PS2_ASSIGN_OR_RETURN(uint64_t nnz,
                          in->ReadCount(compress != 0 ? 2 : 1 + sizeof(double)));
-    uint64_t w = 0, b = 0;
-    PS2_ASSIGN_OR_RETURN(double* p, DenseRow(ref.matrix_id, ref.row, &w, &b));
-    rows.emplace_back(ref, nnz);
+    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
+    double* p = shard->dense_rows[ref.row].data();
+    const uint64_t w = shard->width(), b = shard->begin;
+    rows.emplace_back(ShardRow{shard, ref.row}, nnz);
     PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
                          ReadKeysInRange(in, nnz, b, b + w,
                                          "push index outside server range"));
@@ -1174,9 +1210,9 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
     }
   }
   HandleResult out;
-  for (const auto& [ref, nnz] : rows) {
-    RecordPush(ref.matrix_id, ref.row);
-    TouchRowIdLocked(ref.matrix_id, ref.row);
+  for (const auto& [row, nnz] : rows) {
+    RecordPush(row.shard->meta.id, row.row);
+    TouchRowLocked(row.shard, row.row);
     out.server_ops += nnz;
   }
   for (size_t i = 0; i < cells.size(); ++i) *cells[i] += vals[i];
@@ -1238,13 +1274,13 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
       for (const auto& [col, v] : replica.pending) writer.WriteF64(v);
       out.server_ops += replica.pending.size();
       replica.pending.clear();
-      auto sit = shards_.find(ref.matrix_id);
-      const bool has_slice = sit != shards_.end() && sit->second.dense() &&
-                             ref.row < sit->second.meta.num_rows &&
-                             sit->second.width() > 0;
+      const Shard* slice = ShardOf(ref.matrix_id);
+      const bool has_slice = slice != nullptr && slice->dense() &&
+                             ref.row < slice->meta.num_rows &&
+                             slice->width() > 0;
       writer.WriteU8(has_slice ? 1 : 0);
       if (has_slice) {
-        const Shard& shard = sit->second;
+        const Shard& shard = *slice;
         writer.WriteVarint(shard.begin);
         writer.WriteVarint(shard.width());
         writer.WriteF64Span(shard.dense_rows[ref.row].data(), shard.width());
@@ -1404,11 +1440,11 @@ Result<PsServer::HandleResult> PsServer::HandleRangeExtract(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t begin, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t end, in->ReadVarint());
-  auto it = shards_.find(static_cast<int>(matrix_id));
-  if (it == shards_.end()) {
+  const Shard* found = ShardOf(matrix_id);
+  if (found == nullptr) {
     return Status::NotFound("matrix not found on server");
   }
-  const Shard& shard = it->second;
+  const Shard& shard = *found;
   if (begin >= end || begin < shard.begin || end > shard.end) {
     return Status::FailedPrecondition("extract range not owned by server");
   }
@@ -1467,6 +1503,9 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t num_rows, in->ReadCount(1));
   PS2_ASSIGN_OR_RETURN(uint8_t storage, in->ReadU8());
   if (epoch == 0) return Status::InvalidArgument("migration epoch must be > 0");
+  if (matrix_id >= static_cast<uint64_t>(matrix_id_limit_)) {
+    return Status::NotFound("unknown matrix id");
+  }
   if (staged.begin >= staged.end) {
     return Status::InvalidArgument("empty staged range");
   }
@@ -1531,6 +1570,10 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
     PS2_ASSIGN_OR_RETURN(e.dim, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t rows, in->ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint8_t storage, in->ReadU8());
+    // Only an admitted id may create a shard here (a joining server's).
+    if (m >= static_cast<uint64_t>(matrix_id_limit_)) {
+      return Status::NotFound("unknown matrix id");
+    }
     e.matrix_id = static_cast<int>(m);
     e.num_rows = static_cast<uint32_t>(rows);
     e.storage = static_cast<MatrixStorage>(storage);
@@ -1549,10 +1592,9 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
   for (const Entry& e : entries) {
     if (e.begin >= e.end) continue;  // shard is dropped, nothing to cover
     std::vector<std::pair<uint64_t, uint64_t>> covered;
-    auto it = shards_.find(e.matrix_id);
-    if (it != shards_.end()) {
-      const uint64_t lo = std::max(it->second.begin, e.begin);
-      const uint64_t hi = std::min(it->second.end, e.end);
+    if (const Shard* shard = ShardOf(e.matrix_id)) {
+      const uint64_t lo = std::max(shard->begin, e.begin);
+      const uint64_t hi = std::min(shard->end, e.end);
       if (lo < hi) covered.emplace_back(lo, hi);
     }
     for (const auto& [key, staged] : staged_) {
@@ -1576,32 +1618,32 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
   }
   HandleResult out;
   for (const Entry& e : entries) {
-    auto it = shards_.find(e.matrix_id);
+    Shard* shard = ShardOf(e.matrix_id);
     if (e.begin >= e.end) {
-      if (it != shards_.end()) shards_.erase(it);
+      if (shard != nullptr) shards_[e.matrix_id].reset();
       continue;
     }
-    if (it == shards_.end()) {
+    if (shard == nullptr) {
       // Joining server: create the shard from the commit's meta core. The
       // partitioner snapshot inside the meta is not used on the server data
       // path (bounds are explicit); the master refreshes it on publish.
-      Shard shard;
-      shard.meta.id = e.matrix_id;
-      shard.meta.dim = e.dim;
-      shard.meta.num_rows = e.num_rows;
-      shard.meta.storage = e.storage;
-      shard.meta.routing_epoch = epoch;
-      shard.begin = e.begin;
-      shard.end = e.begin;  // empty; ResizeShardLocked fills from staged
+      Shard joined;
+      joined.meta.id = e.matrix_id;
+      joined.meta.dim = e.dim;
+      joined.meta.num_rows = e.num_rows;
+      joined.meta.storage = e.storage;
+      joined.meta.routing_epoch = epoch;
+      joined.begin = e.begin;
+      joined.end = e.begin;  // empty; ResizeShardLocked fills from staged
       if (e.storage == MatrixStorage::kDense) {
-        shard.dense_rows.assign(e.num_rows, {});
+        joined.dense_rows.assign(e.num_rows, {});
       } else {
-        shard.sparse_rows.assign(e.num_rows, {});
+        joined.sparse_rows.assign(e.num_rows, {});
       }
-      shard.row_versions.assign(e.num_rows, 0);
-      it = shards_.emplace(e.matrix_id, std::move(shard)).first;
+      joined.row_versions.assign(e.num_rows, 0);
+      shard = PutShardLocked(std::move(joined));
     }
-    ResizeShardLocked(&it->second, e.begin, e.end, epoch);
+    ResizeShardLocked(shard, e.begin, e.end, epoch);
     out.server_ops += static_cast<uint64_t>(e.num_rows) * (e.end - e.begin);
   }
   // Clock tables follow the range owner: max-merge every staged view.
@@ -1653,7 +1695,10 @@ Result<PsServer::PublishStats> PsServer::PublishSnapshot(uint64_t epoch) {
   ModelSnapshot snap;
   snap.epoch = epoch;
   PublishStats stats;
-  for (const auto& [id, shard] : shards_) {
+  for (const std::unique_ptr<Shard>& slot : shards_) {
+    if (slot == nullptr) continue;
+    const Shard& shard = *slot;
+    const int id = shard.meta.id;
     ShardSnapshot ss;
     ss.begin = shard.begin;
     ss.end = shard.end;
@@ -1717,9 +1762,13 @@ bool PsServer::HasSnapshotEpoch(uint64_t epoch) const {
 std::vector<uint8_t> PsServer::SerializeState() const {
   std::lock_guard<std::mutex> lock(mu_);
   BufferWriter writer;
-  writer.WriteVarint(shards_.size());
-  for (const auto& [id, shard] : shards_) {
-    writer.WriteVarint(static_cast<uint64_t>(id));
+  writer.WriteVarint(std::count_if(
+      shards_.begin(), shards_.end(),
+      [](const std::unique_ptr<Shard>& slot) { return slot != nullptr; }));
+  for (const std::unique_ptr<Shard>& slot : shards_) {
+    if (slot == nullptr) continue;
+    const Shard& shard = *slot;
+    writer.WriteVarint(static_cast<uint64_t>(shard.meta.id));
     writer.WriteU8(static_cast<uint8_t>(shard.meta.storage));
     // Shard bounds are part of the image (DESIGN.md §12): with elastic
     // membership a server's column span can change between checkpoints, so
@@ -1795,11 +1844,11 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
     PS2_ASSIGN_OR_RETURN(uint8_t storage, in.ReadU8());
     PS2_ASSIGN_OR_RETURN(uint64_t img_begin, in.ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t img_end, in.ReadVarint());
-    auto it = shards_.find(static_cast<int>(id));
-    if (it == shards_.end()) {
+    Shard* found = ShardOf(id);
+    if (found == nullptr) {
       return Status::NotFound("checkpoint contains unknown matrix shard");
     }
-    Shard& shard = it->second;
+    Shard& shard = *found;
     if (static_cast<MatrixStorage>(storage) != shard.meta.storage) {
       return Status::Internal("checkpoint storage kind mismatch");
     }
@@ -1898,13 +1947,14 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
 
 void PsServer::DropAllState() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, shard] : shards_) {
-    if (shard.dense()) {
-      for (auto& row : shard.dense_rows) {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (shard == nullptr) continue;
+    if (shard->dense()) {
+      for (auto& row : shard->dense_rows) {
         std::fill(row.begin(), row.end(), 0.0);
       }
     } else {
-      for (auto& row : shard.sparse_rows) row.clear();
+      for (auto& row : shard->sparse_rows) row.clear();
     }
   }
   replicas_.clear();
@@ -1936,11 +1986,12 @@ void PsServer::DropAllState() {
 uint64_t PsServer::StoredValues() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& [id, shard] : shards_) {
-    if (shard.dense()) {
-      total += shard.meta.num_rows * shard.width();
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (shard == nullptr) continue;
+    if (shard->dense()) {
+      total += shard->meta.num_rows * shard->width();
     } else {
-      for (const auto& row : shard.sparse_rows) total += row.size();
+      for (const auto& row : shard->sparse_rows) total += row.size();
     }
   }
   return total;

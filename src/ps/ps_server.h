@@ -88,9 +88,17 @@ class PsServer {
   void SetMetrics(MetricsRegistry* metrics);
 
   /// Control plane (issued by the master, not on the data path).
+  /// Creating a shard also admits its id (see AdmitMatrixIds).
   Status CreateMatrixShard(const MatrixMeta& meta);
   Status FreeMatrixShard(int matrix_id);
   bool HasMatrix(int matrix_id) const;
+
+  /// Admits matrix ids [0, limit): the ids the cluster has handed out, which
+  /// a migration may bring here later. The master admits every new id on
+  /// every server. A matrix id decoded from the wire outside the admitted
+  /// range is rejected, so a forged id can never size the id-indexed shard
+  /// table. The bound only grows. Control plane, like CreateMatrixShard.
+  void AdmitMatrixIds(int limit);
 
   // ---- Elastic membership / resharding (membership/, DESIGN.md §12) ----
 
@@ -360,9 +368,16 @@ class PsServer {
   /// this call).
   void EncodeResponse(const RpcHeader& header, HandleResult* out);
 
+  /// The shard of `matrix_id`, or nullptr: one index into shards_. Takes any
+  /// id: a negative int converts past every table size, and a wire varint
+  /// is checked whole, never truncated onto another id.
+  Shard* ShardOf(uint64_t matrix_id) const;
+  /// Installs `shard` under its id (admitted; none there yet) and returns it.
+  Shard* PutShardLocked(Shard shard);
+
   Result<Shard*> FindShard(int matrix_id, uint32_t row);
-  Result<double*> DenseRow(int matrix_id, uint32_t row, uint64_t* width,
-                           uint64_t* begin);
+  /// FindShard for operations that need dense storage.
+  Result<Shard*> DenseShard(int matrix_id, uint32_t row);
 
   /// Installed replica of (matrix, row), or nullptr.
   Replica* FindReplica(int matrix_id, uint32_t row);
@@ -373,12 +388,19 @@ class PsServer {
   Result<const double*> ReadRowView(int matrix_id, uint32_t row,
                                     uint64_t begin, uint64_t width);
 
+  /// A validated row of a shard: what a handler keeps instead of looking
+  /// the matrix up again.
+  struct ShardRow {
+    Shard* shard;
+    uint32_t row;
+  };
+
   /// Decodes a zip entry's k and its k (matrix, row) operands, resolving
   /// each to its dense primary slice; all must share one column window
-  /// (`width`, `begin`). Appends the operands to `refs` when non-null.
+  /// (`width`, `begin`). Appends the operands to `touched` when non-null.
   Result<std::vector<double*>> ZipRows(BufferReader* in, uint64_t* width,
                                        uint64_t* begin,
-                                       std::vector<RowRef>* refs);
+                                       std::vector<ShardRow>* touched);
 
   /// This server's partial sum / nnz / squared norm / max of one row slice
   /// (dense or sparse storage); adds the elements read to `ops`.
@@ -391,7 +413,6 @@ class PsServer {
   /// Marks one row (or every row of every shard) as mutated: stamps the
   /// current mutation clock so the next PublishSnapshot copies it.
   void TouchRowLocked(Shard* shard, uint64_t row);
-  void TouchRowIdLocked(int matrix_id, uint64_t row);
   void TouchAllRowsLocked();
 
   Result<HandleResult> HandlePullDense(BufferReader* in);
@@ -423,7 +444,11 @@ class PsServer {
   int id_;
   const UdfRegistry* udfs_;
   mutable std::mutex mu_;
-  std::map<int, Shard> shards_;
+  // Shards by matrix id (null: no shard here). Iterating it visits shards in
+  // id order, which fixes the checkpoint image's layout. It grows only up to
+  // an admitted id, never to an id decoded from the wire.
+  std::vector<std::unique_ptr<Shard>> shards_;
+  int64_t matrix_id_limit_ = 0;  ///< ids [0, limit) admitted (AdmitMatrixIds)
   // Monotonic write clock feeding Shard::row_versions (mu_ held).
   uint64_t mutation_clock_ = 0;
   // Published snapshots, oldest first, at most kRetainedSnapshots.

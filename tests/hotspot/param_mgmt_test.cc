@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -129,10 +131,10 @@ TEST_F(ParamMgmtTest, RelocateMatricesMovesValuesExactly) {
 TEST_F(ParamMgmtTest, HeldMetaSurvivesRelocationCommit) {
   Build(2, 3, /*colocate=*/false);
   const int id = KeyMatrix(/*server=*/0);
-  Result<std::vector<std::shared_ptr<const MatrixMeta>>> before =
-      master()->GetMetas({RowRef{id, 0}});
+  Result<MetaBatch> before = master()->GetMetas({RowRef{id, 0}});
   ASSERT_TRUE(before.ok()) << before.status();
-  const std::shared_ptr<const MatrixMeta> held = (*before)[0];
+  const std::shared_ptr<const MatrixMeta> held = before->Hold(0);
+  before = Status::NotFound("dropped");  // only the held handle remains
   const uint64_t old_epoch = held->routing_epoch;
 
   ASSERT_TRUE(master()->membership()->RelocateMatrices({{id, 1}}).ok());
@@ -140,10 +142,10 @@ TEST_F(ParamMgmtTest, HeldMetaSurvivesRelocationCommit) {
   EXPECT_EQ(held->partitioner.ServerOfPartition(0), 0);
   EXPECT_EQ(held->routing_epoch, old_epoch);
 
-  Result<std::vector<std::shared_ptr<const MatrixMeta>>> after =
+  Result<MetaBatch> after =
       master()->GetMetas({RowRef{id, 0}, RowRef{id, 1}});
   ASSERT_TRUE(after.ok()) << after.status();
-  for (const std::shared_ptr<const MatrixMeta>& meta : *after) {
+  for (const MatrixMeta* meta : after->metas) {
     EXPECT_EQ(meta->partitioner.ServerOfPartition(0), 1);
     EXPECT_EQ(meta->routing_epoch, master()->routing_epoch());
     EXPECT_GT(meta->routing_epoch, old_epoch);
@@ -222,6 +224,183 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileKeysRelocate) {
           << "key " << k;
     }
   }
+}
+
+TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileMatricesChurn) {
+  Build(4, 3, /*colocate=*/false);
+  constexpr int kKeys = 6;
+  constexpr uint64_t kDim = 8;
+  constexpr size_t kWorkers = 4;
+  constexpr int kRounds = 40;
+  constexpr int kLaps = 12;
+  constexpr double kChurnValue = 0.5;
+  std::vector<RowRef> refs;
+  std::vector<std::vector<double>> deltas;  // key k adds k + 1 per round
+  for (int k = 0; k < kKeys; ++k) {
+    refs.push_back(RowRef{KeyMatrix(k % 3, kDim), 0});
+    deltas.emplace_back(kDim, static_cast<double>(k + 1));
+  }
+  // Task 0 creates a matrix, fills it, relocates it and a stable key, then
+  // frees it — lap after lap — while four workers push and pull the stable
+  // keys and pull whichever churned matrix is current. A churned row reads
+  // whole or NotFound; a freed shard or meta is never read (the sanitizer
+  // lanes run this).
+  std::atomic<int> churn{-1};
+  auto body = [&](TaskContext& task) {
+    if (task.task_id == 0) {
+      for (int lap = 0; lap < kLaps; ++lap) {
+        MatrixOptions mo;
+        mo.name = "churn";
+        mo.dim = kDim;
+        mo.reserve_rows = 2;
+        mo.home_server = lap % 3;
+        Result<int> id = master()->CreateMatrix(mo);
+        PS2_CHECK(id.ok()) << id.status();
+        PS2_CHECK_OK(client()
+                         ->PushOwnedRowsAsync({RowRef{*id, 1}},
+                                              {std::vector<double>(
+                                                  kDim, kChurnValue)})
+                         .Wait());
+        churn.store(*id);
+        PS2_CHECK(master()
+                      ->membership()
+                      ->RelocateMatrices({{*id, (lap + 1) % 3},
+                                          {refs[lap % kKeys].matrix_id,
+                                           (lap + 2) % 3}})
+                      .ok());
+        PS2_CHECK_OK(master()->FreeMatrix(*id));
+      }
+      return;
+    }
+    for (int r = 0; r < kRounds; ++r) {
+      PS2_CHECK_OK(client()->PushOwnedRowsAsync(refs, deltas).Wait());
+      Result<std::vector<std::vector<double>>> rows =
+          client()->PullOwnedRowsAsync(refs).Get();
+      PS2_CHECK(rows.ok()) << rows.status();
+      for (int k = 0; k < kKeys; ++k) {
+        const std::vector<double>& row = (*rows)[k];
+        PS2_CHECK_EQ(row.size(), kDim);
+        PS2_CHECK_EQ(std::fmod(row[0], k + 1.0), 0.0) << "key " << k;
+        for (double v : row) PS2_CHECK_EQ(v, row[0]) << "key " << k;
+      }
+      const int id = churn.load();
+      if (id < 0) continue;
+      Result<std::vector<std::vector<double>>> churned =
+          client()->PullOwnedRowsAsync({RowRef{id, 1}}).Get();
+      if (!churned.ok()) {
+        PS2_CHECK(churned.status().IsNotFound()) << churned.status();
+        continue;
+      }
+      for (double v : (*churned)[0]) PS2_CHECK_EQ(v, kChurnValue);
+    }
+  };
+  cluster_->RunStage("owned_rows_during_churn", kWorkers + 1, body);
+  EXPECT_EQ(master()->membership()->migrations(),
+            static_cast<uint64_t>(kLaps));
+  Result<std::vector<std::vector<double>>> pulled =
+      client()->PullOwnedRowsAsync(refs).Get();
+  ASSERT_TRUE(pulled.ok()) << pulled.status();
+  for (int k = 0; k < kKeys; ++k) {
+    for (double v : (*pulled)[k]) {
+      EXPECT_EQ(v, static_cast<double>((k + 1) * kWorkers * kRounds))
+          << "key " << k;
+    }
+  }
+  // Every churned matrix is gone from the master and from every server.
+  const int last = churn.load();
+  EXPECT_TRUE(master()->GetMeta(last).status().IsNotFound());
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_FALSE(master()->server(s)->HasMatrix(last));
+  }
+}
+
+/// FNV-1a-64 of `bytes`, folded into `h`.
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes,
+               uint64_t h = 0xcbf29ce484222325ULL) {
+  for (uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+TEST_F(ParamMgmtTest, ShardAndMetaLifecycleKeepsExactRows) {
+  Build(2, 3, /*colocate=*/false);
+  constexpr int kKeys = 5;
+  constexpr uint64_t kDim = 4;
+  std::vector<int> ids;
+  for (int k = 0; k < kKeys; ++k) ids.push_back(KeyMatrix(k % 3, kDim));
+  // Both rows of every key; row r of key k gets 10k + r + c/4 in column c.
+  std::vector<RowRef> refs;
+  std::vector<std::vector<double>> deltas;
+  for (int k = 0; k < kKeys; ++k) {
+    for (uint32_t r = 0; r < 2; ++r) {
+      refs.push_back(RowRef{ids[k], r});
+      std::vector<double> d(kDim);
+      for (uint64_t c = 0; c < kDim; ++c) d[c] = 10.0 * k + r + c / 4.0;
+      deltas.push_back(std::move(d));
+    }
+  }
+  auto expect_rows = [&](const std::vector<std::vector<double>>& want,
+                         const char* step) {
+    Result<std::vector<std::vector<double>>> pulled =
+        client()->PullOwnedRowsAsync(refs).Get();
+    ASSERT_TRUE(pulled.ok()) << step << ": " << pulled.status();
+    EXPECT_EQ(*pulled, want) << step;
+  };
+
+  expect_rows(std::vector<std::vector<double>>(refs.size(),
+                                               std::vector<double>(kDim)),
+              "create");
+  ASSERT_TRUE(client()->PushOwnedRowsAsync(refs, deltas).Wait().ok());
+  expect_rows(deltas, "push");
+  ASSERT_TRUE(
+      master()->membership()->RelocateMatrices({{ids[0], 2}, {ids[3], 1}})
+          .ok());
+  expect_rows(deltas, "relocate away");
+  // Back home one at a time, the higher id first: server 0 now receives
+  // its shards out of id order.
+  ASSERT_TRUE(master()->membership()->RelocateMatrices({{ids[3], 0}}).ok());
+  ASSERT_TRUE(master()->membership()->RelocateMatrices({{ids[0], 0}}).ok());
+  expect_rows(deltas, "relocate back");
+
+  // Free key 1 (homed on server 1): its id answers NotFound everywhere —
+  // at the master and at the server that held it — never a stale row.
+  ASSERT_TRUE(master()->FreeMatrix(ids[1]).ok());
+  EXPECT_TRUE(client()
+                  ->PullOwnedRowsAsync({RowRef{ids[1], 0}})
+                  .Get()
+                  .status()
+                  .IsNotFound());
+  BufferWriter stale;
+  stale.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRowsBatch));
+  stale.WriteVarint(1);
+  stale.WriteVarint(ids[1]);
+  stale.WriteVarint(0);
+  EXPECT_TRUE(
+      master()->server(1)->Handle(stale.buffer()).status().IsNotFound());
+  refs.erase(refs.begin() + 2, refs.begin() + 4);
+  deltas.erase(deltas.begin() + 2, deltas.begin() + 4);
+  expect_rows(deltas, "free");
+
+  // Checkpoint, push once more, then crash every server: DropAllState and
+  // the restore bring back exactly the checkpointed rows.
+  ASSERT_TRUE(master()->CheckpointAll().ok());
+  ASSERT_TRUE(client()->PushOwnedRowsAsync(refs, deltas).Wait().ok());
+  std::vector<std::vector<double>> twice = deltas;
+  for (std::vector<double>& row : twice) {
+    for (double& v : row) v *= 2;
+  }
+  expect_rows(twice, "push after checkpoint");
+  for (int s = 0; s < 3; ++s) {
+    ASSERT_TRUE(master()->KillAndRecoverServer(s).ok());
+  }
+  expect_rows(deltas, "restore");
+
+  // The servers' checkpoint images, pinned byte for byte: shards are
+  // written in matrix-id order whatever order they arrived in.
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (int s = 0; s < 3; ++s) {
+    h = Fnv1a(master()->server(s)->SerializeState(), h);
+  }
+  EXPECT_EQ(h, 17162497734178346462ULL);
 }
 
 TEST_F(ParamMgmtTest, OwnedRowsRoundTripAcrossServers) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "linalg/sparse_vector.h"
 #include "net/filter_config.h"
@@ -296,6 +298,76 @@ TEST_F(PsFuzzTest, CorruptedCheckpointRejectedWithoutCrash) {
   }
   // A clean image must still restore.
   EXPECT_TRUE(server_.RestoreState(image).ok());
+}
+
+TEST_F(PsFuzzTest, ForgedMatrixIdsRejected) {
+  // Matrix ids index the server's shard table. A forged id must never index
+  // past it, size it (INT32_MAX slots would be 16 GiB), or wrap onto a live
+  // matrix (2^32 truncates to matrix 0): each frame fails, nothing changes.
+  const std::vector<uint8_t> image = server_.SerializeState();
+  const std::vector<double> row(64, 1.0);
+  const uint64_t ids[] = {
+      ~uint64_t{0},                                          // -1
+      static_cast<uint64_t>(std::numeric_limits<int32_t>::max()),
+      1,                                                     // one past 0
+      uint64_t{1} << 32,
+  };
+  for (uint64_t id : ids) {
+    BufferWriter pull;
+    pull.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRowsBatch));
+    pull.WriteVarint(1);
+    pull.WriteVarint(id);
+    pull.WriteVarint(0);
+    EXPECT_TRUE(server_.Handle(pull.buffer()).status().IsNotFound()) << id;
+
+    BufferWriter push;
+    push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushRowsBatch));
+    push.WriteVarint(1);
+    push.WriteVarint(id);
+    push.WriteVarint(0);
+    push.WriteVarint(row.size());
+    push.WriteF64Span(row.data(), row.size());
+    EXPECT_TRUE(server_.Handle(push.buffer()).status().IsNotFound()) << id;
+
+    // A staged range for the id, then the commit that would create its
+    // shard here: both refused, the id was never admitted.
+    BufferWriter migrate;
+    migrate.WriteU8(static_cast<uint8_t>(PsOpCode::kRangeMigrate));
+    migrate.WriteVarint(1);  // epoch
+    migrate.WriteVarint(id);
+    migrate.WriteVarint(0);   // begin
+    migrate.WriteVarint(8);   // end
+    migrate.WriteVarint(64);  // dim
+    migrate.WriteVarint(1);   // rows
+    migrate.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
+    migrate.WriteF64Span(row.data(), 8);
+    migrate.WriteVarint(0);  // worker clocks
+    EXPECT_TRUE(server_.Handle(migrate.buffer()).status().IsNotFound()) << id;
+
+    BufferWriter commit;
+    commit.WriteU8(static_cast<uint8_t>(PsOpCode::kRoutingUpdate));
+    commit.WriteVarint(1);  // epoch
+    commit.WriteVarint(1);  // entries
+    commit.WriteVarint(id);
+    commit.WriteVarint(0);
+    commit.WriteVarint(8);
+    commit.WriteVarint(64);
+    commit.WriteVarint(1);
+    commit.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
+    EXPECT_TRUE(server_.Handle(commit.buffer()).status().IsNotFound()) << id;
+
+    // A checkpoint image whose one shard claims the id.
+    ASSERT_EQ(image[0], 1);  // one shard, matrix 0
+    ASSERT_EQ(image[1], 0);
+    BufferWriter forged;
+    forged.WriteVarint(1);
+    forged.WriteVarint(id);
+    forged.WriteBytes(Slice(image.data() + 2, image.size() - 2));
+    EXPECT_TRUE(server_.RestoreState(forged.Release()).IsNotFound()) << id;
+  }
+  EXPECT_EQ(server_.SerializeState(), image);
+  EXPECT_FALSE(server_.HasMatrix(1));
+  EXPECT_FALSE(server_.HasMatrix(std::numeric_limits<int32_t>::max()));
 }
 
 TEST_F(PsFuzzTest, SparseVectorDeserializeFuzz) {

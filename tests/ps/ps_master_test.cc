@@ -114,15 +114,15 @@ TEST_F(PsMasterTest, GetMetasResolvesEveryRowOrNone) {
   int a = *master_->CreateMatrix(options);
   options.dim = 40;
   int b = *master_->CreateMatrix(options);
-  Result<std::vector<std::shared_ptr<const MatrixMeta>>> metas =
+  Result<MetaBatch> metas =
       master_->GetMetas({RowRef{a, 0}, RowRef{b, 0}, RowRef{a, 1}});
   ASSERT_TRUE(metas.ok()) << metas.status();
-  ASSERT_EQ(metas->size(), 3u);
-  EXPECT_EQ((*metas)[0]->id, a);
-  EXPECT_EQ((*metas)[1]->dim, 40u);
+  ASSERT_EQ(metas->metas.size(), 3u);
+  EXPECT_EQ((*metas)[0].id, a);
+  EXPECT_EQ((*metas)[1].dim, 40u);
   // One published meta per matrix: rows of the same matrix share it.
-  EXPECT_EQ((*metas)[0], (*metas)[2]);
-  EXPECT_EQ((*master_->GetMeta(a)).dim, (*metas)[0]->dim);
+  EXPECT_EQ(&(*metas)[0], &(*metas)[2]);
+  EXPECT_EQ((*master_->GetMeta(a)).dim, (*metas)[0].dim);
 
   EXPECT_TRUE(master_->GetMetas({RowRef{a, 0}, RowRef{999, 0}})
                   .status()
