@@ -13,14 +13,18 @@
 // wire bytes and the sum of the decoded values), so the filter codecs are
 // held to the same backend-independence, and so is an owned-row exchange
 // over 2,000 single-row matrices on 4 servers (det.owned_rows_sum: the sum
-// of the rows pulled after fixed pushes). `wall.*` fields record raw kernel
-// and filter codec timings per backend and the owned-row exchange's time
-// per row (informational, never gated).
+// of the rows pulled after fixed pushes), and a serving epoch on a 16 x 100K
+// model (det.snapshot_bytes_copied: what the publish after a sparse write
+// burst copies; det.serving_read_sum: the sum of 10K pinned reads through
+// the frontend). `wall.*` fields record raw kernel and filter codec timings
+// per backend and the owned-row exchange's and the serving epoch's times
+// (informational, never gated).
 // `--benchmark_filter='^$'` skips the timing loops and keeps only that
 // section, which is what the equivalence CI step uses.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -33,9 +37,11 @@
 #include "dcv/dcv_context.h"
 #include "linalg/kernels/kernels.h"
 #include "ml/optimizer.h"
+#include "linalg/sparse_vector.h"
 #include "net/filters.h"
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
+#include "serving/frontend.h"
 
 namespace ps2 {
 namespace {
@@ -393,6 +399,111 @@ void OwnedRowsWallSection(bench::JsonReporter* report) {
   std::printf("owned rows: %.0f ns per row (pull + push)\n", best);
 }
 
+// ---------------------------------------------------------------------------
+// Serving epoch (DESIGN.md §10): copy-on-publish after a sparse write burst,
+// then pinned reads through the coalescing frontend.
+
+struct ServingResult {
+  double read_sum = 0.0;      ///< every value the reads returned
+  uint64_t bytes_copied = 0;  ///< by the publish after the burst
+  double publish_ns = 0.0;    ///< wall time of that publish
+  double read_ns = 0.0;       ///< wall time per read (request)
+};
+
+/// A 16 x 100K model on 4 servers: 64 keys written per row, one publish,
+/// then 10K reads of 16 keys each, 8 to a batch, pinned to the new epoch.
+/// Nothing but the wall times depends on timing or the kernel backend.
+ServingResult RunServing() {
+  constexpr uint32_t kRows = 16;
+  constexpr uint64_t kDim = 100000;
+  constexpr uint64_t kWriteKeys = 64;
+  constexpr int kReads = 10000;
+  constexpr size_t kBatch = 8;
+  constexpr uint64_t kReadKeys = 16;
+  ClusterSpec spec;
+  spec.num_workers = 4;
+  spec.num_servers = 4;
+  Cluster cluster(spec);
+  DcvContext ctx(&cluster);
+  MatrixOptions mo;
+  mo.name = "served";
+  mo.dim = kDim;
+  mo.reserve_rows = kRows;
+  Result<int> id = ctx.master()->CreateMatrix(mo);
+  PS2_CHECK(id.ok()) << id.status();
+  PS2_CHECK_OK(ctx.client()->MatrixInit(*id, 0, kRows, 1.0, 7));
+  ModelSnapshotManager* snapshots = ctx.master()->serving_snapshots();
+  PS2_CHECK(snapshots->Publish().ok());
+  for (uint32_t r = 0; r < kRows; ++r) {
+    std::vector<uint64_t> keys;
+    std::vector<double> values;
+    for (uint64_t k = 0; k < kWriteKeys; ++k) {
+      keys.push_back((r * 7919 + k * 1543) % kDim);
+      values.push_back(PatternValue(r * kWriteKeys + k));
+    }
+    std::sort(keys.begin(), keys.end());
+    PS2_CHECK_OK(ctx.client()->PushSparse(
+        RowRef{*id, r}, SparseVector(std::move(keys), std::move(values))));
+  }
+  ServingResult out;
+  auto t0 = std::chrono::steady_clock::now();
+  Result<SnapshotPublishStats> published = snapshots->Publish();
+  out.publish_ns = std::chrono::duration<double, std::nano>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+  PS2_CHECK(published.ok()) << published.status();
+  out.bytes_copied = published->bytes_copied;
+
+  std::vector<std::vector<ServingRequest>> batches(kReads / kBatch);
+  for (int i = 0; i < kReads; ++i) {
+    ServingRequest req;
+    req.row = RowRef{*id, static_cast<uint32_t>(i % kRows)};
+    for (uint64_t k = 0; k < kReadKeys; ++k) {
+      req.indices.push_back((i * 104729ull + k * 6151) % kDim);
+    }
+    std::sort(req.indices.begin(), req.indices.end());
+    batches[i / kBatch].push_back(std::move(req));
+  }
+  ServingFrontend frontend(ctx.master(), ctx.client());
+  PS2_CHECK_OK(frontend.PinCurrentEpoch());
+  t0 = std::chrono::steady_clock::now();
+  for (const std::vector<ServingRequest>& batch : batches) {
+    Result<std::vector<std::vector<double>>> values = frontend.ServeBatch(batch);
+    PS2_CHECK(values.ok()) << values.status();
+    for (const std::vector<double>& v : *values) {
+      for (double x : v) out.read_sum += x;
+    }
+  }
+  out.read_ns = std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count() /
+                kReads;
+  return out;
+}
+
+void ServingDetSection(bench::JsonReporter* report) {
+  const ServingResult r = RunServing();
+  report->AddField("det.serving_read_sum", r.read_sum);
+  report->AddField("det.snapshot_bytes_copied",
+                   static_cast<double>(r.bytes_copied));
+}
+
+/// Best of three runs.
+void ServingWallSection(bench::JsonReporter* report) {
+  ServingResult best;
+  best.publish_ns = best.read_ns = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < 3; ++r) {
+    const ServingResult run = RunServing();
+    best.publish_ns = std::min(best.publish_ns, run.publish_ns);
+    best.read_ns = std::min(best.read_ns, run.read_ns);
+  }
+  report->AddField("wall.serving_publish_ns", best.publish_ns);
+  report->AddField("wall.serving_read_ns", best.read_ns);
+  std::printf("serving: %.0f ns per publish after a sparse burst, "
+              "%.0f ns per pinned read\n",
+              best.publish_ns, best.read_ns);
+}
+
 /// Best-of-N wall time of one kernel call, in nanoseconds.
 template <typename Fn>
 double TimeNs(int reps, Fn&& fn) {
@@ -545,9 +656,11 @@ int main(int argc, char** argv) {
   ps2::DeterministicSection(&report);
   ps2::FilterDetSection(&report);
   ps2::OwnedRowsDetSection(&report);
+  ps2::ServingDetSection(&report);
   ps2::WallClockSection(&report);
   ps2::FilterWallSection(&report);
   ps2::OwnedRowsWallSection(&report);
+  ps2::ServingWallSection(&report);
   report.Write();
   return 0;
 }

@@ -43,7 +43,10 @@ constexpr size_t kMaxVarintBytes = 10;
 class BufferWriter {
  public:
   BufferWriter() = default;
-  explicit BufferWriter(size_t reserve) { buf_.reserve(reserve); }
+  explicit BufferWriter(size_t reserve, size_t sections = 0) {
+    buf_.reserve(reserve);
+    sections_.reserve(sections);
+  }
 
   void WriteU8(uint8_t v) { buf_.push_back(v); }
   void WriteU32(uint32_t v) { AppendRaw(&v, sizeof(v)); }

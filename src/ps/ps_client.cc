@@ -954,40 +954,37 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
     uint64_t epoch, const std::vector<ServingRead>& reads) {
   using Out = std::vector<std::vector<double>>;
   if (reads.empty()) return ReadyFuture<Out>(Out{});
+  std::vector<RowRef> rows(reads.size());
+  for (size_t r = 0; r < reads.size(); ++r) rows[r] = reads[r].row;
+  Result<MetaBatch> metas_r = master_->GetMetas(rows);
+  if (!metas_r.ok()) return ReadyFuture<Out>(metas_r.status());
+  const MetaBatch& metas = *metas_r;
   // One wire entry per (read, partition) pair; entries bound for the same
   // server share a single kServingPull request (the coalescing lever).
   struct WireEntry {
-    int matrix_id = -1;
-    uint32_t row = 0;
+    int server = 0;
     size_t read = 0;      ///< index into `reads` / the output vector
     uint64_t dst_off = 0; ///< write offset within the read's output
     uint64_t expect = 0;  ///< values this entry must return
     size_t idx_lo = 0;    ///< run [idx_lo, idx_hi) of the read's indices;
     size_t idx_hi = 0;    ///< lo == hi encodes a full-slice read
   };
-  std::map<int, MatrixMeta> metas;
-  std::map<int, std::vector<WireEntry>> by_server;
+  std::vector<WireEntry> entries;
+  entries.reserve(reads.size());
   std::vector<size_t> out_sizes(reads.size());
   for (size_t r = 0; r < reads.size(); ++r) {
     const ServingRead& read = reads[r];
-    auto mit = metas.find(read.row.matrix_id);
-    if (mit == metas.end()) {
-      Result<MatrixMeta> meta_r = master_->GetMeta(read.row.matrix_id);
-      if (!meta_r.ok()) return ReadyFuture<Out>(meta_r.status());
-      mit = metas.emplace(read.row.matrix_id, std::move(*meta_r)).first;
-    }
-    const MatrixMeta& meta = mit->second;
+    const MatrixMeta& meta = metas[r];
     const ColumnPartitioner& part = meta.partitioner;
     WireEntry e;
-    e.matrix_id = read.row.matrix_id;
-    e.row = read.row.row;
     e.read = r;
     if (read.indices.empty()) {
       out_sizes[r] = meta.dim;
       for (int p = 0; p < part.num_servers(); ++p) {
+        e.server = part.ServerOfPartition(p);
         e.dst_off = part.RangeBegin(p);
         e.expect = part.RangeEnd(p) - part.RangeBegin(p);
-        by_server[part.ServerOfPartition(p)].push_back(e);
+        entries.push_back(e);
       }
     } else {
       out_sizes[r] = read.indices.size();
@@ -1001,25 +998,46 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
         const uint64_t range_end = part.RangeEnd(p);
         size_t j = i;
         while (j < read.indices.size() && read.indices[j] < range_end) ++j;
+        e.server = part.ServerOfPartition(p);
         e.dst_off = i;
         e.expect = j - i;
         e.idx_lo = i;
         e.idx_hi = j;
-        by_server[part.ServerOfPartition(p)].push_back(e);
+        entries.push_back(e);
         i = j;
       }
     }
   }
+  // Group by server, in server order, keeping each server's entries in read
+  // order (a counting sort): request order and bytes do not depend on how
+  // the grouping is stored.
+  std::vector<size_t> group_end(master_->num_servers() + 1, 0);
+  for (const WireEntry& e : entries) group_end[e.server + 1] += 1;
+  for (size_t s = 1; s < group_end.size(); ++s) {
+    group_end[s] += group_end[s - 1];
+  }
+  std::vector<WireEntry> plan(entries.size());
+  {
+    std::vector<size_t> next(group_end.begin(), group_end.end() - 1);
+    for (const WireEntry& e : entries) plan[next[e.server]++] = e;
+  }
   std::vector<ServerRequest> requests;
-  std::vector<std::vector<WireEntry>> plans;
-  for (auto& [server, entries] : by_server) {
-    BufferWriter writer;
+  std::vector<size_t> request_end;  // plan[request_end[q-1], request_end[q])
+  for (int server = 0; server < master_->num_servers(); ++server) {
+    const size_t lo = group_end[server], hi = group_end[server + 1];
+    if (lo == hi) continue;
+    size_t bytes = 1 + 2 * kMaxVarintBytes;
+    for (size_t k = lo; k < hi; ++k) {
+      bytes += (3 + plan[k].idx_hi - plan[k].idx_lo) * kMaxVarintBytes;
+    }
+    BufferWriter writer(bytes);
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kServingPull));
     writer.WriteVarint(epoch);
-    writer.WriteVarint(entries.size());
-    for (const WireEntry& e : entries) {
-      writer.WriteVarint(e.matrix_id);
-      writer.WriteVarint(e.row);
+    writer.WriteVarint(hi - lo);
+    for (size_t k = lo; k < hi; ++k) {
+      const WireEntry& e = plan[k];
+      writer.WriteVarint(reads[e.read].row.matrix_id);
+      writer.WriteVarint(reads[e.read].row.row);
       writer.WriteVarint(e.idx_hi - e.idx_lo);
       if (e.idx_hi > e.idx_lo) {
         const std::vector<uint64_t>& idx = reads[e.read].indices;
@@ -1029,24 +1047,27 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
       }
     }
     requests.push_back(MakeRequest(server, &writer));
-    plans.push_back(std::move(entries));
+    request_end.push_back(hi);
   }
   return SubmitAsync<Out>(
       std::move(requests),
-      [plans = std::move(plans), out_sizes = std::move(out_sizes)](
+      [plan = std::move(plan), request_end = std::move(request_end),
+       out_sizes = std::move(out_sizes)](
           std::vector<PsServer::HandleResult>&& results,
           TaskTraffic*) -> Result<Out> {
         Out out(out_sizes.size());
         for (size_t r = 0; r < out_sizes.size(); ++r) {
           out[r].assign(out_sizes[r], 0.0);
         }
-        for (size_t s = 0; s < results.size(); ++s) {
-          BufferReader reader(results[s].response);
+        for (size_t q = 0; q < results.size(); ++q) {
+          const size_t lo = q == 0 ? 0 : request_end[q - 1];
+          BufferReader reader(results[q].response);
           PS2_ASSIGN_OR_RETURN(uint64_t n_entries, reader.ReadVarint());
-          if (n_entries != plans[s].size()) {
+          if (n_entries != request_end[q] - lo) {
             return Status::Internal("serving pull entry count mismatch");
           }
-          for (const WireEntry& e : plans[s]) {
+          for (size_t k = lo; k < request_end[q]; ++k) {
+            const WireEntry& e = plan[k];
             PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
             if (n != e.expect) {
               return Status::Internal("serving pull span size mismatch");

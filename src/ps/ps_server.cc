@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "linalg/dense_vector.h"
@@ -149,9 +150,8 @@ Status PsServer::CreateMatrixShard(const MatrixMeta& meta) {
   } else {
     shard.sparse_rows.assign(meta.num_rows, {});
   }
-  shard.row_versions.assign(meta.num_rows, 0);
   matrix_id_limit_ = std::max(matrix_id_limit_, meta.id + int64_t{1});
-  PutShardLocked(std::move(shard));
+  TouchLayoutLocked(PutShardLocked(std::move(shard)));
   return Status::OK();
 }
 
@@ -276,7 +276,7 @@ void PsServer::ResizeShardLocked(Shard* shard, uint64_t new_begin,
   }
   // The row layout changed under every row: stamp them all so the next
   // snapshot publish re-copies, and so serving never aliases stale buffers.
-  for (uint64_t r = 0; r < n_rows; ++r) TouchRowLocked(shard, r);
+  TouchLayoutLocked(shard);
 }
 
 Result<bool> PsServer::ReconcileShardBounds(const MatrixMeta& meta) {
@@ -301,9 +301,8 @@ Result<bool> PsServer::ReconcileShardBounds(const MatrixMeta& meta) {
     } else {
       shard.sparse_rows.assign(meta.num_rows, {});
     }
-    shard.row_versions.assign(meta.num_rows, 0);
     matrix_id_limit_ = std::max(matrix_id_limit_, meta.id + int64_t{1});
-    PutShardLocked(std::move(shard));
+    TouchLayoutLocked(PutShardLocked(std::move(shard)));
     return true;
   }
   Shard& shard = *existing;
@@ -366,14 +365,42 @@ Result<PsServer::ReplicaSnapshot> PsServer::DebugReplica(RowRef ref) const {
 }
 
 void PsServer::TouchRowLocked(Shard* shard, uint64_t row) {
-  shard->row_versions[row] = ++mutation_clock_;
+  const uint64_t v = ++mutation_clock_;
+  shard->row_clocks[row] = {v, v};
 }
 
 void PsServer::TouchAllRowsLocked() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard == nullptr) continue;
-    for (uint64_t& v : shard->row_versions) v = ++mutation_clock_;
+    for (uint64_t r = 0; r < shard->meta.num_rows; ++r) {
+      TouchRowLocked(shard.get(), r);
+    }
   }
+}
+
+void PsServer::TouchChunksLocked(Shard* shard, uint64_t row,
+                                 const uint64_t* cols, size_t n) {
+  if (shard->chunk_versions.empty()) {
+    TouchRowLocked(shard, row);  // never published: no image to patch
+    return;
+  }
+  const uint64_t v = ++mutation_clock_;
+  shard->row_clocks[row].version = v;
+  uint64_t* chunks = shard->chunk_versions.data() + row * shard->num_chunks();
+  for (size_t i = 0; i < n; ++i) {
+    chunks[(cols[i] - shard->begin) / kSnapshotChunk] = v;
+  }
+}
+
+void PsServer::TouchLayoutLocked(Shard* shard) {
+  const uint64_t n_rows = shard->meta.num_rows;
+  shard->row_clocks.resize(n_rows);
+  // A rewrite stamp outranks every chunk stamp, so zeroed chunk clocks are
+  // safe: the next publish copies each row whole anyway.
+  if (!shard->chunk_versions.empty()) {
+    shard->chunk_versions.assign(n_rows * shard->num_chunks(), 0);
+  }
+  for (uint64_t r = 0; r < n_rows; ++r) TouchRowLocked(shard, r);
 }
 
 void PsServer::RecordPull(int matrix_id, uint32_t row) {
@@ -454,6 +481,10 @@ bool PsServer::IsDuplicateLocked(int client_id, uint64_t seq) const {
 void PsServer::RecordSeqLocked(int client_id, uint64_t seq) {
   ClientDedup& d = dedup_[client_id];
   if (seq <= d.floor) return;
+  if (seq == d.floor + 1 && d.seen.empty()) {
+    d.floor = seq;  // in order, nothing pending: the common case
+    return;
+  }
   d.seen.insert(seq);
   while (!d.seen.empty() && *d.seen.begin() == d.floor + 1) {
     d.floor += 1;
@@ -807,13 +838,14 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(SparseEntries write,
                        ReadSparseEntries(in, n, shard->begin, shard->end,
                                          "push index outside server range"));
-  TouchRowLocked(shard, ref.row);
   if (shard->dense()) {
+    TouchChunksLocked(shard, ref.row, write.keys.data(), n);
     double* row = shard->dense_rows[ref.row].data();
     for (uint64_t i = 0; i < n; ++i) {
       row[write.keys[i] - shard->begin] += write.values[i];
     }
   } else {
+    TouchRowLocked(shard, ref.row);
     auto& map = shard->sparse_rows[ref.row];
     for (uint64_t i = 0; i < n; ++i) {
       if (write.values[i] != 0.0) map[write.keys[i]] += write.values[i];
@@ -1181,9 +1213,14 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
   PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
   // Each row: (matrix, row, nnz) varints.
   PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(3));
-  std::vector<std::pair<ShardRow, uint64_t>> rows;  // (row, nnz)
+  struct RowDeltas {
+    ShardRow row;
+    size_t begin;  ///< first of the row's deltas in `keys` / `vals`
+    uint64_t nnz;
+  };
+  std::vector<RowDeltas> rows;
   rows.reserve(n_rows);
-  std::vector<double*> cells;  // every delta's target, all rows
+  std::vector<uint64_t> keys;  // every delta's global column, all rows
   std::vector<double> vals;
   for (uint64_t r = 0; r < n_rows; ++r) {
     PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
@@ -1191,14 +1228,15 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
     PS2_ASSIGN_OR_RETURN(uint64_t nnz,
                          in->ReadCount(compress != 0 ? 2 : 1 + sizeof(double)));
     PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
-    double* p = shard->dense_rows[ref.row].data();
-    const uint64_t w = shard->width(), b = shard->begin;
-    rows.emplace_back(ShardRow{shard, ref.row}, nnz);
-    PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
-                         ReadKeysInRange(in, nnz, b, b + w,
-                                         "push index outside server range"));
-    for (uint64_t key : keys) cells.push_back(p + (key - b));
-    const size_t base = vals.size();
+    const size_t base = keys.size();
+    rows.push_back({ShardRow{shard, ref.row}, base, nnz});
+    keys.resize(base + nnz);
+    PS2_RETURN_NOT_OK(in->ReadDeltaKeys(keys.data() + base, nnz));
+    for (size_t i = base; i < keys.size(); ++i) {
+      if (keys[i] < shard->begin || keys[i] >= shard->end) {
+        return Status::OutOfRange("push index outside server range");
+      }
+    }
     vals.resize(base + nnz);
     if (compress != 0) {
       for (uint64_t i = 0; i < nnz; ++i) {
@@ -1210,12 +1248,16 @@ Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
     }
   }
   HandleResult out;
-  for (const auto& [row, nnz] : rows) {
-    RecordPush(row.shard->meta.id, row.row);
-    TouchRowLocked(row.shard, row.row);
-    out.server_ops += nnz;
+  for (const RowDeltas& d : rows) {
+    Shard* shard = d.row.shard;
+    RecordPush(shard->meta.id, d.row.row);
+    TouchChunksLocked(shard, d.row.row, keys.data() + d.begin, d.nnz);
+    double* p = shard->dense_rows[d.row.row].data();
+    for (size_t i = d.begin; i < d.begin + d.nnz; ++i) {
+      p[keys[i] - shard->begin] += vals[i];
+    }
+    out.server_ops += d.nnz;
   }
-  for (size_t i = 0; i < cells.size(); ++i) *cells[i] += vals[i];
   return out;
 }
 
@@ -1353,63 +1395,95 @@ Result<PsServer::HandleResult> PsServer::HandleServingPull(BufferReader* in) {
   }
   // Each entry: (matrix, row, n_idx) varints, then n_idx index varints.
   PS2_ASSIGN_OR_RETURN(uint64_t n_entries, in->ReadCount(3));
-  HandleResult out;
-  BufferWriter writer;
-  writer.WriteVarint(n_entries);
+  // Decode and check every entry first, gathering all keys into per-thread
+  // scratch, so the response is sized once and no entry allocates.
+  struct Entry {
+    const ShardSnapshot* shard;
+    const SnapshotRow* row;
+    size_t key_begin;  ///< first of the entry's keys in `keys`
+    uint64_t n_idx;    ///< 0 = the full local slice
+  };
+  thread_local std::vector<Entry> entries;
+  thread_local std::vector<uint64_t> keys;
+  thread_local std::vector<double> values;
+  entries.clear();
+  keys.clear();
+  uint64_t n_values = 0;
   for (uint64_t e = 0; e < n_entries; ++e) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t row, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
     // 0 = full slice; otherwise that many index varints follow.
     PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadCount(1));
-    auto it = snap->shards.find(static_cast<int>(m));
-    if (it == snap->shards.end()) {
+    const ShardSnapshot* shard = snap->Find(ref.matrix_id);
+    if (shard == nullptr) {
       return Status::NotFound("matrix not in serving snapshot");
     }
-    const ShardSnapshot& shard = it->second;
-    if (row >= shard.rows.size()) {
+    if (ref.row >= shard->rows.size()) {
       return Status::OutOfRange("row out of range");
     }
     // Serving reads feed the same demand sketches as training pulls, so the
     // hotspot plane sees the Zipfian read mix too.
-    RecordPull(static_cast<int>(m), static_cast<uint32_t>(row));
-    const SnapshotRow& snaprow = shard.rows[row];
-    if (n_idx == 0) {
-      // Full local slice [begin, end) of the row.
-      const uint64_t w = shard.end - shard.begin;
-      writer.WriteVarint(w);
-      writer.BeginSection(SectionKind::kF64Values);
-      if (shard.dense) {
-        writer.WriteF64Span(snaprow.dense->data(), w);
-      } else {
-        std::vector<double> window(w, 0.0);
-        for (const auto& [col, v] : *snaprow.sparse) {
-          if (col >= shard.begin && col < shard.end) {
-            window[col - shard.begin] = v;
-          }
-        }
-        writer.WriteF64Span(window.data(), w);
-      }
-      writer.EndSection();
-      out.server_ops += w;
-    } else {
-      PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
-                           ReadKeysInRange(in, n_idx, shard.begin, shard.end,
-                                           "pull index outside server range"));
-      std::vector<double> values(n_idx);
-      for (uint64_t i = 0; i < n_idx; ++i) {
-        if (shard.dense) {
-          values[i] = (*snaprow.dense)[keys[i] - shard.begin];
-        } else {
-          auto vit = snaprow.sparse->find(keys[i]);
-          values[i] = vit == snaprow.sparse->end() ? 0.0 : vit->second;
+    RecordPull(ref.matrix_id, ref.row);
+    const size_t key_begin = keys.size();
+    if (n_idx != 0) {
+      keys.resize(key_begin + n_idx);
+      PS2_RETURN_NOT_OK(in->ReadDeltaKeys(keys.data() + key_begin, n_idx));
+      for (size_t i = key_begin; i < keys.size(); ++i) {
+        if (keys[i] < shard->begin || keys[i] >= shard->end) {
+          return Status::OutOfRange("pull index outside server range");
         }
       }
-      writer.WriteVarint(n_idx);
-      writer.BeginSection(SectionKind::kF64Values);
-      writer.WriteF64Span(values.data(), n_idx);
-      writer.EndSection();
-      out.server_ops += n_idx;
     }
+    entries.push_back({shard, &shard->rows[ref.row], key_begin, n_idx});
+    n_values += n_idx != 0 ? n_idx : shard->end - shard->begin;
+  }
+  HandleResult out;
+  BufferWriter writer(
+      (1 + n_entries) * kMaxVarintBytes + n_values * sizeof(double),
+      /*sections=*/n_entries);
+  writer.WriteVarint(n_entries);
+  for (const Entry& e : entries) {
+    const ShardSnapshot& shard = *e.shard;
+    const uint64_t w = shard.end - shard.begin;
+    const uint64_t n = e.n_idx != 0 ? e.n_idx : w;
+    writer.WriteVarint(n);
+    writer.BeginSection(SectionKind::kF64Values);
+    if (shard.dense) {
+      const ChunkedRow& img = *e.row->chunks;
+      if (e.n_idx == 0) {
+        // Full local slice [begin, end) of the row, chunk by chunk.
+        for (uint64_t c = 0; c * kSnapshotChunk < w; ++c) {
+          writer.WriteF64Span(img.chunk(c),
+                              std::min(kSnapshotChunk, w - c * kSnapshotChunk));
+        }
+      } else {
+        values.resize(n);
+        const uint64_t* k = keys.data() + e.key_begin;
+        for (uint64_t i = 0; i < n; ++i) {
+          const uint64_t col = k[i] - shard.begin;
+          values[i] = img.chunk(col / kSnapshotChunk)[col % kSnapshotChunk];
+        }
+        writer.WriteF64Span(values.data(), n);
+      }
+    } else {
+      const std::map<uint64_t, double>& map = *e.row->sparse;
+      if (e.n_idx == 0) {
+        values.assign(w, 0.0);
+        for (auto it = map.lower_bound(shard.begin);
+             it != map.end() && it->first < shard.end; ++it) {
+          values[it->first - shard.begin] = it->second;
+        }
+      } else {
+        values.resize(n);
+        const uint64_t* k = keys.data() + e.key_begin;
+        for (uint64_t i = 0; i < n; ++i) {
+          auto it = map.find(k[i]);
+          values[i] = it == map.end() ? 0.0 : it->second;
+        }
+      }
+      writer.WriteF64Span(values.data(), n);
+    }
+    writer.EndSection();
+    out.server_ops += n;
   }
   out.response_sections = writer.TakeSections();
   out.response = writer.Release();
@@ -1640,7 +1714,6 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
       } else {
         joined.sparse_rows.assign(e.num_rows, {});
       }
-      joined.row_versions.assign(e.num_rows, 0);
       shard = PutShardLocked(std::move(joined));
     }
     ResizeShardLocked(shard, e.begin, e.end, epoch);
@@ -1683,6 +1756,55 @@ uint64_t PsServer::MinWorkerClock() const {
   return min_clock;
 }
 
+std::shared_ptr<const PsServer::ChunkedRow> PsServer::CopyDenseRowLocked(
+    const Shard& shard, size_t row, const SnapshotRow* prev,
+    uint64_t* copied) const {
+  const uint64_t width = shard.width();
+  const uint64_t n_chunks = shard.num_chunks();
+  const double* src = shard.dense_rows[row].data();
+  // Sparse writes since `prev` stamped only their chunks; a whole-row write
+  // (or a layout change) stamped the row and leaves nothing to share.
+  std::vector<uint64_t> dirty;
+  const bool sparse_writes = prev != nullptr &&
+                             !shard.chunk_versions.empty() &&
+                             shard.row_clocks[row].rewrite <= prev->version;
+  if (sparse_writes) {
+    const uint64_t* clocks = shard.chunk_versions.data() + row * n_chunks;
+    for (uint64_t c = 0; c < n_chunks; ++c) {
+      if (clocks[c] > prev->version) dirty.push_back(c);
+    }
+    if (dirty.empty()) return prev->chunks;  // the writes touched no column
+  }
+  if (!sparse_writes || dirty.size() == n_chunks) {
+    // Whole row: one buffer, one memcpy.
+    auto base = std::make_shared_for_overwrite<double[]>(width);
+    if (width != 0) std::memcpy(base.get(), src, width * sizeof(double));
+    auto image = std::make_shared<ChunkedRow>();
+    image->base = std::move(base);
+    *copied += width;
+    return image;
+  }
+  // Patch just the written chunks; every other chunk is shared with `prev`.
+  const ChunkedRow& old = *prev->chunks;
+  auto image = std::make_shared<ChunkedRow>();
+  image->base = old.base;
+  image->patches = old.patches;
+  image->patches.resize(n_chunks);
+  image->num_patched = old.num_patched;
+  for (uint64_t c : dirty) {
+    const uint64_t lo = c * kSnapshotChunk;
+    const uint64_t n = std::min(kSnapshotChunk, width - lo);
+    auto patch = std::make_shared_for_overwrite<double[]>(n);
+    std::memcpy(patch.get(), src + lo, n * sizeof(double));
+    if (image->patches[c] == nullptr) image->num_patched += 1;
+    image->patches[c] = std::move(patch);
+    *copied += n;
+  }
+  // No chunk reads the whole-row buffer any more: let it go.
+  if (image->num_patched == n_chunks) image->base.reset();
+  return image;
+}
+
 Result<PsServer::PublishStats> PsServer::PublishSnapshot(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (crashed_) {
@@ -1694,39 +1816,39 @@ Result<PsServer::PublishStats> PsServer::PublishSnapshot(uint64_t epoch) {
   const ModelSnapshot* prev = snapshots_.empty() ? nullptr : &snapshots_.back();
   ModelSnapshot snap;
   snap.epoch = epoch;
+  snap.shards.resize(shards_.size());
   PublishStats stats;
+  uint64_t doubles_copied = 0;
   for (const std::unique_ptr<Shard>& slot : shards_) {
     if (slot == nullptr) continue;
-    const Shard& shard = *slot;
-    const int id = shard.meta.id;
-    ShardSnapshot ss;
+    Shard& shard = *slot;
+    ShardSnapshot& ss = snap.shards[static_cast<size_t>(shard.meta.id)];
+    ss.present = true;
     ss.begin = shard.begin;
     ss.end = shard.end;
     ss.dense = shard.dense();
     const size_t n_rows = shard.meta.num_rows;
     ss.rows.resize(n_rows);
-    const ShardSnapshot* prev_ss = nullptr;
-    if (prev != nullptr) {
-      auto it = prev->shards.find(id);
-      if (it != prev->shards.end() && it->second.begin == shard.begin &&
-          it->second.end == shard.end && it->second.dense == ss.dense &&
-          it->second.rows.size() == n_rows) {
-        prev_ss = &it->second;
-      }
+    const ShardSnapshot* prev_ss =
+        prev != nullptr ? prev->Find(shard.meta.id) : nullptr;
+    if (prev_ss != nullptr &&
+        (prev_ss->begin != shard.begin || prev_ss->end != shard.end ||
+         prev_ss->dense != ss.dense || prev_ss->rows.size() != n_rows)) {
+      prev_ss = nullptr;
     }
     for (size_t r = 0; r < n_rows; ++r) {
-      const uint64_t version = shard.row_versions[r];
-      if (prev_ss != nullptr && prev_ss->rows[r].version == version) {
-        // Untouched since the previous publish: share its immutable buffer.
-        ss.rows[r] = prev_ss->rows[r];
+      const uint64_t version = shard.row_clocks[r].version;
+      const SnapshotRow* prev_row =
+          prev_ss != nullptr ? &prev_ss->rows[r] : nullptr;
+      if (prev_row != nullptr && prev_row->version == version) {
+        // Untouched since the previous publish: share its immutable image.
+        ss.rows[r] = *prev_row;
         stats.rows_reused += 1;
       } else {
         SnapshotRow& dst = ss.rows[r];
         dst.version = version;
         if (ss.dense) {
-          dst.dense = std::make_shared<const std::vector<double>>(
-              shard.dense_rows[r]);
-          stats.bytes_copied += shard.width() * sizeof(double);
+          dst.chunks = CopyDenseRowLocked(shard, r, prev_row, &doubles_copied);
         } else {
           dst.sparse = std::make_shared<const std::map<uint64_t, double>>(
               shard.sparse_rows[r]);
@@ -1737,13 +1859,51 @@ Result<PsServer::PublishStats> PsServer::PublishSnapshot(uint64_t epoch) {
       }
       stats.rows_total += 1;
     }
-    snap.shards.emplace(id, std::move(ss));
+    // Chunk clocks start with the first publish that sees the shard: every
+    // row was just copied whole, so zeroed clocks mark nothing written.
+    // Shards of a model that is never published never pay for them.
+    if (ss.dense && shard.chunk_versions.empty()) {
+      shard.chunk_versions.assign(n_rows * shard.num_chunks(), 0);
+    }
   }
+  stats.bytes_copied += doubles_copied * sizeof(double);
   snapshots_.push_back(std::move(snap));
   if (snapshots_.size() > kRetainedSnapshots) {
     snapshots_.erase(snapshots_.begin());
   }
   return stats;
+}
+
+uint64_t PsServer::SnapshotBytesHeld() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::unordered_set<const void*> seen;
+  uint64_t bytes = 0;
+  for (const ModelSnapshot& snap : snapshots_) {
+    for (const ShardSnapshot& ss : snap.shards) {
+      if (!ss.present) continue;
+      const uint64_t width = ss.end - ss.begin;
+      for (const SnapshotRow& row : ss.rows) {
+        if (!ss.dense) {
+          if (seen.insert(row.sparse.get()).second) {
+            bytes += row.sparse->size() * (sizeof(uint64_t) + sizeof(double));
+          }
+          continue;
+        }
+        const ChunkedRow& img = *row.chunks;
+        if (img.base != nullptr && seen.insert(img.base.get()).second) {
+          bytes += width * sizeof(double);
+        }
+        for (size_t c = 0; c < img.patches.size(); ++c) {
+          if (img.patches[c] != nullptr &&
+              seen.insert(img.patches[c].get()).second) {
+            bytes += std::min(kSnapshotChunk, width - c * kSnapshotChunk) *
+                     sizeof(double);
+          }
+        }
+      }
+    }
+  }
+  return bytes;
 }
 
 uint64_t PsServer::snapshot_epoch() const {
@@ -1865,6 +2025,9 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
     // (PsServer::ReconcileShardBounds — DESIGN.md §12).
     shard.begin = img_begin;
     shard.end = img_end;
+    // Restored values differ from whatever the clocks said (and the bounds
+    // may too): the next snapshot publish re-copies every row.
+    TouchLayoutLocked(&shard);
     if (shard.dense()) {
       for (uint64_t r = 0; r < n_rows; ++r) {
         PS2_ASSIGN_OR_RETURN(std::vector<double> row,
@@ -1929,9 +2092,6 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
     }
     dedup_[static_cast<int>(client_id)] = std::move(d);
   }
-  // Restored values differ from whatever the row versions said: stamp every
-  // row so the next snapshot publish re-copies from the restored state.
-  TouchAllRowsLocked();
   if (in.AtEnd()) return Status::OK();  // checkpoint predates §11 clocks
   PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadCount(1));
   // Max-merge into whatever the vector holds: clock advances applied after

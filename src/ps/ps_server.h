@@ -252,21 +252,38 @@ class PsServer {
 
   // ---- Serving snapshots (serving/, DESIGN.md §10) ----
 
+  /// Doubles per copy-on-publish chunk of a dense snapshot row. At 256
+  /// doubles (2 KiB) a sparse write of k keys re-copies at most k × 2 KiB,
+  /// while a chunk's clock and patch slot (24 bytes) stay near 1% of it.
+  static constexpr uint64_t kSnapshotChunk = 256;
+
   /// What one PublishSnapshot call did (the master charges copy cost and
   /// control-plane bytes from these).
   struct PublishStats {
     uint64_t rows_total = 0;   ///< rows in the published snapshot
-    uint64_t rows_copied = 0;  ///< rows materialized (touched since last)
-    uint64_t rows_reused = 0;  ///< rows shared with the previous epoch
-    uint64_t bytes_copied = 0; ///< payload bytes of the copied rows
+    uint64_t rows_copied = 0;  ///< rows with any chunk copied (touched)
+    uint64_t rows_reused = 0;  ///< rows shared whole with the previous epoch
+    uint64_t bytes_copied = 0; ///< payload bytes of the copied chunks
   };
 
   /// Publishes an immutable snapshot of every primary shard under `epoch`.
-  /// Copy-on-publish: rows untouched since the previous snapshot share its
-  /// immutable buffers; only touched rows are copied. The last two epochs
-  /// are retained so epoch N keeps serving while N+1 is being published.
-  /// `epoch` must be strictly greater than the latest published epoch.
+  /// Copy-on-publish at chunk granularity: a dense row untouched since the
+  /// previous snapshot shares its image whole; after sparse writes only the
+  /// written kSnapshotChunk-double chunks are copied and the rest are
+  /// shared; a row rewritten whole (a whole-row writer, a layout change, a
+  /// restore) is copied as one buffer with one memcpy. Sparse-storage rows
+  /// copy whole when touched. The last two epochs are retained so epoch N
+  /// keeps serving while N+1 is being published. `epoch` must be strictly
+  /// greater than the latest published epoch.
   Result<PublishStats> PublishSnapshot(uint64_t epoch);
+
+  /// Bytes of snapshot payload the retained epochs hold, each shared buffer
+  /// counted once. A dense row image holds at most one whole-row buffer plus
+  /// one buffer per chunk (2× the row), and the next epoch's image of the
+  /// row either shares it or adds at most one row's worth of chunks or one
+  /// whole-row buffer. So while shard bounds stay put, this is at most 3×
+  /// the dense shard bytes (rows × width × 8), however many publishes ran.
+  uint64_t SnapshotBytesHeld() const;
 
   /// Latest published snapshot epoch (0 = nothing published yet). Snapshots
   /// are process-local soft state: DropAllState clears them, and recovery
@@ -285,23 +302,53 @@ class PsServer {
     std::vector<std::vector<double>> dense_rows;
     // Sparse storage: per-row map global column -> value.
     std::vector<std::map<uint64_t, double>> sparse_rows;
-    // Mutation clock value of the last write to each row (serving
-    // copy-on-publish reuses unchanged rows across snapshot epochs).
-    std::vector<uint64_t> row_versions;
+    // Copy-on-publish clocks (mutation_clock_ values; DESIGN.md §10): per
+    // row, the last write of any kind and the last whole-row write; for
+    // dense storage, the last sparse write to each chunk (rows x
+    // num_chunks(), row-major; empty until the first publish that sees the
+    // shard, and sparse writes count as whole-row writes till then).
+    struct RowClock {
+      uint64_t version = 0;
+      uint64_t rewrite = 0;
+    };
+    std::vector<RowClock> row_clocks;
+    std::vector<uint64_t> chunk_versions;
 
     uint64_t width() const { return end - begin; }
     bool dense() const { return meta.storage == MatrixStorage::kDense; }
+    uint64_t num_chunks() const {
+      return (width() + kSnapshotChunk - 1) / kSnapshotChunk;
+    }
   };
 
-  /// One immutable row of a published snapshot. Exactly one of dense/sparse
-  /// is set (per the shard's storage kind); buffers are shared, never
-  /// mutated, so an epoch stays bit-stable while later epochs publish.
+  /// One immutable dense row of a published snapshot, in kSnapshotChunk
+  /// chunks. Chunk c is patches[c] when that is set, else it lies at
+  /// base + c * kSnapshotChunk. A whole-row copy fills `base` alone; a
+  /// publish after sparse writes patches only the written chunks and shares
+  /// everything else with the previous image. `base` is dropped once every
+  /// chunk is patched.
+  struct ChunkedRow {
+    std::shared_ptr<const double[]> base;
+    std::vector<std::shared_ptr<const double[]>> patches;  ///< empty: none
+    size_t num_patched = 0;
+
+    const double* chunk(size_t c) const {
+      return !patches.empty() && patches[c] != nullptr
+                 ? patches[c].get()
+                 : base.get() + c * kSnapshotChunk;
+    }
+  };
+
+  /// One immutable row of a published snapshot: `chunks` for dense storage,
+  /// `sparse` for sparse storage. Buffers are shared, never mutated, so an
+  /// epoch stays bit-stable while later epochs publish.
   struct SnapshotRow {
     uint64_t version = 0;  ///< shard row version at copy time
-    std::shared_ptr<const std::vector<double>> dense;
+    std::shared_ptr<const ChunkedRow> chunks;
     std::shared_ptr<const std::map<uint64_t, double>> sparse;
   };
   struct ShardSnapshot {
+    bool present = false;  ///< false: no shard of this id at publish
     uint64_t begin = 0;
     uint64_t end = 0;
     bool dense = true;
@@ -309,8 +356,22 @@ class PsServer {
   };
   struct ModelSnapshot {
     uint64_t epoch = 0;
-    std::map<int, ShardSnapshot> shards;
+    /// By matrix id, like shards_.
+    std::vector<ShardSnapshot> shards;
+
+    /// The snapshot of `matrix_id`'s shard, or nullptr.
+    const ShardSnapshot* Find(uint64_t matrix_id) const {
+      return matrix_id < shards.size() && shards[matrix_id].present
+                 ? &shards[matrix_id]
+                 : nullptr;
+    }
   };
+  /// The image of one touched row for the next epoch: a copy of only the
+  /// chunks written since `prev` when the row was written sparsely, else a
+  /// whole-row copy. Adds the doubles copied to `*copied`.
+  std::shared_ptr<const ChunkedRow> CopyDenseRowLocked(
+      const Shard& shard, size_t row, const SnapshotRow* prev,
+      uint64_t* copied) const;
   /// Snapshot epochs retained for serving (publish evicts beyond this).
   static constexpr size_t kRetainedSnapshots = 2;
 
@@ -410,10 +471,18 @@ class PsServer {
   void RecordPull(int matrix_id, uint32_t row);
   void RecordPush(int matrix_id, uint32_t row);
 
-  /// Marks one row (or every row of every shard) as mutated: stamps the
-  /// current mutation clock so the next PublishSnapshot copies it.
+  /// Marks one row (or every row of every shard) as rewritten whole: the
+  /// next PublishSnapshot copies all of it.
   void TouchRowLocked(Shard* shard, uint64_t row);
   void TouchAllRowsLocked();
+  /// Marks the chunks of dense row `row` that hold the global columns
+  /// cols[0, n): the next PublishSnapshot copies just those chunks (the
+  /// whole row while the shard has no chunk clocks yet).
+  void TouchChunksLocked(Shard* shard, uint64_t row, const uint64_t* cols,
+                         size_t n);
+  /// Re-sizes any chunk clocks to the shard's current bounds and marks
+  /// every row rewritten: for new shards and after a layout change.
+  void TouchLayoutLocked(Shard* shard);
 
   Result<HandleResult> HandlePullDense(BufferReader* in);
   Result<HandleResult> HandlePullSparse(BufferReader* in);
@@ -449,7 +518,7 @@ class PsServer {
   // an admitted id, never to an id decoded from the wire.
   std::vector<std::unique_ptr<Shard>> shards_;
   int64_t matrix_id_limit_ = 0;  ///< ids [0, limit) admitted (AdmitMatrixIds)
-  // Monotonic write clock feeding Shard::row_versions (mu_ held).
+  // Monotonic write clock feeding the Shard clocks (mu_ held).
   uint64_t mutation_clock_ = 0;
   // Published snapshots, oldest first, at most kRetainedSnapshots.
   std::vector<ModelSnapshot> snapshots_;

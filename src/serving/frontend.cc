@@ -1,10 +1,21 @@
 #include "serving/frontend.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 
 namespace ps2 {
+
+namespace {
+
+/// The demand_ key of `row`: (matrix, row) packed into 64 bits.
+uint64_t DemandKey(RowRef row) {
+  return static_cast<uint64_t>(static_cast<uint32_t>(row.matrix_id)) << 32 |
+         row.row;
+}
+
+}  // namespace
 
 ServingFrontend::ServingFrontend(PsMaster* master, PsClient* client,
                                  ServingFrontendOptions options)
@@ -19,7 +30,8 @@ Status ServingFrontend::PinCurrentEpoch() {
     return Status::FailedPrecondition("no serving snapshot published yet");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  pinned_epoch_ = epoch;
+  // Concurrent batches may pin in any order; the pin only moves forward.
+  pinned_epoch_ = std::max(pinned_epoch_, epoch);
   return Status::OK();
 }
 
@@ -38,60 +50,70 @@ Result<std::vector<std::vector<double>>> ServingFrontend::ServeBatch(
   if (batch.empty()) return std::vector<std::vector<double>>{};
 
   // ---- Plan: one read per distinct row (coalesced) or per request. ----
+  // Requests sorted by (matrix, row), ties in batch order: each run of equal
+  // rows is one distinct row, and the runs come in the order a std::map of
+  // rows would give — so the read order, and with it the wire bytes, does
+  // not depend on batch order.
+  std::vector<uint32_t> order(batch.size());
+  std::iota(order.begin(), order.end(), 0u);
+  auto row_key = [&](uint32_t i) {
+    return std::make_pair(batch[i].row.matrix_id, batch[i].row.row);
+  };
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return std::make_pair(row_key(a), a) < std::make_pair(row_key(b), b);
+  });
+  // End of the run of requests for the row of order[lo].
+  auto run_end = [&](size_t lo) {
+    size_t hi = lo + 1;
+    while (hi < order.size() && row_key(order[hi]) == row_key(order[lo])) ++hi;
+    return hi;
+  };
   std::vector<PsClient::ServingRead> reads;
   std::vector<size_t> read_of_request(batch.size());
+  if (options_.coalesce) {
+    // Union the index sets per row; a full-row request (empty indices)
+    // absorbs every indexed one.
+    for (size_t lo = 0, hi; lo < order.size(); lo = hi) {
+      hi = run_end(lo);
+      PsClient::ServingRead& read = reads.emplace_back();
+      read.row = batch[order[lo]].row;
+      bool full = false;
+      for (size_t k = lo; k < hi; ++k) {
+        const std::vector<uint64_t>& idx = batch[order[k]].indices;
+        full = full || idx.empty();
+        if (!full) {
+          read.indices.insert(read.indices.end(), idx.begin(), idx.end());
+        }
+        read_of_request[order[k]] = reads.size() - 1;
+      }
+      if (full) {
+        read.indices.clear();
+      } else {
+        std::sort(read.indices.begin(), read.indices.end());
+        read.indices.erase(
+            std::unique(read.indices.begin(), read.indices.end()),
+            read.indices.end());
+      }
+    }
+  } else {
+    reads.reserve(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      read_of_request[i] = i;
+      reads.push_back({batch[i].row, batch[i].indices});
+    }
+  }
   uint64_t epoch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.requests += batch.size();
     stats_.batches += 1;
     stats_.raw_reads += batch.size();
-    for (const ServingRequest& req : batch) {
-      demand_[{req.row.matrix_id, req.row.row}] += 1;
-    }
-    if (options_.coalesce) {
-      // Union the index sets per row; a full-row request (empty indices)
-      // absorbs every indexed one. std::map keeps the read order — and with
-      // it the wire bytes — deterministic regardless of batch order.
-      struct Union {
-        bool full = false;
-        std::vector<uint64_t> indices;
-      };
-      std::map<std::pair<int, uint32_t>, Union> unions;
-      for (const ServingRequest& req : batch) {
-        Union& u = unions[{req.row.matrix_id, req.row.row}];
-        if (req.indices.empty()) {
-          u.full = true;
-          u.indices.clear();
-        } else if (!u.full) {
-          u.indices.insert(u.indices.end(), req.indices.begin(),
-                           req.indices.end());
-        }
-      }
-      std::map<std::pair<int, uint32_t>, size_t> read_of_row;
-      for (auto& [key, u] : unions) {
-        std::sort(u.indices.begin(), u.indices.end());
-        u.indices.erase(std::unique(u.indices.begin(), u.indices.end()),
-                        u.indices.end());
-        read_of_row[key] = reads.size();
-        PsClient::ServingRead read;
-        read.row.matrix_id = key.first;
-        read.row.row = key.second;
-        read.indices = std::move(u.indices);
-        reads.push_back(std::move(read));
-      }
-      for (size_t i = 0; i < batch.size(); ++i) {
-        read_of_request[i] =
-            read_of_row[{batch[i].row.matrix_id, batch[i].row.row}];
-      }
-    } else {
-      reads.reserve(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        read_of_request[i] = i;
-        reads.push_back({batch[i].row, batch[i].indices});
-      }
-    }
     stats_.coalesced_reads += reads.size();
+    // One demand update per distinct row: the sorted runs again.
+    for (size_t lo = 0, hi; lo < order.size(); lo = hi) {
+      hi = run_end(lo);
+      demand_[DemandKey(batch[order[lo]].row)] += hi - lo;
+    }
     epoch = pinned_epoch_;
   }
 
@@ -111,7 +133,7 @@ Result<std::vector<std::vector<double>>> ServingFrontend::ServeBatch(
     epoch = current;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      pinned_epoch_ = current;
+      pinned_epoch_ = std::max(pinned_epoch_, current);
       stats_.epoch_repins += 1;
     }
     values = client_->ServingPullAsync(epoch, reads).Get();
@@ -156,7 +178,7 @@ ServingFrontend::Stats ServingFrontend::stats() const {
 
 uint64_t ServingFrontend::DemandCount(RowRef row) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = demand_.find({row.matrix_id, row.row});
+  auto it = demand_.find(DemandKey(row));
   return it == demand_.end() ? 0 : it->second;
 }
 

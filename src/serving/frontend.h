@@ -27,9 +27,8 @@
 // same way hot training rows do.
 
 #include <cstdint>
-#include <map>
 #include <mutex>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -51,7 +50,7 @@ struct ServingFrontendOptions {
 /// \brief Coalescing, epoch-pinned read path over PsClient::ServingPullAsync.
 ///
 /// Thread-safe: batches may be served from concurrent threads (the
-/// snapshot-isolation test does); the exchange itself runs outside the
+/// frontend test does); the exchange itself runs outside the
 /// frontend lock.
 class ServingFrontend {
  public:
@@ -96,7 +95,8 @@ class ServingFrontend {
   mutable std::mutex mu_;
   uint64_t pinned_epoch_ = 0;
   Stats stats_;
-  std::map<std::pair<int, uint32_t>, uint64_t> demand_;
+  /// Requests per (matrix, row), keyed by the pair packed into 64 bits.
+  std::unordered_map<uint64_t, uint64_t> demand_;
 };
 
 }  // namespace ps2

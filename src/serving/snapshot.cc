@@ -39,7 +39,8 @@ Result<SnapshotPublishStats> ModelSnapshotManager::Publish() {
     stats.rows_reused += ps.rows_reused;
     stats.bytes_copied += ps.bytes_copied;
     // Copy-on-publish is in-memory work on the server; price it as one op
-    // per copied double so a quiet model publishes almost for free.
+    // per copied double (whole rows or just the written chunks), so a quiet
+    // model publishes almost for free.
     t.RecordExchange(s, kPublishRequestBytes + Message::kHeaderBytes,
                      kPublishResponseBytes + Message::kHeaderBytes,
                      ps.bytes_copied / sizeof(double));

@@ -6,10 +6,12 @@
 // ModelSnapshotManager — owned by PsMaster, driven by the trainer between
 // stages — closes that gap with epoch-versioned snapshots: Publish() asks
 // every server to freeze its current shard state under the next epoch
-// (PsServer::PublishSnapshot — copy-on-publish of rows touched since the
-// previous epoch, pointer reuse for the rest), after which kServingPull
+// (PsServer::PublishSnapshot — copy-on-publish of the kSnapshotChunk-double
+// chunks written since the previous epoch, sharing for the rest; a row
+// rewritten whole is copied as one buffer), after which kServingPull
 // requests pinned to epoch N are bit-stable no matter how far epoch N+1
-// training has progressed.
+// training has progressed. Two retained epochs hold at most 3x the dense
+// model bytes while shard bounds stay put (PsServer::SnapshotBytesHeld).
 //
 // Snapshots are process-local soft state: a crashed server loses them with
 // the rest of its memory, and recovery (PsMaster::RecoverServerInternal)
@@ -32,8 +34,8 @@ struct SnapshotPublishStats {
   uint64_t epoch = 0;        ///< the epoch this publish installed
   uint64_t rows_total = 0;   ///< rows across all shards on all servers
   uint64_t rows_copied = 0;  ///< rows touched since the previous epoch
-  uint64_t rows_reused = 0;  ///< rows shared with the previous epoch
-  uint64_t bytes_copied = 0; ///< payload bytes materialized by the copies
+  uint64_t rows_reused = 0;  ///< rows shared whole with the previous epoch
+  uint64_t bytes_copied = 0; ///< payload bytes of the copied chunks
 };
 
 /// \brief Master-side coordinator of serving snapshot epochs.
@@ -47,8 +49,9 @@ class ModelSnapshotManager {
 
   /// Freezes the current model state under a new epoch on every server and
   /// returns what it cost. The publish command is priced like any other
-  /// coordinator->server exchange; the copy work is charged as server ops,
-  /// so a quiet model (few touched rows) publishes almost for free.
+  /// coordinator->server exchange; the copy work is charged as one server
+  /// op per copied double, so a publish costs what the writes since the
+  /// last one touched, and a quiet model publishes almost for free.
   Result<SnapshotPublishStats> Publish();
 
   /// The latest published epoch; 0 means nothing has been published yet.

@@ -370,6 +370,33 @@ TEST_F(PsFuzzTest, ForgedMatrixIdsRejected) {
   EXPECT_FALSE(server_.HasMatrix(std::numeric_limits<int32_t>::max()));
 }
 
+TEST_F(PsFuzzTest, ForgedServingPullMatrixIdsRejected) {
+  // A serving read decodes its matrix id whole: 2^32 + 0 must not truncate
+  // onto live matrix 0, and no forged id may read another matrix's data.
+  ASSERT_TRUE(server_.PublishSnapshot(1).ok());
+  auto serving_pull = [&](uint64_t id) {
+    BufferWriter pull;
+    pull.WriteU8(static_cast<uint8_t>(PsOpCode::kServingPull));
+    pull.WriteVarint(1);  // epoch
+    pull.WriteVarint(1);  // entries
+    pull.WriteVarint(id);
+    pull.WriteVarint(0);  // row
+    pull.WriteVarint(0);  // full slice
+    return server_.Handle(pull.buffer());
+  };
+  ASSERT_TRUE(serving_pull(0).ok());  // the live matrix itself serves
+  const uint64_t ids[] = {
+      (uint64_t{1} << 32) + 0,  // 2^32 + a live id
+      static_cast<uint64_t>(std::numeric_limits<int32_t>::max()),
+      ~uint64_t{0},  // 2^64 - 1
+  };
+  for (uint64_t id : ids) {
+    Result<PsServer::HandleResult> result = serving_pull(id);
+    EXPECT_TRUE(result.status().IsNotFound()) << id << " "
+                                              << result.status().ToString();
+  }
+}
+
 TEST_F(PsFuzzTest, SparseVectorDeserializeFuzz) {
   Rng rng(0xF0223);
   for (int trial = 0; trial < 5000; ++trial) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "dataflow/cluster.h"
+#include "linalg/sparse_vector.h"
 #include "ps/ps_master.h"
 #include "serving/admission.h"
 #include "serving/serving_loop.h"
@@ -208,6 +211,104 @@ TEST_F(ServingFaultTest, CoalescedReadsSurviveMessageFaults) {
   }
   // With a 20% drop rate across 20 rounds the retry path must have fired.
   EXPECT_GT(t.retries, 0u);
+}
+
+TEST_F(ServingTest, ConcurrentBatchesWhileTheCoordinatorPublishes) {
+  // Four threads share one frontend while the coordinator keeps writing and
+  // publishing: each thread charges its own TrafficScope (the cluster clock
+  // is not thread-safe), and the run is built for `ctest -L tsan`.
+  constexpr uint64_t kDim = 90;
+  constexpr uint32_t kRows = 4;
+  constexpr int kThreads = 4;
+  constexpr int kEpochs = 12;
+  RowRef w = NewServedMatrix(kDim, kRows);
+  ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());
+  ServingFrontend frontend(master_.get(), client_.get());
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> batches{0}, requests{0}, verified{0}, mismatches{0};
+  std::atomic<uint64_t> failures{0};
+  auto serve = [&](uint64_t seed) {
+    PsClient direct(master_.get());
+    TaskTraffic t;
+    TrafficScope scope(&t);
+    for (uint64_t i = 0;; ++i) {
+      // Read the flag BEFORE the batch: once the coordinator is done the
+      // epoch is stable, so the batch after it is always verified.
+      const bool last = done.load(std::memory_order_acquire);
+      std::vector<ServingRequest> batch;
+      for (uint64_t k = 0; k < 3 + (seed + i) % 4; ++k) {
+        const uint32_t row = static_cast<uint32_t>((seed + i + k) % kRows);
+        if ((seed + k) % 3 == 0) {
+          batch.push_back(Req({w.matrix_id, row}));
+        } else {
+          batch.push_back(Req({w.matrix_id, row},
+                              {(seed + k) % kDim, (i * 7 + k) % kDim}));
+          std::sort(batch.back().indices.begin(), batch.back().indices.end());
+          batch.back().indices.erase(
+              std::unique(batch.back().indices.begin(),
+                          batch.back().indices.end()),
+              batch.back().indices.end());
+        }
+      }
+      const uint64_t before = frontend.pinned_epoch();
+      auto values = frontend.ServeBatch(batch);
+      const uint64_t after = frontend.pinned_epoch();
+      requests.fetch_add(batch.size());
+      batches.fetch_add(1);
+      if (!values.ok()) {
+        failures.fetch_add(1);
+        continue;
+      }
+      // With no repin in between, the whole batch was served at `after`:
+      // it must equal a direct, uncoalesced pull pinned there (unless that
+      // epoch has been evicted since).
+      if (before == after) {
+        std::vector<PsClient::ServingRead> reads;
+        for (const ServingRequest& req : batch) {
+          reads.push_back({req.row, req.indices});
+        }
+        auto direct_values = direct.ServingPullAsync(after, reads).Get();
+        if (direct_values.ok()) {
+          verified.fetch_add(1);
+          if (*direct_values != *values) mismatches.fetch_add(1);
+        }
+      }
+      if (last) break;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) threads.emplace_back(serve, 11 * i + 1);
+
+  {
+    TaskTraffic t;
+    TrafficScope scope(&t);
+    for (int e = 0; e < kEpochs; ++e) {
+      // Let the readers serve a few batches against each epoch.
+      const uint64_t target = batches.load() + kThreads;
+      while (batches.load() < target) std::this_thread::yield();
+      ASSERT_TRUE(client_
+                      ->PushSparse({w.matrix_id, static_cast<uint32_t>(e % kRows)},
+                                   SparseVector({1, 45, 89}, {1.0, 2.0, 3.0}))
+                      .ok());
+      ASSERT_TRUE(
+          client_->PushDense({w.matrix_id, 3}, std::vector<double>(kDim, 0.5))
+              .ok());
+      ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(verified.load(), static_cast<uint64_t>(kThreads));
+  uint64_t demand = 0;
+  for (uint32_t r = 0; r < kRows; ++r) {
+    demand += frontend.DemandCount({w.matrix_id, r});
+  }
+  EXPECT_EQ(demand, requests.load());
+  EXPECT_EQ(frontend.stats().requests, requests.load());
 }
 
 TEST(TrafficGenTest, DeterministicSortedAndInRange) {
