@@ -26,7 +26,8 @@ constexpr int kWindow = 8;   // async in-flight depth
 
 bool RunSync(PsClient& client, RowRef w, const std::vector<double>& delta) {
   for (int i = 0; i < kOps; ++i) {
-    if (!client.PullDense(w).ok() || !client.PushDense(w, delta).ok()) {
+    if (!client.ReadRowsAsync({w}, RowSelector::Range()).Get().ok() ||
+        !client.WriteRowsAsync({w}, delta).Wait().ok()) {
       return false;
     }
   }
@@ -34,12 +35,12 @@ bool RunSync(PsClient& client, RowRef w, const std::vector<double>& delta) {
 }
 
 bool RunAsync(PsClient& client, RowRef w, const std::vector<double>& delta) {
-  std::vector<PsFuture<std::vector<double>>> pulls;
+  std::vector<PsFuture<std::vector<std::vector<double>>>> pulls;
   std::vector<PsFuture<Ack>> pushes;
   size_t next_pull = 0, next_push = 0;
   for (int i = 0; i < kOps; ++i) {
-    pulls.push_back(client.PullDenseAsync(w));
-    pushes.push_back(client.PushDenseAsync(w, delta));
+    pulls.push_back(client.ReadRowsAsync({w}, RowSelector::Range()));
+    pushes.push_back(client.WriteRowsAsync({w}, delta));
     // Harvest the oldest op once `kWindow` are in flight.
     while (pulls.size() - next_pull + pushes.size() - next_push >
            static_cast<size_t>(kWindow)) {

@@ -76,13 +76,15 @@ int main() {
     // One blocking round whose bytes we meter in isolation.
     cluster.metrics().Reset();
     PS2_CHECK(ctx.client()
-                  ->PullSparseRowsAsync({counts_row.ref()}, indices, false)
+                  ->ReadRowsAsync({counts_row.ref()},
+                                  RowSelector::Indices(indices))
                   .Get()
                   .ok());
     uint64_t plain = cluster.metrics().Get("net.bytes_server_to_worker");
     cluster.metrics().Reset();
     PS2_CHECK(ctx.client()
-                  ->PullSparseRowsAsync({counts_row.ref()}, indices, true)
+                  ->ReadRowsAsync({counts_row.ref()},
+                                  RowSelector::Indices(indices).IntValues())
                   .Get()
                   .ok());
     uint64_t packed = cluster.metrics().Get("net.bytes_server_to_worker");

@@ -139,7 +139,8 @@ SkewHealResult RunSkewHeal() {
   mo.reserve_rows = 1;
   const int id = *master.CreateMatrix(mo);
   const RowRef row{id, 0};
-  Status seeded = client.PushDense(row, std::vector<double>(mo.dim, 1.0));
+  Status seeded =
+      client.WriteRowsAsync({row}, std::vector<double>(mo.dim, 1.0)).Wait();
   if (!seeded.ok()) {
     std::fprintf(stderr, "seed push: %s\n", seeded.ToString().c_str());
   }
@@ -154,7 +155,8 @@ SkewHealResult RunSkewHeal() {
   std::map<int, uint64_t> last;
   auto chunk = [&] {
     for (int k = 0; k < 8; ++k) {
-      Result<std::vector<double>> pulled = client.PullSparse(row, hot);
+      Result<std::vector<std::vector<double>>> pulled =
+          client.ReadRowsAsync({row}, RowSelector::Indices(hot)).Get();
       PS2_CHECK(pulled.ok());
     }
   };

@@ -305,7 +305,8 @@ void FilterDetSection(bench::JsonReporter* report) {
     FilterContext ectx;
     ectx.server = 0;
     ectx.client_keys = &client_keys;
-    EncodedPayload enc = chain.Encode(p.bytes, p.sections, kFilterAll, 1, &ectx);
+    EncodedPayload enc =
+        chain.Encode(p.bytes, p.sections, kFilterAll, 1, &ectx);
     const Slice wire = enc.mask == 0 ? Slice(p.bytes) : Slice(enc.wire);
     wire_bytes += wire.size();
     FilterContext dctx;
@@ -367,7 +368,7 @@ OwnedRowsResult RunOwnedRows(int passes) {
       const std::vector<RowRef> batch(refs.begin() + b,
                                       refs.begin() + b + kBatch);
       Result<std::vector<std::vector<double>>> pulled =
-          ctx.client()->PullOwnedRowsAsync(batch).Get();
+          ctx.client()->ReadRowsAsync(batch, RowSelector::All()).Get();
       PS2_CHECK(pulled.ok()) << pulled.status();
       for (size_t i = 0; i < kBatch; ++i) {
         for (uint64_t c = 0; c < kDim; ++c) {
@@ -375,7 +376,9 @@ OwnedRowsResult RunOwnedRows(int passes) {
           deltas[i][c] = PatternValue((b + i) * kDim + c + pass);
         }
       }
-      PS2_CHECK_OK(ctx.client()->PushOwnedRowsAsync(batch, deltas).Wait());
+      PS2_CHECK_OK(ctx.client()
+                       ->WriteRowsAsync(batch, deltas, RowSelector::All())
+                       .Wait());
     }
   }
   out.ns_per_row = std::chrono::duration<double, std::nano>(
@@ -468,7 +471,8 @@ ServingResult RunServing() {
   PS2_CHECK_OK(frontend.PinCurrentEpoch());
   t0 = std::chrono::steady_clock::now();
   for (const std::vector<ServingRequest>& batch : batches) {
-    Result<std::vector<std::vector<double>>> values = frontend.ServeBatch(batch);
+    Result<std::vector<std::vector<double>>> values =
+        frontend.ServeBatch(batch);
     PS2_CHECK(values.ok()) << values.status();
     for (const std::vector<double>& v : *values) {
       for (double x : v) out.read_sum += x;

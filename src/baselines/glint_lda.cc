@@ -45,11 +45,9 @@ Result<TrainReport> TrainLdaGlint(DcvContext* ctx,
     Rng rng = task.rng.Split(0x1DA0);
     state.Initialize(rows, options, &rng);
     task.AddWorkerOps(state.total_tokens() * 4);
-    PS2_CHECK_OK(client
-                     ->PushSparseRowsAsync(topic_refs,
-                                           state.InitialTopicCounts(options),
-                                           /*compress_counts=*/false)
-                     .Wait());
+    PS2_CHECK_OK(
+        client->WriteRowsAsync(topic_refs, state.InitialTopicCounts(options))
+            .Wait());
     PS2_CHECK_OK(topic_totals.Push(state.InitialTopicTotals(options)));
   });
 
@@ -84,8 +82,8 @@ Result<TrainReport> TrainLdaGlint(DcvContext* ctx,
                 // every batch), uncompressed.
                 Result<std::vector<std::vector<double>>> pulled =
                     client
-                        ->PullSparseRowsAsync(topic_refs, batch_vocab,
-                                              /*compress_counts=*/false)
+                        ->ReadRowsAsync(topic_refs,
+                                        RowSelector::Indices(batch_vocab))
                         .Get();
                 PS2_CHECK(pulled.ok()) << pulled.status();
                 Result<std::vector<double>> nt = topic_totals.Pull();
@@ -98,11 +96,9 @@ Result<TrainReport> TrainLdaGlint(DcvContext* ctx,
                 LdaPartitionState::SweepResult sweep = state.Sweep(
                     options, &nwt_local, &*nt, &rng, doc_begin, doc_end);
                 task.AddWorkerOps(sweep.tokens * (4 * k_topics + 8));
-                PS2_CHECK_OK(client
-                                 ->PushSparseRowsAsync(
-                                     topic_refs, sweep.topic_deltas,
-                                     /*compress_counts=*/false)
-                                 .Wait());
+                PS2_CHECK_OK(
+                    client->WriteRowsAsync(topic_refs, sweep.topic_deltas)
+                        .Wait());
                 PS2_CHECK_OK(topic_totals.Push(sweep.topic_total_deltas));
                 loglik += sweep.loglik_sum;
                 tokens += sweep.tokens;

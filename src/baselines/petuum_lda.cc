@@ -41,11 +41,9 @@ Result<TrainReport> TrainLdaPetuum(DcvContext* ctx,
     task.AddWorkerOps(state.total_tokens() * 4);
     // Initial counts still push sparsely (they are per-worker deltas) but
     // WITHOUT PS2's count compression.
-    PS2_CHECK_OK(client
-                     ->PushSparseRowsAsync(topic_refs,
-                                           state.InitialTopicCounts(options),
-                                           /*compress_counts=*/false)
-                     .Wait());
+    PS2_CHECK_OK(
+        client->WriteRowsAsync(topic_refs, state.InitialTopicCounts(options))
+            .Wait());
     PS2_CHECK_OK(topic_totals.Push(state.InitialTopicTotals(options)));
   });
 
@@ -59,7 +57,7 @@ Result<TrainReport> TrainLdaPetuum(DcvContext* ctx,
 
               // Petuum behaviour: pull EVERY topic row in full.
               Result<std::vector<std::vector<double>>> full =
-                  client->PullRowsAsync(topic_refs).Get();
+                  client->ReadRowsAsync(topic_refs, RowSelector::All()).Get();
               PS2_CHECK(full.ok()) << full.status();
               Result<std::vector<double>> nt = topic_totals.Pull();
               PS2_CHECK(nt.ok()) << nt.status();
@@ -81,11 +79,9 @@ Result<TrainReport> TrainLdaPetuum(DcvContext* ctx,
                   state.Sweep(options, &nwt_local, &*nt, &rng);
               task.AddWorkerOps(sweep.tokens * (4 * k_topics + 8));
 
-              PS2_CHECK_OK(client
-                               ->PushSparseRowsAsync(
-                                   topic_refs, sweep.topic_deltas,
-                                   /*compress_counts=*/false)
-                               .Wait());
+              PS2_CHECK_OK(
+                  client->WriteRowsAsync(topic_refs, sweep.topic_deltas)
+                      .Wait());
               PS2_CHECK_OK(topic_totals.Push(sweep.topic_total_deltas));
               return {sweep.loglik_sum, sweep.tokens};
             });

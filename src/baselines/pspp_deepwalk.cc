@@ -97,7 +97,7 @@ Result<TrainReport> TrainDeepWalkPsPullPush(
                   refs.push_back(RowRef{matrix_id, r});
                 }
                 Result<std::vector<std::vector<double>>> pulled =
-                    client->PullRowsAsync(refs).Get();
+                    client->ReadRowsAsync(refs, RowSelector::All()).Get();
                 PS2_CHECK(pulled.ok()) << pulled.status();
                 std::unordered_map<uint32_t, size_t> slot;
                 slot.reserve(touched.size() * 2);
@@ -131,7 +131,8 @@ Result<TrainReport> TrainDeepWalkPsPullPush(
                 task.AddWorkerOps(triples.size() * 6 * k_dim);
 
                 // Push the accumulated deltas back.
-                PS2_CHECK_OK(client->PushRowsAsync(refs, delta).Wait());
+                PS2_CHECK_OK(client->WriteRowsAsync(refs, delta,
+                                                    RowSelector::All()).Wait());
                 trained += end - start;
               }
               return {loss_sum, trained * (1 + negatives)};

@@ -7,6 +7,7 @@
 // e.g. the advantage of sparse pulls (indices + values) over dense pulls is
 // measured from actual encoded sizes, not assumed.
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -59,6 +60,20 @@ class BufferWriter {
   /// Bulk doubles without a length prefix (caller knows the count).
   void WriteF64Span(const double* data, size_t n) {
     AppendRaw(data, n * sizeof(double));
+  }
+
+  /// `n` row values: one marked f64 span, or (`ints`) zigzag varints of
+  /// llround(value) — the integer coding for count matrices.
+  void WriteValues(const double* values, size_t n, bool ints) {
+    if (ints) {
+      for (size_t i = 0; i < n; ++i) {
+        WriteSignedVarint(static_cast<int64_t>(std::llround(values[i])));
+      }
+      return;
+    }
+    BeginSection(SectionKind::kF64Values);
+    WriteF64Span(values, n);
+    EndSection();
   }
 
   /// Zigzag-encoded signed varint (small magnitudes take 1-2 bytes).
@@ -220,6 +235,16 @@ class BufferReader {
     // An empty destination may be null, which memcpy must never see.
     if (n != 0) std::memcpy(dst, data_ + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
+    return Status::OK();
+  }
+
+  /// WriteValues' twin: `n` values into dst, f64s or (`ints`) integers.
+  Status ReadValues(double* dst, size_t n, bool ints) {
+    if (!ints) return ReadF64Into(dst, n);
+    for (size_t i = 0; i < n; ++i) {
+      PS2_ASSIGN_OR_RETURN(int64_t v, ReadSignedVarint());
+      dst[i] = static_cast<double>(v);
+    }
     return Status::OK();
   }
 

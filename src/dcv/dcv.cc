@@ -70,27 +70,23 @@ bool Dcv::CoLocatedWith(const Dcv& other) const {
 
 Result<std::vector<double>> Dcv::Pull() const {
   PS2_TRACE_SPAN("dcv", "pull");
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->PullDense(ref_);
+  return ReadRow(RowSelector::Range()).Get();
 }
 
 Result<std::vector<double>> Dcv::PullSparse(
     const std::vector<uint64_t>& indices) const {
   PS2_TRACE_SPAN("dcv", "pull_sparse");
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->PullSparse(ref_, indices);
+  return PullSparseAsync(indices).Get();
 }
 
 Status Dcv::Push(const std::vector<double>& delta) {
   PS2_TRACE_SPAN("dcv", "push");
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->PushDense(ref_, delta);
+  return WriteRow(delta).Wait();
 }
 
 Status Dcv::Add(const SparseVector& delta) {
   PS2_TRACE_SPAN("dcv", "add");
-  PS2_RETURN_NOT_OK(CheckValid(*this));
-  return context_->client()->PushSparse(ref_, delta);
+  return AddAsync(delta).Wait();
 }
 
 Status Dcv::Set(const std::vector<double>& values) {
@@ -99,33 +95,33 @@ Status Dcv::Set(const std::vector<double>& values) {
   return Push(values);
 }
 
-PsFuture<std::vector<double>> Dcv::PullAsync() const {
-  if (Status s = CheckValid(*this); !s.ok()) {
-    return MakeReadyFuture<std::vector<double>>(std::move(s));
-  }
-  return context_->client()->PullDenseAsync(ref_);
-}
-
 PsFuture<std::vector<double>> Dcv::PullSparseAsync(
     const std::vector<uint64_t>& indices) const {
-  if (Status s = CheckValid(*this); !s.ok()) {
-    return MakeReadyFuture<std::vector<double>>(std::move(s));
-  }
-  return context_->client()->PullSparseAsync(ref_, indices);
-}
-
-PsFuture<Ack> Dcv::PushAsync(const std::vector<double>& delta) {
-  if (Status s = CheckValid(*this); !s.ok()) {
-    return MakeReadyFuture<Ack>(std::move(s));
-  }
-  return context_->client()->PushDenseAsync(ref_, delta);
+  return ReadRow(RowSelector::Indices(indices));
 }
 
 PsFuture<Ack> Dcv::AddAsync(const SparseVector& delta) {
+  return WriteRow(delta);
+}
+
+PsFuture<std::vector<double>> Dcv::ReadRow(const RowSelector& cols) const {
+  if (Status s = CheckValid(*this); !s.ok()) {
+    return MakeReadyFuture<std::vector<double>>(std::move(s));
+  }
+  return context_->client()
+      ->ReadRowsAsync({ref_}, cols)
+      .Then([](Result<std::vector<std::vector<double>>>&& rows)
+                -> Result<std::vector<double>> {
+        if (!rows.ok()) return rows.status();
+        return std::move((*rows)[0]);
+      });
+}
+
+PsFuture<Ack> Dcv::WriteRow(RowDeltas delta) {
   if (Status s = CheckValid(*this); !s.ok()) {
     return MakeReadyFuture<Ack>(std::move(s));
   }
-  return context_->client()->PushSparseAsync(ref_, delta);
+  return context_->client()->WriteRowsAsync({ref_}, delta);
 }
 
 DcvBatch Dcv::Batch() const {

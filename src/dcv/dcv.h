@@ -30,6 +30,8 @@ namespace ps2 {
 
 class DcvBatch;
 class DcvContext;
+struct RowDeltas;
+struct RowSelector;
 
 /// \brief Handle to a distributed vector on the parameter servers.
 class Dcv {
@@ -77,10 +79,8 @@ class Dcv {
   // retrieves the value and charges the traffic. Ops issued while another is
   // outstanding overlap it and share one round of latency.
 
-  PsFuture<std::vector<double>> PullAsync() const;
   PsFuture<std::vector<double>> PullSparseAsync(
       const std::vector<uint64_t>& indices) const;
-  PsFuture<Ack> PushAsync(const std::vector<double>& delta);
   PsFuture<Ack> AddAsync(const SparseVector& delta);
 
   /// Opens a coalescing multi-op builder on this DCV's context (see
@@ -115,6 +115,10 @@ class Dcv {
   friend class DcvContext;
   Dcv(DcvContext* context, RowRef ref, uint64_t dim)
       : context_(context), ref_(ref), dim_(dim) {}
+
+  /// This row through PsClient::ReadRowsAsync / WriteRowsAsync.
+  PsFuture<std::vector<double>> ReadRow(const RowSelector& cols) const;
+  PsFuture<Ack> WriteRow(RowDeltas delta);
 
   DcvContext* context_ = nullptr;
   RowRef ref_;

@@ -48,33 +48,29 @@ DcvBatch& DcvBatch::Push(Dcv& v, std::vector<double> delta) {
   return *this;
 }
 
+std::vector<RowRef> DcvBatch::Refs(const std::vector<Dcv>& rows) {
+  std::vector<RowRef> refs;
+  refs.reserve(rows.size());
+  for (const Dcv& r : rows) {
+    Note(CheckHandle(r));
+    refs.push_back(r.ref());
+  }
+  return refs;
+}
+
 size_t DcvBatch::PullSparse(const std::vector<Dcv>& rows,
                             std::vector<uint64_t> indices,
                             bool compress_counts) {
-  SparsePullGroup group;
-  group.rows.reserve(rows.size());
-  for (const Dcv& r : rows) {
-    Note(CheckHandle(r));
-    group.rows.push_back(r.ref());
-  }
-  group.indices = std::move(indices);
-  group.compress = compress_counts;
-  sparse_pulls_.push_back(std::move(group));
+  sparse_pulls_.push_back(
+      {Refs(rows), std::move(indices), {}, compress_counts});
   return sparse_pulls_.size() - 1;
 }
 
 DcvBatch& DcvBatch::PushSparse(std::vector<Dcv>& rows,
                                std::vector<SparseVector> deltas,
                                bool compress_counts) {
-  SparsePushGroup group;
-  group.rows.reserve(rows.size());
-  for (const Dcv& r : rows) {
-    Note(CheckHandle(r));
-    group.rows.push_back(r.ref());
-  }
-  group.deltas = std::move(deltas);
-  group.compress = compress_counts;
-  sparse_pushes_.push_back(std::move(group));
+  sparse_pushes_.push_back(
+      {Refs(rows), {}, std::move(deltas), compress_counts});
   return *this;
 }
 
@@ -97,17 +93,23 @@ DcvBatch::Future DcvBatch::Submit() {
   // overlap it — the whole batch charges one round of latency.
   if (!dots_.empty()) f.dots_ = client->AggregateAsync(dots_);
   if (!axpys_.empty()) f.axpys_ = client->ColumnOpsAsync(axpys_);
-  if (!pull_rows_.empty()) f.pulls_ = client->PullRowsAsync(pull_rows_);
+  if (!pull_rows_.empty()) {
+    f.reads_.push_back(client->ReadRowsAsync(pull_rows_, RowSelector::All()));
+    f.full_rows_read_ = true;
+  }
+  for (const SparseGroup& g : sparse_pulls_) {
+    RowSelector cols = RowSelector::Indices(g.indices);
+    cols.int_values = g.compress;
+    f.reads_.push_back(client->ReadRowsAsync(g.rows, cols));
+  }
   if (!push_rows_.empty()) {
-    f.pushes_ = client->PushRowsAsync(push_rows_, push_deltas_);
+    f.writes_.push_back(
+        client->WriteRowsAsync(push_rows_, push_deltas_, RowSelector::All()));
   }
-  for (const SparsePullGroup& g : sparse_pulls_) {
-    f.sparse_pulls_.push_back(
-        client->PullSparseRowsAsync(g.rows, g.indices, g.compress));
-  }
-  for (const SparsePushGroup& g : sparse_pushes_) {
-    f.sparse_pushes_.push_back(
-        client->PushSparseRowsAsync(g.rows, g.deltas, g.compress));
+  for (const SparseGroup& g : sparse_pushes_) {
+    RowSelector cols;
+    cols.int_values = g.compress;
+    f.writes_.push_back(client->WriteRowsAsync(g.rows, g.deltas, cols));
   }
   return f;
 }
@@ -120,10 +122,8 @@ Status DcvBatch::Future::Wait() {
   };
   if (dots_.valid()) track(dots_.Wait());
   if (axpys_.valid()) track(axpys_.Wait());
-  if (pulls_.valid()) track(pulls_.Wait());
-  if (pushes_.valid()) track(pushes_.Wait());
-  for (auto& f : sparse_pulls_) track(f.Wait());
-  for (auto& f : sparse_pushes_) track(f.Wait());
+  for (auto& f : reads_) track(f.Wait());
+  for (auto& f : writes_) track(f.Wait());
   return first;
 }
 
@@ -143,18 +143,16 @@ Result<DcvBatchResults> DcvBatch::Future::Get() {
     track(r.status());
   }
   if (axpys_.valid()) track(axpys_.Wait());
-  if (pulls_.valid()) {
-    Result<std::vector<std::vector<double>>> r = pulls_.Get();
-    if (r.ok()) out.pulled = std::move(*r);
+  for (size_t i = 0; i < reads_.size(); ++i) {
+    Result<std::vector<std::vector<double>>> r = reads_[i].Get();
+    if (r.ok() && i == 0 && full_rows_read_) {
+      out.pulled = std::move(*r);
+    } else if (r.ok()) {
+      out.sparse_pulled.push_back(std::move(*r));
+    }
     track(r.status());
   }
-  if (pushes_.valid()) track(pushes_.Wait());
-  for (auto& f : sparse_pulls_) {
-    Result<std::vector<std::vector<double>>> r = f.Get();
-    if (r.ok()) out.sparse_pulled.push_back(std::move(*r));
-    track(r.status());
-  }
-  for (auto& f : sparse_pushes_) track(f.Wait());
+  for (auto& f : writes_) track(f.Wait());
   if (!first.ok()) return first;
   return out;
 }

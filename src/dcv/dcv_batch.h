@@ -58,8 +58,8 @@ class DcvBatch {
    public:
     Future() = default;
 
-    /// Blocks until every staged op completes; first error in staging-group
-    /// order (dots, axpys, pulls, pushes, sparse pulls, sparse pushes).
+    /// Blocks until every staged op completes; first error in issue order
+    /// (dots, axpys, reads, writes).
     Status Wait();
 
     /// Wait() then assemble the results. Call at most once.
@@ -71,10 +71,11 @@ class DcvBatch {
     Status error_ = Status::OK();  ///< staging-time error, if any
     PsFuture<std::vector<AggregateValue>> dots_;
     PsFuture<Ack> axpys_;
-    PsFuture<std::vector<std::vector<double>>> pulls_;
-    PsFuture<Ack> pushes_;
-    std::vector<PsFuture<std::vector<std::vector<double>>>> sparse_pulls_;
-    std::vector<PsFuture<Ack>> sparse_pushes_;
+    /// The full-row read (when any Pull() was staged) first, then one per
+    /// PullSparse() group.
+    std::vector<PsFuture<std::vector<std::vector<double>>>> reads_;
+    bool full_rows_read_ = false;
+    std::vector<PsFuture<Ack>> writes_;
   };
 
   explicit DcvBatch(DcvContext* context);
@@ -118,17 +119,17 @@ class DcvBatch {
   Result<DcvBatchResults> Execute() { return Submit().Get(); }
 
  private:
-  struct SparsePullGroup {
+  /// One staged group of rows: a shared-index read, or per-row sparse
+  /// deltas.
+  struct SparseGroup {
     std::vector<RowRef> rows;
     std::vector<uint64_t> indices;
-    bool compress;
-  };
-  struct SparsePushGroup {
-    std::vector<RowRef> rows;
     std::vector<SparseVector> deltas;
-    bool compress;
+    bool compress = false;
   };
 
+  /// `rows` as row refs, noting any handle from another context.
+  std::vector<RowRef> Refs(const std::vector<Dcv>& rows);
   void Note(const Status& status);
   Status CheckHandle(const Dcv& dcv) const;
 
@@ -141,8 +142,8 @@ class DcvBatch {
   std::vector<RowRef> pull_rows_;
   std::vector<RowRef> push_rows_;
   std::vector<std::vector<double>> push_deltas_;
-  std::vector<SparsePullGroup> sparse_pulls_;
-  std::vector<SparsePushGroup> sparse_pushes_;
+  std::vector<SparseGroup> sparse_pulls_;
+  std::vector<SparseGroup> sparse_pushes_;
 };
 
 }  // namespace ps2

@@ -190,7 +190,8 @@ Status HotspotManager::Exchange(TaskTraffic* t, int server_id,
                                 const std::vector<uint8_t>& request,
                                 std::vector<uint8_t>* response) {
   PS2_ASSIGN_OR_RETURN(PsServer::HandleResult result,
-                       master_->server(server_id)->Handle(request));
+                       master_->server(server_id)->Handle(
+                           RpcHeader{}, WireFrame{Slice(request), 0}));
   t->RecordExchange(server_id, WireBytes(request),
                     result.response.size() + Message::kHeaderBytes,
                     result.server_ops);
@@ -344,17 +345,16 @@ Status HotspotManager::SyncReplicasLocked() {
         vals.push_back(v);
       }
       for (const auto& [server, cv] : per_server) {
+        // One kWriteRows run: an index write of one row.
         BufferWriter push;
-        push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+        push.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+        push.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices));
+        push.WriteVarint(1);
         push.WriteVarint(static_cast<uint64_t>(hot_[i].first.matrix_id));
         push.WriteVarint(hot_[i].first.row);
         push.WriteVarint(cv.first.size());
-        uint64_t prev = 0;
-        for (uint64_t col : cv.first) {
-          push.WriteVarint(col - prev);
-          prev = col;
-        }
-        for (double v : cv.second) push.WriteF64(v);
+        push.WriteDeltaKeys(cv.first.data(), cv.first.size());
+        push.WriteF64Span(cv.second.data(), cv.second.size());
         std::vector<uint8_t> response;
         PS2_RETURN_NOT_OK(Exchange(&t, server, push.Release(), &response));
       }

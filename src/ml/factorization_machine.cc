@@ -83,7 +83,8 @@ Result<TrainReport> TrainFmPs2(DcvContext* ctx, const Dataset<Example>& data,
 
               // One round: the batch's support for all k+1 rows.
               Result<std::vector<std::vector<double>>> pulled =
-                  client->PullSparseRowsAsync(all_rows, support).Get();
+                  client->ReadRowsAsync(all_rows, RowSelector::Indices(support))
+                      .Get();
               PS2_CHECK(pulled.ok()) << pulled.status();
               const std::vector<double>& w_pulled = (*pulled)[0];
               std::vector<std::vector<double>> v_local(
@@ -143,7 +144,7 @@ Result<TrainReport> TrainFmPs2(DcvContext* ctx, const Dataset<Example>& data,
                 deltas.emplace_back(std::move(di), std::move(dv));
               }
               PS2_CHECK_OK(
-                  client->PushSparseRowsAsync(all_rows, deltas).Wait());
+                  client->WriteRowsAsync(all_rows, deltas).Wait());
               return {loss_sum, rows.size()};
             });
 

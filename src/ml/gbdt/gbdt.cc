@@ -367,7 +367,9 @@ class Ps2HistogramAggregator final : public HistogramAggregator {
       refs.push_back(HessRow(k).ref());
       deltas.push_back(std::move(histograms.hess_hists[i]));
     }
-    PS2_CHECK_OK(ctx_->client()->PushRowsAsync(refs, deltas).Wait());
+    PS2_CHECK_OK(ctx_->client()
+                     ->WriteRowsAsync(refs, deltas, RowSelector::All())
+                     .Wait());
   }
 
   Status OnLevelCollected(

@@ -116,7 +116,7 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
       values.push_back(std::move(row));
     }
     if (refs.empty()) return;
-    Status s = client->PushOwnedRowsAsync(refs, values).Wait();
+    Status s = client->WriteRowsAsync(refs, values, RowSelector::All()).Wait();
     if (!s.ok()) {
       std::lock_guard<std::mutex> lock(init_mu);
       init_status = s;
@@ -214,7 +214,7 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
     PsFuture<Ack> push_future;
     if (!rows.empty()) {
       build(0, std::min(rows.size(), size_t{batch_size}), bufs[0]);
-      pull_future = client->PullOwnedRowsAsync(bufs[0].refs);
+      pull_future = client->ReadRowsAsync(bufs[0].refs, RowSelector::All());
     }
     for (size_t start = 0; start < rows.size(); start += batch_size) {
       size_t end = std::min(rows.size(), start + batch_size);
@@ -249,9 +249,11 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
       // Harvest the previous push before issuing the next: at most one
       // update round stays in flight.
       if (push_future.valid()) PS2_CHECK_OK(push_future.Wait());
-      push_future = client->PushOwnedRowsAsync(batch.refs, deltas);
+      push_future =
+          client->WriteRowsAsync(batch.refs, deltas, RowSelector::All());
       if (end < rows.size()) {
-        pull_future = client->PullOwnedRowsAsync(bufs[1 - cur].refs);
+        pull_future =
+            client->ReadRowsAsync(bufs[1 - cur].refs, RowSelector::All());
         cur = 1 - cur;
       }
       task.AddWorkerOps(4 * k_dim * batch.tasks.size());

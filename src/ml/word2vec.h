@@ -6,10 +6,10 @@
 // Unlike DeepWalk (one big column-partitioned matrix, server-side dots),
 // every word here is its OWN two-row matrix homed on a single server
 // (MatrixOptions::home_server): row 0 is the input embedding, row 1 the
-// context embedding. Workers pull whole rows grouped by owning server
-// (PsClient::PullOwnedRowsAsync), compute the SGD step locally, and push
-// full-width deltas back. That access pattern is what per-key management
-// acts on:
+// context embedding. Workers read whole rows grouped by owning server
+// (PsClient::ReadRowsAsync, all selector), compute the SGD step locally,
+// and write full-width deltas back. That access pattern is what per-key
+// management acts on:
 //
 //   --param-mgmt=off      every key stays sharded where it was created.
 //   --param-mgmt=hotspot  sketch-driven hot replication (PR-2 machinery).

@@ -10,7 +10,7 @@
 //   virtual time (sim/sim_clock.h)           — where the modeled cluster
 //                seconds go; what the paper's figures report.
 //
-// Usage: `PS2_TRACE_SPAN("ps.client", "pull_dense");` opens an RAII span that
+// Usage: `PS2_TRACE_SPAN("ps.client", "read_rows");` opens an RAII span that
 // closes at scope exit. Tracing is off by default; a disabled span is a
 // single relaxed atomic load (no allocation, no clock read), so the
 // instrumentation can stay in the hot paths permanently. Virtual time is

@@ -208,51 +208,26 @@ PsClient::ServerRequest PsClient::MakeShardRequest(const MatrixMeta& meta,
   return req;
 }
 
-PsClient::ServerRequest PsClient::MakeHashRouted(const MatrixMeta& meta,
-                                                 RowRef ref,
-                                                 BufferWriter* writer) {
-  // Hash-homed hot traffic spreads over the ACTIVE servers, not the fleet:
-  // with a static cluster the two are the same list and this reduces to the
-  // pre-elastic HotHomeServer(ref, num_servers()) routing bit-exactly.
-  const std::vector<int> active = master_->active_servers();
-  const int home = active[static_cast<size_t>(
-      HotHomeServer(ref, static_cast<int>(active.size())))];
-  ServerRequest req = MakeRequest(home, writer);
-  req.hash_routed = true;
-  req.hash_ref = ref;
-  req.header.routing_epoch = meta.routing_epoch + 1;
-  return req;
-}
-
 namespace {
 
-/// One entry per owning server, in partition order. Shard-scoped opcodes
-/// (ColumnOps, Aggregate, row batches, MatrixInit) operate on the target
-/// server's whole contiguous shard and carry no column window, so they must
-/// go out once per SERVER. Under elastic membership partitions are finer
-/// than shards (DESIGN.md §12) and a per-partition fan-out would apply a
-/// mutating op k times on a server owning k partitions. The representative
-/// partition is the lowest one in the server's block: it routes the request
-/// and re-aims it after a routing-epoch swap. With one partition per server
-/// (a static cluster) this is exactly the old per-partition fan-out.
-struct SpanTarget {
-  int partition = 0;   // representative partition for routing
-  uint64_t begin = 0;  // server's column span
-  uint64_t end = 0;
-};
-
-std::vector<SpanTarget> SpanTargets(const ColumnPartitioner& part) {
-  std::vector<SpanTarget> out;
-  int last_server = -1;
-  for (int p = 0; p < part.num_partitions(); ++p) {
-    if (part.RangeWidth(p) == 0) continue;
+/// The representative partition of each owning server, in partition order.
+/// Shard-scoped opcodes (ColumnOps, Aggregate, MatrixInit) operate on the
+/// target server's whole contiguous shard and carry no column window, so
+/// they must go out once per SERVER. Under elastic membership partitions
+/// are finer than shards (DESIGN.md §12) and a per-partition fan-out would
+/// apply a mutating op k times on a server owning k partitions. The
+/// representative is the lowest partition in the server's block: it routes
+/// the request and re-aims it after a routing-epoch swap. With one
+/// partition per server (a static cluster) this is the per-partition
+/// fan-out.
+std::vector<int> ShardPartitions(const ColumnPartitioner& part) {
+  std::vector<int> out;
+  for (int p = 0, last_server = -1; p < part.num_partitions(); ++p) {
     const int server = part.ServerOfPartition(p);
-    if (server == last_server) continue;  // block assignments are contiguous
+    // Block assignments are contiguous.
+    if (part.RangeWidth(p) == 0 || server == last_server) continue;
     last_server = server;
-    SpanTarget t;
-    t.partition = p;
-    PS2_CHECK(part.ServerSpan(server, &t.begin, &t.end));
-    out.push_back(t);
+    out.push_back(p);
   }
   return out;
 }
@@ -423,13 +398,6 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
                 meta->partitioner.ServerOfPartition(request.route_partition);
             stamp = meta->routing_epoch + 1;
           }
-        } else if (request.hash_routed) {
-          const std::vector<int> active = master_->active_servers();
-          if (!active.empty()) {
-            target = active[static_cast<size_t>(HotHomeServer(
-                request.hash_ref, static_cast<int>(active.size())))];
-            stamp = master_->routing_epoch() + 1;
-          }
         } else if (op == PsOpCode::kClockAdvance) {
           // The worker-clock vector followed the ranges to the new owners
           // (max-merged at commit); this server needs no advance anymore.
@@ -574,100 +542,6 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeAll(
   return out;
 }
 
-Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeOwnedRows(
-    TaskTraffic* traffic, const std::vector<RowRef>& rows,
-    const std::vector<std::vector<double>>* deltas, MetaBatch metas,
-    std::vector<size_t> positions, std::vector<std::vector<size_t>>* groups) {
-  std::vector<size_t> pending = std::move(positions);
-  const PsOpCode op = deltas != nullptr ? PsOpCode::kPushRowsBatch
-                                        : PsOpCode::kPullRowsBatch;
-  std::vector<PsServer::HandleResult> results;
-  std::vector<std::shared_ptr<const void>> repins;  // re-planned metas' pins
-  const size_t n_servers = static_cast<size_t>(master_->num_servers());
-  for (uint32_t round = 0;; ++round) {
-    // Groups go out in server order, each with its rows in pending order.
-    std::vector<std::vector<size_t>> by_server(n_servers);
-    for (size_t i : pending) {
-      const auto server =
-          static_cast<size_t>(metas[i].partitioner.ServerOfPartition(0));
-      if (server >= n_servers) {
-        return Status::Internal("owned row homed on an unknown server");
-      }
-      by_server[server].push_back(i);
-    }
-    std::vector<ServerRequest> requests;
-    std::vector<std::vector<size_t>> planned;
-    for (std::vector<size_t>& members : by_server) {
-      if (members.empty()) continue;
-      // Opcode, count, then per row its (matrix, row) varints and, for a
-      // push, its width varint and values: sized once, never regrown.
-      size_t bytes = 1 + kMaxVarintBytes * (1 + 2 * members.size());
-      if (deltas != nullptr) {
-        for (size_t i : members) {
-          bytes += kMaxVarintBytes + (*deltas)[i].size() * sizeof(double);
-        }
-      }
-      BufferWriter writer(bytes);
-      writer.WriteU8(static_cast<uint8_t>(op));
-      writer.WriteVarint(members.size());
-      for (size_t i : members) {
-        writer.WriteVarint(rows[i].matrix_id);
-        writer.WriteVarint(rows[i].row);
-        if (deltas != nullptr) {
-          const std::vector<double>& delta = (*deltas)[i];
-          writer.WriteVarint(delta.size());
-          writer.BeginSection(SectionKind::kF64Values);
-          writer.WriteF64Span(delta.data(), delta.size());
-          writer.EndSection();
-        }
-      }
-      // Stamped with the plan's epoch but given no routing identity, so a
-      // `routing stale` bounce surfaces here instead of ExecuteRequest
-      // re-aiming the whole group by one row: keys relocate independently,
-      // and a group's rows may now live on different servers.
-      ServerRequest request = MakeRouted(metas[members[0]], 0, &writer);
-      request.route_matrix = -1;
-      requests.push_back(std::move(request));
-      planned.push_back(std::move(members));
-    }
-    std::vector<Result<PsServer::HandleResult>> each =
-        ExchangeEach(traffic, std::move(requests));
-    uint64_t bounced_stamp = 0;
-    pending.clear();
-    for (size_t g = 0; g < each.size(); ++g) {
-      if (each[g].ok()) {
-        results.push_back(std::move(*each[g]));
-        if (groups != nullptr) groups->push_back(std::move(planned[g]));
-        continue;
-      }
-      // A bounced request never applied (an already-applied mutation is
-      // acked inside ExecuteRequest), so its rows are simply re-planned.
-      if (!IsRoutingStale(each[g].status()) || round >= kMaxRoutingRounds) {
-        return each[g].status();
-      }
-      bounced_stamp = std::max(bounced_stamp,
-                               metas[planned[g][0]].routing_epoch + 1);
-      pending.insert(pending.end(), planned[g].begin(), planned[g].end());
-    }
-    if (pending.empty()) return results;
-    std::vector<RowRef> refs;
-    refs.reserve(pending.size());
-    for (size_t i : pending) refs.push_back(rows[i]);
-    PS2_ASSIGN_OR_RETURN(MetaBatch fresh, master_->GetMetas(refs));
-    if (fresh[0].routing_epoch + 1 <= bounced_stamp) {
-      // Servers learn a new epoch before the master publishes the metas
-      // that carry it; poll like a fence wait until the publish lands.
-      traffic->retry_backoff_time +=
-          master_->cluster()->cost().RetryBackoff(1);
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    for (size_t k = 0; k < pending.size(); ++k) {
-      metas.metas[pending[k]] = fresh.metas[k];
-    }
-    repins.push_back(std::move(fresh.pin));
-  }
-}
-
 Result<std::vector<uint8_t>> PsClient::ControlCall(int server,
                                                    BufferWriter* writer) {
   if (server < 0 || server >= master_->num_servers()) {
@@ -758,196 +632,574 @@ Result<Ack> AckParse(std::vector<PsServer::HandleResult>&&, TaskTraffic*) {
 
 // ----------------------------------------------------------- row access ops
 
-PsFuture<std::vector<double>> PsClient::PullDenseAsync(RowRef ref,
-                                                       ColRange cols) {
-  using Out = std::vector<double>;
-  Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
-  if (!meta_r.ok()) return ReadyFuture<Out>(meta_r.status());
-  const MatrixMeta& meta = *meta_r;
-  const ColRange w = cols.Resolve(meta.dim);
-  if (w.begin > w.end || w.end > meta.dim) {
-    return ReadyFuture<Out>(Status::OutOfRange("pull window out of range"));
+namespace {
+
+/// Orders `parts` by (server, group), keeping the op order within each key
+/// (a counting sort: request order and bytes do not depend on how the
+/// pieces were gathered), and returns where each non-empty key run ends.
+template <typename Part>
+std::vector<size_t> SortParts(std::vector<Part>* parts, int num_servers) {
+  uint32_t n_groups = 1;
+  for (const Part& p : *parts) n_groups = std::max(n_groups, p.group + 1);
+  auto key = [n_groups](const Part& p) {
+    return static_cast<size_t>(p.server) * n_groups + p.group;
+  };
+  std::vector<size_t> end(static_cast<size_t>(num_servers) * n_groups + 1, 0);
+  for (const Part& p : *parts) end[key(p) + 1] += 1;
+  for (size_t k = 1; k < end.size(); ++k) end[k] += end[k - 1];
+  std::vector<Part> sorted(parts->size());
+  {
+    std::vector<size_t> next(end.begin(), end.end() - 1);
+    for (const Part& p : *parts) sorted[next[key(p)]++] = p;
   }
-  if (cache_.HasHot() && cache_.HotDim(ref) == meta.dim) {
-    // Hot row: serve from the bounded-staleness cache (worker compute only),
-    // or refresh the whole row once from its home server's replica.
-    Out served(w.width(), 0.0);
-    if (cache_.TryServeDense(ref, w.begin, w.end, served.data())) {
-      OpScope scope(master_->cluster());
-      TaskTraffic* t = scope.traffic();
-      t->worker_ops += w.width();
-      t->local_pull_hits += 1;
-      t->local_pull_bytes += w.width() * sizeof(double);
-      return ReadyFuture<Out>(std::move(served));
-    }
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(0);
-    writer.WriteVarint(meta.dim);
-    std::vector<ServerRequest> refresh;
-    refresh.push_back(
-        MakeHashRouted(meta, ref, &writer));
-    const uint64_t dim = meta.dim;
-    return SubmitAsync<Out>(
-        std::move(refresh),
-        [this, ref, dim, begin = w.begin, width = w.width()](
-            std::vector<PsServer::HandleResult>&& results,
-            TaskTraffic*) -> Result<Out> {
-          BufferReader reader(results[0].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != dim) {
-            return Status::Internal("hot-row refresh size mismatch");
-          }
-          PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                               reader.ReadF64Span(n));
-          cache_.Store(ref, values, cache_.epoch());
-          Out out(width);
-          std::copy(values.begin() + begin, values.begin() + begin + width,
-                    out.begin());
-          return out;
-        });
+  *parts = std::move(sorted);
+  std::vector<size_t> ends;
+  for (size_t k = 1; k < end.size(); ++k) {
+    if (end[k] != end[k - 1]) ends.push_back(end[k]);
   }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  std::vector<std::pair<uint64_t, uint64_t>> windows;
-  for (int p = 0; p < part.num_servers(); ++p) {
-    uint64_t lo = std::max(w.begin, part.RangeBegin(p));
-    uint64_t hi = std::min(w.end, part.RangeEnd(p));
-    if (lo >= hi) continue;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(lo);
-    writer.WriteVarint(hi);
-    requests.push_back(MakeRouted(meta, p, &writer));
-    windows.emplace_back(lo, hi);
-  }
-  const uint64_t begin = w.begin;
-  const uint64_t width = w.width();
-  return SubmitAsync<Out>(
-      std::move(requests),
-      [windows = std::move(windows), begin, width](
-          std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) -> Result<Out> {
-        Out out(width, 0.0);
-        for (size_t i = 0; i < results.size(); ++i) {
-          const auto [lo, hi] = windows[i];
-          BufferReader reader(results[i].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != hi - lo) {
-            return Status::Internal("pull window size mismatch");
-          }
-          PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                               reader.ReadF64Span(n));
-          std::copy(values.begin(), values.end(), out.begin() + (lo - begin));
-        }
-        return out;
-      });
+  return ends;
 }
 
-Result<std::vector<double>> PsClient::PullDense(RowRef ref, ColRange cols) {
-  return PullDenseAsync(ref, cols).Get();
+}  // namespace
+
+struct PsClient::RowOp {
+  PsOpCode op = PsOpCode::kReadRows;
+  RowSelectorKind kind = RowSelectorKind::kRange;
+  bool int_values = false;
+  /// The column of a window's first value: a range selector's begin (0 for
+  /// the whole row and for the all selector).
+  uint64_t window_begin = 0;
+  uint64_t epoch = 0;  ///< kServingPull: the pinned snapshot epoch
+  const std::vector<RowRef>* rows = nullptr;
+  MetaBatch metas;
+  std::vector<std::shared_ptr<const void>> repins;  ///< re-planned metas
+  const std::vector<uint64_t>* indices = nullptr;   ///< reads: shared list
+  const std::vector<ServingRead>* reads = nullptr;  ///< serving: per row
+  RowDeltas deltas = RowDeltas(std::vector<SparseVector>());  ///< writes
+  std::vector<RowPart> parts;  ///< the plan before the first exchange
+  /// The pieces each returned response answers, in response order:
+  /// response q answers answered[answered_end[q - 1], answered_end[q]).
+  std::vector<RowPart> answered;
+  std::vector<size_t> answered_end;
+  /// A row of the previous row's matrix with the same selection splits
+  /// alike: Plan reuses that row's pieces, parts[last_begin, last_end).
+  const MatrixMeta* last_meta = nullptr;
+  uint64_t last_lo = 0, last_hi = 0;
+  size_t last_begin = 0, last_end = 0;
+
+  /// The sorted index list of an index piece.
+  const uint64_t* Keys(const RowPart& p) const {
+    switch (op) {
+      case PsOpCode::kReadRows: return indices->data();
+      case PsOpCode::kServingPull: return (*reads)[p.item].indices.data();
+      default: return deltas.sparse[p.item].indices().data();
+    }
+  }
+
+  /// Splits row `i`'s window [lo, hi) — or, for an index selector, its
+  /// positions [lo, hi) — into pieces: at server spans for the all kind
+  /// and serving reads, else at partition boundaries.
+  void Plan(uint32_t i, uint64_t lo, uint64_t hi) {
+    const MatrixMeta* meta = metas.metas[i];
+    const bool all = kind == RowSelectorKind::kAll;
+    const bool by_server = all || op == PsOpCode::kServingPull;
+    // Sparse writes and serving reads select per row: nothing to reuse.
+    if (meta == last_meta && lo == last_lo && hi == last_hi &&
+        deltas.sparse == nullptr && reads == nullptr) {
+      const size_t begin = parts.size();
+      for (size_t k = last_begin; k < last_end; ++k) {
+        RowPart p = parts[k];
+        p.item = i;
+        parts.push_back(p);
+      }
+      last_begin = begin;
+      last_end = parts.size();
+      return;
+    }
+    last_meta = meta;
+    last_lo = lo;
+    last_hi = hi;
+    last_begin = parts.size();
+    if (kind == RowSelectorKind::kIndices) {
+      RowPart probe;
+      probe.item = i;
+      SplitIndices(meta->partitioner, i, Keys(probe), lo, hi, by_server,
+                   &parts);
+    } else {
+      SplitWindow(meta->partitioner, i, lo, hi, by_server, all, &parts);
+    }
+    last_end = parts.size();
+  }
+};
+
+void PsClient::SplitWindow(const ColumnPartitioner& part, uint32_t item,
+                           uint64_t lo, uint64_t hi, bool by_server,
+                           bool whole_slice, std::vector<RowPart>* out) {
+  if (lo >= hi) return;
+  const int n = part.num_partitions();
+  if (n == 1) {  // a single-partition (owned) row: one piece, no search
+    RowPart piece;
+    piece.item = item;
+    piece.server = part.assignment()[0];
+    piece.group = by_server ? 0 : 1;
+    piece.lo = lo;
+    piece.hi = hi;
+    piece.whole_slice = whole_slice && lo == 0 && hi == part.dim();
+    out->push_back(piece);
+    return;
+  }
+  for (int p = part.PartitionOfColumn(lo); p < n && part.RangeBegin(p) < hi;) {
+    const int first = p;
+    const int server = part.ServerOfPartition(p);
+    const uint64_t begin = part.RangeBegin(p);
+    uint64_t end = part.RangeEnd(p++);
+    // A server's partitions are one contiguous block (ps/partitioner.h).
+    while (by_server && p < n && part.ServerOfPartition(p) == server) {
+      end = part.RangeEnd(p++);
+    }
+    RowPart piece;
+    piece.item = item;
+    piece.server = server;
+    piece.group = by_server ? 0 : static_cast<uint32_t>(first) + 1;
+    piece.lo = std::max(lo, begin);
+    piece.hi = std::min(hi, end);
+    piece.whole_slice = whole_slice && piece.lo == begin && piece.hi == end;
+    if (piece.lo < piece.hi) out->push_back(piece);
+  }
 }
 
-PsFuture<std::vector<double>> PsClient::PullSparseAsync(
-    RowRef ref, const std::vector<uint64_t>& indices) {
-  using Out = std::vector<double>;
-  Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
-  if (!meta_r.ok()) return ReadyFuture<Out>(meta_r.status());
-  const MatrixMeta& meta = *meta_r;
-  if (cache_.HasHot() && cache_.HotDim(ref) == meta.dim) {
-    if (!indices.empty() && indices.back() >= meta.dim) {
-      return ReadyFuture<Out>(Status::OutOfRange("pull index out of range"));
+void PsClient::SplitIndices(const ColumnPartitioner& part, uint32_t item,
+                            const uint64_t* idx, size_t lo, size_t hi,
+                            bool by_server, std::vector<RowPart>* out) {
+  const int n = part.num_partitions();
+  for (size_t i = lo; i < hi;) {
+    int p = part.PartitionOfColumn(idx[i]);
+    const int first = p;
+    const int server = part.ServerOfPartition(p);
+    while (by_server && p + 1 < n && part.ServerOfPartition(p + 1) == server) {
+      ++p;
     }
-    Out served(indices.size(), 0.0);
-    if (cache_.TryServeSparse(ref, indices, served.data())) {
-      OpScope scope(master_->cluster());
-      TaskTraffic* t = scope.traffic();
-      t->worker_ops += indices.size();
-      t->local_pull_hits += 1;
-      t->local_pull_bytes += indices.size() * sizeof(double);
-      return ReadyFuture<Out>(std::move(served));
-    }
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(0);
-    writer.WriteVarint(meta.dim);
-    std::vector<ServerRequest> refresh;
-    refresh.push_back(
-        MakeHashRouted(meta, ref, &writer));
-    const uint64_t dim = meta.dim;
-    return SubmitAsync<Out>(
-        std::move(refresh),
-        [this, ref, dim, indices](std::vector<PsServer::HandleResult>&& results,
-                                  TaskTraffic*) -> Result<Out> {
-          BufferReader reader(results[0].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != dim) {
-            return Status::Internal("hot-row refresh size mismatch");
-          }
-          PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                               reader.ReadF64Span(n));
-          cache_.Store(ref, values, cache_.epoch());
-          Out out(indices.size());
-          for (size_t k = 0; k < indices.size(); ++k) {
-            out[k] = values[indices[k]];
-          }
-          return out;
-        });
-  }
-  const ColumnPartitioner& part = meta.partitioner;
-  // Sorted indices split into one contiguous run per partition.
-  std::vector<ServerRequest> requests;
-  std::vector<std::pair<size_t, size_t>> runs;
-  size_t i = 0;
-  while (i < indices.size()) {
-    if (indices[i] >= meta.dim) {
-      return ReadyFuture<Out>(Status::OutOfRange("pull index out of range"));
-    }
-    int p = part.PartitionOfColumn(indices[i]);
-    uint64_t range_end = part.RangeEnd(p);
+    const uint64_t end = part.RangeEnd(p);
     size_t j = i;
-    while (j < indices.size() && indices[j] < range_end) ++j;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullSparse));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(j - i);
-    writer.BeginSection(SectionKind::kKeys);
-    writer.WriteDeltaKeys(indices.data() + i, j - i);
-    writer.EndSection();
-    requests.push_back(MakeRouted(meta, p, &writer));
-    runs.emplace_back(i, j);
+    while (j < hi && idx[j] < end) ++j;
+    RowPart piece;
+    piece.item = item;
+    piece.server = server;
+    piece.group = by_server ? 0 : static_cast<uint32_t>(first) + 1;
+    piece.index_run = true;
+    piece.lo = i;
+    piece.hi = j;
+    out->push_back(piece);
     i = j;
   }
-  const size_t total = indices.size();
-  return SubmitAsync<Out>(
-      std::move(requests),
-      [runs = std::move(runs), total](
-          std::vector<PsServer::HandleResult>&& results,
+}
+
+int PsClient::HotHome(RowRef ref) {
+  // Over the ACTIVE servers: with a static cluster that is every server.
+  const std::vector<int> active = master_->active_servers();
+  return active[static_cast<size_t>(
+      HotHomeServer(ref, static_cast<int>(active.size())))];
+}
+
+PsClient::ServerRequest PsClient::EncodeRowRequest(const RowOp& op,
+                                                   const RowPart* parts,
+                                                   size_t n) {
+  const bool write = op.op == PsOpCode::kWriteRows;
+  const size_t value_bytes = op.int_values ? 2 : sizeof(double);
+  size_t bytes = 1 + 2 * kMaxVarintBytes;
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t width = parts[k].hi - parts[k].lo;
+    bytes += 5 * kMaxVarintBytes;
+    if (write) bytes += width * value_bytes;
+    // A read run's index list is written once: count it at the first piece.
+    if (parts[k].index_run && (op.op != PsOpCode::kReadRows || k == 0)) {
+      bytes += width * 3;
+    }
+  }
+  BufferWriter writer(bytes);
+  writer.WriteU8(static_cast<uint8_t>(op.op));
+  auto keys = [&](const RowPart& p) {
+    writer.WriteVarint(p.hi - p.lo);
+    writer.BeginSection(SectionKind::kKeys);
+    writer.WriteDeltaKeys(op.Keys(p) + p.lo, p.hi - p.lo);
+    writer.EndSection();
+  };
+  auto row = [&](const RowPart& p) {
+    const RowRef ref = (*op.rows)[p.item];
+    writer.WriteVarint(ref.matrix_id);
+    writer.WriteVarint(ref.row);
+  };
+  if (op.op == PsOpCode::kServingPull) {
+    // Epoch, count, then per entry (matrix, row, n_idx, keys); n_idx = 0
+    // reads the server's whole slice.
+    writer.WriteVarint(op.epoch);
+    writer.WriteVarint(n);
+    for (size_t k = 0; k < n; ++k) {
+      row(parts[k]);
+      if (parts[k].index_run) {
+        keys(parts[k]);
+      } else {
+        writer.WriteVarint(0);
+      }
+    }
+    // Unstamped: a pinned read is routed by its epoch's placement, which a
+    // later routing table must not bounce.
+    return MakeRequest(parts[0].server, &writer);
+  }
+  auto kind_of = [](const RowPart& p) {
+    return p.whole_slice ? RowSelectorKind::kAll
+           : p.index_run ? RowSelectorKind::kIndices
+                         : RowSelectorKind::kRange;
+  };
+  // Runs: consecutive pieces with one selector tag share a run header; a
+  // read run also shares its window or index positions.
+  for (size_t i = 0; i < n;) {
+    const RowPart& head = parts[i];
+    const RowSelectorKind kind = kind_of(head);
+    size_t j = i + 1;
+    while (j < n && kind_of(parts[j]) == kind && parts[j].hot == head.hot &&
+           (write || kind == RowSelectorKind::kAll ||
+            (parts[j].lo == head.lo && parts[j].hi == head.hi))) {
+      ++j;
+    }
+    writer.WriteU8(static_cast<uint8_t>(kind) |
+                   (op.int_values ? kRowSelectorIntValues : 0) |
+                   (write && head.hot ? kRowSelectorReplica : 0));
+    if (!write && kind == RowSelectorKind::kRange) {
+      writer.WriteVarint(head.lo);
+      writer.WriteVarint(head.hi - head.lo);
+    } else if (!write && kind == RowSelectorKind::kIndices) {
+      keys(head);
+    }
+    writer.WriteVarint(j - i);
+    for (; i < j; ++i) {
+      const RowPart& p = parts[i];
+      row(p);
+      if (!write) continue;
+      const uint64_t width = p.hi - p.lo;
+      if (p.index_run) {
+        keys(p);
+        writer.WriteValues(op.deltas.sparse[p.item].values().data() + p.lo,
+                           width, op.int_values);
+        continue;
+      }
+      if (!p.whole_slice) writer.WriteVarint(p.lo);
+      writer.WriteVarint(width);
+      writer.WriteValues(
+          op.deltas.dense[p.item].data() + (p.lo - op.window_begin), width,
+          op.int_values);
+    }
+  }
+  ServerRequest req = MakeRequest(parts[0].server, &writer);
+  // Stamped with the plan's routing epoch but given no routing identity: a
+  // `routing stale` bounce surfaces to ExchangeRows, which re-plans the
+  // pieces, since a request's rows may now live on different servers.
+  req.header.routing_epoch = op.metas[parts[0].item].routing_epoch + 1;
+  // Whole slices of a spread matrix read or write a server's whole shard,
+  // as column ops do; whole rows of single-server (owned) matrices stay
+  // keyed.
+  req.shard_scoped = parts[0].whole_slice &&
+                     op.metas[parts[0].item].partitioner.num_partitions() > 1;
+  return req;
+}
+
+Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeRows(
+    TaskTraffic* traffic, RowOp* op, std::vector<RowPart> parts) {
+  std::vector<PsServer::HandleResult> results;
+  std::vector<RowPart> bounced;
+  for (uint32_t round = 0;; ++round) {
+    const std::vector<size_t> ends = SortParts(&parts, master_->num_servers());
+    std::vector<ServerRequest> requests;
+    requests.reserve(ends.size());
+    for (size_t q = 0, begin = 0; q < ends.size(); begin = ends[q++]) {
+      requests.push_back(
+          EncodeRowRequest(*op, parts.data() + begin, ends[q] - begin));
+    }
+    std::vector<Result<PsServer::HandleResult>> each =
+        ExchangeEach(traffic, std::move(requests));
+    uint64_t bounced_stamp = 0;
+    bounced.clear();
+    for (size_t q = 0, begin = 0; q < each.size(); begin = ends[q++]) {
+      if (each[q].ok()) {
+        results.push_back(std::move(*each[q]));
+        continue;
+      }
+      // A bounced request never applied (an already-applied mutation is
+      // acked inside ExecuteRequest), so its pieces are simply re-planned.
+      if (!IsRoutingStale(each[q].status()) || round >= kMaxRoutingRounds) {
+        return each[q].status();
+      }
+      bounced_stamp = std::max(bounced_stamp,
+                               op->metas[parts[begin].item].routing_epoch + 1);
+      bounced.insert(bounced.end(), parts.begin() + begin,
+                     parts.begin() + ends[q]);
+    }
+    if (bounced.empty() && op->answered.empty()) {
+      // Nothing bounced on the first round: the plan is the answer key.
+      op->answered = std::move(parts);
+      op->answered_end = ends;
+      return results;
+    }
+    for (size_t q = 0, begin = 0; q < each.size(); begin = ends[q++]) {
+      if (!each[q].ok()) continue;
+      op->answered.insert(op->answered.end(), parts.begin() + begin,
+                          parts.begin() + ends[q]);
+      op->answered_end.push_back(op->answered.size());
+    }
+    if (bounced.empty()) return results;
+    parts.swap(bounced);
+    std::vector<RowRef> refs;
+    refs.reserve(parts.size());
+    for (const RowPart& p : parts) refs.push_back((*op->rows)[p.item]);
+    PS2_ASSIGN_OR_RETURN(MetaBatch fresh, master_->GetMetas(refs));
+    if (fresh[0].routing_epoch + 1 <= bounced_stamp) {
+      // Servers learn a new epoch before the master publishes the metas
+      // that carry it; poll like a fence wait until the publish lands.
+      traffic->retry_backoff_time +=
+          master_->cluster()->cost().RetryBackoff(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    // Partition boundaries never move, so a piece keeps its columns and
+    // only its servers change: split it along the fresh server spans.
+    std::vector<RowPart> replanned;
+    for (size_t k = 0; k < parts.size(); ++k) {
+      RowPart p = parts[k];
+      op->metas.metas[p.item] = fresh.metas[k];
+      const ColumnPartitioner& part = fresh[k].partitioner;
+      if (p.hot) {
+        p.server = HotHome(refs[k]);
+        replanned.push_back(p);
+      } else if (p.index_run) {
+        SplitIndices(part, p.item, op->Keys(p), p.lo, p.hi,
+                     /*by_server=*/true, &replanned);
+      } else {
+        SplitWindow(part, p.item, p.lo, p.hi, /*by_server=*/true,
+                    p.whole_slice, &replanned);
+      }
+    }
+    op->repins.push_back(std::move(fresh.pin));
+    parts = std::move(replanned);
+  }
+}
+
+PsFuture<std::vector<std::vector<double>>> PsClient::SubmitReads(
+    RowOp* op, std::vector<std::vector<double>> out,
+    std::vector<uint8_t> warm) {
+  using Out = std::vector<std::vector<double>>;
+  if (op->parts.empty()) return ReadyFuture<Out>(std::move(out));
+  // Both lambdas run before SubmitExchange returns, so they may hold `op`,
+  // `out` and `warm` by reference.
+  const std::vector<RowRef>& rows = *op->rows;
+  return SubmitExchange<Out>(
+      [&](TaskTraffic* traffic) {
+        return ExchangeRows(traffic, op, std::move(op->parts));
+      },
+      [&](std::vector<PsServer::HandleResult>&& results,
           TaskTraffic*) -> Result<Out> {
-        Out out(total, 0.0);
-        for (size_t r = 0; r < results.size(); ++r) {
-          const auto [lo, hi] = runs[r];
-          BufferReader reader(results[r].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          if (n != hi - lo) {
-            return Status::Internal("sparse pull count mismatch");
+        for (size_t q = 0, begin = 0; q < results.size();
+             begin = op->answered_end[q++]) {
+          const size_t end = op->answered_end[q];
+          BufferReader reader(results[q].response);
+          if (op->op == PsOpCode::kServingPull) {
+            PS2_ASSIGN_OR_RETURN(uint64_t n_entries, reader.ReadVarint());
+            if (n_entries != end - begin) {
+              return Status::Internal("serving pull entry count mismatch");
+            }
           }
-          PS2_RETURN_NOT_OK(reader.ReadF64Into(out.data() + lo, n));
+          // Per piece: n, then n values.
+          for (size_t k = begin; k < end; ++k) {
+            const RowPart& p = op->answered[k];
+            PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
+            if (n != p.hi - p.lo) {
+              return Status::Internal("row read size mismatch");
+            }
+            std::vector<double>& row = out[p.item];
+            if (!p.hot) {
+              PS2_RETURN_NOT_OK(reader.ReadValues(
+                  row.data() + (p.index_run ? p.lo : p.lo - op->window_begin),
+                  n, op->int_values));
+              continue;
+            }
+            // A hot refresh: the whole row, cached, then selected from.
+            std::vector<double> whole(n);
+            PS2_RETURN_NOT_OK(
+                reader.ReadValues(whole.data(), n, op->int_values));
+            for (size_t c = 0; c < row.size(); ++c) {
+              row[c] = whole[op->kind == RowSelectorKind::kIndices
+                                 ? (*op->indices)[c]
+                                 : op->window_begin + c];
+            }
+            cache_.Store(rows[p.item], std::move(whole), cache_.epoch());
+          }
         }
-        return out;
+        // A stale hot row an all read fetched from its primaries warms the
+        // cache: the read IS the refresh.
+        for (size_t i = 0; i < warm.size(); ++i) {
+          if (warm[i] != 0) cache_.Store(rows[i], out[i], cache_.epoch());
+        }
+        return std::move(out);
       });
 }
 
-Result<std::vector<double>> PsClient::PullSparse(
-    RowRef ref, const std::vector<uint64_t>& indices) {
-  return PullSparseAsync(ref, indices).Get();
+PsFuture<std::vector<std::vector<double>>> PsClient::ReadRowsAsync(
+    const std::vector<RowRef>& rows, const RowSelector& cols) {
+  using Out = std::vector<std::vector<double>>;
+  const RowSelectorKind kind = cols.kind;
+  if (kind == RowSelectorKind::kIndices && cols.indices == nullptr) {
+    return ReadyFuture<Out>(
+        Status::InvalidArgument("index selector without indices"));
+  }
+  if (rows.empty()) return ReadyFuture<Out>(Out{});
+  RowOp op;
+  op.kind = kind;
+  op.int_values = cols.int_values;
+  op.rows = &rows;
+  op.indices = cols.indices;
+  op.window_begin =
+      kind == RowSelectorKind::kRange && !cols.cols.whole ? cols.cols.begin : 0;
+  Result<MetaBatch> metas = master_->GetMetas(rows);
+  if (!metas.ok()) return ReadyFuture<Out>(metas.status());
+  op.metas = std::move(*metas);
+  Out out(rows.size());
+  op.parts.reserve(rows.size());
+  std::vector<uint8_t> warm;  // stale hot rows an all read refreshes
+  uint64_t local_hits = 0, local_values = 0;
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    const MatrixMeta& meta = op.metas[i];
+    const ColRange w = kind == RowSelectorKind::kAll
+                           ? ColRange::Of(0, meta.dim)
+                           : cols.cols.Resolve(meta.dim);
+    const std::vector<uint64_t>* idx = cols.indices;
+    if (kind != RowSelectorKind::kIndices &&
+        (w.begin > w.end || w.end > meta.dim)) {
+      return ReadyFuture<Out>(Status::OutOfRange("read window out of range"));
+    }
+    if (kind == RowSelectorKind::kIndices && !idx->empty() &&
+        idx->back() >= meta.dim) {
+      return ReadyFuture<Out>(Status::OutOfRange("read index out of range"));
+    }
+    const size_t size =
+        kind == RowSelectorKind::kIndices ? idx->size() : w.width();
+    out[i].assign(size, 0.0);
+    if (cache_.HasHot() && cache_.HotDim(rows[i]) == meta.dim) {
+      const bool served =
+          kind == RowSelectorKind::kIndices
+              ? cache_.TryServeSparse(rows[i], *idx, out[i].data())
+              : cache_.TryServeDense(rows[i], w.begin, w.end, out[i].data());
+      if (served) {
+        local_hits += 1;
+        local_values += size;
+        continue;
+      }
+      if (kind != RowSelectorKind::kAll) {
+        // Refresh the whole row once from its hash home's replica.
+        RowPart refresh;
+        refresh.item = i;
+        refresh.server = HotHome(rows[i]);
+        refresh.hot = true;
+        refresh.hi = meta.dim;
+        op.parts.push_back(refresh);
+        continue;
+      }
+      warm.resize(rows.size());
+      warm[i] = 1;
+    }
+    op.Plan(i, kind == RowSelectorKind::kIndices ? 0 : w.begin,
+            kind == RowSelectorKind::kIndices ? idx->size() : w.end);
+  }
+  if (local_hits > 0) {
+    OpScope scope(master_->cluster());
+    TaskTraffic* t = scope.traffic();
+    t->worker_ops += local_values;
+    t->local_pull_hits += local_hits;
+    t->local_pull_bytes += local_values * sizeof(double);
+  }
+  return SubmitReads(&op, std::move(out), std::move(warm));
+}
+
+PsFuture<Ack> PsClient::WriteRowsAsync(const std::vector<RowRef>& rows,
+                                       RowDeltas deltas,
+                                       const RowSelector& cols) {
+  if (rows.size() != deltas.size) {
+    return ReadyFuture<Ack>(
+        Status::InvalidArgument("rows/deltas size mismatch"));
+  }
+  const bool dense = deltas.dense != nullptr;
+  if (dense && cols.kind == RowSelectorKind::kIndices) {
+    return ReadyFuture<Ack>(Status::InvalidArgument(
+        "dense row deltas take an all or range selector"));
+  }
+  if (rows.empty()) return ReadyFuture<Ack>(Ack{});
+  RowOp op;
+  op.op = PsOpCode::kWriteRows;
+  op.kind = dense ? cols.kind : RowSelectorKind::kIndices;
+  op.int_values = cols.int_values;
+  op.rows = &rows;
+  op.deltas = deltas;
+  op.window_begin = op.kind == RowSelectorKind::kRange && !cols.cols.whole
+                        ? cols.cols.begin
+                        : 0;
+  Result<MetaBatch> metas = master_->GetMetas(rows);
+  if (!metas.ok()) return ReadyFuture<Ack>(metas.status());
+  op.metas = std::move(*metas);
+  op.parts.reserve(rows.size());
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    const MatrixMeta& meta = op.metas[i];
+    const bool hot = cache_.HasHot() && cache_.HotDim(rows[i]) == meta.dim;
+    if (!dense) {
+      const SparseVector& delta = deltas.sparse[i];
+      if (delta.nnz() == 0) continue;
+      if (delta.indices().back() >= meta.dim) {
+        return ReadyFuture<Ack>(Status::OutOfRange("push index out of range"));
+      }
+      if (!hot) {
+        op.Plan(i, 0, delta.nnz());
+        continue;
+      }
+    } else {
+      const std::vector<double>& delta = deltas.dense[i];
+      const ColRange w = op.kind == RowSelectorKind::kAll
+                             ? ColRange::Of(0, meta.dim)
+                         : cols.cols.whole ? ColRange::Of(0, delta.size())
+                                           : cols.cols;
+      if (op.kind == RowSelectorKind::kAll && delta.size() != meta.dim) {
+        return ReadyFuture<Ack>(
+            Status::InvalidArgument("row delta dimension mismatch"));
+      }
+      if (w.begin > w.end || w.width() != delta.size()) {
+        return ReadyFuture<Ack>(
+            Status::InvalidArgument("push window/delta size mismatch"));
+      }
+      if (w.end > meta.dim) {
+        return ReadyFuture<Ack>(Status::OutOfRange("push window out of range"));
+      }
+      if (!hot || op.kind == RowSelectorKind::kAll || delta.empty()) {
+        op.Plan(i, w.begin, w.end);
+        continue;
+      }
+    }
+    // Hot: one write of the whole selection into the hash home's replica
+    // pending buffer, applied to the primaries at the next ReplicaSync.
+    RowPart piece;
+    piece.item = i;
+    piece.server = HotHome(rows[i]);
+    piece.index_run = !dense;
+    piece.hot = true;
+    piece.lo = dense ? op.window_begin : 0;
+    piece.hi = dense ? op.window_begin + deltas.dense[i].size()
+                     : deltas.sparse[i].nnz();
+    op.parts.push_back(piece);
+  }
+  if (op.parts.empty()) return ReadyFuture<Ack>(Ack{});
+  return SubmitExchange<Ack>(
+      [&](TaskTraffic* traffic) {
+        return ExchangeRows(traffic, &op, std::move(op.parts));
+      },
+      AckParse);
+}
+
+Status PsClient::PushSparse(RowRef ref, const SparseVector& delta) {
+  return WriteRowsAsync({ref}, delta).Wait();
 }
 
 PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
@@ -956,252 +1208,31 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
   if (reads.empty()) return ReadyFuture<Out>(Out{});
   std::vector<RowRef> rows(reads.size());
   for (size_t r = 0; r < reads.size(); ++r) rows[r] = reads[r].row;
-  Result<MetaBatch> metas_r = master_->GetMetas(rows);
-  if (!metas_r.ok()) return ReadyFuture<Out>(metas_r.status());
-  const MetaBatch& metas = *metas_r;
-  // One wire entry per (read, partition) pair; entries bound for the same
-  // server share a single kServingPull request (the coalescing lever).
-  struct WireEntry {
-    int server = 0;
-    size_t read = 0;      ///< index into `reads` / the output vector
-    uint64_t dst_off = 0; ///< write offset within the read's output
-    uint64_t expect = 0;  ///< values this entry must return
-    size_t idx_lo = 0;    ///< run [idx_lo, idx_hi) of the read's indices;
-    size_t idx_hi = 0;    ///< lo == hi encodes a full-slice read
-  };
-  std::vector<WireEntry> entries;
-  entries.reserve(reads.size());
-  std::vector<size_t> out_sizes(reads.size());
-  for (size_t r = 0; r < reads.size(); ++r) {
-    const ServingRead& read = reads[r];
-    const MatrixMeta& meta = metas[r];
-    const ColumnPartitioner& part = meta.partitioner;
-    WireEntry e;
-    e.read = r;
-    if (read.indices.empty()) {
-      out_sizes[r] = meta.dim;
-      for (int p = 0; p < part.num_servers(); ++p) {
-        e.server = part.ServerOfPartition(p);
-        e.dst_off = part.RangeBegin(p);
-        e.expect = part.RangeEnd(p) - part.RangeBegin(p);
-        entries.push_back(e);
-      }
-    } else {
-      out_sizes[r] = read.indices.size();
-      size_t i = 0;
-      while (i < read.indices.size()) {
-        if (read.indices[i] >= meta.dim) {
-          return ReadyFuture<Out>(
-              Status::OutOfRange("serving pull index out of range"));
-        }
-        const int p = part.PartitionOfColumn(read.indices[i]);
-        const uint64_t range_end = part.RangeEnd(p);
-        size_t j = i;
-        while (j < read.indices.size() && read.indices[j] < range_end) ++j;
-        e.server = part.ServerOfPartition(p);
-        e.dst_off = i;
-        e.expect = j - i;
-        e.idx_lo = i;
-        e.idx_hi = j;
-        entries.push_back(e);
-        i = j;
-      }
+  RowOp op;
+  op.op = PsOpCode::kServingPull;
+  op.epoch = epoch;
+  op.rows = &rows;
+  op.reads = &reads;
+  Result<MetaBatch> metas =
+      master_->serving_snapshots()->PlacementOf(epoch, rows);
+  if (!metas.ok()) return ReadyFuture<Out>(metas.status());
+  op.metas = std::move(*metas);
+  // One piece per (read, server); pieces bound for the same server share a
+  // single kServingPull request (the coalescing lever).
+  Out out(reads.size());
+  for (uint32_t r = 0; r < reads.size(); ++r) {
+    const std::vector<uint64_t>& idx = reads[r].indices;
+    const uint64_t dim = op.metas[r].dim;
+    if (!idx.empty() && idx.back() >= dim) {
+      return ReadyFuture<Out>(
+          Status::OutOfRange("serving pull index out of range"));
     }
+    op.kind = idx.empty() ? RowSelectorKind::kAll : RowSelectorKind::kIndices;
+    op.Plan(r, 0, idx.empty() ? dim : idx.size());
+    out[r].assign(idx.empty() ? dim : idx.size(), 0.0);
   }
-  // Group by server, in server order, keeping each server's entries in read
-  // order (a counting sort): request order and bytes do not depend on how
-  // the grouping is stored.
-  std::vector<size_t> group_end(master_->num_servers() + 1, 0);
-  for (const WireEntry& e : entries) group_end[e.server + 1] += 1;
-  for (size_t s = 1; s < group_end.size(); ++s) {
-    group_end[s] += group_end[s - 1];
-  }
-  std::vector<WireEntry> plan(entries.size());
-  {
-    std::vector<size_t> next(group_end.begin(), group_end.end() - 1);
-    for (const WireEntry& e : entries) plan[next[e.server]++] = e;
-  }
-  std::vector<ServerRequest> requests;
-  std::vector<size_t> request_end;  // plan[request_end[q-1], request_end[q])
-  for (int server = 0; server < master_->num_servers(); ++server) {
-    const size_t lo = group_end[server], hi = group_end[server + 1];
-    if (lo == hi) continue;
-    size_t bytes = 1 + 2 * kMaxVarintBytes;
-    for (size_t k = lo; k < hi; ++k) {
-      bytes += (3 + plan[k].idx_hi - plan[k].idx_lo) * kMaxVarintBytes;
-    }
-    BufferWriter writer(bytes);
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kServingPull));
-    writer.WriteVarint(epoch);
-    writer.WriteVarint(hi - lo);
-    for (size_t k = lo; k < hi; ++k) {
-      const WireEntry& e = plan[k];
-      writer.WriteVarint(reads[e.read].row.matrix_id);
-      writer.WriteVarint(reads[e.read].row.row);
-      writer.WriteVarint(e.idx_hi - e.idx_lo);
-      if (e.idx_hi > e.idx_lo) {
-        const std::vector<uint64_t>& idx = reads[e.read].indices;
-        writer.BeginSection(SectionKind::kKeys);
-        writer.WriteDeltaKeys(idx.data() + e.idx_lo, e.idx_hi - e.idx_lo);
-        writer.EndSection();
-      }
-    }
-    requests.push_back(MakeRequest(server, &writer));
-    request_end.push_back(hi);
-  }
-  return SubmitAsync<Out>(
-      std::move(requests),
-      [plan = std::move(plan), request_end = std::move(request_end),
-       out_sizes = std::move(out_sizes)](
-          std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) -> Result<Out> {
-        Out out(out_sizes.size());
-        for (size_t r = 0; r < out_sizes.size(); ++r) {
-          out[r].assign(out_sizes[r], 0.0);
-        }
-        for (size_t q = 0; q < results.size(); ++q) {
-          const size_t lo = q == 0 ? 0 : request_end[q - 1];
-          BufferReader reader(results[q].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n_entries, reader.ReadVarint());
-          if (n_entries != request_end[q] - lo) {
-            return Status::Internal("serving pull entry count mismatch");
-          }
-          for (size_t k = lo; k < request_end[q]; ++k) {
-            const WireEntry& e = plan[k];
-            PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-            if (n != e.expect) {
-              return Status::Internal("serving pull span size mismatch");
-            }
-            PS2_RETURN_NOT_OK(
-                reader.ReadF64Into(out[e.read].data() + e.dst_off, n));
-          }
-        }
-        return out;
-      });
-}
-
-PsFuture<Ack> PsClient::PushDenseAsync(RowRef ref,
-                                       const std::vector<double>& delta,
-                                       ColRange cols) {
-  Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
-  if (!meta_r.ok()) return ReadyFuture<Ack>(meta_r.status());
-  const MatrixMeta& meta = *meta_r;
-  const ColRange w =
-      cols.whole ? ColRange::Of(0, delta.size()) : cols;
-  if (w.width() != delta.size()) {
-    return ReadyFuture<Ack>(
-        Status::InvalidArgument("push window/delta size mismatch"));
-  }
-  if (w.end > meta.dim) {
-    return ReadyFuture<Ack>(Status::OutOfRange("push window out of range"));
-  }
-  if (cache_.HasHot() && cache_.HotDim(ref) == meta.dim) {
-    // Hot row: one sparse delta to the home server's replica, applied to
-    // the primary at the next ReplicaSync instead of fanning out now.
-    std::vector<uint64_t> idx;
-    std::vector<double> val;
-    for (uint64_t i = 0; i < w.width(); ++i) {
-      if (delta[i] != 0.0) {
-        idx.push_back(w.begin + i);
-        val.push_back(delta[i]);
-      }
-    }
-    if (idx.empty()) return ReadyFuture<Ack>(Ack{});
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kHotPush));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(idx.size());
-    writer.BeginSection(SectionKind::kKeys);
-    writer.WriteDeltaKeys(idx.data(), idx.size());
-    writer.EndSection();
-    writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(val.data(), val.size());
-    writer.EndSection();
-    std::vector<ServerRequest> requests;
-    requests.push_back(
-        MakeHashRouted(meta, ref, &writer));
-    return SubmitAsync<Ack>(std::move(requests), AckParse);
-  }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (int p = 0; p < part.num_servers(); ++p) {
-    uint64_t lo = std::max(w.begin, part.RangeBegin(p));
-    uint64_t hi = std::min(w.end, part.RangeEnd(p));
-    if (lo >= hi) continue;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(lo);
-    writer.WriteVarint(hi - lo);
-    writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(&delta[lo - w.begin], hi - lo);
-    writer.EndSection();
-    requests.push_back(MakeRouted(meta, p, &writer));
-  }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
-}
-
-Status PsClient::PushDense(RowRef ref, const std::vector<double>& delta,
-                           ColRange cols) {
-  return PushDenseAsync(ref, delta, cols).Wait();
-}
-
-PsFuture<Ack> PsClient::PushSparseAsync(RowRef ref, const SparseVector& delta) {
-  Result<MatrixMeta> meta_r = master_->GetMeta(ref.matrix_id);
-  if (!meta_r.ok()) return ReadyFuture<Ack>(meta_r.status());
-  const MatrixMeta& meta = *meta_r;
-  if (delta.nnz() > 0 && delta.indices().back() >= meta.dim) {
-    return ReadyFuture<Ack>(Status::OutOfRange("push index out of range"));
-  }
-  if (cache_.HasHot() && cache_.HotDim(ref) == meta.dim) {
-    if (delta.nnz() == 0) return ReadyFuture<Ack>(Ack{});
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kHotPush));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(delta.nnz());
-    writer.BeginSection(SectionKind::kKeys);
-    writer.WriteDeltaKeys(delta.indices().data(), delta.nnz());
-    writer.EndSection();
-    writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(delta.values().data(), delta.nnz());
-    writer.EndSection();
-    std::vector<ServerRequest> requests;
-    requests.push_back(
-        MakeHashRouted(meta, ref, &writer));
-    return SubmitAsync<Ack>(std::move(requests), AckParse);
-  }
-  const ColumnPartitioner& part = meta.partitioner;
-  const auto& idx = delta.indices();
-  const auto& val = delta.values();
-  std::vector<ServerRequest> requests;
-  size_t i = 0;
-  while (i < idx.size()) {
-    int p = part.PartitionOfColumn(idx[i]);
-    uint64_t range_end = part.RangeEnd(p);
-    size_t j = i;
-    while (j < idx.size() && idx[j] < range_end) ++j;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
-    writer.WriteVarint(ref.matrix_id);
-    writer.WriteVarint(ref.row);
-    writer.WriteVarint(j - i);
-    writer.BeginSection(SectionKind::kKeys);
-    writer.WriteDeltaKeys(idx.data() + i, j - i);
-    writer.EndSection();
-    writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(val.data() + i, j - i);
-    writer.EndSection();
-    requests.push_back(MakeRouted(meta, p, &writer));
-    i = j;
-  }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
-}
-
-Status PsClient::PushSparse(RowRef ref, const SparseVector& delta) {
-  return PushSparseAsync(ref, delta).Wait();
+  op.kind = RowSelectorKind::kAll;
+  return SubmitReads(&op, std::move(out), {});
 }
 
 // -------------------------------------------------------- column access ops
@@ -1310,7 +1341,7 @@ PsClient::ColumnRequests(PsOpCode op, const std::vector<Entry>& entries) {
     return std::optional<std::vector<ServerRequest>>();
   }
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(meta->partitioner)) {
+  for (int partition : ShardPartitions(meta->partitioner)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(op));
     // Runs of (kind u8, n varint, n tuples): consecutive entries of one
@@ -1322,7 +1353,7 @@ PsClient::ColumnRequests(PsOpCode op, const std::vector<Entry>& entries) {
       writer.WriteVarint(j - i);
       for (; i < j; ++i) WriteTuple(&writer, entries[i]);
     }
-    requests.push_back(MakeShardRequest(*meta, target.partition, &writer));
+    requests.push_back(MakeShardRequest(*meta, partition, &writer));
   }
   return std::optional<std::vector<ServerRequest>>(std::move(requests));
 }
@@ -1357,8 +1388,10 @@ Result<Ack> PsClient::ColumnOpsRelay(
   const RowRef dst = e.rows[0];
   std::vector<std::vector<double>> pulled;
   for (size_t i = 1; i < e.rows.size(); ++i) {
-    PS2_ASSIGN_OR_RETURN(std::vector<double> row, PullDense(e.rows[i]));
-    pulled.push_back(std::move(row));
+    PS2_ASSIGN_OR_RETURN(std::vector<std::vector<double>> row,
+                         ReadRowsAsync({e.rows[i]},
+                                       RowSelector::Range()).Get());
+    pulled.push_back(std::move(row[0]));
   }
   PS2_ASSIGN_OR_RETURN(MatrixMeta dst_meta, master_->GetMeta(dst.matrix_id));
   const uint64_t dim = dst_meta.dim;
@@ -1382,7 +1415,7 @@ Result<Ack> PsClient::ColumnOpsRelay(
   if (e.kind != ColOpKind::kAxpy) {
     PS2_RETURN_NOT_OK(ColumnOpsAsync({{ColOpKind::kFill, {dst}}}).Wait());
   }
-  PS2_RETURN_NOT_OK(PushDense(dst, result));
+  PS2_RETURN_NOT_OK(WriteRowsAsync({dst}, result).Wait());
   return Ack{};
 }
 
@@ -1446,355 +1479,20 @@ Result<std::vector<AggregateValue>> PsClient::AggregateRelay(
   const AggregateEntry& e = entries[0];
   PS2_CHECK(e.kind == AggKind::kDot);
   master_->cluster()->metrics().Add("dcv.noncolocated_dots", 1);
-  PS2_ASSIGN_OR_RETURN(std::vector<double> a, PullDense(e.rows[0]));
-  PS2_ASSIGN_OR_RETURN(std::vector<double> b, PullDense(e.rows[1]));
+  // One read per row, as two dependent pulls.
+  std::vector<std::vector<double>> ab;
+  for (const RowRef& ref : e.rows) {
+    PS2_ASSIGN_OR_RETURN(std::vector<std::vector<double>> row,
+                         ReadRowsAsync({ref}, RowSelector::Range()).Get());
+    ab.push_back(std::move(row[0]));
+  }
   out.emplace_back();
-  const uint64_t ops = kernels::Dot(
-      a.data(), b.data(), std::min(a.size(), b.size()), &out[0].value);
+  const uint64_t ops =
+      kernels::Dot(ab[0].data(), ab[1].data(),
+                   std::min(ab[0].size(), ab[1].size()), &out[0].value);
   OpScope scope(master_->cluster());
   scope.traffic()->worker_ops += ops;
   return out;
-}
-
-// ------------------------------------------------------------- batched ops
-
-PsFuture<std::vector<std::vector<double>>> PsClient::PullRowsAsync(
-    const std::vector<RowRef>& rows) {
-  using Out = std::vector<std::vector<double>>;
-  if (rows.empty()) return ReadyFuture<Out>(Out{});
-  Result<std::shared_ptr<const MatrixMeta>> place = Place(rows);
-  if (!place.ok()) return ReadyFuture<Out>(place.status());
-  if (*place == nullptr) {
-    return ReadyFuture<Out>(
-        Status::FailedPrecondition("PullRows requires co-located rows"));
-  }
-  const MatrixMeta& meta = **place;
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  std::vector<std::pair<uint64_t, uint64_t>> windows;  // (lo, width)
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const uint64_t lo = target.begin;
-    const uint64_t width = target.end - target.begin;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRowsBatch));
-    writer.WriteVarint(rows.size());
-    for (const RowRef& r : rows) {
-      writer.WriteVarint(r.matrix_id);
-      writer.WriteVarint(r.row);
-    }
-    requests.push_back(MakeShardRequest(meta, target.partition, &writer));
-    windows.emplace_back(lo, width);
-  }
-  const size_t num_rows = rows.size();
-  const uint64_t dim = meta.dim;
-  return SubmitAsync<Out>(
-      std::move(requests),
-      [windows = std::move(windows), num_rows, dim](
-          std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) -> Result<Out> {
-        Out out(num_rows);
-        for (auto& row : out) row.assign(dim, 0.0);
-        for (size_t r = 0; r < results.size(); ++r) {
-          const auto [lo, width] = windows[r];
-          BufferReader reader(results[r].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-          if (count != num_rows) {
-            return Status::Internal("row-batch pull count mismatch");
-          }
-          for (size_t i = 0; i < num_rows; ++i) {
-            PS2_ASSIGN_OR_RETURN(uint64_t w, reader.ReadVarint());
-            if (w != width) return Status::Internal("row-batch width mismatch");
-            PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                                 reader.ReadF64Span(w));
-            std::copy(values.begin(), values.end(), out[i].begin() + lo);
-          }
-        }
-        return out;
-      });
-}
-
-PsFuture<Ack> PsClient::PushRowsAsync(
-    const std::vector<RowRef>& rows,
-    const std::vector<std::vector<double>>& deltas) {
-  if (rows.empty()) return ReadyFuture<Ack>(Ack{});
-  if (rows.size() != deltas.size()) {
-    return ReadyFuture<Ack>(
-        Status::InvalidArgument("rows/deltas size mismatch"));
-  }
-  Result<std::shared_ptr<const MatrixMeta>> place = Place(rows);
-  if (!place.ok()) return ReadyFuture<Ack>(place.status());
-  if (*place == nullptr) {
-    return ReadyFuture<Ack>(
-        Status::FailedPrecondition("PushRows requires co-located rows"));
-  }
-  const MatrixMeta& meta = **place;
-  for (const auto& d : deltas) {
-    if (d.size() != meta.dim) {
-      return ReadyFuture<Ack>(
-          Status::InvalidArgument("row delta dimension mismatch"));
-    }
-  }
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const uint64_t lo = target.begin;
-    const uint64_t width = target.end - target.begin;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushRowsBatch));
-    writer.WriteVarint(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      writer.WriteVarint(rows[i].matrix_id);
-      writer.WriteVarint(rows[i].row);
-      writer.WriteVarint(width);
-      writer.BeginSection(SectionKind::kF64Values);
-      writer.WriteF64Span(&deltas[i][lo], width);
-      writer.EndSection();
-    }
-    requests.push_back(MakeShardRequest(meta, target.partition, &writer));
-  }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
-}
-
-PsFuture<std::vector<std::vector<double>>> PsClient::PullOwnedRowsAsync(
-    const std::vector<RowRef>& rows) {
-  using Out = std::vector<std::vector<double>>;
-  if (rows.empty()) return ReadyFuture<Out>(Out{});
-  const size_t n = rows.size();
-  Result<MetaBatch> metas_r = master_->GetMetas(rows);
-  if (!metas_r.ok()) return ReadyFuture<Out>(metas_r.status());
-  Out out(n);
-  std::vector<size_t> remote;  // positions the owning servers serve
-  remote.reserve(n);
-  uint64_t local_hits = 0, local_bytes = 0, local_ops = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const RowRef ref = rows[i];
-    const MatrixMeta& meta = (*metas_r)[i];
-    if (meta.partitioner.assignment().size() != 1) {
-      return ReadyFuture<Out>(Status::FailedPrecondition(
-          "PullOwnedRows requires single-partition matrices"));
-    }
-    out[i].assign(meta.dim, 0.0);
-    if (cache_.HasHot() && cache_.HotDim(ref) == meta.dim &&
-        cache_.TryServeDense(ref, 0, meta.dim, out[i].data())) {
-      local_hits += 1;
-      local_bytes += meta.dim * sizeof(double);
-      local_ops += meta.dim;
-      continue;
-    }
-    remote.push_back(i);
-  }
-  if (local_hits > 0) {
-    OpScope scope(master_->cluster());
-    TaskTraffic* t = scope.traffic();
-    t->worker_ops += local_ops;
-    t->local_pull_hits += local_hits;
-    t->local_pull_bytes += local_bytes;
-  }
-  if (remote.empty()) return ReadyFuture<Out>(std::move(out));
-  // The exchange reports which rows each response carries (a relocation
-  // mid-flight can re-plan them). Both lambdas run before SubmitExchange
-  // returns, so the parse may read `groups` by reference.
-  std::vector<std::vector<size_t>> groups;
-  return SubmitExchange<Out>(
-      [&](TaskTraffic* traffic) {
-        return ExchangeOwnedRows(traffic, rows, /*deltas=*/nullptr,
-                                 std::move(*metas_r), std::move(remote),
-                                 &groups);
-      },
-      [this, &rows, &groups, out = std::move(out)](
-          std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) mutable -> Result<Out> {
-        for (size_t g = 0; g < results.size(); ++g) {
-          BufferReader reader(results[g].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-          if (count != groups[g].size()) {
-            return Status::Internal("owned-rows pull count mismatch");
-          }
-          for (size_t i : groups[g]) {
-            PS2_ASSIGN_OR_RETURN(uint64_t w, reader.ReadVarint());
-            if (w != out[i].size()) {
-              return Status::Internal("owned-rows pull width mismatch");
-            }
-            PS2_RETURN_NOT_OK(reader.ReadF64Into(out[i].data(), w));
-            // A hot-but-stale row reached its owner anyway: the pull IS the
-            // refresh, so warm the cache with it.
-            if (cache_.HasHot() && cache_.HotDim(rows[i]) == w) {
-              cache_.Store(rows[i], out[i], cache_.epoch());
-            }
-          }
-        }
-        return std::move(out);
-      });
-}
-
-PsFuture<Ack> PsClient::PushOwnedRowsAsync(
-    const std::vector<RowRef>& rows,
-    const std::vector<std::vector<double>>& deltas) {
-  if (rows.empty()) return ReadyFuture<Ack>(Ack{});
-  if (rows.size() != deltas.size()) {
-    return ReadyFuture<Ack>(
-        Status::InvalidArgument("rows/deltas size mismatch"));
-  }
-  Result<MetaBatch> metas_r = master_->GetMetas(rows);
-  if (!metas_r.ok()) return ReadyFuture<Ack>(metas_r.status());
-  std::vector<size_t> positions(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const MatrixMeta& meta = (*metas_r)[i];
-    if (meta.partitioner.assignment().size() != 1) {
-      return ReadyFuture<Ack>(Status::FailedPrecondition(
-          "PushOwnedRows requires single-partition matrices"));
-    }
-    if (deltas[i].size() != meta.dim) {
-      return ReadyFuture<Ack>(
-          Status::InvalidArgument("row delta dimension mismatch"));
-    }
-    positions[i] = i;
-  }
-  return SubmitExchange<Ack>(
-      [&](TaskTraffic* traffic) {
-        return ExchangeOwnedRows(traffic, rows, &deltas, std::move(*metas_r),
-                                 std::move(positions), /*groups=*/nullptr);
-      },
-      AckParse);
-}
-
-PsFuture<std::vector<std::vector<double>>> PsClient::PullSparseRowsAsync(
-    const std::vector<RowRef>& rows, const std::vector<uint64_t>& indices,
-    bool compress_counts) {
-  using Out = std::vector<std::vector<double>>;
-  if (rows.empty() || indices.empty()) {
-    return ReadyFuture<Out>(Out(rows.size()));
-  }
-  Result<std::shared_ptr<const MatrixMeta>> place = Place(rows);
-  if (!place.ok()) return ReadyFuture<Out>(place.status());
-  if (*place == nullptr) {
-    return ReadyFuture<Out>(
-        Status::FailedPrecondition("PullSparseRows requires co-located rows"));
-  }
-  const MatrixMeta& meta = **place;
-  const ColumnPartitioner& part = meta.partitioner;
-  std::vector<ServerRequest> requests;
-  std::vector<std::pair<size_t, size_t>> runs;
-  size_t i = 0;
-  while (i < indices.size()) {
-    if (indices[i] >= meta.dim) {
-      return ReadyFuture<Out>(Status::OutOfRange("pull index out of range"));
-    }
-    int p = part.PartitionOfColumn(indices[i]);
-    uint64_t range_end = part.RangeEnd(p);
-    size_t j = i;
-    while (j < indices.size() && indices[j] < range_end) ++j;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPullSparseRowsBatch));
-    writer.WriteU8(compress_counts ? 1 : 0);
-    writer.WriteVarint(j - i);
-    writer.BeginSection(SectionKind::kKeys);
-    writer.WriteDeltaKeys(indices.data() + i, j - i);
-    writer.EndSection();
-    writer.WriteVarint(rows.size());
-    for (const RowRef& r : rows) {
-      writer.WriteVarint(r.matrix_id);
-      writer.WriteVarint(r.row);
-    }
-    requests.push_back(MakeRouted(meta, p, &writer));
-    runs.emplace_back(i, j);
-    i = j;
-  }
-  const size_t num_rows = rows.size();
-  const size_t total = indices.size();
-  return SubmitAsync<Out>(
-      std::move(requests),
-      [runs = std::move(runs), num_rows, total, compress_counts](
-          std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) -> Result<Out> {
-        Out out(num_rows, std::vector<double>(total, 0.0));
-        for (size_t q = 0; q < results.size(); ++q) {
-          const auto [lo, hi] = runs[q];
-          BufferReader reader(results[q].response);
-          PS2_ASSIGN_OR_RETURN(uint64_t n_rows, reader.ReadVarint());
-          if (n_rows != num_rows) {
-            return Status::Internal("sparse-rows pull row count mismatch");
-          }
-          for (size_t r = 0; r < num_rows; ++r) {
-            if (compress_counts) {
-              for (size_t k = lo; k < hi; ++k) {
-                PS2_ASSIGN_OR_RETURN(int64_t iv, reader.ReadSignedVarint());
-                out[r][k] = static_cast<double>(iv);
-              }
-            } else {
-              PS2_ASSIGN_OR_RETURN(std::vector<double> values,
-                                   reader.ReadF64Span(hi - lo));
-              std::copy(values.begin(), values.end(), out[r].begin() + lo);
-            }
-          }
-        }
-        return out;
-      });
-}
-
-PsFuture<Ack> PsClient::PushSparseRowsAsync(
-    const std::vector<RowRef>& rows, const std::vector<SparseVector>& deltas,
-    bool compress_counts) {
-  if (rows.size() != deltas.size()) {
-    return ReadyFuture<Ack>(
-        Status::InvalidArgument("rows/deltas size mismatch"));
-  }
-  if (rows.empty()) return ReadyFuture<Ack>(Ack{});
-  Result<std::shared_ptr<const MatrixMeta>> place = Place(rows);
-  if (!place.ok()) return ReadyFuture<Ack>(place.status());
-  if (*place == nullptr) {
-    return ReadyFuture<Ack>(
-        Status::FailedPrecondition("PushSparseRows requires co-located rows"));
-  }
-  const MatrixMeta& meta = **place;
-  const ColumnPartitioner& part = meta.partitioner;
-  // One request per server: for every row, the slice of its delta that the
-  // server owns.
-  std::vector<ServerRequest> requests;
-  for (int p = 0; p < part.num_servers(); ++p) {
-    uint64_t lo = part.RangeBegin(p);
-    uint64_t hi = part.RangeEnd(p);
-    if (lo >= hi) continue;
-    BufferWriter writer;
-    writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparseRowsBatch));
-    writer.WriteU8(compress_counts ? 1 : 0);
-    // Count rows with any entry in this range first.
-    size_t rows_here = 0;
-    std::vector<std::pair<size_t, size_t>> spans(rows.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const auto& idx = deltas[r].indices();
-      auto begin_it = std::lower_bound(idx.begin(), idx.end(), lo);
-      auto end_it = std::lower_bound(begin_it, idx.end(), hi);
-      spans[r] = {static_cast<size_t>(begin_it - idx.begin()),
-                  static_cast<size_t>(end_it - idx.begin())};
-      rows_here += spans[r].first != spans[r].second;
-    }
-    if (rows_here == 0) continue;
-    writer.WriteVarint(rows_here);
-    for (size_t r = 0; r < rows.size(); ++r) {
-      auto [sb, se] = spans[r];
-      if (sb == se) continue;
-      const auto& idx = deltas[r].indices();
-      const auto& val = deltas[r].values();
-      writer.WriteVarint(rows[r].matrix_id);
-      writer.WriteVarint(rows[r].row);
-      writer.WriteVarint(se - sb);
-      writer.BeginSection(SectionKind::kKeys);
-      writer.WriteDeltaKeys(idx.data() + sb, se - sb);
-      writer.EndSection();
-      if (compress_counts) {
-        for (size_t k = sb; k < se; ++k) {
-          writer.WriteSignedVarint(static_cast<int64_t>(std::llround(val[k])));
-        }
-      } else {
-        writer.BeginSection(SectionKind::kF64Values);
-        writer.WriteF64Span(val.data() + sb, se - sb);
-        writer.EndSection();
-      }
-    }
-    requests.push_back(MakeRouted(meta, p, &writer));
-  }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
 }
 
 PsFuture<Ack> PsClient::ClockAdvanceAsync(int worker, uint64_t clock) {
@@ -1825,10 +1523,8 @@ Status PsClient::ClockAdvance(int worker, uint64_t clock) {
 Status PsClient::MatrixInit(int matrix_id, uint32_t row_begin,
                             uint32_t row_end, double scale, uint64_t seed) {
   PS2_ASSIGN_OR_RETURN(MatrixMeta meta, master_->GetMeta(matrix_id));
-  const ColumnPartitioner& part = meta.partitioner;
   std::vector<ServerRequest> requests;
-  for (const SpanTarget& target : SpanTargets(part)) {
-    const int p = target.partition;
+  for (int p : ShardPartitions(meta.partitioner)) {
     BufferWriter writer;
     writer.WriteU8(static_cast<uint8_t>(PsOpCode::kMatrixInit));
     writer.WriteVarint(matrix_id);

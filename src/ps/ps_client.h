@@ -6,14 +6,14 @@
 //   1. builds one serialized request per server whose column range it
 //      touches,
 //   2. executes them — each an in-process PsServer::Handle call standing in
-//      for a Netty RPC — by one rule (ExchangeEach): keyed requests (sparse
-//      pull/push, dense row windows, serving pulls, owned rows, clock and
-//      control calls) run inline, in partition order, on the issuing
-//      thread; shard-scoped requests (ColumnOps, Aggregate, row batches,
-//      MatrixInit) run over a server's whole
-//      shard, the only exchanges long enough to repay a hand-off, so they
-//      spread over the cluster pool unless the issuing thread is one of that
-//      pool's workers (DESIGN.md §5c), and
+//      for a Netty RPC — by one rule (ExchangeEach): keyed requests (row
+//      reads and writes by range or index, serving pulls, clock and control
+//      calls) run inline, in request order, on the issuing thread;
+//      shard-scoped requests (ColumnOps, Aggregate, whole-slice row reads
+//      and writes, MatrixInit) run over a server's whole shard, the only
+//      exchanges long enough to repay a hand-off, so they spread over the
+//      cluster pool unless the issuing thread is one of that pool's workers
+//      (DESIGN.md §5c), and
 //   3. records the exchanges — request bytes, response bytes, server ops —
 //      into the issuing task's TaskTraffic. When no task is active (the
 //      coordinator issuing a DCV op between stages, e.g. the Adam update
@@ -77,6 +77,49 @@
 
 namespace ps2 {
 
+/// \brief The columns a ReadRows / WriteRows op addresses in each of its
+/// rows — the wire selector of DESIGN.md §5b.
+struct RowSelector {
+  RowSelectorKind kind = RowSelectorKind::kRange;
+  /// kRange: the window; the default is the whole row.
+  ColRange cols;
+  /// kIndices reads: the sorted, unique columns every row shares. Borrowed:
+  /// the op serializes it before it returns.
+  const std::vector<uint64_t>* indices = nullptr;
+  /// Values travel as zigzag varints of llround(value) instead of f64s —
+  /// PS2's message compression for integer count matrices (LDA).
+  bool int_values = false;
+
+  /// Each server's whole slice of every row, sent once per server. Reads
+  /// return whole rows; writes take full-width deltas.
+  static RowSelector All() { return Of(RowSelectorKind::kAll); }
+  /// Columns `cols` of every row, split at partition boundaries.
+  static RowSelector Range(ColRange cols = ColRange::All()) {
+    RowSelector s = Of(RowSelectorKind::kRange);
+    s.cols = cols;
+    return s;
+  }
+  /// The shared `indices` of every row, split at partition boundaries.
+  static RowSelector Indices(const std::vector<uint64_t>& indices) {
+    RowSelector s = Of(RowSelectorKind::kIndices);
+    s.indices = &indices;
+    return s;
+  }
+  /// This selector with integer-coded values.
+  RowSelector IntValues() const {
+    RowSelector s = *this;
+    s.int_values = true;
+    return s;
+  }
+
+ private:
+  static RowSelector Of(RowSelectorKind kind) {
+    RowSelector s;
+    s.kind = kind;
+    return s;
+  }
+};
+
 /// \brief Tunables of the client's retry and wire behaviour.
 struct PsClientOptions {
   /// Total tries per request (1 = no retries). Only Unavailable results —
@@ -93,6 +136,24 @@ struct PsClientOptions {
   /// the --simd flag's runtime dispatch: one spec-level switch, per-client
   /// override for tests.
   std::optional<FilterConfig> filters;
+};
+
+/// \brief The per-row deltas of a WriteRows op: dense or sparse vectors,
+/// one per row, borrowed from the caller (the op serializes them before it
+/// returns).
+struct RowDeltas {
+  // Implicit on purpose: callers pass their vectors as they are.
+  RowDeltas(const std::vector<std::vector<double>>& d)
+      : dense(d.data()), size(d.size()) {}
+  RowDeltas(const std::vector<SparseVector>& d)
+      : sparse(d.data()), size(d.size()) {}
+  /// One row's delta.
+  RowDeltas(const std::vector<double>& d) : dense(&d), size(1) {}
+  RowDeltas(const SparseVector& d) : sparse(&d), size(1) {}
+
+  const std::vector<double>* dense = nullptr;
+  const SparseVector* sparse = nullptr;
+  size_t size = 0;
 };
 
 /// \brief One entry of a ColumnOps request. A built-in kind reads
@@ -131,23 +192,42 @@ class PsClient {
   PsClient(const PsClient&) = delete;
   PsClient& operator=(const PsClient&) = delete;
 
-  // ---- Row access ops (paper Table 1: pull, push, sum, nnz, norm2) ----
+  // ---- Row access (paper Table 1: pull, push) -----------------------------
+  //
+  // Two ops, kReadRows and kWriteRows, over one planner: the rows' metas are
+  // pinned once (PsMaster::GetMetas), each row's selection is split at
+  // partition boundaries (range and index selectors) or server spans (the
+  // all selector), and the pieces are grouped by server into one request
+  // per (server, partition) — per server for the all selector. Rows may
+  // belong to any mix of matrices. A migration that bounces a request with
+  // `routing stale` gets its pieces re-planned from fresh metas and re-sent,
+  // so each is read or applied exactly once.
+  //
+  // The hot tier (DESIGN.md §5d) is checked once per row: a hot row fresh in
+  // the HotRowCache is read locally. A stale hot row is refreshed whole from
+  // its hash home's replica by a range or index read, and read from its
+  // primaries by an all read; either way the result warms the cache. Range
+  // and index writes to a hot row go to its hash home's replica pending
+  // buffer; all-selector writes go to the primaries.
+  //
+  // An op that sends nothing — no rows, empty selections, every row served
+  // locally — completes at issue without a round.
 
-  /// Pulls `cols` of a row as a dense vector (default: the whole row).
-  Result<std::vector<double>> PullDense(RowRef ref,
-                                        ColRange cols = ColRange::All());
+  /// Reads `cols` of every row: one vector per row holding the selected
+  /// values in selector order (the window, or one value per index).
+  PsFuture<std::vector<std::vector<double>>> ReadRowsAsync(
+      const std::vector<RowRef>& rows, const RowSelector& cols);
 
-  /// Pulls the values at `indices` (sorted, unique). This is PS2's sparse
-  /// communication: only the needed parameters travel.
-  Result<std::vector<double>> PullSparse(RowRef ref,
-                                         const std::vector<uint64_t>& indices);
+  /// Adds `deltas[i]` into `rows[i]`. Dense deltas follow `cols`: the all
+  /// selector takes full-width deltas, a range selector deltas as wide as
+  /// its window, where the whole-row default means [0, deltas[i].size()).
+  /// Sparse deltas carry their own columns (per-row index bodies on the
+  /// wire); of `cols` only int_values applies to them.
+  PsFuture<Ack> WriteRowsAsync(const std::vector<RowRef>& rows,
+                               RowDeltas deltas,
+                               const RowSelector& cols = RowSelector::Range());
 
-  /// Adds `delta` into the row's `cols` window. ColRange::All() means
-  /// [0, delta.size()); an explicit range must have width() == delta.size().
-  Status PushDense(RowRef ref, const std::vector<double>& delta,
-                   ColRange cols = ColRange::All());
-
-  /// Adds a sparse delta into the row (the DCV `add` used for gradients).
+  /// Blocking single-row sparse write (WriteRowsAsync).
   Status PushSparse(RowRef ref, const SparseVector& delta);
 
   // ---- Column access (paper Table 1: axpy, dot, copy, add, sub, zip, ...,
@@ -183,12 +263,6 @@ class PsClient {
     std::vector<uint64_t> indices;
   };
 
-  // ---- Batch entry points -------------------------------------------------
-  //
-  // Batched work goes through Dcv::Batch() (dcv/dcv_batch.h) or the *Async
-  // variants below — call XAsync(...).Wait()/.Get() where a blocking round
-  // is genuinely wanted.
-
   /// Initializes rows [row_begin, row_end) of a matrix with deterministic
   /// hash-uniform values in [-scale, scale], entirely server-side — the
   /// bulk initializer for embedding matrices (2V rows would otherwise need
@@ -204,41 +278,6 @@ class PsClient {
   // issue. Wait()/Get() it — on the issuing thread — to retrieve the result
   // and charge the traffic.
 
-  PsFuture<std::vector<double>> PullDenseAsync(RowRef ref,
-                                               ColRange cols = ColRange::All());
-  PsFuture<std::vector<double>> PullSparseAsync(
-      RowRef ref, const std::vector<uint64_t>& indices);
-  PsFuture<Ack> PushDenseAsync(RowRef ref, const std::vector<double>& delta,
-                               ColRange cols = ColRange::All());
-  PsFuture<Ack> PushSparseAsync(RowRef ref, const SparseVector& delta);
-  PsFuture<std::vector<std::vector<double>>> PullRowsAsync(
-      const std::vector<RowRef>& rows);
-  PsFuture<Ack> PushRowsAsync(const std::vector<RowRef>& rows,
-                              const std::vector<std::vector<double>>& deltas);
-  PsFuture<std::vector<std::vector<double>>> PullSparseRowsAsync(
-      const std::vector<RowRef>& rows, const std::vector<uint64_t>& indices,
-      bool compress_counts = false);
-  PsFuture<Ack> PushSparseRowsAsync(const std::vector<RowRef>& rows,
-                                    const std::vector<SparseVector>& deltas,
-                                    bool compress_counts = false);
-
-  /// Pulls each row's FULL vector, where rows may live in DIFFERENT
-  /// single-partition matrices (MatrixOptions::home_server — per-key
-  /// parameter management, DESIGN.md §13). Requests group by owning server
-  /// over kPullRowsBatch; hot rows fresh in the HotRowCache are served
-  /// locally, hot-but-stale rows warm the cache from the pull. Metas are
-  /// resolved once per call (PsMaster::GetMetas), so a batch issued after a
-  /// relocation routes to the new homes; a relocation that commits while
-  /// the batch is in flight bounces the affected requests, and their rows
-  /// are re-planned to their new homes.
-  PsFuture<std::vector<std::vector<double>>> PullOwnedRowsAsync(
-      const std::vector<RowRef>& rows);
-  /// Push counterpart: adds each full-width delta to its row at the owning
-  /// server, grouped by owner over kPushRowsBatch.
-  PsFuture<Ack> PushOwnedRowsAsync(
-      const std::vector<RowRef>& rows,
-      const std::vector<std::vector<double>>& deltas);
-
   /// Advances `worker`'s clock to `clock` in every active server's
   /// worker-clock vector (kClockAdvance fan-out; consistency/, DESIGN.md
   /// §11). Servers max-merge, so the op is idempotent and retry-safe.
@@ -247,12 +286,15 @@ class PsClient {
   Status ClockAdvance(int worker, uint64_t clock);
 
   /// Batched snapshot-isolated reads against published epoch `epoch`
-  /// (kServingPull). Entries bound for the same server travel in ONE
-  /// request — the ServingFrontend's coalescing lever. Returns one dense
-  /// vector per read: the whole row for a full-row read, else the values at
-  /// the read's indices. Fails with FailedPrecondition("serving snapshot
-  /// epoch not available") when `epoch` fell out of a server's retention
-  /// window; callers repin to the current epoch and retry.
+  /// (kServingPull), planned like ReadRowsAsync but routed by the placement
+  /// in force when `epoch` was published, so a read pinned before a
+  /// relocation still reaches the server holding that epoch. Entries bound
+  /// for the same server travel in ONE request — the ServingFrontend's
+  /// coalescing lever. Returns one dense vector per read: the whole row for
+  /// a full-row read, else the values at the read's indices. Fails with
+  /// FailedPrecondition("serving snapshot epoch not available") when `epoch`
+  /// fell out of a server's retention window; callers repin to the current
+  /// epoch and retry.
   PsFuture<std::vector<std::vector<double>>> ServingPullAsync(
       uint64_t epoch, const std::vector<ServingRead>& reads);
 
@@ -291,14 +333,11 @@ class PsClient {
     uint8_t wire_mask = 0; ///< WireFrame::filter_mask for this request
     EncodeStats estats;    ///< per-request encode accounting
     /// Routing identity for the `routing stale` re-route protocol
-    /// (DESIGN.md §12). Partition-routed requests (route_matrix >= 0)
-    /// re-aim via ServerOfPartition against a refetched meta; hash-routed
-    /// ones (hash_routed) re-home hash_ref over the fresh active list.
-    /// Untagged requests retry in place and never re-aim.
+    /// (DESIGN.md §12): partition-routed requests (route_matrix >= 0)
+    /// re-aim via ServerOfPartition against a refetched meta. Untagged
+    /// requests surface the rejection (row ops re-plan their pieces).
     int route_matrix = -1;
     int route_partition = -1;
-    bool hash_routed = false;
-    RowRef hash_ref;
     /// Set by MakeShardRequest: the op runs over the server's whole shard,
     /// so ExchangeAll may spread the fan-out over the cluster pool.
     bool shard_scoped = false;
@@ -361,12 +400,6 @@ class PsClient {
   ServerRequest MakeShardRequest(const MatrixMeta& meta, int partition,
                                  BufferWriter* writer);
 
-  /// MakeRequest for hash-homed hot-row traffic: targets
-  /// `active[HotHomeServer(ref, active.size())]` and records `ref` so a
-  /// stale rejection re-homes over the then-current active list.
-  ServerRequest MakeHashRouted(const MatrixMeta& meta, RowRef ref,
-                               BufferWriter* writer);
-
   /// Runs the filter chain over `req->payload` per this client's
   /// FilterConfig, filling `wire`/`wire_mask`/`estats`. With
   /// `force_key_install` the key-cache filter re-sends the key list verbatim
@@ -398,18 +431,56 @@ class PsClient {
   Result<std::vector<PsServer::HandleResult>> ExchangeAll(
       TaskTraffic* traffic, std::vector<ServerRequest> requests);
 
-  /// Pulls (`deltas` null) or pushes the owned rows at `positions` of
-  /// `rows` (single-partition matrices, `metas` aligned with `rows`): one
-  /// batch per owning server. Requests a relocation bounced with `routing
-  /// stale` are re-planned row by row from fresh metas and re-sent, so each
-  /// row is served or applied exactly once. `groups`, when non-null,
-  /// receives the row positions each returned response carries.
-  Result<std::vector<PsServer::HandleResult>> ExchangeOwnedRows(
-      TaskTraffic* traffic, const std::vector<RowRef>& rows,
-      const std::vector<std::vector<double>>* deltas, MetaBatch metas,
-      std::vector<size_t> positions,
-      std::vector<std::vector<size_t>>* groups);
+  /// One row's share of a row op on one server: columns [lo, hi) of a
+  /// window, or positions [lo, hi) of the row's index list.
+  struct RowPart {
+    uint32_t item = 0;  ///< the row's position in the op
+    int server = -1;
+    /// Splits requests within a server: partition + 1 for a piece split at
+    /// partition boundaries, 0 for whole slices, hot traffic and re-planned
+    /// pieces.
+    uint32_t group = 0;
+    bool index_run = false;    ///< [lo, hi) indexes the row's index list
+    bool whole_slice = false;  ///< the server's whole slice (the all kind)
+    bool hot = false;          ///< hot-tier traffic at the row's hash home
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+  };
 
+  /// A ReadRows / WriteRows op being planned and exchanged.
+  struct RowOp;
+
+  /// Splits window [lo, hi) of row `item` (columns of `part`) at partition
+  /// boundaries — or, with `by_server`, at server spans — onto `out`.
+  static void SplitWindow(const ColumnPartitioner& part, uint32_t item,
+                          uint64_t lo, uint64_t hi, bool by_server,
+                          bool whole_slice, std::vector<RowPart>* out);
+  /// The index-list analog: positions [lo, hi) of the sorted `idx`.
+  static void SplitIndices(const ColumnPartitioner& part, uint32_t item,
+                           const uint64_t* idx, size_t lo, size_t hi,
+                           bool by_server, std::vector<RowPart>* out);
+
+  /// The hash home of a hot row over the active servers: every server holds
+  /// the replica, and hashing spreads refresh and hot-push load.
+  int HotHome(RowRef ref);
+
+  /// Serializes one request (`parts`, all bound for one server).
+  ServerRequest EncodeRowRequest(const RowOp& op, const RowPart* parts,
+                                 size_t n);
+
+  /// Exchanges `op`'s pieces: one request per (server, group), re-planning
+  /// the pieces of any request a migration bounced from fresh metas.
+  /// Records which pieces each returned response answers in `op`.
+  Result<std::vector<PsServer::HandleResult>> ExchangeRows(
+      TaskTraffic* traffic, RowOp* op, std::vector<RowPart> parts);
+
+  /// Issues a planned read or serving pull through ExchangeRows and fills
+  /// `out` (pre-sized per row) from the responses; `warm` flags the rows
+  /// whose values then refresh the hot-row cache. Completes at once when
+  /// there is nothing to send.
+  PsFuture<std::vector<std::vector<double>>> SubmitReads(
+      RowOp* op, std::vector<std::vector<double>> out,
+      std::vector<uint8_t> warm);
 
   /// Checks, places and serializes a ColumnOps or Aggregate request: one
   /// shard-scoped request per server of the placement, or nullopt when the

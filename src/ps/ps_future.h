@@ -3,7 +3,7 @@
 // Lightweight futures for the asynchronous PS client.
 //
 // A PsFuture<T> is a shared handle on the eventual Result<T> of one async
-// client op (PullDenseAsync, PushDenseAsync, ...). It is deliberately tiny:
+// client op (ReadRowsAsync, WriteRowsAsync, ...). It is deliberately tiny:
 // no executors, no cancellation — just Wait/Get/Then plus the two pieces of
 // bookkeeping the simulator needs:
 //

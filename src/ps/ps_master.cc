@@ -263,6 +263,14 @@ Result<MetaBatch> PsMaster::GetMetas(const std::vector<RowRef>& rows) const {
   return batch;
 }
 
+std::shared_ptr<const MetaTable> PsMaster::PinMetaTable() const {
+  auto table = std::make_shared<MetaTable>();
+  std::lock_guard<std::mutex> lock(mu_);
+  table->reserve(matrices_.size());
+  for (const MatrixState& state : matrices_) table->push_back(state.meta);
+  return table;
+}
+
 Result<RowRef> PsMaster::AllocateRow(int matrix_id) {
   std::lock_guard<std::mutex> lock(mu_);
   MatrixState* found = FindLocked(matrix_id);

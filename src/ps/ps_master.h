@@ -47,21 +47,6 @@ struct MatrixOptions {
   int home_server = -1;
 };
 
-/// The published metas of a batch of rows (PsMaster::GetMetas): one
-/// pointer per row, all kept alive by a single shared pin however long the
-/// batch is held, across later routing commits and frees. Rows of one
-/// matrix point at the same meta.
-struct MetaBatch {
-  std::shared_ptr<const void> pin;
-  std::vector<const MatrixMeta*> metas;
-
-  const MatrixMeta& operator[](size_t i) const { return *metas[i]; }
-  /// An owning handle on row i's meta, valid after the batch is gone.
-  std::shared_ptr<const MatrixMeta> Hold(size_t i) const {
-    return std::shared_ptr<const MatrixMeta>(pin, metas[i]);
-  }
-};
-
 /// \brief Owns the PS-servers, matrix metadata and fault-tolerance machinery.
 class PsMaster {
  public:
@@ -129,6 +114,10 @@ class PsMaster {
   /// held; a stale one is bounced by its routing-epoch stamp. NotFound when
   /// any row names an unknown matrix.
   Result<MetaBatch> GetMetas(const std::vector<RowRef>& rows) const;
+
+  /// The placement in force now: every live matrix's published meta, by
+  /// id (null for a free id). Holding the table keeps those metas alive.
+  std::shared_ptr<const MetaTable> PinMetaTable() const;
 
   /// Hands out the next free row of `matrix_id` (the `derive` operator);
   /// returns OutOfRange when the reservation is exhausted.

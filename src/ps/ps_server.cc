@@ -26,7 +26,8 @@ const std::string& HandleUsName(PsOpCode op) {
       (*n)[i] = TaggedName("ps.server.handle_us",
                            {{"op", PsOpCodeName(static_cast<PsOpCode>(i))}});
     }
-    (*n)[kNumPsOpCodes] = TaggedName("ps.server.handle_us", {{"op", "unknown"}});
+    (*n)[kNumPsOpCodes] =
+        TaggedName("ps.server.handle_us", {{"op", "unknown"}});
     return n;
   }();
   const int i = static_cast<int>(op);
@@ -47,38 +48,61 @@ Result<RowRef> ReadRow(BufferReader* in) {
   return RowRef{static_cast<int>(m), static_cast<uint32_t>(r)};
 }
 
-/// Decodes `n` delta-varint keys and rejects the list if any key falls
-/// outside [lo, hi).
-Result<std::vector<uint64_t>> ReadKeysInRange(BufferReader* in, uint64_t n,
-                                              uint64_t lo, uint64_t hi,
-                                              const char* out_of_range) {
-  std::vector<uint64_t> keys(n);
-  PS2_RETURN_NOT_OK(in->ReadDeltaKeys(keys.data(), n));
-  for (uint64_t key : keys) {
-    if (key < lo || key >= hi) return Status::OutOfRange(out_of_range);
+/// Decodes `n` delta-varint keys into out[0, n) and rejects the list if any
+/// key falls outside [lo, hi). A forged delta can wrap past 2^64, so every
+/// key is checked, not only the first and last.
+Status ReadKeysInRange(BufferReader* in, uint64_t n, uint64_t lo, uint64_t hi,
+                       const char* out_of_range, uint64_t* out) {
+  PS2_RETURN_NOT_OK(in->ReadDeltaKeys(out, n));
+  for (uint64_t i = 0; i < n; ++i) {
+    if (out[i] < lo || out[i] >= hi) return Status::OutOfRange(out_of_range);
   }
-  return keys;
+  return Status::OK();
 }
 
-/// `n` delta-varint keys, then their `n` f64 values: the body of kPushSparse
-/// and kHotPush, and of a migrated sparse row.
+/// Sparse (column, value) entries, flat: the bodies of index writes and of
+/// migrated sparse rows.
 struct SparseEntries {
   std::vector<uint64_t> keys;
   std::vector<double> values;
 };
 
-/// Decodes a whole SparseEntries body and range-checks its keys before the
-/// caller applies any of it, so a truncated or out-of-range body changes
-/// nothing.
-Result<SparseEntries> ReadSparseEntries(BufferReader* in, uint64_t n,
-                                        uint64_t lo, uint64_t hi,
-                                        const char* out_of_range) {
-  SparseEntries entries;
-  PS2_ASSIGN_OR_RETURN(entries.keys,
-                       ReadKeysInRange(in, n, lo, hi, out_of_range));
-  entries.values.resize(n);
-  PS2_RETURN_NOT_OK(in->ReadF64Into(entries.values.data(), n));
-  return entries;
+/// Appends one sparse body — `n` delta-varint keys, then their `n` values —
+/// to `out`, range-checking every key against [lo, hi). The caller applies
+/// nothing until the whole request has decoded, so a truncated or
+/// out-of-range body changes nothing.
+Status ReadSparseEntries(BufferReader* in, uint64_t n, uint64_t lo,
+                         uint64_t hi, bool int_values,
+                         const char* out_of_range, SparseEntries* out) {
+  const size_t at = out->keys.size();
+  out->keys.resize(at + n);
+  PS2_RETURN_NOT_OK(
+      ReadKeysInRange(in, n, lo, hi, out_of_range, out->keys.data() + at));
+  out->values.resize(at + n);
+  return in->ReadValues(out->values.data() + at, n, int_values);
+}
+
+/// The decoded selector tag of a kReadRows / kWriteRows run.
+struct SelectorTag {
+  RowSelectorKind kind = RowSelectorKind::kAll;
+  bool int_values = false;
+  bool replica = false;
+};
+
+Result<SelectorTag> ReadSelectorTag(BufferReader* in) {
+  PS2_ASSIGN_OR_RETURN(uint8_t tag, in->ReadU8());
+  const uint8_t kind = tag & kRowSelectorKindMask;
+  const uint8_t known =
+      kRowSelectorKindMask | kRowSelectorIntValues | kRowSelectorReplica;
+  if ((tag & ~known) != 0 ||
+      kind > static_cast<uint8_t>(RowSelectorKind::kIndices)) {
+    return Status::InvalidArgument("unknown row selector");
+  }
+  SelectorTag out;
+  out.kind = static_cast<RowSelectorKind>(kind);
+  out.int_values = (tag & kRowSelectorIntValues) != 0;
+  out.replica = (tag & kRowSelectorReplica) != 0;
+  return out;
 }
 
 }  // namespace
@@ -507,16 +531,6 @@ void PsServer::SetFilterConfig(const FilterConfig& config) {
   filters_ = config;
 }
 
-Result<PsServer::HandleResult> PsServer::Handle(
-    const std::vector<uint8_t>& request) {
-  return Handle(RpcHeader{}, WireFrame{Slice(request), 0});
-}
-
-Result<PsServer::HandleResult> PsServer::Handle(
-    const RpcHeader& header, const std::vector<uint8_t>& request) {
-  return Handle(header, WireFrame{Slice(request), 0});
-}
-
 Result<PsServer::HandleResult> PsServer::Handle(const RpcHeader& header,
                                                 const WireFrame& frame) {
   // The opcode is verbatim at payload[0] whatever the filter mask (the
@@ -662,34 +676,20 @@ Result<PsServer::HandleResult> PsServer::HandleLocked(const RpcHeader& header,
   BufferReader in(request);
   PS2_ASSIGN_OR_RETURN(uint8_t opcode, in.ReadU8());
   switch (static_cast<PsOpCode>(opcode)) {
-    case PsOpCode::kPullDense:
-      return HandlePullDense(&in);
-    case PsOpCode::kPullSparse:
-      return HandlePullSparse(&in);
-    case PsOpCode::kPushDense:
-      return HandlePushDense(&in);
-    case PsOpCode::kPushSparse:
-      return HandlePushSparse(&in);
+    case PsOpCode::kReadRows:
+      return HandleReadRows(&in);
+    case PsOpCode::kWriteRows:
+      return HandleWriteRows(&in);
     case PsOpCode::kColumnOps:
       return HandleColumnOps(&in);
     case PsOpCode::kAggregate:
       return HandleAggregate(&in);
     case PsOpCode::kMatrixInit:
       return HandleMatrixInit(&in);
-    case PsOpCode::kPullRowsBatch:
-      return HandlePullRowsBatch(&in);
-    case PsOpCode::kPushRowsBatch:
-      return HandlePushRowsBatch(&in);
-    case PsOpCode::kPullSparseRowsBatch:
-      return HandlePullSparseRowsBatch(&in);
-    case PsOpCode::kPushSparseRowsBatch:
-      return HandlePushSparseRowsBatch(&in);
     case PsOpCode::kHotSetUpdate:
       return HandleHotSetUpdate(&in);
     case PsOpCode::kReplicaSync:
       return HandleReplicaSync(&in);
-    case PsOpCode::kHotPush:
-      return HandleHotPush(&in);
     case PsOpCode::kServingPull:
       return HandleServingPull(&in);
     case PsOpCode::kClockAdvance:
@@ -704,155 +704,266 @@ Result<PsServer::HandleResult> PsServer::HandleLocked(const RpcHeader& header,
   return Status::InvalidArgument("unknown opcode");
 }
 
-Result<PsServer::HandleResult> PsServer::HandlePullDense(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-  PS2_ASSIGN_OR_RETURN(uint64_t begin, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t end, in->ReadVarint());
-  RecordPull(ref.matrix_id, ref.row);
-  // An installed replica serves any window of the row, not just this
-  // server's primary range — the bounded-staleness read path (§5d).
-  if (Replica* replica = FindReplica(ref.matrix_id, ref.row)) {
-    uint64_t hi = std::min(end, replica->dim);
-    HandleResult out;
-    BufferWriter writer;
-    if (begin >= hi) {
-      writer.WriteVarint(0);
-      out.response = writer.Release();
-      return out;
+Result<PsServer::HandleResult> PsServer::HandleReadRows(BufferReader* in) {
+  // Validate-then-gather: every run's selector, every row's source and every
+  // key is decoded and checked first, so the response is sized once and a
+  // bad row fails the request before anything is written. A range or index
+  // read of a hot row is served by its installed replica, which holds every
+  // column (§5d); an all read names this server's own slice and always reads
+  // the primary.
+  thread_local std::vector<RowRead> reads;
+  thread_local std::vector<uint64_t> keys;
+  reads.clear();
+  keys.clear();
+  uint64_t n_values = 0;
+  do {
+    PS2_ASSIGN_OR_RETURN(SelectorTag sel, ReadSelectorTag(in));
+    if (sel.replica) {
+      return Status::InvalidArgument("replica flag on a row read");
     }
-    writer.WriteVarint(hi - begin);
-    writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(replica->values.data() + begin, hi - begin);
-    writer.EndSection();
-    out.server_ops = hi - begin;
-    out.response_sections = writer.TakeSections();
-    out.response = writer.Release();
-    return out;
-  }
-  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
-  uint64_t lo = std::max(begin, shard->begin);
-  uint64_t hi = std::min(end, shard->end);
+    uint64_t begin = 0, n = 0;
+    // A shared key list is decoded once; its smallest and largest key are
+    // checked against each row's bounds.
+    const size_t key_begin = keys.size();
+    uint64_t key_min = 0, key_max = 0;
+    if (sel.kind == RowSelectorKind::kRange) {
+      PS2_ASSIGN_OR_RETURN(begin, in->ReadVarint());
+      PS2_ASSIGN_OR_RETURN(n, in->ReadVarint());
+    } else if (sel.kind == RowSelectorKind::kIndices) {
+      PS2_ASSIGN_OR_RETURN(n, in->ReadCount(1));  // index varints
+      keys.resize(key_begin + n);
+      PS2_RETURN_NOT_OK(in->ReadDeltaKeys(keys.data() + key_begin, n));
+      if (n > 0) {
+        const auto [lo_it, hi_it] =
+            std::minmax_element(keys.begin() + key_begin, keys.end());
+        key_min = *lo_it;
+        key_max = *hi_it;
+      }
+    }
+    // Each row: (matrix, row) varints.
+    PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(2));
+    for (uint64_t i = 0; i < n_rows; ++i) {
+      PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
+      RecordPull(ref.matrix_id, ref.row);
+      RowRead r;
+      uint64_t hi = 0;  // the source holds columns [r.base, hi)
+      const Replica* replica = sel.kind != RowSelectorKind::kAll
+                                   ? FindReplica(ref.matrix_id, ref.row)
+                                   : nullptr;
+      if (replica != nullptr) {
+        r.dense = replica->values.data();
+        hi = replica->dim;
+      } else {
+        PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
+        r.base = shard->begin;
+        hi = shard->end;
+        if (shard->dense()) {
+          r.dense = shard->dense_rows[ref.row].data();
+        } else {
+          r.sparse = &shard->sparse_rows[ref.row];
+        }
+      }
+      r.n = n;
+      r.int_values = sel.int_values;
+      switch (sel.kind) {
+        case RowSelectorKind::kAll:
+          r.begin = r.base;
+          r.n = hi - r.base;
+          break;
+        case RowSelectorKind::kRange:
+          if (begin < r.base || begin > hi || n > hi - begin) {
+            return Status::OutOfRange("read window outside server range");
+          }
+          r.begin = begin;
+          break;
+        case RowSelectorKind::kIndices:
+          if (n > 0 && (key_min < r.base || key_max >= hi)) {
+            return Status::OutOfRange("read index outside server range");
+          }
+          r.key_begin = key_begin;
+          r.indices = true;
+          break;
+      }
+      reads.push_back(r);
+      n_values += r.n;
+    }
+  } while (!in->AtEnd());
+
   HandleResult out;
-  BufferWriter writer;
-  if (lo >= hi) {
-    writer.WriteVarint(0);
-    out.response = writer.Release();
-    return out;
-  }
-  uint64_t n = hi - lo;
-  writer.WriteVarint(n);
-  writer.BeginSection(SectionKind::kF64Values);
-  if (shard->dense()) {
-    writer.WriteF64Span(shard->dense_rows[ref.row].data() + (lo - shard->begin),
-                        n);
-  } else {
-    const auto& map = shard->sparse_rows[ref.row];
-    // Materialize the dense window from the sparse map.
-    std::vector<double> window(n, 0.0);
-    for (auto it = map.lower_bound(lo); it != map.end() && it->first < hi;
-         ++it) {
-      window[it->first - lo] = it->second;
-    }
-    writer.WriteF64Span(window.data(), window.size());
-  }
-  writer.EndSection();
-  out.server_ops = n;
+  BufferWriter writer(
+      reads.size() * kMaxVarintBytes + n_values * sizeof(double),
+      /*sections=*/reads.size());
+  WriteRowReads(reads, keys, &writer);
+  out.server_ops = n_values;
   out.response_sections = writer.TakeSections();
   out.response = writer.Release();
   return out;
 }
 
-Result<PsServer::HandleResult> PsServer::HandlePullSparse(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(1));  // index varints
-  RecordPull(ref.matrix_id, ref.row);
-  // Decode and range-check the whole key list, then gather in one pass. An
-  // installed replica serves any index of the row (no partition-range
-  // check).
-  std::vector<double> values(n);
-  if (const Replica* replica = FindReplica(ref.matrix_id, ref.row)) {
-    PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
-                         ReadKeysInRange(in, n, 0, replica->dim,
-                                         "pull index outside replica"));
-    for (uint64_t i = 0; i < n; ++i) values[i] = replica->values[keys[i]];
-  } else {
-    PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
-    PS2_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
-                         ReadKeysInRange(in, n, shard->begin, shard->end,
-                                         "pull index outside server range"));
-    if (shard->dense()) {
-      const double* row = shard->dense_rows[ref.row].data();
-      for (uint64_t i = 0; i < n; ++i) {
-        values[i] = row[keys[i] - shard->begin];
+void PsServer::WriteRowReads(const std::vector<RowRead>& reads,
+                             const std::vector<uint64_t>& keys,
+                             BufferWriter* writer) {
+  thread_local std::vector<double> values;
+  for (const RowRead& r : reads) {
+    writer->WriteVarint(r.n);
+    if (r.n == 0) continue;
+    const uint64_t* k = keys.data() + r.key_begin;
+    const double* span = values.data();
+    if (r.dense != nullptr && !r.indices) {
+      span = r.dense + (r.begin - r.base);
+    } else if (r.chunks != nullptr && !r.indices) {
+      // A snapshot slice, read whole: chunk by chunk, no gather.
+      writer->BeginSection(SectionKind::kF64Values);
+      for (uint64_t c = 0; c * kSnapshotChunk < r.n; ++c) {
+        writer->WriteF64Span(r.chunks->chunk(c),
+                             std::min(kSnapshotChunk,
+                                      r.n - c * kSnapshotChunk));
+      }
+      writer->EndSection();
+      continue;
+    } else if (r.dense != nullptr) {
+      values.resize(r.n);
+      for (uint64_t i = 0; i < r.n; ++i) values[i] = r.dense[k[i] - r.base];
+      span = values.data();
+    } else {
+      values.resize(r.n);
+      for (uint64_t i = 0; i < r.n; ++i) {
+        const uint64_t col = r.indices ? k[i] : r.begin + i;
+        if (r.chunks != nullptr) {
+          const uint64_t c = col - r.base;
+          values[i] = r.chunks->chunk(c / kSnapshotChunk)[c % kSnapshotChunk];
+        } else {
+          auto it = r.sparse->find(col);
+          values[i] = it == r.sparse->end() ? 0.0 : it->second;
+        }
+      }
+      span = values.data();
+    }
+    writer->WriteValues(span, r.n, r.int_values);
+  }
+}
+
+Result<PsServer::HandleResult> PsServer::HandleWriteRows(BufferReader* in) {
+  // Validate-then-apply: every row is resolved and every body decoded and
+  // bounds-checked before the first delta lands, so a bad run anywhere —
+  // even the last — fails the request with nothing applied, no row or chunk
+  // stamped and no replica's pending buffer touched.
+  struct Write {
+    Shard* shard;      ///< the primary, or null for a replica write
+    Replica* replica;
+    RowRef ref;
+    uint64_t begin;    ///< kAll / kRange: the first column written
+    size_t key_at;     ///< kIndices: the first of its keys in `entries`
+    size_t value_at;   ///< the first of its values in `entries`, unless
+    const uint8_t* raw;  ///< f64 window values, read in place
+    uint64_t n;
+    bool indices;
+  };
+  thread_local std::vector<Write> writes;
+  thread_local SparseEntries entries;
+  writes.clear();
+  entries.keys.clear();
+  entries.values.clear();
+  do {
+    PS2_ASSIGN_OR_RETURN(SelectorTag sel, ReadSelectorTag(in));
+    const size_t value_bytes = sel.int_values ? 1 : sizeof(double);
+    // Each row: (matrix, row) varints, then at least one body varint.
+    PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(3));
+    for (uint64_t i = 0; i < n_rows; ++i) {
+      PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
+      Write w{};
+      w.ref = ref;
+      uint64_t lo = 0, hi = 0;  // the columns the target holds
+      if (sel.replica) {
+        // A designated replica accumulates even before its first install:
+        // the next sync folds the pending deltas into the primary either way.
+        auto it = replicas_.find({ref.matrix_id, ref.row});
+        if (it == replicas_.end()) {
+          return Status::FailedPrecondition(
+              "hot push to a row without a replica");
+        }
+        w.replica = &it->second;
+        hi = it->second.dim;
+      } else {
+        PS2_ASSIGN_OR_RETURN(w.shard, FindShard(ref.matrix_id, ref.row));
+        lo = w.shard->begin;
+        hi = w.shard->end;
+      }
+      w.value_at = entries.values.size();
+      if (sel.kind == RowSelectorKind::kIndices) {
+        // Each delta: an index varint plus its value.
+        PS2_ASSIGN_OR_RETURN(w.n, in->ReadCount(1 + value_bytes));
+        w.indices = true;
+        w.key_at = entries.keys.size();
+        PS2_RETURN_NOT_OK(ReadSparseEntries(in, w.n, lo, hi, sel.int_values,
+                                            "write index outside server range",
+                                            &entries));
+      } else {
+        w.begin = lo;
+        if (sel.kind == RowSelectorKind::kRange) {
+          PS2_ASSIGN_OR_RETURN(w.begin, in->ReadVarint());
+        }
+        // Every value takes a byte at least; the exact bound is the read.
+        PS2_ASSIGN_OR_RETURN(w.n, in->ReadVarint());
+        if (w.begin < lo || w.begin > hi || w.n > hi - w.begin ||
+            (sel.kind == RowSelectorKind::kAll && w.n != hi - lo) ||
+            w.n > in->remaining()) {
+          return Status::OutOfRange("write window outside server range");
+        }
+        if (!sel.int_values) {
+          PS2_ASSIGN_OR_RETURN(Slice raw, in->ReadBytes(w.n * sizeof(double)));
+          w.raw = raw.data();
+        } else {
+          entries.values.resize(w.value_at + w.n);
+          PS2_RETURN_NOT_OK(in->ReadValues(entries.values.data() + w.value_at,
+                                           w.n, /*ints=*/true));
+        }
+      }
+      writes.push_back(w);
+    }
+  } while (!in->AtEnd());
+
+  // Index writes to dense rows stamp just the chunks they touch; window
+  // writes and sparse-storage writes stamp the whole row.
+  HandleResult out;
+  for (const Write& w : writes) {
+    RecordPush(w.ref.matrix_id, w.ref.row);
+    const uint8_t* bytes =
+        w.raw != nullptr
+            ? w.raw
+            : reinterpret_cast<const uint8_t*>(entries.values.data() +
+                                               w.value_at);
+    auto v = [bytes](uint64_t i) {
+      double d;
+      std::memcpy(&d, bytes + i * sizeof(double), sizeof(double));
+      return d;
+    };
+    const uint64_t* k = w.indices ? entries.keys.data() + w.key_at : nullptr;
+    auto col = [&](uint64_t i) { return k != nullptr ? k[i] : w.begin + i; };
+    if (w.replica != nullptr) {
+      for (uint64_t i = 0; i < w.n; ++i) {
+        if (v(i) != 0.0) w.replica->pending[col(i)] += v(i);
+      }
+    } else if (w.shard->dense()) {
+      double* row = w.shard->dense_rows[w.ref.row].data();
+      const uint64_t base = w.shard->begin;
+      if (k != nullptr) {
+        TouchChunksLocked(w.shard, w.ref.row, k, w.n);
+        for (uint64_t i = 0; i < w.n; ++i) row[k[i] - base] += v(i);
+      } else {
+        TouchRowLocked(w.shard, w.ref.row);
+        double* dst = row + (w.begin - base);
+        for (uint64_t i = 0; i < w.n; ++i) dst[i] += v(i);
       }
     } else {
-      const auto& map = shard->sparse_rows[ref.row];
-      for (uint64_t i = 0; i < n; ++i) {
-        auto it = map.find(keys[i]);
-        values[i] = it == map.end() ? 0.0 : it->second;
+      TouchRowLocked(w.shard, w.ref.row);
+      auto& map = w.shard->sparse_rows[w.ref.row];
+      for (uint64_t i = 0; i < w.n; ++i) {
+        if (v(i) != 0.0) map[col(i)] += v(i);
       }
     }
+    out.server_ops += w.n;
   }
-  HandleResult out;
-  BufferWriter writer(kMaxVarintBytes + n * sizeof(double));
-  writer.WriteVarint(n);
-  writer.BeginSection(SectionKind::kF64Values);
-  writer.WriteF64Span(values.data(), n);
-  writer.EndSection();
-  out.server_ops = n;
-  out.response_sections = writer.TakeSections();
-  out.response = writer.Release();
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandlePushDense(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-  PS2_ASSIGN_OR_RETURN(uint64_t begin, in->ReadVarint());
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-  RecordPush(ref.matrix_id, ref.row);
-  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
-  if (begin < shard->begin || begin + n > shard->end) {
-    return Status::OutOfRange("push window outside server range");
-  }
-  PS2_ASSIGN_OR_RETURN(std::vector<double> values, in->ReadF64Span(n));
-  TouchRowLocked(shard, ref.row);
-  if (shard->dense()) {
-    double* dst = shard->dense_rows[ref.row].data() + (begin - shard->begin);
-    for (uint64_t i = 0; i < n; ++i) dst[i] += values[i];
-  } else {
-    for (uint64_t i = 0; i < n; ++i) {
-      if (values[i] != 0.0) shard->sparse_rows[ref.row][begin + i] += values[i];
-    }
-  }
-  HandleResult out;
-  out.server_ops = n;
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandlePushSparse(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-  // Each element: an index varint, then (after all indices) an f64 value.
-  PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadCount(1 + sizeof(double)));
-  RecordPush(ref.matrix_id, ref.row);
-  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
-  PS2_ASSIGN_OR_RETURN(SparseEntries write,
-                       ReadSparseEntries(in, n, shard->begin, shard->end,
-                                         "push index outside server range"));
-  if (shard->dense()) {
-    TouchChunksLocked(shard, ref.row, write.keys.data(), n);
-    double* row = shard->dense_rows[ref.row].data();
-    for (uint64_t i = 0; i < n; ++i) {
-      row[write.keys[i] - shard->begin] += write.values[i];
-    }
-  } else {
-    TouchRowLocked(shard, ref.row);
-    auto& map = shard->sparse_rows[ref.row];
-    for (uint64_t i = 0; i < n; ++i) {
-      if (write.values[i] != 0.0) map[write.keys[i]] += write.values[i];
-    }
-  }
-  HandleResult out;
-  out.server_ops = n;
   return out;
 }
 
@@ -1092,175 +1203,6 @@ Result<PsServer::HandleResult> PsServer::HandleMatrixInit(BufferReader* in) {
   return out;
 }
 
-Result<PsServer::HandleResult> PsServer::HandlePullRowsBatch(
-    BufferReader* in) {
-  // Each row: (matrix, row) varints. Every row is resolved first, so the
-  // response is sized once.
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(2));
-  std::vector<ShardRow> rows;
-  rows.reserve(count);
-  uint64_t values = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-    RecordPull(ref.matrix_id, ref.row);
-    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
-    rows.push_back({shard, ref.row});
-    values += shard->width();
-  }
-  HandleResult out;
-  BufferWriter writer((1 + count) * kMaxVarintBytes + values * sizeof(double));
-  writer.WriteVarint(count);
-  for (const ShardRow& r : rows) {
-    const uint64_t w = r.shard->width();
-    writer.WriteVarint(w);
-    writer.BeginSection(SectionKind::kF64Values);
-    writer.WriteF64Span(r.shard->dense_rows[r.row].data(), w);
-    writer.EndSection();
-  }
-  out.server_ops = values;
-  out.response_sections = writer.TakeSections();
-  out.response = writer.Release();
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandlePushRowsBatch(
-    BufferReader* in) {
-  // Validate-then-apply: resolve every row and bound every delta first, so
-  // a bad row (say, a matrix this server lacks) fails with nothing applied.
-  struct RowDelta {
-    RowRef ref;
-    Shard* shard;
-    Slice values;  ///< `width` f64s in the request buffer
-  };
-  // Each row: (matrix, row, width) varints, then width f64s.
-  PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(3));
-  std::vector<RowDelta> rows;
-  rows.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-    PS2_ASSIGN_OR_RETURN(uint64_t n, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
-    if (n != shard->width()) {
-      return Status::OutOfRange("row push width mismatch");
-    }
-    PS2_ASSIGN_OR_RETURN(Slice values, in->ReadBytes(n * sizeof(double)));
-    rows.push_back({ref, shard, values});
-  }
-  HandleResult out;
-  for (const RowDelta& row : rows) {
-    RecordPush(row.ref.matrix_id, row.ref.row);
-    TouchRowLocked(row.shard, row.ref.row);
-    double* dst = row.shard->dense_rows[row.ref.row].data();
-    const uint64_t w = row.values.size() / sizeof(double);
-    for (uint64_t c = 0; c < w; ++c) {
-      double v;
-      std::memcpy(&v, row.values.data() + c * sizeof(double), sizeof(double));
-      dst[c] += v;
-    }
-    out.server_ops += w;
-  }
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandlePullSparseRowsBatch(
-    BufferReader* in) {
-  // Shared delta-encoded index list, then the row list; response is
-  // rows x indices values (row-major). With compress=1, values travel as
-  // zigzag varints of llround(value) — PS2's message compression for
-  // integer count matrices (LDA).
-  PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
-  PS2_ASSIGN_OR_RETURN(uint64_t n_idx, in->ReadCount(1));  // index varints
-  std::vector<uint64_t> cols(n_idx);
-  PS2_RETURN_NOT_OK(in->ReadDeltaKeys(cols.data(), n_idx));
-  // Each row: (matrix, row) varints.
-  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(2));
-  HandleResult out;
-  BufferWriter writer;
-  writer.WriteVarint(n_rows);
-  std::vector<double> values(n_idx);
-  for (uint64_t r = 0; r < n_rows; ++r) {
-    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-    RecordPull(ref.matrix_id, ref.row);
-    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
-    const double* p = shard->dense_rows[ref.row].data();
-    const uint64_t w = shard->width(), b = shard->begin;
-    for (uint64_t i = 0; i < n_idx; ++i) {
-      if (cols[i] < b || cols[i] >= b + w) {
-        return Status::OutOfRange("pull index outside server range");
-      }
-      values[i] = p[cols[i] - b];
-    }
-    if (compress != 0) {
-      for (uint64_t i = 0; i < n_idx; ++i) {
-        writer.WriteSignedVarint(static_cast<int64_t>(std::llround(values[i])));
-      }
-    } else {
-      writer.BeginSection(SectionKind::kF64Values);
-      writer.WriteF64Span(values.data(), n_idx);
-      writer.EndSection();
-    }
-    out.server_ops += n_idx;
-  }
-  out.response_sections = writer.TakeSections();
-  out.response = writer.Release();
-  return out;
-}
-
-Result<PsServer::HandleResult> PsServer::HandlePushSparseRowsBatch(
-    BufferReader* in) {
-  // Validate-then-apply, like kPushRowsBatch: every row is resolved and
-  // every delta decoded and range-checked before the first one lands.
-  PS2_ASSIGN_OR_RETURN(uint8_t compress, in->ReadU8());
-  // Each row: (matrix, row, nnz) varints.
-  PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in->ReadCount(3));
-  struct RowDeltas {
-    ShardRow row;
-    size_t begin;  ///< first of the row's deltas in `keys` / `vals`
-    uint64_t nnz;
-  };
-  std::vector<RowDeltas> rows;
-  rows.reserve(n_rows);
-  std::vector<uint64_t> keys;  // every delta's global column, all rows
-  std::vector<double> vals;
-  for (uint64_t r = 0; r < n_rows; ++r) {
-    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-    // Each delta: an index varint plus a zigzag varint (compress) or f64.
-    PS2_ASSIGN_OR_RETURN(uint64_t nnz,
-                         in->ReadCount(compress != 0 ? 2 : 1 + sizeof(double)));
-    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
-    const size_t base = keys.size();
-    rows.push_back({ShardRow{shard, ref.row}, base, nnz});
-    keys.resize(base + nnz);
-    PS2_RETURN_NOT_OK(in->ReadDeltaKeys(keys.data() + base, nnz));
-    for (size_t i = base; i < keys.size(); ++i) {
-      if (keys[i] < shard->begin || keys[i] >= shard->end) {
-        return Status::OutOfRange("push index outside server range");
-      }
-    }
-    vals.resize(base + nnz);
-    if (compress != 0) {
-      for (uint64_t i = 0; i < nnz; ++i) {
-        PS2_ASSIGN_OR_RETURN(int64_t iv, in->ReadSignedVarint());
-        vals[base + i] = static_cast<double>(iv);
-      }
-    } else {
-      PS2_RETURN_NOT_OK(in->ReadF64Into(vals.data() + base, nnz));
-    }
-  }
-  HandleResult out;
-  for (const RowDeltas& d : rows) {
-    Shard* shard = d.row.shard;
-    RecordPush(shard->meta.id, d.row.row);
-    TouchChunksLocked(shard, d.row.row, keys.data() + d.begin, d.nnz);
-    double* p = shard->dense_rows[d.row.row].data();
-    for (size_t i = d.begin; i < d.begin + d.nnz; ++i) {
-      p[keys[i] - shard->begin] += vals[i];
-    }
-    out.server_ops += d.nnz;
-  }
-  return out;
-}
-
 Result<PsServer::HandleResult> PsServer::HandleHotSetUpdate(BufferReader* in) {
   // Each row: (matrix, row, dim) varints.
   PS2_ASSIGN_OR_RETURN(uint64_t count, in->ReadCount(3));
@@ -1269,11 +1211,9 @@ Result<PsServer::HandleResult> PsServer::HandleHotSetUpdate(BufferReader* in) {
   // 0 so pulls fall through to the primary until the first install.
   std::map<std::pair<int, uint32_t>, Replica> next;
   for (uint64_t i = 0; i < count; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in->ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t r, in->ReadVarint());
+    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
     PS2_ASSIGN_OR_RETURN(uint64_t dim, in->ReadVarint());
-    const std::pair<int, uint32_t> key{static_cast<int>(m),
-                                       static_cast<uint32_t>(r)};
+    const std::pair<int, uint32_t> key{ref.matrix_id, ref.row};
     auto it = replicas_.find(key);
     if (it != replicas_.end() && it->second.dim == dim) {
       next.emplace(key, std::move(it->second));
@@ -1354,30 +1294,6 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
   return out;
 }
 
-Result<PsServer::HandleResult> PsServer::HandleHotPush(BufferReader* in) {
-  PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-  // Each delta: an index varint, then (after all indices) an f64 value.
-  PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount(1 + sizeof(double)));
-  RecordPush(ref.matrix_id, ref.row);
-  // Accumulate into pending even for a version-0 (not-yet-installed)
-  // replica: the next sync folds the deltas into the primary either way.
-  auto it = replicas_.find({ref.matrix_id, ref.row});
-  if (it == replicas_.end()) {
-    return Status::FailedPrecondition("hot push to a row without a replica");
-  }
-  Replica& replica = it->second;
-  PS2_ASSIGN_OR_RETURN(SparseEntries write,
-                       ReadSparseEntries(in, nnz, 0, replica.dim,
-                                         "push index outside replica"));
-  for (uint64_t i = 0; i < nnz; ++i) {
-    const double v = write.values[i];
-    if (v != 0.0) replica.pending[write.keys[i]] += v;
-  }
-  HandleResult out;
-  out.server_ops = nnz;
-  return out;
-}
-
 Result<PsServer::HandleResult> PsServer::HandleServingPull(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t epoch, in->ReadVarint());
   const ModelSnapshot* snap = nullptr;
@@ -1397,16 +1313,9 @@ Result<PsServer::HandleResult> PsServer::HandleServingPull(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t n_entries, in->ReadCount(3));
   // Decode and check every entry first, gathering all keys into per-thread
   // scratch, so the response is sized once and no entry allocates.
-  struct Entry {
-    const ShardSnapshot* shard;
-    const SnapshotRow* row;
-    size_t key_begin;  ///< first of the entry's keys in `keys`
-    uint64_t n_idx;    ///< 0 = the full local slice
-  };
-  thread_local std::vector<Entry> entries;
+  thread_local std::vector<RowRead> reads;
   thread_local std::vector<uint64_t> keys;
-  thread_local std::vector<double> values;
-  entries.clear();
+  reads.clear();
   keys.clear();
   uint64_t n_values = 0;
   for (uint64_t e = 0; e < n_entries; ++e) {
@@ -1423,68 +1332,31 @@ Result<PsServer::HandleResult> PsServer::HandleServingPull(BufferReader* in) {
     // Serving reads feed the same demand sketches as training pulls, so the
     // hotspot plane sees the Zipfian read mix too.
     RecordPull(ref.matrix_id, ref.row);
-    const size_t key_begin = keys.size();
+    RowRead r;
+    const SnapshotRow& row = shard->rows[ref.row];
+    r.chunks = shard->dense ? row.chunks.get() : nullptr;
+    r.sparse = shard->dense ? nullptr : row.sparse.get();
+    r.base = r.begin = shard->begin;
+    r.n = shard->end - shard->begin;
     if (n_idx != 0) {
-      keys.resize(key_begin + n_idx);
-      PS2_RETURN_NOT_OK(in->ReadDeltaKeys(keys.data() + key_begin, n_idx));
-      for (size_t i = key_begin; i < keys.size(); ++i) {
-        if (keys[i] < shard->begin || keys[i] >= shard->end) {
-          return Status::OutOfRange("pull index outside server range");
-        }
-      }
+      r.indices = true;
+      r.key_begin = keys.size();
+      r.n = n_idx;
+      keys.resize(r.key_begin + n_idx);
+      PS2_RETURN_NOT_OK(ReadKeysInRange(in, n_idx, shard->begin, shard->end,
+                                        "pull index outside server range",
+                                        keys.data() + r.key_begin));
     }
-    entries.push_back({shard, &shard->rows[ref.row], key_begin, n_idx});
-    n_values += n_idx != 0 ? n_idx : shard->end - shard->begin;
+    reads.push_back(r);
+    n_values += r.n;
   }
   HandleResult out;
   BufferWriter writer(
       (1 + n_entries) * kMaxVarintBytes + n_values * sizeof(double),
       /*sections=*/n_entries);
   writer.WriteVarint(n_entries);
-  for (const Entry& e : entries) {
-    const ShardSnapshot& shard = *e.shard;
-    const uint64_t w = shard.end - shard.begin;
-    const uint64_t n = e.n_idx != 0 ? e.n_idx : w;
-    writer.WriteVarint(n);
-    writer.BeginSection(SectionKind::kF64Values);
-    if (shard.dense) {
-      const ChunkedRow& img = *e.row->chunks;
-      if (e.n_idx == 0) {
-        // Full local slice [begin, end) of the row, chunk by chunk.
-        for (uint64_t c = 0; c * kSnapshotChunk < w; ++c) {
-          writer.WriteF64Span(img.chunk(c),
-                              std::min(kSnapshotChunk, w - c * kSnapshotChunk));
-        }
-      } else {
-        values.resize(n);
-        const uint64_t* k = keys.data() + e.key_begin;
-        for (uint64_t i = 0; i < n; ++i) {
-          const uint64_t col = k[i] - shard.begin;
-          values[i] = img.chunk(col / kSnapshotChunk)[col % kSnapshotChunk];
-        }
-        writer.WriteF64Span(values.data(), n);
-      }
-    } else {
-      const std::map<uint64_t, double>& map = *e.row->sparse;
-      if (e.n_idx == 0) {
-        values.assign(w, 0.0);
-        for (auto it = map.lower_bound(shard.begin);
-             it != map.end() && it->first < shard.end; ++it) {
-          values[it->first - shard.begin] = it->second;
-        }
-      } else {
-        values.resize(n);
-        const uint64_t* k = keys.data() + e.key_begin;
-        for (uint64_t i = 0; i < n; ++i) {
-          auto it = map.find(k[i]);
-          values[i] = it == map.end() ? 0.0 : it->second;
-        }
-      }
-      writer.WriteF64Span(values.data(), n);
-    }
-    writer.EndSection();
-    out.server_ops += n;
-  }
+  WriteRowReads(reads, keys, &writer);
+  out.server_ops = n_values;
   out.response_sections = writer.TakeSections();
   out.response = writer.Release();
   return out;
@@ -1599,10 +1471,11 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
     for (uint64_t r = 0; r < num_rows; ++r) {
       // Each entry: a column varint, then (after all columns) an f64 value.
       PS2_ASSIGN_OR_RETURN(uint64_t nnz, in->ReadCount(1 + sizeof(double)));
-      PS2_ASSIGN_OR_RETURN(SparseEntries entries,
-                           ReadSparseEntries(in, nnz, staged.begin,
-                                             staged.end,
-                                             "staged column outside range"));
+      SparseEntries entries;
+      PS2_RETURN_NOT_OK(ReadSparseEntries(in, nnz, staged.begin, staged.end,
+                                          /*int_values=*/false,
+                                          "staged column outside range",
+                                          &entries));
       for (uint64_t i = 0; i < nnz; ++i) {
         staged.sparse_rows[r][entries.keys[i]] = entries.values[i];
       }

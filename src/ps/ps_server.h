@@ -184,26 +184,20 @@ class PsServer {
   /// Governs response-side filtering; requests carry their mask per frame.
   void SetFilterConfig(const FilterConfig& config);
 
-  /// Data plane: executes one serialized request with an untracked header
-  /// (no fault injection, no dedup — control-plane and legacy callers).
-  Result<HandleResult> Handle(const std::vector<uint8_t>& request);
-
-  /// Data plane: executes one serialized request stamped with `header`.
-  /// For tracked mutating requests the per-client dedup table is consulted
-  /// first: a retry of an already-applied sequence number is acked with an
-  /// empty response instead of re-applying (DESIGN.md §6). Returns
-  /// Unavailable while the server is crashed.
-  Result<HandleResult> Handle(const RpcHeader& header,
-                              const std::vector<uint8_t>& request);
-
   /// Data plane, zero-copy: executes one wire frame (a view into the
-  /// sender's buffer — nothing is copied on delivery). If the frame carries
-  /// a filter mask, the payload is decoded *after* the dedup check (a
-  /// duplicate never decodes, so a replayed install cannot perturb key-cache
-  /// state) — a kKeysRef whose hash this server no longer holds returns
-  /// FailedPrecondition (see IsKeyCacheMiss) without consuming the sequence
-  /// number. Responses to tracked requests are filter-encoded per the
-  /// installed config (delta/compress only — key caching is request-side).
+  /// sender's buffer — nothing is copied on delivery) stamped with `header`.
+  /// An untracked header (client_id < 0: control-plane callers) skips fault
+  /// accounting, dedup and response filtering. For tracked mutating requests
+  /// the per-client dedup table is consulted first: a retry of an
+  /// already-applied sequence number is acked with an empty response
+  /// instead of re-applying (DESIGN.md §6). Returns Unavailable while the
+  /// server is crashed. If the frame carries a filter mask, the payload is
+  /// decoded *after* the dedup check (a duplicate never decodes, so a
+  /// replayed install cannot perturb key-cache state) — a kKeysRef whose
+  /// hash this server no longer holds returns FailedPrecondition (see
+  /// IsKeyCacheMiss) without consuming the sequence number. Responses to
+  /// tracked requests are filter-encoded per the installed config
+  /// (delta/compress only — key caching is request-side).
   Result<HandleResult> Handle(const RpcHeader& header, const WireFrame& frame);
 
   // ---- Simulated process lifecycle (fault injection) ----
@@ -372,6 +366,27 @@ class PsServer {
   std::shared_ptr<const ChunkedRow> CopyDenseRowLocked(
       const Shard& shard, size_t row, const SnapshotRow* prev,
       uint64_t* copied) const;
+  /// One validated read of a kReadRows or kServingPull response: columns
+  /// [begin, begin + n), or the n keys at `key_begin` of a key list, of one
+  /// row image — a dense span (column `base` at [0]), a snapshot's chunked
+  /// image (read whole or by key), or a sparse map.
+  struct RowRead {
+    const double* dense = nullptr;
+    const ChunkedRow* chunks = nullptr;
+    const std::map<uint64_t, double>* sparse = nullptr;
+    uint64_t base = 0;
+    uint64_t begin = 0;
+    size_t key_begin = 0;
+    uint64_t n = 0;
+    bool indices = false;
+    bool int_values = false;
+  };
+  /// Writes each read as n, then its n values: an f64 section, or zigzag
+  /// varints of the rounded values when `int_values`.
+  static void WriteRowReads(const std::vector<RowRead>& reads,
+                            const std::vector<uint64_t>& keys,
+                            BufferWriter* writer);
+
   /// Snapshot epochs retained for serving (publish evicts beyond this).
   static constexpr size_t kRetainedSnapshots = 2;
 
@@ -484,20 +499,13 @@ class PsServer {
   /// every row rewritten: for new shards and after a layout change.
   void TouchLayoutLocked(Shard* shard);
 
-  Result<HandleResult> HandlePullDense(BufferReader* in);
-  Result<HandleResult> HandlePullSparse(BufferReader* in);
-  Result<HandleResult> HandlePushDense(BufferReader* in);
-  Result<HandleResult> HandlePushSparse(BufferReader* in);
+  Result<HandleResult> HandleReadRows(BufferReader* in);
+  Result<HandleResult> HandleWriteRows(BufferReader* in);
   Result<HandleResult> HandleColumnOps(BufferReader* in);
   Result<HandleResult> HandleAggregate(BufferReader* in);
   Result<HandleResult> HandleMatrixInit(BufferReader* in);
-  Result<HandleResult> HandlePullRowsBatch(BufferReader* in);
-  Result<HandleResult> HandlePushRowsBatch(BufferReader* in);
-  Result<HandleResult> HandlePullSparseRowsBatch(BufferReader* in);
-  Result<HandleResult> HandlePushSparseRowsBatch(BufferReader* in);
   Result<HandleResult> HandleHotSetUpdate(BufferReader* in);
   Result<HandleResult> HandleReplicaSync(BufferReader* in);
-  Result<HandleResult> HandleHotPush(BufferReader* in);
   Result<HandleResult> HandleServingPull(BufferReader* in);
   Result<HandleResult> HandleClockAdvance(BufferReader* in);
   Result<HandleResult> HandleRangeExtract(BufferReader* in);

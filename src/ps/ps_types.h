@@ -3,7 +3,9 @@
 // Shared types of the parameter-server module.
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "ps/partitioner.h"
 
@@ -29,6 +31,24 @@ struct MatrixMeta {
   /// routing to the old owner. 0 until the first membership change.
   uint64_t routing_epoch = 0;
 };
+
+/// The published metas of a batch of rows (PsMaster::GetMetas): one
+/// pointer per row, all kept alive by a single shared pin however long the
+/// batch is held, across later routing commits and frees. Rows of one
+/// matrix point at the same meta.
+struct MetaBatch {
+  std::shared_ptr<const void> pin;
+  std::vector<const MatrixMeta*> metas;
+
+  const MatrixMeta& operator[](size_t i) const { return *metas[i]; }
+  /// An owning handle on row i's meta, valid after the batch is gone.
+  std::shared_ptr<const MatrixMeta> Hold(size_t i) const {
+    return std::shared_ptr<const MatrixMeta>(pin, metas[i]);
+  }
+};
+
+/// Every matrix's published meta, by id (null for a free id).
+using MetaTable = std::vector<std::shared_ptr<const MatrixMeta>>;
 
 /// \brief A half-open column window [begin, end) of a row.
 ///
@@ -102,52 +122,38 @@ enum class AggKind : uint8_t {
 
 /// \brief Wire opcodes understood by PsServer::Handle.
 enum class PsOpCode : uint8_t {
-  kPullDense = 0,
-  kPullSparse = 1,
-  kPushDense = 2,
-  kPushSparse = 3,
-  kColumnOps = 4,             ///< batched element-wise ops and zips (mutating)
-  kAggregate = 5,             ///< batched row aggregates, dots, zip-aggregates
-  kMatrixInit = 6,            ///< hash-random init of whole-matrix row ranges
-  kPullRowsBatch = 7,         ///< many full-row pulls in one round
-  kPushRowsBatch = 8,         ///< many dense row (delta) pushes in one round
-  kPullSparseRowsBatch = 9,   ///< many rows at shared indices, one round
-  kPushSparseRowsBatch = 10,  ///< many per-row sparse deltas, one round
+  kReadRows = 0,    ///< runs of (selector, rows): row values (paper pull)
+  kWriteRows = 1,   ///< runs of (selector, per-row body + values) (push)
+  kColumnOps = 2,   ///< batched element-wise ops and zips (mutating)
+  kAggregate = 3,   ///< batched row aggregates, dots, zip-aggregates
+  kMatrixInit = 4,  ///< hash-random init of whole-matrix row ranges
   // Hot-parameter management (DESIGN.md §5d).
-  kHotSetUpdate = 11,  ///< master installs the replicated hot-row set
-  kReplicaSync = 12,   ///< collect pending deltas / install fresh values
-  kHotPush = 13,       ///< sparse delta accumulated into a local replica
+  kHotSetUpdate = 5,  ///< master installs the replicated hot-row set
+  kReplicaSync = 6,   ///< collect pending deltas / install fresh values
   // Online serving tier (DESIGN.md §10).
-  kServingPull = 14,  ///< batched read from a published snapshot epoch
+  kServingPull = 7,  ///< batched read from a published snapshot epoch
   // Consistency controller (DESIGN.md §11).
-  kClockAdvance = 15,  ///< worker advances its clock in the server's vector
+  kClockAdvance = 8,  ///< worker advances its clock in the server's vector
   // Elastic membership / online resharding (DESIGN.md §12).
-  kRangeExtract = 16,   ///< read one matrix's column range off the old owner
-  kRangeMigrate = 17,   ///< stage an extracted range on the new owner
-  kRoutingUpdate = 18,  ///< fence / commit staged ranges / bump routing epoch
+  kRangeExtract = 9,    ///< read one matrix's column range off the old owner
+  kRangeMigrate = 10,   ///< stage an extracted range on the new owner
+  kRoutingUpdate = 11,  ///< fence / commit staged ranges / bump routing epoch
 };
 
 /// Stable short name of an opcode for metric tags and trace spans
-/// (`ps.server.handle_us{op=pull_dense}`). Returns "unknown" for values
+/// (`ps.server.handle_us{op=read_rows}`). Returns "unknown" for values
 /// outside the enum rather than crashing on a corrupted wire byte.
 /// kColumnOps keeps the pre-batching name "column_op" so the metric and
 /// span series stay continuous (it now also counts zips).
 constexpr const char* PsOpCodeName(PsOpCode op) {
   switch (op) {
-    case PsOpCode::kPullDense: return "pull_dense";
-    case PsOpCode::kPullSparse: return "pull_sparse";
-    case PsOpCode::kPushDense: return "push_dense";
-    case PsOpCode::kPushSparse: return "push_sparse";
+    case PsOpCode::kReadRows: return "read_rows";
+    case PsOpCode::kWriteRows: return "write_rows";
     case PsOpCode::kColumnOps: return "column_op";
     case PsOpCode::kAggregate: return "aggregate";
     case PsOpCode::kMatrixInit: return "matrix_init";
-    case PsOpCode::kPullRowsBatch: return "pull_rows_batch";
-    case PsOpCode::kPushRowsBatch: return "push_rows_batch";
-    case PsOpCode::kPullSparseRowsBatch: return "pull_sparse_rows_batch";
-    case PsOpCode::kPushSparseRowsBatch: return "push_sparse_rows_batch";
     case PsOpCode::kHotSetUpdate: return "hot_set_update";
     case PsOpCode::kReplicaSync: return "replica_sync";
-    case PsOpCode::kHotPush: return "hot_push";
     case PsOpCode::kServingPull: return "serving_pull";
     case PsOpCode::kClockAdvance: return "clock_advance";
     case PsOpCode::kRangeExtract: return "range_extract";
@@ -158,7 +164,7 @@ constexpr const char* PsOpCodeName(PsOpCode op) {
 }
 
 /// Number of distinct PsOpCode values (for per-opcode metric tables).
-constexpr int kNumPsOpCodes = 19;
+constexpr int kNumPsOpCodes = 12;
 
 /// True for opcodes whose handlers mutate server state. Retrying one of
 /// these after an ambiguous failure (a lost *response*) would double-apply
@@ -166,15 +172,11 @@ constexpr int kNumPsOpCodes = 19;
 /// opcodes are trivially idempotent and skip the dedup table.
 constexpr bool IsMutatingOpcode(PsOpCode op) {
   switch (op) {
-    case PsOpCode::kPushDense:
-    case PsOpCode::kPushSparse:
+    case PsOpCode::kWriteRows:
     case PsOpCode::kColumnOps:
     case PsOpCode::kMatrixInit:
-    case PsOpCode::kPushRowsBatch:
-    case PsOpCode::kPushSparseRowsBatch:
     case PsOpCode::kHotSetUpdate:
     case PsOpCode::kReplicaSync:
-    case PsOpCode::kHotPush:
     // Clock advances mutate the server's worker-clock vector. The handler is
     // a max-merge (idempotent), but routing them through the dedup table
     // keeps the retry accounting uniform with the other mutations.
@@ -185,17 +187,31 @@ constexpr bool IsMutatingOpcode(PsOpCode op) {
     case PsOpCode::kRangeMigrate:
     case PsOpCode::kRoutingUpdate:
       return true;
-    case PsOpCode::kPullDense:
-    case PsOpCode::kPullSparse:
+    case PsOpCode::kReadRows:
     case PsOpCode::kAggregate:
-    case PsOpCode::kPullRowsBatch:
-    case PsOpCode::kPullSparseRowsBatch:
     case PsOpCode::kServingPull:
     case PsOpCode::kRangeExtract:
       return false;
   }
   return false;
 }
+
+/// \brief Which columns of each row a kReadRows / kWriteRows run addresses
+/// (DESIGN.md §5b). On the wire a run starts with a selector tag byte: the
+/// kind in the low two bits, plus the kRowSelector* flag bits. A tag with
+/// any other bit set, or kind 3, is rejected.
+enum class RowSelectorKind : uint8_t {
+  kAll = 0,      ///< the server's whole slice; a write states its width
+  kRange = 1,    ///< body: begin, n — columns [begin, begin + n)
+  kIndices = 2,  ///< body: n, then n delta-varint columns
+};
+constexpr uint8_t kRowSelectorKindMask = 0x03;
+/// Values travel as zigzag varints of llround(value) instead of raw f64s:
+/// PS2's message compression for integer count matrices (LDA).
+constexpr uint8_t kRowSelectorIntValues = 0x04;
+/// kWriteRows only: add the deltas into the row's hot replica's pending
+/// buffer (DESIGN.md §5d) instead of the primary shard.
+constexpr uint8_t kRowSelectorReplica = 0x08;
 
 /// True for the membership/resharding control plane (DESIGN.md §12). These
 /// opcodes must keep flowing while a server is fenced or decommissioned —

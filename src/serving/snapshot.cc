@@ -17,6 +17,9 @@ namespace {
 constexpr uint64_t kPublishRequestBytes = 12;
 constexpr uint64_t kPublishResponseBytes = 40;
 
+// Placements kept: one per epoch a server retains (the latest two).
+constexpr size_t kRetainedPlacements = 2;
+
 }  // namespace
 
 ModelSnapshotManager::ModelSnapshotManager(PsMaster* master)
@@ -46,6 +49,10 @@ Result<SnapshotPublishStats> ModelSnapshotManager::Publish() {
                      ps.bytes_copied / sizeof(double));
   }
   epoch_ = next;
+  placements_.push_back({next, master_->PinMetaTable()});
+  if (placements_.size() > kRetainedPlacements) {
+    placements_.erase(placements_.begin());
+  }
   // Publish may run from inside a task (tests, serving loops): the ambient
   // scope then absorbs the traffic and the stage barrier prices it; from
   // the coordinator it goes straight to the cluster clock.
@@ -65,6 +72,30 @@ Result<SnapshotPublishStats> ModelSnapshotManager::Publish() {
 uint64_t ModelSnapshotManager::epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   return epoch_;
+}
+
+Result<MetaBatch> ModelSnapshotManager::PlacementOf(
+    uint64_t epoch, const std::vector<RowRef>& rows) const {
+  std::shared_ptr<const MetaTable> table;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Placement& p : placements_) {
+      if (p.epoch == epoch) table = p.metas;
+    }
+  }
+  if (table == nullptr) return master_->GetMetas(rows);
+  MetaBatch batch;
+  batch.metas.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto id = static_cast<size_t>(rows[i].matrix_id);
+    if (rows[i].matrix_id < 0 || id >= table->size() ||
+        (*table)[id] == nullptr) {
+      return Status::NotFound("matrix not in serving snapshot");
+    }
+    batch.metas[i] = (*table)[id].get();
+  }
+  batch.pin = std::move(table);
+  return batch;
 }
 
 Status ModelSnapshotManager::OnServerRecovered(int server_id) {

@@ -20,10 +20,13 @@
 // has are told so (FailedPrecondition) and repin via the ServingFrontend.
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "ps/ps_types.h"
 
 namespace ps2 {
 
@@ -57,6 +60,14 @@ class ModelSnapshotManager {
   /// The latest published epoch; 0 means nothing has been published yet.
   uint64_t epoch() const;
 
+  /// The metas of `rows` as placed when `epoch` was published, so a read
+  /// pinned to `epoch` reaches the servers that hold it even after a later
+  /// relocation. For an epoch no longer retained, the current metas (its
+  /// servers then answer with the epoch-miss FailedPrecondition). NotFound
+  /// for a matrix that did not exist at `epoch`.
+  Result<MetaBatch> PlacementOf(uint64_t epoch,
+                                const std::vector<RowRef>& rows) const;
+
   /// Called by PsMaster after a server crash + restore. The restarted
   /// process dropped its snapshots with the rest of its state, so without
   /// this hook every serving read against it fails until the next Publish.
@@ -67,9 +78,16 @@ class ModelSnapshotManager {
   Status OnServerRecovered(int server_id);
 
  private:
+  /// The placement each retained epoch was published under, oldest first.
+  struct Placement {
+    uint64_t epoch = 0;
+    std::shared_ptr<const MetaTable> metas;
+  };
+
   PsMaster* master_;
   mutable std::mutex mu_;
   uint64_t epoch_ = 0;
+  std::vector<Placement> placements_;
 };
 
 }  // namespace ps2

@@ -50,7 +50,8 @@ TEST_F(ParamMgmtFaultsTest, OscillatingAccessorRelocatesOncePerWindow) {
     values[i] = 0.25 * static_cast<double>(i) - 1.0;
   }
   ASSERT_TRUE(
-      client()->PushOwnedRowsAsync({RowRef{*id, 0}}, {values}).Wait().ok());
+      client()->WriteRowsAsync({RowRef{*id, 0}}, {values},
+                               RowSelector::All()).Wait().ok());
 
   ParamMgmtOptions options;
   options.mode = ParamMgmtMode::kNups;
@@ -85,7 +86,7 @@ TEST_F(ParamMgmtFaultsTest, OscillatingAccessorRelocatesOncePerWindow) {
 
   // Values survived every migration bit-exactly despite message faults.
   Result<std::vector<std::vector<double>>> pulled =
-      client()->PullOwnedRowsAsync({RowRef{*id, 0}}).Get();
+      client()->ReadRowsAsync({RowRef{*id, 0}}, RowSelector::All()).Get();
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   EXPECT_EQ((*pulled)[0], values);
 }
@@ -110,7 +111,8 @@ TEST_F(ParamMgmtFaultsTest, RelocationStormUnderFaultsStaysConsistent) {
       values[k][i] = static_cast<double>(k) + 0.125 * static_cast<double>(i);
     }
     ASSERT_TRUE(client()
-                    ->PushOwnedRowsAsync({RowRef{*id, 0}}, {values[k]})
+                    ->WriteRowsAsync({RowRef{*id, 0}}, {values[k]},
+                                     RowSelector::All())
                     .Wait()
                     .ok());
   }
@@ -139,7 +141,7 @@ TEST_F(ParamMgmtFaultsTest, RelocationStormUnderFaultsStaysConsistent) {
   std::vector<RowRef> refs;
   for (int k = 0; k < kKeys; ++k) refs.push_back(RowRef{ids[k], 0});
   Result<std::vector<std::vector<double>>> pulled =
-      client()->PullOwnedRowsAsync(refs).Get();
+      client()->ReadRowsAsync(refs, RowSelector::All()).Get();
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   for (int k = 0; k < kKeys; ++k) {
     EXPECT_EQ((*pulled)[k], values[k]) << "key " << k;

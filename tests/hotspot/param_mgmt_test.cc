@@ -16,6 +16,7 @@
 #include "membership/membership_manager.h"
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
+#include "tests/ps/ps_test_util.h"
 #include "ps/ps_server.h"
 
 namespace ps2 {
@@ -99,7 +100,8 @@ TEST_F(ParamMgmtTest, RelocateMatricesMovesValuesExactly) {
   const int id = KeyMatrix(/*server=*/0);
   std::vector<double> values = {1.5, -2.25, 3.0, 0.5, -1.0, 7.0, 0.0, 4.5};
   ASSERT_TRUE(
-      client()->PushOwnedRowsAsync({RowRef{id, 0}}, {values}).Wait().ok());
+      client()->WriteRowsAsync({RowRef{id, 0}}, {values},
+                               RowSelector::All()).Wait().ok());
 
   Result<MigrationStats> stats =
       master()->membership()->RelocateMatrices({{id, 1}});
@@ -111,7 +113,7 @@ TEST_F(ParamMgmtTest, RelocateMatricesMovesValuesExactly) {
   EXPECT_EQ(meta->partitioner.ServerOfPartition(0), 1);
 
   Result<std::vector<std::vector<double>>> pulled =
-      client()->PullOwnedRowsAsync({RowRef{id, 0}}).Get();
+      client()->ReadRowsAsync({RowRef{id, 0}}, RowSelector::All()).Get();
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   EXPECT_EQ((*pulled)[0], values);
 
@@ -158,15 +160,20 @@ TEST_F(ParamMgmtTest, OwnedRowsWithUnknownMatrixSendNothing) {
   const std::vector<RowRef> refs = {RowRef{id, 0}, RowRef{id + 1000, 0}};
   const uint64_t messages = cluster_->metrics().Get("net.messages");
   EXPECT_TRUE(
-      client()->PullOwnedRowsAsync(refs).Get().status().IsNotFound());
+      client()->ReadRowsAsync(refs,
+                              RowSelector::All()).Get().status().IsNotFound());
   EXPECT_TRUE(client()
-                  ->PushOwnedRowsAsync(refs, {std::vector<double>(8, 1.0),
-                                              std::vector<double>(8, 1.0)})
+                  ->WriteRowsAsync(refs,
+                                   std::vector<std::vector<double>>{
+                                       std::vector<double>(8, 1.0),
+                                       std::vector<double>(8, 1.0)},
+                                   RowSelector::All())
                   .Wait()
                   .IsNotFound());
   EXPECT_EQ(cluster_->metrics().Get("net.messages"), messages);
   // The known row alone goes out (the counter is live).
-  ASSERT_TRUE(client()->PullOwnedRowsAsync({refs[0]}).Get().ok());
+  ASSERT_TRUE(client()->ReadRowsAsync({refs[0]},
+                                      RowSelector::All()).Get().ok());
   EXPECT_GT(cluster_->metrics().Get("net.messages"), messages);
 }
 
@@ -200,9 +207,10 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileKeysRelocate) {
       return;
     }
     for (int r = 0; r < kRounds; ++r) {
-      PS2_CHECK_OK(client()->PushOwnedRowsAsync(refs, deltas).Wait());
+      PS2_CHECK_OK(client()->WriteRowsAsync(refs, deltas,
+                                            RowSelector::All()).Wait());
       Result<std::vector<std::vector<double>>> rows =
-          client()->PullOwnedRowsAsync(refs).Get();
+          client()->ReadRowsAsync(refs, RowSelector::All()).Get();
       PS2_CHECK(rows.ok()) << rows.status();
       for (int k = 0; k < kKeys; ++k) {
         const std::vector<double>& row = (*rows)[k];
@@ -216,7 +224,7 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileKeysRelocate) {
   EXPECT_EQ(master()->membership()->migrations(),
             static_cast<uint64_t>(kLaps * kKeys));
   Result<std::vector<std::vector<double>>> pulled =
-      client()->PullOwnedRowsAsync(refs).Get();
+      client()->ReadRowsAsync(refs, RowSelector::All()).Get();
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   for (int k = 0; k < kKeys; ++k) {
     for (double v : (*pulled)[k]) {
@@ -257,9 +265,9 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileMatricesChurn) {
         Result<int> id = master()->CreateMatrix(mo);
         PS2_CHECK(id.ok()) << id.status();
         PS2_CHECK_OK(client()
-                         ->PushOwnedRowsAsync({RowRef{*id, 1}},
-                                              {std::vector<double>(
-                                                  kDim, kChurnValue)})
+                         ->WriteRowsAsync({RowRef{*id, 1}},
+                                          std::vector<double>(kDim, kChurnValue),
+                                          RowSelector::All())
                          .Wait());
         churn.store(*id);
         PS2_CHECK(master()
@@ -273,9 +281,10 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileMatricesChurn) {
       return;
     }
     for (int r = 0; r < kRounds; ++r) {
-      PS2_CHECK_OK(client()->PushOwnedRowsAsync(refs, deltas).Wait());
+      PS2_CHECK_OK(client()->WriteRowsAsync(refs, deltas,
+                                            RowSelector::All()).Wait());
       Result<std::vector<std::vector<double>>> rows =
-          client()->PullOwnedRowsAsync(refs).Get();
+          client()->ReadRowsAsync(refs, RowSelector::All()).Get();
       PS2_CHECK(rows.ok()) << rows.status();
       for (int k = 0; k < kKeys; ++k) {
         const std::vector<double>& row = (*rows)[k];
@@ -286,7 +295,7 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileMatricesChurn) {
       const int id = churn.load();
       if (id < 0) continue;
       Result<std::vector<std::vector<double>>> churned =
-          client()->PullOwnedRowsAsync({RowRef{id, 1}}).Get();
+          client()->ReadRowsAsync({RowRef{id, 1}}, RowSelector::All()).Get();
       if (!churned.ok()) {
         PS2_CHECK(churned.status().IsNotFound()) << churned.status();
         continue;
@@ -298,7 +307,7 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileMatricesChurn) {
   EXPECT_EQ(master()->membership()->migrations(),
             static_cast<uint64_t>(kLaps));
   Result<std::vector<std::vector<double>>> pulled =
-      client()->PullOwnedRowsAsync(refs).Get();
+      client()->ReadRowsAsync(refs, RowSelector::All()).Get();
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   for (int k = 0; k < kKeys; ++k) {
     for (double v : (*pulled)[k]) {
@@ -341,7 +350,7 @@ TEST_F(ParamMgmtTest, ShardAndMetaLifecycleKeepsExactRows) {
   auto expect_rows = [&](const std::vector<std::vector<double>>& want,
                          const char* step) {
     Result<std::vector<std::vector<double>>> pulled =
-        client()->PullOwnedRowsAsync(refs).Get();
+        client()->ReadRowsAsync(refs, RowSelector::All()).Get();
     ASSERT_TRUE(pulled.ok()) << step << ": " << pulled.status();
     EXPECT_EQ(*pulled, want) << step;
   };
@@ -349,7 +358,8 @@ TEST_F(ParamMgmtTest, ShardAndMetaLifecycleKeepsExactRows) {
   expect_rows(std::vector<std::vector<double>>(refs.size(),
                                                std::vector<double>(kDim)),
               "create");
-  ASSERT_TRUE(client()->PushOwnedRowsAsync(refs, deltas).Wait().ok());
+  ASSERT_TRUE(client()->WriteRowsAsync(refs, deltas,
+                                       RowSelector::All()).Wait().ok());
   expect_rows(deltas, "push");
   ASSERT_TRUE(
       master()->membership()->RelocateMatrices({{ids[0], 2}, {ids[3], 1}})
@@ -365,17 +375,19 @@ TEST_F(ParamMgmtTest, ShardAndMetaLifecycleKeepsExactRows) {
   // at the master and at the server that held it — never a stale row.
   ASSERT_TRUE(master()->FreeMatrix(ids[1]).ok());
   EXPECT_TRUE(client()
-                  ->PullOwnedRowsAsync({RowRef{ids[1], 0}})
+                  ->ReadRowsAsync({RowRef{ids[1], 0}}, RowSelector::All())
                   .Get()
                   .status()
                   .IsNotFound());
   BufferWriter stale;
-  stale.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRowsBatch));
+  stale.WriteU8(static_cast<uint8_t>(PsOpCode::kReadRows));
+  stale.WriteU8(static_cast<uint8_t>(RowSelectorKind::kAll));
   stale.WriteVarint(1);
   stale.WriteVarint(ids[1]);
   stale.WriteVarint(0);
-  EXPECT_TRUE(
-      master()->server(1)->Handle(stale.buffer()).status().IsNotFound());
+  EXPECT_TRUE(HandleBytes(*master()->server(1), stale.buffer())
+                  .status()
+                  .IsNotFound());
   refs.erase(refs.begin() + 2, refs.begin() + 4);
   deltas.erase(deltas.begin() + 2, deltas.begin() + 4);
   expect_rows(deltas, "free");
@@ -383,7 +395,8 @@ TEST_F(ParamMgmtTest, ShardAndMetaLifecycleKeepsExactRows) {
   // Checkpoint, push once more, then crash every server: DropAllState and
   // the restore bring back exactly the checkpointed rows.
   ASSERT_TRUE(master()->CheckpointAll().ok());
-  ASSERT_TRUE(client()->PushOwnedRowsAsync(refs, deltas).Wait().ok());
+  ASSERT_TRUE(client()->WriteRowsAsync(refs, deltas,
+                                       RowSelector::All()).Wait().ok());
   std::vector<std::vector<double>> twice = deltas;
   for (std::vector<double>& row : twice) {
     for (double& v : row) v *= 2;
@@ -414,20 +427,26 @@ TEST_F(ParamMgmtTest, OwnedRowsRoundTripAcrossServers) {
       deltas[r][i] = static_cast<double>(r * 10 + i);
     }
   }
-  ASSERT_TRUE(client()->PushOwnedRowsAsync(refs, deltas).Wait().ok());
+  ASSERT_TRUE(client()->WriteRowsAsync(refs, deltas,
+                                       RowSelector::All()).Wait().ok());
   Result<std::vector<std::vector<double>>> pulled =
-      client()->PullOwnedRowsAsync(refs).Get();
+      client()->ReadRowsAsync(refs, RowSelector::All()).Get();
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   ASSERT_EQ(pulled->size(), refs.size());
   for (size_t r = 0; r < refs.size(); ++r) EXPECT_EQ((*pulled)[r], deltas[r]);
 
-  // Spread (multi-partition) matrices are rejected up front.
+  // A spread (multi-partition) row rides the same op: each server sends
+  // its slice.
   Dcv spread = *ctx_->Dense(64, 2, 1, 0, "spread");
-  EXPECT_TRUE(client()
-                  ->PullOwnedRowsAsync({spread.ref()})
-                  .Get()
-                  .status()
-                  .IsFailedPrecondition());
+  std::vector<double> ramp(64);
+  for (size_t c = 0; c < ramp.size(); ++c) ramp[c] = static_cast<double>(c);
+  ASSERT_TRUE(spread.Push(ramp).ok());
+  std::vector<RowRef> mixed{refs[0], spread.ref()};
+  Result<std::vector<std::vector<double>>> both =
+      client()->ReadRowsAsync(mixed, RowSelector::All()).Get();
+  ASSERT_TRUE(both.ok()) << both.status();
+  EXPECT_EQ((*both)[0], deltas[0]);
+  EXPECT_EQ((*both)[1], ramp);
 }
 
 TEST_F(ParamMgmtTest, OwnedPullServesHotRowsFromCache) {
@@ -435,12 +454,14 @@ TEST_F(ParamMgmtTest, OwnedPullServesHotRowsFromCache) {
   const int id = KeyMatrix(0);
   std::vector<double> values(8, 3.0);
   ASSERT_TRUE(
-      client()->PushOwnedRowsAsync({RowRef{id, 0}}, {values}).Wait().ok());
+      client()->WriteRowsAsync({RowRef{id, 0}}, {values},
+                               RowSelector::All()).Wait().ok());
   ASSERT_TRUE(master()->hotspot()->ReplicateNow({RowRef{id, 0}}).ok());
 
   const uint64_t hits_before = cluster_->metrics().Get("net.local_pull_hits");
   Result<std::vector<std::vector<double>>> pulled =
-      client()->PullOwnedRowsAsync({RowRef{id, 0}, RowRef{id, 1}}).Get();
+      client()->ReadRowsAsync({RowRef{id, 0}, RowRef{id, 1}},
+                              RowSelector::All()).Get();
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   EXPECT_EQ((*pulled)[0], values);
   EXPECT_EQ(cluster_->metrics().Get("net.local_pull_hits"), hits_before + 1);
@@ -453,7 +474,8 @@ TEST_F(ParamMgmtTest, ColocatedTrafficBecomesLoopback) {
   cluster_->RunStage("pull", 1, [&](TaskContext& task) {
     (void)task;
     ASSERT_TRUE(client()
-                    ->PullOwnedRowsAsync({RowRef{local, 0}, RowRef{remote, 0}})
+                    ->ReadRowsAsync({RowRef{local, 0}, RowRef{remote, 0}},
+                                    RowSelector::All())
                     .Get()
                     .ok());
   });
@@ -468,7 +490,8 @@ TEST_F(ParamMgmtTest, ColocatedTrafficBecomesLoopback) {
   cluster_->RunStage("pull", 1, [&](TaskContext& task) {
     (void)task;
     ASSERT_TRUE(client()
-                    ->PullOwnedRowsAsync({RowRef{l2, 0}, RowRef{r2, 0}})
+                    ->ReadRowsAsync({RowRef{l2, 0}, RowRef{r2, 0}},
+                                    RowSelector::All())
                     .Get()
                     .ok());
   });

@@ -12,6 +12,7 @@
 #include "membership/membership_manager.h"
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
@@ -51,12 +52,12 @@ TEST(MigrationTest, ScaleOutPreservesEveryValue) {
   mo.reserve_rows = 1;
   const RowRef row{*master.CreateMatrix(mo), 0};
   const std::vector<double> want = Pattern(mo.dim);
-  ASSERT_TRUE(client.PushDense(row, want).ok());
+  ASSERT_TRUE(WriteRow(client, row, want).ok());
 
   while (master.num_active_servers() < 8) {
     Result<int> added = master.AddServer();
     ASSERT_TRUE(added.ok()) << added.status();
-    ExpectExactly(*client.PullDense(row), want);
+    ExpectExactly(*ReadRow(client, row), want);
   }
   EXPECT_EQ(master.routing_epoch(), 6u);
   EXPECT_EQ(master.num_active_servers(), 8);
@@ -80,11 +81,11 @@ TEST(MigrationTest, ScaleInPreservesValuesAndRetiresTheSlot) {
   mo.reserve_rows = 1;
   const RowRef row{*master.CreateMatrix(mo), 0};
   const std::vector<double> want = Pattern(mo.dim);
-  ASSERT_TRUE(client.PushDense(row, want).ok());
+  ASSERT_TRUE(WriteRow(client, row, want).ok());
 
   ASSERT_TRUE(master.RemoveServer(1).ok());
   EXPECT_FALSE(master.is_server_active(1));
-  ExpectExactly(*client.PullDense(row), want);
+  ExpectExactly(*ReadRow(client, row), want);
 
   // The slot is retired, not merely inactive.
   EXPECT_TRUE(master.RemoveServer(1).IsInvalidArgument());
@@ -92,7 +93,7 @@ TEST(MigrationTest, ScaleInPreservesValuesAndRetiresTheSlot) {
 
   ASSERT_TRUE(master.RemoveServer(3).ok());
   ASSERT_TRUE(master.RemoveServer(0).ok());
-  ExpectExactly(*client.PullDense(row), want);
+  ExpectExactly(*ReadRow(client, row), want);
   // One server must always remain.
   EXPECT_TRUE(master.RemoveServer(2).IsFailedPrecondition());
   EXPECT_EQ(master.num_active_servers(), 1);
@@ -112,7 +113,7 @@ TEST(MigrationTest, RebalanceShedsEdgePartitionOffBusiestServer) {
   mo.reserve_rows = 1;
   const RowRef row{*master.CreateMatrix(mo), 0};
   const std::vector<double> want = Pattern(mo.dim);
-  ASSERT_TRUE(client.PushDense(row, want).ok());
+  ASSERT_TRUE(WriteRow(client, row, want).ok());
 
   const std::vector<int> before =
       master.GetMeta(row.matrix_id)->partitioner.assignment();
@@ -122,7 +123,7 @@ TEST(MigrationTest, RebalanceShedsEdgePartitionOffBusiestServer) {
   std::vector<uint64_t> hot(mo.dim / 8);
   for (uint64_t i = 0; i < hot.size(); ++i) hot[i] = i;
   for (int k = 0; k < 8; ++k) {
-    ASSERT_TRUE(client.PullSparse(row, hot).ok());
+    ASSERT_TRUE(ReadRow(client, row, RowSelector::Indices(hot)).ok());
   }
 
   Result<bool> moved = master.RebalanceOnce(/*min_skew=*/1.25);
@@ -137,7 +138,7 @@ TEST(MigrationTest, RebalanceShedsEdgePartitionOffBusiestServer) {
   }
   EXPECT_EQ(owned_after, owned_before - 1);
   EXPECT_EQ(cluster.metrics().Get("migrate.rebalances"), 1u);
-  ExpectExactly(*client.PullDense(row), want);
+  ExpectExactly(*ReadRow(client, row), want);
 }
 
 TEST(MigrationTest, ScaleOutUnderMessageFaultsStaysExact) {
@@ -156,7 +157,7 @@ TEST(MigrationTest, ScaleOutUnderMessageFaultsStaysExact) {
   mo.reserve_rows = 1;
   const RowRef row{*master.CreateMatrix(mo), 0};
   std::vector<double> want = Pattern(mo.dim);
-  ASSERT_TRUE(client.PushDense(row, want).ok());
+  ASSERT_TRUE(WriteRow(client, row, want).ok());
 
   // Interleave mutating traffic with every join: lost requests must retry,
   // lost responses must dedup, and the migration's own extract / install /
@@ -166,9 +167,9 @@ TEST(MigrationTest, ScaleOutUnderMessageFaultsStaysExact) {
     Result<int> added = master.AddServer();
     ASSERT_TRUE(added.ok()) << added.status();
     for (int k = 0; k < 8; ++k) {
-      ASSERT_TRUE(client.PushDense(row, ones).ok());
+      ASSERT_TRUE(WriteRow(client, row, ones).ok());
       for (uint64_t i = 0; i < mo.dim; ++i) want[i] += 1.0;
-      ExpectExactly(*client.PullDense(row), want);
+      ExpectExactly(*ReadRow(client, row), want);
     }
   }
   EXPECT_EQ(master.routing_epoch(), 6u);
@@ -197,7 +198,7 @@ TEST(MigrationTest, ScaleOutUnderCrashFaultsStaysExact) {
   // converges, then checkpoint — from here on a crash restores exactly
   // `want`, and every committed migration re-checkpoints.
   for (;;) {
-    std::vector<double> got = *client.PullDense(row);
+    std::vector<double> got = *ReadRow(client, row);
     std::vector<double> patch(mo.dim);
     bool dirty = false;
     for (uint64_t i = 0; i < mo.dim; ++i) {
@@ -205,7 +206,7 @@ TEST(MigrationTest, ScaleOutUnderCrashFaultsStaysExact) {
       dirty = dirty || patch[i] != 0.0;
     }
     if (!dirty) break;
-    ASSERT_TRUE(client.PushDense(row, patch).ok());
+    ASSERT_TRUE(WriteRow(client, row, patch).ok());
   }
   ASSERT_TRUE(master.CheckpointAll().ok());
 
@@ -213,7 +214,7 @@ TEST(MigrationTest, ScaleOutUnderCrashFaultsStaysExact) {
     Result<int> added = master.AddServer();
     ASSERT_TRUE(added.ok()) << added.status();
     for (int k = 0; k < 16; ++k) {
-      ExpectExactly(*client.PullDense(row), want);
+      ExpectExactly(*ReadRow(client, row), want);
     }
   }
   EXPECT_EQ(master.routing_epoch(), 6u);
@@ -239,14 +240,14 @@ TEST(MigrationTest, KillAndRecoverBetweenJoinsRestoresNewBounds) {
   mo.reserve_rows = 1;
   const RowRef row{*master.CreateMatrix(mo), 0};
   const std::vector<double> want = Pattern(mo.dim);
-  ASSERT_TRUE(client.PushDense(row, want).ok());
+  ASSERT_TRUE(WriteRow(client, row, want).ok());
 
   while (master.num_active_servers() < 6) {
     Result<int> added = master.AddServer();
     ASSERT_TRUE(added.ok()) << added.status();
     ASSERT_TRUE(master.KillAndRecoverServer(*added).ok());
     ASSERT_TRUE(master.KillAndRecoverServer(0).ok());
-    ExpectExactly(*client.PullDense(row), want);
+    ExpectExactly(*ReadRow(client, row), want);
   }
   EXPECT_EQ(master.routing_epoch(), 4u);
   EXPECT_GT(cluster.metrics().Get("ps.server_failures"), 0u);

@@ -5,6 +5,7 @@
 #include "dataflow/cluster.h"
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
@@ -62,13 +63,13 @@ class ServerRecoveryTest : public ::testing::Test {
 };
 
 TEST_F(ServerRecoveryTest, RecoverRestoresCheckpointedState) {
-  ASSERT_TRUE(client_->PushDense(weight_, std::vector<double>(90, 5.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, weight_, std::vector<double>(90, 5.0)).ok());
   ASSERT_TRUE(master_->CheckpointAll().ok());
   // Updates after the checkpoint are lost on the failed server only.
-  ASSERT_TRUE(client_->PushDense(weight_, std::vector<double>(90, 1.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, weight_, std::vector<double>(90, 1.0)).ok());
   ASSERT_TRUE(master_->KillAndRecoverServer(1).ok());
 
-  std::vector<double> pulled = *client_->PullDense(weight_);
+  std::vector<double> pulled = *ReadRow(*client_, weight_);
   int restored = 0, fresh = 0;
   for (double v : pulled) {
     if (v == 5.0) ++restored;   // server 1's range: post-checkpoint push lost
@@ -79,16 +80,16 @@ TEST_F(ServerRecoveryTest, RecoverRestoresCheckpointedState) {
 }
 
 TEST_F(ServerRecoveryTest, RecoverWithoutCheckpointZeroes) {
-  ASSERT_TRUE(client_->PushDense(weight_, std::vector<double>(90, 5.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, weight_, std::vector<double>(90, 5.0)).ok());
   ASSERT_TRUE(master_->KillAndRecoverServer(0).ok());
-  std::vector<double> pulled = *client_->PullDense(weight_);
+  std::vector<double> pulled = *ReadRow(*client_, weight_);
   int zeros = 0;
   for (double v : pulled) zeros += v == 0.0;
   EXPECT_EQ(zeros, 30);
 }
 
 TEST_F(ServerRecoveryTest, CheckpointAndRecoveryChargeTime) {
-  ASSERT_TRUE(client_->PushDense(weight_, std::vector<double>(90, 5.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, weight_, std::vector<double>(90, 5.0)).ok());
   SimTime before = cluster_->clock().Now();
   ASSERT_TRUE(master_->CheckpointAll().ok());
   SimTime after_ckpt = cluster_->clock().Now();
@@ -113,8 +114,8 @@ TEST_F(ServerRecoveryTest, TrainingContinuesAfterRecovery) {
   // Convergence-style invariant: pushes after recovery accumulate normally.
   ASSERT_TRUE(master_->CheckpointAll().ok());
   ASSERT_TRUE(master_->KillAndRecoverServer(1).ok());
-  ASSERT_TRUE(client_->PushDense(weight_, std::vector<double>(90, 2.0)).ok());
-  std::vector<double> pulled = *client_->PullDense(weight_);
+  ASSERT_TRUE(WriteRow(*client_, weight_, std::vector<double>(90, 2.0)).ok());
+  std::vector<double> pulled = *ReadRow(*client_, weight_);
   for (double v : pulled) EXPECT_EQ(v, 2.0);
 }
 

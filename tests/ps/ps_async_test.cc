@@ -12,6 +12,7 @@
 #include "ps/ps_client.h"
 #include "ps/ps_future.h"
 #include "ps/ps_master.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
@@ -43,15 +44,16 @@ TEST_F(PsAsyncTest, AsyncPullMatchesSync) {
   RowRef w = NewMatrix(100);
   std::vector<double> values(100);
   for (size_t i = 0; i < 100; ++i) values[i] = static_cast<double>(i);
-  ASSERT_TRUE(client_->PushDenseAsync(w, values).Wait().ok());
-  EXPECT_EQ(*client_->PullDenseAsync(w).Get(), *client_->PullDense(w));
-  EXPECT_EQ(*client_->PullDenseAsync(w, ColRange::Of(30, 70)).Get(),
-            *client_->PullDense(w, ColRange::Of(30, 70)));
+  ASSERT_TRUE(client_->WriteRowsAsync({w}, values).Wait().ok());
+  EXPECT_EQ(*ReadRowAsync(*client_, w).Get(), *ReadRow(*client_, w));
+  const RowSelector window = RowSelector::Range(ColRange::Of(30, 70));
+  EXPECT_EQ(*ReadRowAsync(*client_, w, window).Get(),
+            *ReadRow(*client_, w, window));
 }
 
 TEST_F(PsAsyncTest, FutureReadyAfterWaitAndGetConsumesValue) {
   RowRef w = NewMatrix(40);
-  PsFuture<std::vector<double>> f = client_->PullDenseAsync(w);
+  PsFuture<std::vector<double>> f = ReadRowAsync(*client_, w);
   ASSERT_TRUE(f.Wait().ok());
   EXPECT_TRUE(f.Ready());
   EXPECT_EQ(f.Get()->size(), 40u);
@@ -59,8 +61,8 @@ TEST_F(PsAsyncTest, FutureReadyAfterWaitAndGetConsumesValue) {
 
 TEST_F(PsAsyncTest, ThenTransformsTheResult) {
   RowRef w = NewMatrix(50);
-  ASSERT_TRUE(client_->PushDense(w, std::vector<double>(50, 2.0)).ok());
-  PsFuture<double> sum = client_->PullDenseAsync(w).Then(
+  ASSERT_TRUE(WriteRow(*client_, w, std::vector<double>(50, 2.0)).ok());
+  PsFuture<double> sum = ReadRowAsync(*client_, w).Then(
       [](Result<std::vector<double>>&& pulled) -> Result<double> {
         PS2_RETURN_NOT_OK(pulled.status());
         double s = 0;
@@ -74,7 +76,7 @@ TEST_F(PsAsyncTest, ThenPropagatesErrors) {
   RowRef w = NewMatrix(10);
   // Index 10 is out of range; the error must flow through the chain.
   PsFuture<double> chained =
-      client_->PullSparseAsync(w, {10}).Then(
+      ReadRowAsync(*client_, w, RowSelector::Indices({10})).Then(
           [](Result<std::vector<double>>&& pulled) -> Result<double> {
             PS2_RETURN_NOT_OK(pulled.status());
             return (*pulled)[0];
@@ -90,22 +92,22 @@ TEST_F(PsAsyncTest, OverlappedPushesAllLand) {
     std::vector<PsFuture<Ack>> pending;
     for (int i = 0; i < 2; ++i) {
       pending.push_back(
-          client_->PushDenseAsync(w, std::vector<double>(200, 1.0)));
+          client_->WriteRowsAsync({w}, std::vector<double>(200, 1.0)));
     }
     for (auto& f : pending) EXPECT_TRUE(f.Wait().ok());
   });
-  std::vector<double> pulled = *client_->PullDense(w);
+  std::vector<double> pulled = *ReadRow(*client_, w);
   for (double v : pulled) EXPECT_DOUBLE_EQ(v, 16.0);
 }
 
 TEST_F(PsAsyncTest, AbandonedFuturesStillApplyAndReleaseTheWindow) {
   RowRef w = NewMatrix(60);
   for (int i = 0; i < 20; ++i) {
-    client_->PushDenseAsync(w, std::vector<double>(60, 0.5));  // dropped
+    client_->WriteRowsAsync({w}, std::vector<double>(60, 0.5));  // dropped
   }
   // Every op completed at issue; replacing the client loses nothing.
   client_ = std::make_unique<PsClient>(master_.get());
-  std::vector<double> pulled = *client_->PullDense(w);
+  std::vector<double> pulled = *ReadRow(*client_, w);
   for (double v : pulled) EXPECT_DOUBLE_EQ(v, 10.0);
 }
 
@@ -118,10 +120,10 @@ TEST_F(PsAsyncTest, AbandonedFuturesChargeTheCoordinatorClock) {
   RowRef w = NewMatrix(300);
   SimTime before = cluster_->clock().Now();
   uint64_t messages = cluster_->metrics().Get("net.messages");
-  client_->PushDenseAsync(w, std::vector<double>(300, 1.0));  // dropped
+  client_->WriteRowsAsync({w}, std::vector<double>(300, 1.0));  // dropped
   EXPECT_GT(cluster_->clock().Now(), before);
   EXPECT_GT(cluster_->metrics().Get("net.messages"), messages);
-  EXPECT_DOUBLE_EQ((*client_->PullDense(w))[0], 1.0);
+  EXPECT_DOUBLE_EQ((*ReadRow(*client_, w))[0], 1.0);
 }
 
 TEST_F(PsAsyncTest, OverlappedOpsChargeMaxNotSumOfRounds) {
@@ -133,7 +135,7 @@ TEST_F(PsAsyncTest, OverlappedOpsChargeMaxNotSumOfRounds) {
     TrafficScope scope(&async_traffic);
     std::vector<PsFuture<std::vector<double>>> pending;
     for (int i = 0; i < k; ++i) {
-      pending.push_back(client_->PullDenseAsync(w));
+      pending.push_back(ReadRowAsync(*client_, w));
     }
     for (auto& f : pending) ASSERT_TRUE(f.Wait().ok());
   }
@@ -144,7 +146,7 @@ TEST_F(PsAsyncTest, OverlappedOpsChargeMaxNotSumOfRounds) {
   TaskTraffic sync_traffic;
   {
     TrafficScope scope(&sync_traffic);
-    for (int i = 0; i < k; ++i) ASSERT_TRUE(client_->PullDense(w).ok());
+    for (int i = 0; i < k; ++i) ASSERT_TRUE(ReadRow(*client_, w).ok());
   }
   // The serial path charges every round; bytes are identical either way.
   EXPECT_EQ(sync_traffic.rounds, static_cast<uint64_t>(k));
@@ -162,7 +164,7 @@ TEST_F(PsAsyncTest, SequentialAsyncOpsAreNotPipelined) {
     TrafficScope scope(&traffic);
     for (int i = 0; i < 3; ++i) {
       // Harvested before the next issue: nothing overlaps.
-      ASSERT_TRUE(client_->PullDenseAsync(w).Wait().ok());
+      ASSERT_TRUE(ReadRowAsync(*client_, w).Wait().ok());
     }
   }
   EXPECT_EQ(traffic.rounds, 3u);
@@ -172,7 +174,7 @@ TEST_F(PsAsyncTest, SequentialAsyncOpsAreNotPipelined) {
 TEST_F(PsAsyncTest, DriverHarvestAdvancesClock) {
   RowRef w = NewMatrix(500);
   PsFuture<Ack> f =
-      client_->PushDenseAsync(w, std::vector<double>(500, 1.0));
+      client_->WriteRowsAsync({w}, std::vector<double>(500, 1.0));
   SimTime before = cluster_->clock().Now();
   ASSERT_TRUE(f.Wait().ok());
   EXPECT_GT(cluster_->clock().Now(), before);  // charged at harvest
@@ -180,7 +182,7 @@ TEST_F(PsAsyncTest, DriverHarvestAdvancesClock) {
 
 TEST_F(PsAsyncTest, AsyncPullsRaceServerCrashAndRecovery) {
   RowRef w = NewMatrix(900);
-  ASSERT_TRUE(client_->PushDense(w, std::vector<double>(900, 3.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, w, std::vector<double>(900, 3.0)).ok());
   ASSERT_TRUE(master_->CheckpointAll().ok());
   // Reads race a crash/restore of every server in turn. A pull that lands
   // inside the drop/restore window may see a zeroed slice, but never a torn
@@ -189,9 +191,9 @@ TEST_F(PsAsyncTest, AsyncPullsRaceServerCrashAndRecovery) {
   std::vector<PsFuture<std::vector<double>>> pending;
   for (int round = 0; round < 4; ++round) {
     for (int s = 0; s < 3; ++s) {
-      pending.push_back(client_->PullDenseAsync(w));
+      pending.push_back(ReadRowAsync(*client_, w));
       ASSERT_TRUE(master_->KillAndRecoverServer(s).ok());
-      pending.push_back(client_->PullDenseAsync(w));
+      pending.push_back(ReadRowAsync(*client_, w));
     }
   }
   for (auto& f : pending) {
@@ -200,7 +202,7 @@ TEST_F(PsAsyncTest, AsyncPullsRaceServerCrashAndRecovery) {
     ASSERT_EQ(pulled->size(), 900u);
     for (double v : *pulled) ASSERT_TRUE(v == 3.0 || v == 0.0) << v;
   }
-  std::vector<double> settled = *client_->PullDense(w);
+  std::vector<double> settled = *ReadRow(*client_, w);
   for (double v : settled) ASSERT_DOUBLE_EQ(v, 3.0);
 }
 
@@ -209,7 +211,7 @@ TEST_F(PsAsyncTest, AsyncPushesRaceServerCrashAndRecovery) {
   std::vector<PsFuture<Ack>> pending;
   for (int i = 0; i < 8; ++i) {
     pending.push_back(
-        client_->PushDenseAsync(w, std::vector<double>(300, 1.0)));
+        client_->WriteRowsAsync({w}, std::vector<double>(300, 1.0)));
     if (i % 2 == 0) {
       // No checkpoint exists: recovery rebuilds an empty shard, dropping
       // whatever already landed there. The surviving counts stay within
@@ -218,7 +220,7 @@ TEST_F(PsAsyncTest, AsyncPushesRaceServerCrashAndRecovery) {
     }
   }
   for (auto& f : pending) EXPECT_TRUE(f.Wait().ok());
-  std::vector<double> pulled = *client_->PullDense(w);
+  std::vector<double> pulled = *ReadRow(*client_, w);
   for (double v : pulled) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 8.0);
@@ -228,8 +230,8 @@ TEST_F(PsAsyncTest, AsyncPushesRaceServerCrashAndRecovery) {
 TEST_F(PsAsyncTest, ColumnOpAsyncAndDotAsync) {
   RowRef a = NewMatrix(80);
   RowRef b = *master_->AllocateRow(a.matrix_id);
-  ASSERT_TRUE(client_->PushDense(a, std::vector<double>(80, 2.0)).ok());
-  ASSERT_TRUE(client_->PushDense(b, std::vector<double>(80, 3.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, a, std::vector<double>(80, 2.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, b, std::vector<double>(80, 3.0)).ok());
   PsFuture<Ack> axpy =
       client_->ColumnOpsAsync({{ColOpKind::kAxpy, {b, a}, 10.0}});
   ASSERT_TRUE(axpy.Wait().ok());
@@ -293,7 +295,7 @@ TEST_F(PsAsyncTest, ShardScopedFanoutRunsEveryRequestExactlyOnce) {
   }
   EXPECT_EQ(calls.load(), rounds * master_->num_servers());
   EXPECT_EQ(on_issuer.load(), 0);
-  std::vector<double> pulled = *client_->PullDense(w);
+  std::vector<double> pulled = *ReadRow(*client_, w);
   for (double v : pulled) EXPECT_DOUBLE_EQ(v, rounds);
 }
 

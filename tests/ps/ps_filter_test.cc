@@ -18,6 +18,7 @@
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
 #include "ps/ps_server.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
@@ -66,10 +67,11 @@ TEST(PsFilterTest, LosslessFiltersAreBitExactEndToEnd) {
     std::vector<double> delta(60);
     for (int i = 0; i < 60; ++i) delta[i] = 0.125 * i - 3.0;
     for (int round = 0; round < 5; ++round) {
-      EXPECT_TRUE(f.client->PushDense(f.weight, delta).ok());
-      EXPECT_TRUE(f.client->PullSparse(f.weight, EveryThird(60)).ok());
+      EXPECT_TRUE(WriteRow(*f.client, f.weight, delta).ok());
+      EXPECT_TRUE(ReadRow(*f.client, f.weight,
+                          RowSelector::Indices(EveryThird(60))).ok());
     }
-    return *f.client->PullDense(f.weight);
+    return *ReadRow(*f.client, f.weight);
   };
   EXPECT_EQ(run("off"), run("keycache,compress"));
 }
@@ -82,7 +84,8 @@ TEST(PsFilterTest, WireBytesUndercutLogicalBytesOnSparseWorkload) {
   Fixture f(SpecWithFilters("keycache,delta,compress", 1), {}, 6000);
   const std::vector<uint64_t> indices = EveryThird(6000);
   for (int round = 0; round < 8; ++round) {
-    ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());
+    ASSERT_TRUE(ReadRow(*f.client, f.weight,
+                        RowSelector::Indices(indices)).ok());
   }
   const uint64_t wire = f.Metric("net.bytes_wire");
   const uint64_t logical = f.Metric("net.bytes_logical");
@@ -96,7 +99,8 @@ TEST(PsFilterTest, WireBytesUndercutLogicalBytesOnSparseWorkload) {
   // Filters off on the same workload: wire bytes equal logical bytes.
   Fixture off(SpecWithFilters("off", 1), {}, 6000);
   for (int round = 0; round < 8; ++round) {
-    ASSERT_TRUE(off.client->PullSparse(off.weight, indices).ok());
+    ASSERT_TRUE(ReadRow(*off.client, off.weight,
+                        RowSelector::Indices(indices)).ok());
   }
   EXPECT_EQ(off.Metric("net.bytes_wire"), off.Metric("net.bytes_logical"));
 }
@@ -106,8 +110,9 @@ TEST(PsFilterTest, FilteredTrafficIsDeterministic) {
     Fixture f(SpecWithFilters("keycache,delta,compress"));
     for (int round = 0; round < 4; ++round) {
       EXPECT_TRUE(
-          f.client->PushDense(f.weight, std::vector<double>(60, 0.5)).ok());
-      EXPECT_TRUE(f.client->PullSparse(f.weight, EveryThird(60)).ok());
+          WriteRow(*f.client, f.weight, std::vector<double>(60, 0.5)).ok());
+      EXPECT_TRUE(ReadRow(*f.client, f.weight,
+                          RowSelector::Indices(EveryThird(60))).ok());
     }
     return std::make_pair(f.Metric("net.bytes_wire"),
                           f.Metric("net.bytes_logical"));
@@ -125,8 +130,8 @@ TEST(PsFilterTest, DeltaQuantErrorIsBoundedEndToEnd) {
     delta[i] = std::sin(0.37 * i) * 4.0;
     max_abs = std::max(max_abs, std::fabs(delta[i]));
   }
-  ASSERT_TRUE(f.client->PushDense(f.weight, delta).ok());
-  std::vector<double> pulled = *f.client->PullDense(f.weight);
+  ASSERT_TRUE(WriteRow(*f.client, f.weight, delta).ok());
+  std::vector<double> pulled = *ReadRow(*f.client, f.weight);
   const double step = max_abs / 32767.0;
   for (int i = 0; i < 60; ++i) {
     EXPECT_NEAR(pulled[i], delta[i], 1.01 * step) << "index " << i;
@@ -140,9 +145,12 @@ TEST(PsFilterTest, ClientOptionsOverrideClusterFilterConfig) {
   options.filters = *FilterConfig::Parse("keycache,compress");
   Fixture f(spec, options);
   const std::vector<uint64_t> indices = EveryThird(60);
-  ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());  // sighted
-  ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());  // installed
-  ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());  // ref
+  ASSERT_TRUE(ReadRow(*f.client, f.weight,
+                      RowSelector::Indices(indices)).ok());  // sighted
+  ASSERT_TRUE(ReadRow(*f.client, f.weight,
+                      RowSelector::Indices(indices)).ok());  // installed
+  ASSERT_TRUE(ReadRow(*f.client, f.weight,
+                      RowSelector::Indices(indices)).ok());  // ref
   EXPECT_GE(f.Metric("ps.keycache_installs"), 1u);
   EXPECT_GE(f.Metric("ps.keycache_hits"), 1u);
 }
@@ -155,17 +163,21 @@ TEST(PsFilterTest, KeyCacheMissProtocolSurvivesServerRecovery) {
   const std::vector<uint64_t> indices = EveryThird(60);
   std::vector<double> delta(60);
   for (int i = 0; i < 60; ++i) delta[i] = 1.0 + i;
-  ASSERT_TRUE(f.client->PushDense(f.weight, delta).ok());
-  ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());  // sighted
-  ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());  // install
-  ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());  // ref
+  ASSERT_TRUE(WriteRow(*f.client, f.weight, delta).ok());
+  ASSERT_TRUE(ReadRow(*f.client, f.weight,
+                      RowSelector::Indices(indices)).ok());  // sighted
+  ASSERT_TRUE(ReadRow(*f.client, f.weight,
+                      RowSelector::Indices(indices)).ok());  // install
+  ASSERT_TRUE(ReadRow(*f.client, f.weight,
+                      RowSelector::Indices(indices)).ok());  // ref
   EXPECT_GE(f.Metric("ps.keycache_hits"), 1u);
   EXPECT_EQ(f.Metric("ps.keycache_misses"), 0u);
 
   ASSERT_TRUE(f.master->CheckpointAll().ok());
   ASSERT_TRUE(f.master->KillAndRecoverServer(0).ok());
 
-  Result<std::vector<double>> pulled = f.client->PullSparse(f.weight, indices);
+  Result<std::vector<double>> pulled =
+      ReadRow(*f.client, f.weight, RowSelector::Indices(indices));
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   EXPECT_GE(f.Metric("ps.keycache_misses"), 1u);
   for (size_t i = 0; i < indices.size(); ++i) {
@@ -173,7 +185,7 @@ TEST(PsFilterTest, KeyCacheMissProtocolSurvivesServerRecovery) {
   }
   // After the forced re-install the cache works again, without new misses.
   const uint64_t misses = f.Metric("ps.keycache_misses");
-  ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());
+  ASSERT_TRUE(ReadRow(*f.client, f.weight, RowSelector::Indices(indices)).ok());
   EXPECT_EQ(f.Metric("ps.keycache_misses"), misses);
 }
 
@@ -188,7 +200,8 @@ TEST(PsFilterTest, KeyCacheKeepsWorkingPastItsCapacity) {
   for (size_t k = 0; k < kLists; ++k) {
     std::vector<uint64_t> keys;
     for (uint64_t j = 0; j < 30; ++j) keys.push_back(k + 2 * j);
-    ASSERT_TRUE(f.client->PullSparse(f.weight, keys).ok()) << k;
+    ASSERT_TRUE(ReadRow(*f.client, f.weight,
+                        RowSelector::Indices(keys)).ok()) << k;
     ASSERT_TRUE(
         f.client->PushSparse(f.weight, SparseVector(keys, std::vector<double>(
                                                               30, 0.5)))
@@ -213,10 +226,11 @@ TEST(PsFilterTest, DuplicateDeliveryComposesWithDedup) {
     const int n = 50;
     for (int i = 0; i < n; ++i) {
       EXPECT_TRUE(
-          f.client->PushDense(f.weight, std::vector<double>(60, 1.0)).ok());
-      EXPECT_TRUE(f.client->PullSparse(f.weight, EveryThird(60)).ok());
+          WriteRow(*f.client, f.weight, std::vector<double>(60, 1.0)).ok());
+      EXPECT_TRUE(ReadRow(*f.client, f.weight,
+                          RowSelector::Indices(EveryThird(60))).ok());
     }
-    std::vector<double> pulled = *f.client->PullDense(f.weight);
+    std::vector<double> pulled = *ReadRow(*f.client, f.weight);
     for (double v : pulled) EXPECT_DOUBLE_EQ(v, static_cast<double>(n));
     return std::make_pair(pulled, f.Metric("ps.dedup_hits"));
   };
@@ -235,9 +249,10 @@ TEST(PsFilterTest, FiltersOffHotPathPerformsZeroDeepCopies) {
   const std::vector<uint64_t> indices = EveryThird(60);
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(
-        f.client->PushDense(f.weight, std::vector<double>(60, 2.0)).ok());
-    ASSERT_TRUE(f.client->PullSparse(f.weight, indices).ok());
-    ASSERT_TRUE(f.client->PullDense(f.weight).ok());
+        WriteRow(*f.client, f.weight, std::vector<double>(60, 2.0)).ok());
+    ASSERT_TRUE(ReadRow(*f.client, f.weight,
+                        RowSelector::Indices(indices)).ok());
+    ASSERT_TRUE(ReadRow(*f.client, f.weight).ok());
   }
   EXPECT_EQ(SharedBuf::DeepCopies(), 0u);
 }

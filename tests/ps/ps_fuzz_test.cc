@@ -1,10 +1,17 @@
 // Robustness: PsServer::Handle must reject arbitrary byte sequences with a
 // Status — never crash, never corrupt state — because in the real system
 // the request buffer comes off the network.
+//
+// The random trials draw from each test's fixed seed. Set PS2_FUZZ_SEED to
+// mix a fresh value into every seed (the nightly CI leg exports its run
+// id); each failure message names the seeds, so any run reproduces.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "linalg/sparse_vector.h"
@@ -13,9 +20,24 @@
 #include "net/message.h"
 #include "ps/partitioner.h"
 #include "ps/ps_server.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
+
+/// `constant` mixed with PS2_FUZZ_SEED when that is set, else `constant`.
+uint64_t FuzzSeed(uint64_t constant) {
+  const char* env = std::getenv("PS2_FUZZ_SEED");
+  return env != nullptr ? constant ^ std::strtoull(env, nullptr, 10)
+                        : constant;
+}
+
+/// The trace every seeded test carries, so a failure names its seeds.
+std::string SeedTrace(uint64_t seed) {
+  const char* env = std::getenv("PS2_FUZZ_SEED");
+  return "PS2_FUZZ_SEED=" + std::string(env != nullptr ? env : "(unset)") +
+         " rng seed " + std::to_string(seed);
+}
 
 MatrixMeta MakeMeta(int id, uint64_t dim, uint32_t rows) {
   MatrixMeta meta;
@@ -38,17 +60,34 @@ class PsFuzzTest : public ::testing::Test {
         });
   }
 
+  /// A kWriteRows request adding `values` to the whole slice of `row` of
+  /// matrix 0.
+  static std::vector<uint8_t> AllWrite(uint32_t row,
+                                       const std::vector<double>& values) {
+    BufferWriter w;
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+    w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kAll));
+    w.WriteVarint(1);
+    w.WriteVarint(0);
+    w.WriteVarint(row);
+    w.WriteVarint(values.size());
+    w.WriteF64Span(values.data(), values.size());
+    return w.Release();
+  }
+
   UdfRegistry udfs_;
   PsServer server_;
 };
 
 TEST_F(PsFuzzTest, RandomBytesNeverCrash) {
-  Rng rng(0xF0220);
+  const uint64_t seed = FuzzSeed(0xF0220);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
   for (int trial = 0; trial < 5000; ++trial) {
     size_t len = rng.NextUint64(64);
     std::vector<uint8_t> request(len);
     for (auto& b : request) b = static_cast<uint8_t>(rng.Next());
-    Result<PsServer::HandleResult> result = server_.Handle(request);
+    Result<PsServer::HandleResult> result = HandleBytes(server_, request);
     // Either it parsed into a valid op or it errored; both are fine.
     (void)result;
   }
@@ -58,7 +97,9 @@ TEST_F(PsFuzzTest, RandomBytesNeverCrash) {
 }
 
 TEST_F(PsFuzzTest, ValidOpcodeGarbageBodyNeverCrashes) {
-  Rng rng(0xF0221);
+  const uint64_t seed = FuzzSeed(0xF0221);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
   // Derived from the opcode count so a new opcode is fuzzed on arrival.
   for (int opcode = 0; opcode < kNumPsOpCodes; ++opcode) {
     for (int trial = 0; trial < 500; ++trial) {
@@ -68,36 +109,32 @@ TEST_F(PsFuzzTest, ValidOpcodeGarbageBodyNeverCrashes) {
       for (size_t i = 1; i < request.size(); ++i) {
         request[i] = static_cast<uint8_t>(rng.Next());
       }
-      (void)server_.Handle(request);
+      (void)HandleBytes(server_, request);
     }
   }
   EXPECT_TRUE(server_.HasMatrix(0));
 }
 
 TEST_F(PsFuzzTest, EmptyRequestRejected) {
-  EXPECT_FALSE(server_.Handle({}).ok());
+  EXPECT_FALSE(HandleBytes(server_, {}).ok());
 }
 
 TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
-  // Valid requests — a pull, a ColumnOps batch of axpys and an Aggregate
-  // batch of dots — replayed at every truncation. Each batch is one run: a
-  // prefix ending on a run boundary would be a shorter valid request.
+  // Valid requests — a row read, a ColumnOps batch of axpys and an
+  // Aggregate batch of dots — replayed at every truncation. Each batch is
+  // one run: a prefix ending on a run boundary would be a shorter valid
+  // request.
   std::vector<double> ones(64, 1.0);
-  BufferWriter seed;
-  seed.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
-  seed.WriteVarint(0);
-  seed.WriteVarint(1);
-  seed.WriteVarint(0);
-  seed.WriteVarint(64);
-  seed.WriteF64Span(ones.data(), ones.size());
-  ASSERT_TRUE(server_.Handle(seed.Release()).ok());
+  ASSERT_TRUE(HandleBytes(server_, AllWrite(1, ones)).ok());
 
   BufferWriter pull;
-  pull.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-  pull.WriteVarint(0);
-  pull.WriteVarint(1);
+  pull.WriteU8(static_cast<uint8_t>(PsOpCode::kReadRows));
+  pull.WriteU8(static_cast<uint8_t>(RowSelectorKind::kRange));
   pull.WriteVarint(0);
   pull.WriteVarint(64);
+  pull.WriteVarint(1);
+  pull.WriteVarint(0);
+  pull.WriteVarint(1);
   BufferWriter column_ops;
   column_ops.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOps));
   column_ops.WriteU8(static_cast<uint8_t>(ColOpKind::kAxpy));
@@ -124,7 +161,7 @@ TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
     const std::vector<uint8_t>& full = writer->buffer();
     for (size_t len = 0; len < full.size(); ++len) {
       std::vector<uint8_t> truncated(full.begin(), full.begin() + len);
-      EXPECT_FALSE(server_.Handle(truncated).ok())
+      EXPECT_FALSE(HandleBytes(server_, truncated).ok())
           << "opcode " << int{full[0]} << " length " << len;
     }
   }
@@ -136,12 +173,12 @@ TEST_F(PsFuzzTest, TruncatedValidRequestsRejected) {
     check.WriteVarint(1);
     check.WriteVarint(0);
     check.WriteVarint(row);
-    Result<PsServer::HandleResult> nnz = server_.Handle(check.buffer());
+    Result<PsServer::HandleResult> nnz = HandleBytes(server_, check.buffer());
     ASSERT_TRUE(nnz.ok()) << nnz.status();
     EXPECT_EQ(*BufferReader(nnz->response).ReadF64(), 0.0) << "row " << row;
   }
   for (const BufferWriter* writer : {&pull, &column_ops, &aggregate}) {
-    EXPECT_TRUE(server_.Handle(writer->buffer()).ok())
+    EXPECT_TRUE(HandleBytes(server_, writer->buffer()).ok())
         << "opcode " << int{writer->buffer()[0]};
   }
 }
@@ -150,7 +187,7 @@ TEST_F(PsFuzzTest, ForgedCompressedFrameRejected) {
   // A tracked request whose compress-filtered body claims a raw length of
   // 2^61: decoding must fail with a Status instead of allocating it.
   BufferWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
   writer.WriteVarint(uint64_t{1} << 61);  // raw_len
   writer.WriteU8(0);                      // one-byte literal run
   writer.WriteVarint(1);
@@ -164,22 +201,16 @@ TEST_F(PsFuzzTest, ForgedCompressedFrameRejected) {
 
   // The server stays usable, and the rejected mutation's seq was not
   // consumed: a valid push under it applies instead of acking as a replay.
-  BufferWriter push;
-  push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
-  push.WriteVarint(0);
-  push.WriteVarint(1);
-  push.WriteVarint(0);
-  push.WriteVarint(64);
-  const std::vector<double> ones(64, 1.0);
-  push.WriteF64Span(ones.data(), ones.size());
-  Result<PsServer::HandleResult> ok = server_.Handle(header, push.Release());
+  Result<PsServer::HandleResult> ok =
+      HandleBytes(server_, AllWrite(1, std::vector<double>(64, 1.0)), header);
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_FALSE(ok->dedup_hit);
   EXPECT_EQ(ok->server_ops, 64u);
 }
 
-// A kPullSparse / kPushSparse request for `row` of matrix 0 over a random
-// key subset, with the section marks the client's filter chain keys on.
+// A kReadRows / kWriteRows index request for `row` of matrix 0 over a
+// random key subset, with the section marks the client's filter chain keys
+// on.
 struct MarkedRequest {
   std::vector<uint8_t> bytes;
   std::vector<PayloadSection> sections;
@@ -192,13 +223,21 @@ MarkedRequest SparseRequest(PsOpCode op, uint32_t row, Rng* rng) {
   }
   BufferWriter w;
   w.WriteU8(static_cast<uint8_t>(op));
-  w.WriteVarint(0);
-  w.WriteVarint(row);
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices));
+  if (op == PsOpCode::kWriteRows) {
+    w.WriteVarint(1);
+    w.WriteVarint(0);
+    w.WriteVarint(row);
+  }
   w.WriteVarint(keys.size());
   w.BeginSection(SectionKind::kKeys);
   w.WriteDeltaKeys(keys.data(), keys.size());
   w.EndSection();
-  if (op == PsOpCode::kPushSparse) {
+  if (op == PsOpCode::kReadRows) {
+    w.WriteVarint(1);
+    w.WriteVarint(0);
+    w.WriteVarint(row);
+  } else {
     std::vector<double> values;
     for (size_t i = 0; i < keys.size(); ++i) {
       values.push_back(rng->NextDouble(-1.0, 1.0));
@@ -218,12 +257,14 @@ TEST_F(PsFuzzTest, FilteredFramesNeverCrash) {
   // refs, quantized value spans, LZ) before the handler parses anything.
   // Behind real sparse-op prefixes, feed each of the 8 masks both random
   // bodies and byte-flipped real frames: every outcome must be a Status.
-  Rng rng(0xF0224);
+  const uint64_t seed = FuzzSeed(0xF0224);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
   FilterChain chain;
   ClientKeyCache client_keys;
   RpcHeader header;
   header.client_id = 0;
-  for (PsOpCode op : {PsOpCode::kPullSparse, PsOpCode::kPushSparse}) {
+  for (PsOpCode op : {PsOpCode::kReadRows, PsOpCode::kWriteRows}) {
     for (uint8_t mask = 0; mask <= kFilterAll; ++mask) {
       for (int trial = 0; trial < 300; ++trial) {
         std::vector<uint8_t> body(1 + rng.NextUint64(64));
@@ -255,15 +296,15 @@ TEST_F(PsFuzzTest, FilteredFramesNeverCrash) {
   }
   EXPECT_TRUE(server_.HasMatrix(0));
   EXPECT_EQ(server_.StoredValues(), 4u * 64u);
-  MarkedRequest pull = SparseRequest(PsOpCode::kPullSparse, 0, &rng);
-  EXPECT_TRUE(server_.Handle(pull.bytes).ok());
+  MarkedRequest pull = SparseRequest(PsOpCode::kReadRows, 0, &rng);
+  EXPECT_TRUE(HandleBytes(server_, pull.bytes).ok());
 }
 
 TEST_F(PsFuzzTest, ForgedQuantCountRejected) {
   // A delta-filtered push whose one kValuesQuant chunk claims 2^40 values
   // over a 3-byte body: rejected with a Status, nothing sized from it.
   BufferWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+  writer.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
   writer.WriteVarint(1);  // one chunk
   writer.WriteU8(FilterChunk::kValuesQuant);
   writer.WriteVarint(uint64_t{1} << 40);
@@ -286,7 +327,9 @@ TEST_F(PsFuzzTest, ForgedQuantCountRejected) {
 
 TEST_F(PsFuzzTest, CorruptedCheckpointRejectedWithoutCrash) {
   std::vector<uint8_t> image = server_.SerializeState();
-  Rng rng(0xF0222);
+  const uint64_t seed = FuzzSeed(0xF0222);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<uint8_t> corrupted = image;
     // Flip a few random bytes.
@@ -298,6 +341,125 @@ TEST_F(PsFuzzTest, CorruptedCheckpointRejectedWithoutCrash) {
   }
   // A clean image must still restore.
   EXPECT_TRUE(server_.RestoreState(image).ok());
+}
+
+TEST_F(PsFuzzTest, ForgedRowRequestsRejected) {
+  // Hand-forged kReadRows / kWriteRows fields, each rejected by the decoder
+  // with a Status and nothing applied.
+  const std::vector<uint8_t> image = server_.SerializeState();
+  auto frame = [](PsOpCode op, uint8_t tag) {
+    BufferWriter w;
+    w.WriteU8(static_cast<uint8_t>(op));
+    w.WriteU8(tag);
+    return w;
+  };
+  auto row = [](BufferWriter* w, uint64_t n_rows) {
+    w->WriteVarint(n_rows);
+    w->WriteVarint(0);  // matrix
+    w->WriteVarint(1);  // row
+  };
+  const uint8_t range = static_cast<uint8_t>(RowSelectorKind::kRange);
+  const uint8_t indices = static_cast<uint8_t>(RowSelectorKind::kIndices);
+  std::vector<std::pair<std::string, BufferWriter>> cases;
+
+  // Selector tags: kind 3, an unknown flag bit, the replica flag on a read.
+  for (uint8_t tag : {uint8_t{3}, uint8_t{0x40}, uint8_t{0x80 | 1}}) {
+    BufferWriter read = frame(PsOpCode::kReadRows, tag);
+    row(&read, 1);
+    cases.emplace_back("read tag " + std::to_string(tag), std::move(read));
+    BufferWriter write = frame(PsOpCode::kWriteRows, tag);
+    row(&write, 1);
+    write.WriteVarint(0);
+    cases.emplace_back("write tag " + std::to_string(tag), std::move(write));
+  }
+  BufferWriter replica_read = frame(PsOpCode::kReadRows, kRowSelectorReplica);
+  row(&replica_read, 1);
+  cases.emplace_back("replica read", std::move(replica_read));
+
+  // A window ending past the 64-column slice, and one whose end wraps.
+  for (uint64_t begin : {uint64_t{60}, ~uint64_t{0} - 3}) {
+    BufferWriter read = frame(PsOpCode::kReadRows, range);
+    read.WriteVarint(begin);
+    read.WriteVarint(8);
+    row(&read, 1);
+    cases.emplace_back("read window at " + std::to_string(begin),
+                       std::move(read));
+    BufferWriter write = frame(PsOpCode::kWriteRows, range);
+    row(&write, 1);
+    write.WriteVarint(begin);
+    write.WriteVarint(8);
+    for (int i = 0; i < 8; ++i) write.WriteF64(1.0);
+    cases.emplace_back("write window at " + std::to_string(begin),
+                       std::move(write));
+  }
+
+  // An index count past the body.
+  BufferWriter long_read = frame(PsOpCode::kReadRows, indices);
+  long_read.WriteVarint(1000);
+  long_read.WriteVarint(1);
+  long_read.WriteVarint(1);
+  row(&long_read, 1);
+  cases.emplace_back("read index count", std::move(long_read));
+  BufferWriter long_write = frame(PsOpCode::kWriteRows, indices);
+  row(&long_write, 1);
+  long_write.WriteVarint(1000);
+  long_write.WriteVarint(1);
+  long_write.WriteF64(1.0);
+  cases.emplace_back("write index count", std::move(long_write));
+
+  // A row count no body could hold.
+  for (PsOpCode op : {PsOpCode::kReadRows, PsOpCode::kWriteRows}) {
+    BufferWriter rows = frame(op, static_cast<uint8_t>(RowSelectorKind::kAll));
+    row(&rows, uint64_t{1} << 40);
+    cases.emplace_back(std::string("row count of ") + PsOpCodeName(op),
+                       std::move(rows));
+  }
+
+  // An integer-coded write whose last value is a truncated varint, after a
+  // valid first run.
+  BufferWriter ints = frame(PsOpCode::kWriteRows, indices);
+  row(&ints, 1);
+  ints.WriteVarint(1);
+  ints.WriteVarint(2);
+  ints.WriteF64(1.0);
+  ints.WriteU8(indices | kRowSelectorIntValues);
+  row(&ints, 1);
+  ints.WriteVarint(2);
+  const uint64_t keys[] = {4, 9};
+  ints.WriteDeltaKeys(keys, 2);
+  ints.WriteSignedVarint(3);
+  ints.WriteU8(0x80);  // a continuation byte with nothing after it
+  cases.emplace_back("truncated integer value", std::move(ints));
+
+  for (const auto& [name, w] : cases) {
+    Result<PsServer::HandleResult> r = HandleBytes(server_, w.buffer());
+    EXPECT_FALSE(r.ok()) << name;
+  }
+  EXPECT_EQ(server_.SerializeState(), image);
+
+  // The same integer-coded write, completed, applies both runs.
+  BufferWriter good = frame(PsOpCode::kWriteRows, indices);
+  row(&good, 1);
+  good.WriteVarint(1);
+  good.WriteVarint(2);
+  good.WriteF64(1.0);
+  good.WriteU8(indices | kRowSelectorIntValues);
+  row(&good, 1);
+  good.WriteVarint(2);
+  good.WriteDeltaKeys(keys, 2);
+  good.WriteSignedVarint(3);
+  good.WriteSignedVarint(-5);
+  ASSERT_TRUE(HandleBytes(server_, good.buffer()).ok());
+  BufferWriter read = frame(PsOpCode::kReadRows, indices);
+  const uint64_t all_keys[] = {2, 4, 9};
+  read.WriteVarint(3);
+  read.WriteDeltaKeys(all_keys, 3);
+  row(&read, 1);
+  Result<PsServer::HandleResult> values = HandleBytes(server_, read.buffer());
+  ASSERT_TRUE(values.ok()) << values.status();
+  BufferReader in(values->response);
+  EXPECT_EQ(*in.ReadVarint(), 3u);
+  EXPECT_EQ(*in.ReadF64Span(3), (std::vector<double>{1.0, 3.0, -5.0}));
 }
 
 TEST_F(PsFuzzTest, ForgedMatrixIdsRejected) {
@@ -313,21 +475,37 @@ TEST_F(PsFuzzTest, ForgedMatrixIdsRejected) {
       uint64_t{1} << 32,
   };
   for (uint64_t id : ids) {
-    BufferWriter pull;
-    pull.WriteU8(static_cast<uint8_t>(PsOpCode::kPullRowsBatch));
-    pull.WriteVarint(1);
-    pull.WriteVarint(id);
-    pull.WriteVarint(0);
-    EXPECT_TRUE(server_.Handle(pull.buffer()).status().IsNotFound()) << id;
+    // A read and a write of each selector kind.
+    for (RowSelectorKind kind :
+         {RowSelectorKind::kAll, RowSelectorKind::kRange,
+          RowSelectorKind::kIndices}) {
+      BufferWriter pull;
+      pull.WriteU8(static_cast<uint8_t>(PsOpCode::kReadRows));
+      pull.WriteU8(static_cast<uint8_t>(kind));
+      if (kind != RowSelectorKind::kAll) {
+        pull.WriteVarint(kind == RowSelectorKind::kRange ? 0 : 1);
+        pull.WriteVarint(kind == RowSelectorKind::kRange ? 8 : 3);
+      }
+      pull.WriteVarint(1);
+      pull.WriteVarint(id);
+      pull.WriteVarint(0);
+      EXPECT_TRUE(HandleBytes(server_, pull.buffer()).status().IsNotFound())
+          << id << " kind " << int{static_cast<uint8_t>(kind)};
 
-    BufferWriter push;
-    push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushRowsBatch));
-    push.WriteVarint(1);
-    push.WriteVarint(id);
-    push.WriteVarint(0);
-    push.WriteVarint(row.size());
-    push.WriteF64Span(row.data(), row.size());
-    EXPECT_TRUE(server_.Handle(push.buffer()).status().IsNotFound()) << id;
+      BufferWriter push;
+      push.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+      push.WriteU8(static_cast<uint8_t>(kind));
+      push.WriteVarint(1);
+      push.WriteVarint(id);
+      push.WriteVarint(0);
+      if (kind == RowSelectorKind::kRange) push.WriteVarint(0);
+      push.WriteVarint(kind == RowSelectorKind::kIndices ? 1 : row.size());
+      if (kind == RowSelectorKind::kIndices) push.WriteVarint(3);
+      push.WriteF64Span(row.data(),
+                        kind == RowSelectorKind::kIndices ? 1 : row.size());
+      EXPECT_TRUE(HandleBytes(server_, push.buffer()).status().IsNotFound())
+          << id << " kind " << int{static_cast<uint8_t>(kind)};
+    }
 
     // A staged range for the id, then the commit that would create its
     // shard here: both refused, the id was never admitted.
@@ -342,7 +520,8 @@ TEST_F(PsFuzzTest, ForgedMatrixIdsRejected) {
     migrate.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
     migrate.WriteF64Span(row.data(), 8);
     migrate.WriteVarint(0);  // worker clocks
-    EXPECT_TRUE(server_.Handle(migrate.buffer()).status().IsNotFound()) << id;
+    EXPECT_TRUE(HandleBytes(server_, migrate.buffer()).status().IsNotFound())
+        << id;
 
     BufferWriter commit;
     commit.WriteU8(static_cast<uint8_t>(PsOpCode::kRoutingUpdate));
@@ -354,7 +533,8 @@ TEST_F(PsFuzzTest, ForgedMatrixIdsRejected) {
     commit.WriteVarint(64);
     commit.WriteVarint(1);
     commit.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
-    EXPECT_TRUE(server_.Handle(commit.buffer()).status().IsNotFound()) << id;
+    EXPECT_TRUE(HandleBytes(server_, commit.buffer()).status().IsNotFound())
+        << id;
 
     // A checkpoint image whose one shard claims the id.
     ASSERT_EQ(image[0], 1);  // one shard, matrix 0
@@ -382,7 +562,7 @@ TEST_F(PsFuzzTest, ForgedServingPullMatrixIdsRejected) {
     pull.WriteVarint(id);
     pull.WriteVarint(0);  // row
     pull.WriteVarint(0);  // full slice
-    return server_.Handle(pull.buffer());
+    return HandleBytes(server_, pull.buffer());
   };
   ASSERT_TRUE(serving_pull(0).ok());  // the live matrix itself serves
   const uint64_t ids[] = {
@@ -398,7 +578,9 @@ TEST_F(PsFuzzTest, ForgedServingPullMatrixIdsRejected) {
 }
 
 TEST_F(PsFuzzTest, SparseVectorDeserializeFuzz) {
-  Rng rng(0xF0223);
+  const uint64_t seed = FuzzSeed(0xF0223);
+  SCOPED_TRACE(SeedTrace(seed));
+  Rng rng(seed);
   for (int trial = 0; trial < 5000; ++trial) {
     size_t len = rng.NextUint64(40);
     std::vector<uint8_t> buffer(len);

@@ -13,6 +13,7 @@
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
 #include "ps/ps_server.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
@@ -38,7 +39,9 @@ class DedupTest : public ::testing::Test {
 
   static std::vector<uint8_t> PushRequest(uint64_t col, double value) {
     BufferWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+    w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices));
+    w.WriteVarint(1);  // rows
     w.WriteVarint(0);  // matrix
     w.WriteVarint(0);  // row
     w.WriteVarint(1);  // nnz
@@ -49,16 +52,16 @@ class DedupTest : public ::testing::Test {
 
   static std::vector<uint8_t> PullRequest() {
     BufferWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kReadRows));
+    w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kAll));
+    w.WriteVarint(1);  // rows
     w.WriteVarint(0);
     w.WriteVarint(0);
-    w.WriteVarint(0);
-    w.WriteVarint(8);
     return w.buffer();
   }
 
   double ValueAt(uint64_t col) {
-    Result<PsServer::HandleResult> r = server_.Handle(PullRequest());
+    Result<PsServer::HandleResult> r = HandleBytes(server_, PullRequest());
     EXPECT_TRUE(r.ok()) << r.status();
     BufferReader in(r->response);
     uint64_t n = *in.ReadVarint();
@@ -79,12 +82,14 @@ class DedupTest : public ::testing::Test {
 
 TEST_F(DedupTest, RetriedMutationAppliesExactlyOnce) {
   const std::vector<uint8_t> push = PushRequest(3, 5.0);
-  Result<PsServer::HandleResult> first = server_.Handle(Header(7, 1), push);
+  Result<PsServer::HandleResult> first =
+      HandleBytes(server_, push, Header(7, 1));
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->dedup_hit);
   // The retry of the same (client, seq) — e.g. after a lost response — is
   // acked without re-applying.
-  Result<PsServer::HandleResult> retry = server_.Handle(Header(7, 1, 2), push);
+  Result<PsServer::HandleResult> retry =
+      HandleBytes(server_, push, Header(7, 1, 2));
   ASSERT_TRUE(retry.ok());
   EXPECT_TRUE(retry->dedup_hit);
   EXPECT_DOUBLE_EQ(ValueAt(3), 5.0);
@@ -93,9 +98,10 @@ TEST_F(DedupTest, RetriedMutationAppliesExactlyOnce) {
 
 TEST_F(DedupTest, DistinctSeqsAndDistinctClientsAreNotDeduped) {
   const std::vector<uint8_t> push = PushRequest(3, 5.0);
-  ASSERT_TRUE(server_.Handle(Header(7, 1), push).ok());
-  ASSERT_TRUE(server_.Handle(Header(7, 2), push).ok());  // new seq: applies
-  ASSERT_TRUE(server_.Handle(Header(8, 1), push).ok());  // other client
+  ASSERT_TRUE(HandleBytes(server_, push, Header(7, 1)).ok());
+  ASSERT_TRUE(HandleBytes(server_, push, Header(7,
+                                                2)).ok());  // new seq: applies
+  ASSERT_TRUE(HandleBytes(server_, push, Header(8, 1)).ok());  // other client
   EXPECT_DOUBLE_EQ(ValueAt(3), 15.0);
   EXPECT_EQ(server_.dedup_hits(), 0u);
 }
@@ -104,10 +110,11 @@ TEST_F(DedupTest, ReadsAreNeverDeduplicated) {
   // Re-executing a pull is harmless, and answering a retried pull from a
   // dedup table would require caching responses — so reads always
   // re-execute, while their seqs still advance the contiguous floor.
-  ASSERT_TRUE(server_.Handle(Header(7, 1), PushRequest(0, 1.0)).ok());
-  Result<PsServer::HandleResult> pull1 = server_.Handle(Header(7, 2), PullRequest());
+  ASSERT_TRUE(HandleBytes(server_, PushRequest(0, 1.0), Header(7, 1)).ok());
+  Result<PsServer::HandleResult> pull1 =
+      HandleBytes(server_, PullRequest(), Header(7, 2));
   Result<PsServer::HandleResult> pull2 =
-      server_.Handle(Header(7, 2, 2), PullRequest());
+      HandleBytes(server_, PullRequest(), Header(7, 2, 2));
   ASSERT_TRUE(pull1.ok());
   ASSERT_TRUE(pull2.ok());
   EXPECT_FALSE(pull2->dedup_hit);
@@ -115,7 +122,7 @@ TEST_F(DedupTest, ReadsAreNeverDeduplicated) {
   // The floor advanced through the pull's seq: a mutation reusing seq 2
   // would be recognized as a duplicate.
   Result<PsServer::HandleResult> stale =
-      server_.Handle(Header(7, 2, 3), PushRequest(5, 9.0));
+      HandleBytes(server_, PushRequest(5, 9.0), Header(7, 2, 3));
   ASSERT_TRUE(stale.ok());
   EXPECT_TRUE(stale->dedup_hit);
   EXPECT_DOUBLE_EQ(ValueAt(5), 0.0);
@@ -123,31 +130,31 @@ TEST_F(DedupTest, ReadsAreNeverDeduplicated) {
 
 TEST_F(DedupTest, UntrackedRequestsBypassDedup) {
   const std::vector<uint8_t> push = PushRequest(2, 1.0);
-  ASSERT_TRUE(server_.Handle(push).ok());  // legacy 1-arg entry point
-  ASSERT_TRUE(server_.Handle(RpcHeader{}, push).ok());
+  ASSERT_TRUE(HandleBytes(server_, push).ok());
+  ASSERT_TRUE(HandleBytes(server_, push, RpcHeader{}).ok());
   EXPECT_DOUBLE_EQ(ValueAt(2), 2.0);
   EXPECT_EQ(server_.dedup_hits(), 0u);
 }
 
 TEST_F(DedupTest, OutOfOrderSeqsDedupViaSeenSetUntilGapFills) {
   // Async window: seq 3 can arrive before seq 2.
-  ASSERT_TRUE(server_.Handle(Header(7, 1), PushRequest(0, 1.0)).ok());
-  ASSERT_TRUE(server_.Handle(Header(7, 3), PushRequest(0, 1.0)).ok());
+  ASSERT_TRUE(HandleBytes(server_, PushRequest(0, 1.0), Header(7, 1)).ok());
+  ASSERT_TRUE(HandleBytes(server_, PushRequest(0, 1.0), Header(7, 3)).ok());
   Result<PsServer::HandleResult> dup =
-      server_.Handle(Header(7, 3, 2), PushRequest(0, 1.0));
+      HandleBytes(server_, PushRequest(0, 1.0), Header(7, 3, 2));
   ASSERT_TRUE(dup.ok());
   EXPECT_TRUE(dup->dedup_hit);  // seq 3 sits in `seen` while seq 2 is open
-  ASSERT_TRUE(server_.Handle(Header(7, 2), PushRequest(0, 1.0)).ok());
+  ASSERT_TRUE(HandleBytes(server_, PushRequest(0, 1.0), Header(7, 2)).ok());
   // Gap filled: floor is now 3, and everything at or below it stays duped.
   Result<PsServer::HandleResult> old =
-      server_.Handle(Header(7, 2, 2), PushRequest(0, 1.0));
+      HandleBytes(server_, PushRequest(0, 1.0), Header(7, 2, 2));
   ASSERT_TRUE(old.ok());
   EXPECT_TRUE(old->dedup_hit);
   EXPECT_DOUBLE_EQ(ValueAt(0), 3.0);
 }
 
 TEST_F(DedupTest, DedupTableSurvivesCheckpointRestore) {
-  ASSERT_TRUE(server_.Handle(Header(7, 1), PushRequest(1, 4.0)).ok());
+  ASSERT_TRUE(HandleBytes(server_, PushRequest(1, 4.0), Header(7, 1)).ok());
   std::vector<uint8_t> image = server_.SerializeState();
 
   PsServer restored(0, &udfs_);
@@ -156,19 +163,19 @@ TEST_F(DedupTest, DedupTableSurvivesCheckpointRestore) {
   // Crash-consistency: a retry racing the crash must not double-apply on
   // the restored server.
   Result<PsServer::HandleResult> retry =
-      restored.Handle(Header(7, 1, 2), PushRequest(1, 4.0));
+      HandleBytes(restored, PushRequest(1, 4.0), Header(7, 1, 2));
   ASSERT_TRUE(retry.ok());
   EXPECT_TRUE(retry->dedup_hit);
   EXPECT_EQ(restored.dedup_hits(), 1u);
 }
 
 TEST_F(DedupTest, DropAllStateClearsDedupWithTheStateItGuards) {
-  ASSERT_TRUE(server_.Handle(Header(7, 1), PushRequest(1, 4.0)).ok());
+  ASSERT_TRUE(HandleBytes(server_, PushRequest(1, 4.0), Header(7, 1)).ok());
   server_.DropAllState();
   // The push's effect was dropped, so its seq must be forgotten too — the
   // retry re-applies cleanly instead of being suppressed against zeroes.
   Result<PsServer::HandleResult> retry =
-      server_.Handle(Header(7, 1, 2), PushRequest(1, 4.0));
+      HandleBytes(server_, PushRequest(1, 4.0), Header(7, 1, 2));
   ASSERT_TRUE(retry.ok());
   EXPECT_FALSE(retry->dedup_hit);
   EXPECT_DOUBLE_EQ(ValueAt(1), 4.0);
@@ -178,12 +185,13 @@ TEST_F(DedupTest, CrashedServerRejectsUntilRevived) {
   EXPECT_FALSE(server_.crashed());
   server_.Crash();
   EXPECT_TRUE(server_.crashed());
-  EXPECT_TRUE(server_.Handle(PullRequest()).status().IsUnavailable());
-  EXPECT_TRUE(
-      server_.Handle(Header(7, 1), PushRequest(0, 1.0)).status().IsUnavailable());
+  EXPECT_TRUE(HandleBytes(server_, PullRequest()).status().IsUnavailable());
+  EXPECT_TRUE(HandleBytes(server_, PushRequest(0, 1.0), Header(7, 1))
+                  .status()
+                  .IsUnavailable());
   server_.Revive();
   EXPECT_FALSE(server_.crashed());
-  EXPECT_TRUE(server_.Handle(PullRequest()).ok());
+  EXPECT_TRUE(HandleBytes(server_, PullRequest()).ok());
 }
 
 // ---- Client retry loop ----------------------------------------------------
@@ -216,18 +224,19 @@ TEST(PsRetryTest, PushesApplyExactlyOnceUnderMessageFaults) {
 
   const int n = 50;
   for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE(f.client->PushDense(f.weight, std::vector<double>(60, 1.0)).ok());
+    ASSERT_TRUE(
+        WriteRow(*f.client, f.weight, std::vector<double>(60, 1.0)).ok());
   }
   // Exactly-once despite lost requests (retried) and lost responses
   // (applied, retried, deduplicated).
-  std::vector<double> pulled = *f.client->PullDense(f.weight);
+  std::vector<double> pulled = *ReadRow(*f.client, f.weight);
   for (double v : pulled) EXPECT_DOUBLE_EQ(v, static_cast<double>(n));
 
   // A ColumnOps batch (axpy + zip entries) rides the same faults and lands
   // exactly once per issue; an Aggregate read (sum + dot) re-executes on
   // retry and still sees each batch exactly once.
   RowRef ones = *f.master->AllocateRow(f.weight.matrix_id);
-  ASSERT_TRUE(f.client->PushDense(ones, std::vector<double>(60, 1.0)).ok());
+  ASSERT_TRUE(WriteRow(*f.client, ones, std::vector<double>(60, 1.0)).ok());
   const int udf = f.master->udfs()->RegisterZip(
       [](const std::vector<double*>& rows, size_t width, uint64_t) -> uint64_t {
         for (size_t i = 0; i < width; ++i) rows[0][i] += 1.0;
@@ -267,9 +276,9 @@ TEST(PsRetryTest, FaultedRunIsDeterministicForFixedSeed) {
     Fixture f(spec);
     for (int i = 0; i < 40; ++i) {
       EXPECT_TRUE(
-          f.client->PushDense(f.weight, std::vector<double>(60, 0.25)).ok());
+          WriteRow(*f.client, f.weight, std::vector<double>(60, 0.25)).ok());
     }
-    std::vector<double> params = *f.client->PullDense(f.weight);
+    std::vector<double> params = *ReadRow(*f.client, f.weight);
     return std::make_tuple(params, f.cluster->clock().Now(),
                            f.cluster->metrics().Get("net.retries"),
                            f.cluster->metrics().Get("net.retry_backoff_time"));
@@ -295,10 +304,10 @@ TEST(PsRetryTest, FaultedRunReachesBitEqualParametersWithBoundedOverhead) {
     Fixture f(spec);
     for (int i = 0; i < 40; ++i) {
       EXPECT_TRUE(
-          f.client->PushDense(f.weight, std::vector<double>(60, 0.5)).ok());
-      EXPECT_TRUE(f.client->PullDense(f.weight).ok());
+          WriteRow(*f.client, f.weight, std::vector<double>(60, 0.5)).ok());
+      EXPECT_TRUE(ReadRow(*f.client, f.weight).ok());
     }
-    return std::make_pair(*f.client->PullDense(f.weight),
+    return std::make_pair(*ReadRow(*f.client, f.weight),
                           f.cluster->clock().Now());
   };
   auto clean = run(0.0);
@@ -318,7 +327,7 @@ TEST(PsRetryTest, AttemptsAreBoundedWhenServerStaysDown) {
   Fixture f(spec, options);
 
   f.master->server(0)->Crash();
-  Status status = f.client->PushDense(f.weight, std::vector<double>(60, 1.0));
+  Status status = WriteRow(*f.client, f.weight, std::vector<double>(60, 1.0));
   EXPECT_TRUE(status.IsUnavailable()) << status;
   // max_attempts = 3 -> exactly 2 retries, each charging backoff.
   EXPECT_EQ(f.cluster->metrics().Get("net.retries"), 2u);
@@ -331,17 +340,17 @@ TEST(PsRetryTest, RetryLoopRecoversCrashedServerFromCheckpoint) {
   spec.num_servers = 3;
   Fixture f(spec);
 
-  ASSERT_TRUE(f.client->PushDense(f.weight, std::vector<double>(60, 5.0)).ok());
+  ASSERT_TRUE(WriteRow(*f.client, f.weight, std::vector<double>(60, 5.0)).ok());
   ASSERT_TRUE(f.master->CheckpointAll().ok());
   f.master->server(1)->Crash();
 
   // The push hits the dead server, recovers it from the checkpoint inside
   // the retry loop, and retries — transparently to the caller.
-  ASSERT_TRUE(f.client->PushDense(f.weight, std::vector<double>(60, 1.0)).ok());
+  ASSERT_TRUE(WriteRow(*f.client, f.weight, std::vector<double>(60, 1.0)).ok());
   EXPECT_FALSE(f.master->server(1)->crashed());
   EXPECT_EQ(f.cluster->metrics().Get("ps.server_failures"), 1u);
 
-  std::vector<double> pulled = *f.client->PullDense(f.weight);
+  std::vector<double> pulled = *ReadRow(*f.client, f.weight);
   for (double v : pulled) EXPECT_DOUBLE_EQ(v, 6.0);
 }
 
@@ -358,10 +367,10 @@ TEST(PsRetryTest, MiddleCrashRunsEveryRequestOnBothRoutes) {
   options.recover_crashed_servers = false;
   Fixture f(spec, options);
   RowRef ones = *f.master->AllocateRow(f.weight.matrix_id);
-  ASSERT_TRUE(f.client->PushDense(ones, std::vector<double>(60, 1.0)).ok());
+  ASSERT_TRUE(WriteRow(*f.client, ones, std::vector<double>(60, 1.0)).ok());
 
   f.master->server(1)->Crash();  // the middle partition fails
-  Status pushed = f.client->PushDense(f.weight, std::vector<double>(60, 2.0));
+  Status pushed = WriteRow(*f.client, f.weight, std::vector<double>(60, 2.0));
   EXPECT_TRUE(pushed.IsUnavailable()) << pushed;
   Status axpy =
       f.client->ColumnOpsAsync({{ColOpKind::kAxpy, {f.weight, ones}, 10.0}})
@@ -370,7 +379,8 @@ TEST(PsRetryTest, MiddleCrashRunsEveryRequestOnBothRoutes) {
 
   // Three equal partitions: [0, 20) on server 0, [40, 60) on server 2.
   for (ColRange outer : {ColRange::Of(0, 20), ColRange::Of(40, 60)}) {
-    Result<std::vector<double>> pulled = f.client->PullDense(f.weight, outer);
+    Result<std::vector<double>> pulled =
+        ReadRow(*f.client, f.weight, RowSelector::Range(outer));
     ASSERT_TRUE(pulled.ok()) << pulled.status();
     for (double v : *pulled) EXPECT_DOUBLE_EQ(v, 12.0);
   }

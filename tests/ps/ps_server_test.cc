@@ -5,6 +5,7 @@
 #include "common/serde.h"
 #include "ml/optimizer.h"
 #include "ps/partitioner.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
@@ -29,20 +30,15 @@ class PsServerTest : public ::testing::Test {
   }
 
   PsServer::HandleResult Call(const BufferWriter& w) {
-    Result<PsServer::HandleResult> r = server_.Handle(w.buffer());
+    Result<PsServer::HandleResult> r = HandleBytes(server_, w.buffer());
     EXPECT_TRUE(r.ok()) << r.status();
     return std::move(r).ValueOrDie();
   }
 
   std::vector<double> Pull(int matrix, uint32_t row, uint64_t begin,
                            uint64_t end) {
-    BufferWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-    w.WriteVarint(matrix);
-    w.WriteVarint(row);
-    w.WriteVarint(begin);
-    w.WriteVarint(end);
-    PsServer::HandleResult result = Call(w);
+    PsServer::HandleResult result =
+        Call(RangeRead(matrix, row, begin, end - begin));
     BufferReader r(result.response);
     uint64_t n = *r.ReadVarint();
     return *r.ReadF64Span(n);
@@ -51,13 +47,40 @@ class PsServerTest : public ::testing::Test {
   void PushDense(int matrix, uint32_t row, uint64_t begin,
                  const std::vector<double>& values) {
     BufferWriter w;
-    w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+    w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kRange));
+    w.WriteVarint(1);
     w.WriteVarint(matrix);
     w.WriteVarint(row);
     w.WriteVarint(begin);
     w.WriteVarint(values.size());
     w.WriteF64Span(values.data(), values.size());
     Call(w);
+  }
+
+  /// A kReadRows request of one range run over one row.
+  static BufferWriter RangeRead(uint64_t matrix, uint64_t row, uint64_t begin,
+                                uint64_t n) {
+    BufferWriter w;
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kReadRows));
+    w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kRange));
+    w.WriteVarint(begin);
+    w.WriteVarint(n);
+    w.WriteVarint(1);
+    w.WriteVarint(matrix);
+    w.WriteVarint(row);
+    return w;
+  }
+
+  /// Replicates (matrix 0, row 0) on this server: designated, not installed.
+  void DesignateReplica() {
+    BufferWriter hot;
+    hot.WriteU8(static_cast<uint8_t>(PsOpCode::kHotSetUpdate));
+    hot.WriteVarint(1);
+    hot.WriteVarint(0);   // matrix
+    hot.WriteVarint(0);   // row
+    hot.WriteVarint(16);  // dim
+    Call(hot);
   }
 
   UdfRegistry udfs_;
@@ -153,13 +176,14 @@ TEST_F(PsServerTest, ColumnOpsBadSecondEntryLeavesFirstDstUntouched) {
     w.WriteVarint(1);
     w.WriteF64(10.0);
   }
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+  EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsNotFound());
   EXPECT_EQ(Pull(0, 0, 0, 3), (std::vector<double>{0, 0, 0}));
 }
 
-TEST_F(PsServerTest, PushRowsBatchBadSecondRowLeavesFirstUnchanged) {
+TEST_F(PsServerTest, WriteRowsAllBadSecondRowLeavesFirstUnchanged) {
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushRowsBatch));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kAll));
   w.WriteVarint(2);
   const std::vector<double> delta(16, 1.0);
   for (uint64_t matrix : {0u, 42u}) {
@@ -168,14 +192,63 @@ TEST_F(PsServerTest, PushRowsBatchBadSecondRowLeavesFirstUnchanged) {
     w.WriteVarint(16);
     w.WriteF64Span(delta.data(), delta.size());
   }
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+  EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsNotFound());
   EXPECT_EQ(Pull(0, 0, 0, 16), std::vector<double>(16, 0.0));
 }
 
-TEST_F(PsServerTest, PushSparseRowsBatchBadSecondRowLeavesFirstUnchanged) {
+TEST_F(PsServerTest, WriteRowsAllChecksTheSliceWidth) {
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparseRowsBatch));
-  w.WriteU8(0);  // f64 values
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kAll));
+  w.WriteVarint(1);
+  w.WriteVarint(0);
+  w.WriteVarint(0);
+  w.WriteVarint(15);  // the slice is 16 wide
+  const std::vector<double> delta(15, 1.0);
+  w.WriteF64Span(delta.data(), delta.size());
+  EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsOutOfRange());
+  EXPECT_EQ(Pull(0, 0, 0, 16), std::vector<double>(16, 0.0));
+}
+
+TEST_F(PsServerTest, ReadRowsSharesOneIndexListAcrossRows) {
+  PushDense(0, 0, 0, {1, 2, 3, 4});
+  PushDense(0, 2, 0, {10, 20, 30, 40});
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kReadRows));
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices));
+  const std::vector<uint64_t> keys{1, 3};
+  w.WriteVarint(keys.size());
+  w.WriteDeltaKeys(keys.data(), keys.size());
+  w.WriteVarint(2);
+  for (uint64_t row : {0u, 2u}) {
+    w.WriteVarint(0);
+    w.WriteVarint(row);
+  }
+  // A second run: the whole slice of row 2, integer-coded.
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kAll) |
+            kRowSelectorIntValues);
+  w.WriteVarint(1);
+  w.WriteVarint(0);
+  w.WriteVarint(2);
+  PsServer::HandleResult result = Call(w);
+  BufferReader r(result.response);
+  EXPECT_EQ(*r.ReadVarint(), 2u);
+  EXPECT_EQ(*r.ReadF64Span(2), (std::vector<double>{2, 4}));
+  EXPECT_EQ(*r.ReadVarint(), 2u);
+  EXPECT_EQ(*r.ReadF64Span(2), (std::vector<double>{20, 40}));
+  EXPECT_EQ(*r.ReadVarint(), 16u);
+  for (int64_t want : {10, 20, 30, 40}) {
+    EXPECT_EQ(*r.ReadSignedVarint(), want);
+  }
+  for (int c = 4; c < 16; ++c) EXPECT_EQ(*r.ReadSignedVarint(), 0);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(result.server_ops, 2u + 2u + 16u);
+}
+
+TEST_F(PsServerTest, WriteRowsIndexRunBadSecondRowLeavesFirstUnchanged) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices));
   w.WriteVarint(2);
   for (uint64_t matrix : {0u, 42u}) {
     w.WriteVarint(matrix);
@@ -184,13 +257,13 @@ TEST_F(PsServerTest, PushSparseRowsBatchBadSecondRowLeavesFirstUnchanged) {
     w.WriteVarint(5);  // column
     w.WriteF64(7.0);
   }
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+  EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsNotFound());
   EXPECT_EQ(Pull(0, 0, 0, 16), std::vector<double>(16, 0.0));
 }
 
-// A sparse write (kPushSparse / kHotPush body) that passes the count check
-// and then runs short: n = 3, each key padded to a 4-byte varint, then only
-// two of the three f64 values. 12 + 16 bytes cover 3 x (1 + 8).
+// A sparse write body that passes the count check and then runs short:
+// n = 3, each key padded to a 4-byte varint, then only two of the three f64
+// values. 12 + 16 bytes cover 3 x (1 + 8).
 void WriteTruncatedSparseWrite(BufferWriter* w) {
   w->WriteVarint(3);
   for (int k = 0; k < 3; ++k) {
@@ -200,34 +273,76 @@ void WriteTruncatedSparseWrite(BufferWriter* w) {
   w->WriteF64(6.0);
 }
 
-TEST_F(PsServerTest, TruncatedPushSparseAppliesNothing) {
+TEST_F(PsServerTest, TruncatedIndexWriteAppliesNothing) {
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPushSparse));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices));
+  w.WriteVarint(1);
   w.WriteVarint(0);
   w.WriteVarint(0);
   WriteTruncatedSparseWrite(&w);
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsOutOfRange());
+  EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsOutOfRange());
   EXPECT_EQ(Pull(0, 0, 0, 16), std::vector<double>(16, 0.0));
 }
 
-TEST_F(PsServerTest, TruncatedHotPushAppliesNothing) {
-  BufferWriter hot;
-  hot.WriteU8(static_cast<uint8_t>(PsOpCode::kHotSetUpdate));
-  hot.WriteVarint(1);
-  hot.WriteVarint(0);   // matrix
-  hot.WriteVarint(0);   // row
-  hot.WriteVarint(16);  // dim
-  Call(hot);
+TEST_F(PsServerTest, TruncatedReplicaWriteAppliesNothing) {
+  DesignateReplica();
   BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kHotPush));
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices) |
+            kRowSelectorReplica);
+  w.WriteVarint(1);
   w.WriteVarint(0);
   w.WriteVarint(0);
   WriteTruncatedSparseWrite(&w);
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsOutOfRange());
+  EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsOutOfRange());
   Result<PsServer::ReplicaSnapshot> replica =
       server_.DebugReplica(RowRef{0, 0});
   ASSERT_TRUE(replica.ok()) << replica.status();
   EXPECT_TRUE(replica->pending.empty());
+}
+
+TEST_F(PsServerTest, WriteRowsBadLastRunAppliesNothing) {
+  DesignateReplica();
+  // From the first publish on, sparse writes stamp chunk clocks.
+  ASSERT_TRUE(server_.PublishSnapshot(1).ok());
+  for (const uint8_t flag : {uint8_t{0}, kRowSelectorReplica}) {
+    BufferWriter w;
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+    // Two valid runs — an index write and a window write of row 0 — then a
+    // last run whose key lies past the slice (and the replica's dim).
+    w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices) | flag);
+    w.WriteVarint(1);
+    w.WriteVarint(0);
+    w.WriteVarint(0);
+    w.WriteVarint(1);
+    w.WriteVarint(3);
+    w.WriteF64(1.0);
+    w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kRange) | flag);
+    w.WriteVarint(1);
+    w.WriteVarint(0);
+    w.WriteVarint(0);
+    w.WriteVarint(4);  // begin
+    w.WriteVarint(2);  // n
+    w.WriteF64(2.0);
+    w.WriteF64(3.0);
+    w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices) | flag);
+    w.WriteVarint(1);
+    w.WriteVarint(0);
+    w.WriteVarint(0);
+    w.WriteVarint(1);
+    w.WriteVarint(16);
+    w.WriteF64(4.0);
+    EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsOutOfRange())
+        << "replica flag " << int{flag};
+  }
+  EXPECT_EQ(Pull(0, 0, 0, 16), std::vector<double>(16, 0.0));
+  Result<PsServer::ReplicaSnapshot> replica =
+      server_.DebugReplica(RowRef{0, 0});
+  ASSERT_TRUE(replica.ok()) << replica.status();
+  EXPECT_TRUE(replica->pending.empty());
+  // No row or chunk was stamped: the next publish copies nothing.
+  EXPECT_EQ(server_.PublishSnapshot(2)->bytes_copied, 0u);
 }
 
 TEST_F(PsServerTest, DotPartial) {
@@ -276,7 +391,7 @@ TEST_F(PsServerTest, ZipUnknownUdfFails) {
   w.WriteVarint(1);
   w.WriteVarint(0);
   w.WriteVarint(0);
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+  EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsNotFound());
 }
 
 TEST_F(PsServerTest, ZipWithWrongOperandCountFailsAndAppliesNothing) {
@@ -309,7 +424,7 @@ TEST_F(PsServerTest, ZipWithWrongOperandCountFailsAndAppliesNothing) {
   };
 
   Result<PsServer::HandleResult> bad =
-      server_.Handle(zip_request({0, 3}).buffer());
+      HandleBytes(server_, zip_request({0, 3}).buffer());
   EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status();
   EXPECT_EQ(Pull(1, 0, 0, 3), (std::vector<double>{1, 2, 3}));
   EXPECT_EQ(Pull(1, 1, 0, 3), (std::vector<double>{0, 0, 0}));
@@ -331,7 +446,7 @@ TEST_F(PsServerTest, OpcodeCensus) {
     const PsOpCode op = static_cast<PsOpCode>(i);
     EXPECT_STRNE(PsOpCodeName(op), "unknown") << "opcode " << i;
     Result<PsServer::HandleResult> r =
-        server_.Handle(std::vector<uint8_t>{static_cast<uint8_t>(i)});
+        HandleBytes(server_, std::vector<uint8_t>{static_cast<uint8_t>(i)});
     EXPECT_FALSE(r.ok()) << PsOpCodeName(op);
     EXPECT_NE(r.status().message(), "unknown opcode") << PsOpCodeName(op);
   }
@@ -340,29 +455,27 @@ TEST_F(PsServerTest, OpcodeCensus) {
 }
 
 TEST_F(PsServerTest, UnknownMatrixFails) {
-  BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-  w.WriteVarint(42);
-  w.WriteVarint(0);
-  w.WriteVarint(0);
-  w.WriteVarint(4);
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsNotFound());
+  EXPECT_TRUE(
+      HandleBytes(server_, RangeRead(42, 0, 0,
+                                     4).buffer()).status().IsNotFound());
 }
 
 TEST_F(PsServerTest, RowOutOfRangeFails) {
-  BufferWriter w;
-  w.WriteU8(static_cast<uint8_t>(PsOpCode::kPullDense));
-  w.WriteVarint(0);
-  w.WriteVarint(99);
-  w.WriteVarint(0);
-  w.WriteVarint(4);
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsOutOfRange());
+  EXPECT_TRUE(HandleBytes(server_, RangeRead(0, 99, 0, 4).buffer())
+                  .status()
+                  .IsOutOfRange());
+}
+
+TEST_F(PsServerTest, ReadWindowPastTheSliceFails) {
+  EXPECT_TRUE(HandleBytes(server_, RangeRead(0, 0, 12, 5).buffer())
+                  .status()
+                  .IsOutOfRange());
 }
 
 TEST_F(PsServerTest, GarbageOpcodeFails) {
   BufferWriter w;
   w.WriteU8(200);
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsInvalidArgument());
+  EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsInvalidArgument());
 }
 
 TEST_F(PsServerTest, DuplicateShardRejected) {
@@ -420,7 +533,7 @@ TEST_F(PsServerTest, SparseStorageRejectsColumnOps) {
   w.WriteVarint(2);
   w.WriteVarint(0);
   w.WriteF64(1.0);
-  EXPECT_TRUE(server_.Handle(w.buffer()).status().IsFailedPrecondition());
+  EXPECT_TRUE(HandleBytes(server_, w.buffer()).status().IsFailedPrecondition());
 }
 
 TEST_F(PsServerTest, MatrixInitDeterministicAcrossCalls) {

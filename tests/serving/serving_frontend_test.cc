@@ -10,10 +10,12 @@
 
 #include "dataflow/cluster.h"
 #include "linalg/sparse_vector.h"
+#include "membership/membership_manager.h"
 #include "ps/ps_master.h"
 #include "serving/admission.h"
 #include "serving/serving_loop.h"
 #include "serving/traffic_gen.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
@@ -41,7 +43,7 @@ class ServingTest : public ::testing::Test {
     int id = *master_->CreateMatrix(options);
     for (uint32_t r = 0; r < rows; ++r) {
       std::vector<double> values(dim, base + r);
-      EXPECT_TRUE(client_->PushDense(RowRef{id, r}, values).ok());
+      EXPECT_TRUE(WriteRow(*client_, RowRef{id, r}, values).ok());
     }
     return RowRef{id, 0};
   }
@@ -66,6 +68,51 @@ TEST_F(ServingTest, ServeFailsBeforeFirstPublish) {
   EXPECT_TRUE(result.status().IsFailedPrecondition());
 }
 
+TEST_F(ServingTest, PinnedReadsFollowTheirEpochsPlacementAcrossARelocation) {
+  // A read pinned before a relocation is routed by the placement its epoch
+  // was published under: the old home still holds that epoch, the new home
+  // does not.
+  MatrixOptions options;
+  options.name = "homed";
+  options.dim = 8;
+  options.reserve_rows = 1;
+  options.home_server = 0;
+  const int id = *master_->CreateMatrix(options);
+  const RowRef row{id, 0};
+  const std::vector<double> pinned{1, 2, 3, 4, 5, 6, 7, 8};
+  ASSERT_TRUE(WriteRow(*client_, row, pinned).ok());
+  ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());
+  ServingFrontend frontend(master_.get(), client_.get());
+  ASSERT_TRUE(frontend.PinCurrentEpoch().ok());
+  const uint64_t epoch = frontend.pinned_epoch();
+
+  ASSERT_TRUE(master_->membership()->RelocateMatrices({{id, 1}}).ok());
+  ASSERT_EQ(master_->GetMeta(id)->partitioner.ServerOfPartition(0), 1);
+  // The live model moves on; the pinned epoch does not.
+  ASSERT_TRUE(WriteRow(*client_, row, std::vector<double>(8, 100.0)).ok());
+
+  const std::vector<PsClient::ServingRead> reads{{row, {}}, {row, {2, 7}}};
+  Result<std::vector<std::vector<double>>> direct =
+      client_->ServingPullAsync(epoch, reads).Get();
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  EXPECT_EQ((*direct)[0], pinned);
+  EXPECT_EQ((*direct)[1], (std::vector<double>{3, 8}));
+  auto served = frontend.ServeBatch({Req(row), Req(row, {2, 7})});
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ((*served)[0], pinned);
+  EXPECT_EQ((*served)[1], (std::vector<double>{3, 8}));
+  EXPECT_EQ(frontend.stats().epoch_repins, 0u);
+
+  // The next epoch is published under the new placement and serves there.
+  ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());
+  ASSERT_TRUE(frontend.PinCurrentEpoch().ok());
+  served = frontend.ServeBatch({Req(row)});
+  ASSERT_TRUE(served.ok()) << served.status();
+  std::vector<double> live = pinned;
+  for (double& v : live) v += 100.0;  // writes are additive
+  EXPECT_EQ((*served)[0], live);
+}
+
 TEST_F(ServingTest, ReadsArePinnedToThePublishedEpoch) {
   RowRef w = NewServedMatrix(30, 2, /*base=*/1.0);
   ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());
@@ -73,7 +120,7 @@ TEST_F(ServingTest, ReadsArePinnedToThePublishedEpoch) {
   ASSERT_TRUE(frontend.PinCurrentEpoch().ok());
 
   // Mutate the live model AFTER the publish: pinned reads must not see it.
-  ASSERT_TRUE(client_->PushDense(w, std::vector<double>(30, 100.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, w, std::vector<double>(30, 100.0)).ok());
 
   auto values = frontend.ServeBatch({Req(w), Req(w, {0, 29})});
   ASSERT_TRUE(values.ok());
@@ -153,9 +200,9 @@ TEST_F(ServingTest, RepinsWhenPinnedEpochFallsOutOfRetention) {
   EXPECT_EQ(frontend.pinned_epoch(), 1u);
 
   // Two more publishes evict epoch 1 (servers retain the last two).
-  ASSERT_TRUE(client_->PushDense(w, std::vector<double>(30, 1.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, w, std::vector<double>(30, 1.0)).ok());
   ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());  // epoch 2
-  ASSERT_TRUE(client_->PushDense(w, std::vector<double>(30, 1.0)).ok());
+  ASSERT_TRUE(WriteRow(*client_, w, std::vector<double>(30, 1.0)).ok());
   ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());  // epoch 3
   EXPECT_FALSE(master_->server(0)->HasSnapshotEpoch(1));
 
@@ -292,7 +339,7 @@ TEST_F(ServingTest, ConcurrentBatchesWhileTheCoordinatorPublishes) {
                                    SparseVector({1, 45, 89}, {1.0, 2.0, 3.0}))
                       .ok());
       ASSERT_TRUE(
-          client_->PushDense({w.matrix_id, 3}, std::vector<double>(kDim, 0.5))
+          WriteRow(*client_, {w.matrix_id, 3}, std::vector<double>(kDim, 0.5))
               .ok());
       ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());
     }
@@ -420,7 +467,7 @@ TEST_F(ServingTest, ServingLoopIsDeterministic) {
     int id = *master.CreateMatrix(mopts);
     for (uint32_t r = 0; r < 4; ++r) {
       EXPECT_TRUE(
-          client.PushDense(RowRef{id, r}, std::vector<double>(120, 1.0)).ok());
+          WriteRow(client, RowRef{id, r}, std::vector<double>(120, 1.0)).ok());
     }
     EXPECT_TRUE(master.serving_snapshots()->Publish().ok());
     ServingLoopOptions options;

@@ -23,6 +23,7 @@
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
 #include "serving/snapshot.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
@@ -49,7 +50,7 @@ class SnapshotIsolationTest : public ::testing::Test {
   void PushOneEverywhere(PsClient* client) {
     std::vector<double> ones(kDim, 1.0);
     for (uint32_t r = 0; r < kRows; ++r) {
-      ASSERT_TRUE(client->PushDense(RowRef{matrix_, r}, ones).ok());
+      ASSERT_TRUE(WriteRow(*client, RowRef{matrix_, r}, ones).ok());
     }
   }
 
@@ -171,7 +172,7 @@ TEST_F(SnapshotIsolationTest, CopyOnPublishReusesUntouchedRows) {
 
   // Touch one row: only its shards re-copy.
   ASSERT_TRUE(
-      client.PushDense(RowRef{matrix_, 2}, std::vector<double>(kDim, 1.0))
+      WriteRow(client, RowRef{matrix_, 2}, std::vector<double>(kDim, 1.0))
           .ok());
   SnapshotPublishStats touched = *master_->serving_snapshots()->Publish();
   EXPECT_GT(touched.rows_copied, 0u);
@@ -204,7 +205,7 @@ std::vector<double> ServerSlice(PsServer* server, uint64_t epoch, int matrix,
   w.WriteVarint(static_cast<uint64_t>(matrix));
   w.WriteVarint(row);
   w.WriteVarint(0);  // full slice
-  Result<PsServer::HandleResult> r = server->Handle(w.buffer());
+  Result<PsServer::HandleResult> r = HandleBytes(*server, w.buffer());
   if (!r.ok()) return {};
   BufferReader in(r->response);
   if (!in.ReadVarint().ok()) return {};
@@ -237,7 +238,7 @@ class ChunkedSnapshotTest : public ::testing::Test {
       for (uint64_t c = 0; c < kDim; ++c) {
         model_[r][c] = r * 1e4 + static_cast<double>(c) + 0.5;
       }
-      EXPECT_TRUE(client_->PushDense(RowRef{matrix_, r}, model_[r]).ok());
+      EXPECT_TRUE(WriteRow(*client_, RowRef{matrix_, r}, model_[r]).ok());
     }
   }
 
@@ -252,22 +253,23 @@ class ChunkedSnapshotTest : public ::testing::Test {
     std::vector<double> values(keys.size(), delta);
     ASSERT_TRUE(client_
                     ->PushSparse(RowRef{matrix_, row},
-                                 SparseVector(std::move(keys), std::move(values)))
+                                 SparseVector(std::move(keys),
+                                              std::move(values)))
                     .ok());
   }
 
   void PushDense(uint32_t row, double delta) {
     for (double& v : model_[row]) v += delta;
-    ASSERT_TRUE(client_
-                    ->PushDense(RowRef{matrix_, row},
-                                std::vector<double>(kDim, delta))
+    ASSERT_TRUE(WriteRow(*client_, RowRef{matrix_, row},
+                         std::vector<double>(kDim, delta))
                     .ok());
   }
 
   /// Publishes, records the mirror as the new epoch's image, and checks that
   /// every retained epoch still serves exactly its image.
   SnapshotPublishStats PublishAndCheck() {
-    Result<SnapshotPublishStats> stats = master_->serving_snapshots()->Publish();
+    Result<SnapshotPublishStats> stats =
+        master_->serving_snapshots()->Publish();
     EXPECT_TRUE(stats.ok()) << stats.status();
     images_[stats->epoch] = model_;
     CheckRetainedEpochs();
@@ -382,7 +384,7 @@ TEST_F(ChunkedSnapshotTest, RelocationRecopiesTheMovedRows) {
   std::vector<double> values(600);
   for (uint64_t c = 0; c < 600; ++c) values[c] = 0.125 * c;
   for (uint32_t r = 0; r < 2; ++r) {
-    ASSERT_TRUE(client_->PushDense(RowRef{owned, r}, values).ok());
+    ASSERT_TRUE(WriteRow(*client_, RowRef{owned, r}, values).ok());
   }
   PublishAndCheck();
   ASSERT_TRUE(client_
@@ -437,13 +439,15 @@ TEST(ChunkedSnapshotServerTest, ReconcileShardBoundsRecopiesEveryRow) {
   for (uint64_t c = 0; c < 600; ++c) row[c] = 1.0 + c;
   for (uint32_t r = 0; r < 2; ++r) {
     BufferWriter push;
-    push.WriteU8(static_cast<uint8_t>(PsOpCode::kPushDense));
+    push.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+    push.WriteU8(static_cast<uint8_t>(RowSelectorKind::kRange));
+    push.WriteVarint(1);
     push.WriteVarint(0);
     push.WriteVarint(r);
     push.WriteVarint(0);
     push.WriteVarint(row.size());
     push.WriteF64Span(row.data(), row.size());
-    ASSERT_TRUE(server.Handle(push.buffer()).ok());
+    ASSERT_TRUE(HandleBytes(server, push.buffer()).ok());
   }
   ASSERT_EQ(server.PublishSnapshot(1)->bytes_copied, 2 * 600 * sizeof(double));
   ASSERT_EQ(server.PublishSnapshot(2)->bytes_copied, 0u);
