@@ -106,20 +106,18 @@ PsFuture<Ack> Dcv::AddAsync(const SparseVector& delta) {
 
 PsFuture<std::vector<double>> Dcv::ReadRow(const RowSelector& cols) const {
   if (Status s = CheckValid(*this); !s.ok()) {
-    return MakeReadyFuture<std::vector<double>>(std::move(s));
+    return PsFuture<std::vector<double>>(std::move(s));
   }
   return context_->client()
       ->ReadRowsAsync({ref_}, cols)
-      .Then([](Result<std::vector<std::vector<double>>>&& rows)
-                -> Result<std::vector<double>> {
-        if (!rows.ok()) return rows.status();
-        return std::move((*rows)[0]);
+      .Map<std::vector<double>>([](std::vector<std::vector<double>>&& rows) {
+        return std::move(rows[0]);
       });
 }
 
 PsFuture<Ack> Dcv::WriteRow(RowDeltas delta) {
   if (Status s = CheckValid(*this); !s.ok()) {
-    return MakeReadyFuture<Ack>(std::move(s));
+    return PsFuture<Ack>(std::move(s));
   }
   return context_->client()->WriteRowsAsync({ref_}, delta);
 }

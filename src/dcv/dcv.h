@@ -75,9 +75,10 @@ class Dcv {
 
   // ---- Asynchronous row access (paper §5.1's asynchronous client) ----
   //
-  // Returns immediately with a PsFuture; Wait()/Get() on the issuing thread
-  // retrieves the value and charges the traffic. Ops issued while another is
-  // outstanding overlap it and share one round of latency.
+  // The op runs before the call returns; its PsFuture is the receipt.
+  // Wait()/Get() on the issuing thread retrieves the value and charges the
+  // traffic (so does dropping it). Ops issued while another is unsettled
+  // overlap it and share one round of latency.
 
   PsFuture<std::vector<double>> PullSparseAsync(
       const std::vector<uint64_t>& indices) const;

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -65,14 +64,6 @@ const std::string& ExchangeUsName(PsOpCode op) {
   return OpName(table, op);
 }
 
-/// Charges the cluster clock with the collective cost of a coordinator-issued
-/// op's fan-out: dependent round latency, the worst single server's share,
-/// and local compute. Shared by OpScope (sync slow paths) and the async
-/// harvest hook, so a coordinator op costs the same through either path.
-void ChargeCoordinator(Cluster* cluster, const TaskTraffic& local) {
-  cluster->ChargeOutOfTask(local);
-}
-
 /// Bound on routing-stale protocol rounds (fence waits + re-aims) per
 /// request. Generous because a fence stays up for the real-time span of a
 /// concurrent migration's extract/install/commit legs; a wedged fence still
@@ -90,68 +81,10 @@ int HotHomeServer(RowRef ref, int num_servers) {
 
 }  // namespace
 
-// ------------------------------------------------------------------- OpScope
-
-/// Binds the op to the ambient task's traffic record, or — when issued from
-/// the coordinator between stages — accumulates locally and charges the
-/// cluster clock with the collective fan-out cost on destruction.
-class PsClient::OpScope {
- public:
-  explicit OpScope(Cluster* cluster) : cluster_(cluster) {
-    ambient_ = TrafficScope::Current();
-    traffic_ = ambient_ != nullptr ? ambient_ : &local_;
-  }
-
-  ~OpScope() {
-    if (ambient_ != nullptr) return;
-    ChargeCoordinator(cluster_, local_);
-  }
-
-  TaskTraffic* traffic() { return traffic_; }
-
- private:
-  Cluster* cluster_;
-  TaskTraffic* ambient_;
-  TaskTraffic local_;
-  TaskTraffic* traffic_;
-};
-
-// ----------------------------------------------------------------- AsyncCore
-
-/// Leader/follower bookkeeping. Held by shared_ptr so harvest hooks (and
-/// their retire tokens) stay valid even if a future outlives the client.
-///
-/// `outstanding` counts, per issue-context (TrafficScope pointer; nullptr =
-/// the coordinator), the ops issued but not yet *harvested*. It is touched
-/// only in caller program order (issue at submit, retire at first Wait/Get —
-/// or at future abandonment), which is what makes leader/follower
-/// classification — and hence virtual time — deterministic.
-struct PsClient::AsyncCore {
-  std::mutex mu;
-  std::map<const void*, int> outstanding;
-
-  /// Classifies the op: true = round leader (nothing outstanding in `ctx`).
-  bool Issue(const void* ctx) {
-    std::lock_guard<std::mutex> lock(mu);
-    int& n = outstanding[ctx];
-    const bool leader = n == 0;
-    n += 1;
-    return leader;
-  }
-
-  void Retire(const void* ctx) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = outstanding.find(ctx);
-    if (it != outstanding.end() && --it->second == 0) outstanding.erase(it);
-  }
-};
-
 // ------------------------------------------------------------------ PsClient
 
 PsClient::PsClient(PsMaster* master, PsClientOptions options)
-    : master_(master),
-      options_(options),
-      core_(std::make_shared<AsyncCore>()) {
+    : master_(master), options_(options) {
   PS2_CHECK(master != nullptr);
   if (options_.max_attempts < 1) options_.max_attempts = 1;
   filters_ =
@@ -175,7 +108,44 @@ PsClient::PsClient(PsMaster* master, PsClientOptions options)
   master_->hotspot()->RegisterCache(&cache_);
 }
 
-PsClient::~PsClient() { master_->hotspot()->UnregisterCache(&cache_); }
+PsClient::~PsClient() {
+  for (const WindowSlot& slot : window_) {
+    PS2_CHECK(slot.outstanding == 0) << "a PsFuture outlived its client";
+  }
+  master_->hotspot()->UnregisterCache(&cache_);
+}
+
+void PsClient::Charge(const TaskTraffic& traffic) {
+  if (TaskTraffic* ambient = TrafficScope::Current()) {
+    ambient->MergeFrom(traffic);
+  } else {
+    master_->cluster()->ChargeOutOfTask(traffic);
+  }
+}
+
+uint32_t PsClient::Issue(const void* ctx, bool* leader) {
+  std::lock_guard<std::mutex> lock(window_mu_);
+  size_t slot = window_.size();
+  for (size_t i = 0; i < window_.size(); ++i) {
+    if (window_[i].outstanding > 0 && window_[i].ctx == ctx) {
+      window_[i].outstanding += 1;
+      *leader = false;
+      return static_cast<uint32_t>(i);
+    }
+    if (window_[i].outstanding == 0 && slot == window_.size()) slot = i;
+  }
+  if (slot == window_.size()) window_.emplace_back();
+  window_[slot] = WindowSlot{ctx, 1};
+  *leader = true;
+  return static_cast<uint32_t>(slot);
+}
+
+void internal::SettleOp(PsClient* client, uint32_t slot,
+                        const TaskTraffic& traffic) {
+  client->Charge(traffic);
+  std::lock_guard<std::mutex> lock(client->window_mu_);
+  client->window_[slot].outstanding -= 1;
+}
 
 PsClient::ServerRequest PsClient::MakeRequest(int server,
                                               BufferWriter* writer) {
@@ -549,85 +519,42 @@ Result<std::vector<uint8_t>> PsClient::ControlCall(int server,
   }
   std::vector<ServerRequest> requests;
   requests.push_back(MakeRequest(server, writer));
-  // One control leg = one round. Inside a task (or the migration driver's
-  // scope) the traffic lands there; standalone calls charge the clock
-  // directly, like any coordinator-issued op.
-  TaskTraffic local;
-  TaskTraffic* traffic = TrafficScope::Current();
-  const bool ambient = traffic != nullptr;
-  if (!ambient) traffic = &local;
-  traffic->rounds += 1;
-  PS2_ASSIGN_OR_RETURN(std::vector<PsServer::HandleResult> results,
-                       ExchangeAll(traffic, std::move(requests)));
-  if (!ambient) master_->cluster()->ChargeOutOfTask(local);
-  return std::move(results[0].response);
+  // One control leg = one round, charged like any op: to the task (or the
+  // migration driver's scope), else to the clock.
+  return Submit<std::vector<uint8_t>>(
+             std::move(requests),
+             [](std::vector<PsServer::HandleResult>&& results) {
+               return std::move(results[0].response);
+             })
+      .Get();
 }
 
-template <typename T>
-PsFuture<T> PsClient::ReadyFuture(Result<T> result) {
-  return MakeReadyFuture<T>(std::move(result));
-}
-
-template <typename T>
-PsFuture<T> PsClient::SubmitAsync(std::vector<ServerRequest> requests,
-                                  ParseFn<T> parse) {
-  return SubmitExchange<T>(
-      [&](TaskTraffic* traffic) {
-        return ExchangeAll(traffic, std::move(requests));
-      },
-      std::move(parse));
-}
-
-template <typename T, typename Exchange>
-PsFuture<T> PsClient::SubmitExchange(Exchange&& exchange, ParseFn<T> parse) {
-  auto state = std::make_shared<internal::PsFutureState<T>>();
-  std::shared_ptr<AsyncCore> core = core_;
-  const void* ctx = TrafficScope::Current();
+template <typename T, typename Exchange, typename Parse>
+PsFuture<T> PsClient::Submit(Exchange exchange, Parse parse) {
+  const TaskTraffic* ambient = TrafficScope::Current();
+  TaskTraffic traffic;
   // Loopback diversion is decided per exchange against the ISSUING task's
-  // co-located server; the exchanges record into the op's private traffic
-  // record, so the binding must travel with it.
-  if (const TaskTraffic* ambient = TrafficScope::Current()) {
-    state->traffic.colocated_server = ambient->colocated_server;
-  }
-  const bool leader = core->Issue(ctx);
-  if (leader) {
-    state->traffic.rounds += 1;
-  } else {
-    state->traffic.pipelined_rounds += 1;
-  }
-
-  // The retire token travels inside the harvest hook: retiring happens right
-  // after the hook runs (first Wait/Get, caller thread) — or when the hook is
-  // destroyed unrun because the future was abandoned, so a dropped future
-  // cannot leave its context permanently "outstanding".
-  auto token = std::shared_ptr<void>(
-      nullptr, [core, ctx](void*) { core->Retire(ctx); });
-  Cluster* cluster = master_->cluster();
-  state->harvest = [cluster, token](const TaskTraffic& t) {
-    if (TaskTraffic* ambient = TrafficScope::Current()) {
-      ambient->MergeFrom(t);
+  // co-located server; the exchanges record into the op's own traffic, so
+  // the binding travels with it.
+  if (ambient != nullptr) traffic.colocated_server = ambient->colocated_server;
+  bool leader = false;
+  const uint32_t slot = Issue(ambient, &leader);
+  (leader ? traffic.rounds : traffic.pipelined_rounds) += 1;
+  Result<std::vector<PsServer::HandleResult>> results = [&] {
+    if constexpr (std::is_invocable_v<Exchange, TaskTraffic*>) {
+      return exchange(&traffic);
     } else {
-      ChargeCoordinator(cluster, t);
+      return ExchangeAll(&traffic, std::move(exchange));
     }
-  };
-
-  // The exchange completes before issue returns; the future defers only the
-  // harvest, which is where overlapped ops share one round of latency.
-  Result<std::vector<PsServer::HandleResult>> results =
-      exchange(&state->traffic);
-  if (!results.ok()) {
-    state->Complete(Result<T>(results.status()));
-  } else {
-    state->Complete(parse(std::move(*results), &state->traffic));
-  }
-  return PsFuture<T>(std::move(state));
+  }();
+  Result<T> value = results.ok() ? Result<T>(parse(std::move(*results)))
+                                 : Result<T>(results.status());
+  return PsFuture<T>(std::move(value), std::move(traffic), this, slot);
 }
 
 namespace {
-/// ParseFn for push-like ops: responses carry no payload the client needs.
-Result<Ack> AckParse(std::vector<PsServer::HandleResult>&&, TaskTraffic*) {
-  return Ack{};
-}
+/// The parse of push-like ops: responses carry nothing the client needs.
+Ack AckParse(std::vector<PsServer::HandleResult>&&) { return Ack{}; }
 }  // namespace
 
 // ----------------------------------------------------------- row access ops
@@ -986,16 +913,15 @@ PsFuture<std::vector<std::vector<double>>> PsClient::SubmitReads(
     RowOp* op, std::vector<std::vector<double>> out,
     std::vector<uint8_t> warm) {
   using Out = std::vector<std::vector<double>>;
-  if (op->parts.empty()) return ReadyFuture<Out>(std::move(out));
-  // Both lambdas run before SubmitExchange returns, so they may hold `op`,
-  // `out` and `warm` by reference.
+  if (op->parts.empty()) return PsFuture<Out>(std::move(out));
+  // Both lambdas run before Submit returns, so they may hold `op`, `out`
+  // and `warm` by reference.
   const std::vector<RowRef>& rows = *op->rows;
-  return SubmitExchange<Out>(
+  return Submit<Out>(
       [&](TaskTraffic* traffic) {
         return ExchangeRows(traffic, op, std::move(op->parts));
       },
-      [&](std::vector<PsServer::HandleResult>&& results,
-          TaskTraffic*) -> Result<Out> {
+      [&](std::vector<PsServer::HandleResult>&& results) -> Result<Out> {
         for (size_t q = 0, begin = 0; q < results.size();
              begin = op->answered_end[q++]) {
           const size_t end = op->answered_end[q];
@@ -1046,10 +972,10 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ReadRowsAsync(
   using Out = std::vector<std::vector<double>>;
   const RowSelectorKind kind = cols.kind;
   if (kind == RowSelectorKind::kIndices && cols.indices == nullptr) {
-    return ReadyFuture<Out>(
+    return PsFuture<Out>(
         Status::InvalidArgument("index selector without indices"));
   }
-  if (rows.empty()) return ReadyFuture<Out>(Out{});
+  if (rows.empty()) return PsFuture<Out>(Out{});
   RowOp op;
   op.kind = kind;
   op.int_values = cols.int_values;
@@ -1058,7 +984,7 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ReadRowsAsync(
   op.window_begin =
       kind == RowSelectorKind::kRange && !cols.cols.whole ? cols.cols.begin : 0;
   Result<MetaBatch> metas = master_->GetMetas(rows);
-  if (!metas.ok()) return ReadyFuture<Out>(metas.status());
+  if (!metas.ok()) return PsFuture<Out>(metas.status());
   op.metas = std::move(*metas);
   Out out(rows.size());
   op.parts.reserve(rows.size());
@@ -1072,11 +998,11 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ReadRowsAsync(
     const std::vector<uint64_t>* idx = cols.indices;
     if (kind != RowSelectorKind::kIndices &&
         (w.begin > w.end || w.end > meta.dim)) {
-      return ReadyFuture<Out>(Status::OutOfRange("read window out of range"));
+      return PsFuture<Out>(Status::OutOfRange("read window out of range"));
     }
     if (kind == RowSelectorKind::kIndices && !idx->empty() &&
         idx->back() >= meta.dim) {
-      return ReadyFuture<Out>(Status::OutOfRange("read index out of range"));
+      return PsFuture<Out>(Status::OutOfRange("read index out of range"));
     }
     const size_t size =
         kind == RowSelectorKind::kIndices ? idx->size() : w.width();
@@ -1108,11 +1034,11 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ReadRowsAsync(
             kind == RowSelectorKind::kIndices ? idx->size() : w.end);
   }
   if (local_hits > 0) {
-    OpScope scope(master_->cluster());
-    TaskTraffic* t = scope.traffic();
-    t->worker_ops += local_values;
-    t->local_pull_hits += local_hits;
-    t->local_pull_bytes += local_values * sizeof(double);
+    TaskTraffic local;
+    local.worker_ops = local_values;
+    local.local_pull_hits = local_hits;
+    local.local_pull_bytes = local_values * sizeof(double);
+    Charge(local);
   }
   return SubmitReads(&op, std::move(out), std::move(warm));
 }
@@ -1121,15 +1047,15 @@ PsFuture<Ack> PsClient::WriteRowsAsync(const std::vector<RowRef>& rows,
                                        RowDeltas deltas,
                                        const RowSelector& cols) {
   if (rows.size() != deltas.size) {
-    return ReadyFuture<Ack>(
+    return PsFuture<Ack>(
         Status::InvalidArgument("rows/deltas size mismatch"));
   }
   const bool dense = deltas.dense != nullptr;
   if (dense && cols.kind == RowSelectorKind::kIndices) {
-    return ReadyFuture<Ack>(Status::InvalidArgument(
+    return PsFuture<Ack>(Status::InvalidArgument(
         "dense row deltas take an all or range selector"));
   }
-  if (rows.empty()) return ReadyFuture<Ack>(Ack{});
+  if (rows.empty()) return PsFuture<Ack>(Ack{});
   RowOp op;
   op.op = PsOpCode::kWriteRows;
   op.kind = dense ? cols.kind : RowSelectorKind::kIndices;
@@ -1140,7 +1066,7 @@ PsFuture<Ack> PsClient::WriteRowsAsync(const std::vector<RowRef>& rows,
                         ? cols.cols.begin
                         : 0;
   Result<MetaBatch> metas = master_->GetMetas(rows);
-  if (!metas.ok()) return ReadyFuture<Ack>(metas.status());
+  if (!metas.ok()) return PsFuture<Ack>(metas.status());
   op.metas = std::move(*metas);
   op.parts.reserve(rows.size());
   for (uint32_t i = 0; i < rows.size(); ++i) {
@@ -1150,7 +1076,7 @@ PsFuture<Ack> PsClient::WriteRowsAsync(const std::vector<RowRef>& rows,
       const SparseVector& delta = deltas.sparse[i];
       if (delta.nnz() == 0) continue;
       if (delta.indices().back() >= meta.dim) {
-        return ReadyFuture<Ack>(Status::OutOfRange("push index out of range"));
+        return PsFuture<Ack>(Status::OutOfRange("push index out of range"));
       }
       if (!hot) {
         op.Plan(i, 0, delta.nnz());
@@ -1163,15 +1089,15 @@ PsFuture<Ack> PsClient::WriteRowsAsync(const std::vector<RowRef>& rows,
                          : cols.cols.whole ? ColRange::Of(0, delta.size())
                                            : cols.cols;
       if (op.kind == RowSelectorKind::kAll && delta.size() != meta.dim) {
-        return ReadyFuture<Ack>(
+        return PsFuture<Ack>(
             Status::InvalidArgument("row delta dimension mismatch"));
       }
       if (w.begin > w.end || w.width() != delta.size()) {
-        return ReadyFuture<Ack>(
+        return PsFuture<Ack>(
             Status::InvalidArgument("push window/delta size mismatch"));
       }
       if (w.end > meta.dim) {
-        return ReadyFuture<Ack>(Status::OutOfRange("push window out of range"));
+        return PsFuture<Ack>(Status::OutOfRange("push window out of range"));
       }
       if (!hot || op.kind == RowSelectorKind::kAll || delta.empty()) {
         op.Plan(i, w.begin, w.end);
@@ -1190,8 +1116,8 @@ PsFuture<Ack> PsClient::WriteRowsAsync(const std::vector<RowRef>& rows,
                      : deltas.sparse[i].nnz();
     op.parts.push_back(piece);
   }
-  if (op.parts.empty()) return ReadyFuture<Ack>(Ack{});
-  return SubmitExchange<Ack>(
+  if (op.parts.empty()) return PsFuture<Ack>(Ack{});
+  return Submit<Ack>(
       [&](TaskTraffic* traffic) {
         return ExchangeRows(traffic, &op, std::move(op.parts));
       },
@@ -1205,7 +1131,7 @@ Status PsClient::PushSparse(RowRef ref, const SparseVector& delta) {
 PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
     uint64_t epoch, const std::vector<ServingRead>& reads) {
   using Out = std::vector<std::vector<double>>;
-  if (reads.empty()) return ReadyFuture<Out>(Out{});
+  if (reads.empty()) return PsFuture<Out>(Out{});
   std::vector<RowRef> rows(reads.size());
   for (size_t r = 0; r < reads.size(); ++r) rows[r] = reads[r].row;
   RowOp op;
@@ -1215,7 +1141,7 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
   op.reads = &reads;
   Result<MetaBatch> metas =
       master_->serving_snapshots()->PlacementOf(epoch, rows);
-  if (!metas.ok()) return ReadyFuture<Out>(metas.status());
+  if (!metas.ok()) return PsFuture<Out>(metas.status());
   op.metas = std::move(*metas);
   // One piece per (read, server); pieces bound for the same server share a
   // single kServingPull request (the coalescing lever).
@@ -1224,7 +1150,7 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
     const std::vector<uint64_t>& idx = reads[r].indices;
     const uint64_t dim = op.metas[r].dim;
     if (!idx.empty() && idx.back() >= dim) {
-      return ReadyFuture<Out>(
+      return PsFuture<Out>(
           Status::OutOfRange("serving pull index out of range"));
     }
     op.kind = idx.empty() ? RowSelectorKind::kAll : RowSelectorKind::kIndices;
@@ -1360,14 +1286,14 @@ PsClient::ColumnRequests(PsOpCode op, const std::vector<Entry>& entries) {
 
 PsFuture<Ack> PsClient::ColumnOpsAsync(
     const std::vector<ColumnOpEntry>& entries) {
-  if (entries.empty()) return ReadyFuture<Ack>(Ack{});
+  if (entries.empty()) return PsFuture<Ack>(Ack{});
   Result<std::optional<std::vector<ServerRequest>>> requests =
       ColumnRequests(PsOpCode::kColumnOps, entries);
-  if (!requests.ok()) return ReadyFuture<Ack>(requests.status());
-  if (*requests) return SubmitAsync<Ack>(std::move(**requests), AckParse);
+  if (!requests.ok()) return PsFuture<Ack>(requests.status());
+  if (*requests) return Submit<Ack>(std::move(**requests), AckParse);
   // The relay is inherently synchronous (a chain of dependent client ops);
   // run it at issue time.
-  return ReadyFuture<Ack>(ColumnOpsRelay(entries));
+  return PsFuture<Ack>(ColumnOpsRelay(entries));
 }
 
 Result<Ack> PsClient::ColumnOpsRelay(
@@ -1408,10 +1334,9 @@ Result<Ack> PsClient::ColumnOpsRelay(
   const uint64_t ops = ApplyColumnOp(
       e.kind, result.data(), pulled[0].data(),
       pulled.size() > 1 ? pulled[1].data() : nullptr, e.scalar, dim);
-  {
-    OpScope scope(master_->cluster());
-    scope.traffic()->worker_ops += ops;
-  }
+  TaskTraffic compute;
+  compute.worker_ops = ops;
+  Charge(compute);
   if (e.kind != ColOpKind::kAxpy) {
     PS2_RETURN_NOT_OK(ColumnOpsAsync({{ColOpKind::kFill, {dst}}}).Wait());
   }
@@ -1422,17 +1347,16 @@ Result<Ack> PsClient::ColumnOpsRelay(
 PsFuture<std::vector<AggregateValue>> PsClient::AggregateAsync(
     const std::vector<AggregateEntry>& entries) {
   using Out = std::vector<AggregateValue>;
-  if (entries.empty()) return ReadyFuture<Out>(Out{});
+  if (entries.empty()) return PsFuture<Out>(Out{});
   Result<std::optional<std::vector<ServerRequest>>> requests =
       ColumnRequests(PsOpCode::kAggregate, entries);
-  if (!requests.ok()) return ReadyFuture<Out>(requests.status());
-  if (!*requests) return ReadyFuture<Out>(AggregateRelay(entries));
+  if (!requests.ok()) return PsFuture<Out>(requests.status());
+  if (!*requests) return PsFuture<Out>(AggregateRelay(entries));
   std::vector<AggKind> kinds;
   for (const AggregateEntry& e : entries) kinds.push_back(e.kind);
-  return SubmitAsync<Out>(
+  return Submit<Out>(
       std::move(**requests),
-      [kinds = std::move(kinds)](std::vector<PsServer::HandleResult>&& results,
-                                 TaskTraffic*) -> Result<Out> {
+      [&kinds](std::vector<PsServer::HandleResult>&& results) -> Result<Out> {
         // Partials combine in partition order, exactly as a per-op fan-out
         // would, so results are bit-stable however entries are batched.
         Out out(kinds.size());
@@ -1490,14 +1414,15 @@ Result<std::vector<AggregateValue>> PsClient::AggregateRelay(
   const uint64_t ops =
       kernels::Dot(ab[0].data(), ab[1].data(),
                    std::min(ab[0].size(), ab[1].size()), &out[0].value);
-  OpScope scope(master_->cluster());
-  scope.traffic()->worker_ops += ops;
+  TaskTraffic compute;
+  compute.worker_ops = ops;
+  Charge(compute);
   return out;
 }
 
 PsFuture<Ack> PsClient::ClockAdvanceAsync(int worker, uint64_t clock) {
   if (worker < 0) {
-    return ReadyFuture<Ack>(Status::InvalidArgument("worker must be >= 0"));
+    return PsFuture<Ack>(Status::InvalidArgument("worker must be >= 0"));
   }
   // Every active server holds a full worker-clock vector for its key
   // ranges, so the advance fans out to the active snapshot. It is a tracked
@@ -1513,7 +1438,7 @@ PsFuture<Ack> PsClient::ClockAdvanceAsync(int worker, uint64_t clock) {
     writer.WriteVarint(clock);
     requests.push_back(MakeRequest(s, &writer));
   }
-  return SubmitAsync<Ack>(std::move(requests), AckParse);
+  return Submit<Ack>(std::move(requests), AckParse);
 }
 
 Status PsClient::ClockAdvance(int worker, uint64_t clock) {
@@ -1534,7 +1459,7 @@ Status PsClient::MatrixInit(int matrix_id, uint32_t row_begin,
     writer.WriteU64(seed);
     requests.push_back(MakeShardRequest(meta, p, &writer));
   }
-  return SubmitAsync<Ack>(std::move(requests), AckParse).Wait();
+  return Submit<Ack>(std::move(requests), AckParse).Wait();
 }
 
 }  // namespace ps2

@@ -15,25 +15,24 @@
 //      cluster pool unless the issuing thread is one of that pool's workers
 //      (DESIGN.md §5c), and
 //   3. records the exchanges — request bytes, response bytes, server ops —
-//      into the issuing task's TaskTraffic. When no task is active (the
-//      coordinator issuing a DCV op between stages, e.g. the Adam update
-//      zip), the op charges the cluster clock directly with the collective
-//      cost of its fan-out.
+//      into the op's own TaskTraffic, which its PsFuture receipt carries
+//      until it is settled (ps/ps_future.h). Settling charges it by one
+//      rule (Charge): into the issuing task's TrafficScope, or — when the
+//      coordinator issued the op between stages, e.g. the Adam update zip —
+//      onto the cluster clock as the collective cost of its fan-out.
 //
-// Every operation has an asynchronous twin returning a PsFuture<T>
-// (paper §5.1's asynchronous client). The exchanges finish before issue
-// returns, but the op's traffic goes into a future-local record that the
-// first Wait()/Get() merges into the caller's scope. Overlap accounting:
-// the first op issued while a context has nothing outstanding is the round
-// *leader* (TaskTraffic::rounds += 1); ops issued while others are
-// outstanding ride the leader's latency window (TaskTraffic::
-// pipelined_rounds += 1), so an overlapped group of k ops charges max — one
-// round — rather than the sum the serial client paid. Leader/follower is
-// decided at issue time and retired at harvest time, both on the caller
-// thread in program order, so virtual time stays deterministic no matter
-// which thread ran an exchange. The synchronous API is a thin
-// XAsync(...).Get() wrapper — with nothing outstanding it is
-// leader-classified and byte-and-round identical to the old serial client.
+// Every op runs through one Submit and returns a completed PsFuture<T>
+// (paper §5.1's asynchronous client). Overlap accounting: the first op
+// issued while a context has nothing outstanding is the round *leader*
+// (TaskTraffic::rounds += 1); ops issued while others are outstanding ride
+// the leader's latency window (TaskTraffic::pipelined_rounds += 1), so an
+// overlapped group of k ops charges max — one round — rather than the sum
+// the serial client paid. Leader/follower is decided at issue and retired
+// at settlement, both on the caller thread in program order, so virtual
+// time stays deterministic no matter which thread ran an exchange. The
+// synchronous API is a thin XAsync(...).Get() wrapper — with nothing
+// outstanding it is leader-classified and byte-and-round identical to the
+// old serial client.
 //
 // Error fan-out semantics (the same inline and on the pool): every request
 // executes on its server, every *successful* exchange is recorded in
@@ -57,8 +56,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -273,10 +272,9 @@ class PsClient {
   // ---- Asynchronous API ---------------------------------------------------
   //
   // Each op validates at issue time (an invalid call returns an
-  // already-failed future that charges nothing) and runs its exchanges
-  // before returning (see the header comment); the future is complete at
-  // issue. Wait()/Get() it — on the issuing thread — to retrieve the result
-  // and charge the traffic.
+  // already-failed receipt that charges nothing) and runs its exchanges
+  // before returning (see the header comment). Wait()/Get() the receipt —
+  // on the issuing thread — to retrieve the result and charge the traffic.
 
   /// Advances `worker`'s clock to `clock` in every active server's
   /// worker-clock vector (kClockAdvance fan-out; consistency/, DESIGN.md
@@ -314,9 +312,6 @@ class PsClient {
   const HotRowCache& hot_cache() const { return cache_; }
 
  private:
-  class OpScope;
-  struct AsyncCore;
-
   /// One serialized request bound for one server. `payload` holds the
   /// logical (unfiltered) bytes; `wire` is what actually travels. With the
   /// filter chain off (or a no-gain encode) `wire` aliases `payload` — same
@@ -339,7 +334,7 @@ class PsClient {
     int route_matrix = -1;
     int route_partition = -1;
     /// Set by MakeShardRequest: the op runs over the server's whole shard,
-    /// so ExchangeAll may spread the fan-out over the cluster pool.
+    /// so ExchangeEach may spread the fan-out over the cluster pool.
     bool shard_scoped = false;
   };
 
@@ -360,28 +355,22 @@ class PsClient {
     uint64_t routing_refetches = 0;  ///< routing-stale waits + re-aims
   };
 
-  /// Parses the per-server responses (in request order) into the op's value
-  /// on the issuing thread; records any client-side compute into `traffic`.
-  template <typename T>
-  using ParseFn = std::function<Result<T>(
-      std::vector<PsServer::HandleResult>&&, TaskTraffic*)>;
+  /// Runs one op: classifies it leader or follower in the issuing context,
+  /// runs `exchange(traffic)` — its requests, recorded into the op's own
+  /// traffic — then `parse(results)` on the responses in request order,
+  /// and returns the completed receipt.
+  template <typename T, typename Exchange, typename Parse>
+  PsFuture<T> Submit(Exchange exchange, Parse parse);
 
-  /// Classifies leader/follower, runs `requests` through ExchangeAll and
-  /// completes the future with `parse`'s result.
-  template <typename T>
-  PsFuture<T> SubmitAsync(std::vector<ServerRequest> requests,
-                          ParseFn<T> parse);
+  /// The one charge rule: `traffic` merges into the ambient TrafficScope,
+  /// or — issued by the coordinator between stages — charges the cluster
+  /// clock with the collective cost of its fan-out.
+  void Charge(const TaskTraffic& traffic);
 
-  /// SubmitAsync over any exchange: `exchange(traffic)` runs the op's
-  /// requests (recording into `traffic`), then `parse` reads its results.
-  /// Both run before this returns.
-  template <typename T, typename Exchange>
-  PsFuture<T> SubmitExchange(Exchange&& exchange, ParseFn<T> parse);
-
-  /// An already-completed future with no traffic (validation errors and
-  /// trivially empty ops that the serial client answered without traffic).
-  template <typename T>
-  static PsFuture<T> ReadyFuture(Result<T> result);
+  /// Counts an op into `ctx`'s outstanding window and returns its slot;
+  /// `*leader` is set when nothing else was outstanding there.
+  uint32_t Issue(const void* ctx, bool* leader);
+  friend void internal::SettleOp(PsClient*, uint32_t, const TaskTraffic&);
 
   /// Seals `writer` into a request bound for `server`: takes the section
   /// marks, releases the buffer into a SharedBuf (no copy), and leaves the
@@ -396,7 +385,7 @@ class PsClient {
                            BufferWriter* writer);
 
   /// MakeRouted for a shard-scoped op (built from SpanTargets): marks the
-  /// request so ExchangeAll may run the fan-out on the cluster pool.
+  /// request so ExchangeEach may run the fan-out on the cluster pool.
   ServerRequest MakeShardRequest(const MatrixMeta& meta, int partition,
                                  BufferWriter* writer);
 
@@ -509,7 +498,18 @@ class PsClient {
   int client_id_;  ///< unique per client (PsMaster::AllocateClientId)
   /// Next sequence number per server, starting at 1 (0 = never sent).
   std::unique_ptr<std::atomic<uint64_t>[]> next_seq_;
-  std::shared_ptr<AsyncCore> core_;
+  /// Leader/follower bookkeeping: per issuing context (its TrafficScope
+  /// record; nullptr = the coordinator), the ops issued and not yet
+  /// settled. Touched only in caller program order — issue at Submit,
+  /// retire at settlement — so classification, and with it virtual time,
+  /// is deterministic. A slot whose count drops to zero is reused by the
+  /// next context, so an op allocates nothing here.
+  struct WindowSlot {
+    const void* ctx = nullptr;
+    uint32_t outstanding = 0;
+  };
+  std::mutex window_mu_;
+  std::vector<WindowSlot> window_;
   /// Bounded-staleness copies of the hot rows, warmed by the
   /// HotspotManager at every replica sync.
   HotRowCache cache_;

@@ -1,42 +1,24 @@
 #pragma once
 
-// Lightweight futures for the asynchronous PS client.
+// The receipt of one asynchronous PS client op (paper §5.1's asynchronous
+// client). Every op — ReadRowsAsync, WriteRowsAsync, ... — runs its
+// exchanges before its *Async call returns, so a PsFuture<T> is a completed,
+// move-only value: the op's Result<T>, the TaskTraffic its exchanges
+// recorded, and the handle that retires the op from its client's
+// outstanding window (leader/follower rounds, ps/ps_client.h).
 //
-// A PsFuture<T> is a shared handle on the eventual Result<T> of one async
-// client op (ReadRowsAsync, WriteRowsAsync, ...). It is deliberately tiny:
-// no executors, no cancellation — just Wait/Get/Then plus the two pieces of
-// bookkeeping the simulator needs:
-//
-//   * traffic harvest — an async op records its bytes/messages/rounds into a
-//     future-local TaskTraffic, so that overlapped ops can share one round
-//     of latency. The first Wait()/Get() on the *caller* thread runs the
-//     harvest hook installed by the client, which merges that traffic into
-//     the caller's TrafficScope (or charges the coordinator clock when
-//     called from the driver).
-//   * round accounting — the harvest hook also retires the op from the
-//     client's outstanding count (leader/follower classification). If a
-//     future is dropped without Wait/Get, the state's destructor runs the
-//     hook: the op is retired AND the recorded traffic is charged (to the
-//     ambient scope if the last owner is a task thread, else to the
-//     coordinator clock), so abandoning a push-future cannot make a run
-//     cheaper than waiting on it. Prefer Wait anyway — it charges the
-//     traffic at a deterministic point in program order.
-//
-// Then(f) chains a computation onto completion. f runs on whichever thread
-// completes the source future (inline, right away, when already done), so
-// it must not block on other futures. Harvest duty transfers to the
-// derived future at registration: waiting on the tail of a chain charges the
-// whole chain's traffic exactly once.
+// Settling the receipt charges the traffic — to the ambient TrafficScope,
+// or to the cluster clock when the coordinator holds it — and retires the
+// op. The first Wait()/Get() settles; so does destroying an unsettled
+// future or move-assigning over it, so abandoning a push cannot make a run
+// cheaper than waiting on it. Prefer Wait: it charges at a fixed point in
+// program order. Settle every future before its client is destroyed.
 
-#include <condition_variable>
-#include <functional>
-#include <memory>
-#include <mutex>
+#include <cstdint>
 #include <optional>
-#include <type_traits>
 #include <utility>
-#include <vector>
 
+#include "common/logging.h"
 #include "common/result.h"
 #include "net/network_model.h"
 
@@ -45,170 +27,94 @@ namespace ps2 {
 /// \brief Empty value type for push-like async ops ("the ack arrived").
 struct Ack {};
 
+class PsClient;
+
 namespace internal {
-
-/// Maps a continuation's return type R to the derived future's value type:
-/// Result<U> unwraps to U, anything else is taken as-is.
-template <typename R>
-struct FutureValue {
-  using type = R;
-  static Result<R> Wrap(R&& v) { return Result<R>(std::move(v)); }
-};
-template <typename U>
-struct FutureValue<Result<U>> {
-  using type = U;
-  static Result<U> Wrap(Result<U>&& v) { return std::move(v); }
-};
-
-template <typename T>
-struct PsFutureState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::optional<Result<T>> value;
-
-  /// Traffic recorded by the op; written by the completing thread strictly
-  /// before `done` flips, read by the harvesting thread strictly after.
-  TaskTraffic traffic;
-
-  /// Installed by the client at issue time; run at most once, on the first
-  /// Wait/Get caller thread. Destroying it unrun still retires the op (the
-  /// hook owns a retire token).
-  std::function<void(const TaskTraffic&)> harvest;
-  bool harvested = false;
-
-  /// Run (without the lock held) by the completing thread.
-  std::vector<std::function<void()>> continuations;
-
-  ~PsFutureState() {
-    // Abandoned future: the op ran and recorded traffic, but nobody waited.
-    // The last owner charges it here —
-    // no lock needed, ownership is exclusive by definition. See the header
-    // comment; without this, dropped push-futures leaked their cost.
-    if (!harvested && harvest) {
-      harvested = true;
-      auto hook = std::move(harvest);
-      hook(traffic);
-    }
-  }
-
-  void Complete(Result<T>&& result) {
-    std::vector<std::function<void()>> ready;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      value.emplace(std::move(result));
-      done = true;
-      ready.swap(continuations);
-    }
-    cv.notify_all();
-    for (auto& fn : ready) fn();
-  }
-};
-
+/// Charges `traffic` and retires op `slot` of `client` (ps_client.cc).
+void SettleOp(PsClient* client, uint32_t slot, const TaskTraffic& traffic);
 }  // namespace internal
 
-/// \brief Shared handle on the eventual result of an async PS op.
+/// \brief The completed result of an async PS op, plus its unpaid traffic.
 template <typename T>
 class PsFuture {
  public:
   PsFuture() = default;
-  explicit PsFuture(std::shared_ptr<internal::PsFutureState<T>> state)
-      : state_(std::move(state)) {}
+  /// An op answered without traffic (a validation error, an empty op):
+  /// nothing to charge or retire.
+  explicit PsFuture(Result<T> result) : result_(std::move(result)) {}
 
-  bool valid() const { return state_ != nullptr; }
+  PsFuture(PsFuture&& other) noexcept { Take(other); }
+  PsFuture& operator=(PsFuture&& other) noexcept {
+    if (this != &other) {
+      Settle();
+      Take(other);
+    }
+    return *this;
+  }
+  ~PsFuture() { Settle(); }
 
-  /// Blocks until completion, harvests traffic into the caller's scope, and
-  /// returns the op's status (value untouched; call Get() for it).
-  Status Wait() const {
-    internal::PsFutureState<T>* s = Require();
-    std::unique_lock<std::mutex> lock(s->mu);
-    s->cv.wait(lock, [s] { return s->done; });
-    Status status = s->value->status();
-    Harvest(s, lock);
-    return status;
+  /// False once Get() has consumed the value, and when empty or moved from.
+  bool valid() const { return result_.has_value(); }
+
+  /// Settles the op and returns its status; the value stays for Get().
+  Status Wait() {
+    PS2_CHECK(valid()) << "Wait on an invalid or consumed PsFuture";
+    Settle();
+    return result_->status();
   }
 
-  /// Wait() then move the result out. At most one Get() per future chain.
-  Result<T> Get() const {
-    internal::PsFutureState<T>* s = Require();
-    std::unique_lock<std::mutex> lock(s->mu);
-    s->cv.wait(lock, [s] { return s->done; });
-    Result<T> out = std::move(*s->value);
-    Harvest(s, lock);
+  /// Settles the op and moves its result out. A second Get() fails a check.
+  Result<T> Get() {
+    PS2_CHECK(valid()) << "Get on an invalid or consumed PsFuture";
+    Settle();
+    Result<T> out = std::move(*result_);
+    result_.reset();
     return out;
   }
 
-  /// True once the op has completed (non-blocking; does not harvest).
-  bool Ready() const {
-    internal::PsFutureState<T>* s = Require();
-    std::lock_guard<std::mutex> lock(s->mu);
-    return s->done;
-  }
-
-  /// Chains `f(Result<T>&&)` onto completion; returns a future of f's result
-  /// (Result<U> returns unwrap to U). f runs on the completing thread — or
-  /// inline, right here, if the source already completed. Harvest duty moves
-  /// to the returned future, so only the tail of a chain needs Wait/Get.
-  template <typename F>
-  auto Then(F f) const {
-    using R = std::invoke_result_t<F, Result<T>&&>;
-    using V = internal::FutureValue<R>;
-    using U = typename V::type;
-    internal::PsFutureState<T>* s = Require();
-    auto derived = std::make_shared<internal::PsFutureState<U>>();
-
-    std::shared_ptr<internal::PsFutureState<T>> source = state_;
-    auto run = [source, derived, f = std::move(f)]() mutable {
-      Result<T> in = [&] {
-        std::lock_guard<std::mutex> lock(source->mu);
-        return std::move(*source->value);
-      }();
-      // The chain's traffic flows tail-ward so the tail's harvest sees it all.
-      derived->traffic.MergeFrom(source->traffic);
-      derived->Complete(V::Wrap(f(std::move(in))));
-    };
-
-    bool already_done;
-    {
-      std::lock_guard<std::mutex> lock(s->mu);
-      derived->harvest = std::move(s->harvest);
-      s->harvest = nullptr;
-      already_done = s->done;
-      if (!already_done) s->continuations.push_back(std::move(run));
-    }
-    if (already_done) run();
-    return PsFuture<U>(std::move(derived));
+  /// This receipt holding `f(value)` in place of its value (an error passes
+  /// through). The traffic and the retire handle move over unsettled.
+  template <typename U, typename F>
+  PsFuture<U> Map(F f) && {
+    PS2_CHECK(valid()) << "Map on an invalid or consumed PsFuture";
+    PsFuture<U> out(result_->ok() ? Result<U>(f(*std::move(*result_)))
+                                  : Result<U>(result_->status()));
+    result_.reset();
+    out.traffic_ = std::move(traffic_);
+    out.client_ = std::exchange(client_, nullptr);
+    out.slot_ = slot_;
+    return out;
   }
 
  private:
-  internal::PsFutureState<T>* Require() const {
-    PS2_CHECK(state_ != nullptr) << "operation on an invalid PsFuture";
-    return state_.get();
+  friend class PsClient;
+  template <typename>
+  friend class PsFuture;
+
+  PsFuture(Result<T> result, TaskTraffic traffic, PsClient* client,
+           uint32_t slot)
+      : result_(std::move(result)),
+        traffic_(std::move(traffic)),
+        client_(client),
+        slot_(slot) {}
+
+  void Settle() {
+    if (client_ == nullptr) return;
+    internal::SettleOp(std::exchange(client_, nullptr), slot_, traffic_);
   }
 
-  /// Runs the harvest hook once; called with `lock` held on s->mu, releases
-  /// it around the hook (the hook touches the caller's TrafficScope and the
-  /// client's outstanding count, never this future).
-  static void Harvest(internal::PsFutureState<T>* s,
-                      std::unique_lock<std::mutex>& lock) {
-    if (s->harvested || !s->harvest) return;
-    s->harvested = true;
-    auto hook = std::move(s->harvest);
-    s->harvest = nullptr;
-    lock.unlock();
-    hook(s->traffic);
+  void Take(PsFuture& other) {
+    result_ = std::move(other.result_);
+    other.result_.reset();
+    traffic_ = std::move(other.traffic_);
+    client_ = std::exchange(other.client_, nullptr);
+    slot_ = other.slot_;
   }
 
-  std::shared_ptr<internal::PsFutureState<T>> state_;
+  std::optional<Result<T>> result_;
+  TaskTraffic traffic_;
+  PsClient* client_ = nullptr;  ///< null once settled (or never submitted)
+  uint32_t slot_ = 0;           ///< the op's slot in the client's window
 };
-
-/// An already-completed future: no traffic, no harvest hook.
-/// Used for validation errors and trivially empty ops.
-template <typename T>
-PsFuture<T> MakeReadyFuture(Result<T> result) {
-  auto state = std::make_shared<internal::PsFutureState<T>>();
-  state->Complete(std::move(result));
-  return PsFuture<T>(std::move(state));
-}
 
 }  // namespace ps2

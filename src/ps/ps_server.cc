@@ -1928,8 +1928,8 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
   if (in.AtEnd()) return Status::OK();  // checkpoint predates §5d replicas
   PS2_ASSIGN_OR_RETURN(uint64_t n_replicas, in.ReadVarint());
   for (uint64_t i = 0; i < n_replicas; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t m, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t row, in.ReadVarint());
+    // A forged 2^32 + k must not truncate onto a live matrix or row.
+    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(&in));
     Replica replica;
     PS2_ASSIGN_OR_RETURN(replica.dim, in.ReadVarint());
     PS2_ASSIGN_OR_RETURN(replica.version, in.ReadVarint());
@@ -1945,15 +1945,17 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
       PS2_ASSIGN_OR_RETURN(double v, in.ReadF64());
       replica.pending[prev] = v;
     }
-    replicas_.emplace(
-        std::make_pair(static_cast<int>(m), static_cast<uint32_t>(row)),
-        std::move(replica));
+    replicas_.emplace(std::make_pair(ref.matrix_id, ref.row),
+                      std::move(replica));
   }
   dedup_.clear();
   if (in.AtEnd()) return Status::OK();  // checkpoint predates §6 dedup
   PS2_ASSIGN_OR_RETURN(uint64_t n_clients, in.ReadVarint());
   for (uint64_t i = 0; i < n_clients; ++i) {
     PS2_ASSIGN_OR_RETURN(uint64_t client_id, in.ReadVarint());
+    if (client_id > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      return Status::Internal("checkpoint client id out of range");
+    }
     ClientDedup d;
     PS2_ASSIGN_OR_RETURN(d.floor, in.ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint64_t n_seen, in.ReadVarint());

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "dataflow/cluster.h"
@@ -55,33 +56,86 @@ TEST_F(PsAsyncTest, FutureReadyAfterWaitAndGetConsumesValue) {
   RowRef w = NewMatrix(40);
   PsFuture<std::vector<double>> f = ReadRowAsync(*client_, w);
   ASSERT_TRUE(f.Wait().ok());
-  EXPECT_TRUE(f.Ready());
   EXPECT_EQ(f.Get()->size(), 40u);
 }
 
-TEST_F(PsAsyncTest, ThenTransformsTheResult) {
-  RowRef w = NewMatrix(50);
-  ASSERT_TRUE(WriteRow(*client_, w, std::vector<double>(50, 2.0)).ok());
-  PsFuture<double> sum = ReadRowAsync(*client_, w).Then(
-      [](Result<std::vector<double>>&& pulled) -> Result<double> {
-        PS2_RETURN_NOT_OK(pulled.status());
-        double s = 0;
-        for (double v : *pulled) s += v;
-        return s;
-      });
-  EXPECT_DOUBLE_EQ(*sum.Get(), 100.0);
+// A receipt owns its op's charge: copying one would charge it twice.
+static_assert(!std::is_copy_constructible_v<PsFuture<Ack>>);
+static_assert(!std::is_copy_assignable_v<PsFuture<Ack>>);
+
+TEST(PsFutureDeathTest, SecondGetFailsACheck) {
+  // The value moves out on the first Get; a second one must not hand back
+  // an OK, empty result.
+  PsFuture<std::vector<double>> f(
+      Result<std::vector<double>>(std::vector<double>(40, 1.0)));
+  ASSERT_EQ(f.Get()->size(), 40u);
+  EXPECT_FALSE(f.valid());
+  EXPECT_DEATH((void)f.Get(), "consumed PsFuture");
 }
 
-TEST_F(PsAsyncTest, ThenPropagatesErrors) {
+TEST_F(PsAsyncTest, MapPassesErrorsThrough) {
   RowRef w = NewMatrix(10);
-  // Index 10 is out of range; the error must flow through the chain.
-  PsFuture<double> chained =
-      ReadRowAsync(*client_, w, RowSelector::Indices({10})).Then(
-          [](Result<std::vector<double>>&& pulled) -> Result<double> {
-            PS2_RETURN_NOT_OK(pulled.status());
-            return (*pulled)[0];
-          });
-  EXPECT_TRUE(chained.Get().status().IsOutOfRange());
+  // Index 10 is out of range; the error reaches the mapped receipt.
+  PsFuture<std::vector<double>> row =
+      ReadRowAsync(*client_, w, RowSelector::Indices({10}));
+  EXPECT_TRUE(row.Get().status().IsOutOfRange());
+}
+
+TEST_F(PsAsyncTest, FutureDroppedInsideAVectorChargesOnce) {
+  // A receipt moved around inside a container and dropped there unsettled
+  // charges the coordinator clock exactly once: the same advance and
+  // messages as a twin op that was waited on.
+  RowRef w = NewMatrix(300);
+  const std::vector<double> delta(300, 1.0);
+  MetricsRegistry& metrics = cluster_->metrics();
+  SimTime t0 = cluster_->clock().Now();
+  uint64_t msgs0 = metrics.Get("net.messages");
+  {
+    std::vector<PsFuture<Ack>> pending;
+    pending.push_back(client_->WriteRowsAsync({w}, delta));
+    pending.reserve(64);  // moves the receipt into a new buffer
+  }
+  const SimTime dropped = cluster_->clock().Now() - t0;
+  const uint64_t dropped_msgs = metrics.Get("net.messages") - msgs0;
+  EXPECT_GT(dropped, 0.0);
+  EXPECT_GT(dropped_msgs, 0u);
+
+  t0 = cluster_->clock().Now();
+  msgs0 = metrics.Get("net.messages");
+  PsFuture<Ack> twin = client_->WriteRowsAsync({w}, delta);
+  ASSERT_TRUE(twin.Wait().ok());
+  EXPECT_NEAR(cluster_->clock().Now() - t0, dropped, 1e-12 * dropped);
+  EXPECT_EQ(metrics.Get("net.messages") - msgs0, dropped_msgs);
+  EXPECT_DOUBLE_EQ((*ReadRow(*client_, w))[0], 2.0);
+}
+
+TEST_F(PsAsyncTest, MoveAssignSettlesTheOldOpFirst) {
+  // The `pull = ...Async(...)` pattern of the async trainers: the new op is
+  // issued while the old one is still outstanding (a follower), then the
+  // assignment charges and retires the old op before taking the new one.
+  RowRef w = NewMatrix(100);
+  TaskTraffic traffic;
+  {
+    TrafficScope scope(&traffic);
+    PsFuture<std::vector<double>> pull = ReadRowAsync(*client_, w);
+    EXPECT_EQ(traffic.rounds, 0u);  // nothing charged before settlement
+    pull = ReadRowAsync(*client_, w);
+    EXPECT_EQ(traffic.rounds, 1u);  // the old op, charged at the assignment
+    EXPECT_EQ(traffic.pipelined_rounds, 0u);
+    ASSERT_TRUE(pull.Wait().ok());
+    EXPECT_EQ(traffic.pipelined_rounds, 1u);
+    // Both retired: the next op leads a round of its own.
+    ASSERT_TRUE(ReadRowAsync(*client_, w).Wait().ok());
+  }
+  EXPECT_EQ(traffic.rounds, 2u);
+  EXPECT_EQ(traffic.pipelined_rounds, 1u);
+  TaskTraffic one;
+  {
+    TrafficScope scope(&one);
+    ASSERT_TRUE(ReadRow(*client_, w).ok());
+  }
+  EXPECT_EQ(traffic.TotalMsgs(), 3 * one.TotalMsgs());
+  EXPECT_EQ(traffic.TotalBytesFromServers(), 3 * one.TotalBytesFromServers());
 }
 
 TEST_F(PsAsyncTest, OverlappedPushesAllLand) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -575,6 +576,182 @@ TEST_F(PsFuzzTest, ForgedServingPullMatrixIdsRejected) {
     EXPECT_TRUE(result.status().IsNotFound()) << id << " "
                                               << result.status().ToString();
   }
+}
+
+/// A checkpoint image holding every section — a dense and a sparse shard,
+/// a replica, a dedup entry and worker clocks — with the byte span of each
+/// count and id field, found by walking the image the way RestoreState
+/// reads it.
+class CheckpointImageTest : public PsFuzzTest {
+ protected:
+  struct Field {
+    std::string name;
+    size_t begin = 0;
+    size_t end = 0;
+  };
+
+  CheckpointImageTest() {
+    MatrixMeta sparse = MakeMeta(1, 32, 2);
+    sparse.storage = MatrixStorage::kSparse;
+    EXPECT_TRUE(server_.CreateMatrixShard(sparse).ok());
+    // Tracked writes: seq 1 then 3 leave floor 1 and seen {3}.
+    const std::vector<uint8_t> write =
+        AllWrite(0, std::vector<double>(64, 0.5));
+    RpcHeader header;
+    header.client_id = 5;
+    for (uint64_t seq : {1, 3}) {
+      header.seq = seq;
+      EXPECT_TRUE(HandleBytes(server_, write, header).ok());
+    }
+    BufferWriter sparse_write;
+    sparse_write.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+    sparse_write.WriteU8(static_cast<uint8_t>(RowSelectorKind::kIndices));
+    sparse_write.WriteVarint(1);  // rows
+    sparse_write.WriteVarint(1);  // matrix
+    sparse_write.WriteVarint(0);  // row
+    sparse_write.WriteVarint(2);  // values
+    sparse_write.WriteVarint(4);  // keys 4, 9 as deltas
+    sparse_write.WriteVarint(5);
+    sparse_write.WriteF64(1.5);
+    sparse_write.WriteF64(-2.0);
+    EXPECT_TRUE(HandleBytes(server_, sparse_write.buffer()).ok());
+    BufferWriter hot;
+    hot.WriteU8(static_cast<uint8_t>(PsOpCode::kHotSetUpdate));
+    hot.WriteVarint(1);
+    hot.WriteVarint(0);   // matrix
+    hot.WriteVarint(1);   // row
+    hot.WriteVarint(64);  // dim
+    EXPECT_TRUE(HandleBytes(server_, hot.buffer()).ok());
+    server_.InitWorkerClocks(3);
+    BufferWriter clock;
+    clock.WriteU8(static_cast<uint8_t>(PsOpCode::kClockAdvance));
+    clock.WriteVarint(2);  // worker
+    clock.WriteVarint(7);  // clock
+    EXPECT_TRUE(HandleBytes(server_, clock.buffer()).ok());
+    image_ = server_.SerializeState();
+    Walk();
+  }
+
+  /// Reads image_ field by field, recording fields_ and the section ends.
+  void Walk() {
+    BufferReader in(image_);
+    auto at = [&] { return image_.size() - in.remaining(); };
+    auto varint = [&](const char* name) {
+      const size_t begin = at();
+      uint64_t v = *in.ReadVarint();
+      fields_.push_back({name, begin, at()});
+      return v;
+    };
+    const uint64_t n_shards = varint("n_shards");
+    for (uint64_t s = 0; s < n_shards; ++s) {
+      const uint64_t id = varint("shard_id");
+      (void)*in.ReadU8();
+      (void)*in.ReadVarint();
+      (void)*in.ReadVarint();
+      const uint64_t n_rows = varint("n_rows");
+      for (uint64_t r = 0; r < n_rows; ++r) {
+        if (id == 0) {
+          const uint64_t width = varint("pod_len");
+          for (uint64_t c = 0; c < width; ++c) (void)*in.ReadF64();
+          continue;
+        }
+        const uint64_t nnz = varint("nnz");
+        for (uint64_t i = 0; i < nnz; ++i) {
+          (void)*in.ReadVarint();
+          (void)*in.ReadF64();
+        }
+      }
+    }
+    section_ends_.push_back(at());
+    const uint64_t n_replicas = varint("n_replicas");
+    for (uint64_t i = 0; i < n_replicas; ++i) {
+      varint("replica_matrix");
+      varint("replica_row");
+      (void)*in.ReadVarint();  // dim
+      (void)*in.ReadVarint();  // version
+      const uint64_t width = varint("pod_len");
+      for (uint64_t c = 0; c < width; ++c) (void)*in.ReadF64();
+      const uint64_t nnz = varint("nnz");
+      for (uint64_t j = 0; j < nnz; ++j) {
+        (void)*in.ReadVarint();
+        (void)*in.ReadF64();
+      }
+    }
+    section_ends_.push_back(at());
+    const uint64_t n_clients = varint("n_clients");
+    for (uint64_t i = 0; i < n_clients; ++i) {
+      varint("client_id");
+      (void)*in.ReadVarint();  // floor
+      const uint64_t n_seen = varint("n_seen");
+      for (uint64_t j = 0; j < n_seen; ++j) (void)*in.ReadVarint();
+    }
+    section_ends_.push_back(at());
+    const uint64_t n_clocks = varint("n_clocks");
+    for (uint64_t w = 0; w < n_clocks; ++w) (void)*in.ReadVarint();
+    EXPECT_TRUE(in.AtEnd());
+  }
+
+  /// image_ with `field` replaced by the varint `value`.
+  std::vector<uint8_t> Forge(const Field& field, uint64_t value) const {
+    BufferWriter out;
+    out.WriteBytes(Slice(image_.data(), field.begin));
+    out.WriteVarint(value);
+    out.WriteBytes(
+        Slice(image_.data() + field.end, image_.size() - field.end));
+    return out.Release();
+  }
+
+  std::vector<uint8_t> image_;
+  std::vector<Field> fields_;
+  std::vector<size_t> section_ends_;  ///< before replicas, dedup, clocks
+};
+
+TEST_F(CheckpointImageTest, EveryStrictPrefixIsRejectedButTheLegacyEnds) {
+  ASSERT_EQ(section_ends_.size(), 3u);
+  for (size_t len = 0; len < image_.size(); ++len) {
+    const bool legacy =
+        std::find(section_ends_.begin(), section_ends_.end(), len) !=
+        section_ends_.end();
+    std::vector<uint8_t> prefix(image_.begin(), image_.begin() + len);
+    EXPECT_EQ(server_.RestoreState(prefix).ok(), legacy) << "prefix " << len;
+  }
+  ASSERT_TRUE(server_.RestoreState(image_).ok());
+  EXPECT_EQ(server_.SerializeState(), image_);
+}
+
+TEST_F(CheckpointImageTest, ForgedCountsRejectedWithoutCrash) {
+  const char* counts[] = {"n_shards", "n_rows",   "pod_len", "n_replicas",
+                          "nnz",      "n_clients", "n_seen",  "n_clocks"};
+  for (const char* name : counts) {
+    int forged = 0;
+    for (const Field& f : fields_) {
+      if (f.name != name) continue;
+      forged += 1;
+      EXPECT_FALSE(server_.RestoreState(Forge(f, uint64_t{1} << 62)).ok())
+          << name << " at byte " << f.begin;
+    }
+    EXPECT_GT(forged, 0) << name;
+  }
+  ASSERT_TRUE(server_.RestoreState(image_).ok());
+  EXPECT_EQ(server_.SerializeState(), image_);
+}
+
+TEST_F(CheckpointImageTest, ForgedWideIdsDoNotTruncateOntoLiveOnes) {
+  // 2^32 + k would truncate onto matrix k, row k or client k: an image
+  // naming one must be refused, never restored under the live id.
+  for (const Field& f : fields_) {
+    if (f.name != "replica_matrix" && f.name != "replica_row" &&
+        f.name != "client_id") {
+      continue;
+    }
+    BufferReader in(image_.data() + f.begin, f.end - f.begin);
+    const uint64_t live = *in.ReadVarint();
+    EXPECT_FALSE(
+        server_.RestoreState(Forge(f, (uint64_t{1} << 32) + live)).ok())
+        << f.name;
+  }
+  ASSERT_TRUE(server_.RestoreState(image_).ok());
+  EXPECT_EQ(server_.SerializeState(), image_);
 }
 
 TEST_F(PsFuzzTest, SparseVectorDeserializeFuzz) {

@@ -28,11 +28,9 @@ inline Result<std::vector<double>> ReadRow(
 inline PsFuture<std::vector<double>> ReadRowAsync(
     PsClient& client, RowRef ref, const RowSelector& cols =
         RowSelector::Range()) {
-  return client.ReadRowsAsync({ref}, cols).Then(
-      [](Result<std::vector<std::vector<double>>>&& rows)
-          -> Result<std::vector<double>> {
-        if (!rows.ok()) return rows.status();
-        return std::move((*rows)[0]);
+  return client.ReadRowsAsync({ref}, cols).Map<std::vector<double>>(
+      [](std::vector<std::vector<double>>&& rows) {
+        return std::move(rows[0]);
       });
 }
 
