@@ -35,7 +35,7 @@ bool RunSync(PsClient& client, RowRef w, const std::vector<double>& delta) {
 }
 
 bool RunAsync(PsClient& client, RowRef w, const std::vector<double>& delta) {
-  std::vector<PsFuture<std::vector<std::vector<double>>>> pulls;
+  std::vector<PsFuture<RowBlock>> pulls;
   std::vector<PsFuture<Ack>> pushes;
   size_t next_pull = 0, next_push = 0;
   for (int i = 0; i < kOps; ++i) {

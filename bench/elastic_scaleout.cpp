@@ -155,7 +155,7 @@ SkewHealResult RunSkewHeal() {
   std::map<int, uint64_t> last;
   auto chunk = [&] {
     for (int k = 0; k < 8; ++k) {
-      Result<std::vector<std::vector<double>>> pulled =
+      Result<RowBlock> pulled =
           client.ReadRowsAsync({row}, RowSelector::Indices(hot)).Get();
       PS2_CHECK(pulled.ok());
     }

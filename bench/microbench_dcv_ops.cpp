@@ -362,17 +362,21 @@ OwnedRowsResult RunOwnedRows(int passes) {
   }
   OwnedRowsResult out;
   std::vector<std::vector<double>> deltas(kBatch, std::vector<double>(kDim));
+  RowBlock pulled;  // handed back to every read: no per-batch allocation
+  PsClient* client = ctx.client();
+  const RowSelector all = RowSelector::All();
   const auto t0 = std::chrono::steady_clock::now();
   for (int pass = 0; pass < passes; ++pass) {
     for (size_t b = 0; b < refs.size(); b += kBatch) {
       const std::vector<RowRef> batch(refs.begin() + b,
                                       refs.begin() + b + kBatch);
-      Result<std::vector<std::vector<double>>> pulled =
-          ctx.client()->ReadRowsAsync(batch, RowSelector::All()).Get();
-      PS2_CHECK(pulled.ok()) << pulled.status();
+      Result<RowBlock> read =
+          client->ReadRowsAsync(batch, all, std::move(pulled)).Get();
+      PS2_CHECK(read.ok()) << read.status();
+      pulled = std::move(*read);
       for (size_t i = 0; i < kBatch; ++i) {
         for (uint64_t c = 0; c < kDim; ++c) {
-          if (pass + 1 == passes) out.sum += (*pulled)[i][c];
+          if (pass + 1 == passes) out.sum += pulled.row(i)[c];
           deltas[i][c] = PatternValue((b + i) * kDim + c + pass);
         }
       }

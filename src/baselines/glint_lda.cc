@@ -63,8 +63,7 @@ Result<TrainReport> TrainLdaGlint(DcvContext* ctx,
 
               // Partition-wide count buffer; every batch refreshes the
               // columns of its own words just before sampling them.
-              std::vector<std::vector<double>> nwt_local(
-                  k_topics, std::vector<double>(vocab.size(), 0.0));
+              RowBlock nwt_local = RowBlock::Zeros(k_topics, vocab.size());
               double loglik = 0;
               uint64_t tokens = 0;
               for (size_t doc_begin = 0; doc_begin < state.num_docs();
@@ -80,21 +79,20 @@ Result<TrainReport> TrainLdaGlint(DcvContext* ctx,
                 }
                 // Per-batch pull: the Glint redundancy (hot words re-pulled
                 // every batch), uncompressed.
-                Result<std::vector<std::vector<double>>> pulled =
-                    client
-                        ->ReadRowsAsync(topic_refs,
-                                        RowSelector::Indices(batch_vocab))
-                        .Get();
+                const RowSelector cols = RowSelector::Indices(batch_vocab);
+                Result<RowBlock> pulled =
+                    client->ReadRowsAsync(topic_refs, cols).Get();
                 PS2_CHECK(pulled.ok()) << pulled.status();
                 Result<std::vector<double>> nt = topic_totals.Pull();
                 PS2_CHECK(nt.ok()) << nt.status();
                 for (uint32_t k = 0; k < k_topics; ++k) {
+                  const double* row = pulled->row(k);
                   for (size_t b = 0; b < batch_words.size(); ++b) {
-                    nwt_local[k][batch_words[b]] = (*pulled)[k][b];
+                    nwt_local.row(k)[batch_words[b]] = row[b];
                   }
                 }
                 LdaPartitionState::SweepResult sweep = state.Sweep(
-                    options, &nwt_local, &*nt, &rng, doc_begin, doc_end);
+                    options, &nwt_local, nt->data(), &rng, doc_begin, doc_end);
                 task.AddWorkerOps(sweep.tokens * (4 * k_topics + 8));
                 PS2_CHECK_OK(
                     client->WriteRowsAsync(topic_refs, sweep.topic_deltas)

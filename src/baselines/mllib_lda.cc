@@ -87,18 +87,17 @@ Result<TrainReport> TrainLdaMllib(Cluster* cluster,
             [&](TaskContext& task, const std::vector<Document>&) {
               LdaPartitionState& state = states[task.task_id];
               const auto& vocab_ids = state.local_vocab();
-              std::vector<std::vector<double>> nwt_local(
-                  k_topics, std::vector<double>(vocab_ids.size()));
+              RowBlock nwt_local = RowBlock::Zeros(k_topics, vocab_ids.size());
               const auto& global = *bcast.value();
               for (uint32_t k = 0; k < k_topics; ++k) {
                 for (size_t j = 0; j < vocab_ids.size(); ++j) {
-                  nwt_local[k][j] = global[k][vocab_ids[j]];
+                  nwt_local.row(k)[j] = global[k][vocab_ids[j]];
                 }
               }
               std::vector<double> nt_local = bcast_nt.value();
               Rng rng = task.rng.Split(0x1DA1 + iter);
               LdaPartitionState::SweepResult sweep =
-                  state.Sweep(options, &nwt_local, &nt_local, &rng);
+                  state.Sweep(options, &nwt_local, nt_local.data(), &rng);
               task.AddWorkerOps(sweep.tokens * (4 * k_topics + 8) +
                                 k_topics * vocab_ids.size());
               return std::make_tuple(sweep.loglik_sum, sweep.tokens,

@@ -56,7 +56,7 @@ Result<TrainReport> TrainLdaPetuum(DcvContext* ctx,
               if (state.local_vocab().empty()) return {0.0, 0};
 
               // Petuum behaviour: pull EVERY topic row in full.
-              Result<std::vector<std::vector<double>>> full =
+              Result<RowBlock> full =
                   client->ReadRowsAsync(topic_refs, RowSelector::All()).Get();
               PS2_CHECK(full.ok()) << full.status();
               Result<std::vector<double>> nt = topic_totals.Pull();
@@ -65,18 +65,18 @@ Result<TrainReport> TrainLdaPetuum(DcvContext* ctx,
               // Project onto the partition's local vocabulary for the
               // shared sweep kernel.
               const auto& vocab = state.local_vocab();
-              std::vector<std::vector<double>> nwt_local(
-                  k_topics, std::vector<double>(vocab.size()));
+              RowBlock nwt_local = RowBlock::Zeros(k_topics, vocab.size());
               for (uint32_t k = 0; k < k_topics; ++k) {
+                const double* row = full->row(k);
                 for (size_t j = 0; j < vocab.size(); ++j) {
-                  nwt_local[k][j] = (*full)[k][vocab[j]];
+                  nwt_local.row(k)[j] = row[vocab[j]];
                 }
               }
               task.AddWorkerOps(k_topics * vocab.size());
 
               Rng rng = task.rng.Split(0x1DA1 + iter);
               LdaPartitionState::SweepResult sweep =
-                  state.Sweep(options, &nwt_local, &*nt, &rng);
+                  state.Sweep(options, &nwt_local, nt->data(), &rng);
               task.AddWorkerOps(sweep.tokens * (4 * k_topics + 8));
 
               PS2_CHECK_OK(

@@ -96,7 +96,7 @@ Result<TrainReport> TrainDeepWalkPsPullPush(
                 for (uint32_t r : touched) {
                   refs.push_back(RowRef{matrix_id, r});
                 }
-                Result<std::vector<std::vector<double>>> pulled =
+                Result<RowBlock> pulled =
                     client->ReadRowsAsync(refs, RowSelector::All()).Get();
                 PS2_CHECK(pulled.ok()) << pulled.status();
                 std::unordered_map<uint32_t, size_t> slot;
@@ -104,20 +104,21 @@ Result<TrainReport> TrainDeepWalkPsPullPush(
                 for (size_t i = 0; i < touched.size(); ++i) {
                   slot.emplace(touched[i], i);
                 }
-                std::vector<std::vector<double>> local = std::move(*pulled);
+                RowBlock& local = *pulled;
                 std::vector<std::vector<double>> delta(
                     touched.size(), std::vector<double>(k_dim, 0.0));
 
                 // Local skip-gram updates on the pulled copies.
                 for (const Triple& t : triples) {
-                  std::vector<double>& u_vec = local[slot[t.u_row]];
-                  std::vector<double>& c_vec = local[slot[t.c_row]];
+                  double* u_vec = local.row(slot[t.u_row]);
+                  double* c_vec = local.row(slot[t.c_row]);
                   double dot = 0;
                   for (uint32_t d = 0; d < k_dim; ++d) {
                     dot += u_vec[d] * c_vec[d];
                   }
-                  loss_sum += LogisticLoss(dot, t.label);
-                  double alpha = -lr * (Sigmoid(dot) - t.label);
+                  double scale = 0.0;
+                  loss_sum += LogisticLossAndScale(dot, t.label, &scale);
+                  double alpha = -lr * scale;
                   std::vector<double>& u_delta = delta[slot[t.u_row]];
                   std::vector<double>& c_delta = delta[slot[t.c_row]];
                   for (uint32_t d = 0; d < k_dim; ++d) {

@@ -108,11 +108,10 @@ PsFuture<std::vector<double>> Dcv::ReadRow(const RowSelector& cols) const {
   if (Status s = CheckValid(*this); !s.ok()) {
     return PsFuture<std::vector<double>>(std::move(s));
   }
-  return context_->client()
-      ->ReadRowsAsync({ref_}, cols)
-      .Map<std::vector<double>>([](std::vector<std::vector<double>>&& rows) {
-        return std::move(rows[0]);
-      });
+  // A one-row block's values are exactly the row: moved out, not copied.
+  auto values = [](RowBlock&& block) { return std::move(block.values); };
+  PsClient* client = context_->client();
+  return client->ReadRowsAsync({ref_}, cols).Map<std::vector<double>>(values);
 }
 
 PsFuture<Ack> Dcv::WriteRow(RowDeltas delta) {

@@ -75,7 +75,8 @@ class Dcv {
 
   // ---- Asynchronous row access (paper §5.1's asynchronous client) ----
   //
-  // The op runs before the call returns; its PsFuture is the receipt.
+  // The op runs before the call returns; its PsFuture is the receipt. A
+  // pull's value is its one-row RowBlock's buffer, moved out uncopied.
   // Wait()/Get() on the issuing thread retrieves the value and charges the
   // traffic (so does dropping it). Ops issued while another is unsettled
   // overlap it and share one round of latency.
@@ -117,7 +118,9 @@ class Dcv {
   Dcv(DcvContext* context, RowRef ref, uint64_t dim)
       : context_(context), ref_(ref), dim_(dim) {}
 
-  /// This row through PsClient::ReadRowsAsync / WriteRowsAsync.
+  /// This row through PsClient::ReadRowsAsync / WriteRowsAsync. A read
+  /// moves its one-row block's values out, so a pull copies nothing after
+  /// the decode.
   PsFuture<std::vector<double>> ReadRow(const RowSelector& cols) const;
   PsFuture<Ack> WriteRow(RowDeltas delta);
 

@@ -144,7 +144,7 @@ Result<DcvBatchResults> DcvBatch::Future::Get() {
   }
   if (axpys_.valid()) track(axpys_.Wait());
   for (size_t i = 0; i < reads_.size(); ++i) {
-    Result<std::vector<std::vector<double>>> r = reads_[i].Get();
+    Result<RowBlock> r = reads_[i].Get();
     if (r.ok() && i == 0 && full_rows_read_) {
       out.pulled = std::move(*r);
     } else if (r.ok()) {

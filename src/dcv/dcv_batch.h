@@ -19,7 +19,10 @@
 //   DcvBatch::Future f = batch.Submit();   // everything in flight, 1 round
 //   ...overlap local compute here...
 //   DcvBatchResults r = *f.Get();
-//   r.dots[uv]; r.sparse_pulled[counts];
+//   r.dots[uv]; r.sparse_pulled[counts].row(i);
+//
+// Pulled rows come back as RowBlocks (ps/ps_types.h): all Pull() rows in
+// one block, one block per PullSparse() group.
 //
 // A builder is single-shot: Submit() (or Execute()) may be called once.
 // Staging never talks to the servers; all traffic happens at Submit().
@@ -43,10 +46,12 @@ class DcvContext;
 struct DcvBatchResults {
   /// One scalar per Dot() call, in staging order.
   std::vector<double> dots;
-  /// One full row per Pull() call, in staging order.
-  std::vector<std::vector<double>> pulled;
-  /// One [row][index] table per PullSparse() group, in staging order.
-  std::vector<std::vector<std::vector<double>>> sparse_pulled;
+  /// The Pull() rows in one block: row `slot` is the full row of the
+  /// slot-th Pull() call.
+  RowBlock pulled;
+  /// One block per PullSparse() group, in staging order: row r of a group
+  /// holds its r-th row's values at the group's indices.
+  std::vector<RowBlock> sparse_pulled;
 };
 
 /// \brief Staged multi-op builder; see file comment.
@@ -73,7 +78,7 @@ class DcvBatch {
     PsFuture<Ack> axpys_;
     /// The full-row read (when any Pull() was staged) first, then one per
     /// PullSparse() group.
-    std::vector<PsFuture<std::vector<std::vector<double>>>> reads_;
+    std::vector<PsFuture<RowBlock>> reads_;
     bool full_rows_read_ = false;
     std::vector<PsFuture<Ack>> writes_;
   };
@@ -88,7 +93,7 @@ class DcvBatch {
   /// Stages dst += alpha * src.
   DcvBatch& Axpy(Dcv& dst, const Dcv& src, double alpha);
 
-  /// Stages a full-row pull; lands in DcvBatchResults::pulled[slot].
+  /// Stages a full-row pull; lands in DcvBatchResults::pulled.row(slot).
   size_t Pull(const Dcv& v);
 
   /// Stages a dense-delta push into v.

@@ -126,10 +126,10 @@ Result<TrainReport> TrainDeepWalkPs2(
       // Server-side symmetric axpy updates for this batch.
       DcvBatch updates = ctx->Batch();
       for (size_t i = 0; i < batch.pair_rows.size(); ++i) {
-        double sig = Sigmoid(dots->dots[i]);
-        double label = batch.labels[i];
-        loss_sum += LogisticLoss(dots->dots[i], label);
-        double alpha = -lr * (sig - label);
+        double scale = 0.0;
+        loss_sum +=
+            LogisticLossAndScale(dots->dots[i], batch.labels[i], &scale);
+        double alpha = -lr * scale;
         const auto& [a, c] = batch.pair_rows[i];
         updates.Axpy(model.rows[a], model.rows[c], alpha);
         updates.Axpy(model.rows[c], model.rows[a], alpha);

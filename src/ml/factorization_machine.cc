@@ -82,13 +82,13 @@ Result<TrainReport> TrainFmPs2(DcvContext* ctx, const Dataset<Example>& data,
               const std::vector<uint64_t>& support = batch_index.keys;
 
               // One round: the batch's support for all k+1 rows.
-              Result<std::vector<std::vector<double>>> pulled =
-                  client->ReadRowsAsync(all_rows, RowSelector::Indices(support))
-                      .Get();
+              const RowSelector cols = RowSelector::Indices(support);
+              Result<RowBlock> pulled =
+                  client->ReadRowsAsync(all_rows, cols).Get();
               PS2_CHECK(pulled.ok()) << pulled.status();
-              const std::vector<double>& w_pulled = (*pulled)[0];
-              std::vector<std::vector<double>> v_local(
-                  pulled->begin() + 1, pulled->end());
+              // Row 0 holds w, row 1 + f factor f, each at the support.
+              const double* w_pulled = pulled->row(0);
+              auto v_local = [&](uint32_t f) { return pulled->row(1 + f); };
 
               // Per-coordinate gradient accumulators over the support.
               std::vector<std::vector<double>> grad(
@@ -106,19 +106,19 @@ Result<TrainReport> TrainFmPs2(DcvContext* ctx, const Dataset<Example>& data,
                 for (uint32_t f = 0; f < k_factors; ++f) {
                   double sum = 0, sum_sq = 0;
                   for (size_t k = 0; k < idx.size(); ++k) {
-                    double t = val[k] * v_local[f][pos[k]];
+                    double t = val[k] * v_local(f)[pos[k]];
                     sum += t;
                     sum_sq += t * t;
                   }
                   factor_sums[f] = sum;
                   margin += 0.5 * (sum * sum - sum_sq);
                 }
-                loss_sum += LogisticLoss(margin, ex.label);
-                double scale = LogisticGradientScale(margin, ex.label);
+                double scale = 0.0;
+                loss_sum += LogisticLossAndScale(margin, ex.label, &scale);
                 for (size_t k = 0; k < idx.size(); ++k) {
                   grad[0][pos[k]] += scale * val[k];
                   for (uint32_t f = 0; f < k_factors; ++f) {
-                    double vf = v_local[f][pos[k]];
+                    double vf = v_local(f)[pos[k]];
                     grad[1 + f][pos[k]] +=
                         scale * val[k] * (factor_sums[f] - val[k] * vf) +
                         l2v * vf;

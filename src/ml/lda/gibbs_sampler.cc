@@ -79,8 +79,8 @@ std::vector<double> LdaPartitionState::InitialTopicTotals(
 }
 
 LdaPartitionState::SweepResult LdaPartitionState::Sweep(
-    const LdaOptions& options, std::vector<std::vector<double>>* nwt_local,
-    std::vector<double>* nt, Rng* rng, size_t doc_begin, size_t doc_end) {
+    const LdaOptions& options, RowBlock* nwt_local, double* nt, Rng* rng,
+    size_t doc_begin, size_t doc_end) {
   const uint32_t k_topics = options.num_topics;
   const double alpha = options.alpha;
   const double beta = options.beta;
@@ -107,17 +107,17 @@ LdaPartitionState::SweepResult LdaPartitionState::Sweep(
       // Remove the token from all counts (clamping guards against transient
       // negatives caused by stale counts from concurrent workers).
       nd[old_topic] -= 1;
-      std::vector<double>& old_row = (*nwt_local)[old_topic];
+      double* old_row = nwt_local->row(old_topic);
       old_row[local_word] = std::max(0.0, old_row[local_word] - 1.0);
-      (*nt)[old_topic] = std::max(0.0, (*nt)[old_topic] - 1.0);
+      nt[old_topic] = std::max(0.0, nt[old_topic] - 1.0);
       delta[old_topic][local_word] -= 1.0;
       result.topic_total_deltas[old_topic] -= 1.0;
 
       // Sampling weights: (N_dk + a) (N_wk + b) / (N_k + V b).
       double total = 0.0;
       for (uint32_t k = 0; k < k_topics; ++k) {
-        double wgt = (nd[k] + alpha) * ((*nwt_local)[k][local_word] + beta) /
-                     ((*nt)[k] + v_beta);
+        double wgt = (nd[k] + alpha) * (nwt_local->row(k)[local_word] + beta) /
+                     (nt[k] + v_beta);
         weights[k] = wgt;
         total += wgt;
       }
@@ -137,8 +137,8 @@ LdaPartitionState::SweepResult LdaPartitionState::Sweep(
           std::log(total / (doc_len - 1.0 + k_topics * alpha));
 
       nd[new_topic] += 1;
-      (*nwt_local)[new_topic][local_word] += 1.0;
-      (*nt)[new_topic] += 1.0;
+      nwt_local->row(new_topic)[local_word] += 1.0;
+      nt[new_topic] += 1.0;
       delta[new_topic][local_word] += 1.0;
       result.topic_total_deltas[new_topic] += 1.0;
       z_[d][t] = new_topic;

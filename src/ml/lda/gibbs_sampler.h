@@ -10,6 +10,7 @@
 #include "data/types.h"
 #include "linalg/sparse_vector.h"
 #include "ml/lda/lda_model.h"
+#include "ps/ps_types.h"
 
 namespace ps2 {
 
@@ -42,12 +43,11 @@ class LdaPartitionState {
   };
 
   /// Resamples the tokens of docs [doc_begin, doc_end) against the supplied
-  /// (stale) global counts. `nwt_local[k][j]` is N_{w,k} for local word j;
-  /// `nt[k]` is N_k. Both are updated in place as sampling proceeds; the
-  /// deltas to push are returned (with global word ids).
-  SweepResult Sweep(const LdaOptions& options,
-                    std::vector<std::vector<double>>* nwt_local,
-                    std::vector<double>* nt, Rng* rng, size_t doc_begin = 0,
+  /// (stale) global counts. `nwt_local->row(k)[j]` is N_{w,k} for local
+  /// word j; `nt[k]` is N_k. Both are updated in place as sampling proceeds;
+  /// the deltas to push are returned (with global word ids).
+  SweepResult Sweep(const LdaOptions& options, RowBlock* nwt_local, double* nt,
+                    Rng* rng, size_t doc_begin = 0,
                     size_t doc_end = static_cast<size_t>(-1));
 
   size_t num_docs() const { return docs_.size(); }

@@ -76,7 +76,7 @@ Result<TrainReport> TrainLdaPs2(DcvContext* ctx, const Dataset<Document>& docs,
     Rng rng = task.rng.Split(0x1DA1 + global_iter);
     LdaPartitionState::SweepResult sweep =
         state.Sweep(options, &pulled->sparse_pulled[counts_slot],
-                    &pulled->pulled[totals_slot], &rng);
+                    pulled->pulled.row(totals_slot), &rng);
     task.AddWorkerOps(sweep.tokens * (4 * k_topics + 8));
 
     // Sparse compressed delta pushes (the last ops of the task),

@@ -76,8 +76,7 @@ BatchGradient ComputeBatchGradient(const std::vector<Example>& rows,
     for (size_t k = 0; k < nnz; ++k) margin += val[k] * w_at_slot[slot[k]];
     double scale = 0.0;
     if (loss == GlmLossKind::kLogistic) {
-      out.loss_sum += LogisticLoss(margin, ex.label);
-      scale = LogisticGradientScale(margin, ex.label);
+      out.loss_sum += LogisticLossAndScale(margin, ex.label, &scale);
     } else {
       out.loss_sum += HingeLoss(margin, ex.label);
       double y = ex.label > 0.5 ? 1.0 : -1.0;

@@ -25,6 +25,15 @@ double LogisticGradientScale(double margin, double label) {
   return Sigmoid(margin) - label;
 }
 
+double LogisticLossAndScale(double margin, double label, double* scale) {
+  // Sigmoid's and LogisticLoss's branches each take exp of -|margin|.
+  const double e = std::exp(-std::fabs(margin));
+  *scale = (margin >= 0 ? 1.0 / (1.0 + e) : e / (1.0 + e)) - label;
+  const double z = label > 0.5 ? margin : -margin;
+  if (z > 0) return std::log1p(e);
+  return -z + std::log1p(e);
+}
+
 double HingeLoss(double margin, double label) {
   double y = label > 0.5 ? 1.0 : -1.0;
   double v = 1.0 - y * margin;

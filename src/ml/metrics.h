@@ -19,6 +19,11 @@ double LogisticLoss(double margin, double label);
 /// d/dz of the logistic loss: sigmoid(z) - y.
 double LogisticGradientScale(double margin, double label);
 
+/// LogisticLoss(margin, label), with LogisticGradientScale(margin, label)
+/// stored in *scale: both from one exp(-|margin|), bit-identical to the two
+/// separate calls (NaN margins give NaN for both).
+double LogisticLossAndScale(double margin, double label, double* scale);
+
 /// Hinge loss max(0, 1 - y*z) with y in {-1,+1} mapped from {0,1}.
 double HingeLoss(double margin, double label);
 

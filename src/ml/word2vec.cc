@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "data/graph_gen.h"
 #include "dataflow/broadcast.h"
+#include "linalg/kernels/kernels.h"
 #include "ml/metrics.h"
 
 namespace ps2 {
@@ -207,10 +208,13 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
     // window. The prefetched pull may read rows at most one in-flight push
     // stale — the usual hogwild tolerance of skip-gram training.
     size_t cur = 0;
-    // Per-row deltas, reused across batches: a push serializes them before
-    // it returns, so the next batch may overwrite them.
+    // The pulled rows as one flat block, and their per-row deltas, both
+    // reused across batches: a consumed pull block is handed back to the
+    // next read, and a push serializes its deltas before it returns, so a
+    // batch of the usual shape allocates nothing for them.
+    RowBlock vals;
     std::vector<std::vector<double>> deltas;
-    PsFuture<std::vector<std::vector<double>>> pull_future;
+    PsFuture<RowBlock> pull_future;
     PsFuture<Ack> push_future;
     if (!rows.empty()) {
       build(0, std::min(rows.size(), size_t{batch_size}), bufs[0]);
@@ -222,26 +226,23 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
       if (end < rows.size()) {
         build(end, std::min(rows.size(), end + batch_size), bufs[1 - cur]);
       }
-      Result<std::vector<std::vector<double>>> pulled = pull_future.Get();
+      Result<RowBlock> pulled = pull_future.Get();
       PS2_CHECK(pulled.ok()) << pulled.status();
-      const std::vector<std::vector<double>>& vals = *pulled;
+      vals = std::move(*pulled);
       // Local minibatch SGD against the pulled snapshot; deltas accumulate
       // per deduplicated row.
       deltas.resize(batch.refs.size());
       for (std::vector<double>& d : deltas) d.assign(k_dim, 0.0);
       for (const W2vBatch::Task& t : batch.tasks) {
-        const std::vector<double>& emb = vals[t.center];
-        const std::vector<double>& ctxv = vals[t.context];
+        const double* emb = vals.row(t.center);
+        const double* ctxv = vals.row(t.context);
         double dot = 0;
-        for (uint32_t c = 0; c < k_dim; ++c) dot += emb[c] * ctxv[c];
-        loss_sum += LogisticLoss(dot, t.label);
-        const double alpha = -lr * (Sigmoid(dot) - t.label);
-        std::vector<double>& d_emb = deltas[t.center];
-        std::vector<double>& d_ctx = deltas[t.context];
-        for (uint32_t c = 0; c < k_dim; ++c) {
-          d_emb[c] += alpha * ctxv[c];
-          d_ctx[c] += alpha * emb[c];
-        }
+        kernels::Dot(emb, ctxv, k_dim, &dot);
+        double scale = 0;
+        loss_sum += LogisticLossAndScale(dot, t.label, &scale);
+        const double alpha = -lr * scale;
+        kernels::Axpy(deltas[t.center].data(), ctxv, alpha, k_dim);
+        kernels::Axpy(deltas[t.context].data(), emb, alpha, k_dim);
       }
       for (size_t r = 0; r < batch.refs.size(); ++r) {
         epoch_counts[batch.ref_key[r]] += batch.touches[r];
@@ -252,8 +253,8 @@ Result<TrainReport> TrainWord2VecPs2(DcvContext* ctx,
       push_future =
           client->WriteRowsAsync(batch.refs, deltas, RowSelector::All());
       if (end < rows.size()) {
-        pull_future =
-            client->ReadRowsAsync(bufs[1 - cur].refs, RowSelector::All());
+        pull_future = client->ReadRowsAsync(
+            bufs[1 - cur].refs, RowSelector::All(), std::move(vals));
         cur = 1 - cur;
       }
       task.AddWorkerOps(4 * k_dim * batch.tasks.size());

@@ -7,8 +7,12 @@
 // every word here is its OWN two-row matrix homed on a single server
 // (MatrixOptions::home_server): row 0 is the input embedding, row 1 the
 // context embedding. Workers read whole rows grouped by owning server
-// (PsClient::ReadRowsAsync, all selector), compute the SGD step locally,
-// and write full-width deltas back. That access pattern is what per-key
+// (PsClient::ReadRowsAsync, all selector) into one flat RowBlock they hand
+// back to the next batch's read, compute the SGD step locally — a
+// kernels::Dot and two kernels::Axpy over the embedding per (center,
+// context) pair, and one exp for both its loss and its gradient scale
+// (LogisticLossAndScale) — and write full-width deltas back from per-row
+// vectors reused across batches. That access pattern is what per-key
 // management acts on:
 //
 //   --param-mgmt=off      every key stays sharded where it was created.

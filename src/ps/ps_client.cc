@@ -909,10 +909,24 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeRows(
   }
 }
 
-PsFuture<std::vector<std::vector<double>>> PsClient::SubmitReads(
-    RowOp* op, std::vector<std::vector<double>> out,
-    std::vector<uint8_t> warm) {
-  using Out = std::vector<std::vector<double>>;
+namespace {
+
+// The row-pointer accessor of SubmitReads' one parse, over either result
+// type.
+double* RowData(RowBlock& out, size_t i) { return out.row(i); }
+size_t RowWidth(const RowBlock& out, size_t i) { return out.width(i); }
+double* RowData(std::vector<std::vector<double>>& out, size_t i) {
+  return out[i].data();
+}
+size_t RowWidth(const std::vector<std::vector<double>>& out, size_t i) {
+  return out[i].size();
+}
+
+}  // namespace
+
+template <typename Out>
+PsFuture<Out> PsClient::SubmitReads(RowOp* op, Out out,
+                                    std::vector<uint8_t> warm) {
   if (op->parts.empty()) return PsFuture<Out>(std::move(out));
   // Both lambdas run before Submit returns, so they may hold `op`, `out`
   // and `warm` by reference.
@@ -939,18 +953,19 @@ PsFuture<std::vector<std::vector<double>>> PsClient::SubmitReads(
             if (n != p.hi - p.lo) {
               return Status::Internal("row read size mismatch");
             }
-            std::vector<double>& row = out[p.item];
+            double* row = RowData(out, p.item);
             if (!p.hot) {
               PS2_RETURN_NOT_OK(reader.ReadValues(
-                  row.data() + (p.index_run ? p.lo : p.lo - op->window_begin),
-                  n, op->int_values));
+                  row + (p.index_run ? p.lo : p.lo - op->window_begin), n,
+                  op->int_values));
               continue;
             }
             // A hot refresh: the whole row, cached, then selected from.
             std::vector<double> whole(n);
             PS2_RETURN_NOT_OK(
                 reader.ReadValues(whole.data(), n, op->int_values));
-            for (size_t c = 0; c < row.size(); ++c) {
+            const size_t width = RowWidth(out, p.item);
+            for (size_t c = 0; c < width; ++c) {
               row[c] = whole[op->kind == RowSelectorKind::kIndices
                                  ? (*op->indices)[c]
                                  : op->window_begin + c];
@@ -961,21 +976,29 @@ PsFuture<std::vector<std::vector<double>>> PsClient::SubmitReads(
         // A stale hot row an all read fetched from its primaries warms the
         // cache: the read IS the refresh.
         for (size_t i = 0; i < warm.size(); ++i) {
-          if (warm[i] != 0) cache_.Store(rows[i], out[i], cache_.epoch());
+          if (warm[i] == 0) continue;
+          const double* row = RowData(out, i);
+          std::vector<double> values(row, row + RowWidth(out, i));
+          cache_.Store(rows[i], std::move(values), cache_.epoch());
         }
         return std::move(out);
       });
 }
 
-PsFuture<std::vector<std::vector<double>>> PsClient::ReadRowsAsync(
-    const std::vector<RowRef>& rows, const RowSelector& cols) {
-  using Out = std::vector<std::vector<double>>;
+PsFuture<RowBlock> PsClient::ReadRowsAsync(const std::vector<RowRef>& rows,
+                                           const RowSelector& cols,
+                                           RowBlock reuse) {
   const RowSelectorKind kind = cols.kind;
   if (kind == RowSelectorKind::kIndices && cols.indices == nullptr) {
-    return PsFuture<Out>(
+    return PsFuture<RowBlock>(
         Status::InvalidArgument("index selector without indices"));
   }
-  if (rows.empty()) return PsFuture<Out>(Out{});
+  RowBlock out = std::move(reuse);
+  out.offsets.assign(1, 0);
+  if (rows.empty()) {
+    out.values.clear();
+    return PsFuture<RowBlock>(std::move(out));
+  }
   RowOp op;
   op.kind = kind;
   op.int_values = cols.int_values;
@@ -984,37 +1007,56 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ReadRowsAsync(
   op.window_begin =
       kind == RowSelectorKind::kRange && !cols.cols.whole ? cols.cols.begin : 0;
   Result<MetaBatch> metas = master_->GetMetas(rows);
-  if (!metas.ok()) return PsFuture<Out>(metas.status());
+  if (!metas.ok()) return PsFuture<RowBlock>(metas.status());
   op.metas = std::move(*metas);
-  Out out(rows.size());
+  // Shape the block first: each row's window (or index count) sets its
+  // offset. Every value is then written by the cache or a response, so the
+  // reused storage needs no clearing.
+  const std::vector<uint64_t>* idx = cols.indices;
+  auto window = [&](uint64_t dim) {
+    return kind == RowSelectorKind::kAll ? ColRange::Of(0, dim)
+                                         : cols.cols.Resolve(dim);
+  };
+  out.offsets.resize(rows.size() + 1);
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    const uint64_t dim = op.metas[i].dim;
+    const ColRange w = window(dim);
+    if (kind != RowSelectorKind::kIndices && (w.begin > w.end || w.end > dim)) {
+      return PsFuture<RowBlock>(Status::OutOfRange("read window out of range"));
+    }
+    if (kind == RowSelectorKind::kIndices && !idx->empty() &&
+        idx->back() >= dim) {
+      return PsFuture<RowBlock>(Status::OutOfRange("read index out of range"));
+    }
+    const size_t width =
+        kind == RowSelectorKind::kIndices ? idx->size() : w.width();
+    out.offsets[i + 1] = out.offsets[i] + width;
+  }
+  // A block grows to exactly the size asked, so a reused one holds the
+  // largest shape it has read and no more. Growing frees the old buffer
+  // before it allocates the new one, so a reader never holds both;
+  // allocating first raised w2v-reloc's peak RSS by ~0.5 MB.
+  const size_t total = out.offsets.back();
+  if (total > out.values.capacity()) {
+    std::vector<double>().swap(out.values);
+    out.values.resize(total);
+  } else {
+    out.values.resize(total);
+  }
   op.parts.reserve(rows.size());
   std::vector<uint8_t> warm;  // stale hot rows an all read refreshes
   uint64_t local_hits = 0, local_values = 0;
   for (uint32_t i = 0; i < rows.size(); ++i) {
-    const MatrixMeta& meta = op.metas[i];
-    const ColRange w = kind == RowSelectorKind::kAll
-                           ? ColRange::Of(0, meta.dim)
-                           : cols.cols.Resolve(meta.dim);
-    const std::vector<uint64_t>* idx = cols.indices;
-    if (kind != RowSelectorKind::kIndices &&
-        (w.begin > w.end || w.end > meta.dim)) {
-      return PsFuture<Out>(Status::OutOfRange("read window out of range"));
-    }
-    if (kind == RowSelectorKind::kIndices && !idx->empty() &&
-        idx->back() >= meta.dim) {
-      return PsFuture<Out>(Status::OutOfRange("read index out of range"));
-    }
-    const size_t size =
-        kind == RowSelectorKind::kIndices ? idx->size() : w.width();
-    out[i].assign(size, 0.0);
-    if (cache_.HasHot() && cache_.HotDim(rows[i]) == meta.dim) {
+    const uint64_t dim = op.metas[i].dim;
+    const ColRange w = window(dim);
+    if (cache_.HasHot() && cache_.HotDim(rows[i]) == dim) {
       const bool served =
           kind == RowSelectorKind::kIndices
-              ? cache_.TryServeSparse(rows[i], *idx, out[i].data())
-              : cache_.TryServeDense(rows[i], w.begin, w.end, out[i].data());
+              ? cache_.TryServeSparse(rows[i], *idx, out.row(i))
+              : cache_.TryServeDense(rows[i], w.begin, w.end, out.row(i));
       if (served) {
         local_hits += 1;
-        local_values += size;
+        local_values += out.width(i);
         continue;
       }
       if (kind != RowSelectorKind::kAll) {
@@ -1023,7 +1065,7 @@ PsFuture<std::vector<std::vector<double>>> PsClient::ReadRowsAsync(
         refresh.item = i;
         refresh.server = HotHome(rows[i]);
         refresh.hot = true;
-        refresh.hi = meta.dim;
+        refresh.hi = dim;
         op.parts.push_back(refresh);
         continue;
       }
@@ -1312,12 +1354,11 @@ Result<Ack> PsClient::ColumnOpsRelay(
   master_->cluster()->metrics().Add("dcv.noncolocated_column_ops", 1);
   const ColumnOpEntry& e = entries[0];
   const RowRef dst = e.rows[0];
+  const RowSelector whole = RowSelector::Range();
   std::vector<std::vector<double>> pulled;
   for (size_t i = 1; i < e.rows.size(); ++i) {
-    PS2_ASSIGN_OR_RETURN(std::vector<std::vector<double>> row,
-                         ReadRowsAsync({e.rows[i]},
-                                       RowSelector::Range()).Get());
-    pulled.push_back(std::move(row[0]));
+    PS2_ASSIGN_OR_RETURN(RowBlock row, ReadRowsAsync({e.rows[i]}, whole).Get());
+    pulled.push_back(std::move(row.values));
   }
   PS2_ASSIGN_OR_RETURN(MatrixMeta dst_meta, master_->GetMeta(dst.matrix_id));
   const uint64_t dim = dst_meta.dim;
@@ -1404,11 +1445,11 @@ Result<std::vector<AggregateValue>> PsClient::AggregateRelay(
   PS2_CHECK(e.kind == AggKind::kDot);
   master_->cluster()->metrics().Add("dcv.noncolocated_dots", 1);
   // One read per row, as two dependent pulls.
+  const RowSelector whole = RowSelector::Range();
   std::vector<std::vector<double>> ab;
   for (const RowRef& ref : e.rows) {
-    PS2_ASSIGN_OR_RETURN(std::vector<std::vector<double>> row,
-                         ReadRowsAsync({ref}, RowSelector::Range()).Get());
-    ab.push_back(std::move(row[0]));
+    PS2_ASSIGN_OR_RETURN(RowBlock row, ReadRowsAsync({ref}, whole).Get());
+    ab.push_back(std::move(row.values));
   }
   out.emplace_back();
   const uint64_t ops =

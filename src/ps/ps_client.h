@@ -211,11 +211,18 @@ class PsClient {
   //
   // An op that sends nothing — no rows, empty selections, every row served
   // locally — completes at issue without a round.
+  //
+  // Reads return one flat RowBlock (ps/ps_types.h) and build it in a block
+  // the caller hands back, so a pipelined reader allocates nothing per
+  // batch. Serving reads keep one vector per read.
 
-  /// Reads `cols` of every row: one vector per row holding the selected
-  /// values in selector order (the window, or one value per index).
-  PsFuture<std::vector<std::vector<double>>> ReadRowsAsync(
-      const std::vector<RowRef>& rows, const RowSelector& cols);
+  /// Reads `cols` of every row into one RowBlock, row i holding its
+  /// selected values in selector order (the window, or one value per
+  /// index). The result is built in `reuse`'s storage: hand back the
+  /// previous batch's block and a read of the same shape allocates nothing.
+  PsFuture<RowBlock> ReadRowsAsync(const std::vector<RowRef>& rows,
+                                   const RowSelector& cols,
+                                   RowBlock reuse = {});
 
   /// Adds `deltas[i]` into `rows[i]`. Dense deltas follow `cols`: the all
   /// selector takes full-width deltas, a range selector deltas as wide as
@@ -464,12 +471,12 @@ class PsClient {
       TaskTraffic* traffic, RowOp* op, std::vector<RowPart> parts);
 
   /// Issues a planned read or serving pull through ExchangeRows and fills
-  /// `out` (pre-sized per row) from the responses; `warm` flags the rows
-  /// whose values then refresh the hot-row cache. Completes at once when
-  /// there is nothing to send.
-  PsFuture<std::vector<std::vector<double>>> SubmitReads(
-      RowOp* op, std::vector<std::vector<double>> out,
-      std::vector<uint8_t> warm);
+  /// `out` (pre-sized per row: a RowBlock, or one vector per serving read)
+  /// from the responses, through one row-pointer accessor; `warm` flags the
+  /// rows whose values then refresh the hot-row cache. Completes at once
+  /// when there is nothing to send.
+  template <typename Out>
+  PsFuture<Out> SubmitReads(RowOp* op, Out out, std::vector<uint8_t> warm);
 
   /// Checks, places and serializes a ColumnOps or Aggregate request: one
   /// shard-scoped request per server of the placement, or nullopt when the

@@ -87,6 +87,31 @@ struct RowRef {
   }
 };
 
+/// \brief The rows of one ReadRows op in one flat buffer: row i's values
+/// are values[offsets[i], offsets[i + 1]), in selector order (the window, or
+/// one value per index). A caller that hands a consumed block back to the
+/// next ReadRowsAsync reuses its storage, so a read of the same shape
+/// allocates nothing.
+struct RowBlock {
+  std::vector<double> values;
+  /// rows() + 1 entries once filled by a read; empty in a default block.
+  std::vector<size_t> offsets;
+
+  /// `n` zeroed rows of `width` values each (e.g. a local count table).
+  static RowBlock Zeros(size_t n, size_t width) {
+    RowBlock b;
+    b.values.assign(n * width, 0.0);
+    b.offsets.resize(n + 1);
+    for (size_t i = 0; i <= n; ++i) b.offsets[i] = i * width;
+    return b;
+  }
+
+  size_t rows() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  size_t width(size_t i) const { return offsets[i + 1] - offsets[i]; }
+  double* row(size_t i) { return values.data() + offsets[i]; }
+  const double* row(size_t i) const { return values.data() + offsets[i]; }
+};
+
 /// \brief Entry kinds of a kColumnOps request (paper Table 1 column access,
 /// mutating). The kind fixes the operand tuple: a built-in element-wise kind
 /// carries dst, NumSources(kind) sources and an f64 scalar; kZip carries a

@@ -110,7 +110,10 @@ TEST_F(DcvConcurrencyTest, BatchedMixedOpsFromManyTasks) {
     const double lo = 2.0 * 3.0 * dim;
     const double hi = (2.0 + tasks) * 3.0 * dim;
     PS2_CHECK(r->dots[dot_slot] >= lo && r->dots[dot_slot] <= hi);
-    for (double x : r->pulled[pull_slot]) PS2_CHECK(x == 3.0);
+    PS2_CHECK(r->pulled.width(pull_slot) == dim);
+    for (size_t c = 0; c < dim; ++c) {
+      PS2_CHECK(r->pulled.row(pull_slot)[c] == 3.0);
+    }
   });
   // All 32 unit pushes must have accumulated exactly.
   std::vector<double> final_a = *a.Pull();

@@ -11,6 +11,7 @@
 #include "membership/membership_manager.h"
 #include "ps/ps_client.h"
 #include "ps/ps_master.h"
+#include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
 namespace {
@@ -86,7 +87,7 @@ TEST_F(ParamMgmtFaultsTest, OscillatingAccessorRelocatesOncePerWindow) {
 
   // Values survived every migration bit-exactly despite message faults.
   Result<std::vector<std::vector<double>>> pulled =
-      client()->ReadRowsAsync({RowRef{*id, 0}}, RowSelector::All()).Get();
+      ReadRows(*client(), {RowRef{*id, 0}}, RowSelector::All());
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   EXPECT_EQ((*pulled)[0], values);
 }
@@ -141,7 +142,7 @@ TEST_F(ParamMgmtFaultsTest, RelocationStormUnderFaultsStaysConsistent) {
   std::vector<RowRef> refs;
   for (int k = 0; k < kKeys; ++k) refs.push_back(RowRef{ids[k], 0});
   Result<std::vector<std::vector<double>>> pulled =
-      client()->ReadRowsAsync(refs, RowSelector::All()).Get();
+      ReadRows(*client(), refs, RowSelector::All());
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   for (int k = 0; k < kKeys; ++k) {
     EXPECT_EQ((*pulled)[k], values[k]) << "key " << k;

@@ -113,7 +113,7 @@ TEST_F(ParamMgmtTest, RelocateMatricesMovesValuesExactly) {
   EXPECT_EQ(meta->partitioner.ServerOfPartition(0), 1);
 
   Result<std::vector<std::vector<double>>> pulled =
-      client()->ReadRowsAsync({RowRef{id, 0}}, RowSelector::All()).Get();
+      ReadRows(*client(), {RowRef{id, 0}}, RowSelector::All());
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   EXPECT_EQ((*pulled)[0], values);
 
@@ -210,7 +210,7 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileKeysRelocate) {
       PS2_CHECK_OK(client()->WriteRowsAsync(refs, deltas,
                                             RowSelector::All()).Wait());
       Result<std::vector<std::vector<double>>> rows =
-          client()->ReadRowsAsync(refs, RowSelector::All()).Get();
+          ReadRows(*client(), refs, RowSelector::All());
       PS2_CHECK(rows.ok()) << rows.status();
       for (int k = 0; k < kKeys; ++k) {
         const std::vector<double>& row = (*rows)[k];
@@ -224,7 +224,7 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileKeysRelocate) {
   EXPECT_EQ(master()->membership()->migrations(),
             static_cast<uint64_t>(kLaps * kKeys));
   Result<std::vector<std::vector<double>>> pulled =
-      client()->ReadRowsAsync(refs, RowSelector::All()).Get();
+      ReadRows(*client(), refs, RowSelector::All());
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   for (int k = 0; k < kKeys; ++k) {
     for (double v : (*pulled)[k]) {
@@ -284,7 +284,7 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileMatricesChurn) {
       PS2_CHECK_OK(client()->WriteRowsAsync(refs, deltas,
                                             RowSelector::All()).Wait());
       Result<std::vector<std::vector<double>>> rows =
-          client()->ReadRowsAsync(refs, RowSelector::All()).Get();
+          ReadRows(*client(), refs, RowSelector::All());
       PS2_CHECK(rows.ok()) << rows.status();
       for (int k = 0; k < kKeys; ++k) {
         const std::vector<double>& row = (*rows)[k];
@@ -295,7 +295,7 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileMatricesChurn) {
       const int id = churn.load();
       if (id < 0) continue;
       Result<std::vector<std::vector<double>>> churned =
-          client()->ReadRowsAsync({RowRef{id, 1}}, RowSelector::All()).Get();
+          ReadRows(*client(), {RowRef{id, 1}}, RowSelector::All());
       if (!churned.ok()) {
         PS2_CHECK(churned.status().IsNotFound()) << churned.status();
         continue;
@@ -307,7 +307,7 @@ TEST_F(ParamMgmtTest, OwnedRowsLandExactlyOnceWhileMatricesChurn) {
   EXPECT_EQ(master()->membership()->migrations(),
             static_cast<uint64_t>(kLaps));
   Result<std::vector<std::vector<double>>> pulled =
-      client()->ReadRowsAsync(refs, RowSelector::All()).Get();
+      ReadRows(*client(), refs, RowSelector::All());
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   for (int k = 0; k < kKeys; ++k) {
     for (double v : (*pulled)[k]) {
@@ -350,7 +350,7 @@ TEST_F(ParamMgmtTest, ShardAndMetaLifecycleKeepsExactRows) {
   auto expect_rows = [&](const std::vector<std::vector<double>>& want,
                          const char* step) {
     Result<std::vector<std::vector<double>>> pulled =
-        client()->ReadRowsAsync(refs, RowSelector::All()).Get();
+        ReadRows(*client(), refs, RowSelector::All());
     ASSERT_TRUE(pulled.ok()) << step << ": " << pulled.status();
     EXPECT_EQ(*pulled, want) << step;
   };
@@ -430,7 +430,7 @@ TEST_F(ParamMgmtTest, OwnedRowsRoundTripAcrossServers) {
   ASSERT_TRUE(client()->WriteRowsAsync(refs, deltas,
                                        RowSelector::All()).Wait().ok());
   Result<std::vector<std::vector<double>>> pulled =
-      client()->ReadRowsAsync(refs, RowSelector::All()).Get();
+      ReadRows(*client(), refs, RowSelector::All());
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   ASSERT_EQ(pulled->size(), refs.size());
   for (size_t r = 0; r < refs.size(); ++r) EXPECT_EQ((*pulled)[r], deltas[r]);
@@ -443,7 +443,7 @@ TEST_F(ParamMgmtTest, OwnedRowsRoundTripAcrossServers) {
   ASSERT_TRUE(spread.Push(ramp).ok());
   std::vector<RowRef> mixed{refs[0], spread.ref()};
   Result<std::vector<std::vector<double>>> both =
-      client()->ReadRowsAsync(mixed, RowSelector::All()).Get();
+      ReadRows(*client(), mixed, RowSelector::All());
   ASSERT_TRUE(both.ok()) << both.status();
   EXPECT_EQ((*both)[0], deltas[0]);
   EXPECT_EQ((*both)[1], ramp);
@@ -460,8 +460,8 @@ TEST_F(ParamMgmtTest, OwnedPullServesHotRowsFromCache) {
 
   const uint64_t hits_before = cluster_->metrics().Get("net.local_pull_hits");
   Result<std::vector<std::vector<double>>> pulled =
-      client()->ReadRowsAsync({RowRef{id, 0}, RowRef{id, 1}},
-                              RowSelector::All()).Get();
+      ReadRows(*client(), {RowRef{id, 0}, RowRef{id, 1}},
+               RowSelector::All());
   ASSERT_TRUE(pulled.ok()) << pulled.status();
   EXPECT_EQ((*pulled)[0], values);
   EXPECT_EQ(cluster_->metrics().Get("net.local_pull_hits"), hits_before + 1);

@@ -79,18 +79,17 @@ TEST(GibbsSamplerTest, SweepConservesCounts) {
 
   // Build the "global" counts from this single partition.
   const auto& vocab = state.local_vocab();
-  std::vector<std::vector<double>> nwt(options.num_topics,
-                                       std::vector<double>(vocab.size(), 0));
+  RowBlock nwt = RowBlock::Zeros(options.num_topics, vocab.size());
   std::vector<SparseVector> init = state.InitialTopicCounts(options);
   for (uint32_t k = 0; k < options.num_topics; ++k) {
     for (size_t j = 0; j < vocab.size(); ++j) {
-      nwt[k][j] = init[k].Get(vocab[j]);
+      nwt.row(k)[j] = init[k].Get(vocab[j]);
     }
   }
   std::vector<double> nt = state.InitialTopicTotals(options);
 
   LdaPartitionState::SweepResult sweep =
-      state.Sweep(options, &nwt, &nt, &rng);
+      state.Sweep(options, &nwt, nt.data(), &rng);
   EXPECT_EQ(sweep.tokens, 100u);
 
   // Totals conserved: sum nt unchanged, deltas sum to zero.
@@ -107,9 +106,7 @@ TEST(GibbsSamplerTest, SweepConservesCounts) {
   EXPECT_NEAR(total_delta_sum, 0.0, 1e-9);
 
   // All local counts stay non-negative.
-  for (const auto& row : nwt) {
-    for (double v : row) EXPECT_GE(v, 0.0);
-  }
+  for (double v : nwt.values) EXPECT_GE(v, 0.0);
   EXPECT_TRUE(std::isfinite(sweep.loglik_sum));
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <functional>
 #include <unordered_map>
 
@@ -212,6 +214,36 @@ std::vector<uint64_t> Bits(const std::vector<double>& v) {
   std::vector<uint64_t> out;
   for (double x : v) out.push_back(Bits(x));
   return out;
+}
+
+TEST(LogisticLossAndScaleTest, BitIdenticalToTheSeparateCalls) {
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  // ±0, subnormals, ±1, ±20, ±709, ±746 (exp underflows) and ±inf.
+  std::vector<double> grid;
+  for (double m : {0.0, sub, 1e-310, 1.0, 20.0, 709.0, 746.0, inf}) {
+    grid.push_back(m);
+    grid.push_back(-m);
+  }
+  for (double label : {0.0, 1.0}) {
+    for (double margin : grid) {
+      double scale = 0.0;
+      const double loss = LogisticLossAndScale(margin, label, &scale);
+      EXPECT_EQ(Bits(loss), Bits(LogisticLoss(margin, label)))
+          << "margin " << margin << " label " << label;
+      EXPECT_EQ(Bits(scale), Bits(LogisticGradientScale(margin, label)))
+          << "margin " << margin << " label " << label;
+      EXPECT_EQ(Bits(scale), Bits(Sigmoid(margin) - label))
+          << "margin " << margin << " label " << label;
+    }
+    // NaN: only NaN-ness is pinned (payloads are unspecified).
+    double scale = 0.0;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(std::isnan(LogisticLossAndScale(nan, label, &scale)));
+    EXPECT_TRUE(std::isnan(scale));
+    EXPECT_TRUE(std::isnan(LogisticLoss(nan, label)));
+    EXPECT_TRUE(std::isnan(LogisticGradientScale(nan, label)));
+  }
 }
 
 TEST(BatchGradientTest, SlotIndexedMatchesHashMapReferenceBitForBit) {

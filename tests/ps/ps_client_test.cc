@@ -290,7 +290,7 @@ TEST_F(PsClientTest, PullRowsAndPushRows) {
   RowRef b = *master_->AllocateRow(a.matrix_id);
   ASSERT_TRUE(WriteRow(*client_, a, std::vector<double>(30, 1.0)).ok());
   std::vector<std::vector<double>> rows =
-      *client_->ReadRowsAsync({a, b}, RowSelector::All()).Get();
+      *ReadRows(*client_, {a, b}, RowSelector::All());
   EXPECT_EQ(rows[0], std::vector<double>(30, 1.0));
   EXPECT_EQ(rows[1], std::vector<double>(30, 0.0));
   ASSERT_TRUE(client_
@@ -301,9 +301,145 @@ TEST_F(PsClientTest, PullRowsAndPushRows) {
                                    RowSelector::All())
                   .Wait()
                   .ok());
-  rows = *client_->ReadRowsAsync({a, b}, RowSelector::All()).Get();
+  rows = *ReadRows(*client_, {a, b}, RowSelector::All());
   EXPECT_EQ(rows[0], std::vector<double>(30, 2.0));
   EXPECT_EQ(rows[1], std::vector<double>(30, 5.0));
+}
+
+// ---- RowBlock: one flat buffer per read ----------------------------------
+
+/// Columns [begin, end) of `base + c`.
+std::vector<double> Ramp(double base, uint64_t begin, uint64_t end) {
+  std::vector<double> out;
+  for (uint64_t c = begin; c < end; ++c) out.push_back(base + c);
+  return out;
+}
+
+/// A read that must succeed, built in `reuse`.
+RowBlock ReadBlock(PsClient& client, const std::vector<RowRef>& rows,
+                   const RowSelector& cols, RowBlock reuse = {}) {
+  Result<RowBlock> block =
+      client.ReadRowsAsync(rows, cols, std::move(reuse)).Get();
+  EXPECT_TRUE(block.ok()) << block.status();
+  return block.ok() ? std::move(*block) : RowBlock{};
+}
+
+TEST_F(PsClientTest, RowBlockOffsetsFollowEachSelector) {
+  // Rows of two matrices and two widths, spread over the servers.
+  const RowRef a = NewMatrix(100, 2);
+  const RowRef b = *master_->AllocateRow(a.matrix_id);
+  const RowRef c = NewMatrix(30, 1);
+  ASSERT_TRUE(WriteRow(*client_, a, Ramp(0, 0, 100)).ok());
+  ASSERT_TRUE(WriteRow(*client_, b, Ramp(1000, 0, 100)).ok());
+  ASSERT_TRUE(WriteRow(*client_, c, Ramp(2000, 0, 30)).ok());
+  const std::vector<RowRef> refs{a, c, b};
+
+  const RowBlock all = ReadBlock(*client_, refs, RowSelector::All());
+  EXPECT_EQ(all.offsets, (std::vector<size_t>{0, 100, 130, 230}));
+  ASSERT_EQ(all.values.size(), 230u);
+  EXPECT_EQ(Rows(all)[0], Ramp(0, 0, 100));
+  EXPECT_EQ(Rows(all)[1], Ramp(2000, 0, 30));
+  EXPECT_EQ(Rows(all)[2], Ramp(1000, 0, 100));
+
+  const RowSelector window = RowSelector::Range(ColRange::Of(5, 29));
+  const RowBlock range = ReadBlock(*client_, refs, window);
+  EXPECT_EQ(range.offsets, (std::vector<size_t>{0, 24, 48, 72}));
+  EXPECT_EQ(Rows(range)[0], Ramp(0, 5, 29));
+  EXPECT_EQ(Rows(range)[1], Ramp(2000, 5, 29));
+  EXPECT_EQ(Rows(range)[2], Ramp(1000, 5, 29));
+
+  // The whole-row default resolves per row: each row is as wide as its
+  // matrix.
+  const RowBlock whole = ReadBlock(*client_, refs, RowSelector::Range());
+  EXPECT_EQ(whole.offsets, all.offsets);
+  EXPECT_EQ(whole.values, all.values);
+
+  const std::vector<uint64_t> keys{0, 29};
+  const RowBlock idx = ReadBlock(*client_, refs, RowSelector::Indices(keys));
+  EXPECT_EQ(idx.offsets, (std::vector<size_t>{0, 2, 4, 6}));
+  EXPECT_EQ(idx.values, (std::vector<double>{0, 29, 2000, 2029, 1000, 1029}));
+}
+
+TEST_F(PsClientTest, RowBlockPlacesCacheHitsAtTheirRowsOffset) {
+  const RowRef a = NewMatrix(40, 2);
+  const RowRef b = *master_->AllocateRow(a.matrix_id);
+  const RowRef hot = NewMatrix(24, 1);
+  ASSERT_TRUE(WriteRow(*client_, a, Ramp(0, 0, 40)).ok());
+  ASSERT_TRUE(WriteRow(*client_, b, Ramp(100, 0, 40)).ok());
+  ASSERT_TRUE(WriteRow(*client_, hot, Ramp(500, 0, 24)).ok());
+  ASSERT_TRUE(master_->hotspot()->ReplicateNow({hot}).ok());
+
+  cluster_->metrics().Reset();
+  const RowBlock block = ReadBlock(*client_, {a, hot, b}, RowSelector::All());
+  EXPECT_EQ(cluster_->metrics().Get("net.local_pull_hits"), 1u);
+  EXPECT_EQ(block.offsets, (std::vector<size_t>{0, 40, 64, 104}));
+  EXPECT_EQ(Rows(block)[0], Ramp(0, 0, 40));
+  EXPECT_EQ(Rows(block)[1], Ramp(500, 0, 24));
+  EXPECT_EQ(Rows(block)[2], Ramp(100, 0, 40));
+
+  // An index read serves the hot row from the cache at its offset too.
+  const std::vector<uint64_t> keys{1, 20};
+  cluster_->metrics().Reset();
+  const RowBlock idx =
+      ReadBlock(*client_, {a, hot, b}, RowSelector::Indices(keys));
+  EXPECT_EQ(cluster_->metrics().Get("net.local_pull_hits"), 1u);
+  EXPECT_EQ(idx.values, (std::vector<double>{1, 20, 501, 520, 101, 120}));
+}
+
+TEST_F(PsClientTest, RowBlockOfAnEmptyOpHasNoRows) {
+  const uint64_t messages = cluster_->metrics().Get("net.messages");
+  RowBlock stale;
+  stale.values = {1, 2, 3};
+  stale.offsets = {0, 3};
+  const RowBlock block =
+      ReadBlock(*client_, {}, RowSelector::All(), std::move(stale));
+  EXPECT_EQ(block.rows(), 0u);
+  EXPECT_TRUE(block.values.empty());
+  EXPECT_EQ(block.offsets, (std::vector<size_t>{0}));
+  EXPECT_EQ(cluster_->metrics().Get("net.messages"), messages);
+}
+
+TEST_F(PsClientTest, RowBlockReadFailsCleanly) {
+  const RowRef a = NewMatrix(10, 1);
+  const RowRef unknown{a.matrix_id + 100, 0};
+  const std::vector<uint64_t> past_end{3, 10};
+  Result<RowBlock> out_of_range =
+      client_->ReadRowsAsync({a}, RowSelector::Indices(past_end)).Get();
+  EXPECT_TRUE(out_of_range.status().IsOutOfRange()) << out_of_range.status();
+  Result<RowBlock> not_found =
+      client_->ReadRowsAsync({a, unknown}, RowSelector::All()).Get();
+  EXPECT_TRUE(not_found.status().IsNotFound()) << not_found.status();
+}
+
+TEST_F(PsClientTest, RowBlockHandedBackIsReusedWithoutReallocation) {
+  const RowRef a = NewMatrix(64, 3);
+  const RowRef b = *master_->AllocateRow(a.matrix_id);
+  const RowRef c = NewMatrix(16, 1);
+  ASSERT_TRUE(WriteRow(*client_, a, Ramp(0, 0, 64)).ok());
+  const std::vector<RowRef> refs{a, b, c};
+
+  RowBlock first = ReadBlock(*client_, refs, RowSelector::All());
+  const double* values = first.values.data();
+  const size_t capacity = first.values.capacity();
+  const size_t* offsets = first.offsets.data();
+  // Dirty the block: every value of the next read must come from the wire.
+  for (double& v : first.values) v = -1;
+  ASSERT_TRUE(WriteRow(*client_, b, Ramp(7, 0, 64)).ok());
+
+  RowBlock second =
+      ReadBlock(*client_, refs, RowSelector::All(), std::move(first));
+  EXPECT_EQ(second.values.data(), values);
+  EXPECT_EQ(second.values.capacity(), capacity);
+  EXPECT_EQ(second.offsets.data(), offsets);
+  EXPECT_EQ(Rows(second)[0], Ramp(0, 0, 64));
+  EXPECT_EQ(Rows(second)[1], Ramp(7, 0, 64));
+  EXPECT_EQ(Rows(second)[2], std::vector<double>(16, 0.0));
+
+  // A narrower read into the same block shrinks it in place.
+  const RowSelector window = RowSelector::Range(ColRange::Of(2, 4));
+  const RowBlock third = ReadBlock(*client_, refs, window, std::move(second));
+  EXPECT_EQ(third.values.data(), values);
+  EXPECT_EQ(third.values, (std::vector<double>{2, 3, 9, 10, 0, 0}));
 }
 
 TEST_F(PsClientTest, PullSparseRowsSharedIndices) {
@@ -312,8 +448,7 @@ TEST_F(PsClientTest, PullSparseRowsSharedIndices) {
   ASSERT_TRUE(client_->PushSparse(a, SparseVector({5, 150}, {1, 2})).ok());
   ASSERT_TRUE(client_->PushSparse(b, SparseVector({5, 199}, {7, 8})).ok());
   std::vector<std::vector<double>> rows =
-      *client_->ReadRowsAsync({a, b},
-                              RowSelector::Indices({5, 150, 199})).Get();
+      *ReadRows(*client_, {a, b}, RowSelector::Indices({5, 150, 199}));
   EXPECT_EQ(rows[0], (std::vector<double>{1, 2, 0}));
   EXPECT_EQ(rows[1], (std::vector<double>{7, 0, 8}));
 }
@@ -328,8 +463,7 @@ TEST_F(PsClientTest, CompressedSparseRowsRoundTripIntegers) {
                   .ok());
   const std::vector<uint64_t> keys{1, 50, 99};
   std::vector<std::vector<double>> rows =
-      *client_->ReadRowsAsync({a, b}, RowSelector::Indices(keys).IntValues())
-           .Get();
+      *ReadRows(*client_, {a, b}, RowSelector::Indices(keys).IntValues());
   EXPECT_EQ(rows[0], (std::vector<double>{3, -2, 0}));
   EXPECT_EQ(rows[1], (std::vector<double>{0, 0, 1000000}));
 }
