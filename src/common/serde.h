@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -47,6 +48,16 @@ class BufferWriter {
   explicit BufferWriter(size_t reserve, size_t sections = 0) {
     buf_.reserve(reserve);
     sections_.reserve(sections);
+  }
+  /// A writer over the buffers an earlier Release() and TakeSections()
+  /// handed out: cleared, keeping their capacity, then reserved to
+  /// `reserve` bytes, so a payload no larger than before allocates nothing.
+  BufferWriter(std::vector<uint8_t> storage,
+               std::vector<PayloadSection> sections, size_t reserve)
+      : buf_(std::move(storage)), sections_(std::move(sections)) {
+    buf_.clear();
+    sections_.clear();
+    buf_.reserve(reserve);
   }
 
   void WriteU8(uint8_t v) { buf_.push_back(v); }
@@ -144,9 +155,12 @@ class BufferWriter {
     open_begin_ = buf_.size();
   }
   void EndSection() {
+    if (!marks_) return;
     sections_.push_back({open_kind_, open_begin_, buf_.size() - open_begin_});
   }
-  /// Moves the recorded section list out (call before ReleaseShared()).
+  /// Records no section marks from here on: for a payload no filter reads.
+  void DropSectionMarks() { marks_ = false; }
+  /// Moves the recorded section list out (call before Release*()).
   std::vector<PayloadSection> TakeSections() { return std::move(sections_); }
 
   size_t size() const { return buf_.size(); }
@@ -165,6 +179,7 @@ class BufferWriter {
   std::vector<PayloadSection> sections_;
   SectionKind open_kind_ = SectionKind::kKeys;
   size_t open_begin_ = 0;
+  bool marks_ = true;
 };
 
 /// \brief Bounds-checked reader over a byte buffer.

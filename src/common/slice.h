@@ -8,11 +8,12 @@
 //                  type for readers and Handle().
 //   * SharedBuf  — an immutable, reference-counted byte buffer. Moving a
 //                  BufferWriter's vector into one costs nothing; aliasing it
-//                  (e.g. the wire form of an unfiltered request) is a
-//                  refcount bump. The only way to duplicate bytes is the
-//                  explicit CopyOf(), which increments a global counter so
-//                  the zero-copy contract test can assert the filters-off
-//                  hot path performs no hidden memcpys.
+//                  is a refcount bump. The only way to duplicate bytes is
+//                  the explicit CopyOf(), which increments a global counter
+//                  so the zero-copy contract test can assert the filters-off
+//                  hot path performs no hidden memcpys. (The PS client owns
+//                  its request buffers outright — a request never outlives
+//                  its op — and sends an unfiltered one as a Slice of it.)
 //
 // Lifetime rule: a Slice never owns its bytes. A Slice taken from a
 // SharedBuf (or a vector) is valid only while that owner is alive; APIs that

@@ -105,14 +105,8 @@ void Cluster::AdvanceClock(SimTime seconds) {
 
 void Cluster::ChargeOutOfTask(const TaskTraffic& traffic) {
   SimTime worst_server = 0;
-  for (size_t s = 0; s < traffic.bytes_to_server.size(); ++s) {
-    SimTime t = static_cast<double>(traffic.bytes_to_server[s] +
-                                    traffic.bytes_from_server[s]) /
-                    spec_.net_bandwidth_bps +
-                cost_.MessageOverhead(traffic.msgs_to_server[s] +
-                                      traffic.msgs_from_server[s]) +
-                cost_.ServerCompute(traffic.server_ops[s]);
-    worst_server = std::max(worst_server, t);
+  for (const TaskTraffic::PerServer& s : traffic.servers) {
+    worst_server = std::max(worst_server, ServerBusyTime(cost_, s));
   }
   SimTime elapsed = cost_.RoundLatency(traffic.rounds) + worst_server +
                     cost_.WorkerCompute(traffic.worker_ops) +
@@ -164,20 +158,17 @@ void Cluster::RecordTraffic(const TaskTraffic& traffic) {
   // µs) this traffic kept server `s` occupied — the straggler signal. All
   // inputs are simulation quantities, so these counters stay deterministic.
   const size_t nservers =
-      std::min(traffic.bytes_to_server.size(), server_busy_names_.size());
-  for (size_t s = 0; s < nservers; ++s) {
-    const uint64_t bytes = traffic.bytes_to_server[s] +
-                           traffic.bytes_from_server[s];
-    const uint64_t msgs =
-        traffic.msgs_to_server[s] + traffic.msgs_from_server[s];
-    const uint64_t ops = traffic.server_ops[s];
-    if (bytes == 0 && msgs == 0 && ops == 0) continue;
-    metrics_.Add(server_bytes_to_names_[s], traffic.bytes_to_server[s]);
-    metrics_.Add(server_bytes_from_names_[s], traffic.bytes_from_server[s]);
-    const SimTime busy = static_cast<double>(bytes) / spec_.net_bandwidth_bps +
-                         cost_.MessageOverhead(msgs) +
-                         cost_.ServerCompute(ops);
-    metrics_.Add(server_busy_names_[s], static_cast<uint64_t>(busy * 1e6));
+      std::min(traffic.servers.size(), server_busy_names_.size());
+  for (size_t i = 0; i < nservers; ++i) {
+    const TaskTraffic::PerServer& s = traffic.servers[i];
+    if (s.bytes_to == 0 && s.bytes_from == 0 && s.msgs_to == 0 &&
+        s.msgs_from == 0 && s.ops == 0) {
+      continue;
+    }
+    metrics_.Add(server_bytes_to_names_[i], s.bytes_to);
+    metrics_.Add(server_bytes_from_names_[i], s.bytes_from);
+    const SimTime busy = ServerBusyTime(cost_, s);
+    metrics_.Add(server_busy_names_[i], static_cast<uint64_t>(busy * 1e6));
   }
 }
 

@@ -11,13 +11,7 @@ thread_local TaskTraffic* t_current_traffic = nullptr;
 }  // namespace
 
 void TaskTraffic::EnsureServers(size_t n) {
-  if (bytes_to_server.size() < n) {
-    bytes_to_server.resize(n, 0);
-    bytes_from_server.resize(n, 0);
-    msgs_to_server.resize(n, 0);
-    msgs_from_server.resize(n, 0);
-    server_ops.resize(n, 0);
-  }
+  if (servers.size() < n) servers.resize(n);
 }
 
 void TaskTraffic::RecordExchange(int server, uint64_t bytes_out,
@@ -33,35 +27,35 @@ void TaskTraffic::RecordExchange(int server, uint64_t bytes_out,
   logical_bytes_to += logical_out;
   logical_bytes_from += logical_in;
   EnsureServers(static_cast<size_t>(server) + 1);
-  msgs_to_server[server] += 1;
-  if (bytes_in > 0) msgs_from_server[server] += 1;
-  server_ops[server] += ops_on_server;
+  PerServer& s = servers[server];
+  s.msgs_to += 1;
+  if (bytes_in > 0) s.msgs_from += 1;
+  s.ops += ops_on_server;
   if (server == colocated_server) {
     loopback_exchanges += 1;
     loopback_bytes_to += bytes_out;
     loopback_bytes_from += bytes_in;
     return;
   }
-  bytes_to_server[server] += bytes_out;
-  if (bytes_in > 0) bytes_from_server[server] += bytes_in;
+  s.bytes_to += bytes_out;
+  if (bytes_in > 0) s.bytes_from += bytes_in;
 }
 
 uint64_t TaskTraffic::TotalBytesToServers() const {
   uint64_t total = 0;
-  for (uint64_t b : bytes_to_server) total += b;
+  for (const PerServer& s : servers) total += s.bytes_to;
   return total;
 }
 
 uint64_t TaskTraffic::TotalBytesFromServers() const {
   uint64_t total = 0;
-  for (uint64_t b : bytes_from_server) total += b;
+  for (const PerServer& s : servers) total += s.bytes_from;
   return total;
 }
 
 uint64_t TaskTraffic::TotalMsgs() const {
   uint64_t total = 0;
-  for (uint64_t m : msgs_to_server) total += m;
-  for (uint64_t m : msgs_from_server) total += m;
+  for (const PerServer& s : servers) total += s.msgs_to + s.msgs_from;
   return total;
 }
 
@@ -86,13 +80,15 @@ void TaskTraffic::MergeFrom(const TaskTraffic& other) {
   keycache_hits += other.keycache_hits;
   keycache_installs += other.keycache_installs;
   keycache_misses += other.keycache_misses;
-  EnsureServers(other.bytes_to_server.size());
-  for (size_t s = 0; s < other.bytes_to_server.size(); ++s) {
-    bytes_to_server[s] += other.bytes_to_server[s];
-    bytes_from_server[s] += other.bytes_from_server[s];
-    msgs_to_server[s] += other.msgs_to_server[s];
-    msgs_from_server[s] += other.msgs_from_server[s];
-    server_ops[s] += other.server_ops[s];
+  EnsureServers(other.servers.size());
+  for (size_t i = 0; i < other.servers.size(); ++i) {
+    PerServer& s = servers[i];
+    const PerServer& o = other.servers[i];
+    s.bytes_to += o.bytes_to;
+    s.bytes_from += o.bytes_from;
+    s.msgs_to += o.msgs_to;
+    s.msgs_from += o.msgs_from;
+    s.ops += o.ops;
   }
 }
 
@@ -118,11 +114,7 @@ void TaskTraffic::Clear() {
   keycache_hits = 0;
   keycache_installs = 0;
   keycache_misses = 0;
-  bytes_to_server.clear();
-  bytes_from_server.clear();
-  msgs_to_server.clear();
-  msgs_from_server.clear();
-  server_ops.clear();
+  servers.clear();
 }
 
 TrafficScope::TrafficScope(TaskTraffic* traffic) : previous_(t_current_traffic) {
@@ -132,6 +124,14 @@ TrafficScope::TrafficScope(TaskTraffic* traffic) : previous_(t_current_traffic) 
 TrafficScope::~TrafficScope() { t_current_traffic = previous_; }
 
 TaskTraffic* TrafficScope::Current() { return t_current_traffic; }
+
+SimTime ServerBusyTime(const CostModel& cost,
+                       const TaskTraffic::PerServer& s) {
+  return static_cast<double>(s.bytes_to + s.bytes_from) /
+             cost.spec().net_bandwidth_bps +
+         cost.MessageOverhead(s.msgs_to + s.msgs_from) +
+         cost.ServerCompute(s.ops);
+}
 
 SimTime TaskWorkerTime(const CostModel& cost, const TaskTraffic& t) {
   const ClusterSpec& spec = cost.spec();
@@ -177,16 +177,12 @@ StageCostBreakdown StageCost(
   // --- Server bound: all tasks' requests serialize at each server.
   size_t num_servers = 0;
   for (const auto& t : per_task) {
-    num_servers = std::max(num_servers, t.bytes_to_server.size());
+    num_servers = std::max(num_servers, t.servers.size());
   }
   std::vector<SimTime> server_time(num_servers, 0.0);
   for (const auto& t : per_task) {
-    for (size_t s = 0; s < t.bytes_to_server.size(); ++s) {
-      server_time[s] +=
-          static_cast<double>(t.bytes_to_server[s] + t.bytes_from_server[s]) /
-              spec.net_bandwidth_bps +
-          cost.MessageOverhead(t.msgs_to_server[s] + t.msgs_from_server[s]) +
-          cost.ServerCompute(t.server_ops[s]);
+    for (size_t s = 0; s < t.servers.size(); ++s) {
+      server_time[s] += ServerBusyTime(cost, t.servers[s]);
     }
   }
   for (SimTime t : server_time) out.server_bound = std::max(out.server_bound, t);

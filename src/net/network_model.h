@@ -70,15 +70,15 @@ struct TaskTraffic {
   /// `colocate_workers`), or -1. Exchanges with it are loopback: messages
   /// and server ops are recorded as usual (per-message overhead and server
   /// compute are real), but the bytes land in the loopback counters below
-  /// instead of bytes_to_server / bytes_from_server, so no bandwidth term
+  /// instead of the per-server bytes_to / bytes_from, so no bandwidth term
   /// ever charges them. Set per task by RunStage; never merged.
   int colocated_server = -1;
   uint64_t loopback_exchanges = 0;   ///< exchanges that stayed on-node
   uint64_t loopback_bytes_to = 0;    ///< wire bytes to the co-located server
   uint64_t loopback_bytes_from = 0;  ///< wire bytes back from it
 
-  // Wire-vs-logical accounting (net/filters.h). bytes_to_server /
-  // bytes_from_server hold WIRE bytes — what the cost model charges. The
+  // Wire-vs-logical accounting (net/filters.h). The per-server bytes_to /
+  // bytes_from hold WIRE bytes — what the cost model charges. The
   // logical totals hold the pre-filter payload sizes, so
   // logical / wire is the filter chain's compression ratio. With filters
   // off the two are equal.
@@ -91,12 +91,19 @@ struct TaskTraffic {
   uint64_t keycache_installs = 0;
   uint64_t keycache_misses = 0;
 
-  // Per-server breakdown (indexed by server id; lazily sized).
-  std::vector<uint64_t> bytes_to_server;
-  std::vector<uint64_t> bytes_from_server;
-  std::vector<uint64_t> msgs_to_server;
-  std::vector<uint64_t> msgs_from_server;
-  std::vector<uint64_t> server_ops;
+  /// One server's share of the record: wire bytes and messages each way,
+  /// and the ops the server ran.
+  struct PerServer {
+    uint64_t bytes_to = 0;
+    uint64_t bytes_from = 0;
+    uint64_t msgs_to = 0;
+    uint64_t msgs_from = 0;
+    uint64_t ops = 0;
+  };
+  /// Per-server breakdown, indexed by server id and sized lazily: one
+  /// allocation per record. Clear() keeps its capacity, so a record reused
+  /// for the next op allocates nothing.
+  std::vector<PerServer> servers;
 
   void EnsureServers(size_t n);
 
@@ -152,6 +159,10 @@ struct StageCostBreakdown {
 StageCostBreakdown StageCost(
     const CostModel& cost, const std::vector<TaskTraffic>& per_task,
     const std::vector<std::vector<double>>& retry_fractions);
+
+/// The time one server's share of a record keeps that server busy: its
+/// bytes over the bandwidth, its messages' overhead and its ops.
+SimTime ServerBusyTime(const CostModel& cost, const TaskTraffic::PerServer& s);
 
 /// Worker-side cost of a single task's recorded traffic.
 SimTime TaskWorkerTime(const CostModel& cost, const TaskTraffic& t);

@@ -123,8 +123,12 @@ void PsClient::Charge(const TaskTraffic& traffic) {
   }
 }
 
-uint32_t PsClient::Issue(const void* ctx, bool* leader) {
+uint32_t PsClient::Issue(const void* ctx, bool* leader, TaskTraffic* traffic) {
   std::lock_guard<std::mutex> lock(window_mu_);
+  if (!spare_servers_.empty()) {
+    traffic->servers = std::move(spare_servers_.back());
+    spare_servers_.pop_back();
+  }
   size_t slot = window_.size();
   for (size_t i = 0; i < window_.size(); ++i) {
     if (window_[i].outstanding > 0 && window_[i].ctx == ctx) {
@@ -141,10 +145,14 @@ uint32_t PsClient::Issue(const void* ctx, bool* leader) {
 }
 
 void internal::SettleOp(PsClient* client, uint32_t slot,
-                        const TaskTraffic& traffic) {
-  client->Charge(traffic);
+                        TaskTraffic* traffic) {
+  client->Charge(*traffic);
   std::lock_guard<std::mutex> lock(client->window_mu_);
   client->window_[slot].outstanding -= 1;
+  if (traffic->servers.capacity() > 0) {
+    traffic->servers.clear();
+    client->spare_servers_.push_back(std::move(traffic->servers));
+  }
 }
 
 PsClient::ServerRequest PsClient::MakeRequest(int server,
@@ -152,7 +160,7 @@ PsClient::ServerRequest PsClient::MakeRequest(int server,
   ServerRequest req;
   req.server = server;
   req.sections = writer->TakeSections();
-  req.payload = writer->ReleaseShared();
+  req.payload = writer->Release();
   return req;
 }
 
@@ -207,7 +215,6 @@ std::vector<int> ShardPartitions(const ColumnPartitioner& part) {
 void PsClient::EncodeRequest(ServerRequest* req, bool force_key_install) {
   // Reset to the zero-copy identity encoding first (idempotence: the
   // keycache-miss path re-encodes an already-encoded request).
-  req->wire = req->payload;
   req->wire_mask = 0;
   req->estats = EncodeStats{};
   req->estats.logical_bytes = req->payload.size();
@@ -226,17 +233,17 @@ void PsClient::EncodeRequest(ServerRequest* req, bool force_key_install) {
   ctx.server = req->server;
   ctx.force_key_install = force_key_install;
   ctx.client_keys = &keycache_;
-  EncodedPayload enc = chain_.Encode(req->payload.slice(), req->sections, want,
+  EncodedPayload enc = chain_.Encode(req->payload, req->sections, want,
                                      /*prefix=*/1, &ctx);
   req->estats = enc.stats;
   if (enc.mask != 0) {
-    req->wire = SharedBuf::FromVector(std::move(enc.wire));
+    req->filtered = std::move(enc.wire);
     req->wire_mask = enc.mask;
   }
 }
 
-void PsClient::StampRequests(std::vector<ServerRequest>* requests) {
-  for (ServerRequest& req : *requests) {
+void PsClient::StampRequests(std::span<ServerRequest> requests) {
+  for (ServerRequest& req : requests) {
     req.header.client_id = client_id_;
     req.header.seq =
         next_seq_[req.server].fetch_add(1, std::memory_order_relaxed) + 1;
@@ -254,7 +261,7 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
   PsServer* server = master_->server(request.server);
   RpcHeader header = request.header;
   const int max_attempts = options_.max_attempts;
-  const PsOpCode op = PeekOpCode(request.payload.slice());
+  const PsOpCode op = PeekOpCode(request.payload);
   // Key-cache miss recovery re-encodes once (below); the guard keeps a
   // byzantine server from looping us.
   bool reencoded = false;
@@ -288,7 +295,7 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
     // draws a fresh deterministic fault (the draw is keyed on the header).
     header.attempt = static_cast<uint32_t>(attempt) + routing_rounds;
     // Rebuilt each iteration: a key-cache miss swaps the wire view in place.
-    const WireFrame frame{request.wire.slice(), request.wire_mask};
+    const WireFrame frame{request.wire(), request.wire_mask};
     const MessageFault fault = cluster->failures().DrawMessageFault(
         request.server, header.client_id, header.seq, header.attempt);
     std::optional<Result<PsServer::HandleResult>> r;
@@ -423,7 +430,7 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
           h.response_mask = 0;
         }
       }
-      out.req_wire = request.wire.size() + Message::kHeaderBytes;
+      out.req_wire = request.wire().size() + Message::kHeaderBytes;
       out.req_logical = request.payload.size() + Message::kHeaderBytes;
       if (r->ok()) {
         if (out.resp_wire == 0) {
@@ -452,17 +459,78 @@ PsClient::ExchangeOutcome PsClient::ExecuteRequest(ServerRequest& request) {
   }
 }
 
-std::vector<Result<PsServer::HandleResult>> PsClient::ExchangeEach(
-    TaskTraffic* traffic, std::vector<ServerRequest> requests) {
+namespace {
+
+/// A scratch buffer larger than this is freed when its op ends instead of
+/// kept for the next op. Small ops (serving batches, a few rows) then run
+/// allocation-free, while a large op (hundreds of rows, a wide request)
+/// allocates as it would without scratch and leaves no idle memory behind:
+/// an idle thread holds a few KiB per buffer at most.
+constexpr size_t kKeepScratchBytes = 16 << 10;
+
+/// Clears `v`, and frees it when it holds more than kKeepScratchBytes.
+template <typename T>
+void Trim(std::vector<T>* v) {
+  v->clear();
+  if (v->capacity() * sizeof(T) > kKeepScratchBytes) std::vector<T>().swap(*v);
+}
+
+/// Leases this thread's instance of scratch `T` for one call. The scratch
+/// keeps its capacity from call to call; the lease calls `T::Release()`
+/// when it ends, to drop what must not outlive the call. A lease taken
+/// while another is live on the same thread means the call re-entered
+/// itself, and fails a check.
+template <typename T>
+class ScratchLease {
+ public:
+  ScratchLease() : slot_(Slot()) {
+    PS2_CHECK(!slot_.leased) << "per-thread client scratch re-entered";
+    slot_.leased = true;
+  }
+  ~ScratchLease() {
+    slot_.value.Release();
+    slot_.leased = false;
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  T& operator*() { return slot_.value; }
+  T* operator->() { return &slot_.value; }
+
+ private:
+  struct Slot_ {
+    T value;
+    bool leased = false;
+  };
+  static Slot_& Slot() {
+    thread_local Slot_ slot;
+    return slot;
+  }
+  Slot_& slot_;
+};
+
+}  // namespace
+
+/// ExchangeEach's per-thread scratch: one outcome per request.
+struct PsClient::ExchangeScratch {
+  std::vector<ExchangeOutcome> slots;
+  void Release() { Trim(&slots); }
+};
+
+void PsClient::ExchangeEach(TaskTraffic* traffic,
+                            std::span<ServerRequest> requests,
+                            std::vector<Result<PsServer::HandleResult>>* out) {
   const size_t n = requests.size();
   // One span per fan-out, not per request: on the inline route every span
   // lands in the issuing thread's trace ring, and the server spans nested
   // here already time each request.
   PS2_TRACE_SPAN("ps.client",
-                 PsOpCodeName(n > 0 ? PeekOpCode(requests[0].payload.slice())
+                 PsOpCodeName(n > 0 ? PeekOpCode(requests[0].payload)
                                     : static_cast<PsOpCode>(0xff)));
-  StampRequests(&requests);
-  std::vector<ExchangeOutcome> slots(n);
+  StampRequests(requests);
+  ScratchLease<ExchangeScratch> scratch;
+  std::vector<ExchangeOutcome>& slots = scratch->slots;
+  slots.resize(n);
   // Keyed requests run inline: each is one in-process Handle of a few µs,
   // cheaper than any hand-off. Shard-scoped ones run the op over a server's
   // whole shard (the coordinator's Adam zip, gradient Zero/Scale), so they
@@ -478,8 +546,6 @@ std::vector<Result<PsServer::HandleResult>> PsClient::ExchangeEach(
   }
   // Same semantics on both routes: every request executed, every success
   // recorded in request (= partition) order.
-  std::vector<Result<PsServer::HandleResult>> out;
-  out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     traffic->retries += slots[i].retries;
     traffic->retry_backoff_time += slots[i].backoff;
@@ -494,15 +560,15 @@ std::vector<Result<PsServer::HandleResult>> PsClient::ExchangeEach(
       traffic->keycache_hits += slots[i].kc_refs;
       traffic->keycache_installs += slots[i].kc_installs;
     }
-    out.push_back(std::move(r));
+    out->push_back(std::move(r));
   }
-  return out;
 }
 
 Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeAll(
     TaskTraffic* traffic, std::vector<ServerRequest> requests) {
-  std::vector<Result<PsServer::HandleResult>> each =
-      ExchangeEach(traffic, std::move(requests));
+  std::vector<Result<PsServer::HandleResult>> each;
+  each.reserve(requests.size());
+  ExchangeEach(traffic, requests, &each);
   std::vector<PsServer::HandleResult> out;
   out.reserve(each.size());
   for (Result<PsServer::HandleResult>& r : each) {
@@ -529,8 +595,8 @@ Result<std::vector<uint8_t>> PsClient::ControlCall(int server,
       .Get();
 }
 
-template <typename T, typename Exchange, typename Parse>
-PsFuture<T> PsClient::Submit(Exchange exchange, Parse parse) {
+template <typename T, typename Run>
+PsFuture<T> PsClient::Submit(Run run) {
   const TaskTraffic* ambient = TrafficScope::Current();
   TaskTraffic traffic;
   // Loopback diversion is decided per exchange against the ISSUING task's
@@ -538,18 +604,20 @@ PsFuture<T> PsClient::Submit(Exchange exchange, Parse parse) {
   // the binding travels with it.
   if (ambient != nullptr) traffic.colocated_server = ambient->colocated_server;
   bool leader = false;
-  const uint32_t slot = Issue(ambient, &leader);
+  const uint32_t slot = Issue(ambient, &leader, &traffic);
   (leader ? traffic.rounds : traffic.pipelined_rounds) += 1;
-  Result<std::vector<PsServer::HandleResult>> results = [&] {
-    if constexpr (std::is_invocable_v<Exchange, TaskTraffic*>) {
-      return exchange(&traffic);
-    } else {
-      return ExchangeAll(&traffic, std::move(exchange));
-    }
-  }();
-  Result<T> value = results.ok() ? Result<T>(parse(std::move(*results)))
-                                 : Result<T>(results.status());
+  Result<T> value = run(&traffic);
   return PsFuture<T>(std::move(value), std::move(traffic), this, slot);
+}
+
+template <typename T, typename Parse>
+PsFuture<T> PsClient::Submit(std::vector<ServerRequest> requests,
+                             Parse parse) {
+  return Submit<T>([&](TaskTraffic* traffic) -> Result<T> {
+    PS2_ASSIGN_OR_RETURN(std::vector<PsServer::HandleResult> results,
+                         ExchangeAll(traffic, std::move(requests)));
+    return parse(std::move(results));
+  });
 }
 
 namespace {
@@ -561,35 +629,8 @@ Ack AckParse(std::vector<PsServer::HandleResult>&&) { return Ack{}; }
 
 namespace {
 
-/// Orders `parts` by (server, group), keeping the op order within each key
-/// (a counting sort: request order and bytes do not depend on how the
-/// pieces were gathered), and returns where each non-empty key run ends.
-template <typename Part>
-std::vector<size_t> SortParts(std::vector<Part>* parts, int num_servers) {
-  uint32_t n_groups = 1;
-  for (const Part& p : *parts) n_groups = std::max(n_groups, p.group + 1);
-  auto key = [n_groups](const Part& p) {
-    return static_cast<size_t>(p.server) * n_groups + p.group;
-  };
-  std::vector<size_t> end(static_cast<size_t>(num_servers) * n_groups + 1, 0);
-  for (const Part& p : *parts) end[key(p) + 1] += 1;
-  for (size_t k = 1; k < end.size(); ++k) end[k] += end[k - 1];
-  std::vector<Part> sorted(parts->size());
-  {
-    std::vector<size_t> next(end.begin(), end.end() - 1);
-    for (const Part& p : *parts) sorted[next[key(p)]++] = p;
-  }
-  *parts = std::move(sorted);
-  std::vector<size_t> ends;
-  for (size_t k = 1; k < end.size(); ++k) {
-    if (end[k] != end[k - 1]) ends.push_back(end[k]);
-  }
-  return ends;
-}
-
-}  // namespace
-
-struct PsClient::RowOp {
+/// What one row op asks for, reset between ops (PsClient::RowOp).
+struct RowOpParams {
   PsOpCode op = PsOpCode::kReadRows;
   RowSelectorKind kind = RowSelectorKind::kRange;
   bool int_values = false;
@@ -598,21 +639,85 @@ struct PsClient::RowOp {
   uint64_t window_begin = 0;
   uint64_t epoch = 0;  ///< kServingPull: the pinned snapshot epoch
   const std::vector<RowRef>* rows = nullptr;
-  MetaBatch metas;
-  std::vector<std::shared_ptr<const void>> repins;  ///< re-planned metas
-  const std::vector<uint64_t>* indices = nullptr;   ///< reads: shared list
-  const std::vector<ServingRead>* reads = nullptr;  ///< serving: per row
+  const std::vector<uint64_t>* indices = nullptr;  ///< reads: shared list
+  const std::vector<PsClient::ServingRead>* reads = nullptr;  ///< serving
   RowDeltas deltas = RowDeltas(std::vector<SparseVector>());  ///< writes
-  std::vector<RowPart> parts;  ///< the plan before the first exchange
-  /// The pieces each returned response answers, in response order:
-  /// response q answers answered[answered_end[q - 1], answered_end[q]).
-  std::vector<RowPart> answered;
-  std::vector<size_t> answered_end;
   /// A row of the previous row's matrix with the same selection splits
   /// alike: Plan reuses that row's pieces, parts[last_begin, last_end).
   const MatrixMeta* last_meta = nullptr;
   uint64_t last_lo = 0, last_hi = 0;
   size_t last_begin = 0, last_end = 0;
+};
+
+}  // namespace
+
+struct PsClient::RowOp : RowOpParams {
+  // ---- Per-thread buffers: capacity kept from op to op ----
+  MetaBatch metas;
+  std::vector<std::shared_ptr<const void>> repins;  ///< re-planned metas
+  std::vector<RowRef> serving_rows;  ///< kServingPull: the reads' rows
+  std::vector<RowPart> parts;  ///< the plan before the first exchange
+  /// The pieces each returned response answers, in response order:
+  /// response q answers answered[answered_end[q - 1], answered_end[q]).
+  std::vector<RowPart> answered;
+  std::vector<size_t> answered_end;
+  /// SortParts' counting sort, and where each request's pieces end.
+  std::vector<RowPart> sorted;
+  std::vector<size_t> counts;
+  std::vector<size_t> ends;
+  std::vector<RowPart> bounced;
+  /// Request slots; only the first ends.size() are the current round's.
+  std::vector<ServerRequest> requests;
+  std::vector<Result<PsServer::HandleResult>> each;
+  std::vector<PsServer::HandleResult> results;  ///< the answered responses
+
+  /// Ends the op (ScratchLease): resets its fields, unpins its metas, drops
+  /// its responses and frees the buffers too large to keep.
+  void Release() {
+    static_cast<RowOpParams&>(*this) = RowOpParams{};
+    metas.pin.reset();
+    Trim(&metas.metas);
+    repins.clear();
+    Trim(&serving_rows);
+    Trim(&parts);
+    Trim(&answered);
+    Trim(&answered_end);
+    Trim(&sorted);
+    Trim(&counts);
+    Trim(&ends);
+    Trim(&bounced);
+    Trim(&each);
+    Trim(&results);
+    for (ServerRequest& r : requests) {
+      std::vector<uint8_t>().swap(r.filtered);
+      Trim(&r.payload);
+      Trim(&r.sections);
+    }
+  }
+
+  /// Orders `parts` by (server, group), keeping the op order within each
+  /// key (a counting sort: request order and bytes do not depend on how
+  /// the pieces were gathered), and sets `ends` to where each non-empty key
+  /// run ends.
+  void SortParts(int num_servers) {
+    uint32_t n_groups = 1;
+    for (const RowPart& p : parts) n_groups = std::max(n_groups, p.group + 1);
+    auto key = [n_groups](const RowPart& p) {
+      return static_cast<size_t>(p.server) * n_groups + p.group;
+    };
+    counts.assign(static_cast<size_t>(num_servers) * n_groups + 1, 0);
+    for (const RowPart& p : parts) counts[key(p) + 1] += 1;
+    for (size_t k = 1; k < counts.size(); ++k) counts[k] += counts[k - 1];
+    ends.clear();
+    for (size_t k = 1; k < counts.size(); ++k) {
+      if (counts[k] != counts[k - 1]) ends.push_back(counts[k]);
+    }
+    // counts[k] is where key k starts: place each piece at its key's next
+    // slot.
+    sorted.resize(parts.size());
+    for (const RowPart& p : parts) sorted[counts[key(p)]++] = p;
+    parts.swap(sorted);
+  }
 
   /// The sorted index list of an index piece.
   const uint64_t* Keys(const RowPart& p) const {
@@ -730,7 +835,8 @@ int PsClient::HotHome(RowRef ref) {
 
 PsClient::ServerRequest PsClient::EncodeRowRequest(const RowOp& op,
                                                    const RowPart* parts,
-                                                   size_t n) {
+                                                   size_t n,
+                                                   ServerRequest reuse) {
   const bool write = op.op == PsOpCode::kWriteRows;
   const size_t value_bytes = op.int_values ? 2 : sizeof(double);
   size_t bytes = 1 + 2 * kMaxVarintBytes;
@@ -743,7 +849,8 @@ PsClient::ServerRequest PsClient::EncodeRowRequest(const RowOp& op,
       bytes += width * 3;
     }
   }
-  BufferWriter writer(bytes);
+  BufferWriter writer(std::move(reuse.payload), std::move(reuse.sections),
+                      bytes);
   writer.WriteU8(static_cast<uint8_t>(op.op));
   auto keys = [&](const RowPart& p) {
     writer.WriteVarint(p.hi - p.lo);
@@ -830,25 +937,26 @@ PsClient::ServerRequest PsClient::EncodeRowRequest(const RowOp& op,
   return req;
 }
 
-Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeRows(
-    TaskTraffic* traffic, RowOp* op, std::vector<RowPart> parts) {
-  std::vector<PsServer::HandleResult> results;
-  std::vector<RowPart> bounced;
+Status PsClient::ExchangeRows(TaskTraffic* traffic, RowOp* op) {
+  std::vector<RowPart>& parts = op->parts;
+  const std::vector<size_t>& ends = op->ends;
   for (uint32_t round = 0;; ++round) {
-    const std::vector<size_t> ends = SortParts(&parts, master_->num_servers());
-    std::vector<ServerRequest> requests;
-    requests.reserve(ends.size());
-    for (size_t q = 0, begin = 0; q < ends.size(); begin = ends[q++]) {
-      requests.push_back(
-          EncodeRowRequest(*op, parts.data() + begin, ends[q] - begin));
+    op->SortParts(master_->num_servers());
+    const size_t n_requests = ends.size();
+    if (op->requests.size() < n_requests) op->requests.resize(n_requests);
+    for (size_t q = 0, begin = 0; q < n_requests; begin = ends[q++]) {
+      op->requests[q] =
+          EncodeRowRequest(*op, parts.data() + begin, ends[q] - begin,
+                           std::move(op->requests[q]));
     }
-    std::vector<Result<PsServer::HandleResult>> each =
-        ExchangeEach(traffic, std::move(requests));
+    std::vector<Result<PsServer::HandleResult>>& each = op->each;
+    each.clear();
+    ExchangeEach(traffic, std::span(op->requests.data(), n_requests), &each);
     uint64_t bounced_stamp = 0;
-    bounced.clear();
-    for (size_t q = 0, begin = 0; q < each.size(); begin = ends[q++]) {
+    op->bounced.clear();
+    for (size_t q = 0, begin = 0; q < n_requests; begin = ends[q++]) {
       if (each[q].ok()) {
-        results.push_back(std::move(*each[q]));
+        op->results.push_back(std::move(*each[q]));
         continue;
       }
       // A bounced request never applied (an already-applied mutation is
@@ -858,23 +966,23 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeRows(
       }
       bounced_stamp = std::max(bounced_stamp,
                                op->metas[parts[begin].item].routing_epoch + 1);
-      bounced.insert(bounced.end(), parts.begin() + begin,
-                     parts.begin() + ends[q]);
+      op->bounced.insert(op->bounced.end(), parts.begin() + begin,
+                         parts.begin() + ends[q]);
     }
-    if (bounced.empty() && op->answered.empty()) {
+    if (op->bounced.empty() && op->answered.empty()) {
       // Nothing bounced on the first round: the plan is the answer key.
-      op->answered = std::move(parts);
-      op->answered_end = ends;
-      return results;
+      op->answered.swap(parts);
+      op->answered_end.assign(ends.begin(), ends.end());
+      return Status::OK();
     }
-    for (size_t q = 0, begin = 0; q < each.size(); begin = ends[q++]) {
+    for (size_t q = 0, begin = 0; q < n_requests; begin = ends[q++]) {
       if (!each[q].ok()) continue;
       op->answered.insert(op->answered.end(), parts.begin() + begin,
                           parts.begin() + ends[q]);
       op->answered_end.push_back(op->answered.size());
     }
-    if (bounced.empty()) return results;
-    parts.swap(bounced);
+    if (op->bounced.empty()) return Status::OK();
+    parts.swap(op->bounced);
     std::vector<RowRef> refs;
     refs.reserve(parts.size());
     for (const RowPart& p : parts) refs.push_back((*op->rows)[p.item]);
@@ -911,78 +1019,77 @@ Result<std::vector<PsServer::HandleResult>> PsClient::ExchangeRows(
 
 namespace {
 
-// The row-pointer accessor of SubmitReads' one parse, over either result
-// type.
-double* RowData(RowBlock& out, size_t i) { return out.row(i); }
-size_t RowWidth(const RowBlock& out, size_t i) { return out.width(i); }
-double* RowData(std::vector<std::vector<double>>& out, size_t i) {
-  return out[i].data();
-}
-size_t RowWidth(const std::vector<std::vector<double>>& out, size_t i) {
-  return out[i].size();
+/// Sizes `block`'s values to the total its offsets give. A block grows to
+/// exactly the size asked, so a reused one holds the largest shape it has
+/// read and no more. Growing frees the old buffer before it allocates the
+/// new one, so a reader never holds both; allocating first raised
+/// w2v-reloc's peak RSS by ~0.5 MB. Not cleared: every value is then
+/// written by the cache or a response.
+void SizeValues(RowBlock* block) {
+  const size_t total = block->offsets.back();
+  if (total > block->values.capacity()) {
+    std::vector<double>().swap(block->values);
+  }
+  block->values.resize(total);
 }
 
 }  // namespace
 
-template <typename Out>
-PsFuture<Out> PsClient::SubmitReads(RowOp* op, Out out,
-                                    std::vector<uint8_t> warm) {
-  if (op->parts.empty()) return PsFuture<Out>(std::move(out));
-  // Both lambdas run before Submit returns, so they may hold `op`, `out`
-  // and `warm` by reference.
+PsFuture<RowBlock> PsClient::SubmitReads(RowOp* op, RowBlock out,
+                                         std::vector<uint8_t> warm) {
+  if (op->parts.empty()) return PsFuture<RowBlock>(std::move(out));
+  // The lambda runs before Submit returns, so it may hold `op`, `out` and
+  // `warm` by reference.
   const std::vector<RowRef>& rows = *op->rows;
-  return Submit<Out>(
-      [&](TaskTraffic* traffic) {
-        return ExchangeRows(traffic, op, std::move(op->parts));
-      },
-      [&](std::vector<PsServer::HandleResult>&& results) -> Result<Out> {
-        for (size_t q = 0, begin = 0; q < results.size();
-             begin = op->answered_end[q++]) {
-          const size_t end = op->answered_end[q];
-          BufferReader reader(results[q].response);
-          if (op->op == PsOpCode::kServingPull) {
-            PS2_ASSIGN_OR_RETURN(uint64_t n_entries, reader.ReadVarint());
-            if (n_entries != end - begin) {
-              return Status::Internal("serving pull entry count mismatch");
-            }
-          }
-          // Per piece: n, then n values.
-          for (size_t k = begin; k < end; ++k) {
-            const RowPart& p = op->answered[k];
-            PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-            if (n != p.hi - p.lo) {
-              return Status::Internal("row read size mismatch");
-            }
-            double* row = RowData(out, p.item);
-            if (!p.hot) {
-              PS2_RETURN_NOT_OK(reader.ReadValues(
-                  row + (p.index_run ? p.lo : p.lo - op->window_begin), n,
-                  op->int_values));
-              continue;
-            }
-            // A hot refresh: the whole row, cached, then selected from.
-            std::vector<double> whole(n);
-            PS2_RETURN_NOT_OK(
-                reader.ReadValues(whole.data(), n, op->int_values));
-            const size_t width = RowWidth(out, p.item);
-            for (size_t c = 0; c < width; ++c) {
-              row[c] = whole[op->kind == RowSelectorKind::kIndices
-                                 ? (*op->indices)[c]
-                                 : op->window_begin + c];
-            }
-            cache_.Store(rows[p.item], std::move(whole), cache_.epoch());
-          }
+  return Submit<RowBlock>([&](TaskTraffic* traffic) -> Result<RowBlock> {
+    PS2_RETURN_NOT_OK(ExchangeRows(traffic, op));
+    const std::vector<PsServer::HandleResult>& results = op->results;
+    for (size_t q = 0, begin = 0; q < results.size();
+         begin = op->answered_end[q++]) {
+      const size_t end = op->answered_end[q];
+      BufferReader reader(results[q].response);
+      if (op->op == PsOpCode::kServingPull) {
+        PS2_ASSIGN_OR_RETURN(uint64_t n_entries, reader.ReadVarint());
+        if (n_entries != end - begin) {
+          return Status::Internal("serving pull entry count mismatch");
         }
-        // A stale hot row an all read fetched from its primaries warms the
-        // cache: the read IS the refresh.
-        for (size_t i = 0; i < warm.size(); ++i) {
-          if (warm[i] == 0) continue;
-          const double* row = RowData(out, i);
-          std::vector<double> values(row, row + RowWidth(out, i));
-          cache_.Store(rows[i], std::move(values), cache_.epoch());
+      }
+      // Per piece: n, then n values.
+      for (size_t k = begin; k < end; ++k) {
+        const RowPart& p = op->answered[k];
+        PS2_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
+        if (n != p.hi - p.lo) {
+          return Status::Internal("row read size mismatch");
         }
-        return std::move(out);
-      });
+        double* row = out.row(p.item);
+        if (!p.hot) {
+          PS2_RETURN_NOT_OK(reader.ReadValues(
+              row + (p.index_run ? p.lo : p.lo - op->window_begin), n,
+              op->int_values));
+          continue;
+        }
+        // A hot refresh: the whole row, cached, then selected from.
+        std::vector<double> whole(n);
+        PS2_RETURN_NOT_OK(reader.ReadValues(whole.data(), n, op->int_values));
+        const size_t width = out.width(p.item);
+        for (size_t c = 0; c < width; ++c) {
+          row[c] = whole[op->kind == RowSelectorKind::kIndices
+                             ? (*op->indices)[c]
+                             : op->window_begin + c];
+        }
+        cache_.Store(rows[p.item], std::move(whole), cache_.epoch());
+      }
+    }
+    // A stale hot row an all read fetched from its primaries warms the
+    // cache: the read IS the refresh.
+    for (size_t i = 0; i < warm.size(); ++i) {
+      if (warm[i] == 0) continue;
+      const double* row = out.row(i);
+      std::vector<double> values(row, row + out.width(i));
+      cache_.Store(rows[i], std::move(values), cache_.epoch());
+    }
+    return std::move(out);
+  });
 }
 
 PsFuture<RowBlock> PsClient::ReadRowsAsync(const std::vector<RowRef>& rows,
@@ -999,19 +1106,18 @@ PsFuture<RowBlock> PsClient::ReadRowsAsync(const std::vector<RowRef>& rows,
     out.values.clear();
     return PsFuture<RowBlock>(std::move(out));
   }
-  RowOp op;
+  ScratchLease<RowOp> lease;
+  RowOp& op = *lease;
   op.kind = kind;
   op.int_values = cols.int_values;
   op.rows = &rows;
   op.indices = cols.indices;
   op.window_begin =
       kind == RowSelectorKind::kRange && !cols.cols.whole ? cols.cols.begin : 0;
-  Result<MetaBatch> metas = master_->GetMetas(rows);
-  if (!metas.ok()) return PsFuture<RowBlock>(metas.status());
-  op.metas = std::move(*metas);
+  const Status pinned = master_->GetMetas(rows, &op.metas);
+  if (!pinned.ok()) return PsFuture<RowBlock>(pinned);
   // Shape the block first: each row's window (or index count) sets its
-  // offset. Every value is then written by the cache or a response, so the
-  // reused storage needs no clearing.
+  // offset.
   const std::vector<uint64_t>* idx = cols.indices;
   auto window = [&](uint64_t dim) {
     return kind == RowSelectorKind::kAll ? ColRange::Of(0, dim)
@@ -1032,17 +1138,7 @@ PsFuture<RowBlock> PsClient::ReadRowsAsync(const std::vector<RowRef>& rows,
         kind == RowSelectorKind::kIndices ? idx->size() : w.width();
     out.offsets[i + 1] = out.offsets[i] + width;
   }
-  // A block grows to exactly the size asked, so a reused one holds the
-  // largest shape it has read and no more. Growing frees the old buffer
-  // before it allocates the new one, so a reader never holds both;
-  // allocating first raised w2v-reloc's peak RSS by ~0.5 MB.
-  const size_t total = out.offsets.back();
-  if (total > out.values.capacity()) {
-    std::vector<double>().swap(out.values);
-    out.values.resize(total);
-  } else {
-    out.values.resize(total);
-  }
+  SizeValues(&out);
   op.parts.reserve(rows.size());
   std::vector<uint8_t> warm;  // stale hot rows an all read refreshes
   uint64_t local_hits = 0, local_values = 0;
@@ -1098,7 +1194,8 @@ PsFuture<Ack> PsClient::WriteRowsAsync(const std::vector<RowRef>& rows,
         "dense row deltas take an all or range selector"));
   }
   if (rows.empty()) return PsFuture<Ack>(Ack{});
-  RowOp op;
+  ScratchLease<RowOp> lease;
+  RowOp& op = *lease;
   op.op = PsOpCode::kWriteRows;
   op.kind = dense ? cols.kind : RowSelectorKind::kIndices;
   op.int_values = cols.int_values;
@@ -1107,9 +1204,8 @@ PsFuture<Ack> PsClient::WriteRowsAsync(const std::vector<RowRef>& rows,
   op.window_begin = op.kind == RowSelectorKind::kRange && !cols.cols.whole
                         ? cols.cols.begin
                         : 0;
-  Result<MetaBatch> metas = master_->GetMetas(rows);
-  if (!metas.ok()) return PsFuture<Ack>(metas.status());
-  op.metas = std::move(*metas);
+  const Status pinned = master_->GetMetas(rows, &op.metas);
+  if (!pinned.ok()) return PsFuture<Ack>(pinned);
   op.parts.reserve(rows.size());
   for (uint32_t i = 0; i < rows.size(); ++i) {
     const MatrixMeta& meta = op.metas[i];
@@ -1159,48 +1255,66 @@ PsFuture<Ack> PsClient::WriteRowsAsync(const std::vector<RowRef>& rows,
     op.parts.push_back(piece);
   }
   if (op.parts.empty()) return PsFuture<Ack>(Ack{});
-  return Submit<Ack>(
-      [&](TaskTraffic* traffic) {
-        return ExchangeRows(traffic, &op, std::move(op.parts));
-      },
-      AckParse);
+  return Submit<Ack>([&](TaskTraffic* traffic) -> Result<Ack> {
+    PS2_RETURN_NOT_OK(ExchangeRows(traffic, &op));
+    return Ack{};
+  });
 }
 
 Status PsClient::PushSparse(RowRef ref, const SparseVector& delta) {
   return WriteRowsAsync({ref}, delta).Wait();
 }
 
-PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
-    uint64_t epoch, const std::vector<ServingRead>& reads) {
-  using Out = std::vector<std::vector<double>>;
-  if (reads.empty()) return PsFuture<Out>(Out{});
-  std::vector<RowRef> rows(reads.size());
-  for (size_t r = 0; r < reads.size(); ++r) rows[r] = reads[r].row;
-  RowOp op;
+PsFuture<RowBlock> PsClient::ServingPullAsync(
+    uint64_t epoch, const std::vector<ServingRead>& reads, RowBlock reuse) {
+  RowBlock out = std::move(reuse);
+  out.offsets.assign(1, 0);
+  if (reads.empty()) {
+    out.values.clear();
+    return PsFuture<RowBlock>(std::move(out));
+  }
+  ScratchLease<RowOp> lease;
+  RowOp& op = *lease;
   op.op = PsOpCode::kServingPull;
   op.epoch = epoch;
-  op.rows = &rows;
   op.reads = &reads;
-  Result<MetaBatch> metas =
-      master_->serving_snapshots()->PlacementOf(epoch, rows);
-  if (!metas.ok()) return PsFuture<Out>(metas.status());
-  op.metas = std::move(*metas);
+  op.serving_rows.resize(reads.size());
+  for (size_t r = 0; r < reads.size(); ++r) op.serving_rows[r] = reads[r].row;
+  op.rows = &op.serving_rows;
+  const Status placed = master_->serving_snapshots()->PlacementOf(
+      epoch, op.serving_rows, &op.metas);
+  if (!placed.ok()) return PsFuture<RowBlock>(placed);
   // One piece per (read, server); pieces bound for the same server share a
   // single kServingPull request (the coalescing lever).
-  Out out(reads.size());
+  out.offsets.resize(reads.size() + 1);
   for (uint32_t r = 0; r < reads.size(); ++r) {
     const std::vector<uint64_t>& idx = reads[r].indices;
     const uint64_t dim = op.metas[r].dim;
     if (!idx.empty() && idx.back() >= dim) {
-      return PsFuture<Out>(
+      return PsFuture<RowBlock>(
           Status::OutOfRange("serving pull index out of range"));
     }
+    const uint64_t width = idx.empty() ? dim : idx.size();
     op.kind = idx.empty() ? RowSelectorKind::kAll : RowSelectorKind::kIndices;
-    op.Plan(r, 0, idx.empty() ? dim : idx.size());
-    out[r].assign(idx.empty() ? dim : idx.size(), 0.0);
+    op.Plan(r, 0, width);
+    out.offsets[r + 1] = out.offsets[r] + width;
   }
   op.kind = RowSelectorKind::kAll;
+  SizeValues(&out);
   return SubmitReads(&op, std::move(out), {});
+}
+
+PsFuture<std::vector<std::vector<double>>> PsClient::ServingPullAsync(
+    uint64_t epoch, const std::vector<ServingRead>& reads) {
+  using Out = std::vector<std::vector<double>>;
+  return ServingPullAsync(epoch, reads, RowBlock{})
+      .Map<Out>([](RowBlock&& block) {
+        Out out(block.rows());
+        for (size_t r = 0; r < out.size(); ++r) {
+          out[r].assign(block.row(r), block.row(r) + block.width(r));
+        }
+        return out;
+      });
 }
 
 // -------------------------------------------------------- column access ops

@@ -59,6 +59,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -212,9 +213,14 @@ class PsClient {
   // An op that sends nothing — no rows, empty selections, every row served
   // locally — completes at issue without a round.
   //
-  // Reads return one flat RowBlock (ps/ps_types.h) and build it in a block
-  // the caller hands back, so a pipelined reader allocates nothing per
-  // batch. Serving reads keep one vector per read.
+  // Reads — row reads and serving pulls alike — return one flat RowBlock
+  // (ps/ps_types.h) and build it in a block the caller hands back, so a
+  // pipelined reader allocates nothing per batch. The planner, the
+  // exchange and the request buffers run in per-thread scratch that keeps
+  // its capacity across ops (DESIGN.md §5c), so a steady stream of small row
+  // ops allocates only the servers' response buffers. A buffer over 16 KiB
+  // (a wide request, a plan of hundreds of rows) and a filtered request's
+  // bytes are allocated per op, as without scratch.
 
   /// Reads `cols` of every row into one RowBlock, row i holding its
   /// selected values in selector order (the window, or one value per
@@ -295,11 +301,16 @@ class PsClient {
   /// in force when `epoch` was published, so a read pinned before a
   /// relocation still reaches the server holding that epoch. Entries bound
   /// for the same server travel in ONE request — the ServingFrontend's
-  /// coalescing lever. Returns one dense vector per read: the whole row for
-  /// a full-row read, else the values at the read's indices. Fails with
+  /// coalescing lever. Row r of the returned block holds read r's values:
+  /// the whole row for a full-row read, else the values at its indices. The
+  /// block is built in `reuse`'s storage, as ReadRowsAsync does. Fails with
   /// FailedPrecondition("serving snapshot epoch not available") when `epoch`
   /// fell out of a server's retention window; callers repin to the current
   /// epoch and retry.
+  PsFuture<RowBlock> ServingPullAsync(uint64_t epoch,
+                                      const std::vector<ServingRead>& reads,
+                                      RowBlock reuse);
+  /// The block form with one vector per read.
   PsFuture<std::vector<std::vector<double>>> ServingPullAsync(
       uint64_t epoch, const std::vector<ServingRead>& reads);
 
@@ -320,18 +331,19 @@ class PsClient {
 
  private:
   /// One serialized request bound for one server. `payload` holds the
-  /// logical (unfiltered) bytes; `wire` is what actually travels. With the
-  /// filter chain off (or a no-gain encode) `wire` aliases `payload` — same
-  /// SharedBuf control block, zero copies (the DeepCopies()==0 contract).
+  /// logical (unfiltered) bytes; wire() is what actually travels. With the
+  /// filter chain off (or a no-gain encode) wire() is a view of `payload`,
+  /// zero copies. A request lives only as long as its op, so the row path
+  /// keeps its buffers in per-thread scratch and reuses them.
   struct ServerRequest {
     int server = -1;
-    SharedBuf payload;                     ///< logical serialized request
+    std::vector<uint8_t> payload;          ///< logical serialized request
     std::vector<PayloadSection> sections;  ///< filterable spans within payload
     /// Stamped on the issuing thread (program order) by StampRequests so the
     /// per-server sequence numbers — and the fault draws keyed on them — do
     /// not depend on how a pooled fan-out is scheduled.
     RpcHeader header;
-    SharedBuf wire;        ///< filtered bytes; aliases payload when mask == 0
+    std::vector<uint8_t> filtered;  ///< the filter chain's output, if any
     uint8_t wire_mask = 0; ///< WireFrame::filter_mask for this request
     EncodeStats estats;    ///< per-request encode accounting
     /// Routing identity for the `routing stale` re-route protocol
@@ -343,7 +355,14 @@ class PsClient {
     /// Set by MakeShardRequest: the op runs over the server's whole shard,
     /// so ExchangeEach may spread the fan-out over the cluster pool.
     bool shard_scoped = false;
+
+    /// The bytes that travel: `filtered` under a filter mask, else the
+    /// payload itself.
+    Slice wire() const { return wire_mask != 0 ? filtered : payload; }
   };
+
+  /// ExchangeEach's per-thread scratch (ps_client.cc).
+  struct ExchangeScratch;
 
   /// Result of driving one request through the retry loop.
   struct ExchangeOutcome {
@@ -363,11 +382,15 @@ class PsClient {
   };
 
   /// Runs one op: classifies it leader or follower in the issuing context,
-  /// runs `exchange(traffic)` — its requests, recorded into the op's own
-  /// traffic — then `parse(results)` on the responses in request order,
-  /// and returns the completed receipt.
-  template <typename T, typename Exchange, typename Parse>
-  PsFuture<T> Submit(Exchange exchange, Parse parse);
+  /// runs `run(traffic)` — its exchanges, recorded into the op's own
+  /// traffic, and the parse of their responses — and returns the completed
+  /// receipt.
+  template <typename T, typename Run>
+  PsFuture<T> Submit(Run run);
+  /// Submit for a single fan-out of prepared requests: ExchangeAll, then
+  /// `parse(results)` on the responses in request order.
+  template <typename T, typename Parse>
+  PsFuture<T> Submit(std::vector<ServerRequest> requests, Parse parse);
 
   /// The one charge rule: `traffic` merges into the ambient TrafficScope,
   /// or — issued by the coordinator between stages — charges the cluster
@@ -375,13 +398,15 @@ class PsClient {
   void Charge(const TaskTraffic& traffic);
 
   /// Counts an op into `ctx`'s outstanding window and returns its slot;
-  /// `*leader` is set when nothing else was outstanding there.
-  uint32_t Issue(const void* ctx, bool* leader);
-  friend void internal::SettleOp(PsClient*, uint32_t, const TaskTraffic&);
+  /// `*leader` is set when nothing else was outstanding there. Hands
+  /// `traffic` a per-server table a settled op gave back, so an op's
+  /// record allocates nothing in steady state.
+  uint32_t Issue(const void* ctx, bool* leader, TaskTraffic* traffic);
+  friend void internal::SettleOp(PsClient*, uint32_t, TaskTraffic*);
 
-  /// Seals `writer` into a request bound for `server`: takes the section
-  /// marks, releases the buffer into a SharedBuf (no copy), and leaves the
-  /// wire view aliasing the payload until EncodeRequest runs.
+  /// Seals `writer` into a request bound for `server`: moves the buffer and
+  /// the section marks in (no copy), and leaves the wire view aliasing the
+  /// payload until EncodeRequest runs.
   ServerRequest MakeRequest(int server, BufferWriter* writer);
 
   /// MakeRequest aimed by (matrix, partition): targets
@@ -407,7 +432,7 @@ class PsClient {
   /// and runs EncodeRequest on it. Must run on the issuing thread, in
   /// program order — the keycache install/ref decisions (client-side state)
   /// stay deterministic, and with them the wire bytes the benches pin.
-  void StampRequests(std::vector<ServerRequest>* requests);
+  void StampRequests(std::span<ServerRequest> requests);
 
   /// Drives one stamped request through fault injection and the bounded
   /// retry loop (same seq, incremented attempt). Safe on any thread.
@@ -418,10 +443,11 @@ class PsClient {
 
   /// Executes all requests — inline, or on the cluster pool for a
   /// shard-scoped fan-out (see the header comment) — then records every
-  /// success into `traffic` in request order and returns each request's
-  /// outcome.
-  std::vector<Result<PsServer::HandleResult>> ExchangeEach(
-      TaskTraffic* traffic, std::vector<ServerRequest> requests);
+  /// success into `traffic` in request order and appends each request's
+  /// outcome to `out`. Its scratch is per thread and must not be re-entered
+  /// (checked).
+  void ExchangeEach(TaskTraffic* traffic, std::span<ServerRequest> requests,
+                    std::vector<Result<PsServer::HandleResult>>* out);
 
   /// ExchangeEach, failing with the first failure in request order.
   Result<std::vector<PsServer::HandleResult>> ExchangeAll(
@@ -443,7 +469,9 @@ class PsClient {
     uint64_t hi = 0;
   };
 
-  /// A ReadRows / WriteRows op being planned and exchanged.
+  /// A ReadRows / WriteRows / ServingPull op being planned and exchanged.
+  /// One per thread, leased for the op: its buffers keep their capacity
+  /// across ops.
   struct RowOp;
 
   /// Splits window [lo, hi) of row `item` (columns of `part`) at partition
@@ -460,23 +488,23 @@ class PsClient {
   /// the replica, and hashing spreads refresh and hot-push load.
   int HotHome(RowRef ref);
 
-  /// Serializes one request (`parts`, all bound for one server).
+  /// Serializes one request (`parts`, all bound for one server) into the
+  /// buffers of `reuse`, a request of an earlier op.
   ServerRequest EncodeRowRequest(const RowOp& op, const RowPart* parts,
-                                 size_t n);
+                                 size_t n, ServerRequest reuse);
 
-  /// Exchanges `op`'s pieces: one request per (server, group), re-planning
-  /// the pieces of any request a migration bounced from fresh metas.
-  /// Records which pieces each returned response answers in `op`.
-  Result<std::vector<PsServer::HandleResult>> ExchangeRows(
-      TaskTraffic* traffic, RowOp* op, std::vector<RowPart> parts);
+  /// Exchanges `op`'s planned pieces: one request per (server, group),
+  /// re-planning the pieces of any request a migration bounced from fresh
+  /// metas. Leaves the responses in `op->results` and records which pieces
+  /// each answers in `op->answered`.
+  Status ExchangeRows(TaskTraffic* traffic, RowOp* op);
 
   /// Issues a planned read or serving pull through ExchangeRows and fills
-  /// `out` (pre-sized per row: a RowBlock, or one vector per serving read)
-  /// from the responses, through one row-pointer accessor; `warm` flags the
-  /// rows whose values then refresh the hot-row cache. Completes at once
-  /// when there is nothing to send.
-  template <typename Out>
-  PsFuture<Out> SubmitReads(RowOp* op, Out out, std::vector<uint8_t> warm);
+  /// `out` (shaped per row) from the responses; `warm` flags the rows whose
+  /// values then refresh the hot-row cache. Completes at once when there is
+  /// nothing to send.
+  PsFuture<RowBlock> SubmitReads(RowOp* op, RowBlock out,
+                                 std::vector<uint8_t> warm);
 
   /// Checks, places and serializes a ColumnOps or Aggregate request: one
   /// shard-scoped request per server of the placement, or nullopt when the
@@ -517,6 +545,9 @@ class PsClient {
   };
   std::mutex window_mu_;
   std::vector<WindowSlot> window_;
+  /// Per-server tables of settled ops' traffic records, cleared, for Issue
+  /// to hand to the next op (guarded by window_mu_).
+  std::vector<std::vector<TaskTraffic::PerServer>> spare_servers_;
   /// Bounded-staleness copies of the hot rows, warmed by the
   /// HotspotManager at every replica sync.
   HotRowCache cache_;

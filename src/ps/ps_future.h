@@ -30,8 +30,9 @@ struct Ack {};
 class PsClient;
 
 namespace internal {
-/// Charges `traffic` and retires op `slot` of `client` (ps_client.cc).
-void SettleOp(PsClient* client, uint32_t slot, const TaskTraffic& traffic);
+/// Charges `traffic` and retires op `slot` of `client`, which keeps the
+/// record's per-server table for a later op (ps_client.cc).
+void SettleOp(PsClient* client, uint32_t slot, TaskTraffic* traffic);
 }  // namespace internal
 
 /// \brief The completed result of an async PS op, plus its unpaid traffic.
@@ -100,7 +101,7 @@ class PsFuture {
 
   void Settle() {
     if (client_ == nullptr) return;
-    internal::SettleOp(std::exchange(client_, nullptr), slot_, traffic_);
+    internal::SettleOp(std::exchange(client_, nullptr), slot_, &traffic_);
   }
 
   void Take(PsFuture& other) {

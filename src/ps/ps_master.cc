@@ -250,17 +250,23 @@ Result<MatrixMeta> PsMaster::GetMeta(int matrix_id) const {
 
 Result<MetaBatch> PsMaster::GetMetas(const std::vector<RowRef>& rows) const {
   MetaBatch batch;
-  batch.metas.resize(rows.size());
+  PS2_RETURN_NOT_OK(GetMetas(rows, &batch));
+  return batch;
+}
+
+Status PsMaster::GetMetas(const std::vector<RowRef>& rows,
+                          MetaBatch* out) const {
+  out->metas.resize(rows.size());
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < rows.size(); ++i) {
     const MatrixState* state = FindLocked(rows[i].matrix_id);
     if (state == nullptr) return Status::NotFound("unknown matrix id");
-    batch.metas[i] = state->meta.get();
+    out->metas[i] = state->meta.get();
   }
   // Every meta above is either live or unpublished later, while this
   // epoch — or one it holds — keeps it.
-  batch.pin = meta_epoch_;
-  return batch;
+  out->pin = meta_epoch_;
+  return Status::OK();
 }
 
 std::shared_ptr<const MetaTable> PsMaster::PinMetaTable() const {

@@ -114,6 +114,9 @@ class PsMaster {
   /// held; a stale one is bounced by its routing-epoch stamp. NotFound when
   /// any row names an unknown matrix.
   Result<MetaBatch> GetMetas(const std::vector<RowRef>& rows) const;
+  /// GetMetas into `out`, reusing its storage (the client's per-thread row
+  /// op keeps one batch from op to op).
+  Status GetMetas(const std::vector<RowRef>& rows, MetaBatch* out) const;
 
   /// The placement in force now: every live matrix's published meta, by
   /// id (null for a free id). Holding the table keeps those metas alive.

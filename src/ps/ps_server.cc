@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -670,6 +671,13 @@ void PsServer::EncodeResponse(const RpcHeader& header, HandleResult* out) {
   out->response_mask = enc.mask;
 }
 
+BufferWriter PsServer::ResponseWriter(size_t bytes, size_t sections) const {
+  const bool marked = (filters_.bits & (kFilterDelta | kFilterCompress)) != 0;
+  BufferWriter writer(bytes, marked ? sections : 0);
+  if (!marked) writer.DropSectionMarks();
+  return writer;
+}
+
 Result<PsServer::HandleResult> PsServer::HandleLocked(const RpcHeader& header,
                                                       Slice request) {
   (void)header;
@@ -790,9 +798,9 @@ Result<PsServer::HandleResult> PsServer::HandleReadRows(BufferReader* in) {
   } while (!in->AtEnd());
 
   HandleResult out;
-  BufferWriter writer(
-      reads.size() * kMaxVarintBytes + n_values * sizeof(double),
-      /*sections=*/reads.size());
+  BufferWriter writer =
+      ResponseWriter(reads.size() * kMaxVarintBytes + n_values * sizeof(double),
+                     /*sections=*/reads.size());
   WriteRowReads(reads, keys, &writer);
   out.server_ops = n_values;
   out.response_sections = writer.TakeSections();
@@ -1351,9 +1359,10 @@ Result<PsServer::HandleResult> PsServer::HandleServingPull(BufferReader* in) {
     n_values += r.n;
   }
   HandleResult out;
-  BufferWriter writer(
-      (1 + n_entries) * kMaxVarintBytes + n_values * sizeof(double),
-      /*sections=*/n_entries);
+  BufferWriter writer =
+      ResponseWriter((1 + n_entries) * kMaxVarintBytes +
+                         n_values * sizeof(double),
+                     /*sections=*/n_entries);
   writer.WriteVarint(n_entries);
   WriteRowReads(reads, keys, &writer);
   out.server_ops = n_values;
@@ -1870,112 +1879,151 @@ std::vector<uint8_t> PsServer::SerializeState() const {
 
 Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
   std::lock_guard<std::mutex> lock(mu_);
+  // Decode and check the whole image before touching any state: a section
+  // that fails late must not leave earlier shards, or the shard bounds,
+  // already replaced.
+  struct ShardImage {
+    Shard* shard = nullptr;
+    uint64_t begin = 0;
+    uint64_t end = 0;
+    std::vector<std::vector<double>> dense_rows;
+    std::vector<std::map<uint64_t, double>> sparse_rows;
+  };
   BufferReader in(buffer);
-  PS2_ASSIGN_OR_RETURN(uint64_t n_shards, in.ReadVarint());
-  for (uint64_t s = 0; s < n_shards; ++s) {
+  PS2_ASSIGN_OR_RETURN(uint64_t n_shards, in.ReadCount(5));
+  std::vector<ShardImage> shards(n_shards);
+  for (ShardImage& img : shards) {
     PS2_ASSIGN_OR_RETURN(uint64_t id, in.ReadVarint());
     PS2_ASSIGN_OR_RETURN(uint8_t storage, in.ReadU8());
-    PS2_ASSIGN_OR_RETURN(uint64_t img_begin, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t img_end, in.ReadVarint());
-    Shard* found = ShardOf(id);
-    if (found == nullptr) {
+    PS2_ASSIGN_OR_RETURN(img.begin, in.ReadVarint());
+    PS2_ASSIGN_OR_RETURN(img.end, in.ReadVarint());
+    img.shard = ShardOf(id);
+    if (img.shard == nullptr) {
       return Status::NotFound("checkpoint contains unknown matrix shard");
     }
-    Shard& shard = *found;
+    const Shard& shard = *img.shard;
     if (static_cast<MatrixStorage>(storage) != shard.meta.storage) {
       return Status::Internal("checkpoint storage kind mismatch");
     }
-    if (img_begin > img_end) {
+    if (img.begin > img.end) {
       return Status::Internal("checkpoint shard bounds invalid");
     }
     PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in.ReadVarint());
     if (n_rows != shard.meta.num_rows) {
       return Status::Internal("checkpoint row count mismatch");
     }
-    // The image is authoritative for bounds: a checkpoint written before a
-    // migration restores the pre-migration span, and the master reconciles
-    // it against the current routing table afterwards
-    // (PsServer::ReconcileShardBounds — DESIGN.md §12).
-    shard.begin = img_begin;
-    shard.end = img_end;
-    // Restored values differ from whatever the clocks said (and the bounds
-    // may too): the next snapshot publish re-copies every row.
-    TouchLayoutLocked(&shard);
     if (shard.dense()) {
-      for (uint64_t r = 0; r < n_rows; ++r) {
-        PS2_ASSIGN_OR_RETURN(std::vector<double> row,
-                             in.ReadPodVector<double>());
-        if (row.size() != img_end - img_begin) {
+      img.dense_rows.resize(n_rows);
+      for (std::vector<double>& row : img.dense_rows) {
+        PS2_ASSIGN_OR_RETURN(row, in.ReadPodVector<double>());
+        if (row.size() != img.end - img.begin) {
           return Status::Internal("checkpoint row width mismatch");
         }
-        shard.dense_rows[r] = std::move(row);
       }
     } else {
-      for (uint64_t r = 0; r < n_rows; ++r) {
+      img.sparse_rows.resize(n_rows);
+      for (std::map<uint64_t, double>& row : img.sparse_rows) {
         PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
-        shard.sparse_rows[r].clear();
         uint64_t prev = 0;
         for (uint64_t i = 0; i < nnz; ++i) {
           PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
           prev += delta;
           PS2_ASSIGN_OR_RETURN(double v, in.ReadF64());
-          shard.sparse_rows[r][prev] = v;
+          row[prev] = v;
         }
       }
     }
   }
-  replicas_.clear();
-  if (in.AtEnd()) return Status::OK();  // checkpoint predates §5d replicas
-  PS2_ASSIGN_OR_RETURN(uint64_t n_replicas, in.ReadVarint());
-  for (uint64_t i = 0; i < n_replicas; ++i) {
-    // A forged 2^32 + k must not truncate onto a live matrix or row.
-    PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(&in));
-    Replica replica;
-    PS2_ASSIGN_OR_RETURN(replica.dim, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(replica.version, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(replica.values, in.ReadPodVector<double>());
-    if (replica.values.size() != replica.dim) {
-      return Status::Internal("checkpoint replica width mismatch");
+  // Later sections are optional: an image ends after any of them (older
+  // checkpoints). A missing replica section clears the replicas; a missing
+  // dedup or clock section leaves that state as it is.
+  std::map<std::pair<int, uint32_t>, Replica> replicas;
+  std::optional<std::map<int, ClientDedup>> dedup;
+  std::vector<uint64_t> clocks;
+  bool has_clocks = false;
+  if (!in.AtEnd()) {
+    PS2_ASSIGN_OR_RETURN(uint64_t n_replicas, in.ReadVarint());
+    for (uint64_t i = 0; i < n_replicas; ++i) {
+      // A forged 2^32 + k must not truncate onto a live matrix or row.
+      PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(&in));
+      Replica replica;
+      PS2_ASSIGN_OR_RETURN(replica.dim, in.ReadVarint());
+      PS2_ASSIGN_OR_RETURN(replica.version, in.ReadVarint());
+      PS2_ASSIGN_OR_RETURN(replica.values, in.ReadPodVector<double>());
+      if (replica.values.size() != replica.dim) {
+        return Status::Internal("checkpoint replica width mismatch");
+      }
+      PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
+      uint64_t prev = 0;
+      for (uint64_t j = 0; j < nnz; ++j) {
+        PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
+        prev += delta;
+        PS2_ASSIGN_OR_RETURN(double v, in.ReadF64());
+        replica.pending[prev] = v;
+      }
+      replicas.emplace(std::make_pair(ref.matrix_id, ref.row),
+                       std::move(replica));
     }
-    PS2_ASSIGN_OR_RETURN(uint64_t nnz, in.ReadVarint());
-    uint64_t prev = 0;
-    for (uint64_t j = 0; j < nnz; ++j) {
-      PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
-      prev += delta;
-      PS2_ASSIGN_OR_RETURN(double v, in.ReadF64());
-      replica.pending[prev] = v;
-    }
-    replicas_.emplace(std::make_pair(ref.matrix_id, ref.row),
-                      std::move(replica));
+    dedup.emplace();
   }
-  dedup_.clear();
-  if (in.AtEnd()) return Status::OK();  // checkpoint predates §6 dedup
-  PS2_ASSIGN_OR_RETURN(uint64_t n_clients, in.ReadVarint());
-  for (uint64_t i = 0; i < n_clients; ++i) {
-    PS2_ASSIGN_OR_RETURN(uint64_t client_id, in.ReadVarint());
-    if (client_id > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-      return Status::Internal("checkpoint client id out of range");
+  if (dedup.has_value() && !in.AtEnd()) {
+    PS2_ASSIGN_OR_RETURN(uint64_t n_clients, in.ReadVarint());
+    for (uint64_t i = 0; i < n_clients; ++i) {
+      PS2_ASSIGN_OR_RETURN(uint64_t client_id, in.ReadVarint());
+      if (client_id > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+        return Status::Internal("checkpoint client id out of range");
+      }
+      ClientDedup d;
+      PS2_ASSIGN_OR_RETURN(d.floor, in.ReadVarint());
+      PS2_ASSIGN_OR_RETURN(uint64_t n_seen, in.ReadVarint());
+      uint64_t prev = d.floor;
+      for (uint64_t j = 0; j < n_seen; ++j) {
+        PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
+        prev += delta;
+        d.seen.insert(prev);
+      }
+      (*dedup)[static_cast<int>(client_id)] = std::move(d);
     }
-    ClientDedup d;
-    PS2_ASSIGN_OR_RETURN(d.floor, in.ReadVarint());
-    PS2_ASSIGN_OR_RETURN(uint64_t n_seen, in.ReadVarint());
-    uint64_t prev = d.floor;
-    for (uint64_t j = 0; j < n_seen; ++j) {
-      PS2_ASSIGN_OR_RETURN(uint64_t delta, in.ReadVarint());
-      prev += delta;
-      d.seen.insert(prev);
+    if (!in.AtEnd()) {
+      PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadCount(1));
+      clocks.resize(n_clocks);
+      for (uint64_t& c : clocks) {
+        PS2_ASSIGN_OR_RETURN(c, in.ReadVarint());
+      }
+      has_clocks = true;
     }
-    dedup_[static_cast<int>(client_id)] = std::move(d);
   }
-  if (in.AtEnd()) return Status::OK();  // checkpoint predates §11 clocks
-  PS2_ASSIGN_OR_RETURN(uint64_t n_clocks, in.ReadCount(1));
-  // Max-merge into whatever the vector holds: clock advances applied after
-  // the checkpoint (replayed via retries during recovery) must not be
-  // rewound by restoring the older image.
-  if (worker_clocks_.size() < n_clocks) worker_clocks_.resize(n_clocks, 0);
-  for (uint64_t w = 0; w < n_clocks; ++w) {
-    PS2_ASSIGN_OR_RETURN(uint64_t c, in.ReadVarint());
-    worker_clocks_[w] = std::max(worker_clocks_[w], c);
+
+  // ---- Apply: nothing below can fail. ----
+  for (ShardImage& img : shards) {
+    // The image is authoritative for bounds: a checkpoint written before a
+    // migration restores the pre-migration span, and the master reconciles
+    // it against the current routing table afterwards
+    // (PsServer::ReconcileShardBounds — DESIGN.md §12).
+    Shard& shard = *img.shard;
+    shard.begin = img.begin;
+    shard.end = img.end;
+    if (shard.dense()) {
+      shard.dense_rows = std::move(img.dense_rows);
+    } else {
+      shard.sparse_rows = std::move(img.sparse_rows);
+    }
+    // Restored values differ from whatever the clocks said (and the bounds
+    // may too): the next snapshot publish re-copies every row.
+    TouchLayoutLocked(&shard);
+  }
+  replicas_ = std::move(replicas);
+  if (dedup.has_value()) dedup_ = std::move(*dedup);
+  if (has_clocks) {
+    // Max-merge into whatever the vector holds: clock advances applied
+    // after the checkpoint (replayed via retries during recovery) must not
+    // be rewound by restoring the older image.
+    if (worker_clocks_.size() < clocks.size()) {
+      worker_clocks_.resize(clocks.size(), 0);
+    }
+    for (size_t w = 0; w < clocks.size(); ++w) {
+      worker_clocks_[w] = std::max(worker_clocks_[w], clocks[w]);
+    }
   }
   return Status::OK();
 }

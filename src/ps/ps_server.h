@@ -499,6 +499,11 @@ class PsServer {
   /// every row rewritten: for new shards and after a layout change.
   void TouchLayoutLocked(Shard* shard);
 
+  /// A writer for a row-read response of about `bytes` bytes holding up to
+  /// `sections` value spans. The spans are marked only when a response
+  /// filter will read them (EncodeResponse), so an unfiltered response
+  /// allocates its buffer alone.
+  BufferWriter ResponseWriter(size_t bytes, size_t sections) const;
   Result<HandleResult> HandleReadRows(BufferReader* in);
   Result<HandleResult> HandleWriteRows(BufferReader* in);
   Result<HandleResult> HandleColumnOps(BufferReader* in);

@@ -51,7 +51,10 @@ struct ServingFrontendOptions {
 ///
 /// Thread-safe: batches may be served from concurrent threads (the
 /// frontend test does); the exchange itself runs outside the
-/// frontend lock.
+/// frontend lock. A batch is planned in per-thread scratch that keeps its
+/// capacity, and read through PsClient::ServingPullAsync into a RowBlock
+/// that thread reuses, so a steady-state batch allocates only the vectors
+/// it returns and the servers' responses.
 class ServingFrontend {
  public:
   ServingFrontend(PsMaster* master, PsClient* client,

@@ -74,8 +74,9 @@ uint64_t ModelSnapshotManager::epoch() const {
   return epoch_;
 }
 
-Result<MetaBatch> ModelSnapshotManager::PlacementOf(
-    uint64_t epoch, const std::vector<RowRef>& rows) const {
+Status ModelSnapshotManager::PlacementOf(uint64_t epoch,
+                                         const std::vector<RowRef>& rows,
+                                         MetaBatch* out) const {
   std::shared_ptr<const MetaTable> table;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -83,19 +84,18 @@ Result<MetaBatch> ModelSnapshotManager::PlacementOf(
       if (p.epoch == epoch) table = p.metas;
     }
   }
-  if (table == nullptr) return master_->GetMetas(rows);
-  MetaBatch batch;
-  batch.metas.resize(rows.size());
+  if (table == nullptr) return master_->GetMetas(rows, out);
+  out->metas.resize(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto id = static_cast<size_t>(rows[i].matrix_id);
     if (rows[i].matrix_id < 0 || id >= table->size() ||
         (*table)[id] == nullptr) {
       return Status::NotFound("matrix not in serving snapshot");
     }
-    batch.metas[i] = (*table)[id].get();
+    out->metas[i] = (*table)[id].get();
   }
-  batch.pin = std::move(table);
-  return batch;
+  out->pin = std::move(table);
+  return Status::OK();
 }
 
 Status ModelSnapshotManager::OnServerRecovered(int server_id) {

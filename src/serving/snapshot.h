@@ -64,9 +64,10 @@ class ModelSnapshotManager {
   /// pinned to `epoch` reaches the servers that hold it even after a later
   /// relocation. For an epoch no longer retained, the current metas (its
   /// servers then answer with the epoch-miss FailedPrecondition). NotFound
-  /// for a matrix that did not exist at `epoch`.
-  Result<MetaBatch> PlacementOf(uint64_t epoch,
-                                const std::vector<RowRef>& rows) const;
+  /// for a matrix that did not exist at `epoch`. Fills `out`, reusing its
+  /// storage.
+  Status PlacementOf(uint64_t epoch, const std::vector<RowRef>& rows,
+                     MetaBatch* out) const;
 
   /// Called by PsMaster after a server crash + restore. The restarted
   /// process dropped its snapshots with the rest of its state, so without

@@ -22,11 +22,12 @@ TEST(TaskTrafficTest, RecordExchangeAccumulates) {
   TaskTraffic t;
   t.RecordExchange(2, 100, 50, 10);
   t.RecordExchange(2, 100, 0, 5);
-  EXPECT_EQ(t.bytes_to_server[2], 200u);
-  EXPECT_EQ(t.bytes_from_server[2], 50u);
-  EXPECT_EQ(t.msgs_to_server[2], 2u);
-  EXPECT_EQ(t.msgs_from_server[2], 1u);  // zero-byte response not counted
-  EXPECT_EQ(t.server_ops[2], 15u);
+  ASSERT_EQ(t.servers.size(), 3u);
+  EXPECT_EQ(t.servers[2].bytes_to, 200u);
+  EXPECT_EQ(t.servers[2].bytes_from, 50u);
+  EXPECT_EQ(t.servers[2].msgs_to, 2u);
+  EXPECT_EQ(t.servers[2].msgs_from, 1u);  // zero-byte response not counted
+  EXPECT_EQ(t.servers[2].ops, 15u);
   EXPECT_EQ(t.TotalBytesToServers(), 200u);
   EXPECT_EQ(t.TotalMsgs(), 3u);
 }
@@ -49,7 +50,7 @@ TEST(TaskTrafficTest, ClearResets) {
   t.RecordExchange(0, 10, 5, 1);
   t.Clear();
   EXPECT_EQ(t.TotalMsgs(), 0u);
-  EXPECT_TRUE(t.bytes_to_server.empty());
+  EXPECT_TRUE(t.servers.empty());
 }
 
 TEST(TrafficScopeTest, NestedScopesRestore) {

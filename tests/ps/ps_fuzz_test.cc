@@ -647,7 +647,7 @@ class CheckpointImageTest : public PsFuzzTest {
       const uint64_t id = varint("shard_id");
       (void)*in.ReadU8();
       (void)*in.ReadVarint();
-      (void)*in.ReadVarint();
+      varint("shard_end");
       const uint64_t n_rows = varint("n_rows");
       for (uint64_t r = 0; r < n_rows; ++r) {
         if (id == 0) {
@@ -749,6 +749,48 @@ TEST_F(CheckpointImageTest, ForgedWideIdsDoNotTruncateOntoLiveOnes) {
     EXPECT_FALSE(
         server_.RestoreState(Forge(f, (uint64_t{1} << 32) + live)).ok())
         << f.name;
+  }
+  ASSERT_TRUE(server_.RestoreState(image_).ok());
+  EXPECT_EQ(server_.SerializeState(), image_);
+}
+
+TEST_F(CheckpointImageTest, FailedRestoreChangesNothing) {
+  // Move the live state off image_, so that a partial apply would show.
+  ASSERT_TRUE(HandleBytes(server_, AllWrite(2, std::vector<double>(64, 4.0)))
+                  .ok());
+  const std::vector<uint8_t> live = server_.SerializeState();
+  ASSERT_NE(live, image_);
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> broken;
+  // Matrix 0's bounds forged to [0, 128) over its rows of 64 values: the
+  // first row fails the width check, after the bounds were read.
+  for (const Field& f : fields_) {
+    if (f.name == "shard_end") {
+      broken.emplace_back("bounds [0, 128)", Forge(f, 128));
+      break;
+    }
+  }
+  // The last worker clock cut off: every shard, the replicas and the dedup
+  // table decode before the image fails.
+  broken.emplace_back("clock section cut short",
+                      std::vector<uint8_t>(image_.begin(), image_.end() - 1));
+  ASSERT_EQ(broken.size(), 2u);
+  for (const auto& [name, image] : broken) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(server_.RestoreState(image).ok());
+    EXPECT_EQ(server_.SerializeState(), live);
+    // Reads keep the old shape: an all read of row 0 returns 64 values.
+    BufferWriter read;
+    read.WriteU8(static_cast<uint8_t>(PsOpCode::kReadRows));
+    read.WriteU8(static_cast<uint8_t>(RowSelectorKind::kAll));
+    read.WriteVarint(1);  // rows
+    read.WriteVarint(0);  // matrix
+    read.WriteVarint(0);  // row
+    Result<PsServer::HandleResult> result =
+        HandleBytes(server_, read.buffer());
+    ASSERT_TRUE(result.ok()) << result.status();
+    BufferReader in(result->response);
+    EXPECT_EQ(*in.ReadVarint(), 64u);
+    EXPECT_EQ(in.remaining(), 64 * sizeof(double));
   }
   ASSERT_TRUE(server_.RestoreState(image_).ok());
   EXPECT_EQ(server_.SerializeState(), image_);

@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "dataflow/cluster.h"
 #include "linalg/sparse_vector.h"
 #include "membership/membership_manager.h"
@@ -163,6 +167,28 @@ TEST_F(ServingTest, CoalescingMergesSameRowRequests) {
   EXPECT_EQ(frontend.DemandCount(row1), 2u);
 }
 
+TEST_F(ServingTest, ScatterFollowsEachRequestsKeyOrder) {
+  // Row values differ per column, so a key mapped to the wrong slot of its
+  // read's union shows. Keys may come in any order.
+  MatrixOptions options;
+  options.dim = 12;
+  options.reserve_rows = 1;
+  const int id = *master_->CreateMatrix(options);
+  std::vector<double> values(12);
+  for (size_t c = 0; c < values.size(); ++c) values[c] = 100.0 + c;
+  ASSERT_TRUE(WriteRow(*client_, RowRef{id, 0}, values).ok());
+  ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());
+  ServingFrontend frontend(master_.get(), client_.get());
+  ASSERT_TRUE(frontend.PinCurrentEpoch().ok());
+  const RowRef row{id, 0};
+  auto served = frontend.ServeBatch(
+      {Req(row, {9, 3, 5}), Req(row, {3}), Req(row, {11, 0, 11})});
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ((*served)[0], (std::vector<double>{109, 103, 105}));
+  EXPECT_EQ((*served)[1], (std::vector<double>{103}));
+  EXPECT_EQ((*served)[2], (std::vector<double>{111, 100, 111}));
+}
+
 TEST_F(ServingTest, CoalescingReducesWireBytes) {
   RowRef w = NewServedMatrix(400, 2);
   ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());
@@ -190,6 +216,116 @@ TEST_F(ServingTest, CoalescingReducesWireBytes) {
   const uint64_t coalesced = BytesFor(true);
   const uint64_t raw = BytesFor(false);
   EXPECT_LT(coalesced, raw / 2);  // 8 duplicate reads collapse into 1
+}
+
+/// Wire bytes (both ways) and messages of each batch of
+/// CoalescedBatchesEqualUncoalescedReadsBitForBit, pinned at the commit
+/// before the frontend moved to per-thread scratch and block reads: request
+/// grouping and encoding must not change.
+const std::vector<std::pair<uint64_t, uint64_t>> kCoalescedWireGolden = {
+    {302, 6},  {559, 6}, {288, 4}, {550, 6}, {415, 4}, {572, 6},
+    {688, 6},  {820, 6}, {752, 6}, {710, 6}, {248, 4}, {663, 6},
+    {851, 6},  {183, 2}, {429, 6}, {488, 6}, {694, 6}, {588, 6},
+    {405, 6},  {201, 4}, {1232, 6}, {92, 2}, {235, 4}, {632, 6}};
+
+TEST_F(ServingTest, CoalescedBatchesEqualUncoalescedReadsBitForBit) {
+  // Rows on every server: a matrix spread over all three, and one owned
+  // matrix homed on each.
+  std::vector<RowRef> rows;
+  std::vector<uint64_t> dims;
+  auto add = [&](uint64_t dim, uint32_t n_rows, int home) {
+    MatrixOptions options;
+    options.dim = dim;
+    options.reserve_rows = n_rows;
+    options.home_server = home;
+    const int id = *master_->CreateMatrix(options);
+    for (uint32_t r = 0; r < n_rows; ++r) {
+      rows.push_back(RowRef{id, r});
+      dims.push_back(dim);
+    }
+  };
+  add(40, 6, -1);
+  for (int s = 0; s < 3; ++s) add(12, 2, s);
+  Rng rng(0x5E4B1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::vector<double> values(dims[i]);
+    for (double& v : values) v = rng.NextGaussian();
+    ASSERT_TRUE(WriteRow(*client_, rows[i], values).ok());
+  }
+  ASSERT_TRUE(master_->serving_snapshots()->Publish().ok());
+  ServingFrontend frontend(master_.get(), client_.get());
+  ASSERT_TRUE(frontend.PinCurrentEpoch().ok());
+  const uint64_t epoch = frontend.pinned_epoch();
+
+  // Seeded batches of 1-8 requests over 12 rows, so rows repeat; a third
+  // full-row, the rest 1-5 keys from each row's first 10 columns, so keys
+  // overlap.
+  std::vector<std::vector<ServingRequest>> batches(24);
+  for (std::vector<ServingRequest>& batch : batches) {
+    const uint64_t n = 1 + rng.NextUint64(8);
+    for (uint64_t k = 0; k < n; ++k) {
+      const size_t i = rng.NextUint64(rows.size());
+      std::vector<uint64_t> indices;
+      if (rng.NextUint64(3) != 0) {
+        const uint64_t n_keys = 1 + rng.NextUint64(5);
+        for (uint64_t j = 0; j < n_keys; ++j) {
+          indices.push_back(rng.NextUint64(10));
+        }
+        std::sort(indices.begin(), indices.end());
+        indices.erase(std::unique(indices.begin(), indices.end()),
+                      indices.end());
+      }
+      batch.push_back(Req(rows[i], std::move(indices)));
+    }
+  }
+
+  // Each thread serves every batch, checks each request against its own
+  // pinned pull, and records the batch's wire bytes and messages.
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::pair<uint64_t, uint64_t>>> wire(kThreads);
+  std::atomic<int> mismatches{0};
+  auto serve = [&](int t) {
+    for (const std::vector<ServingRequest>& batch : batches) {
+      TaskTraffic traffic;
+      Result<std::vector<std::vector<double>>> served = Status::Internal("");
+      {
+        TrafficScope scope(&traffic);
+        served = frontend.ServeBatch(batch);
+      }
+      if (!served.ok()) {
+        mismatches += 1;
+        continue;
+      }
+      wire[t].emplace_back(
+          traffic.TotalBytesToServers() + traffic.TotalBytesFromServers(),
+          traffic.TotalMsgs());
+      TaskTraffic direct;
+      TrafficScope scope(&direct);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        Result<std::vector<std::vector<double>>> alone =
+            client_
+                ->ServingPullAsync(epoch, {{batch[i].row, batch[i].indices}})
+                .Get();
+        const std::vector<double>& got = (*served)[i];
+        if (!alone.ok() || (*alone)[0].size() != got.size() ||
+            std::memcmp((*alone)[0].data(), got.data(),
+                        got.size() * sizeof(double)) != 0) {
+          mismatches += 1;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(serve, t);
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (int t = 0; t < kThreads; ++t) {
+    std::string got;
+    for (const auto& [bytes, msgs] : wire[t]) {
+      got += "{" + std::to_string(bytes) + ", " + std::to_string(msgs) + "}, ";
+    }
+    EXPECT_EQ(wire[t], kCoalescedWireGolden) << "thread " << t << ": " << got;
+  }
 }
 
 TEST_F(ServingTest, RepinsWhenPinnedEpochFallsOutOfRetention) {
