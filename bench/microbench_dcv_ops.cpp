@@ -17,8 +17,9 @@
 // model (det.snapshot_bytes_copied: what the publish after a sparse write
 // burst copies; det.serving_read_sum: the sum of 10K pinned reads through
 // the frontend). `wall.*` fields record raw kernel and filter codec timings
-// per backend and the owned-row exchange's and the serving epoch's times
-// (informational, never gated).
+// per backend, the owned-row exchange's times (sequential, and in
+// word2vec's shuffled multi-threaded access shape) and the serving epoch's
+// times (informational, never gated).
 // `--benchmark_filter='^$'` skips the timing loops and keeps only that
 // section, which is what the equivalence CI step uses.
 
@@ -30,10 +31,12 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "dcv/dcv_context.h"
 #include "linalg/kernels/kernels.h"
 #include "ml/optimizer.h"
@@ -396,14 +399,91 @@ void OwnedRowsDetSection(bench::JsonReporter* report) {
   report->AddField("det.owned_rows_sum", RunOwnedRows(3).sum);
 }
 
-/// Best of three runs of 20 passes each.
+/// word2vec's access shape on w2v-reloc: 2,000 two-row, 32-wide matrices
+/// homed round-robin on 4 servers, their 4,000 rows dealt into batches of
+/// 500 in a seeded shuffled order, and 4 threads sharing one client, each
+/// pulling and pushing every 4th batch. Consecutive rows of a batch are
+/// rarely neighbours in memory, so each row's lookup runs cache-cold, which
+/// the sequential section above does not show. Returns the wall time of one
+/// row's pull + push.
+double RunOwnedRowsShuffled(int passes) {
+  constexpr int kKeys = 2000;
+  constexpr uint32_t kRowsPerKey = 2;
+  constexpr uint64_t kDim = 32;
+  constexpr size_t kBatch = 500;
+  constexpr int kThreads = 4;
+  ClusterSpec spec;
+  spec.num_workers = kThreads;
+  spec.num_servers = 4;
+  Cluster cluster(spec);
+  DcvContext ctx(&cluster);
+  std::vector<RowRef> refs;
+  for (int k = 0; k < kKeys; ++k) {
+    MatrixOptions mo;
+    mo.name = "owned";
+    mo.dim = kDim;
+    mo.reserve_rows = kRowsPerKey;
+    mo.home_server = k % spec.num_servers;
+    Result<int> id = ctx.master()->CreateMatrix(mo);
+    PS2_CHECK(id.ok()) << id.status();
+    for (uint32_t r = 0; r < kRowsPerKey; ++r) refs.push_back(RowRef{*id, r});
+  }
+  Rng rng(0x5EED);
+  for (size_t i = refs.size() - 1; i > 0; --i) {
+    std::swap(refs[i], refs[rng.NextUint64(i + 1)]);
+  }
+  std::vector<std::vector<RowRef>> batches;
+  for (size_t b = 0; b < refs.size(); b += kBatch) {
+    batches.emplace_back(refs.begin() + b,
+                         refs.begin() + std::min(refs.size(), b + kBatch));
+  }
+  PsClient* client = ctx.client();
+  auto worker = [&](int t) {
+    std::vector<std::vector<double>> deltas(kBatch,
+                                            std::vector<double>(kDim));
+    RowBlock pulled;  // handed back to every read
+    for (int pass = 0; pass < passes; ++pass) {
+      for (size_t b = t; b < batches.size(); b += kThreads) {
+        const std::vector<RowRef>& batch = batches[b];
+        Result<RowBlock> read =
+            client->ReadRowsAsync(batch, RowSelector::All(), std::move(pulled))
+                .Get();
+        PS2_CHECK(read.ok()) << read.status();
+        pulled = std::move(*read);
+        deltas.resize(batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          for (uint64_t c = 0; c < kDim; ++c) {
+            deltas[i][c] = 1e-3 * pulled.row(i)[c] + PatternValue(i + c);
+          }
+        }
+        PS2_CHECK_OK(
+            client->WriteRowsAsync(batch, deltas, RowSelector::All()).Wait());
+      }
+    }
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (std::thread& thread : threads) thread.join();
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - t0)
+             .count() /
+         (static_cast<double>(passes) * refs.size());
+}
+
+/// Best of three runs of each shape: 20 sequential passes, 10 shuffled.
 void OwnedRowsWallSection(bench::JsonReporter* report) {
   double best = std::numeric_limits<double>::infinity();
+  double shuffled = std::numeric_limits<double>::infinity();
   for (int r = 0; r < 3; ++r) {
     best = std::min(best, RunOwnedRows(20).ns_per_row);
+    shuffled = std::min(shuffled, RunOwnedRowsShuffled(10));
   }
   report->AddField("wall.owned_rows_ns_per_row", best);
-  std::printf("owned rows: %.0f ns per row (pull + push)\n", best);
+  report->AddField("wall.owned_rows_ns_per_row.shuffled", shuffled);
+  std::printf("owned rows: %.0f ns per row (pull + push), %.0f shuffled on "
+              "4 threads\n",
+              best, shuffled);
 }
 
 // ---------------------------------------------------------------------------

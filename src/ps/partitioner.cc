@@ -56,6 +56,7 @@ Result<ColumnPartitioner> ColumnPartitioner::Make(uint64_t dim,
   std::vector<int> identity(num_servers);
   for (int i = 0; i < num_servers; ++i) identity[i] = i;
   p.assignment_ = BlockAssignment(identity, num_servers, p.rotation_);
+  p.first_server_ = p.assignment_[0];
   return p;
 }
 
@@ -78,6 +79,7 @@ Result<ColumnPartitioner> ColumnPartitioner::MakeElastic(
   p.units_ = dim / alignment;
   p.units_per_part_ = (p.units_ + num_partitions - 1) / num_partitions;
   p.assignment_ = BlockAssignment(active, num_partitions, p.rotation_);
+  p.first_server_ = p.assignment_[0];
   return p;
 }
 
@@ -102,6 +104,7 @@ Result<ColumnPartitioner> ColumnPartitioner::WithAssignment(
   }
   ColumnPartitioner out = *this;
   out.assignment_ = std::move(assignment);
+  out.first_server_ = out.assignment_[0];
   return out;
 }
 

@@ -74,6 +74,9 @@ class ColumnPartitioner {
   uint64_t alignment() const { return alignment_; }
   int rotation() const { return rotation_; }
   const std::vector<int>& assignment() const { return assignment_; }
+  /// ServerOfPartition(0), kept inline: the owner of a single-partition
+  /// matrix is routed without reading the assignment vector.
+  int first_server() const { return first_server_; }
 
   /// Half-open column range [RangeBegin(p), RangeEnd(p)) of partition p.
   /// Partitions are indexed 0..num_partitions-1 in column order.
@@ -105,6 +108,7 @@ class ColumnPartitioner {
  private:
   uint64_t dim_ = 0;
   int num_partitions_ = 1;
+  int first_server_ = 0;           // assignment_[0]
   uint64_t alignment_ = 1;
   int rotation_ = 0;
   uint64_t units_ = 0;             // ceil(dim / alignment)

@@ -772,7 +772,7 @@ void PsClient::SplitWindow(const ColumnPartitioner& part, uint32_t item,
   if (n == 1) {  // a single-partition (owned) row: one piece, no search
     RowPart piece;
     piece.item = item;
-    piece.server = part.assignment()[0];
+    piece.server = part.first_server();
     piece.group = by_server ? 0 : 1;
     piece.lo = lo;
     piece.hi = hi;

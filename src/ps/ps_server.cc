@@ -106,6 +106,12 @@ Result<SelectorTag> ReadSelectorTag(BufferReader* in) {
   return out;
 }
 
+/// Why PsServer::ReadRowView found no view of a row.
+Status NoRowView() {
+  return Status::FailedPrecondition(
+      "row is neither a local primary slice nor a replica");
+}
+
 }  // namespace
 
 uint64_t ApplyColumnOp(ColOpKind kind, double* dst, const double* a,
@@ -160,32 +166,22 @@ Status PsServer::CreateMatrixShard(const MatrixMeta& meta) {
   }
   // This server's slice is the union span of its assigned partitions (block
   // assignment keeps them contiguous — ps/partitioner.h).
-  const ColumnPartitioner& part = meta.partitioner;
   uint64_t begin = 0, end = 0;
-  if (!part.ServerSpan(id_, &begin, &end)) {
+  if (!meta.partitioner.ServerSpan(id_, &begin, &end)) {
     return Status::InvalidArgument("server not covered by partitioner");
   }
-  Shard shard;
-  shard.meta = meta;
-  shard.begin = begin;
-  shard.end = end;
-  if (shard.dense()) {
-    shard.dense_rows.assign(meta.num_rows,
-                            std::vector<double>(shard.width(), 0.0));
-  } else {
-    shard.sparse_rows.assign(meta.num_rows, {});
-  }
   matrix_id_limit_ = std::max(matrix_id_limit_, meta.id + int64_t{1});
-  TouchLayoutLocked(PutShardLocked(std::move(shard)));
+  PutShardLocked(meta.id, meta.dim, meta.num_rows, meta.storage, begin, end);
   return Status::OK();
 }
 
 Status PsServer::FreeMatrixShard(int matrix_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (ShardOf(matrix_id) == nullptr) {
+  ShardEntry* shard = ShardOf(matrix_id);
+  if (shard == nullptr) {
     return Status::NotFound("matrix shard not found");
   }
-  shards_[static_cast<size_t>(matrix_id)].reset();
+  *shard = ShardEntry{};
   return Status::OK();
 }
 
@@ -199,17 +195,52 @@ void PsServer::AdmitMatrixIds(int limit) {
   matrix_id_limit_ = std::max<int64_t>(matrix_id_limit_, limit);
 }
 
-PsServer::Shard* PsServer::ShardOf(uint64_t matrix_id) const {
-  return matrix_id < shards_.size() ? shards_[matrix_id].get() : nullptr;
+const PsServer::ShardEntry* PsServer::ShardOf(uint64_t matrix_id) const {
+  return matrix_id < shards_.size() && shards_[matrix_id].present()
+             ? &shards_[matrix_id]
+             : nullptr;
 }
 
-PsServer::Shard* PsServer::PutShardLocked(Shard shard) {
-  const int id = shard.meta.id;
-  PS2_CHECK(id >= 0 && id < matrix_id_limit_) << "matrix id not admitted";
-  const auto slot = static_cast<size_t>(id);
+PsServer::ShardEntry* PsServer::FindShard(uint64_t matrix_id, uint32_t row) {
+  ShardEntry* shard = ShardOf(matrix_id);
+  return shard != nullptr && row < shard->num_rows ? shard : nullptr;
+}
+
+PsServer::ShardEntry* PsServer::DenseShard(uint64_t matrix_id, uint32_t row) {
+  ShardEntry* shard = FindShard(matrix_id, row);
+  return shard != nullptr && shard->dense() ? shard : nullptr;
+}
+
+Status PsServer::RowMiss(uint64_t matrix_id, uint32_t row) const {
+  const ShardEntry* shard = ShardOf(matrix_id);
+  if (shard == nullptr) return Status::NotFound("matrix not found on server");
+  if (row >= shard->num_rows) return Status::OutOfRange("row out of range");
+  return Status::FailedPrecondition("operation requires dense matrix storage");
+}
+
+PsServer::ShardEntry* PsServer::PutShardLocked(int matrix_id, uint64_t dim,
+                                               uint32_t num_rows,
+                                               MatrixStorage storage,
+                                               uint64_t begin, uint64_t end) {
+  PS2_CHECK(matrix_id >= 0 && matrix_id < matrix_id_limit_)
+      << "matrix id not admitted";
+  const auto slot = static_cast<size_t>(matrix_id);
   if (slot >= shards_.size()) shards_.resize(slot + 1);
-  shards_[slot] = std::make_unique<Shard>(std::move(shard));
-  return shards_[slot].get();
+  ShardEntry& shard = shards_[slot];
+  shard.begin = begin;
+  shard.end = end;
+  shard.num_rows = num_rows;
+  shard.storage = storage;
+  shard.rest = std::make_unique<Shard>();
+  shard.rest->dim = dim;
+  if (shard.dense()) {
+    shard.values = std::make_unique<double[]>(num_rows * shard.width());
+  } else {
+    shard.rest->sparse_rows.resize(num_rows);
+  }
+  shard.clocks = std::make_unique<RowClock[]>(num_rows);
+  TouchLayoutLocked(&shard);
+  return &shard;
 }
 
 void PsServer::FenceForMigration() {
@@ -251,26 +282,25 @@ uint64_t PsServer::routing_epoch() const {
   return routing_epoch_;
 }
 
-void PsServer::ResizeShardLocked(Shard* shard, uint64_t new_begin,
-                                 uint64_t new_end, uint64_t epoch) {
+void PsServer::ResizeShardLocked(int matrix_id, ShardEntry* shard,
+                                 uint64_t new_begin, uint64_t new_end,
+                                 uint64_t epoch) {
   const uint64_t old_begin = shard->begin;
   const uint64_t old_end = shard->end;
-  const uint64_t n_rows = shard->meta.num_rows;
+  const uint64_t n_rows = shard->num_rows;
   if (shard->dense()) {
     const uint64_t new_width = new_end - new_begin;
+    auto block = std::make_unique<double[]>(n_rows * new_width);
     const uint64_t lo = std::max(old_begin, new_begin);
     const uint64_t hi = std::min(old_end, new_end);
-    for (uint64_t r = 0; r < n_rows; ++r) {
-      std::vector<double> row(new_width, 0.0);
-      if (lo < hi) {
-        const double* src = shard->dense_rows[r].data() + (lo - old_begin);
-        std::copy(src, src + (hi - lo), row.data() + (lo - new_begin));
-      }
-      shard->dense_rows[r] = std::move(row);
+    for (uint64_t r = 0; lo < hi && r < n_rows; ++r) {
+      const double* src = shard->row(r) + (lo - old_begin);
+      std::copy(src, src + (hi - lo),
+                block.get() + r * new_width + (lo - new_begin));
     }
+    shard->values = std::move(block);
   } else {
-    for (uint64_t r = 0; r < n_rows; ++r) {
-      auto& map = shard->sparse_rows[r];
+    for (auto& map : shard->rest->sparse_rows) {
       map.erase(map.begin(), map.lower_bound(new_begin));
       map.erase(map.lower_bound(new_end), map.end());
     }
@@ -279,22 +309,22 @@ void PsServer::ResizeShardLocked(Shard* shard, uint64_t new_begin,
   shard->end = new_end;
   // Fill the non-overlap from this epoch's staged ranges (installed by
   // kRangeMigrate; the commit validated coverage before calling here).
-  const int matrix_id = shard->meta.id;
   for (auto& [key, staged] : staged_) {
     if (std::get<0>(key) != epoch || std::get<1>(key) != matrix_id) continue;
     const uint64_t lo = std::max(staged.begin, new_begin);
     const uint64_t hi = std::min(staged.end, new_end);
     if (lo >= hi) continue;
+    const uint64_t staged_width = staged.end - staged.begin;
     for (uint64_t r = 0; r < n_rows && r < staged.num_rows; ++r) {
       if (shard->dense()) {
-        const double* src = staged.dense_rows[r].data() + (lo - staged.begin);
-        std::copy(src, src + (hi - lo),
-                  shard->dense_rows[r].data() + (lo - new_begin));
+        const double* src =
+            staged.dense.data() + r * staged_width + (lo - staged.begin);
+        std::copy(src, src + (hi - lo), shard->row(r) + (lo - new_begin));
       } else {
         const auto& src = staged.sparse_rows[r];
         for (auto it = src.lower_bound(lo); it != src.end() && it->first < hi;
              ++it) {
-          shard->sparse_rows[r][it->first] = it->second;
+          shard->rest->sparse_rows[r][it->first] = it->second;
         }
       }
     }
@@ -309,34 +339,22 @@ Result<bool> PsServer::ReconcileShardBounds(const MatrixMeta& meta) {
   uint64_t begin = 0, end = 0;
   const bool covered = meta.partitioner.ServerSpan(id_, &begin, &end);
   if (meta.id < 0) return Status::InvalidArgument("negative matrix id");
-  Shard* existing = ShardOf(meta.id);
+  ShardEntry* shard = ShardOf(meta.id);
   if (!covered) {
-    if (existing == nullptr) return false;
-    shards_[static_cast<size_t>(meta.id)].reset();
+    if (shard == nullptr) return false;
+    *shard = ShardEntry{};
     return true;
   }
-  if (existing == nullptr) {
-    Shard shard;
-    shard.meta = meta;
-    shard.begin = begin;
-    shard.end = end;
-    if (shard.dense()) {
-      shard.dense_rows.assign(meta.num_rows,
-                              std::vector<double>(shard.width(), 0.0));
-    } else {
-      shard.sparse_rows.assign(meta.num_rows, {});
-    }
+  if (shard == nullptr) {
     matrix_id_limit_ = std::max(matrix_id_limit_, meta.id + int64_t{1});
-    TouchLayoutLocked(PutShardLocked(std::move(shard)));
+    PutShardLocked(meta.id, meta.dim, meta.num_rows, meta.storage, begin, end);
     return true;
   }
-  Shard& shard = *existing;
-  shard.meta = meta;
-  if (shard.begin == begin && shard.end == end) return false;
+  if (shard->begin == begin && shard->end == end) return false;
   // Epoch 0 never matches a staged key, so this is a pure overlap-preserving
   // resize: the non-overlap restores as zeros, the standard post-checkpoint
   // loss semantics.
-  ResizeShardLocked(&shard, begin, end, /*epoch=*/0);
+  ResizeShardLocked(meta.id, shard, begin, end, /*epoch=*/0);
   return true;
 }
 
@@ -389,42 +407,39 @@ Result<PsServer::ReplicaSnapshot> PsServer::DebugReplica(RowRef ref) const {
   return snap;
 }
 
-void PsServer::TouchRowLocked(Shard* shard, uint64_t row) {
+void PsServer::TouchRowLocked(ShardEntry* shard, uint64_t row) {
   const uint64_t v = ++mutation_clock_;
-  shard->row_clocks[row] = {v, v};
+  shard->clocks[row] = {v, v};
 }
 
 void PsServer::TouchAllRowsLocked() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard == nullptr) continue;
-    for (uint64_t r = 0; r < shard->meta.num_rows; ++r) {
-      TouchRowLocked(shard.get(), r);
-    }
+  for (ShardEntry& shard : shards_) {
+    if (!shard.present()) continue;
+    for (uint64_t r = 0; r < shard.num_rows; ++r) TouchRowLocked(&shard, r);
   }
 }
 
-void PsServer::TouchChunksLocked(Shard* shard, uint64_t row,
+void PsServer::TouchChunksLocked(ShardEntry* shard, uint64_t row,
                                  const uint64_t* cols, size_t n) {
-  if (shard->chunk_versions.empty()) {
+  std::vector<uint64_t>& versions = shard->rest->chunk_versions;
+  if (versions.empty()) {
     TouchRowLocked(shard, row);  // never published: no image to patch
     return;
   }
   const uint64_t v = ++mutation_clock_;
-  shard->row_clocks[row].version = v;
-  uint64_t* chunks = shard->chunk_versions.data() + row * shard->num_chunks();
+  shard->clocks[row].version = v;
+  uint64_t* chunks = versions.data() + row * shard->num_chunks();
   for (size_t i = 0; i < n; ++i) {
     chunks[(cols[i] - shard->begin) / kSnapshotChunk] = v;
   }
 }
 
-void PsServer::TouchLayoutLocked(Shard* shard) {
-  const uint64_t n_rows = shard->meta.num_rows;
-  shard->row_clocks.resize(n_rows);
+void PsServer::TouchLayoutLocked(ShardEntry* shard) {
+  const uint64_t n_rows = shard->num_rows;
   // A rewrite stamp outranks every chunk stamp, so zeroed chunk clocks are
   // safe: the next publish copies each row whole anyway.
-  if (!shard->chunk_versions.empty()) {
-    shard->chunk_versions.assign(n_rows * shard->num_chunks(), 0);
-  }
+  std::vector<uint64_t>& versions = shard->rest->chunk_versions;
+  if (!versions.empty()) versions.assign(n_rows * shard->num_chunks(), 0);
   for (uint64_t r = 0; r < n_rows; ++r) TouchRowLocked(shard, r);
 }
 
@@ -442,39 +457,17 @@ PsServer::Replica* PsServer::FindReplica(int matrix_id, uint32_t row) {
   return &it->second;
 }
 
-Result<const double*> PsServer::ReadRowView(int matrix_id, uint32_t row,
-                                            uint64_t begin, uint64_t width) {
-  const Shard* shard = ShardOf(matrix_id);
-  if (shard != nullptr && row < shard->meta.num_rows && shard->dense() &&
-      shard->begin == begin && shard->width() == width) {
-    return shard->dense_rows[row].data();
+const double* PsServer::ReadRowView(int matrix_id, uint32_t row,
+                                    uint64_t begin, uint64_t width) {
+  const ShardEntry* shard = DenseShard(matrix_id, row);
+  if (shard != nullptr && shard->begin == begin && shard->width() == width) {
+    return shard->row(row);
   }
   Replica* replica = FindReplica(matrix_id, row);
   if (replica != nullptr && begin + width <= replica->dim) {
     return replica->values.data() + begin;
   }
-  return Status::FailedPrecondition(
-      "row is neither a local primary slice nor a replica");
-}
-
-Result<PsServer::Shard*> PsServer::FindShard(int matrix_id, uint32_t row) {
-  Shard* shard = ShardOf(matrix_id);
-  if (shard == nullptr) {
-    return Status::NotFound("matrix not found on server");
-  }
-  if (row >= shard->meta.num_rows) {
-    return Status::OutOfRange("row out of range");
-  }
-  return shard;
-}
-
-Result<PsServer::Shard*> PsServer::DenseShard(int matrix_id, uint32_t row) {
-  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(matrix_id, row));
-  if (!shard->dense()) {
-    return Status::FailedPrecondition(
-        "operation requires dense matrix storage");
-  }
-  return shard;
+  return nullptr;
 }
 
 void PsServer::Crash() {
@@ -762,13 +755,14 @@ Result<PsServer::HandleResult> PsServer::HandleReadRows(BufferReader* in) {
         r.dense = replica->values.data();
         hi = replica->dim;
       } else {
-        PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(ref.matrix_id, ref.row));
+        const ShardEntry* shard = FindShard(ref.matrix_id, ref.row);
+        if (shard == nullptr) return RowMiss(ref.matrix_id, ref.row);
         r.base = shard->begin;
         hi = shard->end;
         if (shard->dense()) {
-          r.dense = shard->dense_rows[ref.row].data();
+          r.dense = shard->row(ref.row);
         } else {
-          r.sparse = &shard->sparse_rows[ref.row];
+          r.sparse = &shard->rest->sparse_rows[ref.row];
         }
       }
       r.n = n;
@@ -857,7 +851,7 @@ Result<PsServer::HandleResult> PsServer::HandleWriteRows(BufferReader* in) {
   // even the last — fails the request with nothing applied, no row or chunk
   // stamped and no replica's pending buffer touched.
   struct Write {
-    Shard* shard;      ///< the primary, or null for a replica write
+    ShardEntry* shard;  ///< the primary, or null for a replica write
     Replica* replica;
     RowRef ref;
     uint64_t begin;    ///< kAll / kRange: the first column written
@@ -893,7 +887,8 @@ Result<PsServer::HandleResult> PsServer::HandleWriteRows(BufferReader* in) {
         w.replica = &it->second;
         hi = it->second.dim;
       } else {
-        PS2_ASSIGN_OR_RETURN(w.shard, FindShard(ref.matrix_id, ref.row));
+        w.shard = FindShard(ref.matrix_id, ref.row);
+        if (w.shard == nullptr) return RowMiss(ref.matrix_id, ref.row);
         lo = w.shard->begin;
         hi = w.shard->end;
       }
@@ -953,7 +948,7 @@ Result<PsServer::HandleResult> PsServer::HandleWriteRows(BufferReader* in) {
         if (v(i) != 0.0) w.replica->pending[col(i)] += v(i);
       }
     } else if (w.shard->dense()) {
-      double* row = w.shard->dense_rows[w.ref.row].data();
+      double* row = w.shard->row(w.ref.row);
       const uint64_t base = w.shard->begin;
       if (k != nullptr) {
         TouchChunksLocked(w.shard, w.ref.row, k, w.n);
@@ -965,7 +960,7 @@ Result<PsServer::HandleResult> PsServer::HandleWriteRows(BufferReader* in) {
       }
     } else {
       TouchRowLocked(w.shard, w.ref.row);
-      auto& map = w.shard->sparse_rows[w.ref.row];
+      auto& map = w.shard->rest->sparse_rows[w.ref.row];
       for (uint64_t i = 0; i < w.n; ++i) {
         if (v(i) != 0.0) map[col(i)] += v(i);
       }
@@ -985,14 +980,15 @@ Result<std::vector<double*>> PsServer::ZipRows(
   rows.reserve(k);
   for (uint64_t i = 0; i < k; ++i) {
     PS2_ASSIGN_OR_RETURN(RowRef ref, ReadRow(in));
-    PS2_ASSIGN_OR_RETURN(Shard * shard, DenseShard(ref.matrix_id, ref.row));
+    ShardEntry* shard = DenseShard(ref.matrix_id, ref.row);
+    if (shard == nullptr) return RowMiss(ref.matrix_id, ref.row);
     if (i > 0 && (shard->width() != *width || shard->begin != *begin)) {
       return Status::FailedPrecondition(
           "zip operands are not co-located on this server");
     }
     *width = shard->width();
     *begin = shard->begin;
-    rows.push_back(shard->dense_rows[ref.row].data());
+    rows.push_back(shard->row(ref.row));
     if (touched != nullptr) touched->push_back({shard, ref.row});
   }
   return rows;
@@ -1051,18 +1047,17 @@ Result<PsServer::HandleResult> PsServer::HandleColumnOps(BufferReader* in) {
         PS2_ASSIGN_OR_RETURN(rows[i], ReadRow(in));
       }
       PS2_ASSIGN_OR_RETURN(step.scalar, in->ReadF64());
-      PS2_ASSIGN_OR_RETURN(Shard * dst, DenseShard(rows[0].matrix_id,
-                                                   rows[0].row));
-      step.dst = dst->dense_rows[rows[0].row].data();
+      ShardEntry* dst = DenseShard(rows[0].matrix_id, rows[0].row);
+      if (dst == nullptr) return RowMiss(rows[0].matrix_id, rows[0].row);
+      step.dst = dst->row(rows[0].row);
       step.width = dst->width();
       step.begin = dst->begin;
       // A source may be a primary slice co-located with dst, or an installed
       // replica of a hot row (which reads as co-located everywhere, §5d).
       for (int i = 0; i < n_src; ++i) {
-        PS2_ASSIGN_OR_RETURN(step.src[i],
-                             ReadRowView(rows[i + 1].matrix_id,
-                                         rows[i + 1].row, step.begin,
-                                         step.width));
+        step.src[i] = ReadRowView(rows[i + 1].matrix_id, rows[i + 1].row,
+                                  step.begin, step.width);
+        if (step.src[i] == nullptr) return NoRowView();
       }
       touched.push_back({dst, rows[0].row});
     }
@@ -1082,11 +1077,12 @@ Result<PsServer::HandleResult> PsServer::HandleColumnOps(BufferReader* in) {
 
 Result<double> PsServer::RowAggregate(int matrix_id, uint32_t row,
                                       AggKind kind, uint64_t* ops) {
-  PS2_ASSIGN_OR_RETURN(Shard * shard, FindShard(matrix_id, row));
+  const ShardEntry* shard = FindShard(matrix_id, row);
+  if (shard == nullptr) return RowMiss(matrix_id, row);
   if (shard->dense()) {
     // Dense aggregations go through the dispatched kernels (max has no
     // kernel — it stays a scalar scan, it's not on the hot DCV op set).
-    const double* data = shard->dense_rows[row].data();
+    const double* data = shard->row(row);
     const size_t width = shard->width();
     *ops += width;
     switch (kind) {
@@ -1101,7 +1097,7 @@ Result<double> PsServer::RowAggregate(int matrix_id, uint32_t row,
   }
   // Sparse rows: zeros contribute nothing to sum/nnz/norm2; for max they
   // contribute only if the row has implicit zeros.
-  const auto& map = shard->sparse_rows[row];
+  const auto& map = shard->rest->sparse_rows[row];
   *ops += map.size();
   const bool implicit_zeros = map.size() < shard->width();
   double result = kind != AggKind::kMax || implicit_zeros
@@ -1160,15 +1156,14 @@ Result<PsServer::HandleResult> PsServer::HandleAggregate(BufferReader* in) {
       // Either operand may be a hot-row replica: anchor the window on
       // whichever one is a local primary slice and read both through
       // ReadRowView (which yields the primary when the window matches).
-      Result<Shard*> anchor = DenseShard(a.matrix_id, a.row);
-      if (!anchor.ok()) anchor = DenseShard(b.matrix_id, b.row);
-      PS2_RETURN_NOT_OK(anchor.status());
-      const uint64_t width = (*anchor)->width();
-      const uint64_t begin = (*anchor)->begin;
-      PS2_ASSIGN_OR_RETURN(const double* pa,
-                           ReadRowView(a.matrix_id, a.row, begin, width));
-      PS2_ASSIGN_OR_RETURN(const double* pb,
-                           ReadRowView(b.matrix_id, b.row, begin, width));
+      const ShardEntry* anchor = DenseShard(a.matrix_id, a.row);
+      if (anchor == nullptr) anchor = DenseShard(b.matrix_id, b.row);
+      if (anchor == nullptr) return RowMiss(b.matrix_id, b.row);
+      const uint64_t width = anchor->width();
+      const uint64_t begin = anchor->begin;
+      const double* pa = ReadRowView(a.matrix_id, a.row, begin, width);
+      const double* pb = ReadRowView(b.matrix_id, b.row, begin, width);
+      if (pa == nullptr || pb == nullptr) return NoRowView();
       double partial = 0.0;
       out.server_ops += kernels::Dot(pa, pb, width, &partial);
       writer.WriteF64(partial);
@@ -1184,17 +1179,17 @@ Result<PsServer::HandleResult> PsServer::HandleMatrixInit(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t row_end, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(double scale, in->ReadF64());
   PS2_ASSIGN_OR_RETURN(uint64_t seed, in->ReadU64());
-  Shard* found = ShardOf(matrix_id);
+  ShardEntry* found = ShardOf(matrix_id);
   if (found == nullptr) return Status::NotFound("matrix not found");
-  Shard& shard = *found;
+  ShardEntry& shard = *found;
   if (!shard.dense()) {
     return Status::FailedPrecondition("matrix init requires dense storage");
   }
-  row_end = std::min<uint64_t>(row_end, shard.meta.num_rows);
+  row_end = std::min<uint64_t>(row_end, shard.num_rows);
   HandleResult out;
   for (uint64_t r = row_begin; r < row_end; ++r) {
     TouchRowLocked(&shard, r);
-    double* data = shard.dense_rows[r].data();
+    double* data = shard.row(r);
     for (uint64_t c = 0; c < shard.width(); ++c) {
       // Value depends only on (seed, row, global column): every server
       // produces the same overall matrix regardless of partitioning.
@@ -1264,17 +1259,14 @@ Result<PsServer::HandleResult> PsServer::HandleReplicaSync(BufferReader* in) {
       for (const auto& [col, v] : replica.pending) writer.WriteF64(v);
       out.server_ops += replica.pending.size();
       replica.pending.clear();
-      const Shard* slice = ShardOf(ref.matrix_id);
-      const bool has_slice = slice != nullptr && slice->dense() &&
-                             ref.row < slice->meta.num_rows &&
-                             slice->width() > 0;
+      const ShardEntry* slice = DenseShard(ref.matrix_id, ref.row);
+      const bool has_slice = slice != nullptr && slice->width() > 0;
       writer.WriteU8(has_slice ? 1 : 0);
       if (has_slice) {
-        const Shard& shard = *slice;
-        writer.WriteVarint(shard.begin);
-        writer.WriteVarint(shard.width());
-        writer.WriteF64Span(shard.dense_rows[ref.row].data(), shard.width());
-        out.server_ops += shard.width();
+        writer.WriteVarint(slice->begin);
+        writer.WriteVarint(slice->width());
+        writer.WriteF64Span(slice->row(ref.row), slice->width());
+        out.server_ops += slice->width();
       }
     }
   } else if (phase == 1) {
@@ -1395,11 +1387,11 @@ Result<PsServer::HandleResult> PsServer::HandleRangeExtract(BufferReader* in) {
   PS2_ASSIGN_OR_RETURN(uint64_t matrix_id, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t begin, in->ReadVarint());
   PS2_ASSIGN_OR_RETURN(uint64_t end, in->ReadVarint());
-  const Shard* found = ShardOf(matrix_id);
+  const ShardEntry* found = ShardOf(matrix_id);
   if (found == nullptr) {
     return Status::NotFound("matrix not found on server");
   }
-  const Shard& shard = *found;
+  const ShardEntry& shard = *found;
   if (begin >= end || begin < shard.begin || end > shard.end) {
     return Status::FailedPrecondition("extract range not owned by server");
   }
@@ -1407,19 +1399,18 @@ Result<PsServer::HandleResult> PsServer::HandleRangeExtract(BufferReader* in) {
   BufferWriter writer;
   writer.WriteVarint(begin);
   writer.WriteVarint(end);
-  writer.WriteVarint(shard.meta.dim);
-  writer.WriteVarint(shard.meta.num_rows);
-  writer.WriteU8(static_cast<uint8_t>(shard.meta.storage));
+  writer.WriteVarint(shard.rest->dim);
+  writer.WriteVarint(shard.num_rows);
+  writer.WriteU8(static_cast<uint8_t>(shard.storage));
   const uint64_t n = end - begin;
-  for (uint64_t r = 0; r < shard.meta.num_rows; ++r) {
+  for (uint64_t r = 0; r < shard.num_rows; ++r) {
     if (shard.dense()) {
       writer.BeginSection(SectionKind::kF64Values);
-      writer.WriteF64Span(shard.dense_rows[r].data() + (begin - shard.begin),
-                          n);
+      writer.WriteF64Span(shard.row(r) + (begin - shard.begin), n);
       writer.EndSection();
       out.server_ops += n;
     } else {
-      const auto& map = shard.sparse_rows[r];
+      const auto& map = shard.rest->sparse_rows[r];
       const auto lo = map.lower_bound(begin);
       const auto hi = map.lower_bound(end);
       uint64_t nnz = 0;
@@ -1469,12 +1460,13 @@ Result<PsServer::HandleResult> PsServer::HandleRangeMigrate(BufferReader* in) {
   const uint64_t n = staged.end - staged.begin;
   HandleResult out;
   if (staged.storage == MatrixStorage::kDense) {
-    staged.dense_rows.reserve(num_rows);
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      PS2_ASSIGN_OR_RETURN(std::vector<double> row, in->ReadF64Span(n));
-      staged.dense_rows.push_back(std::move(row));
-      out.server_ops += n;
+    // Size the block only once the request is known to hold all of it.
+    if (num_rows > 0 && n > in->remaining() / sizeof(double) / num_rows) {
+      return Status::OutOfRange("staged rows exceed the request");
     }
+    staged.dense.resize(num_rows * n);
+    PS2_RETURN_NOT_OK(in->ReadF64Into(staged.dense.data(), num_rows * n));
+    out.server_ops += num_rows * n;
   } else {
     staged.sparse_rows.assign(num_rows, {});
     for (uint64_t r = 0; r < num_rows; ++r) {
@@ -1548,7 +1540,7 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
   for (const Entry& e : entries) {
     if (e.begin >= e.end) continue;  // shard is dropped, nothing to cover
     std::vector<std::pair<uint64_t, uint64_t>> covered;
-    if (const Shard* shard = ShardOf(e.matrix_id)) {
+    if (const ShardEntry* shard = ShardOf(e.matrix_id)) {
       const uint64_t lo = std::max(shard->begin, e.begin);
       const uint64_t hi = std::min(shard->end, e.end);
       if (lo < hi) covered.emplace_back(lo, hi);
@@ -1574,31 +1566,18 @@ Result<PsServer::HandleResult> PsServer::HandleRoutingUpdate(BufferReader* in) {
   }
   HandleResult out;
   for (const Entry& e : entries) {
-    Shard* shard = ShardOf(e.matrix_id);
+    ShardEntry* shard = ShardOf(e.matrix_id);
     if (e.begin >= e.end) {
-      if (shard != nullptr) shards_[e.matrix_id].reset();
+      if (shard != nullptr) *shard = ShardEntry{};
       continue;
     }
     if (shard == nullptr) {
-      // Joining server: create the shard from the commit's meta core. The
-      // partitioner snapshot inside the meta is not used on the server data
-      // path (bounds are explicit); the master refreshes it on publish.
-      Shard joined;
-      joined.meta.id = e.matrix_id;
-      joined.meta.dim = e.dim;
-      joined.meta.num_rows = e.num_rows;
-      joined.meta.storage = e.storage;
-      joined.meta.routing_epoch = epoch;
-      joined.begin = e.begin;
-      joined.end = e.begin;  // empty; ResizeShardLocked fills from staged
-      if (e.storage == MatrixStorage::kDense) {
-        joined.dense_rows.assign(e.num_rows, {});
-      } else {
-        joined.sparse_rows.assign(e.num_rows, {});
-      }
-      shard = PutShardLocked(std::move(joined));
+      // Joining server: an empty shard from the commit's meta core, which
+      // ResizeShardLocked fills from staged (bounds are explicit).
+      shard = PutShardLocked(e.matrix_id, e.dim, e.num_rows, e.storage,
+                             e.begin, e.begin);
     }
-    ResizeShardLocked(shard, e.begin, e.end, epoch);
+    ResizeShardLocked(e.matrix_id, shard, e.begin, e.end, epoch);
     out.server_ops += static_cast<uint64_t>(e.num_rows) * (e.end - e.begin);
   }
   // Clock tables follow the range owner: max-merge every staged view.
@@ -1639,19 +1618,19 @@ uint64_t PsServer::MinWorkerClock() const {
 }
 
 std::shared_ptr<const PsServer::ChunkedRow> PsServer::CopyDenseRowLocked(
-    const Shard& shard, size_t row, const SnapshotRow* prev,
+    const ShardEntry& shard, size_t row, const SnapshotRow* prev,
     uint64_t* copied) const {
   const uint64_t width = shard.width();
   const uint64_t n_chunks = shard.num_chunks();
-  const double* src = shard.dense_rows[row].data();
+  const double* src = shard.row(row);
+  const std::vector<uint64_t>& versions = shard.rest->chunk_versions;
   // Sparse writes since `prev` stamped only their chunks; a whole-row write
   // (or a layout change) stamped the row and leaves nothing to share.
   std::vector<uint64_t> dirty;
-  const bool sparse_writes = prev != nullptr &&
-                             !shard.chunk_versions.empty() &&
-                             shard.row_clocks[row].rewrite <= prev->version;
+  const bool sparse_writes = prev != nullptr && !versions.empty() &&
+                             shard.clocks[row].rewrite <= prev->version;
   if (sparse_writes) {
-    const uint64_t* clocks = shard.chunk_versions.data() + row * n_chunks;
+    const uint64_t* clocks = versions.data() + row * n_chunks;
     for (uint64_t c = 0; c < n_chunks; ++c) {
       if (clocks[c] > prev->version) dirty.push_back(c);
     }
@@ -1701,25 +1680,24 @@ Result<PsServer::PublishStats> PsServer::PublishSnapshot(uint64_t epoch) {
   snap.shards.resize(shards_.size());
   PublishStats stats;
   uint64_t doubles_copied = 0;
-  for (const std::unique_ptr<Shard>& slot : shards_) {
-    if (slot == nullptr) continue;
-    Shard& shard = *slot;
-    ShardSnapshot& ss = snap.shards[static_cast<size_t>(shard.meta.id)];
+  for (size_t id = 0; id < shards_.size(); ++id) {
+    ShardEntry& shard = shards_[id];
+    if (!shard.present()) continue;
+    ShardSnapshot& ss = snap.shards[id];
     ss.present = true;
     ss.begin = shard.begin;
     ss.end = shard.end;
     ss.dense = shard.dense();
-    const size_t n_rows = shard.meta.num_rows;
+    const size_t n_rows = shard.num_rows;
     ss.rows.resize(n_rows);
-    const ShardSnapshot* prev_ss =
-        prev != nullptr ? prev->Find(shard.meta.id) : nullptr;
+    const ShardSnapshot* prev_ss = prev != nullptr ? prev->Find(id) : nullptr;
     if (prev_ss != nullptr &&
         (prev_ss->begin != shard.begin || prev_ss->end != shard.end ||
          prev_ss->dense != ss.dense || prev_ss->rows.size() != n_rows)) {
       prev_ss = nullptr;
     }
     for (size_t r = 0; r < n_rows; ++r) {
-      const uint64_t version = shard.row_clocks[r].version;
+      const uint64_t version = shard.clocks[r].version;
       const SnapshotRow* prev_row =
           prev_ss != nullptr ? &prev_ss->rows[r] : nullptr;
       if (prev_row != nullptr && prev_row->version == version) {
@@ -1732,10 +1710,10 @@ Result<PsServer::PublishStats> PsServer::PublishSnapshot(uint64_t epoch) {
         if (ss.dense) {
           dst.chunks = CopyDenseRowLocked(shard, r, prev_row, &doubles_copied);
         } else {
-          dst.sparse = std::make_shared<const std::map<uint64_t, double>>(
-              shard.sparse_rows[r]);
-          stats.bytes_copied += shard.sparse_rows[r].size() *
-                                (sizeof(uint64_t) + sizeof(double));
+          const auto& map = shard.rest->sparse_rows[r];
+          dst.sparse = std::make_shared<const std::map<uint64_t, double>>(map);
+          stats.bytes_copied +=
+              map.size() * (sizeof(uint64_t) + sizeof(double));
         }
         stats.rows_copied += 1;
       }
@@ -1744,8 +1722,9 @@ Result<PsServer::PublishStats> PsServer::PublishSnapshot(uint64_t epoch) {
     // Chunk clocks start with the first publish that sees the shard: every
     // row was just copied whole, so zeroed clocks mark nothing written.
     // Shards of a model that is never published never pay for them.
-    if (ss.dense && shard.chunk_versions.empty()) {
-      shard.chunk_versions.assign(n_rows * shard.num_chunks(), 0);
+    std::vector<uint64_t>& versions = shard.rest->chunk_versions;
+    if (ss.dense && versions.empty()) {
+      versions.assign(n_rows * shard.num_chunks(), 0);
     }
   }
   stats.bytes_copied += doubles_copied * sizeof(double);
@@ -1804,25 +1783,28 @@ bool PsServer::HasSnapshotEpoch(uint64_t epoch) const {
 std::vector<uint8_t> PsServer::SerializeState() const {
   std::lock_guard<std::mutex> lock(mu_);
   BufferWriter writer;
-  writer.WriteVarint(std::count_if(
-      shards_.begin(), shards_.end(),
-      [](const std::unique_ptr<Shard>& slot) { return slot != nullptr; }));
-  for (const std::unique_ptr<Shard>& slot : shards_) {
-    if (slot == nullptr) continue;
-    const Shard& shard = *slot;
-    writer.WriteVarint(static_cast<uint64_t>(shard.meta.id));
-    writer.WriteU8(static_cast<uint8_t>(shard.meta.storage));
+  writer.WriteVarint(
+      std::count_if(shards_.begin(), shards_.end(),
+                    [](const ShardEntry& shard) { return shard.present(); }));
+  for (size_t id = 0; id < shards_.size(); ++id) {
+    const ShardEntry& shard = shards_[id];
+    if (!shard.present()) continue;
+    writer.WriteVarint(id);
+    writer.WriteU8(static_cast<uint8_t>(shard.storage));
     // Shard bounds are part of the image (DESIGN.md §12): with elastic
     // membership a server's column span can change between checkpoints, so
     // restore must not assume the current bounds match the checkpoint's.
     writer.WriteVarint(shard.begin);
     writer.WriteVarint(shard.end);
+    writer.WriteVarint(shard.num_rows);
     if (shard.dense()) {
-      writer.WriteVarint(shard.dense_rows.size());
-      for (const auto& row : shard.dense_rows) writer.WritePodVector(row);
+      // Each row as a length-prefixed f64 array.
+      for (uint64_t r = 0; r < shard.num_rows; ++r) {
+        writer.WriteVarint(shard.width());
+        writer.WriteF64Span(shard.row(r), shard.width());
+      }
     } else {
-      writer.WriteVarint(shard.sparse_rows.size());
-      for (const auto& row : shard.sparse_rows) {
+      for (const auto& row : shard.rest->sparse_rows) {
         writer.WriteVarint(row.size());
         uint64_t prev = 0;
         for (const auto& [col, v] : row) {
@@ -1883,10 +1865,10 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
   // that fails late must not leave earlier shards, or the shard bounds,
   // already replaced.
   struct ShardImage {
-    Shard* shard = nullptr;
+    ShardEntry* shard = nullptr;
     uint64_t begin = 0;
     uint64_t end = 0;
-    std::vector<std::vector<double>> dense_rows;
+    std::unique_ptr<double[]> values;
     std::vector<std::map<uint64_t, double>> sparse_rows;
   };
   BufferReader in(buffer);
@@ -1901,24 +1883,32 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
     if (img.shard == nullptr) {
       return Status::NotFound("checkpoint contains unknown matrix shard");
     }
-    const Shard& shard = *img.shard;
-    if (static_cast<MatrixStorage>(storage) != shard.meta.storage) {
+    const ShardEntry& shard = *img.shard;
+    if (static_cast<MatrixStorage>(storage) != shard.storage) {
       return Status::Internal("checkpoint storage kind mismatch");
     }
     if (img.begin > img.end) {
       return Status::Internal("checkpoint shard bounds invalid");
     }
     PS2_ASSIGN_OR_RETURN(uint64_t n_rows, in.ReadVarint());
-    if (n_rows != shard.meta.num_rows) {
+    if (n_rows != shard.num_rows) {
       return Status::Internal("checkpoint row count mismatch");
     }
     if (shard.dense()) {
-      img.dense_rows.resize(n_rows);
-      for (std::vector<double>& row : img.dense_rows) {
-        PS2_ASSIGN_OR_RETURN(row, in.ReadPodVector<double>());
-        if (row.size() != img.end - img.begin) {
+      // The block is sized from the image's bounds only once the image is
+      // known to hold that many values.
+      const uint64_t width = img.end - img.begin;
+      if (width > 0 &&
+          n_rows > in.remaining() / sizeof(double) / width) {
+        return Status::OutOfRange("checkpoint rows exceed the image");
+      }
+      img.values = std::make_unique_for_overwrite<double[]>(n_rows * width);
+      for (uint64_t r = 0; r < n_rows; ++r) {
+        PS2_ASSIGN_OR_RETURN(uint64_t n, in.ReadVarint());
+        if (n != width) {
           return Status::Internal("checkpoint row width mismatch");
         }
+        PS2_RETURN_NOT_OK(in.ReadF64Into(img.values.get() + r * width, n));
       }
     } else {
       img.sparse_rows.resize(n_rows);
@@ -2000,13 +1990,13 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
     // migration restores the pre-migration span, and the master reconciles
     // it against the current routing table afterwards
     // (PsServer::ReconcileShardBounds — DESIGN.md §12).
-    Shard& shard = *img.shard;
+    ShardEntry& shard = *img.shard;
     shard.begin = img.begin;
     shard.end = img.end;
     if (shard.dense()) {
-      shard.dense_rows = std::move(img.dense_rows);
+      shard.values = std::move(img.values);
     } else {
-      shard.sparse_rows = std::move(img.sparse_rows);
+      shard.rest->sparse_rows = std::move(img.sparse_rows);
     }
     // Restored values differ from whatever the clocks said (and the bounds
     // may too): the next snapshot publish re-copies every row.
@@ -2030,14 +2020,12 @@ Status PsServer::RestoreState(const std::vector<uint8_t>& buffer) {
 
 void PsServer::DropAllState() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard == nullptr) continue;
-    if (shard->dense()) {
-      for (auto& row : shard->dense_rows) {
-        std::fill(row.begin(), row.end(), 0.0);
-      }
+  for (ShardEntry& shard : shards_) {
+    if (!shard.present()) continue;
+    if (shard.dense()) {
+      std::fill_n(shard.values.get(), shard.num_rows * shard.width(), 0.0);
     } else {
-      for (auto& row : shard->sparse_rows) row.clear();
+      for (auto& row : shard.rest->sparse_rows) row.clear();
     }
   }
   replicas_.clear();
@@ -2069,12 +2057,12 @@ void PsServer::DropAllState() {
 uint64_t PsServer::StoredValues() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard == nullptr) continue;
-    if (shard->dense()) {
-      total += shard->meta.num_rows * shard->width();
+  for (const ShardEntry& shard : shards_) {
+    if (!shard.present()) continue;
+    if (shard.dense()) {
+      total += shard.num_rows * shard.width();
     } else {
-      for (const auto& row : shard->sparse_rows) total += row.size();
+      for (const auto& row : shard.rest->sparse_rows) total += row.size();
     }
   }
   return total;

@@ -18,6 +18,7 @@
 #include <mutex>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -288,28 +289,41 @@ class PsServer {
   bool HasSnapshotEpoch(uint64_t epoch) const;
 
  private:
+  /// Copy-on-publish clocks of one row (mutation_clock_ values; DESIGN.md
+  /// §10): the last write of any kind and the last whole-row write.
+  struct RowClock {
+    uint64_t version = 0;
+    uint64_t rewrite = 0;
+  };
+
+  /// What a shard keeps beside its entry: nothing a dense row access reads.
   struct Shard {
-    MatrixMeta meta;
-    uint64_t begin = 0;  ///< global column of local element 0
-    uint64_t end = 0;
-    // Dense storage: rows x (end-begin).
-    std::vector<std::vector<double>> dense_rows;
+    uint64_t dim = 0;  ///< the matrix's logical dimension
     // Sparse storage: per-row map global column -> value.
     std::vector<std::map<uint64_t, double>> sparse_rows;
-    // Copy-on-publish clocks (mutation_clock_ values; DESIGN.md §10): per
-    // row, the last write of any kind and the last whole-row write; for
-    // dense storage, the last sparse write to each chunk (rows x
+    // Dense storage: the last sparse write to each chunk (rows x
     // num_chunks(), row-major; empty until the first publish that sees the
     // shard, and sparse writes count as whole-row writes till then).
-    struct RowClock {
-      uint64_t version = 0;
-      uint64_t rewrite = 0;
-    };
-    std::vector<RowClock> row_clocks;
     std::vector<uint64_t> chunk_versions;
+  };
 
+  /// One matrix id's slot in shards_ and the only record of its shard's
+  /// bounds. A row resolves in one hop: the entry holds the bounds, the row
+  /// count, the storage kind and the dense values as one rows x width
+  /// block, so a row access reads no Shard and no per-row header.
+  struct ShardEntry {
+    std::unique_ptr<double[]> values;    ///< dense: row r at row(r)
+    std::unique_ptr<RowClock[]> clocks;  ///< one per row
+    uint64_t begin = 0;  ///< global column of local element 0
+    uint64_t end = 0;
+    uint32_t num_rows = 0;
+    MatrixStorage storage = MatrixStorage::kDense;
+    std::unique_ptr<Shard> rest;  ///< null: no shard of this id here
+
+    bool present() const { return rest != nullptr; }
     uint64_t width() const { return end - begin; }
-    bool dense() const { return meta.storage == MatrixStorage::kDense; }
+    bool dense() const { return storage == MatrixStorage::kDense; }
+    double* row(uint64_t r) const { return values.get() + r * width(); }
     uint64_t num_chunks() const {
       return (width() + kSnapshotChunk - 1) / kSnapshotChunk;
     }
@@ -364,7 +378,7 @@ class PsServer {
   /// chunks written since `prev` when the row was written sparsely, else a
   /// whole-row copy. Adds the doubles copied to `*copied`.
   std::shared_ptr<const ChunkedRow> CopyDenseRowLocked(
-      const Shard& shard, size_t row, const SnapshotRow* prev,
+      const ShardEntry& shard, size_t row, const SnapshotRow* prev,
       uint64_t* copied) const;
   /// One validated read of a kReadRows or kServingPull response: columns
   /// [begin, begin + n), or the n keys at `key_begin` of a key list, of one
@@ -412,9 +426,9 @@ class PsServer {
     uint64_t dim = 0;
     uint32_t num_rows = 0;
     MatrixStorage storage = MatrixStorage::kDense;
-    // Dense: num_rows x (end-begin). Sparse: per-row column -> value within
-    // [begin, end).
-    std::vector<std::vector<double>> dense_rows;
+    // Dense: num_rows x (end-begin), row-major. Sparse: per-row column ->
+    // value within [begin, end).
+    std::vector<double> dense;
     std::vector<std::map<uint64_t, double>> sparse_rows;
     // Source server's worker clocks, max-merged at commit (clock tables
     // follow the range owner — DESIGN.md §11/§12).
@@ -444,30 +458,41 @@ class PsServer {
   /// this call).
   void EncodeResponse(const RpcHeader& header, HandleResult* out);
 
-  /// The shard of `matrix_id`, or nullptr: one index into shards_. Takes any
-  /// id: a negative int converts past every table size, and a wire varint
-  /// is checked whole, never truncated onto another id.
-  Shard* ShardOf(uint64_t matrix_id) const;
-  /// Installs `shard` under its id (admitted; none there yet) and returns it.
-  Shard* PutShardLocked(Shard shard);
-
-  Result<Shard*> FindShard(int matrix_id, uint32_t row);
-  /// FindShard for operations that need dense storage.
-  Result<Shard*> DenseShard(int matrix_id, uint32_t row);
+  /// The one shard lookup: the entry of `matrix_id`'s shard, or nullptr.
+  /// One index into shards_. Takes any id: a negative int converts past
+  /// every table size, and a wire varint is checked whole, never truncated
+  /// onto another id.
+  const ShardEntry* ShardOf(uint64_t matrix_id) const;
+  ShardEntry* ShardOf(uint64_t matrix_id) {
+    return const_cast<ShardEntry*>(std::as_const(*this).ShardOf(matrix_id));
+  }
+  /// ShardOf when the shard holds row `row`, else nullptr; DenseShard also
+  /// asks for dense storage. RowMiss says why either found nothing, so a
+  /// row's lookup builds no Result.
+  ShardEntry* FindShard(uint64_t matrix_id, uint32_t row);
+  ShardEntry* DenseShard(uint64_t matrix_id, uint32_t row);
+  /// NotFound (no shard), OutOfRange (no such row) or FailedPrecondition
+  /// (sparse storage): the reason a FindShard or DenseShard came up empty.
+  Status RowMiss(uint64_t matrix_id, uint32_t row) const;
+  /// Installs a shard of `matrix_id` (admitted; none there yet) over
+  /// [begin, end) with zeroed rows, and returns its entry.
+  ShardEntry* PutShardLocked(int matrix_id, uint64_t dim, uint32_t num_rows,
+                             MatrixStorage storage, uint64_t begin,
+                             uint64_t end);
 
   /// Installed replica of (matrix, row), or nullptr.
   Replica* FindReplica(int matrix_id, uint32_t row);
 
   /// Read-only view of a row slice [begin, begin+width): the primary shard
   /// when this server owns exactly that slice, else an installed replica
-  /// (replicated rows read as if co-located everywhere).
-  Result<const double*> ReadRowView(int matrix_id, uint32_t row,
-                                    uint64_t begin, uint64_t width);
+  /// (replicated rows read as if co-located everywhere), else nullptr.
+  const double* ReadRowView(int matrix_id, uint32_t row, uint64_t begin,
+                            uint64_t width);
 
   /// A validated row of a shard: what a handler keeps instead of looking
   /// the matrix up again.
   struct ShardRow {
-    Shard* shard;
+    ShardEntry* shard;
     uint32_t row;
   };
 
@@ -488,16 +513,16 @@ class PsServer {
 
   /// Marks one row (or every row of every shard) as rewritten whole: the
   /// next PublishSnapshot copies all of it.
-  void TouchRowLocked(Shard* shard, uint64_t row);
+  void TouchRowLocked(ShardEntry* shard, uint64_t row);
   void TouchAllRowsLocked();
   /// Marks the chunks of dense row `row` that hold the global columns
   /// cols[0, n): the next PublishSnapshot copies just those chunks (the
   /// whole row while the shard has no chunk clocks yet).
-  void TouchChunksLocked(Shard* shard, uint64_t row, const uint64_t* cols,
-                         size_t n);
+  void TouchChunksLocked(ShardEntry* shard, uint64_t row,
+                         const uint64_t* cols, size_t n);
   /// Re-sizes any chunk clocks to the shard's current bounds and marks
   /// every row rewritten: for new shards and after a layout change.
-  void TouchLayoutLocked(Shard* shard);
+  void TouchLayoutLocked(ShardEntry* shard);
 
   /// A writer for a row-read response of about `bytes` bytes holding up to
   /// `sections` value spans. The spans are marked only when a response
@@ -517,19 +542,20 @@ class PsServer {
   Result<HandleResult> HandleRangeMigrate(BufferReader* in);
   Result<HandleResult> HandleRoutingUpdate(BufferReader* in);
 
-  /// Rebuilds `shard` at [new_begin, new_end), preserving the overlap with
-  /// the old bounds and filling the rest from this epoch's staged ranges
-  /// (zero where nothing is staged — callers validate coverage first).
-  void ResizeShardLocked(Shard* shard, uint64_t new_begin, uint64_t new_end,
-                         uint64_t epoch);
+  /// Rebuilds `matrix_id`'s shard at [new_begin, new_end), preserving the
+  /// overlap with the old bounds and filling the rest from this epoch's
+  /// staged ranges (zero where nothing is staged — callers validate
+  /// coverage first).
+  void ResizeShardLocked(int matrix_id, ShardEntry* shard, uint64_t new_begin,
+                         uint64_t new_end, uint64_t epoch);
 
   int id_;
   const UdfRegistry* udfs_;
   mutable std::mutex mu_;
-  // Shards by matrix id (null: no shard here). Iterating it visits shards in
-  // id order, which fixes the checkpoint image's layout. It grows only up to
-  // an admitted id, never to an id decoded from the wire.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Shard entries by matrix id (not present: no shard here). Iterating it
+  // visits shards in id order, which fixes the checkpoint image's layout. It
+  // grows only up to an admitted id, never to an id decoded from the wire.
+  std::vector<ShardEntry> shards_;
   int64_t matrix_id_limit_ = 0;  ///< ids [0, limit) admitted (AdmitMatrixIds)
   // Monotonic write clock feeding the Shard clocks (mu_ held).
   uint64_t mutation_clock_ = 0;

@@ -5,6 +5,7 @@
 #include "common/serde.h"
 #include "ml/optimizer.h"
 #include "ps/partitioner.h"
+#include "tests/common/alloc_counter.h"
 #include "tests/ps/ps_test_util.h"
 
 namespace ps2 {
@@ -555,6 +556,189 @@ TEST_F(PsServerTest, MatrixInitDeterministicAcrossCalls) {
     any_nonzero |= v != 0.0;
   }
   EXPECT_TRUE(any_nonzero);
+}
+
+/// The whole slice of one row this server holds, read with the all
+/// selector: its length shows the bounds the row resolved against.
+Result<std::vector<double>> AllRead(PsServer& server, uint64_t matrix,
+                                    uint64_t row) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kReadRows));
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kAll));
+  w.WriteVarint(1);
+  w.WriteVarint(matrix);
+  w.WriteVarint(row);
+  PS2_ASSIGN_OR_RETURN(PsServer::HandleResult result,
+                       HandleBytes(server, w.buffer()));
+  BufferReader in(result.response);
+  PS2_ASSIGN_OR_RETURN(uint64_t n, in.ReadVarint());
+  return in.ReadF64Span(n);
+}
+
+/// A range write of `values` at column `begin` of one row.
+Status RangeWrite(PsServer& server, uint64_t matrix, uint64_t row,
+                  uint64_t begin, const std::vector<double>& values) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kWriteRows));
+  w.WriteU8(static_cast<uint8_t>(RowSelectorKind::kRange));
+  w.WriteVarint(1);
+  w.WriteVarint(matrix);
+  w.WriteVarint(row);
+  w.WriteVarint(begin);
+  w.WriteVarint(values.size());
+  w.WriteF64Span(values.data(), values.size());
+  return HandleBytes(server, w.buffer()).status();
+}
+
+/// The sum of one row's slice (kAggregate, kSum).
+Result<double> RowSum(PsServer& server, uint64_t matrix, uint64_t row) {
+  BufferWriter w;
+  w.WriteU8(static_cast<uint8_t>(PsOpCode::kAggregate));
+  w.WriteU8(static_cast<uint8_t>(AggKind::kSum));
+  w.WriteVarint(1);
+  w.WriteVarint(matrix);
+  w.WriteVarint(row);
+  PS2_ASSIGN_OR_RETURN(PsServer::HandleResult result,
+                       HandleBytes(server, w.buffer()));
+  return BufferReader(result.response).ReadF64();
+}
+
+std::vector<double> Ramp(double first, size_t n) {
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = first + static_cast<double>(i);
+  return out;
+}
+
+std::vector<double> Concat(std::vector<double> head,
+                           const std::vector<double>& tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
+TEST_F(PsServerTest, RowLookupFollowsEveryLayoutChange) {
+  // Every row access resolves through the shard's entry. Each layout change
+  // must leave the entry at the shard's current bounds and values: a stale
+  // one reads freed or shifted values, or takes a write the bounds refuse.
+  constexpr uint64_t kM = 1;
+  // Created: dim 32 over two partitions, so this server holds [0, 16).
+  ASSERT_TRUE(server_.CreateMatrixShard(MakeMeta(kM, 32, 2, 2)).ok());
+  EXPECT_EQ(*AllRead(server_, kM, 1), std::vector<double>(16, 0.0));
+  ASSERT_TRUE(RangeWrite(server_, kM, 1, 0, Ramp(0, 16)).ok());
+  EXPECT_EQ(*AllRead(server_, kM, 1), Ramp(0, 16));
+  const std::vector<uint8_t> image = server_.SerializeState();
+
+  // Migration resize: [16, 32) staged for epoch 1 (row r holds 100 r + c),
+  // then the commit widens the shard to [0, 32).
+  BufferWriter migrate;
+  migrate.WriteU8(static_cast<uint8_t>(PsOpCode::kRangeMigrate));
+  migrate.WriteVarint(1);  // epoch
+  migrate.WriteVarint(kM);
+  migrate.WriteVarint(16);  // begin
+  migrate.WriteVarint(32);  // end
+  migrate.WriteVarint(32);  // dim
+  migrate.WriteVarint(2);   // rows
+  migrate.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
+  for (double first : {16.0, 116.0}) {
+    const std::vector<double> row = Ramp(first, 16);
+    migrate.WriteF64Span(row.data(), row.size());
+  }
+  migrate.WriteVarint(0);  // worker clocks
+  ASSERT_TRUE(HandleBytes(server_, migrate.buffer()).ok());
+  auto commit = [&](uint64_t epoch, uint64_t begin, uint64_t end) {
+    BufferWriter w;
+    w.WriteU8(static_cast<uint8_t>(PsOpCode::kRoutingUpdate));
+    w.WriteVarint(epoch);
+    w.WriteVarint(1);  // entries
+    w.WriteVarint(kM);
+    w.WriteVarint(begin);
+    w.WriteVarint(end);
+    w.WriteVarint(32);  // dim
+    w.WriteVarint(2);   // rows
+    w.WriteU8(static_cast<uint8_t>(MatrixStorage::kDense));
+    return HandleBytes(server_, w.buffer()).status();
+  };
+  ASSERT_TRUE(commit(1, 0, 32).ok());
+  EXPECT_EQ(*AllRead(server_, kM, 1), Concat(Ramp(0, 16), Ramp(116, 16)));
+  EXPECT_EQ(*AllRead(server_, kM, 0),
+            Concat(std::vector<double>(16, 0.0), Ramp(16, 16)));
+  ASSERT_TRUE(RangeWrite(server_, kM, 1, 20, {1000.0}).ok());
+  EXPECT_EQ(Pull(kM, 1, 14, 22),
+            (std::vector<double>{14, 15, 116, 117, 118, 119, 1120, 121}));
+  EXPECT_DOUBLE_EQ(*RowSum(server_, kM, 0), 376.0);  // 16 + ... + 31
+  // Shrunk by a second commit to [8, 32): the overlap keeps its values.
+  ASSERT_TRUE(commit(2, 8, 32).ok());
+  EXPECT_EQ(AllRead(server_, kM, 1)->size(), 24u);
+  EXPECT_EQ(Pull(kM, 1, 8, 10), (std::vector<double>{8, 9}));
+  EXPECT_TRUE(HandleBytes(server_, RangeRead(kM, 1, 4, 2).buffer())
+                  .status()
+                  .IsOutOfRange());
+  EXPECT_TRUE(RangeWrite(server_, kM, 1, 4, {1.0}).IsOutOfRange());
+
+  // RestoreState: the image's bounds [0, 16) and values come back.
+  ASSERT_TRUE(server_.RestoreState(image).ok());
+  EXPECT_EQ(*AllRead(server_, kM, 1), Ramp(0, 16));
+  EXPECT_EQ(*AllRead(server_, kM, 0), std::vector<double>(16, 0.0));
+  EXPECT_TRUE(RangeWrite(server_, kM, 1, 20, {1.0}).IsOutOfRange());
+  EXPECT_DOUBLE_EQ(*RowSum(server_, kM, 1), 120.0);
+
+  // Freed: every path reports the matrix gone, not a stale row.
+  ASSERT_TRUE(server_.FreeMatrixShard(kM).ok());
+  EXPECT_TRUE(AllRead(server_, kM, 1).status().IsNotFound());
+  EXPECT_TRUE(RangeWrite(server_, kM, 1, 0, {1.0}).IsNotFound());
+  EXPECT_TRUE(RowSum(server_, kM, 1).status().IsNotFound());
+  // Re-created under the same id with another shape: four zeroed rows of 8.
+  ASSERT_TRUE(server_.CreateMatrixShard(MakeMeta(kM, 8, 4, 1)).ok());
+  EXPECT_EQ(*AllRead(server_, kM, 3), std::vector<double>(8, 0.0));
+  EXPECT_TRUE(AllRead(server_, kM, 4).status().IsOutOfRange());
+  ASSERT_TRUE(RangeWrite(server_, kM, 3, 0, Ramp(1, 8)).ok());
+  EXPECT_EQ(*AllRead(server_, kM, 3), Ramp(1, 8));
+  EXPECT_EQ(*AllRead(server_, kM, 2), std::vector<double>(8, 0.0));
+  // ... and again as sparse storage, which dense-only ops refuse.
+  ASSERT_TRUE(server_.FreeMatrixShard(kM).ok());
+  ASSERT_TRUE(server_
+                  .CreateMatrixShard(
+                      MakeMeta(kM, 64, 2, 1, MatrixStorage::kSparse))
+                  .ok());
+  ASSERT_TRUE(RangeWrite(server_, kM, 1, 40, {2.5}).ok());
+  EXPECT_EQ(Pull(kM, 1, 39, 42), (std::vector<double>{0, 2.5, 0}));
+  EXPECT_DOUBLE_EQ(*RowSum(server_, kM, 1), 2.5);
+  BufferWriter fill;
+  fill.WriteU8(static_cast<uint8_t>(PsOpCode::kColumnOps));
+  fill.WriteU8(static_cast<uint8_t>(ColOpKind::kFill));
+  fill.WriteVarint(1);
+  fill.WriteVarint(kM);
+  fill.WriteVarint(0);
+  fill.WriteF64(1.0);
+  EXPECT_TRUE(
+      HandleBytes(server_, fill.buffer()).status().IsFailedPrecondition());
+
+  // Decommissioned: no shard is left to resolve a row against.
+  server_.Decommission(3);
+  for (uint64_t m : {uint64_t{0}, kM}) {
+    EXPECT_TRUE(AllRead(server_, m, 0).status().IsNotFound()) << m;
+    EXPECT_TRUE(RangeWrite(server_, m, 0, 0, {1.0}).IsNotFound()) << m;
+    EXPECT_FALSE(server_.HasMatrix(static_cast<int>(m)));
+  }
+}
+
+TEST_F(PsServerTest, DenseShardValuesAreOneBlock) {
+  // A dense shard keeps all its rows in one rows x width block: creating
+  // one allocates as often whatever its row count, and its largest
+  // allocation is the whole block.
+  auto create = [&](int id, uint32_t rows) {
+    return CountAllocs([&] {
+      EXPECT_TRUE(server_.CreateMatrixShard(MakeMeta(id, 32, rows, 1)).ok());
+    });
+  };
+  // Ids 1 and 2 size the shard table first, so neither count includes it.
+  server_.AdmitMatrixIds(3);
+  ASSERT_TRUE(server_.CreateMatrixShard(MakeMeta(2, 8, 1, 1)).ok());
+  ASSERT_TRUE(server_.FreeMatrixShard(2).ok());
+  const AllocCount few = create(1, 4);
+  const AllocCount many = create(2, 4096);
+  EXPECT_EQ(few.allocs, many.allocs);
+  EXPECT_EQ(few.largest, 4u * 32 * sizeof(double));
+  EXPECT_EQ(many.largest, 4096u * 32 * sizeof(double));
 }
 
 }  // namespace

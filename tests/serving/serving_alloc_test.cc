@@ -9,88 +9,19 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "dataflow/cluster.h"
 #include "net/network_model.h"
 #include "ps/ps_master.h"
 #include "serving/frontend.h"
+#include "tests/common/alloc_counter.h"
 #include "tests/ps/ps_test_util.h"
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<uint64_t> g_allocs{0};
-
-void* CountedAlloc(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(n == 0 ? 1 : n);
-}
-
-void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  const auto a = static_cast<std::size_t>(align);
-  return std::aligned_alloc(a, (n + a - 1) / a * a);
-}
-
-/// Out of line, so that the compiler does not pair the free() with the
-/// operator new it inlines next to it and warn of a mismatch.
-__attribute__((noinline)) void Free(void* p) noexcept { std::free(p); }
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (void* p = CountedAlloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return CountedAlloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return CountedAlloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  if (void* p = CountedAlignedAlloc(n, a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return operator new(n, a);
-}
-void operator delete(void* p) noexcept { Free(p); }
-void operator delete[](void* p) noexcept { Free(p); }
-void operator delete(void* p, std::size_t) noexcept { Free(p); }
-void operator delete[](void* p, std::size_t) noexcept { Free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { Free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { Free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  Free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  Free(p);
-}
 
 namespace ps2 {
 namespace {
-
-/// Allocations made by `fn()`.
-template <typename Fn>
-uint64_t CountAllocs(Fn fn) {
-  g_allocs.store(0);
-  g_counting.store(true);
-  fn();
-  g_counting.store(false);
-  return g_allocs.load();
-}
 
 constexpr int kServers = 4;
 constexpr uint64_t kDim = 64;
@@ -149,7 +80,7 @@ TEST_F(AllocGuardTest, ServeBatchAllocatesOnlyItsResultsAndResponses) {
   Result<std::vector<std::vector<double>>> served =
       std::vector<std::vector<double>>{};
   const uint64_t allocs =
-      CountAllocs([&] { served = frontend.ServeBatch(batch); });
+      CountAllocs([&] { served = frontend.ServeBatch(batch); }).allocs;
   ASSERT_TRUE(served.ok());
   EXPECT_EQ((*served)[1].size(), kDim);
   EXPECT_EQ((*served)[0], (std::vector<double>{3001, 3009, 3040}));
@@ -180,7 +111,7 @@ TEST_F(AllocGuardTest, ReadRowsIntoAReusedBlockAllocatesOnlyResponses) {
     Result<RowBlock> read = RowBlock{};
     const uint64_t allocs = CountAllocs([&] {
       read = client_->ReadRowsAsync(rows, cols, std::move(block)).Get();
-    });
+    }).allocs;
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read->row(1)[0], cols.kind == RowSelectorKind::kRange
                                    ? 2000.0

@@ -5,7 +5,9 @@
         [--focus REGEX] [--bucket LABEL=REGEX ...] [--full-names]
 
 PROFILE is what tools/profiler/sampler.cc writes (see its header). Frames
-are named with addr2line, inlined frames expanded. A module without a
+are named with addr2line, inlined frames expanded. A module that cannot be
+opened is named in a warning on stderr, and its frames count as
+unsymbolized. A module without a
 symbol table (a stripped libc) is not asked: addr2line would name its frame
 after the nearest exported symbol, so memcpy shows as __nss_database_lookup.
 Such a frame keeps the name of the dynamic symbol whose extent holds it
@@ -129,10 +131,15 @@ def symbolize(modules, stacks):
     table = {}
     for mod, offs in wanted.items():
         path = modules.get(mod, "?")
-        if path != "?" and Path(path).exists() and has_symtab(path):
+        table[mod] = None
+        # "?" is no module (dladdr found none), and no file backs the vDSO.
+        if path == "?" or path.startswith("linux-vdso"):
+            continue
+        if not Path(path).is_file():
+            print(f"warning: cannot open module {path}: its frames stay "
+                  "unsymbolized", file=sys.stderr)
+        elif has_symtab(path):
             table[mod] = addr2line(path, offs)
-        else:
-            table[mod] = None
     out = []
     for count, frames in stacks:
         names = []

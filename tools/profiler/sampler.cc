@@ -12,8 +12,9 @@
 // up to 48 return addresses from backtrace(), in a buffer mapped at start-up,
 // and does nothing else. At exit the samples are grouped by stack and each
 // frame is written as its module and offset (dladdr); a frame inside the
-// extent of a dynamic symbol also carries that symbol's name. The report
-// script symbolizes the rest with addr2line.
+// extent of a dynamic symbol also carries that symbol's name. Module paths
+// are written absolute, so the report script, which symbolizes the rest with
+// addr2line, can open them from any directory.
 //
 // PS2_PROF_OUT names the output file; "%p" in it becomes the pid (default
 // ps2prof.%p.txt, so preloaded child processes each write their own file).
@@ -40,6 +41,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -123,8 +125,15 @@ Frame Resolve(uintptr_t addr, const std::string& self_exe) {
     return f;
   }
   f.module = info.dli_fname != nullptr ? info.dli_fname : "";
-  // The main program reports the name it was started by; use its path.
-  if (f.module.find('/') == std::string::npos) f.module = self_exe;
+  // The main program reports the name it was started by, which may be bare
+  // or relative: use its path. A library preloaded by a relative path
+  // reports that path: resolve it against the working directory.
+  if (f.module.empty() || f.module == program_invocation_name) {
+    f.module = self_exe;
+  } else if (f.module[0] != '/') {
+    char resolved[PATH_MAX];
+    if (realpath(f.module.c_str(), resolved) != nullptr) f.module = resolved;
+  }
   f.offset = addr - reinterpret_cast<uintptr_t>(info.dli_fbase);
   const auto* sym = static_cast<const ElfW(Sym)*>(entry);
   if (sym != nullptr && info.dli_sname != nullptr &&
