@@ -160,14 +160,12 @@ class BufferWriter {
   }
   /// Records no section marks from here on: for a payload no filter reads.
   void DropSectionMarks() { marks_ = false; }
-  /// Moves the recorded section list out (call before Release*()).
+  /// Moves the recorded section list out (call before Release()).
   std::vector<PayloadSection> TakeSections() { return std::move(sections_); }
 
   size_t size() const { return buf_.size(); }
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> Release() { return std::move(buf_); }
-  /// Moves the buffer into a SharedBuf without copying the bytes.
-  SharedBuf ReleaseShared() { return SharedBuf::FromVector(std::move(buf_)); }
 
  private:
   void AppendRaw(const void* data, size_t n) {

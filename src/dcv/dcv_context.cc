@@ -108,7 +108,7 @@ Result<std::vector<Dcv>> DcvContext::DenseMatrix(uint64_t dim,
 Result<int> DcvContext::SpanServers(const Dcv& dcv) const {
   PS2_ASSIGN_OR_RETURN(MatrixMeta meta,
                        master_->GetMeta(dcv.ref().matrix_id));
-  return meta.partitioner.num_servers();
+  return meta.partitioner.num_partitions();
 }
 
 DcvBatch DcvContext::Batch() { return DcvBatch(this); }

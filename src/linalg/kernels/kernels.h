@@ -82,8 +82,11 @@ enum class OptimizerRule { kSgd, kAdagrad, kRmsProp, kAdam };
 ///   Adagrad  s += gi*gi;                    w -= lr*gi / (sqrt(s) + eps)
 ///   RMSProp  s = d*s + (1-d)*gi*gi;         w -= lr*gi / (sqrt(s) + eps)
 ///   Adam     s = d*s + (1-d)*gi*gi;  v = b*v + (1-b)*gi;
-///            w -= lr*(v/v_corr) / (sqrt(s/s_corr) + eps)
-/// with d = s_decay and b = v_decay.
+///            w -= lr*v / (sqrt(s) + eps)
+/// with d = s_decay and b = v_decay. Adam is RMSProp's step with the
+/// momentum v as numerator: its caller folds the bias corrections into lr
+/// and eps (Kingma & Ba §2, last paragraph; see ml/optimizer.cc), so each
+/// coordinate pays one divide.
 struct OptimizerParams {
   OptimizerRule rule = OptimizerRule::kSgd;
   double lr = 0.0;
@@ -91,8 +94,6 @@ struct OptimizerParams {
   double epsilon = 0.0;
   double s_decay = 0.0;  ///< RMSProp rho, Adam beta2 (second moment)
   double v_decay = 0.0;  ///< Adam beta1 (momentum)
-  double s_corr = 1.0;   ///< Adam bias corrections, 1 - beta^t
-  double v_corr = 1.0;
 };
 
 /// \brief One backend: per-chunk primitives sharing a single numeric

@@ -225,8 +225,6 @@ void OptimizerStepAvx2(const OptimizerParams& p, double* w, const double* g,
   const __m256d s_in = _mm256_set1_pd(1.0 - p.s_decay);
   const __m256d vd = _mm256_set1_pd(p.v_decay);
   const __m256d v_in = _mm256_set1_pd(1.0 - p.v_decay);
-  const __m256d s_corr = _mm256_set1_pd(p.s_corr);
-  const __m256d v_corr = _mm256_set1_pd(p.v_corr);
   // gi = g + l2*w and the step w - lr*num / (sqrt(den) + eps).
   auto grad = [&](__m256d wi, size_t i) {
     return _mm256_add_pd(_mm256_loadu_pd(g + i), _mm256_mul_pd(l2, wi));
@@ -278,8 +276,7 @@ void OptimizerStepAvx2(const OptimizerParams& p, double* w, const double* g,
                           _mm256_mul_pd(v_in, gi));
         _mm256_storeu_pd(s + i, si);
         _mm256_storeu_pd(v + i, vi);
-        _mm256_storeu_pd(w + i, scaled_step(wi, _mm256_div_pd(vi, v_corr),
-                                            _mm256_div_pd(si, s_corr)));
+        _mm256_storeu_pd(w + i, scaled_step(wi, vi, si));
       }
       break;
   }

@@ -129,7 +129,6 @@ void OptimizerStepScalar(const OptimizerParams& p, double* w, const double* g,
   const double lr = p.lr, l2 = p.l2, eps = p.epsilon;
   const double sd = p.s_decay, s_in = 1.0 - p.s_decay;
   const double vd = p.v_decay, v_in = 1.0 - p.v_decay;
-  const double s_corr = p.s_corr, v_corr = p.v_corr;
   switch (p.rule) {
     case OptimizerRule::kSgd:
       for (size_t i = 0; i < n; ++i) {
@@ -156,9 +155,7 @@ void OptimizerStepScalar(const OptimizerParams& p, double* w, const double* g,
         const double gi = g[i] + l2 * w[i];
         s[i] = sd * s[i] + s_in * gi * gi;
         v[i] = vd * v[i] + v_in * gi;
-        const double s_hat = s[i] / s_corr;
-        const double v_hat = v[i] / v_corr;
-        w[i] = w[i] - lr * v_hat / (std::sqrt(s_hat) + eps);
+        w[i] = w[i] - lr * v[i] / (std::sqrt(s[i]) + eps);
       }
       return;
   }

@@ -64,11 +64,25 @@ uint64_t ApplyOptimizerStep(const OptimizerOptions& options, int64_t t,
       // touched its second moment vanishes long before its momentum does,
       // so steps blow up to lr*v/eps). We follow standard Adam: second
       // moment decays with beta2 (slow), momentum with beta1 (fast).
+      //
+      // The bias corrections c2 = 1 - beta2^t and c1 = 1 - beta1^t are
+      // folded into the per-call constants (Kingma & Ba §2, last
+      // paragraph): lr*(v/c1) / (sqrt(s/c2) + eps) equals
+      // lr_t*v / (sqrt(s) + eps_t) with lr_t = lr*sqrt(c2)/c1 and
+      // eps_t = eps*sqrt(c2), so the kernel divides once per coordinate
+      // instead of three times. The two forms round differently, so this
+      // one matches the three-divide form only where c1 = c2 = 1.
+      PS2_CHECK_GE(t, 1) << "Adam's step count is 1-based";
       p.rule = kernels::OptimizerRule::kAdam;
       p.s_decay = options.beta2;
       p.v_decay = options.beta1;
-      p.s_corr = 1.0 - std::pow(options.beta2, static_cast<double>(t));
-      p.v_corr = 1.0 - std::pow(options.beta1, static_cast<double>(t));
+      {
+        const double t_d = static_cast<double>(t);
+        const double root_c2 = std::sqrt(1.0 - std::pow(options.beta2, t_d));
+        const double c1 = 1.0 - std::pow(options.beta1, t_d);
+        p.lr = options.learning_rate * root_c2 / c1;
+        p.epsilon = options.epsilon * root_c2;
+      }
       break;
   }
   return kernels::OptimizerStep(p, w, g, s, v, n);

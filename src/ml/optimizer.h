@@ -44,9 +44,11 @@ int OptimizerStateVectors(OptimizerKind kind);
 /// `w` weights, `g` gradient (already averaged over the batch), `s` second
 /// moment accumulator, `v` first moment / velocity (may be nullptr when the
 /// optimizer does not use them), `t` the 1-based step count (Adam bias
-/// correction). Adam follows Kingma & Ba, not the letter of paper Eq. (1):
-/// s is the decaying average of squared gradients with beta2, v of
-/// gradients with beta1 (see optimizer.cc). w, g, s and v must not alias.
+/// correction; Adam fails a check for t < 1). Adam follows Kingma & Ba, not
+/// the letter of paper Eq. (1): s is the decaying average of squared
+/// gradients with beta2, v of gradients with beta1, and the bias
+/// corrections are folded into the step size and eps (see optimizer.cc).
+/// w, g, s and v must not alias.
 /// Runs kernels::OptimizerStep; returns its op count (SGD 3n, Adagrad 7n,
 /// RMSProp 8n, Adam 12n).
 uint64_t ApplyOptimizerStep(const OptimizerOptions& options, int64_t t,

@@ -67,10 +67,6 @@ class ColumnPartitioner {
 
   uint64_t dim() const { return dim_; }
   int num_partitions() const { return num_partitions_; }
-  /// Legacy name for the partition count (pre-elastic code indexed servers
-  /// and partitions interchangeably; every surviving caller means
-  /// "partition count").
-  int num_servers() const { return num_partitions_; }
   uint64_t alignment() const { return alignment_; }
   int rotation() const { return rotation_; }
   const std::vector<int>& assignment() const { return assignment_; }

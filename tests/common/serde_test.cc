@@ -217,17 +217,6 @@ TEST(SerdeTest, TakeSectionsMovesTheList) {
   EXPECT_TRUE(w.TakeSections().empty());
 }
 
-TEST(SerdeTest, ReleaseSharedIsZeroCopy) {
-  BufferWriter w;
-  for (int i = 0; i < 64; ++i) w.WriteU64(static_cast<uint64_t>(i));
-  const uint8_t* raw = w.buffer().data();
-  const uint64_t copies_before = SharedBuf::DeepCopies();
-  SharedBuf buf = w.ReleaseShared();
-  EXPECT_EQ(buf.data(), raw);  // same allocation, moved not copied
-  EXPECT_EQ(buf.size(), 64u * 8u);
-  EXPECT_EQ(SharedBuf::DeepCopies(), copies_before);
-}
-
 TEST(SerdeTest, ReadBytesReturnsZeroCopyView) {
   BufferWriter w;
   w.WriteU8(9);
@@ -260,16 +249,6 @@ TEST(SerdeTest, SliceSubsliceClamps) {
   EXPECT_EQ(s.subslice(1, 3)[0], 1);
   EXPECT_EQ(s.subslice(3, 100).size(), 2u);  // clamped to the end
   EXPECT_TRUE(s.subslice(9, 1).empty());     // past the end: empty view
-}
-
-TEST(SerdeTest, SharedBufCopyOfIsCounted) {
-  std::vector<uint8_t> buf{1, 2, 3};
-  const uint64_t before = SharedBuf::DeepCopies();
-  SharedBuf aliased = SharedBuf::FromVector(std::vector<uint8_t>(buf));
-  EXPECT_EQ(SharedBuf::DeepCopies(), before);  // FromVector moves, no copy
-  SharedBuf copied = SharedBuf::CopyOf(aliased.slice());
-  EXPECT_EQ(SharedBuf::DeepCopies(), before + 1);
-  EXPECT_EQ(copied.slice().ToVector(), buf);
 }
 
 }  // namespace

@@ -110,19 +110,23 @@ constexpr OptimizerRule kAllRules[] = {
     OptimizerRule::kAdam};
 
 /// The constants ml/optimizer.cc passes for `rule` at step `t` (paper
-/// Appendix A defaults: lr 0.618, beta1 0.9, beta2 0.999, rho 0.9).
-OptimizerParams MakeOptimizerParams(OptimizerRule rule, double l2, int64_t t) {
+/// Appendix A defaults: lr 0.618, beta1 0.9, beta2 0.999, rho 0.9), with
+/// Adam's bias corrections folded into lr and eps.
+OptimizerParams MakeOptimizerParams(OptimizerRule rule, double l2, int64_t t,
+                                    double eps = 1e-8) {
   OptimizerParams p;
   p.rule = rule;
   p.lr = 0.618;
   p.l2 = l2;
-  p.epsilon = 1e-8;
+  p.epsilon = eps;
   if (rule == OptimizerRule::kRmsProp) p.s_decay = 0.9;
   if (rule == OptimizerRule::kAdam) {
     p.s_decay = 0.999;
     p.v_decay = 0.9;
-    p.s_corr = 1.0 - std::pow(0.999, static_cast<double>(t));
-    p.v_corr = 1.0 - std::pow(0.9, static_cast<double>(t));
+    const double root_c2 =
+        std::sqrt(1.0 - std::pow(0.999, static_cast<double>(t)));
+    p.lr = p.lr * root_c2 / (1.0 - std::pow(0.9, static_cast<double>(t)));
+    p.epsilon = eps * root_c2;
   }
   return p;
 }
@@ -383,33 +387,37 @@ TEST(KernelDispatch, ThreadedLargeBlocksDeterministicUnderContention) {
 
 /// The optimizer step is element-wise, so every backend must give the same
 /// bits for every rule, at every length (the 4-wide body plus each tail
-/// length) and misalignment, with and without L2, at the first step and
-/// long after Adam's bias corrections have reached 1.
+/// length) and misalignment, with and without L2 and eps, at the first step
+/// and long after Adam's bias corrections have reached 1.
 TEST(KernelDispatch, OptimizerStepBitExactAcrossRulesLengthsAndOffsets) {
   BackendPair p = Backends();
   std::mt19937_64 rng(20261017);
   for (OptimizerRule rule : kAllRules) {
     for (double l2 : {0.0, 0.01}) {
       for (int64_t t : {int64_t{1}, int64_t{2}, int64_t{1} << 40}) {
-        const OptimizerParams params = MakeOptimizerParams(rule, l2, t);
-        for (size_t n = 0; n <= 67; ++n) {
-          for (size_t offset = 0; offset < kLaneWidth; ++offset) {
-            OptimizerOperands sc(&rng, n, offset);
-            OptimizerOperands vec = sc;
-            p.scalar->optimizer_step(params, sc.w.data() + offset,
-                                     sc.g.data() + offset,
-                                     sc.s.data() + offset,
-                                     sc.v.data() + offset, n);
-            p.simd->optimizer_step(params, vec.w.data() + offset,
-                                   vec.g.data() + offset,
-                                   vec.s.data() + offset,
-                                   vec.v.data() + offset, n);
-            SCOPED_TRACE(::testing::Message()
-                         << "rule " << static_cast<int>(rule) << " l2 " << l2
-                         << " t " << t << " offset " << offset);
-            ExpectSameBits(sc.w, vec.w, "optimizer w", n);
-            ExpectSameBits(sc.s, vec.s, "optimizer s", n);
-            ExpectSameBits(sc.v, vec.v, "optimizer v", n);
+        for (double eps : {1e-8, 0.0}) {
+          const OptimizerParams params =
+              MakeOptimizerParams(rule, l2, t, eps);
+          for (size_t n = 0; n <= 67; ++n) {
+            for (size_t offset = 0; offset < kLaneWidth; ++offset) {
+              OptimizerOperands sc(&rng, n, offset);
+              OptimizerOperands vec = sc;
+              p.scalar->optimizer_step(params, sc.w.data() + offset,
+                                       sc.g.data() + offset,
+                                       sc.s.data() + offset,
+                                       sc.v.data() + offset, n);
+              p.simd->optimizer_step(params, vec.w.data() + offset,
+                                     vec.g.data() + offset,
+                                     vec.s.data() + offset,
+                                     vec.v.data() + offset, n);
+              SCOPED_TRACE(::testing::Message()
+                           << "rule " << static_cast<int>(rule) << " l2 "
+                           << l2 << " t " << t << " eps " << eps
+                           << " offset " << offset);
+              ExpectSameBits(sc.w, vec.w, "optimizer w", n);
+              ExpectSameBits(sc.s, vec.s, "optimizer s", n);
+              ExpectSameBits(sc.v, vec.v, "optimizer v", n);
+            }
           }
         }
       }

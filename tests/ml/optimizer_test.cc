@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 namespace ps2 {
 namespace {
@@ -157,6 +162,160 @@ TEST(OptimizerTest, SgdZipUsesTwoRows) {
   std::vector<double*> rows{w.data(), g.data()};
   zip(rows, 1, 0);
   EXPECT_DOUBLE_EQ(w[0], 0.75);
+}
+
+/// Adam as it was before its bias corrections were folded into lr and eps:
+/// three divides per coordinate, each op one rounded IEEE op, left to right.
+const auto kThreeDivideAdam = [](const OptimizerOptions& o, int64_t t,
+                                 double* w, const double* g, double* s,
+                                 double* v, size_t n) {
+  const double s_corr = 1.0 - std::pow(o.beta2, static_cast<double>(t));
+  const double v_corr = 1.0 - std::pow(o.beta1, static_cast<double>(t));
+  for (size_t i = 0; i < n; ++i) {
+    const double gi = g[i] + o.l2 * w[i];
+    s[i] = o.beta2 * s[i] + (1.0 - o.beta2) * gi * gi;
+    v[i] = o.beta1 * v[i] + (1.0 - o.beta1) * gi;
+    w[i] = w[i] - o.learning_rate * (v[i] / v_corr) /
+                      (std::sqrt(s[i] / s_corr) + o.epsilon);
+  }
+};
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+/// Bit equality with DESIGN.md §8's one carve-out: any NaN matches any NaN
+/// (which NaN an op returns depends on operand order, which the compiler
+/// may commute).
+bool SameBits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return Bits(a) == Bits(b);
+}
+
+/// Distance in representable doubles between two finite values (so
+/// +0.0 and -0.0 are 0 apart).
+uint64_t UlpDistance(double a, double b) {
+  auto ordered = [](double x) {
+    const auto b = static_cast<int64_t>(Bits(x));
+    return b < 0 ? std::numeric_limits<int64_t>::min() - b : b;
+  };
+  const int64_t oa = ordered(a), ob = ordered(b);
+  return oa > ob ? static_cast<uint64_t>(oa) - static_cast<uint64_t>(ob)
+                 : static_cast<uint64_t>(ob) - static_cast<uint64_t>(oa);
+}
+
+/// Operands with zeros, -0.0, denormals, huge magnitudes and inf/NaN mixed
+/// into regular values; `nonneg` folds the sign away, as for s.
+std::vector<double> SpecialOperands(std::mt19937_64* rng, size_t n,
+                                    bool nonneg) {
+  std::uniform_real_distribution<double> val(-8.0, 8.0);
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    double x;
+    switch (i % 8) {
+      case 0: x = 0.0; break;
+      case 1: x = -0.0; break;
+      case 2: x = std::numeric_limits<double>::denorm_min() * (1.0 + i); break;
+      case 3: x = 1e300 * val(*rng); break;
+      case 4:
+        x = i % 16 == 4 ? std::numeric_limits<double>::infinity()
+                        : std::numeric_limits<double>::quiet_NaN();
+        break;
+      default: x = val(*rng); break;
+    }
+    out[i] = nonneg ? std::fabs(x) : x;
+  }
+  std::shuffle(out.begin(), out.end(), *rng);
+  return out;
+}
+
+TEST(OptimizerTest, AdamMatchesThreeDivideFormOnceCorrectionsAreOne) {
+  // At t = 2^40 both beta^t underflow to 0, so both corrections are exactly
+  // 1 and the folded lr and eps are the configured ones: the two forms run
+  // the same rounded ops on every operand, special values included.
+  const int64_t t = int64_t{1} << 40;
+  OptimizerOptions opt;
+  opt.kind = OptimizerKind::kAdam;
+  ASSERT_EQ(1.0 - std::pow(opt.beta1, static_cast<double>(t)), 1.0);
+  ASSERT_EQ(1.0 - std::pow(opt.beta2, static_cast<double>(t)), 1.0);
+  std::mt19937_64 rng(2026);
+  const size_t n = 259;
+  for (double eps : {1e-8, 0.0}) {
+    for (double l2 : {0.0, 0.01}) {
+      opt.epsilon = eps;
+      opt.l2 = l2;
+      std::vector<double> w = SpecialOperands(&rng, n, false);
+      const std::vector<double> g = SpecialOperands(&rng, n, false);
+      std::vector<double> s = SpecialOperands(&rng, n, true);
+      std::vector<double> v = SpecialOperands(&rng, n, false);
+      std::vector<double> w_old = w, s_old = s, v_old = v;
+      ApplyOptimizerStep(opt, t, w.data(), g.data(), s.data(), v.data(), n);
+      kThreeDivideAdam(opt, t, w_old.data(), g.data(), s_old.data(),
+                       v_old.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE(::testing::Message() << "eps " << eps << " l2 " << l2
+                                          << " i " << i);
+        EXPECT_TRUE(SameBits(w[i], w_old[i])) << w[i] << " vs " << w_old[i];
+        EXPECT_TRUE(SameBits(s[i], s_old[i])) << s[i] << " vs " << s_old[i];
+        EXPECT_TRUE(SameBits(v[i], v_old[i])) << v[i] << " vs " << v_old[i];
+      }
+    }
+  }
+}
+
+TEST(OptimizerTest, AdamStepStaysWithinUlpBoundOfThreeDivideForm) {
+  // With w = 0 and no L2 the new weight is exactly minus the step, so this
+  // compares the steps themselves. Relative to the exact step, the
+  // three-divide form rounds to within 5.5u (u = 2^-53) and the folded form
+  // within 8u (3u in lr_t, 2u in eps_t), so the two are at most 13.5u|q|,
+  // i.e. under 14 ulps, apart for normal, finite results.
+  constexpr uint64_t kMaxUlps = 14;
+  OptimizerOptions opt;
+  opt.kind = OptimizerKind::kAdam;
+  opt.learning_rate = 0.618;
+  std::mt19937_64 rng(20261020);
+  std::uniform_real_distribution<double> signed_val(-8.0, 8.0);
+  std::uniform_real_distribution<double> second_moment(1e-6, 64.0);
+  const size_t n = 64;
+  uint64_t worst = 0;
+  for (double eps : {1e-8, 0.0}) {
+    opt.epsilon = eps;
+    for (int64_t t = 1; t <= 200; ++t) {
+      std::vector<double> w(n, 0.0), g(n), s(n), v(n);
+      for (size_t i = 0; i < n; ++i) {
+        g[i] = signed_val(rng);
+        s[i] = second_moment(rng);
+        v[i] = signed_val(rng);
+      }
+      std::vector<double> w_old = w, s_old = s, v_old = v;
+      EXPECT_EQ(ApplyOptimizerStep(opt, t, w.data(), g.data(), s.data(),
+                                   v.data(), n),
+                12 * n);
+      kThreeDivideAdam(opt, t, w_old.data(), g.data(), s_old.data(),
+                       v_old.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(std::isnormal(w_old[i])) << "t " << t << " i " << i;
+        EXPECT_EQ(Bits(s[i]), Bits(s_old[i]));
+        EXPECT_EQ(Bits(v[i]), Bits(v_old[i]));
+        const uint64_t d = UlpDistance(w[i], w_old[i]);
+        EXPECT_LE(d, kMaxUlps) << "eps " << eps << " t " << t << " i " << i
+                               << ": " << w[i] << " vs " << w_old[i];
+        worst = std::max(worst, d);
+      }
+    }
+  }
+  RecordProperty("worst_ulps", static_cast<int>(worst));
+}
+
+TEST(OptimizerTest, AdamRejectsAStepCountBelowOne) {
+  // t = 0 would make both bias corrections 0.
+  OptimizerOptions opt;
+  opt.kind = OptimizerKind::kAdam;
+  double w[1] = {1.0}, g[1] = {1.0}, s[1] = {0.0}, v[1] = {0.0};
+  EXPECT_DEATH(ApplyOptimizerStep(opt, 0, w, g, s, v, 1), "1-based");
+  EXPECT_DEATH(ApplyOptimizerStep(opt, -1, w, g, s, v, 1), "1-based");
 }
 
 class OptimizerConvergenceSweep

@@ -240,22 +240,5 @@ TEST(PsFilterTest, DuplicateDeliveryComposesWithDedup) {
   EXPECT_EQ(filtered.first, plain.first);  // bit-equal parameters
 }
 
-TEST(PsFilterTest, FiltersOffHotPathPerformsZeroDeepCopies) {
-  // The zero-copy contract: with filters off, request and response buffers
-  // are moved or aliased, never duplicated. SharedBuf::CopyOf is the only
-  // way to copy bytes and it is globally counted.
-  Fixture f(SpecWithFilters("off"));
-  SharedBuf::ResetStats();
-  const std::vector<uint64_t> indices = EveryThird(60);
-  for (int round = 0; round < 10; ++round) {
-    ASSERT_TRUE(
-        WriteRow(*f.client, f.weight, std::vector<double>(60, 2.0)).ok());
-    ASSERT_TRUE(ReadRow(*f.client, f.weight,
-                        RowSelector::Indices(indices)).ok());
-    ASSERT_TRUE(ReadRow(*f.client, f.weight).ok());
-  }
-  EXPECT_EQ(SharedBuf::DeepCopies(), 0u);
-}
-
 }  // namespace
 }  // namespace ps2

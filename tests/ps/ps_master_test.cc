@@ -40,7 +40,7 @@ TEST_F(PsMasterTest, NumServersCapRespected) {
   options.num_servers = 2;
   int id = *master_->CreateMatrix(options);
   MatrixMeta meta = *master_->GetMeta(id);
-  EXPECT_EQ(meta.partitioner.num_servers(), 2);
+  EXPECT_EQ(meta.partitioner.num_partitions(), 2);
   EXPECT_TRUE(master_->server(0)->HasMatrix(id));
   EXPECT_FALSE(master_->server(3)->HasMatrix(id));
 }
@@ -49,7 +49,7 @@ TEST_F(PsMasterTest, TinyDimNeverSplitsBelowOneUnitPerServer) {
   MatrixOptions options;
   options.dim = 2;
   int id = *master_->CreateMatrix(options);
-  EXPECT_LE((*master_->GetMeta(id)).partitioner.num_servers(), 2);
+  EXPECT_LE((*master_->GetMeta(id)).partitioner.num_partitions(), 2);
 }
 
 TEST_F(PsMasterTest, AlignmentNeverSplitsUnits) {
@@ -59,7 +59,7 @@ TEST_F(PsMasterTest, AlignmentNeverSplitsUnits) {
   int id = *master_->CreateMatrix(options);
   MatrixMeta meta = *master_->GetMeta(id);
   const ColumnPartitioner& part = meta.partitioner;
-  for (int p = 0; p < part.num_servers(); ++p) {
+  for (int p = 0; p < part.num_partitions(); ++p) {
     EXPECT_EQ(part.RangeBegin(p) % 16, 0u);
   }
 }

@@ -244,7 +244,7 @@ class ChunkedSnapshotTest : public ::testing::Test {
 
   uint64_t Begin(int p) const { return meta_.partitioner.RangeBegin(p); }
   uint64_t End(int p) const { return meta_.partitioner.RangeEnd(p); }
-  int Partitions() const { return meta_.partitioner.num_servers(); }
+  int Partitions() const { return meta_.partitioner.num_partitions(); }
 
   void PushSparse(uint32_t row, std::vector<uint64_t> keys, double delta) {
     std::sort(keys.begin(), keys.end());
